@@ -143,14 +143,15 @@ def check_af_decay(data, radii, grid=None, slack=0.3):
             for j in range(3):
                 gv = value(G[i][j])
                 hv = value(P[i][j])
-                gdev = max(gdev, float(np.max(np.abs(gv - (1.0 if i == j else 0.0)))))
-                hsup = max(hsup, float(np.max(np.abs(hv))))
+                # np.maximum keeps a NaN; the builtin max would drop it
+                gdev = np.maximum(gdev, np.max(np.abs(gv - (1.0 if i == j else 0.0))))
+                hsup = np.maximum(hsup, np.max(np.abs(hv)))
                 for k in range(3):
-                    dgs = max(dgs, float(np.max(np.abs(dk(G[i][j], k)))))
-                    dhs = max(dhs, float(np.max(np.abs(dk(P[i][j], k)))))
+                    dgs = np.maximum(dgs, np.max(np.abs(dk(G[i][j], k))))
+                    dhs = np.maximum(dhs, np.max(np.abs(dk(P[i][j], k))))
                     for l in range(3):
-                        ddgs = max(ddgs, float(np.max(np.abs(
-                            ddkl(G[i][j], k, l)))))
+                        ddgs = np.maximum(ddgs, np.max(np.abs(
+                            ddkl(G[i][j], k, l))))
         sups["g"].append(gdev)
         sups["dg"].append(dgs)
         sups["ddg"].append(ddgs)

@@ -196,15 +196,30 @@ def _margin_series(m):
     return m[:, 0] - np.sqrt(np.sum(m[:, 1:] ** 2, axis=1))
 
 
+def _u_samples(u_start, u_end, du, end="u_end"):
+    """Retarded times u_start, u_start + du, ..., u_end.
+
+    ``du`` must be positive and divide the nonempty range to within rounding,
+    so the last sample is ``u_end`` and none lies past it.  ``end`` names the
+    end point in error messages.
+    """
+    if not du > 0:
+        raise ConfigError(f"step must be positive, got du={du}")
+    if not u_end > u_start:
+        raise ConfigError(f"empty range: u_start={u_start}, {end}={u_end}")
+    steps = (u_end - u_start) / du
+    n = int(round(steps)) if np.isfinite(steps) else 0
+    if n < 1 or abs(steps - n) > 1e-9 * n:
+        raise ConfigError(f"du={du} does not divide the range from "
+                          f"u_start={u_start} to {end}={u_end} "
+                          f"({steps:.6g} steps)")
+    return u_start + du * np.arange(n + 1)
+
+
 def evolve_energy_momentum(m_start, exp, u_start, u_end, du, grid=None):
     """Integrate dm_nu/du = -F_nu with cumulative Simpson on a fixed grid."""
-    if du <= 0:
-        raise ConfigError(f"step must be positive, got {du}")
-    if u_end <= u_start:
-        raise ConfigError(f"empty range [{u_start}, {u_end}]")
+    u = _u_samples(u_start, u_end, du)
     grid = grid or build_grid(48, 96)
-    n = int(round((u_end - u_start) / du))
-    u = u_start + du * np.arange(n + 1)
     F = np.stack([news_flux(exp, ui, grid) for ui in u])
     m = np.asarray(m_start, dtype=float)[None, :] - _cumulative_simpson(F, du)
     margin = _margin_series(m)
@@ -453,6 +468,7 @@ def vanishing_news_scenario(exp, u0, u_start, du=0.01, grid=None,
     from .nullcharges import check_pmt_null, null_energy_momentum
     from .geometry import rigidity_residual
 
+    u = _u_samples(u_start, u0, du, end="u0")
     grid = grid or build_grid(48, 96)
     T, Ps = grid.nodes()
     uarr = np.full_like(T, float(u0))
@@ -466,8 +482,6 @@ def vanishing_news_scenario(exp, u0, u_start, du=0.01, grid=None,
 
     m_final = bondi_energy_momentum(mass_aspect_field(exp, u0, grid))
 
-    n = int(round((u0 - u_start) / du))
-    u = u_start + du * np.arange(n + 1)
     F = np.stack([news_flux(exp, ui, grid) for ui in u])
     I = _cumulative_simpson(F, du)
     m = m_final[None, :] + (I[-1] - I)

@@ -15,6 +15,19 @@ Rules that keep nesting sound:
   never mutate them;
 * ``value(x)`` unwraps to the leaf value, which is what branching and domain
   checks must look at.
+
+Structural zeros: a derivative entry that is the plain Python float ``0.0``
+(as ``seed`` and ``arctan2`` create them) is known to vanish everywhere.  The
+ring operations, ``_chain`` and hence every elementary function drop the
+terms it would annihilate and keep such a result a plain float, instead of
+multiplying it into an all-zero array or jet.  The surviving terms are
+summed in the same order as in the full formula, so each entry keeps its
+value up to the sign of an exact zero.  One downstream effect remains: an
+entry that stays a plain number where it would have been a jet with zero
+derivatives makes a later ``c / x`` use the chain rule of ``__rtruediv__``
+(and ``x / c`` a product with ``1 / c``) instead of the quotient rule, which
+can round differently in the last bit.  A numpy zero (array or
+``np.float64``) is not structural and is computed like any other entry.
 """
 
 import numpy as np
@@ -55,10 +68,10 @@ class Jet:
 
     def __add__(self, o):
         if isinstance(o, Jet):
-            d = [a + b for a, b in zip(self.d, o.d)]
+            d = [_add(a, b) for a, b in zip(self.d, o.d)]
             dd = None
             if self.dd is not None:
-                dd = _sym2(lambda i, j: self.dd[i][j] + o.dd[i][j], len(d))
+                dd = _sym2(lambda i, j: _add(self.dd[i][j], o.dd[i][j]), len(d))
             return Jet(self.f + o.f, d, dd)
         return Jet(self.f + o, self.d, self.dd)
 
@@ -71,10 +84,10 @@ class Jet:
 
     def __sub__(self, o):
         if isinstance(o, Jet):
-            d = [a - b for a, b in zip(self.d, o.d)]
+            d = [_sub(a, b) for a, b in zip(self.d, o.d)]
             dd = None
             if self.dd is not None:
-                dd = _sym2(lambda i, j: self.dd[i][j] - o.dd[i][j], len(d))
+                dd = _sym2(lambda i, j: _sub(self.dd[i][j], o.dd[i][j]), len(d))
             return Jet(self.f - o.f, d, dd)
         return Jet(self.f - o, self.d, self.dd)
 
@@ -86,29 +99,34 @@ class Jet:
     def __mul__(self, o):
         if isinstance(o, Jet):
             f, g = self.f, o.f
-            d = [self.d[i] * g + f * o.d[i] for i in range(len(self.d))]
+            sd, od = self.d, o.d
+            d = [_add(_mul(sd[i], g), _mul(f, od[i])) for i in range(len(sd))]
             dd = None
             if self.dd is not None:
+                sdd, odd = self.dd, o.dd
                 dd = _sym2(
-                    lambda i, j: (self.dd[i][j] * g + f * o.dd[i][j]
-                                  + self.d[i] * o.d[j] + self.d[j] * o.d[i]),
+                    lambda i, j: _add(_add(_add(_mul(sdd[i][j], g), _mul(f, odd[i][j])),
+                                           _mul(sd[i], od[j])), _mul(sd[j], od[i])),
                     len(d))
             return Jet(f * g, d, dd)
-        d = [a * o for a in self.d]
-        dd = None if self.dd is None else _sym2(lambda i, j: self.dd[i][j] * o, len(d))
+        d = [_mul(a, o) for a in self.d]
+        dd = None if self.dd is None else _sym2(lambda i, j: _mul(self.dd[i][j], o), len(d))
         return Jet(self.f * o, d, dd)
 
     __rmul__ = __mul__
 
     def __truediv__(self, o):
         if isinstance(o, Jet):
-            q = self.f / o.f
-            d = [(self.d[i] - q * o.d[i]) / o.f for i in range(len(self.d))]
+            g = o.f
+            q = self.f / g
+            sd, od = self.d, o.d
+            d = [_div(_sub(sd[i], _mul(q, od[i])), g) for i in range(len(sd))]
             dd = None
             if self.dd is not None:
+                sdd, odd = self.dd, o.dd
                 dd = _sym2(
-                    lambda i, j: (self.dd[i][j] - q * o.dd[i][j]
-                                  - d[i] * o.d[j] - d[j] * o.d[i]) / o.f,
+                    lambda i, j: _div(_sub(_sub(_sub(sdd[i][j], _mul(q, odd[i][j])),
+                                                _mul(d[i], od[j])), _mul(d[j], od[i])), g),
                     len(d))
             return Jet(q, d, dd)
         inv = 1.0 / o
@@ -138,12 +156,46 @@ class Jet:
 
     def _chain(self, f0, f1, f2):
         """Compose with a scalar function given f(v), f'(v) and f''(v)."""
-        d = [f1 * a for a in self.d]
+        sd = self.d
+        d = [_mul(f1, a) for a in sd]
         dd = None
         if self.dd is not None:
-            dd = _sym2(lambda i, j: f1 * self.dd[i][j] + f2 * self.d[i] * self.d[j],
+            sdd = self.dd
+            dd = _sym2(lambda i, j: _add(_mul(f1, sdd[i][j]), _mul(_mul(f2, sd[i]), sd[j])),
                        len(d))
         return Jet(f0, d, dd)
+
+
+# -- structural zeros (see the module docstring) ------------------------------
+
+def _zero(x):
+    return type(x) is float and x == 0.0
+
+
+def _add(a, b):
+    if _zero(a):
+        return b
+    if _zero(b):
+        return a
+    return a + b
+
+
+def _sub(a, b):
+    if _zero(b):
+        return a
+    return a - b
+
+
+def _mul(a, b):
+    if _zero(a) or _zero(b):
+        return 0.0
+    return a * b
+
+
+def _div(a, b):
+    if _zero(a):
+        return 0.0
+    return a / b
 
 
 def _sym2(fn, k):
@@ -161,7 +213,8 @@ def seed(values, order=1):
     """Seed a jet context: one Jet per value, with unit gradients.
 
     ``values`` entries may be numbers, arrays, or Jets of an outer context.
-    Zeros in gradients are plain floats so sparsity is cheap until mixed.
+    Zeros in gradients are plain floats: structural zeros that the ring
+    operations skip.
     """
     k = len(values)
     out = []
@@ -315,14 +368,16 @@ def arctan2(y, x):
     fy, fx = y.f, x.f
     h = fx * fx + fy * fy
     k = len(y.d)
-    d = [(fx * y.d[i] - fy * x.d[i]) / h for i in range(k)]
+    d = [_div(_sub(_mul(fx, y.d[i]), _mul(fy, x.d[i])), h) for i in range(k)]
     dd = None
     if y.dd is not None:
+        fx2, fy2 = 2.0 * fx, 2.0 * fy
+
         def entry(i, j):
-            dN = (x.d[j] * y.d[i] + fx * y.dd[i][j]
-                  - y.d[j] * x.d[i] - fy * x.dd[i][j])
-            dh = 2.0 * fx * x.d[j] + 2.0 * fy * y.d[j]
-            return (dN - d[i] * dh) / h
+            dN = _sub(_sub(_add(_mul(x.d[j], y.d[i]), _mul(fx, y.dd[i][j])),
+                           _mul(y.d[j], x.d[i])), _mul(fy, x.dd[i][j]))
+            dh = _add(_mul(fx2, x.d[j]), _mul(fy2, y.d[j]))
+            return _div(_sub(dN, _mul(d[i], dh)), h)
         dd = _sym2(entry, k)
     return Jet(arctan2(fy, fx), d, dd)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 
 __all__ = ["LadderFit", "DecayFit", "fit_inverse_powers", "fit_decay_exponent",
            "ladder_map", "check_ladder"]
@@ -85,9 +85,17 @@ def fit_inverse_powers(radii, samples, n_terms=3):
 
 
 def fit_decay_exponent(radii, sups, zero_floor=EXACT_ZERO_FLOOR):
-    """tau-hat from sup-norm samples; reports exact zero below the floor."""
+    """tau-hat from sup-norm samples; reports exact zero below the floor.
+
+    A non-finite sample raises DomainError: it is not below the floor, and
+    counting it as an exact zero would pass a decay check vacuously.
+    """
     radii = np.asarray(check_ladder(radii, minimum=2), dtype=float)
     s = np.asarray(sups, dtype=float)
+    bad = ~np.isfinite(s)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise DomainError(f"non-finite sup-norm {s[k]} at radius {radii[k]:g}")
     keep = s > zero_floor
     if keep.sum() < 2:
         return DecayFit(np.inf, 0.0, True, tuple(s))

@@ -60,6 +60,9 @@ class ScenarioConfig:
             raise ConfigError(f"unknown preset {self.preset!r}; choose from {PRESETS}")
         if self.mass_aspect not in ("constant", "tilted"):
             raise ConfigError(f"unknown mass_aspect {self.mass_aspect!r}")
+        for name in ("mass", "spin", "amplitude", "amplitude_d"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.tolerance_scale <= 0:
             raise ConfigError("tolerance_scale must be positive")
         if self.radii:

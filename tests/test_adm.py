@@ -6,10 +6,10 @@ import pytest
 from admbondi import jets
 from admbondi.adm import (adm_energy_momentum, check_af_decay,
                           check_dec_flat, check_pmt_flat, rotated_data)
-from admbondi.errors import ConfigError
+from admbondi.errors import ConfigError, DomainError
 from admbondi.geometry import (InitialData, euclidean_frame, hyperboloid_frame,
                                pullback_initial_data)
-from admbondi.ladder import fit_inverse_powers
+from admbondi.ladder import fit_decay_exponent, fit_inverse_powers
 from admbondi.spacetimes import (KerrParameters, kerr, minkowski, schwarzschild,
                                  t_const_embedding)
 from admbondi.sphere import build_grid
@@ -126,6 +126,20 @@ def test_af_decay_minkowski_exact():
                                  euclidean_frame())
     out = check_af_decay(data, [10.0, 20.0, 40.0, 80.0])
     assert all(v["fit"].exact for v in out.values())
+
+
+def test_decay_fit_rejects_non_finite_samples():
+    # NaN is not below the exact-zero floor, so it must not read as "exact"
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="radius 20"):
+            fit_decay_exponent(LADDER, [1e-3, bad, 1e-5, 1e-6])
+
+
+def test_af_decay_nan_mass_raises():
+    data = pullback_initial_data(schwarzschild(float("nan"), "static"),
+                                 t_const_embedding(), euclidean_frame())
+    with pytest.raises(DomainError):
+        check_af_decay(data, LADDER)
 
 
 def test_af_decay_kerr_h():

@@ -188,6 +188,35 @@ def test_evolution_rejects_bad_steps(grid):
         evolve_energy_momentum([1, 0, 0, 0], exp, 1.0, 1.0, 0.1, grid)
 
 
+@pytest.mark.parametrize("u_end", [0.015, 0.014])
+def test_evolution_rejects_step_not_dividing_range(grid, u_end):
+    # 0.015 used to sample up to 0.02, past u_end; 0.014 stopped at 0.01
+    with pytest.raises(ConfigError, match=f"du=0.01 .*u_end={u_end}"):
+        evolve_energy_momentum([1, 0, 0, 0], quadrupole(), 0.0, u_end, 0.01,
+                               grid)
+
+
+def test_evolution_rejects_non_finite_step(grid):
+    with pytest.raises(ConfigError, match="du=nan"):
+        evolve_energy_momentum([1, 0, 0, 0], quadrupole(), 0.0, 1.0,
+                               float("nan"), grid)
+
+
+def test_vanishing_news_rejects_step_not_dividing_range(grid):
+    # 0.3 steps from 0 end at 0.9, which would be labelled with m(u0 = 1)
+    exp = BondiExpansion(c=_zero, d=_zero, M=const_M(1.0))
+    with pytest.raises(ConfigError, match="du=0.3 .*u0=1.0"):
+        vanishing_news_scenario(exp, u0=1.0, u_start=0.0, du=0.3, grid=grid)
+
+
+def test_vanishing_news_rejects_bad_step_and_empty_range(grid):
+    exp = BondiExpansion(c=_zero, d=_zero, M=const_M(1.0))
+    with pytest.raises(ConfigError, match="du=-0.1"):
+        vanishing_news_scenario(exp, u0=1.0, u_start=0.0, du=-0.1, grid=grid)
+    with pytest.raises(ConfigError, match="u_start=2.0, u0=1.0"):
+        vanishing_news_scenario(exp, u0=1.0, u_start=2.0, du=0.1, grid=grid)
+
+
 def test_trajectory_csv_format(grid):
     exp = quadrupole()
     traj = evolve_energy_momentum([1.0, 0, 0, 0], exp, 0.0, 0.2, 0.1, grid)

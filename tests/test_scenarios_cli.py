@@ -196,6 +196,22 @@ def test_cli_bad_config_diagnostic(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["mass", "spin", "amplitude", "amplitude_d"])
+def test_non_finite_parameters_rejected(name):
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match=name):
+            ScenarioConfig(**{name: bad}).validate()
+
+
+def test_cli_adm_nan_mass_exits_2(tmp_path, capsys):
+    cfgfile = tmp_path / "nan.cfg"
+    cfgfile.write_text("preset = schwarzschild\n[parameters]\nmass = nan\n")
+    code = run_cli(["adm", "--config", str(cfgfile), "--ntheta", "16",
+                    "--npsi", "32"])
+    assert code == 2
+    assert "mass must be finite" in capsys.readouterr().err
+
+
 def test_cli_reports_deterministic(tmp_path):
     cfgfile = tmp_path / "c.cfg"
     cfgfile.write_text("preset = schwarzschild\n[grid]\nn_theta = 16\n"
