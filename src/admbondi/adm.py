@@ -15,8 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import InitialData, _grad
-from .jets import value
+from . import jets
+from .geometry import (InitialData, _chart_gradient, _leaf_array,
+                       frame_derivative)
+from .jets import Jet, value
 from .ladder import LadderFit, fit_decay_exponent, fit_inverse_powers, ladder_map
 from .sphere import build_grid, direction_functions
 
@@ -69,12 +71,7 @@ def adm_energy_momentum(data, radii, grid=None):
         Fv = np.array([[value(F[i][a]) + np.zeros_like(coords[1])
                         for a in range(3)] for i in range(3)])
         # frame-directional derivatives D_k g_ij (Cartesian partials)
-        Dg = np.empty((3, 3, 3) + coords[1].shape)
-        for k in range(3):
-            for i in range(3):
-                for j in range(3):
-                    Dg[k, i, j] = sum(Fv[k][a] * _grad(G[i][j], a)
-                                      for a in range(3))
+        Dg = frame_derivative(Fv, G)
         gv = np.array([[value(G[i][j]) + np.zeros_like(coords[1])
                         for j in range(3)] for i in range(3)])
         hv = np.array([[value(P[i][j]) + np.zeros_like(coords[1])
@@ -96,6 +93,11 @@ def adm_energy_momentum(data, radii, grid=None):
     return AdmCharges(energy, momentum)
 
 
+def _hess(x, a, b):
+    """Leaf value of d_a d_b x (0 for constants)."""
+    return value(x.dd[a][b]) if isinstance(x, Jet) else 0.0
+
+
 _REQUIRED_ORDERS = {"g": 1.0, "dg": 2.0, "ddg": 3.0, "h": 2.0, "dh": 3.0}
 
 
@@ -111,47 +113,30 @@ def check_af_decay(data, radii, grid=None, slack=0.3):
         raise ConfigError("decay check needs at least 4 radii")
     grid = grid or build_grid(12, 24)
 
-    from . import jets as jx
-
     sups = {k: [] for k in _REQUIRED_ORDERS}
     for r in radii:
         coords = _node_arrays(grid, r)
-        cj = jx.seed(coords, order=2)
-        G, P = data.gp(cj)
-        F = data.frame.components(cj)
-        Fv = np.array([[value(F[i][a]) + np.zeros_like(coords[1])
-                        for a in range(3)] for i in range(3)])
-        dF = np.array([[[_grad(F[i][b], a) + np.zeros_like(coords[1])
-                         for b in range(3)] for i in range(3)]
-                       for a in range(3)])
+        leaf = coords[1].shape
+        G, P = data.jets(coords, order=2)
+        F = data.frame.components(jets.seed(coords, order=1))
+        Fv = _leaf_array(F, value, leaf)
+        dF = _chart_gradient(F, leaf)           # dF[a, l, b] = d_a F_l^b
+        dG = _chart_gradient(G, leaf)
+        # e_k(e_l G) = F_k^a (d_a F_l^b) d_b G + F_k^a F_l^b d_a d_b G,
+        # indexed [k, l, i, j, node]
+        ddG = 0.0
+        for a in range(3):
+            for b in range(3):
+                dd = _leaf_array(G, lambda x: _hess(x, a, b), leaf)
+                ddG = ddG + Fv[:, a, None, None, None] * (
+                    dF[a, :, b, None, None] * dG[b] + Fv[:, b, None, None] * dd)
 
-        def dk(X, k):
-            return sum(Fv[k][a] * _grad(X, a) for a in range(3))
-
-        def ddkl(X, k, l):
-            # e_k(e_l X) = F_k^a (d_a F_l^b) d_b X + F_k^a F_l^b d_a d_b X
-            out = 0.0
-            for a in range(3):
-                for b in range(3):
-                    dd = value(X.dd[a][b]) if isinstance(X, jx.Jet) else 0.0
-                    out = out + Fv[k][a] * (dF[a][l][b] * _grad(X, b)
-                                            + Fv[l][b] * dd)
-            return out
-
-        gdev = hsup = dgs = ddgs = dhs = 0.0
-        for i in range(3):
-            for j in range(3):
-                gv = value(G[i][j])
-                hv = value(P[i][j])
-                # np.maximum keeps a NaN; the builtin max would drop it
-                gdev = np.maximum(gdev, np.max(np.abs(gv - (1.0 if i == j else 0.0))))
-                hsup = np.maximum(hsup, np.max(np.abs(hv)))
-                for k in range(3):
-                    dgs = np.maximum(dgs, np.max(np.abs(dk(G[i][j], k))))
-                    dhs = np.maximum(dhs, np.max(np.abs(dk(P[i][j], k))))
-                    for l in range(3):
-                        ddgs = np.maximum(ddgs, np.max(np.abs(
-                            ddkl(G[i][j], k, l))))
+        # np.max keeps a NaN; the builtin max would drop it
+        gdev = np.max(np.abs(_leaf_array(G, value, leaf) - np.eye(3)[:, :, None]))
+        hsup = np.max(np.abs(_leaf_array(P, value, leaf)))
+        dgs = np.max(np.abs(frame_derivative(Fv, G)))
+        dhs = np.max(np.abs(frame_derivative(Fv, P)))
+        ddgs = np.max(np.abs(ddG))
         sups["g"].append(gdev)
         sups["dg"].append(dgs)
         sups["ddg"].append(ddgs)
@@ -194,13 +179,12 @@ def rotated_data(data, Q):
     Qi = Q.T  # inverse of a rotation
 
     def gp(coords):
-        from . import jets as jx
         r, th, ps = coords
-        st, ct = jx.sin(th), jx.cos(th)
-        n = [st * jx.cos(ps), st * jx.sin(ps), ct]
+        st, ct = jets.sin(th), jets.cos(th)
+        n = [st * jets.cos(ps), st * jets.sin(ps), ct]
         m = [sum(Qi[a][b] * n[b] for b in range(3)) for a in range(3)]
-        th0 = jx.arccos(m[2])
-        ps0 = jx.arctan2(m[1], m[0])
+        th0 = jets.arccos(m[2])
+        ps0 = jets.arctan2(m[1], m[0])
         G, P = data.gp([r, th0, ps0])
         Gp = [[sum(Q[i][a] * Q[j][b] * G[a][b] for a in range(3)
                    for b in range(3)) for j in range(3)] for i in range(3)]

@@ -91,9 +91,10 @@ class BondiExpansion:
         for u in us:
             cu = value(self.c(np.full_like(T, u), T, Ps)) + 0.0 * T
             du = value(self.d(np.full_like(T, u), T, Ps)) + 0.0 * T
-            sc = max(sc, float(np.max(np.abs(cu))))
-            sd = max(sd, float(np.max(np.abs(du))))
-        return sc, sd
+            # np.maximum keeps a NaN; the builtin max would drop it
+            sc = np.maximum(sc, np.max(np.abs(cu)))
+            sd = np.maximum(sd, np.max(np.abs(du)))
+        return float(sc), float(sd)
 
 
 def derived_fields(exp, u, grid):
@@ -265,12 +266,12 @@ def check_psi_periodicity(exp, u_samples=None, theta_samples=None, tol=1e-10):
             for fn in fns:
                 a = fn(*jets.seed([u, th, 0.0], order=2))
                 b = fn(*jets.seed([u, th, 2.0 * np.pi], order=2))
-                worst = max(worst, _jet_mismatch(a, b))
+                worst = np.maximum(worst, _jet_mismatch(a, b))
             ga = _derived_at(exp, u, th, 0.0)
             gb = _derived_at(exp, u, th, 2.0 * np.pi)
             for x, y in zip(ga, gb):
-                worst = max(worst, _jet_mismatch(x, y))
-    return worst
+                worst = np.maximum(worst, _jet_mismatch(x, y))
+    return float(worst)
 
 
 def _derived_at(exp, u, th, ps):
@@ -291,12 +292,13 @@ def _jet_mismatch(a, b):
     worst = abs(float(value(a)) - float(value(b)))
     if isinstance(a, jets.Jet) and isinstance(b, jets.Jet):
         for i in range(len(a.d)):
-            worst = max(worst, abs(float(value(a.d[i])) - float(value(b.d[i]))))
+            worst = np.maximum(
+                worst, abs(float(value(a.d[i])) - float(value(b.d[i]))))
             if a.dd is not None:
                 for j in range(len(a.d)):
-                    worst = max(worst, abs(float(value(a.dd[i][j]))
-                                           - float(value(b.dd[i][j]))))
-    return worst
+                    worst = np.maximum(worst, abs(float(value(a.dd[i][j]))
+                                                  - float(value(b.dd[i][j]))))
+    return float(worst)
 
 
 def check_polar_news_average(exp, u_samples=None, tol=1e-8, n_psi=64):
@@ -317,14 +319,14 @@ def check_polar_news_average(exp, u_samples=None, tol=1e-8, n_psi=64):
         for pole in (0.0, np.pi):
             direct = avg(u, pole)
             if np.isfinite(direct):
-                worst = max(worst, abs(direct))
+                worst = np.maximum(worst, abs(direct))
                 continue
             sgn = 1.0 if pole == 0.0 else -1.0
             hs = np.array([0.02, 0.04, 0.06, 0.08])
             vals = [avg(u, pole + sgn * h) for h in hs]
             coef = np.polyfit(hs, vals, 3)
-            worst = max(worst, abs(float(np.polyval(coef, 0.0))))
-    return worst
+            worst = np.maximum(worst, abs(float(np.polyval(coef, 0.0))))
+    return float(worst)
 
 
 # ---------------------------------------------------------------------------

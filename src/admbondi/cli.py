@@ -20,8 +20,8 @@ Configuration is nested-section key-value text::
     radii = 10, 20, 40, 80
 
 Unknown sections or keys are rejected with the offending line.  Flags
-override config values.  CHARGES_THREADS caps ladder parallelism; reports
-are byte-identical for identical configs apart from the metadata block.
+override config values.  Reports are byte-identical for identical configs
+apart from the metadata block.
 """
 
 import argparse

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import jets
 from .errors import DomainError
-from .jets import Jet, djet, inv3, inv4, trunc1, value
+from .jets import Jet, det4, djet, inv3, inv4, trunc1, value
 
 __all__ = [
     "SpacetimePoint", "Metric4Evaluator", "Embedding", "FrameField",
@@ -37,7 +37,7 @@ __all__ = [
     "euclidean_frame", "hyperboloid_frame",
     "christoffel4", "ricci_tensor", "pullback_initial_data",
     "curvature3", "constraint_quantities", "rigidity_residual",
-    "frame_geometry",
+    "frame_geometry", "frame_derivative",
 ]
 
 
@@ -82,6 +82,42 @@ def _grad(x, a):
     if isinstance(x, Jet):
         return value(x.d[a])
     return 0.0
+
+
+def _leaf_array(X, entry, leaf):
+    """entry(x) for each x of the nested list X, broadcast to the leaf shape:
+    an array indexed [<indices of X>, <leaf>]."""
+    shape = []
+    x = X
+    while isinstance(x, list):
+        shape.append(len(x))
+        x = x[0]
+    out = np.empty(tuple(shape) + tuple(leaf))
+    for idx in np.ndindex(*shape):
+        x = X
+        for i in idx:
+            x = x[i]
+        out[idx] = entry(x)
+    return out
+
+
+def _chart_gradient(X, leaf):
+    """Leaf values of d_a X, indexed [a, <indices of X>, <leaf>]."""
+    return np.stack([_leaf_array(X, lambda x: _grad(x, a), leaf)
+                     for a in range(3)])
+
+
+def frame_derivative(Fv, X):
+    """Leaf values of e_k X = F_k^a d_a X for each jet of the nested list X.
+
+    ``Fv`` holds the frame components at the leaf, indexed [k, a, <leaf>].
+    The result is indexed [k, <indices of X>, <leaf>]; each entry is the sum
+    over a = 0, 1, 2 in that order, started from 0.
+    """
+    leaf = np.shape(Fv)[2:]
+    dX = _chart_gradient(X, leaf)
+    Fk = np.reshape(Fv, (3, 3) + (1,) * (dX.ndim - 1 - len(leaf)) + leaf)
+    return sum(Fk[:, a] * dX[a] for a in range(3))
 
 
 def _jf(x):
@@ -206,13 +242,20 @@ class InitialData:
     """Evaluators of frame components g(e_i, e_j), p(e_i, e_j) on the 3-chart.
 
     ``gp`` must be generic over jet level; it returns a pair of 3x3 nested
-    lists.  p need not be symmetric.
+    lists.  p need not be symmetric.  ``g_only``, if given, is generic in the
+    same way and returns exactly the G of ``gp`` for less work.
+
+    ``jets(coords3, order)`` returns g with ``order`` chart derivatives and p
+    with ``order - 1`` (plain values at order 1): the charges read dg and p,
+    the constraints ddg and dp.  With ``g_only`` it runs ``gp`` one jet level
+    lower, for p and for the domain checks ``gp`` makes.
     """
 
     gp: Callable
     frame: FrameField
     symmetric_p: bool
     name: str = "data"
+    g_only: Optional[Callable] = None
 
     def values(self, coords3):
         G, P = self.gp(list(coords3))
@@ -221,7 +264,14 @@ class InitialData:
         return g, p
 
     def jets(self, coords3, order=2):
-        return self.gp(jets.seed(list(coords3), order=order))
+        coords3 = list(coords3)
+        if self.g_only is None:
+            G, P = self.gp(jets.seed(coords3, order=order))
+            lower = _jf if order == 1 else trunc1
+            return G, [[lower(x) for x in row] for row in P]
+        _, P = self.gp(coords3 if order == 1
+                       else jets.seed(coords3, order=order - 1))
+        return self.g_only(jets.seed(coords3, order=order)), P
 
 
 # ---------------------------------------------------------------------------
@@ -242,29 +292,12 @@ def _christoffel_from(ginv, dg):
     return gam
 
 
-def _det4_values(g):
-    m = [[value(g[a][b]) for b in range(4)] for a in range(4)]
-    s0 = m[0][0] * m[1][1] - m[1][0] * m[0][1]
-    s1 = m[0][0] * m[1][2] - m[1][0] * m[0][2]
-    s2 = m[0][0] * m[1][3] - m[1][0] * m[0][3]
-    s3 = m[0][1] * m[1][2] - m[1][1] * m[0][2]
-    s4 = m[0][1] * m[1][3] - m[1][1] * m[0][3]
-    s5 = m[0][2] * m[1][3] - m[1][2] * m[0][3]
-    c5 = m[2][2] * m[3][3] - m[3][2] * m[2][3]
-    c4 = m[2][1] * m[3][3] - m[3][1] * m[2][3]
-    c3 = m[2][1] * m[3][2] - m[3][1] * m[2][2]
-    c2 = m[2][0] * m[3][3] - m[3][0] * m[2][3]
-    c1 = m[2][0] * m[3][2] - m[3][0] * m[2][2]
-    c0 = m[2][0] * m[3][1] - m[3][0] * m[2][1]
-    return s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0
-
-
 def christoffel4(metric, point):
     """Levi-Civita connection coefficients Gamma^a_{bc} at a point."""
     coords = _coords_of(point)
     gj = metric.jets(coords, order=1)
     g = [[_jf(gj[a][b]) for b in range(4)] for a in range(4)]
-    det = _det4_values(g)
+    det = value(det4(g))
     if np.any(np.abs(det) < 1e-14):
         raise DomainError(f"metric degenerate at {coords}")
     ginv = inv4(g)
@@ -322,16 +355,56 @@ def ricci_tensor(metric, point):
 # Pullback of (g, h) to a spacelike slice
 # ---------------------------------------------------------------------------
 
+def _induced_metric(g4, dphi):
+    """g_ij = g_ab d_i phi^a d_j phi^b, summed over a then b."""
+    g3 = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            acc = 0.0
+            for a in range(4):
+                for b in range(4):
+                    acc = acc + g4[a][b] * dphi[a][i] * dphi[b][j]
+            g3[i][j] = acc
+            g3[j][i] = acc
+    return g3
+
+
+def _in_frame(F, *tensors):
+    """Frame components F_i^a F_j^b T_ab of symmetric chart tensors T."""
+    out = [[[None] * 3 for _ in range(3)] for _ in tensors]
+    for i in range(3):
+        for j in range(i, 3):
+            acc = [0.0] * len(tensors)
+            for a in range(3):
+                for b in range(3):
+                    fab = F[i][a] * F[j][b]
+                    acc = [x + fab * t[a][b] for x, t in zip(acc, tensors)]
+            for o, x in zip(out, acc):
+                o[i][j] = x
+                o[j][i] = x
+    return out
+
+
 def pullback_initial_data(metric, emb, frame, validate=True, name=None):
     """Induced metric and second fundamental form of an embedded slice.
 
     Returns an InitialData whose evaluator runs the whole chain (embedding
     jets, metric jets, normal, covariant Hessian) in generic arithmetic, so
-    chart derivatives of the produced frame components are again exact.
+    chart derivatives of the produced frame components are again exact.  Its
+    induced-metric-only evaluator gives the same g without the inner metric
+    seed, the normal and the Hessian.
     """
     if emb.chart != metric.chart:
         raise DomainError(
             f"embedding targets chart {emb.chart!r} but metric uses {metric.chart!r}")
+
+    def g_only(coords3):
+        # g_ab d_i phi^a d_j phi^b needs only first derivatives of phi and no
+        # derivative of g_ab, so the metric is evaluated at phi unseeded
+        ej = emb.jets(coords3, order=1)
+        dphi = [[_jd(ej[a], i) for i in range(3)] for a in range(4)]
+        g3 = _induced_metric(metric.fn([_jf(e) for e in ej]), dphi)
+        return _in_frame(frame.components(coords3), g3)[0]
 
     def gp(coords3):
         ej = emb.jets(coords3, order=2)
@@ -362,21 +435,17 @@ def pullback_initial_data(metric, emb, frame, validate=True, name=None):
         n = [N[a] * scale * flip for a in range(4)]
 
         # induced metric and covariant Hessian in chart directions
-        g3 = [[None] * 3 for _ in range(3)]
+        g3 = _induced_metric(g4, dphi)
         h3 = [[None] * 3 for _ in range(3)]
         for i in range(3):
             for j in range(i, 3):
-                acc = 0.0
                 hac = 0.0
                 for a in range(4):
                     hess = ddphi[a][i][j]
                     for b in range(4):
-                        acc = acc + g4[a][b] * dphi[a][i] * dphi[b][j]
                         for c in range(4):
                             hess = hess + gam[a][b][c] * dphi[b][i] * dphi[c][j]
                     hac = hac + n[a] * hess
-                g3[i][j] = acc
-                g3[j][i] = acc
                 h3[i][j] = 0.0 - hac
                 h3[j][i] = h3[i][j]
 
@@ -390,26 +459,10 @@ def pullback_initial_data(metric, emb, frame, validate=True, name=None):
             if np.any(d1 <= 0) or np.any(d2 <= 0) or np.any(d3 <= 0):
                 raise DomainError("induced metric is not positive definite")
 
-        F = frame.components(coords3)
-        gf = [[None] * 3 for _ in range(3)]
-        hf = [[None] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(i, 3):
-                ga = 0.0
-                ha = 0.0
-                for a in range(3):
-                    for b in range(3):
-                        fab = F[i][a] * F[j][b]
-                        ga = ga + fab * g3[a][b]
-                        ha = ha + fab * h3[a][b]
-                gf[i][j] = ga
-                gf[j][i] = ga
-                hf[i][j] = ha
-                hf[j][i] = ha
-        return gf, hf
+        return _in_frame(frame.components(coords3), g3, h3)
 
     return InitialData(gp, frame, True,
-                       name or f"pullback[{metric.name};{emb.name}]")
+                       name or f"pullback[{metric.name};{emb.name}]", g_only)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +477,7 @@ def frame_geometry(data, coords3):
     + g([e_i,e_j], e_l) - g([e_i,e_l], e_j) - g([e_j,e_l], e_i).
     """
     cj = jets.seed(list(coords3), order=2)
-    G, P = data.gp(cj)
+    G, P = data.jets(coords3, order=2)
     F = data.frame.components(cj)
     F1 = [[trunc1(F[i][a]) for a in range(3)] for i in range(3)]
     Fv = np.array([[value(F[i][a]) + np.zeros(np.shape(value(cj[0].f)))
@@ -483,20 +536,15 @@ def frame_geometry(data, coords3):
                        for i in range(3)])
 
     # e_k omega^m_{ij}, from the first-order parts of the omega jets
-    Dom = np.zeros((3, 3, 3, 3) + leaf)
-    for k in range(3):
-        for m in range(3):
-            for i in range(3):
-                for j in range(3):
-                    Dom[k, m, i, j] = sum(Fv[k][a] * _grad(om1[m][i][j], a)
-                                          for a in range(3))
+    Dom = frame_derivative(Fv, om1)
 
     # covariant derivative of p: (nabla_k p)_{ij}
+    Dp = frame_derivative(Fv, P)
     nabla_p = np.zeros((3, 3, 3) + leaf)
     for k in range(3):
         for i in range(3):
             for j in range(3):
-                e = sum(Fv[k][a] * _grad(P[i][j], a) for a in range(3))
+                e = Dp[k, i, j]
                 for m in range(3):
                     e = e - omv[m][k][i] * pv[m][j] - omv[m][k][j] * pv[i][m]
                 nabla_p[k, i, j] = e
@@ -532,16 +580,14 @@ def curvature3(data, coords3):
 def metric_compatibility_residual(data, coords3):
     """Max frame component of nabla g; vanishes for the Koszul connection."""
     b = frame_geometry(data, coords3)
-    cj = jets.seed(list(coords3), order=2)
-    G, _ = data.gp(cj)
-    leaf = np.shape(value(cj[0].f))
+    G, _ = data.jets(coords3, order=1)
     Fv, om = b["F"], b["omega"]
+    Dg = frame_derivative(Fv, G)
     worst = 0.0
     for k in range(3):
         for i in range(3):
             for j in range(3):
-                e = sum(Fv[k][a] * _grad(G[i][j], a) for a in range(3)) \
-                    + np.zeros(leaf)
+                e = Dg[k, i, j]
                 for m in range(3):
                     e = e - om[m][k][i] * b["g"][m][j] - om[m][k][j] * b["g"][i][m]
                 worst = np.maximum(worst, np.max(np.abs(e)))

@@ -36,7 +36,7 @@ __all__ = [
     "Jet", "seed", "value", "djet", "trunc1",
     "sin", "cos", "tan", "sqrt", "exp", "log",
     "sinh", "cosh", "tanh", "arctan", "arcsin", "arccos", "arctan2",
-    "inv3", "inv4", "det3",
+    "inv3", "inv4", "det3", "det4",
 ]
 
 
@@ -409,36 +409,52 @@ def inv3(m):
             [c02 / det, c12 / det, c22 / det]]
 
 
+def _minors4(m):
+    """The 2x2 minors of rows 0-1 (s) and rows 2-3 (c) of a 4x4 matrix."""
+    s = [m[0][0] * m[1][1] - m[1][0] * m[0][1],
+         m[0][0] * m[1][2] - m[1][0] * m[0][2],
+         m[0][0] * m[1][3] - m[1][0] * m[0][3],
+         m[0][1] * m[1][2] - m[1][1] * m[0][2],
+         m[0][1] * m[1][3] - m[1][1] * m[0][3],
+         m[0][2] * m[1][3] - m[1][2] * m[0][3]]
+    c = [m[2][0] * m[3][1] - m[3][0] * m[2][1],
+         m[2][0] * m[3][2] - m[3][0] * m[2][2],
+         m[2][0] * m[3][3] - m[3][0] * m[2][3],
+         m[2][1] * m[3][2] - m[3][1] * m[2][2],
+         m[2][1] * m[3][3] - m[3][1] * m[2][3],
+         m[2][2] * m[3][3] - m[3][2] * m[2][3]]
+    return s, c
+
+
+def _det4(s, c):
+    return s[0] * c[5] - s[1] * c[4] + s[2] * c[3] + s[3] * c[2] \
+        - s[4] * c[1] + s[5] * c[0]
+
+
+def det4(m):
+    """Determinant of a generic 4x4 nested-list matrix, as inside inv4."""
+    return _det4(*_minors4(m))
+
+
 def inv4(m):
     """Inverse of a generic 4x4 nested-list matrix (2x2-minor expansion)."""
-    s0 = m[0][0] * m[1][1] - m[1][0] * m[0][1]
-    s1 = m[0][0] * m[1][2] - m[1][0] * m[0][2]
-    s2 = m[0][0] * m[1][3] - m[1][0] * m[0][3]
-    s3 = m[0][1] * m[1][2] - m[1][1] * m[0][2]
-    s4 = m[0][1] * m[1][3] - m[1][1] * m[0][3]
-    s5 = m[0][2] * m[1][3] - m[1][2] * m[0][3]
-    c5 = m[2][2] * m[3][3] - m[3][2] * m[2][3]
-    c4 = m[2][1] * m[3][3] - m[3][1] * m[2][3]
-    c3 = m[2][1] * m[3][2] - m[3][1] * m[2][2]
-    c2 = m[2][0] * m[3][3] - m[3][0] * m[2][3]
-    c1 = m[2][0] * m[3][2] - m[3][0] * m[2][2]
-    c0 = m[2][0] * m[3][1] - m[3][0] * m[2][1]
-    det = s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0
+    s, c = _minors4(m)
+    det = _det4(s, c)
     inv = [[None] * 4 for _ in range(4)]
-    inv[0][0] = (m[1][1] * c5 - m[1][2] * c4 + m[1][3] * c3) / det
-    inv[0][1] = (-m[0][1] * c5 + m[0][2] * c4 - m[0][3] * c3) / det
-    inv[0][2] = (m[3][1] * s5 - m[3][2] * s4 + m[3][3] * s3) / det
-    inv[0][3] = (-m[2][1] * s5 + m[2][2] * s4 - m[2][3] * s3) / det
-    inv[1][0] = (-m[1][0] * c5 + m[1][2] * c2 - m[1][3] * c1) / det
-    inv[1][1] = (m[0][0] * c5 - m[0][2] * c2 + m[0][3] * c1) / det
-    inv[1][2] = (-m[3][0] * s5 + m[3][2] * s2 - m[3][3] * s1) / det
-    inv[1][3] = (m[2][0] * s5 - m[2][2] * s2 + m[2][3] * s1) / det
-    inv[2][0] = (m[1][0] * c4 - m[1][1] * c2 + m[1][3] * c0) / det
-    inv[2][1] = (-m[0][0] * c4 + m[0][1] * c2 - m[0][3] * c0) / det
-    inv[2][2] = (m[3][0] * s4 - m[3][1] * s2 + m[3][3] * s0) / det
-    inv[2][3] = (-m[2][0] * s4 + m[2][1] * s2 - m[2][3] * s0) / det
-    inv[3][0] = (-m[1][0] * c3 + m[1][1] * c1 - m[1][2] * c0) / det
-    inv[3][1] = (m[0][0] * c3 - m[0][1] * c1 + m[0][2] * c0) / det
-    inv[3][2] = (-m[3][0] * s3 + m[3][1] * s1 - m[3][2] * s0) / det
-    inv[3][3] = (m[2][0] * s3 - m[2][1] * s1 + m[2][2] * s0) / det
+    inv[0][0] = (m[1][1] * c[5] - m[1][2] * c[4] + m[1][3] * c[3]) / det
+    inv[0][1] = (-m[0][1] * c[5] + m[0][2] * c[4] - m[0][3] * c[3]) / det
+    inv[0][2] = (m[3][1] * s[5] - m[3][2] * s[4] + m[3][3] * s[3]) / det
+    inv[0][3] = (-m[2][1] * s[5] + m[2][2] * s[4] - m[2][3] * s[3]) / det
+    inv[1][0] = (-m[1][0] * c[5] + m[1][2] * c[2] - m[1][3] * c[1]) / det
+    inv[1][1] = (m[0][0] * c[5] - m[0][2] * c[2] + m[0][3] * c[1]) / det
+    inv[1][2] = (-m[3][0] * s[5] + m[3][2] * s[2] - m[3][3] * s[1]) / det
+    inv[1][3] = (m[2][0] * s[5] - m[2][2] * s[2] + m[2][3] * s[1]) / det
+    inv[2][0] = (m[1][0] * c[4] - m[1][1] * c[2] + m[1][3] * c[0]) / det
+    inv[2][1] = (-m[0][0] * c[4] + m[0][1] * c[2] - m[0][3] * c[0]) / det
+    inv[2][2] = (m[3][0] * s[4] - m[3][1] * s[2] + m[3][3] * s[0]) / det
+    inv[2][3] = (-m[2][0] * s[4] + m[2][1] * s[2] - m[2][3] * s[0]) / det
+    inv[3][0] = (-m[1][0] * c[3] + m[1][1] * c[1] - m[1][2] * c[0]) / det
+    inv[3][1] = (m[0][0] * c[3] - m[0][1] * c[1] + m[0][2] * c[0]) / det
+    inv[3][2] = (-m[3][0] * s[3] + m[3][1] * s[1] - m[3][2] * s[0]) / det
+    inv[3][3] = (m[2][0] * s[3] - m[2][1] * s[1] + m[2][2] * s[0]) / det
     return inv

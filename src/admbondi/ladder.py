@@ -5,8 +5,6 @@ of radii and extrapolated to infinity with a least-squares fit of
 A + B/r + C/r^2; decay orders are log-log slope fits of sup-norms.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,14 +104,5 @@ def fit_decay_exponent(radii, sups, zero_floor=EXACT_ZERO_FLOOR):
 
 
 def ladder_map(fn, radii):
-    """Evaluate fn(r) for each rung; optionally threaded via CHARGES_THREADS.
-
-    Results are always assembled in ladder order, so the reduction is
-    deterministic regardless of the thread count.
-    """
-    radii = list(radii)
-    workers = int(os.environ.get("CHARGES_THREADS", "1") or "1")
-    if workers <= 1 or len(radii) <= 1:
-        return [fn(r) for r in radii]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, radii))
+    """Evaluate fn(r) for each rung, in ladder order."""
+    return [fn(r) for r in radii]

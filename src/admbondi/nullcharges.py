@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import InitialData, _grad, hyperboloid_frame
+from .geometry import InitialData, _grad, frame_derivative, hyperboloid_frame
 from .jets import value
 from .ladder import (DecayFit, LadderFit, fit_decay_exponent,
                      fit_inverse_powers, ladder_map)
@@ -187,11 +187,12 @@ def charge_integrand(data, coords3):
     gam = background_connection(np.asarray(r, dtype=float), np.asarray(th))
 
     # nabla_k a_ij = e_k a_ij - Gamma^m_ki a_mj - Gamma^m_kj a_im
+    DG = frame_derivative(Fv, G)
     Da = np.zeros((3, 3, 3) + leaf)
     for k in range(3):
         for i in range(3):
             for j in range(3):
-                e = sum(Fv[k][aa] * _grad(G[i][j], aa) for aa in range(3))
+                e = DG[k, i, j]
                 for m in range(3):
                     e = e - gam[m, k, i] * a[m, j] - gam[m, k, j] * a[i, m]
                 Da[k, i, j] = e

@@ -19,11 +19,19 @@ __all__ = ["CheckResult", "ChargeReport", "report_json", "write_json",
 
 @dataclass
 class CheckResult:
+    """One named check.  A NaN value fails whatever ``passed`` says, since
+    every comparison with NaN is false and a check written as a negation
+    would pass it; +-inf stays allowed (an exact zero decays at order inf)."""
+
     name: str
     passed: bool
     value: float
     tolerance: float
     detail: str = ""
+
+    def __post_init__(self):
+        if np.isnan(self.value):
+            self.passed = False
 
     def as_dict(self):
         return {"name": self.name, "passed": bool(self.passed),

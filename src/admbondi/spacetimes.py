@@ -184,7 +184,12 @@ def bondi_functions(exp):
 
 def default_r_min(exp):
     sc, sd = exp.sup_news_estimate()
-    return 5.0 * max(1.0, sc, sd)
+    # np.max keeps a NaN; the builtin max would drop it
+    r_min = 5.0 * float(np.max([1.0, sc, sd]))
+    if not np.isfinite(r_min):
+        raise DomainError(f"news sup-norm estimate is not finite: |c| <= {sc}, "
+                          f"|d| <= {sd}")
+    return r_min
 
 
 def bondi_metric(exp, r_min=None):

@@ -86,13 +86,13 @@ def criterion_3_hyperboloid(scale=1.0, rng=None):
     ps = rng.uniform(0.0, 2 * np.pi, size=100)
     g, h = data.values([r, th, ps])
     eye = np.eye(3)[:, :, None]
-    worst = max(float(np.max(np.abs(g - eye))), float(np.max(np.abs(h - eye))))
+    worst = float(np.max([np.max(np.abs(g - eye)), np.max(np.abs(h - eye))]))
     ch = null_energy_momentum(data, [0.5, 1.0, 2.0, 4.0], grid=build_grid(32, 64),
                               check_decay=False)
-    charge_mag = max(float(np.max(np.abs(ch.E_values()))),
-                     float(np.max(np.abs(ch.P_values()))))
+    charge_mag = float(np.max([np.max(np.abs(ch.E_values())),
+                               np.max(np.abs(ch.P_values()))]))
     rr = rigidity_residual(data, [r[:20], th[:20], ps[:20]])
-    rig = max(float(np.max(x)) for x in rr)
+    rig = float(np.max([np.max(x) for x in rr]))
     return [
         _result("c3.hyperboloid_pullback_identity", worst, 1e-10 * scale,
                 detail="100 random points"),
@@ -110,8 +110,8 @@ def criterion_4_constraints(scale=1.0, rng=None):
     pts = [rng.uniform(3.0, 25.0, size=8), rng.uniform(0.4, 2.7, size=8),
            rng.uniform(0.0, 6.2, size=8)]
     cq = constraint_quantities(static, pts)
-    worst = max(float(np.max(np.abs(cq.mu))), float(np.max(np.abs(cq.varpi))),
-                float(np.max(np.abs(cq.sigma))))
+    worst = float(np.max([np.max(np.abs(cq.mu)), np.max(np.abs(cq.varpi)),
+                          np.max(np.abs(cq.sigma))]))
     out.append(_result("c4.static_slice_constraints", worst, tol))
 
     cfg = ScenarioConfig(preset="bondi-schwarzschild", mass=1.0)
@@ -122,8 +122,8 @@ def criterion_4_constraints(scale=1.0, rng=None):
     pts = [np.array([20.0, 30.0, 50.0, 80.0]), np.array([0.9, 1.4, 2.0, 2.5]),
            np.array([0.3, 1.7, 3.4, 5.1])]
     cq = constraint_quantities(pulled, pts)
-    worst = max(float(np.max(np.abs(cq.mu))), float(np.max(np.abs(cq.varpi))),
-                float(np.max(np.abs(cq.sigma))))
+    worst = float(np.max([np.max(np.abs(cq.mu)), np.max(np.abs(cq.varpi)),
+                          np.max(np.abs(cq.sigma))]))
     out.append(_result("c4.bondi_slice_constraints", worst, tol,
                        detail="vacuum slice, r >= 20"))
     out.append(_result("c4.symmetric_sigma_exact",
@@ -245,8 +245,8 @@ def _fd_check_metric(metric, pts, h=1e-5):
             dn = list(pt); dn[c] -= h
             ref = (metric.components(up) - metric.components(dn)) / (2 * h)
             scale = 1.0 + np.abs(dg[c])
-            worst = max(worst, float(np.max(np.abs(dg[c] - ref) / scale)))
-    return worst
+            worst = np.maximum(worst, np.max(np.abs(dg[c] - ref) / scale))
+    return float(worst)
 
 
 def criterion_10_oracles(scale=1.0, rng=None):
@@ -262,7 +262,7 @@ def criterion_10_oracles(scale=1.0, rng=None):
         pts = [(rng.uniform(-1, 1), rng.uniform(6.0, 25.0),
                 rng.uniform(0.4, 2.7), rng.uniform(0.0, 6.2))
                for _ in range(100)]
-        worst_fd = max(worst_fd, _fd_check_metric(ev, pts))
+        worst_fd = np.maximum(worst_fd, _fd_check_metric(ev, pts))
     out = [_result("c10.jets_vs_finite_differences", worst_fd, 1e-6 * scale,
                    detail="100 points x 5 evaluators")]
 
@@ -270,8 +270,8 @@ def criterion_10_oracles(scale=1.0, rng=None):
     for _ in range(60):
         r = rng.uniform(0.5, 40.0)
         th = rng.uniform(0.3, np.pi - 0.3)
-        worst_conn = max(worst_conn, float(np.max(np.abs(
-            background_connection(r, th) - background_connection_fd(r, th)))))
+        worst_conn = np.maximum(worst_conn, np.max(np.abs(
+            background_connection(r, th) - background_connection_fd(r, th))))
     out.append(_result("c10.background_connection_oracle", worst_conn,
                        1e-8 * scale))
 
@@ -287,7 +287,7 @@ def criterion_10_oracles(scale=1.0, rng=None):
                 ref = 0.0
             else:
                 ref = (1.0 / 3.0) if mu == nu else 0.0
-            worst_q = max(worst_q, abs(got - ref))
+            worst_q = np.maximum(worst_q, abs(got - ref))
     out.append(_result("c10.quadrature_direction_family", worst_q,
                        1e-12 * scale))
     return out

@@ -12,6 +12,7 @@ from admbondi.bondi import (BondiExpansion, bondi_energy_momentum,
                             mass_loss_margin, news_flux, trajectory_csv,
                             vanishing_news_scenario, _cumulative_simpson)
 from admbondi.errors import ConfigError, DomainError
+from admbondi.spacetimes import bondi_metric
 from admbondi.sphere import build_grid
 
 
@@ -253,6 +254,18 @@ def test_polar_average_condition():
         return 0.1 + 0.0 * u  # psi-average nonzero at the poles
     bad = BondiExpansion(c=bad_c, d=_zero, M=const_M(1.0))
     assert check_polar_news_average(bad) > 0.1
+
+
+def test_nan_news_fail_the_expansion_checks():
+    def c(u, th, ps):
+        return np.nan + 0.0 * u
+    exp = BondiExpansion(c=c, d=_zero, M=const_M(1.0))
+    assert np.isnan(check_psi_periodicity(exp))
+    assert np.isnan(check_polar_news_average(exp))
+    sc, sd = exp.sup_news_estimate()
+    assert np.isnan(sc) and sd == 0.0
+    with pytest.raises(DomainError, match="not finite"):
+        bondi_metric(exp)
 
 
 # -- induced slice data -------------------------------------------------------------

@@ -2,15 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from admbondi import jets
 from admbondi.errors import DomainError
-from admbondi.geometry import (InitialData, christoffel4, constraint_quantities,
-                               curvature3, euclidean_frame, frame_geometry,
+from admbondi.geometry import (Embedding, InitialData, christoffel4,
+                               constraint_quantities, curvature3,
+                               euclidean_frame, frame_geometry,
                                hyperboloid_frame, FrameField,
                                metric_compatibility_residual,
                                pullback_initial_data, rigidity_residual)
-from admbondi.spacetimes import (hyperboloid_embedding, kerr, KerrParameters,
+from admbondi.scenarios import ScenarioConfig, make_expansion
+from admbondi.spacetimes import (SliceSpec, bondi_metric, bondi_slice_embedding,
+                                 hyperboloid_embedding, kerr, KerrParameters,
                                  minkowski, schwarzschild, t_const_embedding)
 
 
@@ -340,3 +344,109 @@ def test_initial_data_first_derivatives_match_fd(rng):
             got = np.array([[jets.value(G[i][j].d[a]) for j in range(3)]
                             for i in range(3)])
             assert np.allclose(got, ref, rtol=1e-6, atol=1e-7)
+
+
+# -- mixed-order contract of InitialData.jets ------------------------------------
+
+def _pullbacks():
+    exp = make_expansion(ScenarioConfig(preset="bondi-biaxial", amplitude=0.08,
+                                        amplitude_d=0.05))
+    return {
+        "schwarzschild": (pullback_initial_data(
+            schwarzschild(1.0, "static"), t_const_embedding(),
+            euclidean_frame()), (2.5, 40.0)),
+        "kerr": (pullback_initial_data(
+            kerr(KerrParameters(1.0, 0.6)), t_const_embedding(),
+            euclidean_frame()), (2.5, 40.0)),
+        "hyperboloid": (pullback_initial_data(
+            minkowski("polar"), hyperboloid_embedding(), hyperboloid_frame()),
+            (0.2, 40.0)),
+        "bondi": (pullback_initial_data(
+            bondi_metric(exp, r_min=5.0),
+            bondi_slice_embedding(SliceSpec(u0=0.5), exp), hyperboloid_frame()),
+            (6.0, 80.0)),
+    }
+
+
+_PULLBACKS = _pullbacks()
+
+
+def _entries(x, order):
+    """Leaf value, gradient and (at order 2) Hessian entries of a jet."""
+    if not isinstance(x, jets.Jet):
+        return [x] + [0.0] * (3 if order == 1 else 12)
+    out = [x.f] + list(x.d)
+    if order == 2:
+        out += [a for row in x.dd for a in row]
+    return [jets.value(a) for a in out]
+
+
+def _same(a, b):
+    return np.array_equal(*np.broadcast_arrays(a, b))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(sorted(_PULLBACKS)), order=st.sampled_from([1, 2]),
+       n=st.sampled_from([0, 3]), t=st.lists(st.floats(0.0, 1.0), min_size=3,
+                                              max_size=3))
+def test_jets_mixed_order_contract_on_pullbacks(case, order, n, t):
+    """G of jets() equals G of gp at the same order bit for bit, and p is P
+    of gp one order lower (plain values at order 1)."""
+    data, (rlo, rhi) = _PULLBACKS[case]
+    spread = np.linspace(0.0, 1.0, n) if n else 0.0
+    pts = [rlo + (rhi - rlo) * ((t[0] + spread) % 1.0),
+           0.3 + 2.5 * ((t[1] + spread / 3.0) % 1.0),
+           6.2 * ((t[2] + spread / 5.0) % 1.0)]
+    if not n:
+        pts = [float(x) for x in pts]
+    G, P = data.jets(pts, order)
+    Gr, Pr = data.gp(jets.seed(pts, order))
+    for i in range(3):
+        for j in range(3):
+            got, ref = _entries(G[i][j], order), _entries(Gr[i][j], order)
+            assert all(_same(a, b) for a, b in zip(got, ref)), (case, i, j)
+            if order == 1:
+                assert not isinstance(P[i][j], jets.Jet)
+                assert _same(P[i][j], jets.value(Pr[i][j])), (case, i, j)
+            else:
+                assert P[i][j].dd is None
+                got, ref = _entries(P[i][j], 1), _entries(Pr[i][j], 1)
+                assert all(_same(a, b) for a, b in zip(got, ref)), (case, i, j)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_jets_keeps_the_domain_checks(order):
+    steep = Embedding(lambda c: [2.0 * c[0], c[0], c[1], c[2]], "polar", "t=2r")
+    timelike = pullback_initial_data(minkowski("polar"), steep,
+                                     hyperboloid_frame())
+    with pytest.raises(DomainError, match="not spacelike"):
+        timelike.jets([3.0, 1.0, 0.5], order)
+    inside = pullback_initial_data(schwarzschild(1.0, "static"),
+                                   t_const_embedding(), euclidean_frame())
+    with pytest.raises(DomainError, match="exceed 2m"):
+        inside.jets([np.array([5.0, 1.5]), np.array([1.0, 1.0]),
+                     np.array([0.5, 0.5])], order)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_jets_lowers_p_of_closed_form_data(order):
+    def gp(c):
+        r, th, ps = c
+        b = jets.sin(th) * jets.cos(ps) / (r * r)
+        return ([[1.0 + b, b, 0.0], [b, 1.0 - b, 0.0], [0.0, 0.0, 1.0]],
+                [[b, 0.0, 0.0], [0.0, 2.0 * b, 0.0], [0.0, 0.0, 0.0]])
+    data = InitialData(gp, euclidean_frame(), True, "closed-form")
+    pt = [3.0, 1.0, 0.5]
+    G, P = data.jets(pt, order)
+    Gr, Pr = gp(jets.seed(pt, order))
+    for i in range(3):
+        for j in range(3):
+            assert all(_same(a, b) for a, b in zip(_entries(G[i][j], order),
+                                                   _entries(Gr[i][j], order)))
+            if order == 1:
+                assert not isinstance(P[i][j], jets.Jet)
+                assert _same(P[i][j], jets.value(Pr[i][j]))
+            else:
+                assert not isinstance(P[i][j], jets.Jet) or P[i][j].dd is None
+                assert all(_same(a, b) for a, b in zip(_entries(P[i][j], 1),
+                                                       _entries(Pr[i][j], 1)))

@@ -1,10 +1,6 @@
 """Presets, config parsing, CLI subcommands, reports and determinism."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +9,7 @@ from admbondi import jets
 from admbondi.bondi import check_polar_news_average, check_psi_periodicity
 from admbondi.cli import main, parse_config
 from admbondi.errors import ConfigError
-from admbondi.reports import report_json
+from admbondi.reports import CheckResult, report_json
 from admbondi.scenarios import (PRESETS, ScenarioConfig, harmonic_basis,
                                 harmonic_news, make_expansion, make_metric)
 
@@ -226,34 +222,6 @@ def test_cli_reports_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_cli_threads_env_does_not_change_results(tmp_path):
-    cfgfile = tmp_path / "c.cfg"
-    cfgfile.write_text("preset = schwarzschild\n[grid]\nn_theta = 16\n"
-                       "n_psi = 32\n")
-    # The child finds admbondi through the absolute src/ of this checkout,
-    # so neither an install nor the working directory matters.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    pythonpath = os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    bodies = []
-    for threads in ("1", "3"):
-        out = tmp_path / f"t{threads}.json"
-        env = dict(os.environ, CHARGES_THREADS=threads, PYTHONPATH=pythonpath)
-        # A deadlock in the threaded path fails here instead of hanging.
-        proc = subprocess.run(
-            [sys.executable, "-m", "admbondi.cli", "adm", "--config",
-             str(cfgfile), "--out", str(out)],
-            capture_output=True, text=True, env=env, cwd=tmp_path,
-            timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        body = json.loads(out.read_text())
-        body.pop("metadata")
-        # One rung would skip the pool and make the comparison vacuous.
-        assert len(body["samples"]["radii"]) > 1, body["samples"]["radii"]
-        bodies.append(json.dumps(body, sort_keys=True))
-    assert bodies[0] == bodies[1]
-
-
 def test_cli_converge(tmp_path):
     code = run_cli(["converge", "--preset", "schwarzschild",
                     "--ntheta", "12", "--npsi", "24", "--csv",
@@ -275,6 +243,26 @@ def test_report_json_contains_metadata_block():
     assert "metadata" in body and "generated_at" in body["metadata"]
     text2 = report_json({"x": 1}, include_metadata=False)
     assert "metadata" not in json.loads(text2)
+
+
+def test_check_result_with_nan_value_fails():
+    nan = CheckResult("x.nan", True, float("nan"), 1.0)
+    assert not nan.passed and not nan.as_dict()["passed"]
+    assert nan.line().startswith("[FAIL]")
+    # +-inf stays allowed: decay fits use inf for an exact zero
+    assert CheckResult("x.inf", True, float("inf"), 0.3).passed
+    assert CheckResult("x.neg_inf", True, -np.inf, 0.3).passed
+
+
+def test_fd_oracle_keeps_a_nan():
+    from admbondi.geometry import Metric4Evaluator
+    from admbondi.verify import _fd_check_metric
+
+    def fn(c):
+        return [[np.nan + 0.0 * c[1] if a == b else 0.0 for b in range(4)]
+                for a in range(4)]
+    ev = Metric4Evaluator(fn, "polar", "nan-metric")
+    assert np.isnan(_fd_check_metric(ev, [(0.0, 5.0, 1.0, 1.0)]))
 
 
 def test_cli_verify_battery(tmp_path, capsys):
