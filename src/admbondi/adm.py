@@ -19,10 +19,12 @@ from . import jets
 from .geometry import (InitialData, _chart_gradient, _leaf_array,
                        frame_derivative)
 from .jets import Jet, value
-from .ladder import LadderFit, fit_decay_exponent, fit_inverse_powers, ladder_map
+from .ladder import (LadderFit, fit_decay_exponent, fit_inverse_powers,
+                     ladder_map, rung_max, stacked_rungs)
 from .sphere import build_grid, direction_functions
 
-__all__ = ["AdmCharges", "adm_energy_momentum", "check_af_decay",
+__all__ = ["AdmCharges", "adm_energy_momentum", "adm_ladder_samples",
+           "fit_adm_charges", "check_af_decay",
            "check_dec_flat", "check_pmt_flat", "rotated_data"]
 
 
@@ -56,10 +58,10 @@ def _node_arrays(grid, r):
     return [np.full_like(T, float(r)), T, P]
 
 
-def adm_energy_momentum(data, radii, grid=None):
-    """Charges of a single end, extrapolated over the radius ladder."""
+def adm_ladder_samples(data, radii, grid):
+    """Surface integrals (E, [P_1, P_2, P_3]) at each rung, one row per
+    radius; a rung's row depends on nothing but its radius."""
     _require_euclidean(data)
-    grid = grid or build_grid(48, 96)
     ndir = direction_functions(grid)
     nvec = np.stack([ndir.n[k].values.ravel() for k in (1, 2, 3)])
     w = grid.weights.ravel()
@@ -85,12 +87,21 @@ def adm_energy_momentum(data, radii, grid=None):
                * r * r / (8.0 * np.pi) for k in range(3)]
         return energy, mom
 
-    rows = ladder_map(samples_at, radii)
-    e_samples = [row[0] for row in rows]
-    p_samples = [[row[1][k] for row in rows] for k in range(3)]
-    energy = fit_inverse_powers(radii, e_samples)
-    momentum = tuple(fit_inverse_powers(radii, p_samples[k]) for k in range(3))
+    return ladder_map(samples_at, radii)
+
+
+def fit_adm_charges(radii, rows):
+    """Charges extrapolated from the rows of ``adm_ladder_samples``."""
+    energy = fit_inverse_powers(radii, [row[0] for row in rows])
+    momentum = tuple(fit_inverse_powers(radii, [row[1][k] for row in rows])
+                     for k in range(3))
     return AdmCharges(energy, momentum)
+
+
+def adm_energy_momentum(data, radii, grid=None):
+    """Charges of a single end, extrapolated over the radius ladder."""
+    grid = grid or build_grid(48, 96)
+    return fit_adm_charges(radii, adm_ladder_samples(data, radii, grid))
 
 
 def _hess(x, a, b):
@@ -101,6 +112,36 @@ def _hess(x, a, b):
 _REQUIRED_ORDERS = {"g": 1.0, "dg": 2.0, "ddg": 3.0, "h": 2.0, "dh": 3.0}
 
 
+def _decay_sups(data, coords, n_rungs):
+    """Sup-norms of (g - delta), dg, ddg, h, dh over every component at each
+    rung of a leaf of n_rungs rungs with the same number of nodes."""
+    leaf = coords[1].shape
+    G, P = data.jets(coords, order=2)
+    F = data.frame.components(jets.seed(coords, order=1))
+    Fv = _leaf_array(F, value, leaf)
+    dF = _chart_gradient(F, leaf)           # dF[a, l, b] = d_a F_l^b
+    dG = _chart_gradient(G, leaf)
+    # e_k(e_l G) = F_k^a (d_a F_l^b) d_b G + F_k^a F_l^b d_a d_b G,
+    # indexed [k, l, i, j, node]
+    ddG = 0.0
+    for a in range(3):
+        for b in range(3):
+            dd = _leaf_array(G, lambda x: _hess(x, a, b), leaf)
+            ddG = ddG + Fv[:, a, None, None, None] * (
+                dF[a, :, b, None, None] * dG[b] + Fv[:, b, None, None] * dd)
+
+    def sup(x):
+        return np.max(rung_max(x, n_rungs).reshape(-1, n_rungs), axis=0)
+
+    return {
+        "g": sup(_leaf_array(G, value, leaf) - np.eye(3)[:, :, None]),
+        "dg": sup(frame_derivative(Fv, G)),
+        "ddg": sup(ddG),
+        "h": sup(_leaf_array(P, value, leaf)),
+        "dh": sup(frame_derivative(Fv, P)),
+    }
+
+
 def check_af_decay(data, radii, grid=None, slack=0.3):
     """Fitted decay exponents of (g - delta), dg, ddg, h, dh sup-norms.
 
@@ -109,40 +150,12 @@ def check_af_decay(data, radii, grid=None, slack=0.3):
     slower than its required order minus ``slack``.
     """
     _require_euclidean(data)
-    if len(list(radii)) < 4:
+    radii = list(radii)
+    if len(radii) < 4:
         raise ConfigError("decay check needs at least 4 radii")
     grid = grid or build_grid(12, 24)
 
-    sups = {k: [] for k in _REQUIRED_ORDERS}
-    for r in radii:
-        coords = _node_arrays(grid, r)
-        leaf = coords[1].shape
-        G, P = data.jets(coords, order=2)
-        F = data.frame.components(jets.seed(coords, order=1))
-        Fv = _leaf_array(F, value, leaf)
-        dF = _chart_gradient(F, leaf)           # dF[a, l, b] = d_a F_l^b
-        dG = _chart_gradient(G, leaf)
-        # e_k(e_l G) = F_k^a (d_a F_l^b) d_b G + F_k^a F_l^b d_a d_b G,
-        # indexed [k, l, i, j, node]
-        ddG = 0.0
-        for a in range(3):
-            for b in range(3):
-                dd = _leaf_array(G, lambda x: _hess(x, a, b), leaf)
-                ddG = ddG + Fv[:, a, None, None, None] * (
-                    dF[a, :, b, None, None] * dG[b] + Fv[:, b, None, None] * dd)
-
-        # np.max keeps a NaN; the builtin max would drop it
-        gdev = np.max(np.abs(_leaf_array(G, value, leaf) - np.eye(3)[:, :, None]))
-        hsup = np.max(np.abs(_leaf_array(P, value, leaf)))
-        dgs = np.max(np.abs(frame_derivative(Fv, G)))
-        dhs = np.max(np.abs(frame_derivative(Fv, P)))
-        ddgs = np.max(np.abs(ddG))
-        sups["g"].append(gdev)
-        sups["dg"].append(dgs)
-        sups["ddg"].append(ddgs)
-        sups["h"].append(hsup)
-        sups["dh"].append(dhs)
-
+    sups = _decay_sups(data, stacked_rungs(grid, radii), len(radii))
     out = {}
     for key, req in _REQUIRED_ORDERS.items():
         fit = fit_decay_exponent(radii, sups[key])

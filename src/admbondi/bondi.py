@@ -28,7 +28,7 @@ from .errors import ConfigError, DomainError
 from .geometry import (InitialData, hyperboloid_frame, pullback_initial_data,
                        _jf, _jd, _jdd)
 from .jets import value
-from .ladder import check_ladder, fit_decay_exponent
+from .ladder import check_ladder, fit_decay_exponent, rung_max, stacked_rungs
 from .sphere import build_grid, project_multipole
 from .spacetimes import SliceSpec, bondi_metric, bondi_slice_embedding
 
@@ -436,22 +436,14 @@ def expansion_consistency(exp, u0=0.0, a3=None, radii=(50, 100, 200, 400, 800),
     emb = bondi_slice_embedding(spec, exp)
     pulled = pullback_initial_data(metric, emb, hyperboloid_frame())
 
-    T, Ps = grid.nodes()
-    sups = {name: [] for name in SLICE_COMPONENTS}
-    for r in radii:
-        coords = [np.full_like(T, float(r)), T, Ps]
-        gn, hn = pulled.values(coords)
-        gc, hc = closed.values(coords)
-        for name in SLICE_COMPONENTS:
-            mats = (gn - gc) if name[0] == "g" else (hn - hc)
-            i, j = int(name[1]) - 1, int(name[2]) - 1
-            sups[name].append(float(np.max(np.abs(mats[i, j]))))
-
-    report = {}
-    for name in SLICE_COMPONENTS:
-        fit = fit_decay_exponent(radii, sups[name], zero_floor=noise_floor)
-        report[name] = fit
-    return report
+    coords = stacked_rungs(grid, radii)
+    gn, hn = pulled.values(coords)
+    gc, hc = closed.values(coords)
+    sups = rung_max(np.stack([gn - gc, hn - hc]), len(radii))
+    return {name: fit_decay_exponent(
+                radii, sups["gh".index(name[0]), int(name[1]) - 1,
+                            int(name[2]) - 1], zero_floor=noise_floor)
+            for name in SLICE_COMPONENTS}
 
 
 # ---------------------------------------------------------------------------

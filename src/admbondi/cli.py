@@ -40,7 +40,6 @@ log = logging.getLogger(__name__)
 # (section, key) -> (attribute, parser)
 _FLOAT = float
 _INT = int
-_BOOL = lambda s: s.strip().lower() in ("1", "true", "yes", "on")
 _FLOATS = lambda s: tuple(float(x) for x in s.replace(",", " ").split())
 
 _SCHEMA = {
@@ -60,11 +59,10 @@ _SCHEMA = {
     ("evolution", "u_end"): ("u_end", _FLOAT),
     ("evolution", "du"): ("du", _FLOAT),
     ("checks", "tolerance_scale"): ("tolerance_scale", _FLOAT),
-    ("checks", "strict"): ("strict", _BOOL),
 }
 
 
-def parse_config(text, strict=True):
+def parse_config(text):
     """Parse nested-section key-value text into a ScenarioConfig.
 
     Returns (config, provenance) where provenance records, per field, whether
@@ -81,7 +79,7 @@ def parse_config(text, strict=True):
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
             known = {s for s, _ in _SCHEMA} | {"news_table"}
-            if strict and section not in known:
+            if section not in known:
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
             continue
         if "=" not in line:
@@ -94,10 +92,8 @@ def parse_config(text, strict=True):
             continue
         spec = _SCHEMA.get((section, key))
         if spec is None:
-            if strict:
-                raise ConfigError(f"line {lineno}: unknown key {key!r} in "
-                                  f"section [{section or 'top level'}]")
-            continue
+            raise ConfigError(f"line {lineno}: unknown key {key!r} in "
+                              f"section [{section or 'top level'}]")
         attr, conv = spec
         try:
             setattr(cfg, attr, conv(val))
@@ -122,20 +118,39 @@ def parse_config(text, strict=True):
     return cfg, provenance
 
 
+def _table_row(table, key):
+    try:
+        return _FLOATS(table[key])
+    except ValueError as exc:
+        raise ConfigError(f"news_table row {key}: {exc}")
+
+
+def _table_mode(key):
+    """(l, m) of a news_table key c_<l>_<m>."""
+    parts = key.split("_")
+    if len(parts) == 3 and parts[0] == "c":
+        try:
+            return int(parts[1]), int(parts[2])
+        except ValueError:
+            pass
+    raise ConfigError(f"news_table keys look like c_<l>_<m>, got {key!r}")
+
+
 def _parse_news_table(table):
     if "u_grid" not in table:
         raise ConfigError("news_table needs a u_grid row")
-    out = {"u_grid": _FLOATS(table["u_grid"])}
-    for key, val in table.items():
+    u_grid = _table_row(table, "u_grid")
+    if not (np.all(np.isfinite(u_grid))
+            and all(b > a for a, b in zip(u_grid, u_grid[1:]))):
+        raise ConfigError("news_table row u_grid must be finite and strictly "
+                          f"increasing: {list(u_grid)}")
+    out = {"u_grid": u_grid}
+    for key in table:
         if key == "u_grid":
             continue
-        parts = key.split("_")
-        if len(parts) != 3 or parts[0] not in ("c",):
-            raise ConfigError(
-                f"news_table keys look like c_<l>_<m>, got {key!r}")
-        l, m = int(parts[1]), int(parts[2])
-        out[(l, m)] = _FLOATS(val)
-        if len(out[(l, m)]) != len(out["u_grid"]):
+        lm = _table_mode(key)
+        out[lm] = _table_row(table, key)
+        if len(out[lm]) != len(u_grid):
             raise ConfigError(f"news_table row {key} length mismatch")
     return out
 
@@ -348,18 +363,21 @@ def cmd_verify(cfg):
 
 
 def cmd_converge(cfg):
-    from .adm import adm_energy_momentum
+    from .adm import adm_energy_momentum, adm_ladder_samples, fit_adm_charges
     scale = cfg.tolerance_scale
     if cfg.preset not in ADM_PRESETS:
         raise ConfigError(f"converge expects one of {ADM_PRESETS}")
     data = make_adm_data(cfg)
     radii = list(_default_radii(cfg, "adm"))
     from .sphere import build_grid
-    coarse = adm_energy_momentum(data, radii, build_grid(cfg.n_theta, cfg.n_psi))
+    # the longer ladder is the coarse one plus one rung; sample it once
+    longer_radii = radii + [2.0 * radii[-1]]
+    rows = adm_ladder_samples(data, longer_radii,
+                              build_grid(cfg.n_theta, cfg.n_psi))
+    coarse = fit_adm_charges(radii, rows[:-1])
     fine = adm_energy_momentum(data, radii,
                                build_grid(2 * cfg.n_theta, 2 * cfg.n_psi))
-    longer = adm_energy_momentum(data, radii + [2.0 * radii[-1]],
-                                 build_grid(cfg.n_theta, cfg.n_psi))
+    longer = fit_adm_charges(longer_radii, rows)
     dg = abs(fine.E - coarse.E)
     dl = abs(longer.E - coarse.E)
     checks = [
@@ -406,8 +424,6 @@ def build_parser():
     ap.add_argument("--u0", type=float)
     ap.add_argument("--u1", type=float)
     ap.add_argument("--du", type=float)
-    ap.add_argument("--strict", action="store_true",
-                    help="reject unknown config keys (default)")
     ap.add_argument("--tolerance-scale", type=float, dest="tolerance_scale")
     return ap
 
@@ -417,7 +433,7 @@ def main(argv=None):
     try:
         if args.config:
             with open(args.config) as f:
-                cfg, provenance = parse_config(f.read(), strict=True)
+                cfg, provenance = parse_config(f.read())
         else:
             cfg, provenance = ScenarioConfig(), {}
             cfg.defaulted_fields = ("all",)

@@ -12,7 +12,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 
 __all__ = ["LadderFit", "DecayFit", "fit_inverse_powers", "fit_decay_exponent",
-           "ladder_map", "check_ladder"]
+           "ladder_map", "check_ladder", "stacked_rungs", "rung_max"]
 
 EXACT_ZERO_FLOOR = 1e-13
 
@@ -106,3 +106,25 @@ def fit_decay_exponent(radii, sups, zero_floor=EXACT_ZERO_FLOOR):
 def ladder_map(fn, radii):
     """Evaluate fn(r) for each rung, in ladder order."""
     return [fn(r) for r in radii]
+
+
+def stacked_rungs(grid, radii):
+    """Chart points (r, theta, psi) of every rung of a small grid in one
+    leaf, rung after rung, so that one evaluation covers the whole ladder.
+
+    Per-node work is the same as rung by rung; what falls is the number of
+    jet operations, which dominates on grids of a few hundred nodes.  Large
+    grids are cheaper evaluated one rung at a time.
+    """
+    T, P = grid.nodes()
+    n = len(radii)
+    return [np.repeat(np.asarray(radii, dtype=float), T.size),
+            np.tile(T, n), np.tile(P, n)]
+
+
+def rung_max(x, n_rungs):
+    """max |x| over the nodes of each rung of a stacked leaf (the last axis
+    of x); the result ends in an axis of length n_rungs.  np.max keeps a
+    NaN, which the builtin max would drop."""
+    x = np.abs(x)
+    return np.max(x.reshape(x.shape[:-1] + (n_rungs, -1)), axis=-1)

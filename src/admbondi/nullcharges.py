@@ -24,14 +24,14 @@ from .errors import ConfigError
 from .geometry import InitialData, _grad, frame_derivative, hyperboloid_frame
 from .jets import value
 from .ladder import (DecayFit, LadderFit, fit_decay_exponent,
-                     fit_inverse_powers, ladder_map)
+                     fit_inverse_powers, ladder_map, rung_max, stacked_rungs)
 from .sphere import build_grid, direction_functions
 
 __all__ = [
     "HyperbolicBackground", "NullCharges", "hyperbolic_background",
     "background_connection", "background_connection_fd", "deviation",
-    "estimate_decay_order", "charge_integrand", "null_energy_momentum",
-    "check_dec_null", "check_pmt_null",
+    "decay_orders", "estimate_decay_order", "charge_integrand",
+    "null_energy_momentum", "check_dec_null", "check_pmt_null",
 ]
 
 _COMPONENTS = tuple(f"{t}{i}{j}" for t in "ab" for i in (1, 2, 3)
@@ -143,27 +143,32 @@ def deviation(data, coords3):
     return g - eye, p - eye
 
 
+def decay_orders(data, radii, grid=None, components=_COMPONENTS):
+    """Fitted decay orders tau-hat of deviation components over >= 4 radii,
+    from one evaluation of the data over all rungs of the small grid."""
+    for c in components:
+        if c not in _COMPONENTS:
+            raise ConfigError(f"unknown component {c!r}; use one of {_COMPONENTS}")
+    radii = list(radii)
+    if len(radii) < 4:
+        raise ConfigError("decay-order fit needs at least 4 radii")
+    grid = grid or build_grid(12, 24)
+    coords = stacked_rungs(grid, radii)
+    # constant data (the background itself) come without the node axis
+    dev = np.stack(deviation(data, coords)).reshape(2, 3, 3, -1)
+    sups = rung_max(np.broadcast_to(dev, (2, 3, 3) + coords[0].shape),
+                    len(radii))
+    return {c: fit_decay_exponent(
+                radii, sups["ab".index(c[0]), int(c[1]) - 1, int(c[2]) - 1])
+            for c in components}
+
+
 def estimate_decay_order(data, component, radii, grid=None):
     """Fitted decay order tau-hat of one deviation component over >= 4 radii.
 
     ``component`` is one of a11..a33, b11..b33 (upper triangle).
     """
-    if component not in _COMPONENTS:
-        raise ConfigError(f"unknown component {component!r}; use one of {_COMPONENTS}")
-    if len(list(radii)) < 4:
-        raise ConfigError("decay-order fit needs at least 4 radii")
-    grid = grid or build_grid(12, 24)
-    i, j = int(component[1]) - 1, int(component[2]) - 1
-    which = 0 if component[0] == "a" else 1
-
-    def sup_at(r):
-        T, P = grid.nodes()
-        coords = [np.full_like(T, float(r)), T, P]
-        dev = deviation(data, coords)[which]
-        return float(np.max(np.abs(dev[i, j])))
-
-    sups = ladder_map(sup_at, radii)
-    return fit_decay_exponent(radii, sups)
+    return decay_orders(data, radii, grid, (component,))[component]
 
 
 def charge_integrand(data, coords3):
@@ -258,9 +263,7 @@ def null_energy_momentum(data, radii, grid=None, tau_gate=1.55,
     decay = {}
     if check_decay and len(list(radii)) >= 4:
         dradii = list(radii)[-4:]
-        small = build_grid(8, 16)
-        for comp in _COMPONENTS:
-            decay[comp] = estimate_decay_order(data, comp, dradii, small)
+        decay = decay_orders(data, dradii, build_grid(8, 16))
         finite = [f.exponent for f in decay.values() if not f.exact]
         if finite and min(finite) < tau_gate:
             import logging

@@ -51,7 +51,6 @@ class ScenarioConfig:
     u_end: float = 10.0
     du: float = 0.01
     tolerance_scale: float = 1.0
-    strict: bool = True
     news_table: Optional[dict] = None   # {"u_grid": array, (l, m): array}
     defaulted_fields: tuple = dfield(default=())
 

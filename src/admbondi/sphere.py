@@ -7,7 +7,8 @@ node.  The quadrature integrates products of spherical polynomials up to
 degree n_theta - 1 in cos(theta) and Fourier modes up to n_psi/2 - 1 exactly.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,12 +58,16 @@ class SphereGrid:
     theta: np.ndarray          # (n_theta,), strictly inside (0, pi), increasing
     psi: np.ndarray            # (n_psi,), uniform on [0, 2*pi)
     weights: np.ndarray        # (n_theta, n_psi), sums to 4*pi
-    _dtheta: np.ndarray = field(repr=False, default=None)
 
     def nodes(self):
         """Flattened (theta, psi) arrays over all nodes, C-ordered."""
         T, P = np.meshgrid(self.theta, self.psi, indexing="ij")
         return T.ravel(), P.ravel()
+
+    @cached_property
+    def _dtheta(self):
+        """theta-derivative matrix, built on the first angular_derivative."""
+        return _theta_derivative_matrix(self.theta)
 
     @property
     def shape(self):
@@ -91,8 +96,7 @@ def build_grid(n_theta, n_psi):
     w_theta = wx[::-1].copy()
     psi = np.arange(n_psi) * (2.0 * np.pi / n_psi)
     weights = np.outer(w_theta, np.full(n_psi, 2.0 * np.pi / n_psi))
-    dtheta = _theta_derivative_matrix(theta)
-    return SphereGrid(int(n_theta), int(n_psi), theta, psi, weights, dtheta)
+    return SphereGrid(int(n_theta), int(n_psi), theta, psi, weights)
 
 
 def _theta_derivative_matrix(theta):

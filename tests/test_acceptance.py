@@ -59,10 +59,11 @@ def test_criterion_10_oracle_equivalences():
     _run(verify.criterion_10_oracles)
 
 
-def test_full_battery_wall_time():
-    results, elapsed = verify.run_verification(echo=None)
+def test_full_battery_wall_time(battery_run):
+    results = battery_run.body["checks"]
+    elapsed = battery_run.body["samples"]["elapsed_s"]
     print(f"[{'PASS' if elapsed <= 300 else 'FAIL'}] full battery: "
           f"{elapsed:.1f}s (limit 300s), {len(results)} checks")
     assert elapsed <= 300.0
-    failing = [r.name for r in results if not r.passed]
+    failing = [r["name"] for r in results if not r["passed"]]
     assert not failing, f"failing checks: {failing}"

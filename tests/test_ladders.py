@@ -1,0 +1,202 @@
+"""Radius ladders evaluated once over stacked rungs: the per-rung sup-norms
+equal those of a rung-by-rung evaluation bit for bit, a NaN still names its
+radius, and the converge study reuses its coarse rungs exactly."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import Phase, given, settings, strategies as st
+
+from admbondi import adm, jets
+from admbondi.adm import adm_energy_momentum, check_af_decay
+from admbondi.bondi import SLICE_COMPONENTS, expansion_consistency, \
+    induced_slice_data
+from admbondi.cli import main
+from admbondi.errors import DomainError
+from admbondi.geometry import (InitialData, euclidean_frame, hyperboloid_frame,
+                               pullback_initial_data)
+from admbondi.ladder import fit_inverse_powers, rung_max, stacked_rungs
+from admbondi.nullcharges import (decay_orders, deviation,
+                                  hyperbolic_background)
+from admbondi.scenarios import ScenarioConfig, make_a3, make_expansion
+from admbondi.spacetimes import (KerrParameters, SliceSpec, bondi_metric,
+                                 bondi_slice_embedding, hyperboloid_embedding,
+                                 kerr, minkowski, schwarzschild,
+                                 t_const_embedding)
+from admbondi.sphere import (_theta_derivative_matrix, angular_derivative,
+                             build_grid)
+
+# no shrinking: each example evaluates whole ladders, and the first failing
+# example already names the key, component or rung at fault
+_SETTINGS = settings(max_examples=12, deadline=None, derandomize=True,
+                     database=None, phases=(Phase.explicit, Phase.generate))
+_GRIDS = st.sampled_from([(4, 8), (6, 12), (12, 24)])
+
+
+def _rung(grid, r):
+    T, P = grid.nodes()
+    return [np.full_like(T, float(r)), T, P]
+
+
+def _ladder(r0, ratio, n):
+    return [r0 * ratio ** k for k in range(n)]
+
+
+def test_stacked_rungs_and_rung_max():
+    grid = build_grid(3, 4)
+    r, T, P = stacked_rungs(grid, [1.0, 2.0])
+    T0, P0 = grid.nodes()
+    assert np.array_equal(r, np.repeat([1.0, 2.0], 12))
+    assert np.array_equal(T, np.tile(T0, 2)) and np.array_equal(P, np.tile(P0, 2))
+    x = np.array([[1.0, -3.0, 2.0, 0.5], [0.0, np.nan, -7.0, 1.0]])
+    got = rung_max(x, 2)
+    assert got.shape == (2, 2)
+    assert np.array_equal(got[0], [3.0, 2.0])
+    assert np.isnan(got[1, 0]) and got[1, 1] == 7.0
+
+
+@_SETTINGS
+@given(kind=st.sampled_from(["schwarzschild", "kerr"]),
+       mass=st.floats(0.5, 2.0), spin=st.floats(0.0, 0.9),
+       r0=st.floats(5.0, 20.0), ratio=st.floats(1.3, 2.5),
+       n=st.integers(4, 5), shape=_GRIDS)
+def test_af_decay_stacked_equals_per_rung(kind, mass, spin, r0, ratio, n,
+                                          shape):
+    metric = (schwarzschild(mass, "static") if kind == "schwarzschild"
+              else kerr(KerrParameters(mass, spin * mass)))
+    data = pullback_initial_data(metric, t_const_embedding(), euclidean_frame())
+    radii = _ladder(r0 * mass, ratio, n)
+    grid = build_grid(*shape)
+    out = check_af_decay(data, radii, grid)
+    per_rung = [adm._decay_sups(data, _rung(grid, r), 1) for r in radii]
+    for key, v in out.items():
+        ref = np.concatenate([s[key] for s in per_rung])
+        assert np.array_equal(np.asarray(v["fit"].sups), ref), key
+
+
+def _null_data(case, amplitude, u0):
+    if case == "minkowski":
+        return pullback_initial_data(minkowski("polar"),
+                                     hyperboloid_embedding(),
+                                     hyperboloid_frame())
+    cfg = ScenarioConfig(preset=case, amplitude=amplitude,
+                         amplitude_d=0.5 * amplitude, u0=u0)
+    return induced_slice_data(make_expansion(cfg), u0=u0)
+
+
+@_SETTINGS
+@given(case=st.sampled_from(["minkowski", "bondi-schwarzschild",
+                             "bondi-quadrupole", "bondi-biaxial"]),
+       amplitude=st.floats(0.02, 0.1), u0=st.floats(0.0, 3.0),
+       r0=st.floats(0.5, 40.0), ratio=st.floats(1.3, 2.5), shape=_GRIDS)
+def test_null_decay_fits_stacked_equal_per_rung(case, amplitude, u0, r0, ratio,
+                                                shape):
+    data = _null_data(case, amplitude, u0)
+    radii = _ladder(r0, ratio, 4)
+    grid = build_grid(*shape)
+    fits = decay_orders(data, radii, grid)
+    devs = [deviation(data, _rung(grid, r)) for r in radii]
+    for comp, fit in fits.items():
+        which, i, j = "ab".index(comp[0]), int(comp[1]) - 1, int(comp[2]) - 1
+        ref = [np.max(np.abs(d[which][i, j])) for d in devs]
+        assert np.array_equal(np.asarray(fit.sups), ref), comp
+
+
+@settings(_SETTINGS, max_examples=6)
+@given(preset=st.sampled_from(["bondi-quadrupole", "bondi-biaxial"]),
+       amplitude=st.floats(0.02, 0.1), a3=st.sampled_from([0.0, 0.02]),
+       r0=st.floats(40.0, 80.0), shape=st.sampled_from([(4, 8), (6, 12)]))
+def test_expansion_consistency_stacked_equals_per_rung(preset, amplitude, a3,
+                                                       r0, shape):
+    cfg = ScenarioConfig(preset=preset, amplitude=amplitude,
+                         amplitude_d=0.5 * amplitude, a3_amplitude=a3)
+    exp, a3fn = make_expansion(cfg), make_a3(cfg)
+    radii = _ladder(r0, 2.0, 5)
+    grid = build_grid(*shape)
+    rep = expansion_consistency(exp, u0=0.0, a3=a3fn, radii=radii, grid=grid)
+    pulled = pullback_initial_data(
+        bondi_metric(exp), bondi_slice_embedding(SliceSpec(u0=0.0, a3=a3fn), exp),
+        hyperboloid_frame())
+    closed = induced_slice_data(exp, 0.0, a3fn)
+    diffs = []
+    for r in radii:
+        (gn, hn), (gc, hc) = pulled.values(_rung(grid, r)), \
+            closed.values(_rung(grid, r))
+        diffs.append((gn - gc, hn - hc))
+    for name in SLICE_COMPONENTS:
+        which, i, j = "gh".index(name[0]), int(name[1]) - 1, int(name[2]) - 1
+        ref = [np.max(np.abs(d[which][i, j])) for d in diffs]
+        assert np.array_equal(np.asarray(rep[name].sups), ref), name
+
+
+def test_decay_orders_of_constant_data_are_exact():
+    fits = decay_orders(hyperbolic_background(), [1.0, 2.0, 3.0, 4.0],
+                        build_grid(4, 8))
+    assert all(f.exact and f.sups == (0.0,) * 4 for f in fits.values())
+
+
+def _nan_at(r, radius):
+    """0 at every node, NaN on the rung at ``radius``."""
+    return np.where(jets.value(r) == radius, np.nan, 0.0)
+
+
+def test_nan_on_one_rung_names_its_radius():
+    def flat_gp(c):
+        r = c[0]
+        bump = 1.0 / r + _nan_at(r, 40.0)
+        G = [[1.0 + bump if i == j else 0.0 * r for j in range(3)]
+             for i in range(3)]
+        return G, [[0.0 * r for _ in range(3)] for _ in range(3)]
+
+    flat = InitialData(flat_gp, euclidean_frame(), True, "nan-at-40")
+    with pytest.raises(DomainError, match="radius 40"):
+        check_af_decay(flat, [10.0, 20.0, 40.0, 80.0], build_grid(4, 8))
+
+    def null_gp(c):
+        r = c[0]
+        bump = 1.0 / r ** 2 + _nan_at(r, 45.0)
+        G = [[1.0 + bump if i == j else 0.0 * r for j in range(3)]
+             for i in range(3)]
+        return G, G
+
+    null = InitialData(null_gp, hyperboloid_frame(), True, "nan-at-45")
+    with pytest.raises(DomainError, match="radius 45"):
+        decay_orders(null, [30.0, 45.0, 70.0, 110.0], build_grid(4, 8))
+
+
+def test_converge_reuses_the_coarse_rungs(tmp_path):
+    out = tmp_path / "c.json"
+    assert main(["converge", "--preset", "schwarzschild", "--ntheta", "12",
+                 "--npsi", "24", "--out", str(out)]) == 0
+    charges = json.loads(out.read_text())["charges"]
+    data = pullback_initial_data(schwarzschild(1.0, "static"),
+                                 t_const_embedding(), euclidean_frame())
+    ladder = [10.0, 20.0, 40.0, 80.0]
+    grid = build_grid(12, 24)
+    assert charges["E_coarse"] == adm_energy_momentum(data, ladder, grid).E
+    assert charges["E_longer"] == adm_energy_momentum(data, ladder + [160.0],
+                                                      grid).E
+
+
+def test_theta_derivative_matrix_is_built_on_first_use():
+    grid = build_grid(10, 8)
+    assert "_dtheta" not in vars(grid)
+    f = grid.field_from(lambda t, p: np.cos(3.0 * t) * np.sin(p))
+    got = angular_derivative(f, "theta").values
+    assert "_dtheta" in vars(grid)
+    assert np.array_equal(got, _theta_derivative_matrix(grid.theta) @ f.values)
+    assert np.array_equal(angular_derivative(f, "theta").values, got)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(A=st.floats(-10.0, 10.0), B=st.floats(-10.0, 10.0),
+       C=st.floats(-10.0, 10.0), r0=st.floats(1.0, 100.0),
+       ratio=st.floats(1.2, 3.0), n=st.integers(3, 7))
+def test_fit_inverse_powers_recovers_the_limit(A, B, C, r0, ratio, n):
+    radii = _ladder(r0, ratio, n)
+    samples = [A + B / r + C / r ** 2 for r in radii]
+    fit = fit_inverse_powers(radii, samples)
+    scale = abs(A) + abs(B) / r0 + abs(C) / r0 ** 2
+    assert abs(fit.value - A) <= 1e-9 * (1.0 + scale)
+    assert fit.residual <= 1e-12 * (1.0 + scale)

@@ -140,6 +140,28 @@ def test_parse_config_bad_table_key():
         parse_config("[news_table]\nu_grid = 0, 1\nq_2_0 = 0, 1\n")
 
 
+@pytest.mark.parametrize("rows, match", [
+    ("u_grid = 0, 1\nc_2_x = 0, 1\n", "'c_2_x'"),
+    ("u_grid = 0, 1\nc_2 = 0, 1\n", "'c_2'"),
+    ("u_grid = 0, 1\nc_2_0 = 0, x\n", "row c_2_0"),
+    ("u_grid = 0, x\nc_2_0 = 0, 1\n", "row u_grid"),
+    ("u_grid = 0, 2, 1\nc_2_0 = 0, 1, 2\n", "row u_grid must be .*increasing"),
+    ("u_grid = 0, 1, 1\nc_2_0 = 0, 1, 2\n", "row u_grid must be .*increasing"),
+    ("u_grid = 0, nan, 2\nc_2_0 = 0, 1, 2\n", "row u_grid must be finite"),
+])
+def test_parse_config_bad_table_rows(rows, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_config("preset = bondi-quadrupole\n[news_table]\n" + rows)
+
+
+def test_strict_knob_is_gone(capsys):
+    with pytest.raises(ConfigError, match="line 3: unknown key 'strict'"):
+        parse_config("preset = kerr\n[checks]\nstrict = true\n")
+    with pytest.raises(SystemExit):
+        main(["adm", "--strict"])
+    assert "unrecognized arguments: --strict" in capsys.readouterr().err
+
+
 # -- CLI ---------------------------------------------------------------------------
 
 def run_cli(args):
@@ -190,6 +212,21 @@ def test_cli_bad_config_diagnostic(tmp_path, capsys):
     code = run_cli(["adm", "--config", str(cfgfile)])
     assert code == 2
     assert "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row, message", [
+    ("c_2_x = 0, 0.1, 0.2", "keys look like c_<l>_<m>, got 'c_2_x'"),
+    ("c_2_0 = 0, 0.1, 0.2\nu_grid = 0, 2, 1",
+     "row u_grid must be finite and strictly increasing"),
+])
+def test_cli_bad_news_table_exits_2(tmp_path, capsys, row, message):
+    cfgfile = tmp_path / "table.cfg"
+    grid = "" if "u_grid" in row else "u_grid = 0, 1, 2\n"
+    cfgfile.write_text(f"preset = bondi-quadrupole\n[news_table]\n{grid}{row}\n")
+    code = run_cli(["bondi-evolve", "--config", str(cfgfile), "--u1", "1",
+                    "--du", "0.1", "--ntheta", "8", "--npsi", "16"])
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["mass", "spin", "amplitude", "amplitude_d"])
@@ -265,12 +302,9 @@ def test_fd_oracle_keeps_a_nan():
     assert np.isnan(_fd_check_metric(ev, [(0.0, 5.0, 1.0, 1.0)]))
 
 
-def test_cli_verify_battery(tmp_path, capsys):
-    out = tmp_path / "battery.json"
-    code = run_cli(["verify", "--out", str(out)])
-    assert code == 0
-    body = json.loads(out.read_text())
+def test_cli_verify_battery(battery_run):
+    assert battery_run.code == 0
+    body = battery_run.body
     assert len(body["checks"]) >= 20
     assert body["passed"] is True
-    text = capsys.readouterr().out
-    assert text.count("[PASS]") >= 20
+    assert battery_run.stdout.count("[PASS]") >= 20
