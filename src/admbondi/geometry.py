@@ -29,7 +29,8 @@ import numpy as np
 
 from . import jets
 from .errors import DomainError
-from .jets import Jet, det4, djet, inv3, inv4, trunc1, value
+from .jets import (Jet, add, det4, djet, inv3, inv4, mul, prod, sub, trunc1,
+                   value)
 
 __all__ = [
     "SpacetimePoint", "Metric4Evaluator", "Embedding", "FrameField",
@@ -258,9 +259,14 @@ class InitialData:
     g_only: Optional[Callable] = None
 
     def values(self, coords3):
-        G, P = self.gp(list(coords3))
-        g = np.array([[value(G[i][j]) for j in range(3)] for i in range(3)])
-        p = np.array([[value(P[i][j]) for j in range(3)] for i in range(3)])
+        """Leaf values of G and P, each indexed [i, j, <leaf>]; plain-number
+        entries are broadcast to the leaf shape of the coordinates."""
+        coords3 = list(coords3)
+        G, P = self.gp(coords3)
+        entries = [value(x) for X in (G, P) for row in X for x in row]
+        leaf = np.broadcast_shapes(*map(np.shape, coords3 + entries))
+        g, p = np.reshape([np.broadcast_to(x, leaf) for x in entries],
+                          (2, 3, 3) + leaf)
         return g, p
 
     def jets(self, coords3, order=2):
@@ -283,10 +289,13 @@ def _christoffel_from(ginv, dg):
     gam = [[[None] * 4 for _ in range(4)] for _ in range(4)]
     for b in range(4):
         for c in range(b, 4):
-            col = [dg[b][d][c] + dg[c][d][b] - dg[d][b][c] for d in range(4)]
+            col = [sub(add(dg[b][d][c], dg[c][d][b]), dg[d][b][c])
+                   for d in range(4)]
             for a in range(4):
-                e = 0.5 * (ginv[a][0] * col[0] + ginv[a][1] * col[1]
-                           + ginv[a][2] * col[2] + ginv[a][3] * col[3])
+                acc = 0.0
+                for d in range(4):
+                    acc = add(acc, mul(ginv[a][d], col[d]))
+                e = mul(0.5, acc)
                 gam[a][b][c] = e
                 gam[a][c][b] = e
     return gam
@@ -363,7 +372,7 @@ def _induced_metric(g4, dphi):
             acc = 0.0
             for a in range(4):
                 for b in range(4):
-                    acc = acc + g4[a][b] * dphi[a][i] * dphi[b][j]
+                    acc = add(acc, prod(g4[a][b], dphi[a][i], dphi[b][j]))
             g3[i][j] = acc
             g3[j][i] = acc
     return g3
@@ -377,8 +386,8 @@ def _in_frame(F, *tensors):
             acc = [0.0] * len(tensors)
             for a in range(3):
                 for b in range(3):
-                    fab = F[i][a] * F[j][b]
-                    acc = [x + fab * t[a][b] for x, t in zip(acc, tensors)]
+                    acc = [add(x, prod(F[i][a], F[j][b], t[a][b]))
+                           for x, t in zip(acc, tensors)]
             for o, x in zip(out, acc):
                 o[i][j] = x
                 o[j][i] = x
@@ -423,16 +432,16 @@ def pullback_initial_data(metric, emb, frame, validate=True, name=None):
         # conormal via the signed cross product of the coordinate tangents
         N = [0.0, 0.0, 0.0, 0.0]
         for (a, b, c, d), s in _PERM4:
-            N[a] = N[a] + s * dphi[b][0] * dphi[c][1] * dphi[d][2]
+            N[a] = add(N[a], prod(s, dphi[b][0], dphi[c][1], dphi[d][2]))
         nn = 0.0
         for a in range(4):
             for b in range(4):
-                nn = nn + ginv[a][b] * N[a] * N[b]
+                nn = add(nn, prod(ginv[a][b], N[a], N[b]))
         if np.any(value(nn) >= 0.0):
             raise DomainError("slice is not spacelike (conormal fails to be timelike)")
         scale = 1.0 / jets.sqrt(0.0 - nn)
         flip = np.where(value(N[0]) > 0.0, -1.0, 1.0)  # future: n_0 < 0
-        n = [N[a] * scale * flip for a in range(4)]
+        n = [prod(N[a], scale, flip) for a in range(4)]
 
         # induced metric and covariant Hessian in chart directions
         g3 = _induced_metric(g4, dphi)
@@ -444,8 +453,9 @@ def pullback_initial_data(metric, emb, frame, validate=True, name=None):
                     hess = ddphi[a][i][j]
                     for b in range(4):
                         for c in range(4):
-                            hess = hess + gam[a][b][c] * dphi[b][i] * dphi[c][j]
-                    hac = hac + n[a] * hess
+                            hess = add(hess, prod(gam[a][b][c], dphi[b][i],
+                                                  dphi[c][j]))
+                    hac = add(hac, mul(n[a], hess))
                 h3[i][j] = 0.0 - hac
                 h3[j][i] = h3[i][j]
 

@@ -16,18 +16,24 @@ Rules that keep nesting sound:
 * ``value(x)`` unwraps to the leaf value, which is what branching and domain
   checks must look at.
 
-Structural zeros: a derivative entry that is the plain Python float ``0.0``
-(as ``seed`` and ``arctan2`` create them) is known to vanish everywhere.  The
-ring operations, ``_chain`` and hence every elementary function drop the
-terms it would annihilate and keep such a result a plain float, instead of
-multiplying it into an all-zero array or jet.  The surviving terms are
-summed in the same order as in the full formula, so each entry keeps its
-value up to the sign of an exact zero.  One downstream effect remains: an
-entry that stays a plain number where it would have been a jet with zero
-derivatives makes a later ``c / x`` use the chain rule of ``__rtruediv__``
-(and ``x / c`` a product with ``1 / c``) instead of the quotient rule, which
-can round differently in the last bit.  A numpy zero (array or
-``np.float64``) is not structural and is computed like any other entry.
+Structural zeros: an entry that is the plain Python float ``0.0`` (as
+``seed``, ``arctan2`` and constant metric components create them) is known
+to vanish everywhere.  The ring operations, ``_chain`` and hence every
+elementary function drop the terms it would annihilate and keep such a
+result a plain float, instead of multiplying it into an all-zero array or
+jet.  The helpers ``add``, ``sub``, ``mul``, ``div`` and ``prod`` apply the
+rule to operands of any level, plain numbers and arrays included; the
+linear algebra below (``det3``, ``inv3``, ``det4``, ``inv4``) and the tensor
+contractions of ``geometry``'s pullback are written with them.
+
+The surviving terms are summed in the same order as in the full formula, so
+each entry keeps its value up to the sign of an exact zero.  One downstream
+effect remains: an entry that stays a plain number where it would have been
+a jet with zero derivatives makes a later ``c / x`` use the chain rule of
+``__rtruediv__`` (and ``x / c`` a product with ``1 / c``) instead of the
+quotient rule, which can round differently in the last bit.  A numpy zero
+(array or ``np.float64``) is not structural and is computed like any other
+entry.
 """
 
 import numpy as np
@@ -37,6 +43,7 @@ __all__ = [
     "sin", "cos", "tan", "sqrt", "exp", "log",
     "sinh", "cosh", "tanh", "arctan", "arcsin", "arccos", "arctan2",
     "inv3", "inv4", "det3", "det4",
+    "add", "sub", "mul", "div", "prod",
 ]
 
 
@@ -68,10 +75,10 @@ class Jet:
 
     def __add__(self, o):
         if isinstance(o, Jet):
-            d = [_add(a, b) for a, b in zip(self.d, o.d)]
+            d = [add(a, b) for a, b in zip(self.d, o.d)]
             dd = None
             if self.dd is not None:
-                dd = _sym2(lambda i, j: _add(self.dd[i][j], o.dd[i][j]), len(d))
+                dd = _sym2(lambda i, j: add(self.dd[i][j], o.dd[i][j]), len(d))
             return Jet(self.f + o.f, d, dd)
         return Jet(self.f + o, self.d, self.dd)
 
@@ -84,10 +91,10 @@ class Jet:
 
     def __sub__(self, o):
         if isinstance(o, Jet):
-            d = [_sub(a, b) for a, b in zip(self.d, o.d)]
+            d = [sub(a, b) for a, b in zip(self.d, o.d)]
             dd = None
             if self.dd is not None:
-                dd = _sym2(lambda i, j: _sub(self.dd[i][j], o.dd[i][j]), len(d))
+                dd = _sym2(lambda i, j: sub(self.dd[i][j], o.dd[i][j]), len(d))
             return Jet(self.f - o.f, d, dd)
         return Jet(self.f - o, self.d, self.dd)
 
@@ -100,17 +107,17 @@ class Jet:
         if isinstance(o, Jet):
             f, g = self.f, o.f
             sd, od = self.d, o.d
-            d = [_add(_mul(sd[i], g), _mul(f, od[i])) for i in range(len(sd))]
+            d = [add(mul(sd[i], g), mul(f, od[i])) for i in range(len(sd))]
             dd = None
             if self.dd is not None:
                 sdd, odd = self.dd, o.dd
                 dd = _sym2(
-                    lambda i, j: _add(_add(_add(_mul(sdd[i][j], g), _mul(f, odd[i][j])),
-                                           _mul(sd[i], od[j])), _mul(sd[j], od[i])),
+                    lambda i, j: add(add(add(mul(sdd[i][j], g), mul(f, odd[i][j])),
+                                         mul(sd[i], od[j])), mul(sd[j], od[i])),
                     len(d))
             return Jet(f * g, d, dd)
-        d = [_mul(a, o) for a in self.d]
-        dd = None if self.dd is None else _sym2(lambda i, j: _mul(self.dd[i][j], o), len(d))
+        d = [mul(a, o) for a in self.d]
+        dd = None if self.dd is None else _sym2(lambda i, j: mul(self.dd[i][j], o), len(d))
         return Jet(self.f * o, d, dd)
 
     __rmul__ = __mul__
@@ -120,13 +127,13 @@ class Jet:
             g = o.f
             q = self.f / g
             sd, od = self.d, o.d
-            d = [_div(_sub(sd[i], _mul(q, od[i])), g) for i in range(len(sd))]
+            d = [div(sub(sd[i], mul(q, od[i])), g) for i in range(len(sd))]
             dd = None
             if self.dd is not None:
                 sdd, odd = self.dd, o.dd
                 dd = _sym2(
-                    lambda i, j: _div(_sub(_sub(_sub(sdd[i][j], _mul(q, odd[i][j])),
-                                                _mul(d[i], od[j])), _mul(d[j], od[i])), g),
+                    lambda i, j: div(sub(sub(sub(sdd[i][j], mul(q, odd[i][j])),
+                                             mul(d[i], od[j])), mul(d[j], od[i])), g),
                     len(d))
             return Jet(q, d, dd)
         inv = 1.0 / o
@@ -157,11 +164,11 @@ class Jet:
     def _chain(self, f0, f1, f2):
         """Compose with a scalar function given f(v), f'(v) and f''(v)."""
         sd = self.d
-        d = [_mul(f1, a) for a in sd]
+        d = [mul(f1, a) for a in sd]
         dd = None
         if self.dd is not None:
             sdd = self.dd
-            dd = _sym2(lambda i, j: _add(_mul(f1, sdd[i][j]), _mul(_mul(f2, sd[i]), sd[j])),
+            dd = _sym2(lambda i, j: add(mul(f1, sdd[i][j]), mul(mul(f2, sd[i]), sd[j])),
                        len(d))
         return Jet(f0, d, dd)
 
@@ -172,7 +179,8 @@ def _zero(x):
     return type(x) is float and x == 0.0
 
 
-def _add(a, b):
+def add(a, b):
+    """a + b; the other operand if a or b is a structural zero."""
     if _zero(a):
         return b
     if _zero(b):
@@ -180,19 +188,33 @@ def _add(a, b):
     return a + b
 
 
-def _sub(a, b):
+def sub(a, b):
+    """a - b; a itself if b is a structural zero."""
     if _zero(b):
         return a
     return a - b
 
 
-def _mul(a, b):
+def mul(a, b):
+    """a * b; a structural zero if a or b is one."""
     if _zero(a) or _zero(b):
         return 0.0
     return a * b
 
 
-def _div(a, b):
+def prod(*factors):
+    """((f0 * f1) * f2) ...; a structural zero, with no partial product
+    computed, if any factor is one."""
+    if any(map(_zero, factors)):
+        return 0.0
+    acc = factors[0]
+    for f in factors[1:]:
+        acc = acc * f
+    return acc
+
+
+def div(a, b):
+    """a / b; a structural zero if a is one."""
     if _zero(a):
         return 0.0
     return a / b
@@ -368,16 +390,16 @@ def arctan2(y, x):
     fy, fx = y.f, x.f
     h = fx * fx + fy * fy
     k = len(y.d)
-    d = [_div(_sub(_mul(fx, y.d[i]), _mul(fy, x.d[i])), h) for i in range(k)]
+    d = [div(sub(mul(fx, y.d[i]), mul(fy, x.d[i])), h) for i in range(k)]
     dd = None
     if y.dd is not None:
         fx2, fy2 = 2.0 * fx, 2.0 * fy
 
         def entry(i, j):
-            dN = _sub(_sub(_add(_mul(x.d[j], y.d[i]), _mul(fx, y.dd[i][j])),
-                           _mul(y.d[j], x.d[i])), _mul(fy, x.dd[i][j]))
-            dh = _add(_mul(fx2, x.d[j]), _mul(fy2, y.d[j]))
-            return _div(_sub(dN, _mul(d[i], dh)), h)
+            dN = sub(sub(add(mul(x.d[j], y.d[i]), mul(fx, y.dd[i][j])),
+                         mul(y.d[j], x.d[i])), mul(fy, x.dd[i][j]))
+            dh = add(mul(fx2, x.d[j]), mul(fy2, y.d[j]))
+            return div(sub(dN, mul(d[i], dh)), h)
         dd = _sym2(entry, k)
     return Jet(arctan2(fy, fx), d, dd)
 
@@ -386,49 +408,49 @@ def arctan2(y, x):
 # Nested-list matrices with entries of any jet level; adjugate-based inverses
 # keep everything inside the generic ring.
 
+def _cross(a, b, c, d):
+    """a * b - c * d."""
+    return sub(mul(a, b), mul(c, d))
+
+
 def det3(m):
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+    return add(sub(mul(m[0][0], _cross(m[1][1], m[2][2], m[1][2], m[2][1])),
+                   mul(m[0][1], _cross(m[1][0], m[2][2], m[1][2], m[2][0]))),
+               mul(m[0][2], _cross(m[1][0], m[2][1], m[1][1], m[2][0])))
 
 
 def inv3(m):
     """Inverse of a generic 3x3 nested-list matrix."""
-    c00 = m[1][1] * m[2][2] - m[1][2] * m[2][1]
-    c01 = m[1][2] * m[2][0] - m[1][0] * m[2][2]
-    c02 = m[1][0] * m[2][1] - m[1][1] * m[2][0]
-    det = m[0][0] * c00 + m[0][1] * c01 + m[0][2] * c02
-    c10 = m[0][2] * m[2][1] - m[0][1] * m[2][2]
-    c11 = m[0][0] * m[2][2] - m[0][2] * m[2][0]
-    c12 = m[0][1] * m[2][0] - m[0][0] * m[2][1]
-    c20 = m[0][1] * m[1][2] - m[0][2] * m[1][1]
-    c21 = m[0][2] * m[1][0] - m[0][0] * m[1][2]
-    c22 = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    return [[c00 / det, c10 / det, c20 / det],
-            [c01 / det, c11 / det, c21 / det],
-            [c02 / det, c12 / det, c22 / det]]
+    c00 = _cross(m[1][1], m[2][2], m[1][2], m[2][1])
+    c01 = _cross(m[1][2], m[2][0], m[1][0], m[2][2])
+    c02 = _cross(m[1][0], m[2][1], m[1][1], m[2][0])
+    det = add(add(mul(m[0][0], c00), mul(m[0][1], c01)), mul(m[0][2], c02))
+    c10 = _cross(m[0][2], m[2][1], m[0][1], m[2][2])
+    c11 = _cross(m[0][0], m[2][2], m[0][2], m[2][0])
+    c12 = _cross(m[0][1], m[2][0], m[0][0], m[2][1])
+    c20 = _cross(m[0][1], m[1][2], m[0][2], m[1][1])
+    c21 = _cross(m[0][2], m[1][0], m[0][0], m[1][2])
+    c22 = _cross(m[0][0], m[1][1], m[0][1], m[1][0])
+    return [[div(c00, det), div(c10, det), div(c20, det)],
+            [div(c01, det), div(c11, det), div(c21, det)],
+            [div(c02, det), div(c12, det), div(c22, det)]]
+
+
+# column pairs (a, b) of the 2x2 minors, in the order _minors4 lists them
+_PAIRS4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def _minors4(m):
     """The 2x2 minors of rows 0-1 (s) and rows 2-3 (c) of a 4x4 matrix."""
-    s = [m[0][0] * m[1][1] - m[1][0] * m[0][1],
-         m[0][0] * m[1][2] - m[1][0] * m[0][2],
-         m[0][0] * m[1][3] - m[1][0] * m[0][3],
-         m[0][1] * m[1][2] - m[1][1] * m[0][2],
-         m[0][1] * m[1][3] - m[1][1] * m[0][3],
-         m[0][2] * m[1][3] - m[1][2] * m[0][3]]
-    c = [m[2][0] * m[3][1] - m[3][0] * m[2][1],
-         m[2][0] * m[3][2] - m[3][0] * m[2][2],
-         m[2][0] * m[3][3] - m[3][0] * m[2][3],
-         m[2][1] * m[3][2] - m[3][1] * m[2][2],
-         m[2][1] * m[3][3] - m[3][1] * m[2][3],
-         m[2][2] * m[3][3] - m[3][2] * m[2][3]]
+    s = [_cross(m[0][a], m[1][b], m[1][a], m[0][b]) for a, b in _PAIRS4]
+    c = [_cross(m[2][a], m[3][b], m[3][a], m[2][b]) for a, b in _PAIRS4]
     return s, c
 
 
 def _det4(s, c):
-    return s[0] * c[5] - s[1] * c[4] + s[2] * c[3] + s[3] * c[2] \
-        - s[4] * c[1] + s[5] * c[0]
+    return add(sub(add(add(sub(mul(s[0], c[5]), mul(s[1], c[4])),
+                           mul(s[2], c[3])), mul(s[3], c[2])),
+                   mul(s[4], c[1])), mul(s[5], c[0]))
 
 
 def det4(m):
@@ -436,25 +458,28 @@ def det4(m):
     return _det4(*_minors4(m))
 
 
+# inv4: row i of the inverse pairs the columns other than i with these
+# minors; column j reads row (1, 0, 3, 2)[j] of m and the c minors for j < 2,
+# the s minors otherwise.
+_INV4_TERMS = tuple(
+    tuple(zip([a for a in range(4) if a != i], ks))
+    for i, ks in enumerate(((5, 4, 3), (5, 2, 1), (4, 2, 0), (3, 1, 0))))
+
+
 def inv4(m):
-    """Inverse of a generic 4x4 nested-list matrix (2x2-minor expansion)."""
+    """Inverse of a generic 4x4 nested-list matrix (2x2-minor expansion).
+
+    Entry (i, j) is (t0 - t1 + t2) / det for even i + j and
+    (-t0 + t1 - t2) / det for odd i + j, the latter summed as
+    (t1 - t0) - t2, which is the same floating-point result.
+    """
     s, c = _minors4(m)
     det = _det4(s, c)
     inv = [[None] * 4 for _ in range(4)]
-    inv[0][0] = (m[1][1] * c[5] - m[1][2] * c[4] + m[1][3] * c[3]) / det
-    inv[0][1] = (-m[0][1] * c[5] + m[0][2] * c[4] - m[0][3] * c[3]) / det
-    inv[0][2] = (m[3][1] * s[5] - m[3][2] * s[4] + m[3][3] * s[3]) / det
-    inv[0][3] = (-m[2][1] * s[5] + m[2][2] * s[4] - m[2][3] * s[3]) / det
-    inv[1][0] = (-m[1][0] * c[5] + m[1][2] * c[2] - m[1][3] * c[1]) / det
-    inv[1][1] = (m[0][0] * c[5] - m[0][2] * c[2] + m[0][3] * c[1]) / det
-    inv[1][2] = (-m[3][0] * s[5] + m[3][2] * s[2] - m[3][3] * s[1]) / det
-    inv[1][3] = (m[2][0] * s[5] - m[2][2] * s[2] + m[2][3] * s[1]) / det
-    inv[2][0] = (m[1][0] * c[4] - m[1][1] * c[2] + m[1][3] * c[0]) / det
-    inv[2][1] = (-m[0][0] * c[4] + m[0][1] * c[2] - m[0][3] * c[0]) / det
-    inv[2][2] = (m[3][0] * s[4] - m[3][1] * s[2] + m[3][3] * s[0]) / det
-    inv[2][3] = (-m[2][0] * s[4] + m[2][1] * s[2] - m[2][3] * s[0]) / det
-    inv[3][0] = (-m[1][0] * c[3] + m[1][1] * c[1] - m[1][2] * c[0]) / det
-    inv[3][1] = (m[0][0] * c[3] - m[0][1] * c[1] + m[0][2] * c[0]) / det
-    inv[3][2] = (-m[3][0] * s[3] + m[3][1] * s[1] - m[3][2] * s[0]) / det
-    inv[3][3] = (m[2][0] * s[3] - m[2][1] * s[1] + m[2][2] * s[0]) / det
+    for i, terms in enumerate(_INV4_TERMS):
+        for j in range(4):
+            row, minors = m[(1, 0, 3, 2)[j]], (c if j < 2 else s)
+            t0, t1, t2 = (mul(row[a], minors[k]) for a, k in terms)
+            e = add(sub(t0, t1), t2) if (i + j) % 2 == 0 else sub(sub(t1, t0), t2)
+            inv[i][j] = div(e, det)
     return inv

@@ -154,10 +154,7 @@ def decay_orders(data, radii, grid=None, components=_COMPONENTS):
         raise ConfigError("decay-order fit needs at least 4 radii")
     grid = grid or build_grid(12, 24)
     coords = stacked_rungs(grid, radii)
-    # constant data (the background itself) come without the node axis
-    dev = np.stack(deviation(data, coords)).reshape(2, 3, 3, -1)
-    sups = rung_max(np.broadcast_to(dev, (2, 3, 3) + coords[0].shape),
-                    len(radii))
+    sups = rung_max(np.stack(deviation(data, coords)), len(radii))
     return {c: fit_decay_exponent(
                 radii, sups["ab".index(c[0]), int(c[1]) - 1, int(c[2]) - 1])
             for c in components}

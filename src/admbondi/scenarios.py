@@ -272,7 +272,7 @@ def make_metric(cfg):
         return kerr(KerrParameters(cfg.mass, cfg.spin))
     raise ConfigError(
         f"preset {cfg.preset!r} is not asymptotically flat at spatial "
-        "infinity; use one of {ADM_PRESETS} for the adm subcommand")
+        f"infinity; use one of {ADM_PRESETS} for the adm subcommand")
 
 
 def make_adm_data(cfg):

@@ -348,27 +348,36 @@ def test_initial_data_first_derivatives_match_fd(rng):
 
 # -- mixed-order contract of InitialData.jets ------------------------------------
 
-def _pullbacks():
+def _pullback_parts():
     exp = make_expansion(ScenarioConfig(preset="bondi-biaxial", amplitude=0.08,
                                         amplitude_d=0.05))
     return {
-        "schwarzschild": (pullback_initial_data(
-            schwarzschild(1.0, "static"), t_const_embedding(),
-            euclidean_frame()), (2.5, 40.0)),
-        "kerr": (pullback_initial_data(
-            kerr(KerrParameters(1.0, 0.6)), t_const_embedding(),
-            euclidean_frame()), (2.5, 40.0)),
-        "hyperboloid": (pullback_initial_data(
-            minkowski("polar"), hyperboloid_embedding(), hyperboloid_frame()),
-            (0.2, 40.0)),
-        "bondi": (pullback_initial_data(
-            bondi_metric(exp, r_min=5.0),
-            bondi_slice_embedding(SliceSpec(u0=0.5), exp), hyperboloid_frame()),
-            (6.0, 80.0)),
+        "schwarzschild": ((schwarzschild(1.0, "static"), t_const_embedding(),
+                           euclidean_frame()), (2.5, 40.0)),
+        "kerr": ((kerr(KerrParameters(1.0, 0.6)), t_const_embedding(),
+                  euclidean_frame()), (2.5, 40.0)),
+        "hyperboloid": ((minkowski("polar"), hyperboloid_embedding(),
+                         hyperboloid_frame()), (0.2, 40.0)),
+        "bondi": ((bondi_metric(exp, r_min=5.0),
+                   bondi_slice_embedding(SliceSpec(u0=0.5), exp),
+                   hyperboloid_frame()), (6.0, 80.0)),
     }
 
 
-_PULLBACKS = _pullbacks()
+_PARTS = _pullback_parts()
+_PULLBACKS = {case: (pullback_initial_data(*parts), span)
+              for case, (parts, span) in _PARTS.items()}
+
+
+def _points(case, n, t):
+    """n points (a plain scalar point for n = 0) spread from the unit-cube
+    offsets t over the case's radius span and the sphere."""
+    rlo, rhi = _PULLBACKS[case][1]
+    spread = np.linspace(0.0, 1.0, n) if n else 0.0
+    pts = [rlo + (rhi - rlo) * ((t[0] + spread) % 1.0),
+           0.3 + 2.5 * ((t[1] + spread / 3.0) % 1.0),
+           6.2 * ((t[2] + spread / 5.0) % 1.0)]
+    return pts if n else [float(x) for x in pts]
 
 
 def _entries(x, order):
@@ -392,13 +401,8 @@ def _same(a, b):
 def test_jets_mixed_order_contract_on_pullbacks(case, order, n, t):
     """G of jets() equals G of gp at the same order bit for bit, and p is P
     of gp one order lower (plain values at order 1)."""
-    data, (rlo, rhi) = _PULLBACKS[case]
-    spread = np.linspace(0.0, 1.0, n) if n else 0.0
-    pts = [rlo + (rhi - rlo) * ((t[0] + spread) % 1.0),
-           0.3 + 2.5 * ((t[1] + spread / 3.0) % 1.0),
-           6.2 * ((t[2] + spread / 5.0) % 1.0)]
-    if not n:
-        pts = [float(x) for x in pts]
+    data = _PULLBACKS[case][0]
+    pts = _points(case, n, t)
     G, P = data.jets(pts, order)
     Gr, Pr = data.gp(jets.seed(pts, order))
     for i in range(3):
@@ -409,9 +413,82 @@ def test_jets_mixed_order_contract_on_pullbacks(case, order, n, t):
                 assert not isinstance(P[i][j], jets.Jet)
                 assert _same(P[i][j], jets.value(Pr[i][j])), (case, i, j)
             else:
-                assert P[i][j].dd is None
+                # a structural zero stays a plain number, a constant at
+                # every jet level
+                assert getattr(P[i][j], "dd", None) is None
                 got, ref = _entries(P[i][j], 1), _entries(Pr[i][j], 1)
                 assert all(_same(a, b) for a, b in zip(got, ref)), (case, i, j)
+
+
+# -- structural zeros in the pullback ---------------------------------------------
+
+def _leaf_entries(data, pts, how):
+    """Every leaf entry of values() ("values") or of jets(pts, how)."""
+    if how == "values":
+        return list(data.values(pts))
+    G, P = data.jets(pts, how)
+    return [a for i in range(3) for j in range(3)
+            for a in _entries(G[i][j], how) + (
+                [jets.value(P[i][j])] if how == 1 else _entries(P[i][j], 1))]
+
+
+def _reference_values(metric, emb, frame, pts):
+    """Frame components of (g, h) from leaf values with numpy alone."""
+    leaf = np.broadcast_shapes(*map(np.shape, pts))
+
+    def lv(x, *path):
+        for step in path:
+            if not isinstance(x, jets.Jet):
+                return np.zeros(leaf)
+            x = x.d[step] if isinstance(step, int) else x.dd[step[0]][step[1]]
+        return np.broadcast_to(np.asarray(jets.value(x), dtype=float), leaf)
+
+    ej = emb.jets(pts, order=2)
+    dphi = np.array([[lv(e, i) for i in range(3)] for e in ej])
+    ddphi = np.array([[[lv(e, (i, j)) for j in range(3)] for i in range(3)]
+                      for e in ej])
+    gj = metric.jets([lv(e) for e in ej], order=1)
+    g4 = np.array([[lv(x) for x in row] for row in gj])
+    dg = np.array([[[lv(x, c) for x in row] for row in gj] for c in range(4)])
+    ginv = np.moveaxis(np.linalg.inv(np.moveaxis(g4, (0, 1), (-2, -1))),
+                       (-2, -1), (0, 1))
+    col = (np.einsum("bdc...->dbc...", dg) + np.einsum("cdb...->dbc...", dg)
+           - dg)
+    gam = 0.5 * np.einsum("ad...,dbc...->abc...", ginv, col)
+    rows = np.moveaxis(dphi, 0, -1)            # [i, <leaf>, a]
+    N = np.array([np.linalg.det(np.stack(
+        [np.broadcast_to(np.eye(4)[a], leaf + (4,)), *rows], axis=-2))
+        for a in range(4)])
+    nn = np.einsum("ab...,a...,b...->...", ginv, N, N)
+    n = N / np.sqrt(-nn) * np.where(N[0] > 0.0, -1.0, 1.0)
+    g3 = np.einsum("ab...,ai...,bj...->ij...", g4, dphi, dphi)
+    hess = ddphi + np.einsum("abc...,bi...,cj...->aij...", gam, dphi, dphi)
+    h3 = -np.einsum("a...,aij...->ij...", n, hess)
+    F = frame.components(pts)
+    Fv = np.array([[lv(x) for x in row] for row in F])
+    return [np.einsum("ia...,jb...,ab...->ij...", Fv, Fv, t) for t in (g3, h3)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(sorted(_PULLBACKS)),
+       how=st.sampled_from(["values", 1, 2]), n=st.sampled_from([0, 3]),
+       t=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+def test_structural_zeros_leave_pullbacks_bit_identical(case, how, n, t):
+    """Skipping structural zeros changes no bit of values() or jets(); the
+    values also match a numpy evaluation of the formulas."""
+    data = _PULLBACKS[case][0]
+    pts = _points(case, n, t)
+    got = _leaf_entries(data, pts, how)
+    with pytest.MonkeyPatch.context() as mp:
+        # no structural zeros: every term is computed
+        mp.setattr(jets, "_zero", lambda x: False)
+        ref = _leaf_entries(data, pts, how)
+    assert len(got) == len(ref)
+    assert all(_same(a, b) for a, b in zip(got, ref)), (case, how)
+    if how == "values":
+        for a, b in zip(got, _reference_values(*_PARTS[case][0], pts)):
+            np.testing.assert_allclose(a, b, rtol=1e-10,
+                                       atol=1e-12 * (1.0 + np.max(np.abs(b))))
 
 
 @pytest.mark.parametrize("order", [1, 2])

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from admbondi import jets
 from admbondi.jets import Jet, seed, value
@@ -151,6 +151,39 @@ def test_inverse_with_jet_entries():
     ref = -np.linalg.inv(Mv) @ dM @ np.linalg.inv(Mv)
     got = np.array([[value(inv[i][j].d[0]) for j in range(3)] for i in range(3)])
     assert np.allclose(got, ref, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from([3, 4]), leaf=st.sampled_from([(), (3,)]),
+       zeros=st.lists(st.booleans(), min_size=16, max_size=16),
+       seed_=st.integers(0, 2 ** 32 - 1))
+def test_zero_aware_linear_algebra_matches_dense_and_numpy(n, leaf, zeros,
+                                                           seed_):
+    """inv3/inv4/det3/det4 with plain-float zeros give exactly what the dense
+    formulas give, and agree with np.linalg."""
+    vals = np.random.default_rng(seed_).uniform(-2.0, 2.0, (n, n) + leaf)
+    vals[np.array(zeros[:n * n]).reshape(n, n)] = 0.0
+    stack = np.moveaxis(vals.reshape((n, n, -1)), -1, 0)   # [point, i, j]
+    assume(np.all(np.linalg.cond(stack) < 1e3))
+    m = [[0.0 if z else (vals[i, j] if leaf else float(vals[i, j]))
+          for j, z in enumerate(zeros[i * n:(i + 1) * n])] for i in range(n)]
+    inv, det = (jets.inv3, jets.det3) if n == 3 else (jets.inv4, jets.det4)
+
+    def evaluate():
+        rows = [[np.broadcast_to(x, leaf) for x in row] for row in inv(m)]
+        return np.array(rows), np.broadcast_to(det(m), leaf)
+
+    got_inv, got_det = evaluate()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jets, "_zero", lambda x: False)
+        ref_inv, ref_det = evaluate()
+    assert np.array_equal(got_inv, ref_inv) and np.array_equal(got_det, ref_det)
+    np_inv = np.moveaxis(np.linalg.inv(stack), 0, -1).reshape(got_inv.shape)
+    np_det = np.linalg.det(stack).reshape(leaf)
+    np.testing.assert_allclose(got_inv, np_inv, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(np_inv)))
+    np.testing.assert_allclose(got_det, np_det, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(vals)) ** n)
 
 
 # -- structural zeros: random compositions against a dense reference ----------

@@ -10,7 +10,7 @@ from admbondi.geometry import (InitialData, hyperboloid_frame,
                                pullback_initial_data)
 from admbondi.nullcharges import (background_connection, background_connection_fd,
                                   charge_integrand, check_dec_null,
-                                  check_pmt_null, deviation,
+                                  check_pmt_null, decay_orders, deviation,
                                   estimate_decay_order, hyperbolic_background,
                                   null_energy_momentum)
 from admbondi.spacetimes import hyperboloid_embedding, minkowski
@@ -75,6 +75,27 @@ def test_hyperboloid_deviation_zero(hyperboloid_pullback):
     a, b = deviation(hyperboloid_pullback, [3.0, 1.0, 0.5])
     assert np.max(np.abs(a)) <= 1e-12
     assert np.max(np.abs(b)) <= 1e-12
+
+
+def test_values_broadcast_plain_zero_entries():
+    # off-diagonal entries are the plain float 0.0, the diagonal per node
+    def gp(c):
+        d = 1.0 + 1.0 / (c[0] * c[0])
+        m = [[d, 0.0, 0.0], [0.0, d, 0.0], [0.0, 0.0, d]]
+        return m, m
+    data = InitialData(gp, hyperboloid_frame(), True, "diagonal")
+    r = np.array([2.0, 4.0])
+    pts = [r, np.array([1.0, 1.5]), np.array([0.5, 2.0])]
+    g, p = data.values(pts)
+    assert g.shape == p.shape == (3, 3, 2)
+    assert np.array_equal(g, np.eye(3)[:, :, None] * (1.0 + 1.0 / r ** 2))
+    a, b = deviation(data, pts)
+    assert np.array_equal(a, np.eye(3)[:, :, None] / r ** 2)
+    assert np.array_equal(b, a)
+    fits = decay_orders(data, [10.0, 20.0, 40.0, 80.0], build_grid(4, 8))
+    assert fits["a11"].exponent == pytest.approx(2.0, abs=1e-9)
+    assert fits["b33"].exponent == pytest.approx(2.0, abs=1e-9)
+    assert fits["a12"].exact and fits["b23"].exact
 
 
 def test_schw_bondi_deviation_a11(schw_slice):

@@ -274,6 +274,17 @@ def test_cli_adm_rejects_radiating_preset(capsys):
     assert "not asymptotically flat" in capsys.readouterr().err
 
 
+def test_cli_adm_config_with_radiating_preset_names_adm_presets(tmp_path,
+                                                              capsys):
+    cfgfile = tmp_path / "radiating.cfg"
+    cfgfile.write_text("preset = bondi-biaxial\n")
+    assert run_cli(["adm", "--config", str(cfgfile)]) == 2
+    err = capsys.readouterr().err
+    assert "{ADM_PRESETS}" not in err
+    for name in ("minkowski", "schwarzschild", "kerr"):
+        assert name in err
+
+
 def test_report_json_contains_metadata_block():
     text = report_json({"x": 1})
     body = json.loads(text)
