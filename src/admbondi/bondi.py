@@ -141,11 +141,15 @@ def mass_aspect_field(exp, u, grid):
 
 
 def news_flux(exp, u, grid):
-    """F_nu = (1/4pi) int ((c_,0)^2 + (d_,0)^2) n^nu dS at retarded time u."""
+    """F_nu = (1/4pi) int ((c_,0)^2 + (d_,0)^2) n^nu dS at retarded time u.
+
+    Only the u-derivatives of c and d are read, so only u is seeded; the
+    angles enter as plain arrays.
+    """
     T, Ps = grid.nodes()
-    cj, dj = exp.news_jets(np.full_like(T, float(u)), T, Ps, order=1)
-    c0 = value(_jd(cj, 0)) + 0.0 * T
-    d0 = value(_jd(dj, 0)) + 0.0 * T
+    (uj,) = jets.seed([np.full_like(T, float(u))])
+    c0 = value(_jd(exp.c(uj, T, Ps), 0)) + 0.0 * T
+    d0 = value(_jd(exp.d(uj, T, Ps), 0)) + 0.0 * T
     dens = grid.field(c0 * c0 + d0 * d0)
     return np.array([project_multipole(dens, nu) for nu in range(4)])
 

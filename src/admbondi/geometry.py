@@ -135,6 +135,15 @@ def _jdd(x, a, b):
     return x.dd[a][b] if isinstance(x, Jet) else 0.0
 
 
+def _stack_leaf(entries, coords, shape):
+    """Leaf values of ``entries`` as one array indexed [<shape>, <leaf>];
+    plain-number entries are broadcast to the leaf shape of the coordinates."""
+    values = [value(x) for x in entries]
+    leaf = np.broadcast_shapes(*map(np.shape, list(coords) + values))
+    return np.reshape([np.broadcast_to(x, leaf) for x in values],
+                      tuple(shape) + leaf)
+
+
 @dataclass
 class Metric4Evaluator:
     """Pure map from chart coordinates to the symmetric matrix g_{ab}.
@@ -142,6 +151,12 @@ class Metric4Evaluator:
     ``fn`` must be written in generic arithmetic (operators plus the
     admbondi.jets elementary functions) so that jet seeding yields exact
     first and second coordinate derivatives.
+
+    A point is four coordinates (or a ``SpacetimePoint``); each coordinate
+    may be a number or an array, so a (4, n) array is n points evaluated at
+    once.  ``components``, ``first_derivs`` and ``second_derivs`` return
+    arrays indexed [<component indices>, <leaf>], with plain-number entries
+    (constant components, structural zeros) broadcast to the leaf shape.
     """
 
     fn: Callable
@@ -157,7 +172,7 @@ class Metric4Evaluator:
         coords = _coords_of(point)
         self._check(coords)
         g = self.fn(coords)
-        return np.array([[value(g[a][b]) for b in range(4)] for a in range(4)])
+        return _stack_leaf([x for row in g for x in row], coords, (4, 4))
 
     def jets(self, coords, order=1):
         """4x4 nested list of Jets over the four chart coordinates."""
@@ -167,19 +182,25 @@ class Metric4Evaluator:
 
     def first_derivs(self, point):
         """dg[c][a][b] = d_c g_{ab} at the point."""
-        g = self.jets(_coords_of(point), order=1)
-        return np.array([[[_grad(g[a][b], c) for b in range(4)]
-                          for a in range(4)] for c in range(4)])
+        coords = _coords_of(point)
+        g = self.jets(coords, order=1)
+        return _stack_leaf([_jd(g[a][b], c) for c in range(4)
+                            for a in range(4) for b in range(4)],
+                           coords, (4, 4, 4))
 
     def second_derivs(self, point):
-        g = self.jets(_coords_of(point), order=2)
-        return np.array([[[[value(g[a][b].dd[c][d]) if isinstance(g[a][b], Jet)
-                            else 0.0 for b in range(4)]
-                           for a in range(4)] for d in range(4)] for c in range(4)])
+        """ddg[c][d][a][b] = d_c d_d g_{ab} at the point."""
+        coords = _coords_of(point)
+        g = self.jets(coords, order=2)
+        return _stack_leaf([_jdd(g[a][b], c, d) for c in range(4)
+                            for d in range(4) for a in range(4)
+                            for b in range(4)], coords, (4, 4, 4, 4))
 
     def signature_ok(self, point):
-        ev = np.linalg.eigvalsh(self.components(point))
-        return bool(ev[0] < 0 and np.all(ev[1:] > 0))
+        """True when g has signature (-, +, +, +) at every point."""
+        g = np.moveaxis(self.components(point), (0, 1), (-2, -1))
+        ev = np.linalg.eigvalsh(g)
+        return bool(np.all(ev[..., 0] < 0) and np.all(ev[..., 1:] > 0))
 
 
 @dataclass
@@ -263,10 +284,8 @@ class InitialData:
         entries are broadcast to the leaf shape of the coordinates."""
         coords3 = list(coords3)
         G, P = self.gp(coords3)
-        entries = [value(x) for X in (G, P) for row in X for x in row]
-        leaf = np.broadcast_shapes(*map(np.shape, coords3 + entries))
-        g, p = np.reshape([np.broadcast_to(x, leaf) for x in entries],
-                          (2, 3, 3) + leaf)
+        g, p = _stack_leaf([x for X in (G, P) for row in X for x in row],
+                           coords3, (2, 3, 3))
         return g, p
 
     def jets(self, coords3, order=2):
@@ -284,14 +303,15 @@ class InitialData:
 # 4D Christoffel symbols and curvature
 # ---------------------------------------------------------------------------
 
-def _christoffel_from(ginv, dg):
-    """Gamma^a_{bc} from the inverse metric and dg[c][a][b] = d_c g_{ab}."""
+def _christoffel_from(ginv, dg, rows=range(4)):
+    """Gamma^a_{bc} from the inverse metric and dg[c][a][b] = d_c g_{ab},
+    for the upper indices a in ``rows`` (the other rows are left None)."""
     gam = [[[None] * 4 for _ in range(4)] for _ in range(4)]
     for b in range(4):
         for c in range(b, 4):
             col = [sub(add(dg[b][d][c], dg[c][d][b]), dg[d][b][c])
                    for d in range(4)]
-            for a in range(4):
+            for a in rows:
                 acc = 0.0
                 for d in range(4):
                     acc = add(acc, mul(ginv[a][d], col[d]))
@@ -394,6 +414,11 @@ def _in_frame(F, *tensors):
     return out
 
 
+def _normal_rows(n):
+    """Indices a whose normal component n_a is not a structural zero."""
+    return [a for a in range(4) if not jets._zero(n[a])]
+
+
 def pullback_initial_data(metric, emb, frame, validate=True, name=None):
     """Induced metric and second fundamental form of an embedded slice.
 
@@ -427,7 +452,6 @@ def pullback_initial_data(metric, emb, frame, validate=True, name=None):
         dg4 = [[[_jd(gj[a][b], c) for b in range(4)] for a in range(4)]
                for c in range(4)]
         ginv = inv4(g4)
-        gam = _christoffel_from(ginv, dg4)
 
         # conormal via the signed cross product of the coordinate tangents
         N = [0.0, 0.0, 0.0, 0.0]
@@ -443,13 +467,17 @@ def pullback_initial_data(metric, emb, frame, validate=True, name=None):
         flip = np.where(value(N[0]) > 0.0, -1.0, 1.0)  # future: n_0 < 0
         n = [prod(N[a], scale, flip) for a in range(4)]
 
-        # induced metric and covariant Hessian in chart directions
+        # induced metric and covariant Hessian in chart directions; a row a
+        # of Gamma and of the Hessian only enters through n_a, so the rows
+        # where n_a is a structural zero are not built
+        rows = _normal_rows(n)
+        gam = _christoffel_from(ginv, dg4, rows)
         g3 = _induced_metric(g4, dphi)
         h3 = [[None] * 3 for _ in range(3)]
         for i in range(3):
             for j in range(i, 3):
                 hac = 0.0
-                for a in range(4):
+                for a in rows:
                     hess = ddphi[a][i][j]
                     for b in range(4):
                         for c in range(4):

@@ -58,20 +58,39 @@ def minkowski(chart="polar"):
             r2 = r * r
             return _sym4({(0, 0): -1.0, (1, 1): 1.0, (2, 2): r2,
                           (3, 3): r2 * sin(th) ** 2})
-        return Metric4Evaluator(fn, "polar", "minkowski-polar", domain=_positive_r)
+        return Metric4Evaluator(fn, "polar", "minkowski-polar",
+                                domain=_positive_r("t"))
     if chart == "retarded":
         def fn(c):
             _, r, th, _ = c
             r2 = r * r
             return _sym4({(0, 0): -1.0, (0, 1): -1.0, (2, 2): r2,
                           (3, 3): r2 * sin(th) ** 2})
-        return Metric4Evaluator(fn, "retarded", "minkowski-retarded", domain=_positive_r)
+        return Metric4Evaluator(fn, "retarded", "minkowski-retarded",
+                                domain=_positive_r("u"))
     raise DomainError(f"unknown Minkowski chart {chart!r}")
 
 
-def _positive_r(coords):
-    if np.any(np.asarray(coords[1]) <= 0.0):
-        raise DomainError("r must be positive")
+def _reject(bad, coords, time, message):
+    """Raise DomainError naming the first point where the mask ``bad`` holds.
+
+    ``bad`` and the four coordinates broadcast together; the point is the
+    first in C order, given as (time, r, theta, psi).
+    """
+    if not np.any(bad):
+        return
+    shape = np.broadcast_shapes(np.shape(bad), *map(np.shape, coords))
+    idx = np.unravel_index(np.argmax(np.broadcast_to(bad, shape)), shape)
+    point = ", ".join(repr(float(np.broadcast_to(c, shape)[idx]))
+                      for c in coords)
+    raise DomainError(f"{message} at ({time}, r, theta, psi) = ({point})")
+
+
+def _positive_r(time):
+    def domain(coords):
+        _reject(np.asarray(coords[1]) <= 0.0, coords, time,
+                "r must be positive")
+    return domain
 
 
 def schwarzschild(m, chart="static"):
@@ -80,8 +99,9 @@ def schwarzschild(m, chart="static"):
         raise DomainError(f"mass must be positive, got {m}")
 
     def domain(coords):
-        if np.any(np.asarray(coords[1]) <= 2.0 * m):
-            raise DomainError(f"r must exceed 2m = {2.0 * m}")
+        _reject(np.asarray(coords[1]) <= 2.0 * m, coords,
+                "t" if chart == "static" else "u",
+                f"r must exceed 2m = {2.0 * m}")
 
     if chart == "static":
         def fn(c):
@@ -115,8 +135,8 @@ def kerr(params):
 
     def domain(coords):
         r = np.asarray(coords[1])
-        if np.any(r <= 0.0) or np.any(r * r - 2.0 * m * r + a * a <= 0.0):
-            raise DomainError("point outside the exterior region (Delta <= 0)")
+        _reject((r <= 0.0) | (r * r - 2.0 * m * r + a * a <= 0.0), coords,
+                "t", "point outside the exterior region (Delta <= 0)")
 
     def fn(c):
         _, r, th, _ = c
@@ -202,8 +222,8 @@ def bondi_metric(exp, r_min=None):
     rmin = default_r_min(exp) if r_min is None else float(r_min)
 
     def domain(coords):
-        if np.any(np.asarray(coords[1]) < rmin):
-            raise DomainError(f"r below r_min = {rmin} for the truncated metric")
+        _reject(np.asarray(coords[1]) < rmin, coords, "u",
+                f"r below r_min = {rmin} for the truncated metric")
 
     def fn(c):
         u, r, th, ps = c

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from admbondi import jets
 from admbondi.bondi import (BondiExpansion, bondi_energy_momentum,
@@ -12,8 +13,9 @@ from admbondi.bondi import (BondiExpansion, bondi_energy_momentum,
                             mass_loss_margin, news_flux, trajectory_csv,
                             vanishing_news_scenario, _cumulative_simpson)
 from admbondi.errors import ConfigError, DomainError
+from admbondi.scenarios import BONDI_PRESETS, ScenarioConfig, make_expansion
 from admbondi.spacetimes import bondi_metric
-from admbondi.sphere import build_grid
+from admbondi.sphere import build_grid, project_multipole
 
 
 def _zero(u, th, ps):
@@ -117,6 +119,51 @@ def test_flux_symmetric_under_cd_exchange(grid):
     Fa = news_flux(a, 0.8, grid)
     Fb = news_flux(b, 0.8, grid)
     assert np.allclose(Fa, Fb, atol=1e-15)
+
+
+def _flux_full_seed(exp, u, grid):
+    """news_flux with (u, theta, psi) all seeded, as news_jets seeds them."""
+    T, Ps = grid.nodes()
+    cj, dj = exp.news_jets(np.full_like(T, float(u)), T, Ps, order=1)
+    c0 = jets.value(cj.d[0] if isinstance(cj, jets.Jet) else 0.0) + 0.0 * T
+    d0 = jets.value(dj.d[0] if isinstance(dj, jets.Jet) else 0.0) + 0.0 * T
+    dens = grid.field(c0 * c0 + d0 * d0)
+    return np.array([project_multipole(dens, nu) for nu in range(4)])
+
+
+_MODES = [(2, 0), (3, 0), (4, 0), (2, 1), (2, -1), (3, 2), (4, -3), (4, 4)]
+_COEFF = st.floats(-0.5, 0.5, allow_subnormal=False)
+
+
+@st.composite
+def _news_configs(draw):
+    """A Bondi preset with drawn amplitudes, or a harmonic news table."""
+    if draw(st.booleans()):
+        return ScenarioConfig(
+            preset=draw(st.sampled_from(BONDI_PRESETS)),
+            amplitude=draw(_COEFF), amplitude_d=draw(_COEFF),
+            news_zero_u=draw(st.none() | st.floats(0.0, 10.0)),
+            mass_aspect=draw(st.sampled_from(["constant", "tilted"])))
+    u_grid = sorted(draw(st.sets(st.floats(0.0, 10.0), min_size=1,
+                                 max_size=6)))
+    modes = draw(st.lists(st.sampled_from(_MODES), min_size=1, max_size=3,
+                          unique=True))
+    table = {"u_grid": u_grid}
+    for lm in modes:
+        table[lm] = draw(st.lists(_COEFF, min_size=len(u_grid),
+                                  max_size=len(u_grid)))
+    return ScenarioConfig(preset="bondi-quadrupole", news_table=table)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(cfg=_news_configs(), u=st.floats(0.0, 10.0))
+def test_flux_u_seed_equals_full_seed(cfg, u):
+    """Seeding only u changes no bit of the flux: the u-derivatives of the
+    news are computed by the same operations either way."""
+    grid = build_grid(8, 16)
+    exp = make_expansion(cfg)
+    assert np.array_equal(news_flux(exp, u, grid),
+                          _flux_full_seed(exp, u, grid))
 
 
 def test_flux_holder_chain(grid):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from admbondi import jets
+from admbondi import geometry, jets
 from admbondi.errors import DomainError
 from admbondi.geometry import (Embedding, InitialData, christoffel4,
                                constraint_quantities, curvature3,
@@ -527,3 +527,38 @@ def test_jets_lowers_p_of_closed_form_data(order):
                 assert not isinstance(P[i][j], jets.Jet) or P[i][j].dd is None
                 assert all(_same(a, b) for a, b in zip(_entries(P[i][j], 1),
                                                        _entries(Pr[i][j], 1)))
+
+
+# -- Christoffel rows of the normal ----------------------------------------------
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(["kerr", "hyperboloid", "bondi"]),
+       order=st.sampled_from([0, 1, 2]), n=st.sampled_from([0, 3]),
+       t=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+def test_gp_builds_only_normal_rows_bit_identically(case, order, n, t):
+    """gp builds the Christoffel rows a with a nonzero n_a only (one row on a
+    t = const slice, two on the hyperboloid, all four on the Bondi slice),
+    and its G and P equal those of the all-rows evaluation bit for bit."""
+    data = _PULLBACKS[case][0]
+    pts = _points(case, n, t)
+    arg = pts if order == 0 else jets.seed(pts, order)
+    seen = []
+    normal_rows = geometry._normal_rows
+
+    def recorded(n4):
+        rows = normal_rows(n4)
+        seen.append(rows)
+        return rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_normal_rows", recorded)
+        got = data.gp(arg)
+        mp.setattr(geometry, "_normal_rows", lambda n4: list(range(4)))
+        ref = data.gp(arg)
+    assert seen == [{"kerr": [0], "hyperboloid": [0, 1],
+                     "bondi": [0, 1, 2, 3]}[case]]
+    for X, Y in zip(got, ref):
+        for i in range(3):
+            for j in range(3):
+                k = max(order, 1)
+                assert all(_same(a, b) for a, b in zip(
+                    _entries(X[i][j], k), _entries(Y[i][j], k))), (case, i, j)

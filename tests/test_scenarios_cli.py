@@ -312,6 +312,17 @@ def test_fd_oracle_keeps_a_nan():
     ev = Metric4Evaluator(fn, "polar", "nan-metric")
     assert np.isnan(_fd_check_metric(ev, [(0.0, 5.0, 1.0, 1.0)]))
 
+    # NaN components at r = 5 only, among points where the check reads 0
+    def one_bad(c):
+        diag = np.where(np.asarray(jets.value(c[1])) == 5.0, np.nan, 1.0)
+        return [[diag + 0.0 * c[1] if a == b else 0.0 for b in range(4)]
+                for a in range(4)]
+    ev = Metric4Evaluator(one_bad, "polar", "one-nan-point")
+    good = [(0.0, 4.0, 1.0, 1.0), (0.5, 6.0, 1.2, 2.0), (-0.5, 7.0, 0.8, 3.0)]
+    assert _fd_check_metric(ev, good) == 0.0
+    assert np.isnan(_fd_check_metric(ev, good[:2] + [(0.2, 5.0, 1.1, 0.4)]
+                                     + good[2:]))
+
 
 def test_cli_verify_battery(battery_run):
     assert battery_run.code == 0

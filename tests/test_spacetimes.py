@@ -317,3 +317,54 @@ def test_metric_second_derivs_match_fd(rng):
                        - g.components(dm) + g.components(dd2)) / (4 * h * h)
                 scale = 1.0 + np.abs(dd[c][e])
                 assert np.max(np.abs(dd[c][e] - ref) / scale) <= 1e-5, (c, e)
+
+
+# -- array points ----------------------------------------------------------------
+
+def _oracle_metrics():
+    """The five evaluators of the battery's finite-difference oracle."""
+    from admbondi.scenarios import ScenarioConfig, make_expansion
+    cfg = ScenarioConfig(preset="bondi-biaxial", amplitude=0.08,
+                         amplitude_d=0.05)
+    return [minkowski("polar"), schwarzschild(1.0, "static"),
+            schwarzschild(1.0, "retarded"), kerr(KerrParameters(1.0, 0.6)),
+            bondi_metric(make_expansion(cfg), r_min=5.0)]
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_array_points_match_per_point_evaluation(index, rng):
+    """components, first_derivs and second_derivs over a (4, n) point array
+    equal the per-point results column by column, bit for bit."""
+    g = _oracle_metrics()[index]
+    x = np.array([rng.uniform(-1, 1, 6), rng.uniform(6.0, 25.0, 6),
+                  rng.uniform(0.4, 2.7, 6), rng.uniform(0.0, 6.2, 6)])
+    for method, shape in (("components", (4, 4)), ("first_derivs", (4, 4, 4)),
+                          ("second_derivs", (4, 4, 4, 4))):
+        got = getattr(g, method)(x)
+        assert got.shape == shape + (6,), (g.name, method)
+        for k in range(6):
+            ref = getattr(g, method)([float(v) for v in x[:, k]])
+            assert ref.shape == shape
+            assert np.array_equal(got[..., k], ref), (g.name, method, k)
+    assert g.signature_ok(x)
+
+
+@pytest.mark.parametrize("metric, r_bad, text", [
+    (minkowski("polar"), -1.0, r"r must be positive at \(t, r, theta, psi\)"),
+    (minkowski("retarded"), 0.0, r"r must be positive at \(u, r, theta, psi\)"),
+    (schwarzschild(1.0, "static"), 1.5, r"exceed 2m = 2.0 at \(t, r,"),
+    (schwarzschild(1.0, "retarded"), 2.0, r"exceed 2m = 2.0 at \(u, r,"),
+    (kerr(KerrParameters(1.0, 0.6)), 1.0, r"Delta <= 0\) at \(t, r,"),
+    (bondi_metric(StaticNews(c=0.1, M=1.0), r_min=4.0), 3.5,
+     r"r_min = 4.0 for the truncated metric at \(u, r,"),
+])
+def test_domain_error_names_the_first_bad_point(metric, r_bad, text):
+    r = np.array([9.0, 8.0, r_bad, 7.0, r_bad])
+    x = [np.array([0.1, 0.2, 0.3, 0.4, 0.5]), r,
+         np.array([1.0, 1.1, 1.2, 1.3, 1.4]), 0.25]
+    point = rf"\(0.3, {r_bad}, 1.2, 0.25\)"
+    for method in ("components", "first_derivs"):
+        with pytest.raises(DomainError, match=text + r".*= " + point):
+            getattr(metric, method)(x)
+    with pytest.raises(DomainError, match=point):
+        metric.components([0.3, r_bad, 1.2, 0.25])
