@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError
 from . import jets
 from .geometry import (InitialData, _chart_gradient, _leaf_array,
-                       frame_derivative)
+                       frame_derivative, frame_entry)
 from .jets import Jet, value
 from .ladder import (LadderFit, fit_decay_exponent, fit_inverse_powers,
                      ladder_map, rung_max, stacked_rungs)
@@ -72,13 +72,17 @@ def adm_ladder_samples(data, radii, grid):
         F = data.frame.components(coords)
         Fv = np.array([[value(F[i][a]) + np.zeros_like(coords[1])
                         for a in range(3)] for i in range(3)])
-        # frame-directional derivatives D_k g_ij (Cartesian partials)
-        Dg = frame_derivative(Fv, G)
         gv = np.array([[value(G[i][j]) + np.zeros_like(coords[1])
                         for j in range(3)] for i in range(3)])
         hv = np.array([[value(P[i][j]) + np.zeros_like(coords[1])
                         for j in range(3)] for i in range(3)])
-        e_int = np.einsum("jiju->iu", Dg) - np.einsum("ijju->iu", Dg)
+        # d_j g_ij - d_i g_jj, from only the frame-directional derivatives
+        # D_k g_ij (Cartesian partials) that the two sums read
+        e_int = np.empty(Fv.shape[1:])
+        for i in range(3):
+            div_g = sum(frame_entry(Fv, G[i][j], j) for j in range(3))
+            grad_tr = sum(frame_entry(Fv, G[j][j], i) for j in range(3))
+            e_int[i] = div_g - grad_tr
         energy = np.sum(w * np.einsum("iu,iu->u", e_int, nvec)) \
             * r * r / (16.0 * np.pi)
         trh = np.einsum("jju->u", hv)
@@ -205,5 +209,4 @@ def rotated_data(data, Q):
                    for b in range(3)) for j in range(3)] for i in range(3)]
         return Gp, Pp
 
-    return InitialData(gp, data.frame, data.symmetric_p,
-                       name=f"rotated[{data.name}]")
+    return InitialData(gp, data.frame, name=f"rotated[{data.name}]")

@@ -197,10 +197,6 @@ class EnergyMomentumTrajectory:
         return bool(np.all(np.diff(self.margin) <= self.monotone_tol))
 
 
-def _margin_series(m):
-    return m[:, 0] - np.sqrt(np.sum(m[:, 1:] ** 2, axis=1))
-
-
 def _u_samples(u_start, u_end, du, end="u_end"):
     """Retarded times u_start, u_start + du, ..., u_end.
 
@@ -221,17 +217,25 @@ def _u_samples(u_start, u_end, du, end="u_end"):
     return u_start + du * np.arange(n + 1)
 
 
-def evolve_energy_momentum(m_start, exp, u_start, u_end, du, grid=None):
-    """Integrate dm_nu/du = -F_nu with cumulative Simpson on a fixed grid."""
-    u = _u_samples(u_start, u_end, du)
-    grid = grid or build_grid(48, 96)
+def _flux_trajectory(exp, u, du, grid, m_of):
+    """Trajectory over the retarded times u from one ``news_flux`` call per
+    u; ``m_of(I)`` gives m from the cumulative Simpson integral I of the
+    flux."""
     F = np.stack([news_flux(exp, ui, grid) for ui in u])
-    m = np.asarray(m_start, dtype=float)[None, :] - _cumulative_simpson(F, du)
-    margin = _margin_series(m)
+    m = m_of(_cumulative_simpson(F, du))
+    margin = m[:, 0] - np.sqrt(np.sum(m[:, 1:] ** 2, axis=1))
     dm = np.empty_like(margin)
     dm[:-1] = np.diff(margin) / du
     dm[-1] = dm[-2] if len(dm) > 1 else 0.0
     return EnergyMomentumTrajectory(u, m, F, margin, dm)
+
+
+def evolve_energy_momentum(m_start, exp, u_start, u_end, du, grid=None):
+    """Integrate dm_nu/du = -F_nu with cumulative Simpson on a fixed grid."""
+    u = _u_samples(u_start, u_end, du)
+    grid = grid or build_grid(48, 96)
+    m_start = np.asarray(m_start, dtype=float)
+    return _flux_trajectory(exp, u, du, grid, lambda I: m_start[None, :] - I)
 
 
 def mass_loss_margin(traj):
@@ -414,7 +418,7 @@ def induced_slice_data(exp, u0=0.0, a3=None):
         h = [[h11, h12, h13], [h12, h22, h23], [h13, h23, h33]]
         return g, h
 
-    return InitialData(gp, hyperboloid_frame(), True,
+    return InitialData(gp, hyperboloid_frame(),
                        name=f"slice[{exp.name};u0={u0}]")
 
 
@@ -480,14 +484,8 @@ def vanishing_news_scenario(exp, u0, u_start, du=0.01, grid=None,
 
     m_final = bondi_energy_momentum(mass_aspect_field(exp, u0, grid))
 
-    F = np.stack([news_flux(exp, ui, grid) for ui in u])
-    I = _cumulative_simpson(F, du)
-    m = m_final[None, :] + (I[-1] - I)
-    margin = _margin_series(m)
-    dm = np.empty_like(margin)
-    dm[:-1] = np.diff(margin) / du
-    dm[-1] = dm[-2] if len(dm) > 1 else 0.0
-    traj = EnergyMomentumTrajectory(u, m, F, margin, dm)
+    traj = _flux_trajectory(exp, u, du, grid,
+                            lambda I: m_final[None, :] + (I[-1] - I))
 
     data = induced_slice_data(exp, u0, a3)
     charges = null_energy_momentum(data, radii, grid=grid)
@@ -495,12 +493,12 @@ def vanishing_news_scenario(exp, u0, u_start, du=0.01, grid=None,
            np.array([0.3, 2.5, 4.4])]
     r1, r2, r3 = rigidity_residual(data, pts)
 
-    final_margin = float(margin[-1])
+    final_margin = float(traj.margin[-1])
     return {
         "trajectory": traj,
         "final_m": m_final,
         "final_margin_nonnegative": bool(final_margin >= -1e-12),
-        "mass_dominates": bool(np.all(margin >= -1e-9)),
+        "mass_dominates": bool(np.all(traj.margin >= -1e-9)),
         "slice_charges": charges,
         "slice_pmt_margin": check_pmt_null(charges),
         "rigidity_residuals": (float(np.max(r1)), float(np.max(r2)),

@@ -38,7 +38,7 @@ __all__ = [
     "euclidean_frame", "hyperboloid_frame",
     "christoffel4", "ricci_tensor", "pullback_initial_data",
     "curvature3", "constraint_quantities", "rigidity_residual",
-    "frame_geometry", "frame_derivative",
+    "frame_geometry", "frame_derivative", "frame_entry",
 ]
 
 
@@ -108,17 +108,32 @@ def _chart_gradient(X, leaf):
                      for a in range(3)])
 
 
-def frame_derivative(Fv, X):
-    """Leaf values of e_k X = F_k^a d_a X for each jet of the nested list X.
+def _frame_sum(F, dx):
+    """F^a dx_a summed over a = 0, 1, 2 in that order, started from 0: the
+    one implementation of e_k x = F_k^a d_a x."""
+    return sum(F[a] * dx[a] for a in range(3))
+
+
+def frame_entry(Fv, x, k):
+    """Leaf value of e_k x = F_k^a d_a x for one jet (or constant) x.
 
     ``Fv`` holds the frame components at the leaf, indexed [k, a, <leaf>].
-    The result is indexed [k, <indices of X>, <leaf>]; each entry is the sum
-    over a = 0, 1, 2 in that order, started from 0.
+    """
+    return _frame_sum(Fv[k], [_grad(x, a) for a in range(3)])
+
+
+def frame_derivative(Fv, X):
+    """Leaf values of e_k X for each jet of the nested list X, indexed
+    [k, <indices of X>, <leaf>]; every entry equals ``frame_entry(Fv, x, k)``
+    bit for bit, computed here over whole arrays.
+
+    It builds every entry: a caller that reads only a trace or a divergence
+    calls ``frame_entry`` for those entries instead.
     """
     leaf = np.shape(Fv)[2:]
     dX = _chart_gradient(X, leaf)
     Fk = np.reshape(Fv, (3, 3) + (1,) * (dX.ndim - 1 - len(leaf)) + leaf)
-    return sum(Fk[:, a] * dX[a] for a in range(3))
+    return _frame_sum(np.swapaxes(Fk, 0, 1), dX)
 
 
 def _jf(x):
@@ -275,7 +290,6 @@ class InitialData:
 
     gp: Callable
     frame: FrameField
-    symmetric_p: bool
     name: str = "data"
     g_only: Optional[Callable] = None
 
@@ -499,7 +513,7 @@ def pullback_initial_data(metric, emb, frame, validate=True, name=None):
 
         return _in_frame(frame.components(coords3), g3, h3)
 
-    return InitialData(gp, frame, True,
+    return InitialData(gp, frame,
                        name or f"pullback[{metric.name};{emb.name}]", g_only)
 
 
@@ -644,8 +658,6 @@ def constraint_quantities(data, coords3):
         - np.einsum("ab...,jab...->j...", gi, np_)
     q = np_ - np.swapaxes(np_, 1, 2)
     sigma = 2.0 * np.einsum("aj...,aji...->i...", gi, q)
-    if data.symmetric_p:
-        sigma = np.zeros_like(sigma)
     return ConstraintQuantities(mu, varpi, sigma)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import InitialData, _grad, frame_derivative, hyperboloid_frame
+from .geometry import InitialData, _grad, frame_entry, hyperboloid_frame
 from .jets import value
 from .ladder import (DecayFit, LadderFit, fit_decay_exponent,
                      fit_inverse_powers, ladder_map, rung_max, stacked_rungs)
@@ -43,7 +43,7 @@ def hyperbolic_background():
     def gp(coords):
         eye = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
         return eye, eye
-    return InitialData(gp, hyperboloid_frame(), True, "hyperbolic-background")
+    return InitialData(gp, hyperboloid_frame(), "hyperbolic-background")
 
 
 def _hyperboloid_coframe(coords):
@@ -188,20 +188,16 @@ def charge_integrand(data, coords3):
     b = pv - eye
     gam = background_connection(np.asarray(r, dtype=float), np.asarray(th))
 
-    # nabla_k a_ij = e_k a_ij - Gamma^m_ki a_mj - Gamma^m_kj a_im
-    DG = frame_derivative(Fv, G)
-    Da = np.zeros((3, 3, 3) + leaf)
-    for k in range(3):
-        for i in range(3):
-            for j in range(3):
-                e = DG[k, i, j]
-                for m in range(3):
-                    e = e - gam[m, k, i] * a[m, j] - gam[m, k, j] * a[i, m]
-                Da[k, i, j] = e
+    def nabla_a(k):
+        """nabla_k a_1k = e_k a_1k - Gamma^m_k1 a_mk - Gamma^m_kk a_1m."""
+        e = frame_entry(Fv, G[0][k], k)
+        for m in range(3):
+            e = e - gam[m, k, 0] * a[m, k] - gam[m, k, k] * a[0, m]
+        return e
 
     tra = a[0, 0] + a[1, 1] + a[2, 2]
     trb = b[0, 0] + b[1, 1] + b[2, 2]
-    div_a = Da[0, 0, 0] + Da[1, 0, 1] + Da[2, 0, 2]   # nabla^j a_1j
+    div_a = nabla_a(0) + nabla_a(1) + nabla_a(2)   # nabla^j a_1j
     grad_tr = sum(Fv[0][aa] * (_grad(G[0][0], aa) + _grad(G[1][1], aa)
                                + _grad(G[2][2], aa)) for aa in range(3))
     e_int = div_a - grad_tr - (a[0, 0] - gv[0, 0] * tra)

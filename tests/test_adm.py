@@ -60,7 +60,7 @@ def test_time_symmetric_momentum_identically_zero(schw_data, grid):
 
 def test_wrong_frame_rejected():
     data = InitialData(lambda c: ([[1.0] * 3] * 3, [[0.0] * 3] * 3),
-                       hyperboloid_frame(), True)
+                       hyperboloid_frame())
     with pytest.raises(ConfigError):
         adm_energy_momentum(data, LADDER)
 
@@ -82,7 +82,7 @@ def synthetic_momentum_data(w):
         h = [[(w[i] * n[j] + n[i] * w[j]) / (r * r) for j in range(3)]
              for i in range(3)]
         return eye, h
-    return InitialData(gp, euclidean_frame(), True, "boost-like")
+    return InitialData(gp, euclidean_frame(), "boost-like")
 
 
 def test_synthetic_momentum_closed_form(grid):

@@ -142,7 +142,7 @@ def hyperbolic_background_data():
     def gp(c):
         eye = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
         return eye, eye
-    return InitialData(gp, hyperboloid_frame(), True, "hyperbolic-background")
+    return InitialData(gp, hyperboloid_frame(), "hyperbolic-background")
 
 
 def test_euclidean_data_is_flat(rng):
@@ -150,7 +150,7 @@ def test_euclidean_data_is_flat(rng):
         eye = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
         zero = [[0.0] * 3 for _ in range(3)]
         return eye, zero
-    data = InitialData(gp, euclidean_frame(), True, "euclidean")
+    data = InitialData(gp, euclidean_frame(), "euclidean")
     r, th, ps = sample_points(rng, 20)
     riem, R = curvature3(data, [r, th, ps])
     assert np.max(np.abs(riem)) <= 1e-11
@@ -177,7 +177,7 @@ def test_riemann_symmetries(rng):
              [0.05 * w, 1.0 - 0.5 * w, 0.02 * w],
              [0.0, 0.02 * w, 1.0 + 0.3 * w]]
         return g, g
-    data = InitialData(gp, hyperboloid_frame(), True, "synthetic")
+    data = InitialData(gp, hyperboloid_frame(), "synthetic")
     r, th, ps = sample_points(rng, 10)
     riem, _ = curvature3(data, [r, th, ps])
     assert np.max(np.abs(riem + np.swapaxes(riem, 2, 3))) <= 1e-9   # (k,l)
@@ -211,7 +211,7 @@ def test_product_sphere_curvature_matches_fd():
         zero = [[0.0] * 3 for _ in range(3)]
         return eye, zero
 
-    data = InitialData(gp, FrameField(comp, "product"), True, "r-cross-sphere")
+    data = InitialData(gp, FrameField(comp, "product"), "r-cross-sphere")
     _, R = curvature3(data, [1.0, 1.1, 0.4])
     assert R == pytest.approx(2.0 / R0 ** 2, abs=1e-10)
     # independent finite-difference recomputation of the scalar curvature
@@ -279,9 +279,34 @@ def test_sigma_for_nonsymmetric_p():
         w = 0.1 / (1.0 + r)
         p = [[1.0, w, 0.0], [0.0 - w, 1.0, 0.0], [0.0, 0.0, 1.0]]
         return eye, p
-    data = InitialData(gp, hyperboloid_frame(), False, "twisted")
+    data = InitialData(gp, hyperboloid_frame(), "twisted")
     cq = constraint_quantities(data, [2.0, 1.2, 0.3])
     assert np.max(np.abs(cq.sigma)) > 1e-4
+
+
+def test_sigma_of_pullback_data_sees_an_antisymmetric_p():
+    """sigma is computed, never assumed zero: on the Bondi slice of criterion
+    4 (a pullback, so p is symmetric) it is exactly 0, and the same data with
+    an antisymmetric part added to p give a nonzero sigma."""
+    exp = make_expansion(ScenarioConfig(preset="bondi-schwarzschild"))
+    pulled = pullback_initial_data(
+        bondi_metric(exp, r_min=10.0),
+        bondi_slice_embedding(SliceSpec(u0=0.0), exp), hyperboloid_frame())
+
+    def twisted_gp(c):
+        G, P = pulled.gp(c)
+        w = 0.1 / (1.0 + c[0])
+        P = [list(row) for row in P]
+        P[0][1] = P[0][1] + w
+        P[1][0] = P[1][0] - w
+        return G, P
+    twisted = InitialData(twisted_gp, hyperboloid_frame(), "twisted-bondi",
+                          pulled.g_only)
+    pts = [np.array([20.0, 30.0, 50.0, 80.0]), np.array([0.9, 1.4, 2.0, 2.5]),
+           np.array([0.3, 1.7, 3.4, 5.1])]
+    assert np.max(np.abs(constraint_quantities(pulled, pts).sigma)) == 0.0
+    assert np.min(np.max(np.abs(constraint_quantities(twisted, pts).sigma),
+                         axis=0)) > 1e-6
 
 
 def test_rigidity_residuals_vanish_on_model(rng):
@@ -299,7 +324,7 @@ def test_rigidity_residuals_zero_for_flat_time_symmetric():
         eye = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
         zero = [[0.0] * 3 for _ in range(3)]
         return eye, zero
-    data = InitialData(gp, euclidean_frame(), True, "flat")
+    data = InitialData(gp, euclidean_frame(), "flat")
     r1, r2, r3 = rigidity_residual(data, [2.0, 1.1, 0.2])
     assert max(float(r1), float(r2), float(r3)) <= 1e-11
 
@@ -312,7 +337,7 @@ def test_perturbed_hyperboloid_rigidity_nonzero(rng):
         b = eps * jets.sin(th) ** 2 * jets.cos(ps) / (1.0 + r ** 3)
         g = [[1.0 + b, 0.0, 0.0], [0.0, 1.0 - b, 0.0], [0.0, 0.0, 1.0]]
         return g, g
-    data = InitialData(gp, hyperboloid_frame(), True, "perturbed")
+    data = InitialData(gp, hyperboloid_frame(), "perturbed")
     pt = [1.5, 1.0, 0.8]
     r1, _, _ = rigidity_residual(data, pt)
     assert float(r1) > 1e-6
@@ -512,7 +537,7 @@ def test_jets_lowers_p_of_closed_form_data(order):
         b = jets.sin(th) * jets.cos(ps) / (r * r)
         return ([[1.0 + b, b, 0.0], [b, 1.0 - b, 0.0], [0.0, 0.0, 1.0]],
                 [[b, 0.0, 0.0], [0.0, 2.0 * b, 0.0], [0.0, 0.0, 0.0]])
-    data = InitialData(gp, euclidean_frame(), True, "closed-form")
+    data = InitialData(gp, euclidean_frame(), "closed-form")
     pt = [3.0, 1.0, 0.5]
     G, P = data.jets(pt, order)
     Gr, Pr = gp(jets.seed(pt, order))

@@ -149,7 +149,7 @@ def test_nan_on_one_rung_names_its_radius():
              for i in range(3)]
         return G, [[0.0 * r for _ in range(3)] for _ in range(3)]
 
-    flat = InitialData(flat_gp, euclidean_frame(), True, "nan-at-40")
+    flat = InitialData(flat_gp, euclidean_frame(), "nan-at-40")
     with pytest.raises(DomainError, match="radius 40"):
         check_af_decay(flat, [10.0, 20.0, 40.0, 80.0], build_grid(4, 8))
 
@@ -160,7 +160,7 @@ def test_nan_on_one_rung_names_its_radius():
              for i in range(3)]
         return G, G
 
-    null = InitialData(null_gp, hyperboloid_frame(), True, "nan-at-45")
+    null = InitialData(null_gp, hyperboloid_frame(), "nan-at-45")
     with pytest.raises(DomainError, match="radius 45"):
         decay_orders(null, [30.0, 45.0, 70.0, 110.0], build_grid(4, 8))
 

@@ -83,7 +83,7 @@ def test_values_broadcast_plain_zero_entries():
         d = 1.0 + 1.0 / (c[0] * c[0])
         m = [[d, 0.0, 0.0], [0.0, d, 0.0], [0.0, 0.0, d]]
         return m, m
-    data = InitialData(gp, hyperboloid_frame(), True, "diagonal")
+    data = InitialData(gp, hyperboloid_frame(), "diagonal")
     r = np.array([2.0, 4.0])
     pts = [r, np.array([1.0, 1.5]), np.array([0.5, 2.0])]
     g, p = data.values(pts)
@@ -165,7 +165,7 @@ def test_integrand_conformal_against_fd():
         phi = 0.01 / (1.0 + r * r)
         g = [[1.0 + phi, 0.0, 0.0], [0.0, 1.0 + phi, 0.0], [0.0, 0.0, 1.0 + phi]]
         return g, g
-    data = InitialData(gp, hyperboloid_frame(), True, "conformal")
+    data = InitialData(gp, hyperboloid_frame(), "conformal")
     r, th, ps = 3.0, 1.2, 0.4
     e, _ = charge_integrand(data, [r, th, ps])
 
@@ -192,7 +192,7 @@ def test_momentum_integrand_direct_substitution():
         eye = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
         two = [[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]]
         return eye, two
-    data = InitialData(gp, hyperboloid_frame(), True, "b-eq-g")
+    data = InitialData(gp, hyperboloid_frame(), "b-eq-g")
     _, p = charge_integrand(data, [5.0, 1.0, 1.0])
     # b = delta: tr b = 3, so P_1 = 1 - 1*3 = -2, P_2 = P_3 = 0
     assert p[0] == pytest.approx(-2.0)
@@ -208,7 +208,7 @@ def test_integrand_linearity_in_small_amplitude():
                  [0.0, 0.0, 1.0]]
             p = [[1.0 + 2.0 * w, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0 - w]]
             return g, p
-        return InitialData(gp, hyperboloid_frame(), True, f"eps={eps}")
+        return InitialData(gp, hyperboloid_frame(), f"eps={eps}")
 
     pt = [2.0, 1.1, 0.7]
     eps = 1e-4
@@ -285,7 +285,7 @@ def test_doubling_a_roughly_doubles_energy_charges():
                  [0.0, 0.0, 1.0 - 0.2 * w]]
             eye = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
             return g, eye
-        return InitialData(gp, hyperboloid_frame(), True, "scaled")
+        return InitialData(gp, hyperboloid_frame(), "scaled")
     grid = build_grid(16, 32)
     c1 = null_energy_momentum(make(1.0), [20.0, 40.0, 80.0], grid=grid,
                               check_decay=False)
