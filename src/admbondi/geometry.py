@@ -109,15 +109,18 @@ def _chart_gradient(X, leaf):
 
 
 def _frame_sum(F, dx):
-    """F^a dx_a summed over a = 0, 1, 2 in that order, started from 0: the
-    one implementation of e_k x = F_k^a d_a x."""
-    return sum(F[a] * dx[a] for a in range(3))
+    """F^a dx_a summed over a = 0, 1, 2 in that order, started from 0, with
+    the terms of structural zeros skipped: the one implementation of
+    e_k x = F_k^a d_a x."""
+    return sum(mul(F[a], dx[a]) for a in range(3))
 
 
 def frame_entry(Fv, x, k):
     """Leaf value of e_k x = F_k^a d_a x for one jet (or constant) x.
 
-    ``Fv`` holds the frame components at the leaf, indexed [k, a, <leaf>].
+    ``Fv`` holds the frame components at the leaf, indexed [k][a], either
+    as one array [k, a, <leaf>] or as nested lists of values that broadcast
+    to the leaf, with plain-float structural zeros.
     """
     return _frame_sum(Fv[k], [_grad(x, a) for a in range(3)])
 

@@ -16,14 +16,16 @@ background (frame delta), and g_11 = 1 + a_11 is kept literally.  Charges are
     P_nu,k  = (1/8 pi)  lim_r int P_k-integrand n^nu r^3 dOmega.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import jets
 from .errors import ConfigError
 from .geometry import InitialData, _grad, frame_entry, hyperboloid_frame
 from .jets import value
-from .ladder import (DecayFit, LadderFit, fit_decay_exponent,
+from .ladder import (DecayFit, LadderFit, check_ladder, fit_decay_exponent,
                      fit_inverse_powers, ladder_map, rung_max, stacked_rungs)
 from .sphere import build_grid, direction_functions
 
@@ -49,35 +51,33 @@ def hyperbolic_background():
 def _hyperboloid_coframe(coords):
     """Dual coframe components w[i][a] with w^i(e_j) = delta^i_j, i.e.
     w^1 = dr/sqrt(1+r^2), w^2 = r dtheta, w^3 = r sin(theta) dpsi."""
-    from . import jets as jx
     r, th, _ = coords
     return [
-        [1.0 / jx.sqrt(1.0 + r * r), 0.0, 0.0],
+        [1.0 / jets.sqrt(1.0 + r * r), 0.0, 0.0],
         [0.0, r, 0.0],
-        [0.0, 0.0, r * jx.sin(th)],
+        [0.0, 0.0, r * jets.sin(th)],
     ]
 
 
 def background_connection(r, th):
     """Closed-form frame connection coefficients Gamma[m][i][j] of the
-    background metric (nabla_{e_i} e_j = Gamma[m][i][j] e_m).
+    background metric (nabla_{e_i} e_j = Gamma[m][i][j] e_m), as nested
+    lists whose 21 vanishing entries are the plain float 0.0 (structural
+    zeros, see ``jets``).
 
     Nonzero entries, with lam = sqrt(1+r^2)/r and kap = cot(theta)/r:
     Gamma^2_21 = Gamma^3_31 = lam, Gamma^1_22 = Gamma^1_33 = -lam,
-    Gamma^3_32 = kap, Gamma^2_33 = -kap.
+    Gamma^3_32 = kap, Gamma^2_33 = -kap.  lam has the shape of r and kap
+    the broadcast shape of r and theta.
     """
     r = np.asarray(r, dtype=float)
     lam = np.sqrt(1.0 + r * r) / r
     kap = 1.0 / (np.tan(th) * r)
-    z = np.zeros(np.broadcast_shapes(np.shape(r), np.shape(th)))
-    lam, kap = lam + z, kap + z
-    gam = np.zeros((3, 3, 3) + z.shape)
-    gam[1, 1, 0] = lam
-    gam[2, 2, 0] = lam
-    gam[0, 1, 1] = -lam
-    gam[0, 2, 2] = -lam
-    gam[2, 2, 1] = kap
-    gam[1, 2, 2] = -kap
+    gam = [[[0.0] * 3 for _ in range(3)] for _ in range(3)]
+    gam[1][1][0] = gam[2][2][0] = lam
+    gam[0][1][1] = gam[0][2][2] = -lam
+    gam[2][2][1] = kap
+    gam[1][2][2] = -kap
     return gam
 
 
@@ -170,38 +170,58 @@ def estimate_decay_order(data, component, radii, grid=None):
 
 def charge_integrand(data, coords3):
     """Pointwise (E-integrand, P_k-integrand) of the data at plain chart
-    points (scalars or arrays); derivatives of the deviations come from the
-    data jets and the background connection enters in closed form."""
+    points; derivatives of the deviations come from the data jets and the
+    background connection enters in closed form.
+
+    The coordinates are scalars or arrays that broadcast together, and both
+    integrands take their broadcast shape.  A column of radii against a row
+    of nodes, ``[r[:, None], theta, psi]``, gives one row per radius while
+    the data evaluate their angular terms once per node.  Only the entries
+    the integrands read are built: structural zeros of the frame and of the
+    connection are skipped.
+    """
     _require_hyperboloid(data)
-    r, th, ps = coords3
+    r, th, _ = coords3
     G, P = data.jets(coords3, order=1)
-    F = data.frame.components(coords3)
-    leaf = np.shape(np.asarray(r, dtype=float))
-    Fv = np.array([[value(F[i][a]) + np.zeros(leaf) for a in range(3)]
-                   for i in range(3)])
-    gv = np.array([[value(G[i][j]) + np.zeros(leaf) for j in range(3)]
-                   for i in range(3)])
-    pv = np.array([[value(P[i][j]) + np.zeros(leaf) for j in range(3)]
-                   for i in range(3)])
-    eye = np.eye(3).reshape((3, 3) + (1,) * len(leaf))
-    a = gv - eye
-    b = pv - eye
-    gam = background_connection(np.asarray(r, dtype=float), np.asarray(th))
+    Fv = [[value(x) for x in row] for row in data.frame.components(coords3)]
+    zero = np.zeros(np.broadcast_shapes(*map(np.shape, coords3)))
+    eye = np.eye(3)
+
+    @functools.cache
+    def gv(i, j):
+        return value(G[i][j]) + zero
+
+    @functools.cache
+    def a(i, j):
+        return gv(i, j) - eye[i, j]
+
+    @functools.cache
+    def b(i, j):
+        return value(P[i][j]) + zero - eye[i, j]
+
+    gam = background_connection(r, th)
 
     def nabla_a(k):
-        """nabla_k a_1k = e_k a_1k - Gamma^m_k1 a_mk - Gamma^m_kk a_1m."""
+        """nabla_k a_1k = e_k a_1k - Gamma^m_k1 a_mk - Gamma^m_kk a_1m.
+
+        A skipped term would subtract +-0 from e, which starts as a sum
+        from 0 and so is never -0.0: every bit of e is the same."""
         e = frame_entry(Fv, G[0][k], k)
         for m in range(3):
-            e = e - gam[m, k, 0] * a[m, k] - gam[m, k, k] * a[0, m]
+            if not jets._zero(gam[m][k][0]):
+                e = e - gam[m][k][0] * a(m, k)
+            if not jets._zero(gam[m][k][k]):
+                e = e - gam[m][k][k] * a(0, m)
         return e
 
-    tra = a[0, 0] + a[1, 1] + a[2, 2]
-    trb = b[0, 0] + b[1, 1] + b[2, 2]
+    tra = a(0, 0) + a(1, 1) + a(2, 2)
+    trb = b(0, 0) + b(1, 1) + b(2, 2)
     div_a = nabla_a(0) + nabla_a(1) + nabla_a(2)   # nabla^j a_1j
-    grad_tr = sum(Fv[0][aa] * (_grad(G[0][0], aa) + _grad(G[1][1], aa)
-                               + _grad(G[2][2], aa)) for aa in range(3))
-    e_int = div_a - grad_tr - (a[0, 0] - gv[0, 0] * tra)
-    p_int = np.stack([b[k, 0] - gv[k, 0] * trb for k in range(3)])
+    grad_tr = sum(Fv[0][c] * (_grad(G[0][0], c) + _grad(G[1][1], c)
+                              + _grad(G[2][2], c))
+                  for c in range(3) if not jets._zero(Fv[0][c]))
+    e_int = div_a - grad_tr - (a(0, 0) - gv(0, 0) * tra)
+    p_int = np.stack([b(k, 0) - gv(k, 0) * trb for k in range(3)])
     return e_int, p_int
 
 
@@ -243,20 +263,26 @@ def null_energy_momentum(data, radii, grid=None, tau_gate=1.55,
                          check_decay=True):
     """E_nu and P_nu,k over the radius ladder, with the order gate.
 
+    The integrands are evaluated radius by node: the nodes are split into
+    one contiguous block per rung, and each block is evaluated at every
+    radius at once (a column of radii against the block's nodes), so each
+    evaluation has one rung's worth of points while the data's angular work
+    runs once per node.  Each rung then sums its full row of nodes.
+
     Components whose fitted decay order falls below the gate (slightly above
     3/2, where finiteness is guaranteed) make the charges unreliable; the
     per-component fits are always reported so the caller can judge.
     """
     _require_hyperboloid(data)
+    radii = check_ladder(radii)
     grid = grid or build_grid(48, 96)
     ndir = direction_functions(grid)
     nvals = [ndir.n[nu].values.ravel() for nu in range(4)]
     w = grid.weights.ravel()
 
     decay = {}
-    if check_decay and len(list(radii)) >= 4:
-        dradii = list(radii)[-4:]
-        decay = decay_orders(data, dradii, build_grid(8, 16))
+    if check_decay and len(radii) >= 4:
+        decay = decay_orders(data, radii[-4:], build_grid(8, 16))
         finite = [f.exponent for f in decay.values() if not f.exact]
         if finite and min(finite) < tau_gate:
             import logging
@@ -264,18 +290,24 @@ def null_energy_momentum(data, radii, grid=None, tau_gate=1.55,
                 "slowest deviation order %.3f is below the gate %.2f; "
                 "charges may not be limits", min(finite), tau_gate)
 
-    def samples_at(r):
-        T, Ps = grid.nodes()
-        coords = [np.full_like(T, float(r)), T, Ps]
-        e_int, p_int = charge_integrand(data, coords)
-        r3 = float(r) ** 3
-        es = [np.sum(w * e_int * nvals[nu]) * r3 / (16.0 * np.pi)
+    T, Ps = grid.nodes()
+    column = np.array(radii)[:, None]
+    e_int = np.empty((len(radii), T.size))
+    p_int = np.empty((3,) + e_int.shape)
+    for cols in np.array_split(np.arange(T.size), len(radii)):
+        e_int[:, cols], p_int[:, :, cols] = charge_integrand(
+            data, [column, T[cols], Ps[cols]])
+
+    def samples_at(rung):
+        r, e_row, p_row = rung
+        r3 = r ** 3
+        es = [np.sum(w * e_row * nvals[nu]) * r3 / (16.0 * np.pi)
               for nu in range(4)]
-        ps = [[np.sum(w * p_int[k] * nvals[nu]) * r3 / (8.0 * np.pi)
+        ps = [[np.sum(w * p_row[k] * nvals[nu]) * r3 / (8.0 * np.pi)
                for k in range(3)] for nu in range(4)]
         return es, ps
 
-    rows = ladder_map(samples_at, radii)
+    rows = ladder_map(samples_at, list(zip(radii, e_int, p_int.swapaxes(0, 1))))
     E = tuple(fit_inverse_powers(radii, [row[0][nu] for row in rows])
               for nu in range(4))
     P = tuple(tuple(fit_inverse_powers(radii, [row[1][nu][k] for row in rows])

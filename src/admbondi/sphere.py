@@ -3,8 +3,10 @@
 Nodes are a tensor product of Gauss-Legendre points in cos(theta) with a
 uniform grid in psi.  Both pole rows are excluded by construction, which keeps
 cot(theta) and csc(theta) factors of downstream angular fields finite at every
-node.  The quadrature integrates products of spherical polynomials up to
-degree n_theta - 1 in cos(theta) and Fourier modes up to n_psi/2 - 1 exactly.
+node.  The quadrature integrates cos^k(theta) cos(m psi) and
+cos^k(theta) sin(m psi) exactly for k <= 2 n_theta - 1 and m < n_psi, hence
+products of spherical polynomials up to degree n_theta - 1 in cos(theta) and
+Fourier modes up to n_psi/2 - 1.
 """
 
 from dataclasses import dataclass

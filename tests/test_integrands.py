@@ -1,10 +1,12 @@
 """The ADM and null charge integrands read only the frame-derivative entries
 they need; they must equal the integrands built from every entry, bit for
-bit, and must not build rank-3 arrays over the nodes."""
+bit, and must not build rank-3 arrays over the nodes.  The null ladder,
+evaluated radius by node, must equal the ladder evaluated rung by rung."""
 
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from admbondi.adm import _node_arrays, adm_ladder_samples, rotated_data
@@ -12,7 +14,8 @@ from admbondi.bondi import induced_slice_data
 from admbondi.geometry import (_chart_gradient, _grad, frame_derivative,
                                hyperboloid_frame, pullback_initial_data)
 from admbondi.jets import value
-from admbondi.nullcharges import background_connection, charge_integrand
+from admbondi.nullcharges import (background_connection, charge_integrand,
+                                  null_energy_momentum)
 from admbondi.scenarios import (ScenarioConfig, make_a3, make_adm_data,
                                 make_expansion)
 from admbondi.spacetimes import hyperboloid_embedding, minkowski
@@ -107,7 +110,7 @@ def _null_reference(data, coords3):
             for j in range(3):
                 e = DG[k, i, j]
                 for m in range(3):
-                    e = e - gam[m, k, i] * a[m, j] - gam[m, k, j] * a[i, m]
+                    e = e - gam[m][k][i] * a[m, j] - gam[m][k][j] * a[i, m]
                 Da[k, i, j] = e
     tra = a[0, 0] + a[1, 1] + a[2, 2]
     trb = b[0, 0] + b[1, 1] + b[2, 2]
@@ -180,3 +183,55 @@ def test_adm_rung_memory_stays_near_the_pullback_peak():
     rung = _traced_peak(lambda: adm_ladder_samples(_KERR, [r], grid))
     leaf = coords[1].nbytes
     assert (rung - pullback) / leaf <= 32.0
+
+
+def _ladder_reference(data, radii, grid):
+    """Per-rung samples E[nu][rung] and P[nu][k][rung]: charge_integrand on
+    full-node arrays at one radius at a time, each rung summed on its own."""
+    ndir = direction_functions(grid)
+    nvals = [ndir.n[nu].values.ravel() for nu in range(4)]
+    w = grid.weights.ravel()
+    T, Ps = grid.nodes()
+    E, P = [], []
+    for r in radii:
+        e_int, p_int = charge_integrand(data, [np.full_like(T, r), T, Ps])
+        E.append([np.sum(w * e_int * nvals[nu]) * r ** 3 / (16.0 * np.pi)
+                  for nu in range(4)])
+        P.append([[np.sum(w * p_int[k] * nvals[nu]) * r ** 3 / (8.0 * np.pi)
+                   for k in range(3)] for nu in range(4)])
+    return np.transpose(E), np.transpose(P, (1, 2, 0))
+
+
+_LADDERS = {case: [0.5, 1.0, 2.0, 4.0, 8.0] if case == "hyperboloid"
+            else [30.0, 45.0, 70.0, 110.0, 170.0] for case in _NULL}
+
+
+@pytest.mark.parametrize("case", sorted(_NULL))
+def test_null_ladder_equals_rung_by_rung(case):
+    """The null ladder evaluated radius by node gives every rung's samples
+    bit for bit as the rungs evaluated one by one; the 512 nodes of a 16x32
+    grid split unevenly into five blocks."""
+    grid = build_grid(16, 32)
+    radii = _LADDERS[case]
+    ch = null_energy_momentum(_NULL[case], radii, grid, check_decay=False)
+    ref_E, ref_P = _ladder_reference(_NULL[case], radii, grid)
+    assert _same_bits(np.array([f.samples for f in ch.E]), ref_E)
+    assert _same_bits(np.array([[f.samples for f in row] for row in ch.P]),
+                      ref_P)
+
+
+def test_null_ladder_memory_stays_near_one_block():
+    """The 48x96, 5-radius null ladder needs at most 32 node-sized arrays
+    beyond the peak of one of its blocks (its assembled E and P rows are
+    20, and it reads 27); evaluating all five rungs in one call took 332."""
+    grid = build_grid(48, 96)
+    radii = _LADDERS["bondi-biaxial"]
+    data = _NULL["bondi-biaxial"]
+    null_energy_momentum(data, radii, grid, check_decay=False)
+    T, Ps = grid.nodes()
+    cols = np.array_split(np.arange(T.size), len(radii))[0]
+    block = _traced_peak(lambda: charge_integrand(
+        data, [np.array(radii)[:, None], T[cols], Ps[cols]]))
+    ladder = _traced_peak(lambda: null_energy_momentum(data, radii, grid,
+                                                       check_decay=False))
+    assert (ladder - block) / T.nbytes <= 32.0

@@ -180,8 +180,8 @@ def test_integrand_conformal_against_fd():
     div = dphi
     for k in range(3):
         for mz in range(3):
-            div -= gam[mz, k, 0] * (pv if mz == k else 0.0)
-            div -= gam[mz, k, k] * (pv if mz == 0 else 0.0)
+            div -= gam[mz][k][0] * (pv if mz == k else 0.0)
+            div -= gam[mz][k][k] * (pv if mz == 0 else 0.0)
     ref = div - 3.0 * dphi - (pv - (1.0 + pv) * 3.0 * pv)
     assert float(e) == pytest.approx(ref, abs=1e-8)
 
@@ -243,26 +243,31 @@ def test_schw_bondi_charges(schw_slice):
 
 def test_charges_with_fd_connection_agree(schw_slice):
     # swap the closed-form background connection for the finite-difference
-    # oracle inside the integrand and compare the resulting charges
+    # oracle inside the integrand and compare the resulting charges; the
+    # oracle is called once per node block, at every radius of the ladder
     import admbondi.nullcharges as nc
     grid = build_grid(16, 32)
     ladder = [20.0, 40.0, 80.0]
     base = null_energy_momentum(schw_slice, ladder, grid=grid, check_decay=False)
     orig = nc.background_connection
+    calls = []
     try:
         def fd_conn(r, th):
-            r = np.atleast_1d(np.asarray(r, dtype=float))
-            th = np.atleast_1d(np.asarray(th, dtype=float))
+            r, th = np.broadcast_arrays(np.asarray(r, dtype=float),
+                                        np.asarray(th, dtype=float))
+            calls.append(r.shape)
             out = np.zeros((3, 3, 3) + r.shape)
-            for idx in range(r.size):
-                out[..., idx] = background_connection_fd(float(r.flat[idx]),
-                                                         float(th.flat[idx]))
+            for idx in np.ndindex(r.shape):
+                out[(Ellipsis,) + idx] = background_connection_fd(
+                    float(r[idx]), float(th[idx]))
             return out
         nc.background_connection = fd_conn
         alt = null_energy_momentum(schw_slice, ladder, grid=grid,
                                    check_decay=False)
     finally:
         nc.background_connection = orig
+    # 512 nodes in three blocks
+    assert calls == [(3, 171), (3, 171), (3, 170)]
     assert np.max(np.abs(base.E_values() - alt.E_values())) <= 1e-8
     assert np.max(np.abs(base.P_values() - alt.P_values())) <= 1e-8
 

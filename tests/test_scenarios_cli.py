@@ -4,10 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from admbondi import jets
 from admbondi.bondi import check_polar_news_average, check_psi_periodicity
-from admbondi.cli import main, parse_config
+from admbondi.cli import _SCHEMA, main, parse_config
 from admbondi.errors import ConfigError
 from admbondi.reports import CheckResult, report_json
 from admbondi.scenarios import (PRESETS, ScenarioConfig, harmonic_basis,
@@ -152,6 +153,42 @@ def test_parse_config_bad_table_key():
 def test_parse_config_bad_table_rows(rows, match):
     with pytest.raises(ConfigError, match=match):
         parse_config("preset = bondi-quadrupole\n[news_table]\n" + rows)
+
+
+_SECTIONS = sorted({s for s, _ in _SCHEMA} - {""}) + ["news_table", "weird"]
+_TABLE_KEYS = ["u_grid", "c_2_0", "c_3_1", "c_2_x", "c_9_0", "c_2"]
+_VALUES = ["1.0", "0", "-1", "2", "48", "3.5", "10, 20, 40", "80, 40",
+           "0, 1, 2", "0.0, 0.1", "1,,2", "", "nan", "inf", "-inf", "1e999",
+           "kerr", "minkowski", "bondi-biaxial", "tilted", "constant", "x",
+           "[", "=", "# note"]
+
+
+def _entries(section):
+    keys = sorted(k for s, k in _SCHEMA if s == section) or _TABLE_KEYS
+    entry = st.builds("{} = {}".format, st.sampled_from(keys),
+                      st.sampled_from(_VALUES) | st.text(max_size=12))
+    return st.lists(entry, max_size=4)
+
+
+def _config_text():
+    """A top-level block, then sections of the schema's keys with good and
+    bad values; now and then a line of free text."""
+    section = st.sampled_from(_SECTIONS).flatmap(
+        lambda s: _entries(s).map(lambda lines: [f"[{s}]"] + lines))
+    free = st.lists(st.text(max_size=24), min_size=1, max_size=2)
+    blocks = st.lists(section | section | free, max_size=5)
+    return st.builds(lambda top, bs: "\n".join(top + sum(bs, [])),
+                     _entries(""), blocks)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(text=_config_text())
+def test_parse_config_raises_only_config_errors(text):
+    """Fuzzed config text either parses or stops with ConfigError."""
+    try:
+        parse_config(text)
+    except ConfigError:
+        pass
 
 
 def test_strict_knob_is_gone(capsys):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from admbondi.errors import ConfigError
 from admbondi.sphere import (angular_derivative, build_grid, direction_functions,
@@ -17,6 +18,36 @@ def test_weights_normalise_to_sphere_area():
         assert g.weights.size == nt * npsi
     g = build_grid(2, 4)
     assert g.weights.size == 8
+
+
+def _integral(grid, k, m, trig):
+    T, P = grid.nodes()
+    return integrate(grid.field(np.cos(T) ** k * trig(m * P)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(n_theta=st.integers(2, 40), half_psi=st.integers(2, 32),
+       trig=st.sampled_from([np.cos, np.sin]), data=st.data())
+def test_quadrature_exact_up_to_the_stated_degrees(n_theta, half_psi, trig,
+                                                   data):
+    """cos^k(theta) cos(m psi) and cos^k(theta) sin(m psi) integrate to the
+    closed form up to roundoff for k <= 2 n_theta - 1 and m < n_psi, and
+    the first degree past either bound is visibly not exact."""
+    n_psi = 2 * half_psi
+    k = data.draw(st.integers(0, 2 * n_theta - 1), label="k")
+    m = data.draw(st.integers(0, n_psi - 1), label="m")
+    grid = build_grid(n_theta, n_psi)
+    polar = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+    azimuthal = 2.0 * np.pi if m == 0 and trig is np.cos else 0.0
+    assert abs(_integral(grid, k, m, trig) - polar * azimuthal) \
+        <= 64.0 * np.finfo(float).eps * FOUR_PI
+    # past the bounds: cos(n_psi psi) is 1 at every node, and the
+    # Gauss-Legendre error of cos^(2 n_theta) is far above roundoff on
+    # small grids
+    assert abs(_integral(grid, 0, n_psi, np.cos)) > 1.0
+    if n_theta <= 10:
+        exact = 2.0 / (2 * n_theta + 1) * 2.0 * np.pi
+        assert abs(_integral(grid, 2 * n_theta, 0, np.cos) - exact) > 1e-8
 
 
 def test_nodes_strictly_interior():
