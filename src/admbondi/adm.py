@@ -63,7 +63,7 @@ def adm_ladder_samples(data, radii, grid):
     radius; a rung's row depends on nothing but its radius."""
     _require_euclidean(data)
     ndir = direction_functions(grid)
-    nvec = np.stack([ndir.n[k].values.ravel() for k in (1, 2, 3)])
+    nvec = np.stack([ndir[k].values.ravel() for k in (1, 2, 3)])
     w = grid.weights.ravel()
 
     def samples_at(r):
@@ -146,12 +146,12 @@ def _decay_sups(data, coords, n_rungs):
     }
 
 
-def check_af_decay(data, radii, grid=None, slack=0.3):
+def check_af_decay(data, radii, grid=None):
     """Fitted decay exponents of (g - delta), dg, ddg, h, dh sup-norms.
 
     Exponents may come out 'exact' when a class vanishes identically (e.g.
     h of a time-symmetric slice).  A component is flagged when it decays
-    slower than its required order minus ``slack``.
+    slower than its required order minus a slack of 0.3.
     """
     _require_euclidean(data)
     radii = list(radii)
@@ -163,7 +163,7 @@ def check_af_decay(data, radii, grid=None, slack=0.3):
     out = {}
     for key, req in _REQUIRED_ORDERS.items():
         fit = fit_decay_exponent(radii, sups[key])
-        ok = fit.exact or fit.exponent >= req - slack
+        ok = fit.exact or fit.exponent >= req - 0.3
         out[key] = {"fit": fit, "required": req, "ok": bool(ok)}
     return out
 

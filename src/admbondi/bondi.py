@@ -4,7 +4,8 @@ form of the induced slice data.
 The radiating sector is parametrised by news potentials c, d and the
 coefficient functions M (mass aspect), N, P (momentum aspects) and C, H
 (third-order coefficients), all functions of (u, theta, psi).  Derived
-angular fields:
+angular fields, each pair written once in ``spacetimes`` (``l_lbar`` and
+``p_pbar``):
 
     l    = c_,2 + 2 c cot(theta) + d_,3 csc(theta)
     lbar = d_,2 + 2 d cot(theta) - c_,3 csc(theta)
@@ -30,13 +31,14 @@ from .geometry import (InitialData, hyperboloid_frame, pullback_initial_data,
 from .jets import value
 from .ladder import check_ladder, fit_decay_exponent, rung_max, stacked_rungs
 from .sphere import build_grid, project_multipole
-from .spacetimes import SliceSpec, bondi_metric, bondi_slice_embedding
+from .spacetimes import (SliceSpec, bondi_metric, bondi_slice_embedding,
+                         l_lbar, p_pbar)
 
 log = logging.getLogger(__name__)
 
 __all__ = [
     "BondiExpansion", "EnergyMomentumTrajectory",
-    "derived_fields", "bondi_energy_momentum", "news_flux",
+    "bondi_energy_momentum", "news_flux",
     "evolve_energy_momentum", "mass_loss_margin", "flux_holder_margin",
     "induced_slice_data", "expansion_consistency", "vanishing_news_scenario",
     "check_psi_periodicity", "check_polar_news_average", "trajectory_csv",
@@ -83,8 +85,8 @@ class BondiExpansion:
         nu, nth, nps = jets.seed([u, th, ps], order=order)
         return self.c(nu, nth, nps), self.d(nu, nth, nps)
 
-    def sup_news_estimate(self, n_u=9):
-        us = np.linspace(self.u_range[0], self.u_range[1], n_u)
+    def sup_news_estimate(self):
+        us = np.linspace(self.u_range[0], self.u_range[1], 9)
         g = build_grid(8, 16)
         T, Ps = g.nodes()
         sc = sd = 0.0
@@ -97,41 +99,10 @@ class BondiExpansion:
         return float(sc), float(sd)
 
 
-def derived_fields(exp, u, grid):
-    """The four derived angular fields (l, lbar, p, pbar) at retarded time u.
-
-    cot and csc factors are evaluated at interior nodes only; a non-finite
-    node signals polar irregularity of the news (the polar-average condition
-    failing is the usual culprit).
-    """
-    T, Ps = grid.nodes()
-    cj, dj = exp.news_jets(np.full_like(T, float(u)), T, Ps, order=1)
-    c, c2, c3 = _jf(cj), _jd(cj, 1), _jd(cj, 2)
-    d, d2, d3 = _jf(dj), _jd(dj, 1), _jd(dj, 2)
-    ct = np.cos(T) / np.sin(T)
-    cs = 1.0 / np.sin(T)
-    Nv = value(exp.N(np.full_like(T, float(u)), T, Ps)) + 0.0 * T
-    Pv = value(exp.P(np.full_like(T, float(u)), T, Ps)) + 0.0 * T
-    l = c2 + 2.0 * c * ct + d3 * cs
-    lbar = d2 + 2.0 * d * ct - c3 * cs
-    p = 2.0 * Nv + 3.0 * (c * c2 + d * d2) + 4.0 * (c * c + d * d) * ct \
-        - 2.0 * (c3 * d - c * d3) * cs
-    pbar = 2.0 * Pv + 2.0 * (c2 * d - c * d2) + 3.0 * (c * c3 + d * d3) * cs
-    out = []
-    for name, arr in (("l", l), ("lbar", lbar), ("p", p), ("pbar", pbar)):
-        arr = np.asarray(value(arr) + 0.0 * T)
-        if not np.all(np.isfinite(arr)):
-            raise DomainError(
-                f"derived field {name} is not finite near the poles; "
-                "check the polar news average condition")
-        out.append(grid.field(arr))
-    return tuple(out)
-
-
-def bondi_energy_momentum(mass_aspect_field, grid=None):
+def bondi_energy_momentum(mass_aspect_field):
     """Moments m_nu of the mass aspect against the direction functions."""
-    f = mass_aspect_field
-    return np.array([project_multipole(f, nu) for nu in range(4)])
+    return np.array([project_multipole(mass_aspect_field, nu)
+                     for nu in range(4)])
 
 
 def mass_aspect_field(exp, u, grid):
@@ -259,18 +230,16 @@ def flux_holder_margin(F):
 # Conditions on the expansion
 # ---------------------------------------------------------------------------
 
-def check_psi_periodicity(exp, u_samples=None, theta_samples=None, tol=1e-10):
+def check_psi_periodicity(exp):
     """Values and derivatives to second order must agree at psi = 0 and 2pi.
 
-    Checked on the news, the coefficient functions and the derived fields.
-    Returns the worst mismatch.
+    Checked on the news, the coefficient functions and the derived fields at
+    u = 0, 1 and theta = 0.7, 1.3, 2.3.  Returns the worst mismatch.
     """
-    u_samples = [0.0, 1.0] if u_samples is None else u_samples
-    theta_samples = [0.7, 1.3, 2.3] if theta_samples is None else theta_samples
     fns = [exp.c, exp.d, exp.M, exp.N, exp.P, exp.C, exp.H]
     worst = 0.0
-    for u in u_samples:
-        for th in theta_samples:
+    for u in (0.0, 1.0):
+        for th in (0.7, 1.3, 2.3):
             for fn in fns:
                 a = fn(*jets.seed([u, th, 0.0], order=2))
                 b = fn(*jets.seed([u, th, 2.0 * np.pi], order=2))
@@ -283,17 +252,14 @@ def check_psi_periodicity(exp, u_samples=None, theta_samples=None, tol=1e-10):
 
 
 def _derived_at(exp, u, th, ps):
+    """(l, lbar, p, pbar) at one point."""
     cj, dj = exp.news_jets(u, th, ps, order=2)
     ct = np.cos(th) / np.sin(th)
     cs = 1.0 / np.sin(th)
-    c, c2, c3 = _jf(cj), _jd(cj, 1), _jd(cj, 2)
-    d, d2, d3 = _jf(dj), _jd(dj, 1), _jd(dj, 2)
-    l = c2 + 2.0 * c * ct + d3 * cs
-    lbar = d2 + 2.0 * d * ct - c3 * cs
-    p = 3.0 * (c * c2 + d * d2) + 4.0 * (c * c + d * d) * ct \
-        - 2.0 * (c3 * d - c * d3) * cs
-    pbar = 2.0 * (c2 * d - c * d2) + 3.0 * (c * c3 + d * d3) * cs
-    return l, lbar, p, pbar
+    cn = (_jf(cj), _jd(cj, 1), _jd(cj, 2))
+    dn = (_jf(dj), _jd(dj, 1), _jd(dj, 2))
+    return (*l_lbar(cn, dn, ct, cs),
+            *p_pbar(exp.N(u, th, ps), exp.P(u, th, ps), cn, dn, ct, cs))
 
 
 def _jet_mismatch(a, b):
@@ -309,21 +275,21 @@ def _jet_mismatch(a, b):
     return float(worst)
 
 
-def check_polar_news_average(exp, u_samples=None, tol=1e-8, n_psi=64):
+def check_polar_news_average(exp):
     """The psi-average of c must vanish in the limits theta -> 0 and pi.
 
-    Evaluated directly at the pole when the news is finite there, otherwise
-    by one-sided polynomial extrapolation from interior latitudes.
+    Evaluated at u = 0, 0.5, 1 over 64 psi nodes: directly at the pole when
+    the news is finite there, otherwise by one-sided polynomial
+    extrapolation from interior latitudes.
     """
-    u_samples = [0.0, 0.5, 1.0] if u_samples is None else u_samples
-    psis = np.arange(n_psi) * (2.0 * np.pi / n_psi)
+    psis = np.arange(64) * (2.0 * np.pi / 64)
 
     def avg(u, th):
         vals = value(exp.c(np.full_like(psis, u), np.full_like(psis, th), psis))
         return float(np.mean(np.asarray(vals) + 0.0 * psis)) * 2.0 * np.pi
 
     worst = 0.0
-    for u in u_samples:
+    for u in (0.0, 0.5, 1.0):
         for pole in (0.0, np.pi):
             direct = avg(u, pole)
             if np.isfinite(direct):
@@ -372,10 +338,8 @@ def induced_slice_data(exp, u0=0.0, a3=None):
         Hv = exp.H(u0, th, ps)
         a3v = a3fn(th, ps)
 
-        l = c2 + 2.0 * c * ct + d3 * cs
-        lbar = d2 + 2.0 * d * ct - c3 * cs
-        l0 = c02 + 2.0 * c0 * ct + d03 * cs
-        lbar0 = d02 + 2.0 * d0 * ct - c03 * cs
+        l, lbar = l_lbar((c, c2, c3), (d, d2, d3), ct, cs)
+        l0, lbar0 = l_lbar((c0, c02, c03), (d0, d02, d03), ct, cs)
         l2 = c22 + 2.0 * c2 * ct - 2.0 * c * cs * cs + d23 * cs - d3 * cs * ct
         lbar3 = d23 + 2.0 * d3 * ct - c33 * cs
 
@@ -427,14 +391,14 @@ def induced_slice_data(exp, u0=0.0, a3=None):
 # ---------------------------------------------------------------------------
 
 def expansion_consistency(exp, u0=0.0, a3=None, radii=(50, 100, 200, 400, 800),
-                          grid=None, r_min=None, noise_floor=1e-12):
+                          grid=None, r_min=None):
     """Fitted decay exponent of |numerical pullback - closed form| for every
     slice component.
 
     Consistency means each exponent is at least ~3.3 (the omitted remainders
     are o(1/r^3), in practice O(1/r^4)).  Rungs whose difference is below the
-    noise floor are dropped; a component that never rises above it counts as
-    exact.
+    noise floor 1e-12 are dropped; a component that never rises above it
+    counts as exact.
     """
     radii = check_ladder(radii)
     grid = grid or build_grid(20, 40)
@@ -450,7 +414,7 @@ def expansion_consistency(exp, u0=0.0, a3=None, radii=(50, 100, 200, 400, 800),
     sups = rung_max(np.stack([gn - gc, hn - hc]), len(radii))
     return {name: fit_decay_exponent(
                 radii, sups["gh".index(name[0]), int(name[1]) - 1,
-                            int(name[2]) - 1], zero_floor=noise_floor)
+                            int(name[2]) - 1], zero_floor=1e-12)
             for name in SLICE_COMPONENTS}
 
 
@@ -460,12 +424,13 @@ def expansion_consistency(exp, u0=0.0, a3=None, radii=(50, 100, 200, 400, 800),
 
 def vanishing_news_scenario(exp, u0, u_start, du=0.01, grid=None,
                             radii=(40.0, 60.0, 90.0, 135.0, 200.0),
-                            a3=None, news_tol=1e-10):
+                            a3=None):
     """Positivity scenario at a retarded time u0 where the news vanish.
 
-    Checks c = d = 0 on the sphere at u0, evolves the energy-momentum
-    backwards from u0, verifies m_0 >= |m| on every sample, and reports the
-    positivity margin and rigidity residuals of the u0-slice data.
+    Checks c = d = 0 (to 1e-10) on the sphere at u0, evolves the
+    energy-momentum backwards from u0, verifies m_0 >= |m| on every sample,
+    and reports the positivity margin and rigidity residuals of the u0-slice
+    data.
     """
     from .nullcharges import check_pmt_null, null_energy_momentum
     from .geometry import rigidity_residual
@@ -476,7 +441,7 @@ def vanishing_news_scenario(exp, u0, u_start, du=0.01, grid=None,
     uarr = np.full_like(T, float(u0))
     cvals = np.abs(value(exp.c(uarr, T, Ps)) + 0.0 * T)
     dvals = np.abs(value(exp.d(uarr, T, Ps)) + 0.0 * T)
-    if cvals.max() > news_tol or dvals.max() > news_tol:
+    if cvals.max() > 1e-10 or dvals.max() > 1e-10:
         k = int(np.argmax(np.maximum(cvals, dvals)))
         raise DomainError(
             f"news do not vanish at u0={u0}: |c|={cvals.max():.3e}, "

@@ -120,9 +120,12 @@ def parse_config(text):
 
 def _table_row(table, key):
     try:
-        return _FLOATS(table[key])
+        row = _FLOATS(table[key])
     except ValueError as exc:
         raise ConfigError(f"news_table row {key}: {exc}")
+    if not np.all(np.isfinite(row)):
+        raise ConfigError(f"news_table row {key} must be finite: {list(row)}")
+    return row
 
 
 def _table_mode(key):
@@ -140,8 +143,7 @@ def _parse_news_table(table):
     if "u_grid" not in table:
         raise ConfigError("news_table needs a u_grid row")
     u_grid = _table_row(table, "u_grid")
-    if not (np.all(np.isfinite(u_grid))
-            and all(b > a for a, b in zip(u_grid, u_grid[1:]))):
+    if not all(b > a for a, b in zip(u_grid, u_grid[1:])):
         raise ConfigError("news_table row u_grid must be finite and strictly "
                           f"increasing: {list(u_grid)}")
     out = {"u_grid": u_grid}
@@ -301,12 +303,13 @@ def cmd_bondi_evolve(cfg):
     m0 = bondi_energy_momentum(mass_aspect_field(exp, cfg.u_start, grid))
     traj = evolve_energy_momentum(m0, exp, cfg.u_start, cfg.u_end, cfg.du, grid)
     dmax = mass_loss_margin(traj)
+    dm0 = float(np.max(np.diff(traj.m[:, 0])))
     holder = flux_holder_margin(traj.flux)
     checks = [
         CheckResult("evolve.margin_nonincreasing", dmax <= 1e-9 * scale,
                     dmax, 1e-9 * scale),
-        CheckResult("evolve.mass_nonincreasing", traj.mass_monotone,
-                    float(np.max(np.diff(traj.m[:, 0]))), 1e-9 * scale),
+        CheckResult("evolve.mass_nonincreasing", dm0 <= 1e-9 * scale,
+                    dm0, 1e-9 * scale),
         CheckResult("evolve.flux_holder_chain", holder >= -1e-12 * scale,
                     holder, 1e-12 * scale),
     ]

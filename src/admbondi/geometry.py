@@ -33,7 +33,7 @@ from .jets import (Jet, add, det4, djet, inv3, inv4, mul, prod, sub, trunc1,
                    value)
 
 __all__ = [
-    "SpacetimePoint", "Metric4Evaluator", "Embedding", "FrameField",
+    "Metric4Evaluator", "Embedding", "FrameField",
     "InitialData", "ConstraintQuantities",
     "euclidean_frame", "hyperboloid_frame",
     "christoffel4", "ricci_tensor", "pullback_initial_data",
@@ -57,18 +57,6 @@ def _perms4():
 
 
 _PERM4 = _perms4()
-
-
-@dataclass(frozen=True)
-class SpacetimePoint:
-    chart: str
-    coords: tuple  # x^0..x^3
-
-
-def _coords_of(point):
-    if isinstance(point, SpacetimePoint):
-        return list(point.coords)
-    return list(point)
 
 
 def _d1(x, a):
@@ -170,11 +158,12 @@ class Metric4Evaluator:
     admbondi.jets elementary functions) so that jet seeding yields exact
     first and second coordinate derivatives.
 
-    A point is four coordinates (or a ``SpacetimePoint``); each coordinate
-    may be a number or an array, so a (4, n) array is n points evaluated at
-    once.  ``components``, ``first_derivs`` and ``second_derivs`` return
-    arrays indexed [<component indices>, <leaf>], with plain-number entries
-    (constant components, structural zeros) broadcast to the leaf shape.
+    A point is four coordinates; each coordinate may be a number or an
+    array, so a (4, n) array is n points evaluated at once.  ``components``
+    and ``first_derivs`` return arrays indexed [<component indices>, <leaf>],
+    with plain-number entries (constant components, structural zeros)
+    broadcast to the leaf shape; ``jets`` gives exact derivatives to second
+    order.
     """
 
     fn: Callable
@@ -187,7 +176,7 @@ class Metric4Evaluator:
             self.domain([value(c) for c in coords])
 
     def components(self, point):
-        coords = _coords_of(point)
+        coords = list(point)
         self._check(coords)
         g = self.fn(coords)
         return _stack_leaf([x for row in g for x in row], coords, (4, 4))
@@ -200,25 +189,11 @@ class Metric4Evaluator:
 
     def first_derivs(self, point):
         """dg[c][a][b] = d_c g_{ab} at the point."""
-        coords = _coords_of(point)
+        coords = list(point)
         g = self.jets(coords, order=1)
         return _stack_leaf([_jd(g[a][b], c) for c in range(4)
                             for a in range(4) for b in range(4)],
                            coords, (4, 4, 4))
-
-    def second_derivs(self, point):
-        """ddg[c][d][a][b] = d_c d_d g_{ab} at the point."""
-        coords = _coords_of(point)
-        g = self.jets(coords, order=2)
-        return _stack_leaf([_jdd(g[a][b], c, d) for c in range(4)
-                            for d in range(4) for a in range(4)
-                            for b in range(4)], coords, (4, 4, 4, 4))
-
-    def signature_ok(self, point):
-        """True when g has signature (-, +, +, +) at every point."""
-        g = np.moveaxis(self.components(point), (0, 1), (-2, -1))
-        ev = np.linalg.eigvalsh(g)
-        return bool(np.all(ev[..., 0] < 0) and np.all(ev[..., 1:] > 0))
 
 
 @dataclass
@@ -340,7 +315,7 @@ def _christoffel_from(ginv, dg, rows=range(4)):
 
 def christoffel4(metric, point):
     """Levi-Civita connection coefficients Gamma^a_{bc} at a point."""
-    coords = _coords_of(point)
+    coords = list(point)
     gj = metric.jets(coords, order=1)
     g = [[_jf(gj[a][b]) for b in range(4)] for a in range(4)]
     det = value(det4(g))
@@ -355,7 +330,7 @@ def christoffel4(metric, point):
 
 def ricci_tensor(metric, point):
     """Ricci tensor from exact second derivatives of the metric."""
-    coords = _coords_of(point)
+    coords = list(point)
     gj = metric.jets(coords, order=2)
     g = [[value(_jf(gj[a][b])) for b in range(4)] for a in range(4)]
     ginv = inv4(g)
@@ -436,14 +411,15 @@ def _normal_rows(n):
     return [a for a in range(4) if not jets._zero(n[a])]
 
 
-def pullback_initial_data(metric, emb, frame, validate=True, name=None):
+def pullback_initial_data(metric, emb, frame):
     """Induced metric and second fundamental form of an embedded slice.
 
     Returns an InitialData whose evaluator runs the whole chain (embedding
     jets, metric jets, normal, covariant Hessian) in generic arithmetic, so
-    chart derivatives of the produced frame components are again exact.  Its
-    induced-metric-only evaluator gives the same g without the inner metric
-    seed, the normal and the Hessian.
+    chart derivatives of the produced frame components are again exact; it
+    raises DomainError where the induced metric is not positive definite.
+    Its induced-metric-only evaluator gives the same g without the inner
+    metric seed, the normal and the Hessian.
     """
     if emb.chart != metric.chart:
         raise DomainError(
@@ -504,20 +480,19 @@ def pullback_initial_data(metric, emb, frame, validate=True, name=None):
                 h3[i][j] = 0.0 - hac
                 h3[j][i] = h3[i][j]
 
-        if validate:
-            m = [[value(g3[i][j]) for j in range(3)] for i in range(3)]
-            d1 = m[0][0]
-            d2 = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-            d3 = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                  - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                  + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-            if np.any(d1 <= 0) or np.any(d2 <= 0) or np.any(d3 <= 0):
-                raise DomainError("induced metric is not positive definite")
+        m = [[value(g3[i][j]) for j in range(3)] for i in range(3)]
+        d1 = m[0][0]
+        d2 = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+        d3 = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+              - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+              + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+        if np.any(d1 <= 0) or np.any(d2 <= 0) or np.any(d3 <= 0):
+            raise DomainError("induced metric is not positive definite")
 
         return _in_frame(frame.components(coords3), g3, h3)
 
-    return InitialData(gp, frame,
-                       name or f"pullback[{metric.name};{emb.name}]", g_only)
+    return InitialData(gp, frame, f"pullback[{metric.name};{emb.name}]",
+                       g_only)
 
 
 # ---------------------------------------------------------------------------
@@ -630,23 +605,6 @@ def curvature3(data, coords3):
     """Frame Riemann components and scalar curvature of the 3-data."""
     b = frame_geometry(data, coords3)
     return b["riem"], b["scalar"]
-
-
-def metric_compatibility_residual(data, coords3):
-    """Max frame component of nabla g; vanishes for the Koszul connection."""
-    b = frame_geometry(data, coords3)
-    G, _ = data.jets(coords3, order=1)
-    Fv, om = b["F"], b["omega"]
-    Dg = frame_derivative(Fv, G)
-    worst = 0.0
-    for k in range(3):
-        for i in range(3):
-            for j in range(3):
-                e = Dg[k, i, j]
-                for m in range(3):
-                    e = e - om[m][k][i] * b["g"][m][j] - om[m][k][j] * b["g"][i][m]
-                worst = np.maximum(worst, np.max(np.abs(e)))
-    return float(worst)
 
 
 def constraint_quantities(data, coords3):

@@ -62,13 +62,13 @@ def check_ladder(radii, minimum=3):
     return radii
 
 
-def fit_inverse_powers(radii, samples, n_terms=3):
+def fit_inverse_powers(radii, samples):
     """Least-squares fit of samples(r) ~ A + B/r + C/r^2; returns A with
     diagnostics.  Flags divergence when the tail of the samples is still
     moving away from the fitted limit."""
     radii = np.asarray(check_ladder(radii), dtype=float)
     y = np.asarray(samples, dtype=float)
-    cols = [radii ** (-k) for k in range(n_terms)]
+    cols = [radii ** (-k) for k in range(3)]
     M = np.stack(cols, axis=1)
     coef, *_ = np.linalg.lstsq(M, y, rcond=None)
     fitted = M @ coef

@@ -17,6 +17,7 @@ background (frame delta), and g_11 = 1 + a_11 is kept literally.  Charges are
 """
 
 import functools
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ from .ladder import (DecayFit, LadderFit, check_ladder, fit_decay_exponent,
 from .sphere import build_grid, direction_functions
 
 __all__ = [
-    "HyperbolicBackground", "NullCharges", "hyperbolic_background",
+    "NullCharges", "hyperbolic_background", "TAU_GATE",
     "background_connection", "background_connection_fd", "deviation",
     "decay_orders", "estimate_decay_order", "charge_integrand",
     "null_energy_momentum", "check_dec_null", "check_pmt_null",
@@ -39,6 +40,9 @@ __all__ = [
 _COMPONENTS = tuple(f"{t}{i}{j}" for t in "ab" for i in (1, 2, 3)
                     for j in (1, 2, 3) if i <= j)
 
+# the order gate: slightly above 3/2, where the charges are guaranteed finite
+TAU_GATE = 1.55
+
 
 def hyperbolic_background():
     """InitialData of the model: identity frame components for both tensors."""
@@ -46,17 +50,6 @@ def hyperbolic_background():
         eye = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
         return eye, eye
     return InitialData(gp, hyperboloid_frame(), "hyperbolic-background")
-
-
-def _hyperboloid_coframe(coords):
-    """Dual coframe components w[i][a] with w^i(e_j) = delta^i_j, i.e.
-    w^1 = dr/sqrt(1+r^2), w^2 = r dtheta, w^3 = r sin(theta) dpsi."""
-    r, th, _ = coords
-    return [
-        [1.0 / jets.sqrt(1.0 + r * r), 0.0, 0.0],
-        [0.0, r, 0.0],
-        [0.0, 0.0, r * jets.sin(th)],
-    ]
 
 
 def background_connection(r, th):
@@ -111,23 +104,6 @@ def background_connection_fd(r, th, h=1e-6):
     return gam
 
 
-@dataclass
-class HyperbolicBackground:
-    """The model geometry: metric and second-form evaluators (equal by
-    construction), the orthonormal frame and its dual coframe, and the
-    closed-form frame connection."""
-
-    data: InitialData
-    frame: object
-    coframe: object = _hyperboloid_coframe
-    connection: object = background_connection
-
-    @staticmethod
-    def build():
-        d = hyperbolic_background()
-        return HyperbolicBackground(d, d.frame)
-
-
 def _require_hyperboloid(data):
     if data.frame.kind != "hyperboloid":
         raise ConfigError(
@@ -160,12 +136,12 @@ def decay_orders(data, radii, grid=None, components=_COMPONENTS):
             for c in components}
 
 
-def estimate_decay_order(data, component, radii, grid=None):
+def estimate_decay_order(data, component, radii):
     """Fitted decay order tau-hat of one deviation component over >= 4 radii.
 
     ``component`` is one of a11..a33, b11..b33 (upper triangle).
     """
-    return decay_orders(data, radii, grid, (component,))[component]
+    return decay_orders(data, radii, components=(component,))[component]
 
 
 def charge_integrand(data, coords3):
@@ -259,8 +235,7 @@ class NullCharges:
         }
 
 
-def null_energy_momentum(data, radii, grid=None, tau_gate=1.55,
-                         check_decay=True):
+def null_energy_momentum(data, radii, grid=None, check_decay=True):
     """E_nu and P_nu,k over the radius ladder, with the order gate.
 
     The integrands are evaluated radius by node: the nodes are split into
@@ -269,26 +244,25 @@ def null_energy_momentum(data, radii, grid=None, tau_gate=1.55,
     evaluation has one rung's worth of points while the data's angular work
     runs once per node.  Each rung then sums its full row of nodes.
 
-    Components whose fitted decay order falls below the gate (slightly above
-    3/2, where finiteness is guaranteed) make the charges unreliable; the
-    per-component fits are always reported so the caller can judge.
+    Components whose fitted decay order falls below ``TAU_GATE`` make the
+    charges unreliable; the per-component fits are always reported so the
+    caller can judge.
     """
     _require_hyperboloid(data)
     radii = check_ladder(radii)
     grid = grid or build_grid(48, 96)
     ndir = direction_functions(grid)
-    nvals = [ndir.n[nu].values.ravel() for nu in range(4)]
+    nvals = [ndir[nu].values.ravel() for nu in range(4)]
     w = grid.weights.ravel()
 
     decay = {}
     if check_decay and len(radii) >= 4:
         decay = decay_orders(data, radii[-4:], build_grid(8, 16))
         finite = [f.exponent for f in decay.values() if not f.exact]
-        if finite and min(finite) < tau_gate:
-            import logging
+        if finite and min(finite) < TAU_GATE:
             logging.getLogger(__name__).warning(
                 "slowest deviation order %.3f is below the gate %.2f; "
-                "charges may not be limits", min(finite), tau_gate)
+                "charges may not be limits", min(finite), TAU_GATE)
 
     T, Ps = grid.nodes()
     column = np.array(radii)[:, None]
@@ -312,7 +286,7 @@ def null_energy_momentum(data, radii, grid=None, tau_gate=1.55,
               for nu in range(4))
     P = tuple(tuple(fit_inverse_powers(radii, [row[1][nu][k] for row in rows])
                     for k in range(3)) for nu in range(4))
-    return NullCharges(E, P, decay, tau_gate)
+    return NullCharges(E, P, decay, TAU_GATE)
 
 
 def check_dec_null(data, points):

@@ -101,8 +101,8 @@ def report_json(body, include_metadata=True):
     return json.dumps(out, sort_keys=True, indent=2) + "\n"
 
 
-def write_json(path, body, include_metadata=True):
-    text = report_json(body, include_metadata)
+def write_json(path, body):
+    text = report_json(body)
     with open(path, "w") as f:
         f.write(text)
     return text

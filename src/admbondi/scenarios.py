@@ -32,6 +32,11 @@ PRESETS = ("minkowski", "schwarzschild", "kerr", "bondi-schwarzschild",
 ADM_PRESETS = ("minkowski", "schwarzschild", "kerr")
 BONDI_PRESETS = ("bondi-schwarzschild", "bondi-quadrupole", "bondi-biaxial")
 
+# every float field of ScenarioConfig; news_zero_u may also be None (unset)
+_FLOAT_FIELDS = ("mass", "spin", "amplitude", "amplitude_d", "news_zero_u",
+                 "a3_amplitude", "u0", "u_start", "u_end", "du",
+                 "tolerance_scale")
+
 
 @dataclass
 class ScenarioConfig:
@@ -59,9 +64,10 @@ class ScenarioConfig:
             raise ConfigError(f"unknown preset {self.preset!r}; choose from {PRESETS}")
         if self.mass_aspect not in ("constant", "tilted"):
             raise ConfigError(f"unknown mass_aspect {self.mass_aspect!r}")
-        for name in ("mass", "spin", "amplitude", "amplitude_d"):
-            if not np.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in _FLOAT_FIELDS:
+            x = getattr(self, name)
+            if x is not None and not np.isfinite(x):
+                raise ConfigError(f"{name} must be finite, got {x}")
         if self.tolerance_scale <= 0:
             raise ConfigError("tolerance_scale must be positive")
         if self.radii:

@@ -20,7 +20,7 @@ __all__ = [
     "KerrParameters", "SliceSpec",
     "minkowski", "schwarzschild", "kerr", "bondi_metric", "bondi_functions",
     "hyperboloid_embedding", "bondi_slice_embedding", "t_const_embedding",
-    "ricci_residual",
+    "ricci_residual", "l_lbar", "p_pbar",
 ]
 
 
@@ -172,18 +172,35 @@ def _news_block(exp, u, th, ps):
     return parts(cj), parts(dj)
 
 
-def _assemble_six(exp, u, r, th, ps):
-    """The six metric functions at (u, r, theta, psi), truncated."""
-    (c, c2, c3), (d, d2, d3) = _news_block(exp, u, th, ps)
-    ct = cos(th) / sin(th)
-    cs = 1.0 / sin(th)
-    l = c2 + 2.0 * c * ct + d3 * cs
-    lbar = d2 + 2.0 * d * ct - c3 * cs
-    Nv = exp.N(u, th, ps)
-    Pv = exp.P(u, th, ps)
+def l_lbar(cn, dn, ct, cs):
+    """l = c_,2 + 2 c cot + d_,3 csc and lbar = d_,2 + 2 d cot - c_,3 csc.
+
+    ``cn = (c, c_,2, c_,3)`` and ``dn = (d, d_,2, d_,3)``; ``ct``, ``cs`` are
+    cot(theta) and csc(theta).  Generic over numbers, arrays and jets.
+    """
+    (c, c2, c3), (d, d2, d3) = cn, dn
+    return c2 + 2.0 * c * ct + d3 * cs, d2 + 2.0 * d * ct - c3 * cs
+
+
+def p_pbar(Nv, Pv, cn, dn, ct, cs):
+    """p = 2N + 3(c c_,2 + d d_,2) + 4(c^2+d^2) cot - 2(c_,3 d - c d_,3) csc
+    and pbar = 2P + 2(c_,2 d - c d_,2) + 3(c c_,3 + d d_,3) csc, with the
+    arguments of ``l_lbar`` and the momentum aspects N, P."""
+    (c, c2, c3), (d, d2, d3) = cn, dn
     p = 2.0 * Nv + 3.0 * (c * c2 + d * d2) + 4.0 * (c * c + d * d) * ct \
         - 2.0 * (c3 * d - c * d3) * cs
     pbar = 2.0 * Pv + 2.0 * (c2 * d - c * d2) + 3.0 * (c * c3 + d * d3) * cs
+    return p, pbar
+
+
+def _assemble_six(exp, u, r, th, ps):
+    """The six metric functions at (u, r, theta, psi), truncated."""
+    cn, dn = _news_block(exp, u, th, ps)
+    c, d = cn[0], dn[0]
+    ct = cos(th) / sin(th)
+    cs = 1.0 / sin(th)
+    l, lbar = l_lbar(cn, dn, ct, cs)
+    p, pbar = p_pbar(exp.N(u, th, ps), exp.P(u, th, ps), cn, dn, ct, cs)
     r2 = r * r
     r3 = r2 * r
     gam = c / r + (exp.C(u, th, ps) - c ** 3 / 6.0 - 1.5 * c * d * d) / r3
@@ -256,12 +273,12 @@ def bondi_metric(exp, r_min=None):
 # Slice embeddings
 # ---------------------------------------------------------------------------
 
-def t_const_embedding(t0=0.0, chart="polar"):
-    """The time-symmetric slice t = t0 of a static chart."""
+def t_const_embedding():
+    """The time-symmetric slice t = 0 of a static polar chart."""
     def fn(c):
         r, th, ps = c
-        return [t0 + 0.0 * r, r, th, ps]
-    return Embedding(fn, chart, f"t={t0}")
+        return [0.0 + 0.0 * r, r, th, ps]
+    return Embedding(fn, "polar", "t=0.0")
 
 
 def hyperboloid_embedding():

@@ -14,10 +14,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 
 __all__ = [
-    "SphereGrid", "SphereField", "DirectionFunctions",
+    "SphereGrid", "SphereField",
     "build_grid", "integrate", "project_multipole", "angular_derivative",
     "direction_functions",
 ]
@@ -76,12 +76,17 @@ class SphereGrid:
         return (self.n_theta, self.n_psi)
 
     def field(self, values):
-        return SphereField(self, np.asarray(values, dtype=float).reshape(self.shape))
-
-    def field_from(self, fn):
-        """Sample a callable fn(theta, psi) over all nodes."""
-        T, P = self.nodes()
-        return self.field(np.asarray(fn(T, P)) + np.zeros_like(T))
+        """The samples at every node, flat in node order or shaped like the
+        grid, as a SphereField.  This is where samples are checked: a
+        non-finite one raises DomainError naming its node."""
+        values = np.asarray(values, dtype=float).reshape(self.shape)
+        bad = ~np.isfinite(values)
+        if bad.any():
+            i, j = np.unravel_index(np.argmax(bad), self.shape)
+            raise DomainError(
+                f"sphere field sample {values[i, j]} is not finite at node "
+                f"theta={self.theta[i]:.6g}, psi={self.psi[j]:.6g}")
+        return SphereField(self, values)
 
 
 def build_grid(n_theta, n_psi):
@@ -113,14 +118,13 @@ def _theta_derivative_matrix(theta):
 
 
 class SphereField:
-    """Real scalar samples on a SphereGrid."""
+    """Real scalar samples on a SphereGrid, as an array of the grid's shape.
+
+    Build one with ``grid.field``, which checks the samples; the constructor
+    and the arithmetic only store what they are given.
+    """
 
     def __init__(self, grid, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != grid.shape:
-            raise ConfigError(f"field shape {values.shape} != grid shape {grid.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("sphere field contains non-finite samples")
         self.grid = grid
         self.values = values
 
@@ -139,28 +143,18 @@ class SphereField:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class DirectionFunctions:
-    """The four direction functions n^0..n^3 sampled on a grid.
-
-    n^0 = 1, n^1 = sin(theta) cos(psi), n^2 = sin(theta) sin(psi),
-    n^3 = cos(theta).
-    """
-
-    grid: SphereGrid
-    n: tuple  # four SphereFields
-
-
 def direction_functions(grid):
+    """The four direction functions n^0..n^3 as SphereFields on the grid:
+    n^0 = 1, n^1 = sin(theta) cos(psi), n^2 = sin(theta) sin(psi),
+    n^3 = cos(theta)."""
     T, P = np.meshgrid(grid.theta, grid.psi, indexing="ij")
     st = np.sin(T)
-    fields = (
+    return (
         SphereField(grid, np.ones_like(T)),
         SphereField(grid, st * np.cos(P)),
         SphereField(grid, st * np.sin(P)),
         SphereField(grid, np.cos(T)),
     )
-    return DirectionFunctions(grid, fields)
 
 
 def integrate(f):
@@ -172,7 +166,7 @@ def project_multipole(f, nu):
     """(1/4pi) * integral of f * n^nu over the sphere."""
     if nu not in (0, 1, 2, 3):
         raise ValueError(f"multipole index must be 0..3, got {nu!r}")
-    n = direction_functions(f.grid).n[nu]
+    n = direction_functions(f.grid)[nu]
     return integrate(f * n) / (4.0 * np.pi)
 
 

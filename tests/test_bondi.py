@@ -7,14 +7,16 @@ from hypothesis import given, settings, strategies as st
 from admbondi import jets
 from admbondi.bondi import (BondiExpansion, bondi_energy_momentum,
                             check_polar_news_average, check_psi_periodicity,
-                            derived_fields, evolve_energy_momentum,
+                            evolve_energy_momentum,
                             expansion_consistency, flux_holder_margin,
                             induced_slice_data, mass_aspect_field,
                             mass_loss_margin, news_flux, trajectory_csv,
                             vanishing_news_scenario, _cumulative_simpson)
 from admbondi.errors import ConfigError, DomainError
+from admbondi.geometry import _jd, _jf
+from admbondi.jets import value
 from admbondi.scenarios import BONDI_PRESETS, ScenarioConfig, make_expansion
-from admbondi.spacetimes import bondi_metric
+from admbondi.spacetimes import bondi_metric, l_lbar, p_pbar
 from admbondi.sphere import build_grid, project_multipole
 
 
@@ -41,6 +43,20 @@ def grid():
 
 # -- derived fields -----------------------------------------------------------
 
+def derived_fields(exp, u, grid):
+    """(l, lbar, p, pbar) at retarded time u from the shared formulas
+    ``l_lbar`` and ``p_pbar``, as SphereFields on the grid nodes."""
+    T, Ps = grid.nodes()
+    U = np.full_like(T, u)
+    cj, dj = exp.news_jets(U, T, Ps, order=1)
+    cn = (_jf(cj), _jd(cj, 1), _jd(cj, 2))
+    dn = (_jf(dj), _jd(dj, 1), _jd(dj, 2))
+    ct, cs = np.cos(T) / np.sin(T), 1.0 / np.sin(T)
+    out = (*l_lbar(cn, dn, ct, cs),
+           *p_pbar(exp.N(U, T, Ps), exp.P(U, T, Ps), cn, dn, ct, cs))
+    return tuple(grid.field(value(x) + 0.0 * T) for x in out)
+
+
 def test_derived_l_closed_form(grid):
     def c(u, th, ps):
         return jets.sin(th) ** 2 + 0.0 * u
@@ -61,6 +77,20 @@ def test_derived_zero_news(grid):
     l, lbar, p, pbar = derived_fields(exp, 0.3, grid)
     for f in (l, lbar, p, pbar):
         assert np.max(np.abs(f.values)) == 0.0
+
+
+def test_periodicity_check_reads_the_full_p_and_pbar():
+    """The derived fields of check_psi_periodicity carry 2N and 2P."""
+    from admbondi.bondi import _derived_at
+    exp = make_expansion(ScenarioConfig(preset="bondi-biaxial"))
+    bare = BondiExpansion(c=exp.c, d=exp.d, M=exp.M)
+    u, th, ps = 0.5, 1.1, 0.4
+    l, lbar, p, pbar = _derived_at(exp, u, th, ps)
+    l0, lbar0, p0, pbar0 = _derived_at(bare, u, th, ps)
+    assert (l, lbar) == (l0, lbar0)
+    assert p - p0 == pytest.approx(2.0 * exp.N(u, th, ps), rel=1e-12)
+    assert pbar - pbar0 == pytest.approx(2.0 * exp.P(u, th, ps), rel=1e-12)
+    assert exp.N(u, th, ps) != 0.0 and exp.P(u, th, ps) != 0.0
 
 
 # -- energy-momentum moments ---------------------------------------------------
@@ -468,5 +498,6 @@ def test_derived_fields_nan_news_rejected(grid):
     def bad(u, th, ps):
         return 0.0 * u + float("nan")
     exp = BondiExpansion(c=bad, d=_zero, M=const_M(1.0))
-    with pytest.raises(DomainError, match="poles"):
+    theta, psi = grid.theta[0], grid.psi[0]
+    with pytest.raises(DomainError, match=f"theta={theta:.6g}, psi={psi:.6g}"):
         derived_fields(exp, 0.0, grid)

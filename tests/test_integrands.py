@@ -71,7 +71,7 @@ def _same_bits(x, y):
 def _adm_reference(data, grid, r):
     """(E, [P_k]) of one rung from all 27 D_k g_ij and their traces."""
     ndir = direction_functions(grid)
-    nvec = np.stack([ndir.n[k].values.ravel() for k in (1, 2, 3)])
+    nvec = np.stack([ndir[k].values.ravel() for k in (1, 2, 3)])
     w = grid.weights.ravel()
     coords = _node_arrays(grid, r)
     G, P = data.jets(coords, order=1)
@@ -189,7 +189,7 @@ def _ladder_reference(data, radii, grid):
     """Per-rung samples E[nu][rung] and P[nu][k][rung]: charge_integrand on
     full-node arrays at one radius at a time, each rung summed on its own."""
     ndir = direction_functions(grid)
-    nvals = [ndir.n[nu].values.ravel() for nu in range(4)]
+    nvals = [ndir[nu].values.ravel() for nu in range(4)]
     w = grid.weights.ravel()
     T, Ps = grid.nodes()
     E, P = [], []

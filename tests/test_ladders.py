@@ -182,7 +182,8 @@ def test_converge_reuses_the_coarse_rungs(tmp_path):
 def test_theta_derivative_matrix_is_built_on_first_use():
     grid = build_grid(10, 8)
     assert "_dtheta" not in vars(grid)
-    f = grid.field_from(lambda t, p: np.cos(3.0 * t) * np.sin(p))
+    T, P = grid.nodes()
+    f = grid.field(np.cos(3.0 * T) * np.sin(P))
     got = angular_derivative(f, "theta").values
     assert "_dtheta" in vars(grid)
     assert np.array_equal(got, _theta_derivative_matrix(grid.theta) @ f.values)

@@ -345,18 +345,3 @@ def test_divergent_ladder_flagged():
 def test_decay_order_needs_four_radii(schw_slice):
     with pytest.raises(ConfigError, match="4 radii"):
         estimate_decay_order(schw_slice, "a11", [20.0, 40.0, 80.0])
-
-
-def test_hyperbolic_background_bundle():
-    from admbondi.nullcharges import HyperbolicBackground
-    bg = HyperbolicBackground.build()
-    g, h = bg.data.values([3.0, 1.2, 0.4])
-    assert np.array_equal(g, h)            # second form equals the metric
-    # coframe is dual to the frame: w^i(e_j) = delta^i_j
-    pt = [2.5, 1.0, 0.7]
-    F = [[float(x) for x in row] for row in bg.frame.components(pt)]
-    W = [[float(x) for x in row] for row in bg.coframe(pt)]
-    dual = np.array(W) @ np.array(F).T
-    assert np.allclose(dual, np.eye(3), atol=1e-14)
-    gam = bg.connection(pt[0], pt[1])
-    assert np.allclose(gam, background_connection(pt[0], pt[1]))

@@ -149,6 +149,8 @@ def test_parse_config_bad_table_key():
     ("u_grid = 0, 2, 1\nc_2_0 = 0, 1, 2\n", "row u_grid must be .*increasing"),
     ("u_grid = 0, 1, 1\nc_2_0 = 0, 1, 2\n", "row u_grid must be .*increasing"),
     ("u_grid = 0, nan, 2\nc_2_0 = 0, 1, 2\n", "row u_grid must be finite"),
+    ("u_grid = 0, 1, 2\nc_2_0 = 0.0, nan, 0.1\n", "row c_2_0 must be finite"),
+    ("u_grid = 0, 1, 2\nc_3_1 = 0.0, 0.1, inf\n", "row c_3_1 must be finite"),
 ])
 def test_parse_config_bad_table_rows(rows, match):
     with pytest.raises(ConfigError, match=match):
@@ -255,6 +257,7 @@ def test_cli_bad_config_diagnostic(tmp_path, capsys):
     ("c_2_x = 0, 0.1, 0.2", "keys look like c_<l>_<m>, got 'c_2_x'"),
     ("c_2_0 = 0, 0.1, 0.2\nu_grid = 0, 2, 1",
      "row u_grid must be finite and strictly increasing"),
+    ("c_2_0 = 0.0, nan, 0.1", "news_table row c_2_0 must be finite"),
 ])
 def test_cli_bad_news_table_exits_2(tmp_path, capsys, row, message):
     cfgfile = tmp_path / "table.cfg"
@@ -271,6 +274,30 @@ def test_non_finite_parameters_rejected(name):
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ConfigError, match=name):
             ScenarioConfig(**{name: bad}).validate()
+
+
+_FLOAT_KEYS = [(section, key, attr)
+               for (section, key), (attr, conv) in _SCHEMA.items()
+               if conv is float]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section, key, attr", _FLOAT_KEYS)
+def test_parse_config_rejects_non_finite_floats(section, key, attr, bad):
+    text = f"preset = bondi-quadrupole\n[{section}]\n{key} = {bad}\n"
+    with pytest.raises(ConfigError, match=f"{attr} must be finite"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("flag, attr", [
+    ("--u0", "u0"), ("--u1", "u_end"), ("--du", "du"),
+    ("--tolerance-scale", "tolerance_scale")])
+def test_cli_non_finite_flag_exits_2(capsys, flag, attr, bad):
+    code = run_cli(["adm", "--preset", "schwarzschild", flag, bad,
+                    "--ntheta", "8", "--npsi", "16"])
+    assert code == 2
+    assert f"{attr} must be finite" in capsys.readouterr().err
 
 
 def test_cli_adm_nan_mass_exits_2(tmp_path, capsys):
@@ -367,3 +394,27 @@ def test_cli_verify_battery(battery_run):
     assert len(body["checks"]) >= 20
     assert body["passed"] is True
     assert battery_run.stdout.count("[PASS]") >= 20
+
+
+def test_recorded_tolerances_reproduce_the_verdicts_at_scale_10(tmp_path):
+    """At tolerance_scale 10 these checks record the scaled tolerance they
+    compared against, so each flag is recomputable from the recorded value
+    and tolerance."""
+    from admbondi import verify
+    checks = {c.name: c.as_dict() for c in
+              verify.criterion_8_decay_orders(10.0)
+              + verify.criterion_9_vanishing_news(10.0)}
+    out = tmp_path / "evolve.json"
+    assert run_cli(["bondi-evolve", "--preset", "bondi-quadrupole", "--u1", "1",
+                    "--du", "0.1", "--ntheta", "8", "--npsi", "16",
+                    "--tolerance-scale", "10", "--out", str(out)]) == 0
+    checks.update({c["name"]: c for c in json.loads(out.read_text())["checks"]})
+    verdicts = {
+        "c8.schwarzschild_bondi_a11_order": (0.1, lambda v, t: abs(v - 3.0) <= t),
+        "c9.slice_pmt_margin": (1e-4, lambda v, t: v >= -t),
+        "evolve.mass_nonincreasing": (1e-9, lambda v, t: v <= t),
+    }
+    for name, (base, verdict) in verdicts.items():
+        c = checks[name]
+        assert c["tolerance"] == base * 10.0, name
+        assert c["passed"] == verdict(c["value"], c["tolerance"]), name

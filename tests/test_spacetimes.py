@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from admbondi.errors import DomainError
+from admbondi.geometry import _jdd
+from admbondi.jets import value
 from admbondi.spacetimes import (KerrParameters, SliceSpec, bondi_functions,
                                  bondi_metric, bondi_slice_embedding,
                                  hyperboloid_embedding, kerr, minkowski,
@@ -43,6 +45,13 @@ class StaticNews:
 
     def sup_news_estimate(self):
         return abs(self._c), abs(self._d)
+
+
+def lorentzian(g):
+    """True when the 4x4 components g, indexed [a, b, <leaf>], have
+    signature (-, +, +, +) at every point of the leaf."""
+    ev = np.linalg.eigvalsh(np.moveaxis(g, (0, 1), (-2, -1)))
+    return bool(np.all(ev[..., 0] < 0) and np.all(ev[..., 1:] > 0))
 
 
 def rand_points(rng, n, rlo, rhi):
@@ -148,7 +157,7 @@ def test_kerr_interior_rejected():
 def test_kerr_lorentzian_signature(rng):
     g = kerr(KerrParameters(1.0, 0.9))
     for pt in rand_points(rng, 6, 3.0, 20.0):
-        assert g.signature_ok(list(pt))
+        assert lorentzian(g.components(list(pt)))
 
 
 def test_bondi_reduces_to_schwarzschild_retarded(rng):
@@ -252,7 +261,7 @@ def test_catalog_metrics_symmetric_and_lorentzian(rng):
         for pt in rand_points(rng, 3, 6.0, 20.0):
             comp = g.components(list(pt))
             assert np.allclose(comp, comp.T)
-            assert g.signature_ok(list(pt))
+            assert lorentzian(comp)
 
 
 def test_metric_first_derivs_match_fd(rng):
@@ -293,20 +302,16 @@ def test_embedding_first_derivs_match_fd(rng):
                 assert np.max(np.abs(got - ref) / scale) <= 1e-6, emb.name
 
 
-def test_spacetime_point_record():
-    from admbondi.geometry import SpacetimePoint
-    g = schwarzschild(1.0, "static")
-    pt = SpacetimePoint("polar", (0.0, 8.0, 1.1, 0.3))
-    assert np.allclose(g.components(pt), g.components([0.0, 8.0, 1.1, 0.3]))
-
-
 def test_metric_second_derivs_match_fd(rng):
     g = schwarzschild(1.0, "static")
     h = 1e-4
     for _ in range(5):
         pt = [0.0, rng.uniform(5.0, 20.0), rng.uniform(0.5, 2.6),
               rng.uniform(0.0, 6.2)]
-        dd = g.second_derivs(pt)
+        gj = g.jets(pt, order=2)
+        dd = np.array([[[[value(_jdd(gj[a][b], c, e)) for b in range(4)]
+                         for a in range(4)] for e in range(4)]
+                       for c in range(4)])
         for c in range(4):
             for e in range(4):
                 up = list(pt); up[c] += h; up[e] += h
@@ -333,20 +338,19 @@ def _oracle_metrics():
 
 @pytest.mark.parametrize("index", range(5))
 def test_array_points_match_per_point_evaluation(index, rng):
-    """components, first_derivs and second_derivs over a (4, n) point array
-    equal the per-point results column by column, bit for bit."""
+    """components and first_derivs over a (4, n) point array equal the
+    per-point results column by column, bit for bit."""
     g = _oracle_metrics()[index]
     x = np.array([rng.uniform(-1, 1, 6), rng.uniform(6.0, 25.0, 6),
                   rng.uniform(0.4, 2.7, 6), rng.uniform(0.0, 6.2, 6)])
-    for method, shape in (("components", (4, 4)), ("first_derivs", (4, 4, 4)),
-                          ("second_derivs", (4, 4, 4, 4))):
+    for method, shape in (("components", (4, 4)), ("first_derivs", (4, 4, 4))):
         got = getattr(g, method)(x)
         assert got.shape == shape + (6,), (g.name, method)
         for k in range(6):
             ref = getattr(g, method)([float(v) for v in x[:, k]])
             assert ref.shape == shape
             assert np.array_equal(got[..., k], ref), (g.name, method, k)
-    assert g.signature_ok(x)
+    assert lorentzian(g.components(x))
 
 
 @pytest.mark.parametrize("metric, r_bad, text", [
