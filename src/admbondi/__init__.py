@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .errors import ConfigError, DomainError
 from .sphere import (SphereGrid, SphereField, build_grid, integrate,
-                     project_multipole, angular_derivative, direction_functions)
+                     project_multipole, direction_functions)
 from .geometry import (Metric4Evaluator, Embedding, FrameField,
                        InitialData, ConstraintQuantities, euclidean_frame,
                        hyperboloid_frame, christoffel4, ricci_tensor,

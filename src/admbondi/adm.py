@@ -53,36 +53,39 @@ def _require_euclidean(data):
             f"got frame kind {data.frame.kind!r}")
 
 
-def _node_arrays(grid, r):
-    T, P = grid.nodes()
-    return [np.full_like(T, float(r)), T, P]
-
-
 def adm_ladder_samples(data, radii, grid):
     """Surface integrals (E, [P_1, P_2, P_3]) at each rung, one row per
-    radius; a rung's row depends on nothing but its radius."""
+    radius; a rung's row depends on nothing but its radius.
+
+    A rung is evaluated on the grid's axes, r as a (1, 1) array against the
+    theta column and the psi row, so the data's work that depends on r and
+    theta alone runs once per latitude.  The integrands are broadcast to the
+    grid and raveled, so each node sees the same operations and every sum
+    runs over the node-ordered array as on flat nodes."""
     _require_euclidean(data)
     ndir = direction_functions(grid)
     nvec = np.stack([ndir[k].values.ravel() for k in (1, 2, 3)])
     w = grid.weights.ravel()
+    zero = np.zeros(grid.shape)
 
     def samples_at(r):
-        coords = _node_arrays(grid, r)
+        coords = [np.full((1, 1), float(r)), *grid.axes()]
         G, P = data.jets(coords, order=1)
         F = data.frame.components(coords)
-        Fv = np.array([[value(F[i][a]) + np.zeros_like(coords[1])
-                        for a in range(3)] for i in range(3)])
-        gv = np.array([[value(G[i][j]) + np.zeros_like(coords[1])
-                        for j in range(3)] for i in range(3)])
-        hv = np.array([[value(P[i][j]) + np.zeros_like(coords[1])
-                        for j in range(3)] for i in range(3)])
+        Fv = np.array([[value(F[i][a]) + zero for a in range(3)]
+                       for i in range(3)])
+        gv = np.array([[value(G[i][j]) + zero for j in range(3)]
+                       for i in range(3)]).reshape(3, 3, -1)
+        hv = np.array([[value(P[i][j]) + zero for j in range(3)]
+                       for i in range(3)]).reshape(3, 3, -1)
         # d_j g_ij - d_i g_jj, from only the frame-directional derivatives
         # D_k g_ij (Cartesian partials) that the two sums read
-        e_int = np.empty(Fv.shape[1:])
+        e_int = np.empty((3,) + grid.shape)
         for i in range(3):
             div_g = sum(frame_entry(Fv, G[i][j], j) for j in range(3))
             grad_tr = sum(frame_entry(Fv, G[j][j], i) for j in range(3))
             e_int[i] = div_g - grad_tr
+        e_int = e_int.reshape(3, -1)
         energy = np.sum(w * np.einsum("iu,iu->u", e_int, nvec)) \
             * r * r / (16.0 * np.pi)
         trh = np.einsum("jju->u", hv)

@@ -252,14 +252,18 @@ def check_psi_periodicity(exp):
 
 
 def _derived_at(exp, u, th, ps):
-    """(l, lbar, p, pbar) at one point."""
-    cj, dj = exp.news_jets(u, th, ps, order=2)
-    ct = np.cos(th) / np.sin(th)
-    cs = 1.0 / np.sin(th)
+    """(l, lbar, p, pbar) at one point, as order-2 jets over (u, theta, psi).
+
+    The seeds are nested: the news jets of order 1, which give c_,2 and
+    c_,3, are taken at the outer order-2 jets of the point."""
+    uo, tho, pso = jets.seed([u, th, ps], order=2)
+    cj, dj = exp.news_jets(uo, tho, pso, order=1)
+    ct = jets.cos(tho) / jets.sin(tho)
+    cs = 1.0 / jets.sin(tho)
     cn = (_jf(cj), _jd(cj, 1), _jd(cj, 2))
     dn = (_jf(dj), _jd(dj, 1), _jd(dj, 2))
     return (*l_lbar(cn, dn, ct, cs),
-            *p_pbar(exp.N(u, th, ps), exp.P(u, th, ps), cn, dn, ct, cs))
+            *p_pbar(exp.N(uo, tho, pso), exp.P(uo, tho, pso), cn, dn, ct, cs))
 
 
 def _jet_mismatch(a, b):

@@ -165,7 +165,11 @@ def _apply_flags(cfg, args):
     if args.radii:
         cfg.radii = tuple(float(x) for x in args.radii.split(","))
     if args.u0 is not None:
-        cfg.u0 = args.u0
+        # the start of an evolution, the slice time of every other command
+        if args.subcommand == "bondi-evolve":
+            cfg.u_start = args.u0
+        else:
+            cfg.u0 = args.u0
     if args.u1 is not None:
         cfg.u_end = args.u1
     if args.du is not None:
@@ -424,8 +428,9 @@ def build_parser():
     ap.add_argument("--ntheta", type=int)
     ap.add_argument("--npsi", type=int)
     ap.add_argument("--radii", help="comma-separated radius ladder")
-    ap.add_argument("--u0", type=float)
-    ap.add_argument("--u1", type=float)
+    ap.add_argument("--u0", type=float,
+                    help="slice time; for bondi-evolve, the start time")
+    ap.add_argument("--u1", type=float, help="end time of bondi-evolve")
     ap.add_argument("--du", type=float)
     ap.add_argument("--tolerance-scale", type=float, dest="tolerance_scale")
     return ap

@@ -150,9 +150,10 @@ def charge_integrand(data, coords3):
     background connection enters in closed form.
 
     The coordinates are scalars or arrays that broadcast together, and both
-    integrands take their broadcast shape.  A column of radii against a row
-    of nodes, ``[r[:, None], theta, psi]``, gives one row per radius while
-    the data evaluate their angular terms once per node.  Only the entries
+    integrands take their broadcast shape.  Radii, theta rows and psi on
+    three axes, ``[r[:, None, None], theta[:, None], psi[None, :]]``, give
+    one (theta, psi) grid per radius while the data evaluate each term once
+    per combination of the axes it depends on.  Only the entries
     the integrands read are built: structural zeros of the frame and of the
     connection are skipped.
     """
@@ -238,11 +239,14 @@ class NullCharges:
 def null_energy_momentum(data, radii, grid=None, check_decay=True):
     """E_nu and P_nu,k over the radius ladder, with the order gate.
 
-    The integrands are evaluated radius by node: the nodes are split into
-    one contiguous block per rung, and each block is evaluated at every
-    radius at once (a column of radii against the block's nodes), so each
-    evaluation has one rung's worth of points while the data's angular work
-    runs once per node.  Each rung then sums its full row of nodes.
+    The integrands are evaluated radius by latitude: the grid's theta rows
+    are split into one contiguous block per rung (fewer when there are
+    fewer rows than rungs), and each block is evaluated at every radius at
+    once, on ``[radii[:, None, None], theta[rows], psi]`` from the grid's
+    axes.  Each evaluation has about one rung's worth of points, while the
+    data's work that depends on theta alone runs once per latitude, on
+    (theta, psi) once per node and on psi once per block.  Each rung then
+    sums its full row of nodes, raveled in node order.
 
     Components whose fitted decay order falls below ``TAU_GATE`` make the
     charges unreliable; the per-component fits are always reported so the
@@ -264,13 +268,16 @@ def null_energy_momentum(data, radii, grid=None, check_decay=True):
                 "slowest deviation order %.3f is below the gate %.2f; "
                 "charges may not be limits", min(finite), TAU_GATE)
 
-    T, Ps = grid.nodes()
-    column = np.array(radii)[:, None]
-    e_int = np.empty((len(radii), T.size))
+    theta, psi = grid.axes()
+    column = np.array(radii)[:, None, None]
+    e_int = np.empty((len(radii),) + grid.shape)
     p_int = np.empty((3,) + e_int.shape)
-    for cols in np.array_split(np.arange(T.size), len(radii)):
-        e_int[:, cols], p_int[:, :, cols] = charge_integrand(
-            data, [column, T[cols], Ps[cols]])
+    for rows in np.array_split(np.arange(grid.n_theta),
+                               min(len(radii), grid.n_theta)):
+        e_int[:, rows], p_int[:, :, rows] = charge_integrand(
+            data, [column, theta[rows], psi])
+    e_int = e_int.reshape(len(radii), -1)
+    p_int = p_int.reshape(3, len(radii), -1)
 
     def samples_at(rung):
         r, e_row, p_row = rung

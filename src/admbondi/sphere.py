@@ -1,4 +1,4 @@
-"""Sampling, quadrature and angular differentiation on the unit sphere.
+"""Sampling and quadrature on the unit sphere.
 
 Nodes are a tensor product of Gauss-Legendre points in cos(theta) with a
 uniform grid in psi.  Both pole rows are excluded by construction, which keeps
@@ -7,10 +7,13 @@ node.  The quadrature integrates cos^k(theta) cos(m psi) and
 cos^k(theta) sin(m psi) exactly for k <= 2 n_theta - 1 and m < n_psi, hence
 products of spherical polynomials up to degree n_theta - 1 in cos(theta) and
 Fourier modes up to n_psi/2 - 1.
+
+A field that depends on theta or psi alone can be evaluated on the grid's
+axes (``SphereGrid.axes``), once per latitude or per meridian, and broadcast
+to the nodes.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -18,37 +21,8 @@ from .errors import ConfigError, DomainError
 
 __all__ = [
     "SphereGrid", "SphereField",
-    "build_grid", "integrate", "project_multipole", "angular_derivative",
-    "direction_functions",
+    "build_grid", "integrate", "project_multipole", "direction_functions",
 ]
-
-_STENCIL = 9  # 8th-order local polynomial fit for theta derivatives
-
-
-def _fd_weights(x, x0, m):
-    """Fornberg weights for the m-th derivative at x0 on arbitrary nodes x."""
-    n = len(x)
-    w = np.zeros((m + 1, n))
-    w[0, 0] = 1.0
-    c1 = 1.0
-    c4 = x[0] - x0
-    for i in range(1, n):
-        mn = min(i, m)
-        c2 = 1.0
-        c5 = c4
-        c4 = x[i] - x0
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    w[k, i] = c1 * (k * w[k - 1, i - 1] - c5 * w[k, i - 1]) / c2
-                w[0, i] = -c1 * c5 * w[0, i - 1] / c2
-            for k in range(mn, 0, -1):
-                w[k, j] = ((x[i] - x0) * w[k, j] - k * w[k - 1, j]) / c3
-            w[0, j] = (x[i] - x0) * w[0, j] / c3
-        c1 = c2
-    return w[m]
 
 
 @dataclass(frozen=True)
@@ -61,15 +35,18 @@ class SphereGrid:
     psi: np.ndarray            # (n_psi,), uniform on [0, 2*pi)
     weights: np.ndarray        # (n_theta, n_psi), sums to 4*pi
 
+    def axes(self):
+        """theta as an (n_theta, 1) column and psi as a (1, n_psi) row.
+
+        They broadcast to ``shape``, whose C order is the node order of
+        ``nodes``: a field of the two axes, raveled, is the field at the
+        nodes."""
+        return self.theta[:, None], self.psi[None, :]
+
     def nodes(self):
         """Flattened (theta, psi) arrays over all nodes, C-ordered."""
         T, P = np.meshgrid(self.theta, self.psi, indexing="ij")
         return T.ravel(), P.ravel()
-
-    @cached_property
-    def _dtheta(self):
-        """theta-derivative matrix, built on the first angular_derivative."""
-        return _theta_derivative_matrix(self.theta)
 
     @property
     def shape(self):
@@ -104,17 +81,6 @@ def build_grid(n_theta, n_psi):
     psi = np.arange(n_psi) * (2.0 * np.pi / n_psi)
     weights = np.outer(w_theta, np.full(n_psi, 2.0 * np.pi / n_psi))
     return SphereGrid(int(n_theta), int(n_psi), theta, psi, weights)
-
-
-def _theta_derivative_matrix(theta):
-    n = len(theta)
-    width = min(_STENCIL, n)
-    D = np.zeros((n, n))
-    for i in range(n):
-        lo = min(max(0, i - width // 2), n - width)
-        idx = np.arange(lo, lo + width)
-        D[i, idx] = _fd_weights(theta[idx], theta[i], 1)
-    return D
 
 
 class SphereField:
@@ -168,18 +134,3 @@ def project_multipole(f, nu):
         raise ValueError(f"multipole index must be 0..3, got {nu!r}")
     n = direction_functions(f.grid)[nu]
     return integrate(f * n) / (4.0 * np.pi)
-
-
-def angular_derivative(f, axis):
-    """Differentiate a field in theta (local 8th-order fit) or psi (spectral)."""
-    if axis in ("theta", 2):
-        return SphereField(f.grid, f.grid._dtheta @ f.values)
-    if axis in ("psi", 3):
-        n_psi = f.grid.n_psi
-        spec = np.fft.rfft(f.values, axis=1)
-        m = np.arange(spec.shape[1])
-        fac = 1j * m
-        if n_psi % 2 == 0:
-            fac[-1] = 0.0  # Nyquist mode has no well-defined odd derivative
-        return SphereField(f.grid, np.fft.irfft(spec * fac, n=n_psi, axis=1))
-    raise ValueError(f"axis must be 'theta' or 'psi', got {axis!r}")

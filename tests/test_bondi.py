@@ -81,15 +81,17 @@ def test_derived_zero_news(grid):
 
 def test_periodicity_check_reads_the_full_p_and_pbar():
     """The derived fields of check_psi_periodicity carry 2N and 2P."""
-    from admbondi.bondi import _derived_at
+    from admbondi.bondi import _derived_at, _jet_mismatch
     exp = make_expansion(ScenarioConfig(preset="bondi-biaxial"))
     bare = BondiExpansion(c=exp.c, d=exp.d, M=exp.M)
     u, th, ps = 0.5, 1.1, 0.4
     l, lbar, p, pbar = _derived_at(exp, u, th, ps)
     l0, lbar0, p0, pbar0 = _derived_at(bare, u, th, ps)
-    assert (l, lbar) == (l0, lbar0)
-    assert p - p0 == pytest.approx(2.0 * exp.N(u, th, ps), rel=1e-12)
-    assert pbar - pbar0 == pytest.approx(2.0 * exp.P(u, th, ps), rel=1e-12)
+    assert _jet_mismatch(l, l0) == 0.0 and _jet_mismatch(lbar, lbar0) == 0.0
+    assert value(p) - value(p0) == pytest.approx(
+        2.0 * exp.N(u, th, ps), rel=1e-12)
+    assert value(pbar) - value(pbar0) == pytest.approx(
+        2.0 * exp.P(u, th, ps), rel=1e-12)
     assert exp.N(u, th, ps) != 0.0 and exp.P(u, th, ps) != 0.0
 
 
@@ -321,6 +323,20 @@ def test_periodicity_detects_violation():
         return 0.1 * jets.sin(th) ** 2 * (ps / (2 * np.pi)) + 0.0 * u
     exp = BondiExpansion(c=c, d=_zero, M=const_M(1.0))
     assert check_psi_periodicity(exp) > 1e-3
+
+
+def test_periodicity_compares_derived_fields_to_second_order():
+    """d = sin^2(theta) psi^3 (psi - 2 pi)^3 / 1000 matches at psi = 0 and
+    2 pi to second order, but d_,333 changes sign between them, so l, which
+    carries d_,3 csc(theta), differs there in its second psi-derivative."""
+    from admbondi.bondi import _derived_at
+
+    def d(u, th, ps):
+        return 1e-3 * jets.sin(th) ** 2 * ps ** 3 * (ps - 2 * np.pi) ** 3 \
+            + 0.0 * u
+    exp = BondiExpansion(c=_zero, d=d, M=const_M(1.0))
+    assert all(x.dd is not None for x in _derived_at(exp, 0.0, 1.3, 0.0))
+    assert check_psi_periodicity(exp) > 1.0
 
 
 def test_polar_average_condition():

@@ -1,7 +1,8 @@
 """The ADM and null charge integrands read only the frame-derivative entries
 they need; they must equal the integrands built from every entry, bit for
 bit, and must not build rank-3 arrays over the nodes.  The null ladder,
-evaluated radius by node, must equal the ladder evaluated rung by rung."""
+evaluated radius by latitude, must equal the ladder evaluated rung by
+rung."""
 
 import tracemalloc
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from admbondi.adm import _node_arrays, adm_ladder_samples, rotated_data
+from admbondi.adm import adm_ladder_samples, rotated_data
 from admbondi.bondi import induced_slice_data
 from admbondi.geometry import (_chart_gradient, _grad, frame_derivative,
                                hyperboloid_frame, pullback_initial_data)
@@ -73,7 +74,8 @@ def _adm_reference(data, grid, r):
     ndir = direction_functions(grid)
     nvec = np.stack([ndir[k].values.ravel() for k in (1, 2, 3)])
     w = grid.weights.ravel()
-    coords = _node_arrays(grid, r)
+    T, Ps = grid.nodes()
+    coords = [np.full_like(T, r), T, Ps]
     G, P = data.jets(coords, order=1)
     F = data.frame.components(coords)
 
@@ -173,15 +175,15 @@ def _traced_peak(fn):
 
 def test_adm_rung_memory_stays_near_the_pullback_peak():
     """One 96x192 Kerr rung needs at most 32 node-sized arrays beyond the
-    peak of its own pullback; building the 27 D_k g_ij as one rank-3 array
-    took 58."""
+    peak of its own pullback on the grid's axes; building the 27 D_k g_ij as
+    one rank-3 array took 58."""
     grid = build_grid(96, 192)
     r = 40.0
     adm_ladder_samples(_KERR, [r], grid)      # the grid's lazy fields
-    coords = _node_arrays(grid, r)
+    coords = [np.full((1, 1), r), *grid.axes()]
     pullback = _traced_peak(lambda: _KERR.jets(coords, order=1))
     rung = _traced_peak(lambda: adm_ladder_samples(_KERR, [r], grid))
-    leaf = coords[1].nbytes
+    leaf = grid.weights.nbytes
     assert (rung - pullback) / leaf <= 32.0
 
 
@@ -206,12 +208,14 @@ _LADDERS = {case: [0.5, 1.0, 2.0, 4.0, 8.0] if case == "hyperboloid"
             else [30.0, 45.0, 70.0, 110.0, 170.0] for case in _NULL}
 
 
+@pytest.mark.parametrize("shape", [(16, 32), (2, 4)])
 @pytest.mark.parametrize("case", sorted(_NULL))
-def test_null_ladder_equals_rung_by_rung(case):
-    """The null ladder evaluated radius by node gives every rung's samples
-    bit for bit as the rungs evaluated one by one; the 512 nodes of a 16x32
-    grid split unevenly into five blocks."""
-    grid = build_grid(16, 32)
+def test_null_ladder_equals_rung_by_rung(case, shape):
+    """The null ladder evaluated radius by latitude gives every rung's
+    samples bit for bit as the rungs evaluated one by one on the flat nodes;
+    the 16 theta rows of a 16x32 grid split unevenly into five blocks, and
+    the 2 rows of a 2x4 grid are fewer than the five rungs."""
+    grid = build_grid(*shape)
     radii = _LADDERS[case]
     ch = null_energy_momentum(_NULL[case], radii, grid, check_decay=False)
     ref_E, ref_P = _ladder_reference(_NULL[case], radii, grid)
@@ -222,16 +226,17 @@ def test_null_ladder_equals_rung_by_rung(case):
 
 def test_null_ladder_memory_stays_near_one_block():
     """The 48x96, 5-radius null ladder needs at most 32 node-sized arrays
-    beyond the peak of one of its blocks (its assembled E and P rows are
-    20, and it reads 27); evaluating all five rungs in one call took 332."""
+    beyond the peak of one of its blocks of theta rows (its assembled E and
+    P rows are 20, and it reads 27); evaluating all five rungs in one call
+    took 332."""
     grid = build_grid(48, 96)
     radii = _LADDERS["bondi-biaxial"]
     data = _NULL["bondi-biaxial"]
     null_energy_momentum(data, radii, grid, check_decay=False)
-    T, Ps = grid.nodes()
-    cols = np.array_split(np.arange(T.size), len(radii))[0]
+    theta, psi = grid.axes()
+    rows = np.array_split(np.arange(grid.n_theta), len(radii))[0]
     block = _traced_peak(lambda: charge_integrand(
-        data, [np.array(radii)[:, None], T[cols], Ps[cols]]))
+        data, [np.array(radii)[:, None, None], theta[rows], psi]))
     ladder = _traced_peak(lambda: null_energy_momentum(data, radii, grid,
                                                        check_decay=False))
-    assert (ladder - block) / T.nbytes <= 32.0
+    assert (ladder - block) / grid.weights.nbytes <= 32.0

@@ -1,6 +1,7 @@
 """Radius ladders evaluated once over stacked rungs: the per-rung sup-norms
 equal those of a rung-by-rung evaluation bit for bit, a NaN still names its
-radius, and the converge study reuses its coarse rungs exactly."""
+radius, and the converge study reuses its coarse rungs exactly.  Slice data
+evaluated on the sphere grid's axes equal the data on its flat nodes."""
 
 import json
 
@@ -24,8 +25,7 @@ from admbondi.spacetimes import (KerrParameters, SliceSpec, bondi_metric,
                                  bondi_slice_embedding, hyperboloid_embedding,
                                  kerr, minkowski, schwarzschild,
                                  t_const_embedding)
-from admbondi.sphere import (_theta_derivative_matrix, angular_derivative,
-                             build_grid)
+from admbondi.sphere import build_grid
 
 # no shrinking: each example evaluates whole ladders, and the first failing
 # example already names the key, component or rung at fault
@@ -103,6 +103,62 @@ def test_null_decay_fits_stacked_equal_per_rung(case, amplitude, u0, r0, ratio,
         assert np.array_equal(np.asarray(fit.sups), ref), comp
 
 
+def _entries(x):
+    """The value and every derivative entry of a (nested) jet, depth first;
+    a plain number is its own single entry."""
+    if not isinstance(x, jets.Jet):
+        return [x]
+    out = _entries(x.f)
+    for d in x.d:
+        out += _entries(d)
+    for row in x.dd or ():
+        for dd in row:
+            out += _entries(dd)
+    return out
+
+
+@settings(_SETTINGS, max_examples=24)
+@given(case=st.sampled_from(["schwarzschild", "kerr", "bondi-quadrupole",
+                             "bondi-biaxial"]),
+       amplitude=st.floats(0.02, 0.1), u0=st.floats(0.0, 3.0),
+       r0=st.floats(5.0, 40.0), ratio=st.floats(1.3, 2.5),
+       n=st.integers(1, 5), order=st.sampled_from([1, 2]), shape=_GRIDS)
+def test_data_jets_on_the_axes_equal_the_flat_nodes(case, amplitude, u0, r0,
+                                                    ratio, n, order, shape):
+    """data.jets on the grid's axes, broadcast to the grid and raveled,
+    equals data.jets on the flat nodes in every value and derivative entry,
+    bit for bit with zero signs: ADM data one rung at a time on
+    [r (1, 1), theta column, psi row], null data the whole ladder at once on
+    [radii[:, None, None], theta column, psi row]."""
+    grid = build_grid(*shape)
+    radii = np.array(_ladder(r0, ratio, n))
+    theta, psi = grid.axes()
+    T, P = grid.nodes()
+    if case in ("schwarzschild", "kerr"):
+        metric = (schwarzschild(1.0, "static") if case == "schwarzschild"
+                  else kerr(KerrParameters(1.0, 0.6)))
+        data = pullback_initial_data(metric, t_const_embedding(),
+                                     euclidean_frame())
+        layouts = [([np.full((1, 1), r), theta, psi],
+                    [np.full_like(T, r), T, P]) for r in radii]
+    else:
+        data = _null_data(case, amplitude, u0)
+        layouts = [([radii[:, None, None], theta, psi],
+                     [radii[:, None], T, P])]
+    for on_axes, flat in layouts:
+        leaf = np.broadcast_shapes(*map(np.shape, flat))
+        got = [_entries(x) for X in data.jets(on_axes, order) for row in X
+               for x in row]
+        ref = [_entries(x) for X in data.jets(flat, order) for row in X
+               for x in row]
+        assert [len(e) for e in got] == [len(e) for e in ref], case
+        for g, f in zip(sum(got, []), sum(ref, [])):
+            g = np.broadcast_to(g, leaf[:-1] + grid.shape).reshape(leaf)
+            f = np.broadcast_to(f, leaf)
+            assert np.array_equal(g, f), case
+            assert np.array_equal(np.signbit(g), np.signbit(f)), case
+
+
 @settings(_SETTINGS, max_examples=6)
 @given(preset=st.sampled_from(["bondi-quadrupole", "bondi-biaxial"]),
        amplitude=st.floats(0.02, 0.1), a3=st.sampled_from([0.0, 0.02]),
@@ -177,17 +233,6 @@ def test_converge_reuses_the_coarse_rungs(tmp_path):
     assert charges["E_coarse"] == adm_energy_momentum(data, ladder, grid).E
     assert charges["E_longer"] == adm_energy_momentum(data, ladder + [160.0],
                                                       grid).E
-
-
-def test_theta_derivative_matrix_is_built_on_first_use():
-    grid = build_grid(10, 8)
-    assert "_dtheta" not in vars(grid)
-    T, P = grid.nodes()
-    f = grid.field(np.cos(3.0 * T) * np.sin(P))
-    got = angular_derivative(f, "theta").values
-    assert "_dtheta" in vars(grid)
-    assert np.array_equal(got, _theta_derivative_matrix(grid.theta) @ f.values)
-    assert np.array_equal(angular_derivative(f, "theta").values, got)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -244,7 +244,8 @@ def test_schw_bondi_charges(schw_slice):
 def test_charges_with_fd_connection_agree(schw_slice):
     # swap the closed-form background connection for the finite-difference
     # oracle inside the integrand and compare the resulting charges; the
-    # oracle is called once per node block, at every radius of the ladder
+    # oracle is called once per block of theta rows, at every radius of the
+    # ladder
     import admbondi.nullcharges as nc
     grid = build_grid(16, 32)
     ladder = [20.0, 40.0, 80.0]
@@ -266,8 +267,8 @@ def test_charges_with_fd_connection_agree(schw_slice):
                                    check_decay=False)
     finally:
         nc.background_connection = orig
-    # 512 nodes in three blocks
-    assert calls == [(3, 171), (3, 171), (3, 170)]
+    # 16 theta rows in three blocks
+    assert calls == [(3, 6, 1), (3, 5, 1), (3, 5, 1)]
     assert np.max(np.abs(base.E_values() - alt.E_values())) <= 1e-8
     assert np.max(np.abs(base.P_values() - alt.P_values())) <= 1e-8
 

@@ -235,6 +235,20 @@ def test_cli_bondi_evolve_csv(tmp_path):
     assert len(lines) == 22
 
 
+def test_cli_bondi_evolve_starts_at_u0(tmp_path):
+    csv, out = tmp_path / "t.csv", tmp_path / "r.json"
+    assert run_cli(["bondi-evolve", "--preset", "bondi-quadrupole",
+                    "--u0", "3", "--u1", "5", "--du", "0.5", "--ntheta", "8",
+                    "--npsi", "16", "--csv", str(csv), "--out", str(out)]) == 0
+    rows = csv.read_text().strip().split("\n")[1:]
+    assert [float(r.split(",")[0]) for r in rows] == [3.0, 3.5, 4.0, 4.5, 5.0]
+    assert json.loads(out.read_text())["samples"]["u"] == [3.0, 5.0]
+    # a start at or past the end is an empty range, not a silent default
+    assert run_cli(["bondi-evolve", "--preset", "bondi-quadrupole",
+                    "--u0", "5", "--u1", "5", "--ntheta", "8",
+                    "--npsi", "16"]) == 2
+
+
 def test_cli_null_order_gate_failure(capsys):
     # a slice with nonvanishing news has order ~1 and must fail the gate
     code = run_cli(["null", "--preset", "bondi-biaxial",

@@ -1,12 +1,12 @@
-"""Quadrature exactness, multipole projection and angular derivatives."""
+"""Quadrature exactness and multipole projection."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from admbondi.errors import ConfigError, DomainError
-from admbondi.sphere import (angular_derivative, build_grid, direction_functions,
-                             integrate, project_multipole)
+from admbondi.sphere import (build_grid, direction_functions, integrate,
+                             project_multipole)
 
 FOUR_PI = 4.0 * np.pi
 
@@ -127,35 +127,6 @@ def test_pairwise_direction_products_exact():
             else:
                 ref = (1.0 / 3.0) if mu == nu else 0.0
             assert got == pytest.approx(ref, abs=1e-12), (mu, nu)
-
-
-def test_theta_derivative_accuracy():
-    g = build_grid(32, 64)
-    f = sample(g, lambda T, P: np.cos(T))
-    df = angular_derivative(f, "theta")
-    ref = sample(g, lambda T, P: -np.sin(T))
-    assert np.max(np.abs(df.values - ref.values)) <= 1e-8
-
-
-def test_psi_derivative_spectral():
-    g = build_grid(32, 64)
-    f = sample(g, lambda T, P: np.sin(P))
-    df = angular_derivative(f, "psi")
-    ref = sample(g, lambda T, P: np.cos(P))
-    assert np.max(np.abs(df.values - ref.values)) <= 1e-12
-    # pure harmonics below Nyquist differentiate to round-off
-    for k in (3, 11, 31):
-        f = sample(g, lambda T, P: np.cos(k * P))
-        df = angular_derivative(f, "psi")
-        ref = sample(g, lambda T, P: -k * np.sin(k * P))
-        assert np.max(np.abs(df.values - ref.values)) <= 1e-10, k
-
-
-def test_derivative_of_constant_is_zero():
-    g = build_grid(16, 32)
-    f = sample(g, lambda T, P: 1.0)
-    for axis in ("theta", "psi"):
-        assert np.max(np.abs(angular_derivative(f, axis).values)) <= 1e-12
 
 
 def test_integrate_is_linear(rng):
