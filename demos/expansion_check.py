@@ -7,10 +7,9 @@ faster.  Every coefficient function is switched on so that every displayed
 term is exercised.
 """
 
-import numpy as np
-
 import admbondi.jets as jx
 from admbondi.bondi import BondiExpansion, expansion_consistency
+from admbondi.ladder import slowest_order
 
 Ac, Ad = 0.08, 0.05
 
@@ -57,5 +56,6 @@ for name, fit in report.items():
     sups = "  ".join(f"{s:.2e}" for s in fit.sups)
     print(f"{name:>10}  {tag:>12}  {sups}")
 print()
-slow = min((f.exponent for f in report.values() if not f.exact), default=np.inf)
-print(f"slowest fitted order: {slow:.3f} (consistency requires >= 3.3)")
+slow_name, slow = slowest_order(report)
+print(f"slowest fitted order: {slow:.3f} in {slow_name} "
+      "(consistency requires >= 3.3)")

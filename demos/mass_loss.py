@@ -8,6 +8,8 @@ this script.
 
 import pathlib
 
+import numpy as np
+
 import admbondi.jets as jx
 from admbondi.bondi import (BondiExpansion, evolve_energy_momentum,
                             flux_holder_margin, mass_loss_margin,
@@ -38,7 +40,8 @@ print(f"constant flux F_0 = {traj.flux[0, 0]:.12f} (closed form {F0:.12f})")
 print(f"m_0(10) = {traj.m[-1, 0]:.12f} (closed form {1.0 - 10.0 * F0:.12f})")
 print(f"worst d/du (m_0 - |m|) = {mass_loss_margin(traj):.3e}  (<= 0 expected)")
 print(f"flux chain margin min(F_0 - |F_vec|) = {flux_holder_margin(traj.flux):.3e}")
-print(f"monotone: mass={traj.mass_monotone} margin={traj.margin_monotone}")
+print(f"largest step of m_0 = {np.max(np.diff(traj.m[:, 0])):.3e}  "
+      "(<= 0 expected)")
 
 out = pathlib.Path(__file__).with_name("mass_loss_trajectory.csv")
 out.write_text(trajectory_csv(traj))

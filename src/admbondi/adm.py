@@ -24,7 +24,7 @@ from .ladder import (LadderFit, fit_decay_exponent, fit_inverse_powers,
 from .sphere import build_grid, direction_functions
 
 __all__ = ["AdmCharges", "adm_energy_momentum", "adm_ladder_samples",
-           "fit_adm_charges", "check_af_decay",
+           "fit_adm_charges", "check_af_decay", "AF_DECAY_SLACK",
            "check_dec_flat", "check_pmt_flat", "rotated_data"]
 
 
@@ -117,6 +117,7 @@ def _hess(x, a, b):
 
 
 _REQUIRED_ORDERS = {"g": 1.0, "dg": 2.0, "ddg": 3.0, "h": 2.0, "dh": 3.0}
+AF_DECAY_SLACK = 0.3
 
 
 def _decay_sups(data, coords, n_rungs):
@@ -152,9 +153,9 @@ def _decay_sups(data, coords, n_rungs):
 def check_af_decay(data, radii, grid=None):
     """Fitted decay exponents of (g - delta), dg, ddg, h, dh sup-norms.
 
-    Exponents may come out 'exact' when a class vanishes identically (e.g.
-    h of a time-symmetric slice).  A component is flagged when it decays
-    slower than its required order minus a slack of 0.3.
+    Exponents may come out 'exact' (inf) when a class vanishes identically
+    (e.g. h of a time-symmetric slice).  A component decays fast enough when
+    its exponent minus its ``required`` order is at least -AF_DECAY_SLACK.
     """
     _require_euclidean(data)
     radii = list(radii)
@@ -165,9 +166,8 @@ def check_af_decay(data, radii, grid=None):
     sups = _decay_sups(data, stacked_rungs(grid, radii), len(radii))
     out = {}
     for key, req in _REQUIRED_ORDERS.items():
-        fit = fit_decay_exponent(radii, sups[key])
-        ok = fit.exact or fit.exponent >= req - 0.3
-        out[key] = {"fit": fit, "required": req, "ok": bool(ok)}
+        out[key] = {"fit": fit_decay_exponent(radii, sups[key]),
+                    "required": req}
     return out
 
 

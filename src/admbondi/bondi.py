@@ -157,15 +157,6 @@ class EnergyMomentumTrajectory:
     flux: np.ndarray           # (n, 4)
     margin: np.ndarray         # m_0 - |m|
     dmargin_du: np.ndarray     # discrete derivative, forward differences
-    monotone_tol: float = 1e-9
-
-    @property
-    def mass_monotone(self):
-        return bool(np.all(np.diff(self.m[:, 0]) <= self.monotone_tol))
-
-    @property
-    def margin_monotone(self):
-        return bool(np.all(np.diff(self.margin) <= self.monotone_tol))
 
 
 def _u_samples(u_start, u_end, du, end="u_end"):

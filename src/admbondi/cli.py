@@ -31,6 +31,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from .ladder import slowest_order
 from .reports import ChargeReport, CheckResult, write_json
 from .scenarios import (ADM_PRESETS, ScenarioConfig, make_a3, make_adm_data,
                         make_expansion)
@@ -201,13 +202,18 @@ def _known_mass(cfg):
     return 0.0 if cfg.preset == "minkowski" else cfg.mass
 
 
+def _exponents(fits):
+    """The report's decay_exponents: each fit's exponent, or "exact"."""
+    return {k: "exact" if f.exact else f.exponent for k, f in fits.items()}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_adm(cfg):
-    from .adm import adm_energy_momentum, check_af_decay, check_dec_flat, \
-        check_pmt_flat
+    from .adm import (AF_DECAY_SLACK, adm_energy_momentum, check_af_decay,
+                      check_dec_flat, check_pmt_flat)
     scale = cfg.tolerance_scale
     data = make_adm_data(cfg)
     radii = _default_radii(cfg, "adm")
@@ -220,19 +226,17 @@ def cmd_adm(cfg):
     pmt = check_pmt_flat(ch)
     m0 = _known_mass(cfg)
     checks = [
-        CheckResult("adm.energy_matches_preset_mass",
-                    abs(ch.E - m0) <= max(1e-2 * m0, 1e-9) * scale,
-                    ch.E - m0, max(1e-2 * m0, 1e-9) * scale),
-        CheckResult("adm.momentum_small",
-                    float(np.max(np.abs(ch.P))) <= 1e-4 * scale,
-                    float(np.max(np.abs(ch.P))), 1e-4 * scale),
+        CheckResult("adm.energy_matches_preset_mass", ch.E - m0,
+                    max(1e-2 * m0, 1e-9) * scale, "abs(value) <= tolerance"),
+        CheckResult("adm.momentum_small", np.max(np.abs(ch.P)), 1e-4 * scale,
+                    "value <= tolerance"),
         CheckResult("adm.decay_orders_ok",
-                    all(v["ok"] for v in decay.values()),
-                    min((v["fit"].exponent if not v["fit"].exact else np.inf)
-                        - v["required"] for v in decay.values()), 0.3),
-        CheckResult("adm.dec_margin", float(np.min(dec)) >= -1e-5 * scale,
-                    float(np.min(dec)), 1e-5 * scale),
-        CheckResult("adm.pmt_margin", pmt >= -1e-6 * scale, pmt, 1e-6 * scale),
+                    min(v["fit"].exponent - v["required"]
+                        for v in decay.values()),
+                    AF_DECAY_SLACK, "value >= -tolerance"),
+        CheckResult("adm.dec_margin", np.min(dec), 1e-5 * scale,
+                    "value >= -tolerance"),
+        CheckResult("adm.pmt_margin", pmt, 1e-6 * scale, "value >= -tolerance"),
     ]
     report = ChargeReport(
         scenario=cfg.preset, kind="adm",
@@ -243,8 +247,7 @@ def cmd_adm(cfg):
         residuals={"E": ch.energy.residual,
                    "P": [m.residual for m in ch.momentum]},
         dec_min_margin=float(np.min(dec)), pmt_margin=pmt,
-        decay_exponents={k: (v["fit"].exponent if not v["fit"].exact else "exact")
-                         for k, v in decay.items()},
+        decay_exponents=_exponents({k: v["fit"] for k, v in decay.items()}),
         checks=tuple(checks))
     return report, None
 
@@ -271,17 +274,16 @@ def cmd_null(cfg):
     pts = [np.array([max(20.0, radii[0]), 1.5 * max(20.0, radii[0])]),
            np.array([1.1, 2.0]), np.array([0.4, 3.2])]
     dec = check_dec_null(data, pts)
-    finite = [f.exponent for f in ch.decay_orders.values() if not f.exact]
-    slowest = min(finite) if finite else np.inf
+    _, slowest = slowest_order(ch.decay_orders)
     checks = [
-        CheckResult("null.order_gate", slowest >= ch.tau_gate or not finite,
-                    float(slowest if finite else np.inf), ch.tau_gate,
-                    "fitted orders above 3/2 gate"),
-        CheckResult("null.not_diverging", not ch.diverging(),
-                    float(ch.diverging()), 0.0),
-        CheckResult("null.dec_margin", float(np.min(dec)) >= -1e-4 * scale,
-                    float(np.min(dec)), 1e-4 * scale),
-        CheckResult("null.pmt_margin", pmt >= -1e-4 * scale, pmt, 1e-4 * scale),
+        CheckResult("null.order_gate", slowest, ch.tau_gate,
+                    "value >= tolerance", "fitted orders above 3/2 gate"),
+        CheckResult("null.not_diverging", ch.diverging(), 0.0,
+                    "value <= tolerance"),
+        CheckResult("null.dec_margin", np.min(dec), 1e-4 * scale,
+                    "value >= -tolerance"),
+        CheckResult("null.pmt_margin", pmt, 1e-4 * scale,
+                    "value >= -tolerance"),
     ]
     report = ChargeReport(
         scenario=cfg.preset, kind="null",
@@ -291,8 +293,7 @@ def cmd_null(cfg):
         samples={"E0": list(ch.E[0].samples), "radii": list(radii)},
         residuals={"E": [f.residual for f in ch.E]},
         dec_min_margin=float(np.min(dec)), pmt_margin=pmt,
-        decay_exponents={k: (v.exponent if not v.exact else "exact")
-                         for k, v in ch.decay_orders.items()},
+        decay_exponents=_exponents(ch.decay_orders),
         checks=tuple(checks))
     return report, None
 
@@ -307,15 +308,15 @@ def cmd_bondi_evolve(cfg):
     m0 = bondi_energy_momentum(mass_aspect_field(exp, cfg.u_start, grid))
     traj = evolve_energy_momentum(m0, exp, cfg.u_start, cfg.u_end, cfg.du, grid)
     dmax = mass_loss_margin(traj)
-    dm0 = float(np.max(np.diff(traj.m[:, 0])))
+    dm0 = np.max(np.diff(traj.m[:, 0]))
     holder = flux_holder_margin(traj.flux)
     checks = [
-        CheckResult("evolve.margin_nonincreasing", dmax <= 1e-9 * scale,
-                    dmax, 1e-9 * scale),
-        CheckResult("evolve.mass_nonincreasing", dm0 <= 1e-9 * scale,
-                    dm0, 1e-9 * scale),
-        CheckResult("evolve.flux_holder_chain", holder >= -1e-12 * scale,
-                    holder, 1e-12 * scale),
+        CheckResult("evolve.margin_nonincreasing", dmax, 1e-9 * scale,
+                    "value <= tolerance"),
+        CheckResult("evolve.mass_nonincreasing", dm0, 1e-9 * scale,
+                    "value <= tolerance"),
+        CheckResult("evolve.flux_holder_chain", holder, 1e-12 * scale,
+                    "value >= -tolerance"),
     ]
     report = ChargeReport(
         scenario=cfg.preset, kind="bondi",
@@ -335,18 +336,15 @@ def cmd_bondi_slice(cfg):
     a3 = make_a3(cfg)
     radii = _default_radii(cfg, "slice")
     rep = expansion_consistency(exp, u0=cfg.u0, a3=a3, radii=radii)
-    worst, worst_name = np.inf, "exact"
-    for name, fit in rep.items():
-        if not fit.exact and fit.exponent < worst:
-            worst, worst_name = fit.exponent, name
+    worst_name, worst = slowest_order(rep)
     data = _slice_data(cfg)
     ch = null_energy_momentum(data, _default_radii(cfg, "null"), _grid_of(cfg))
     pmt = check_pmt_null(ch)
     checks = [
-        CheckResult("slice.expansion_consistency", worst >= 3.3,
-                    float(worst), 3.3, f"slowest component {worst_name}"),
-        CheckResult("slice.pmt_margin", pmt >= -1e-4 * scale, pmt,
-                    1e-4 * scale),
+        CheckResult("slice.expansion_consistency", worst, 3.3,
+                    "value >= tolerance", f"slowest component {worst_name}"),
+        CheckResult("slice.pmt_margin", pmt, 1e-4 * scale,
+                    "value >= -tolerance"),
     ]
     report = ChargeReport(
         scenario=cfg.preset, kind="null",
@@ -354,8 +352,7 @@ def cmd_bondi_slice(cfg):
         samples={"consistency_radii": list(radii)},
         residuals={},
         pmt_margin=pmt,
-        decay_exponents={k: (v.exponent if not v.exact else "exact")
-                         for k, v in rep.items()},
+        decay_exponents=_exponents(rep),
         checks=tuple(checks))
     return report, None
 
@@ -388,12 +385,12 @@ def cmd_converge(cfg):
     dg = abs(fine.E - coarse.E)
     dl = abs(longer.E - coarse.E)
     checks = [
-        CheckResult("converge.grid_refinement",
-                    dg <= max(coarse.energy.residual, 1e-12) * scale, dg,
-                    max(coarse.energy.residual, 1e-12) * scale),
-        CheckResult("converge.ladder_extension",
-                    dl <= max(10.0 * coarse.energy.residual, 1e-10) * scale,
-                    dl, max(10.0 * coarse.energy.residual, 1e-10) * scale),
+        CheckResult("converge.grid_refinement", dg,
+                    max(coarse.energy.residual, 1e-12) * scale,
+                    "value <= tolerance"),
+        CheckResult("converge.ladder_extension", dl,
+                    max(10.0 * coarse.energy.residual, 1e-10) * scale,
+                    "value <= tolerance"),
     ]
     rows = ["quantity,coarse,fine,delta",
             f"E,{coarse.E:.17e},{fine.E:.17e},{dg:.17e}",

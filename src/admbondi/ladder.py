@@ -12,7 +12,8 @@ import numpy as np
 from .errors import ConfigError, DomainError
 
 __all__ = ["LadderFit", "DecayFit", "fit_inverse_powers", "fit_decay_exponent",
-           "ladder_map", "check_ladder", "stacked_rungs", "rung_max"]
+           "slowest_order", "ladder_map", "check_ladder", "stacked_rungs",
+           "rung_max"]
 
 EXACT_ZERO_FLOOR = 1e-13
 
@@ -45,7 +46,7 @@ class DecayFit:
 
     exponent: float           # inf means identically zero on the ladder
     residual: float
-    exact: bool
+    exact: bool               # exactly when exponent is inf
     sups: tuple = field(default=())
 
     def as_dict(self):
@@ -101,6 +102,13 @@ def fit_decay_exponent(radii, sups, zero_floor=EXACT_ZERO_FLOOR):
     slope, intercept = np.polyfit(lr, ls, 1)
     resid = float(np.max(np.abs(slope * lr + intercept - ls)))
     return DecayFit(float(-slope), resid, False, tuple(s))
+
+
+def slowest_order(fits):
+    """(name, exponent) of the first slowest-decaying of the named DecayFits;
+    ("exact", inf) when every fit is exact or there are none."""
+    return min([("exact", np.inf)] + [(k, f.exponent) for k, f in fits.items()],
+               key=lambda item: item[1])
 
 
 def ladder_map(fn, radii):

@@ -26,8 +26,8 @@ from . import jets
 from .errors import ConfigError
 from .geometry import InitialData, _grad, frame_entry, hyperboloid_frame
 from .jets import value
-from .ladder import (DecayFit, LadderFit, check_ladder, fit_decay_exponent,
-                     fit_inverse_powers, ladder_map, rung_max, stacked_rungs)
+from .ladder import (check_ladder, fit_decay_exponent, fit_inverse_powers,
+                     ladder_map, rung_max, slowest_order, stacked_rungs)
 from .sphere import build_grid, direction_functions
 
 __all__ = [
@@ -262,11 +262,11 @@ def null_energy_momentum(data, radii, grid=None, check_decay=True):
     decay = {}
     if check_decay and len(radii) >= 4:
         decay = decay_orders(data, radii[-4:], build_grid(8, 16))
-        finite = [f.exponent for f in decay.values() if not f.exact]
-        if finite and min(finite) < TAU_GATE:
+        _, slowest = slowest_order(decay)
+        if slowest < TAU_GATE:
             logging.getLogger(__name__).warning(
                 "slowest deviation order %.3f is below the gate %.2f; "
-                "charges may not be limits", min(finite), TAU_GATE)
+                "charges may not be limits", slowest, TAU_GATE)
 
     theta, psi = grid.axes()
     column = np.array(radii)[:, None, None]

@@ -11,32 +11,41 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
-__all__ = ["CheckResult", "ChargeReport", "report_json", "write_json",
-           "SCHEMA_VERSION"]
+__all__ = ["CheckResult", "ChargeReport", "COMPARATORS", "report_json",
+           "write_json", "SCHEMA_VERSION"]
+
+# The pass rules, keyed by the formula a report records.  A NaN value fails
+# each of them; +-inf compares as a number (an exact zero decays at order inf).
+COMPARATORS = {
+    "abs(value) <= tolerance": lambda v, t: abs(v) <= t,
+    "value <= tolerance": lambda v, t: v <= t,
+    "value >= tolerance": lambda v, t: v >= t,
+    "value >= -tolerance": lambda v, t: v >= -t,
+}
 
 
 @dataclass
 class CheckResult:
-    """One named check.  A NaN value fails whatever ``passed`` says, since
-    every comparison with NaN is false and a check written as a negation
-    would pass it; +-inf stays allowed (an exact zero decays at order inf)."""
+    """One named check; ``passed`` is ``COMPARATORS[comparator](value,
+    tolerance)``, so the flag can be recomputed from the report alone."""
 
     name: str
-    passed: bool
     value: float
     tolerance: float
+    comparator: str
     detail: str = ""
+    passed: bool = field(init=False)
 
     def __post_init__(self):
-        if np.isnan(self.value):
-            self.passed = False
+        self.value = float(self.value)
+        self.passed = COMPARATORS[self.comparator](self.value, self.tolerance)
 
     def as_dict(self):
-        return {"name": self.name, "passed": bool(self.passed),
+        return {"name": self.name, "passed": self.passed,
                 "value": _jsonable(self.value), "tolerance": self.tolerance,
-                "detail": self.detail}
+                "comparator": self.comparator, "detail": self.detail}
 
     def line(self):
         status = "PASS" if self.passed else "FAIL"
@@ -89,15 +98,14 @@ def _jsonable(x):
     return x
 
 
-def report_json(body, include_metadata=True):
+def report_json(body):
     """Serialise with sorted keys; metadata block holds the timestamp."""
+    from . import __version__
     out = dict(body)
-    if include_metadata:
-        from . import __version__
-        out["metadata"] = {
-            "generated_at": datetime.now(timezone.utc).isoformat(),
-            "tool_version": __version__,
-        }
+    out["metadata"] = {
+        "generated_at": datetime.now(timezone.utc).isoformat(),
+        "tool_version": __version__,
+    }
     return json.dumps(out, sort_keys=True, indent=2) + "\n"
 
 

@@ -21,6 +21,7 @@ from .geometry import (constraint_quantities, euclidean_frame,
 from .nullcharges import (background_connection, background_connection_fd,
                           decay_orders, estimate_decay_order,
                           null_energy_momentum)
+from .ladder import slowest_order
 from .reports import CheckResult
 from .scenarios import ScenarioConfig, make_expansion
 from .spacetimes import (KerrParameters, bondi_metric, bondi_slice_embedding,
@@ -40,11 +41,6 @@ def _grid():
     return _GRID
 
 
-def _result(name, value, tol, *, detail=""):
-    return CheckResult(name, bool(abs(value) <= tol), float(value), float(tol),
-                       detail)
-
-
 def criterion_1_schwarzschild_adm(scale=1.0):
     t0 = time.perf_counter()
     data = pullback_initial_data(schwarzschild(1.0, "static"),
@@ -53,12 +49,12 @@ def criterion_1_schwarzschild_adm(scale=1.0):
     dt = time.perf_counter() - t0
     tol = 1e-3 * scale
     out = [
-        _result("c1.schwarzschild_adm_energy", ch.E - 1.0, tol,
-                detail=f"E={ch.E:.8f}"),
-        _result("c1.schwarzschild_adm_momentum", float(np.max(np.abs(ch.P))),
-                1e-6 * scale),
-        _result("c1.schwarzschild_adm_runtime", dt, 10.0,
-                detail=f"{dt:.2f}s on 48x96, 4 rungs"),
+        CheckResult("c1.schwarzschild_adm_energy", ch.E - 1.0, tol,
+                    "abs(value) <= tolerance", f"E={ch.E:.8f}"),
+        CheckResult("c1.schwarzschild_adm_momentum", np.max(np.abs(ch.P)),
+                    1e-6 * scale, "abs(value) <= tolerance"),
+        CheckResult("c1.schwarzschild_adm_runtime", dt, 10.0,
+                    "value <= tolerance", f"{dt:.2f}s on 48x96, 4 rungs"),
     ]
     return out
 
@@ -68,10 +64,10 @@ def criterion_2_kerr_adm(scale=1.0):
                                  t_const_embedding(), euclidean_frame())
     ch = adm_energy_momentum(data, [10.0, 20.0, 40.0, 80.0], _grid())
     return [
-        _result("c2.kerr_adm_energy", ch.E - 1.0, 1e-2 * scale,
-                detail=f"E={ch.E:.8f}"),
-        _result("c2.kerr_adm_momentum", float(np.max(np.abs(ch.P))),
-                1e-4 * scale),
+        CheckResult("c2.kerr_adm_energy", ch.E - 1.0, 1e-2 * scale,
+                    "abs(value) <= tolerance", f"E={ch.E:.8f}"),
+        CheckResult("c2.kerr_adm_momentum", np.max(np.abs(ch.P)),
+                    1e-4 * scale, "abs(value) <= tolerance"),
     ]
 
 
@@ -92,10 +88,12 @@ def criterion_3_hyperboloid(scale=1.0):
     rr = rigidity_residual(data, [r[:20], th[:20], ps[:20]])
     rig = float(np.max([np.max(x) for x in rr]))
     return [
-        _result("c3.hyperboloid_pullback_identity", worst, 1e-10 * scale,
-                detail="100 random points"),
-        _result("c3.hyperboloid_null_charges", charge_mag, 1e-12 * scale),
-        _result("c3.hyperboloid_rigidity", rig, 1e-7 * scale),
+        CheckResult("c3.hyperboloid_pullback_identity", worst, 1e-10 * scale,
+                    "abs(value) <= tolerance", "100 random points"),
+        CheckResult("c3.hyperboloid_null_charges", charge_mag, 1e-12 * scale,
+                    "abs(value) <= tolerance"),
+        CheckResult("c3.hyperboloid_rigidity", rig, 1e-7 * scale,
+                    "abs(value) <= tolerance"),
     ]
 
 
@@ -110,7 +108,8 @@ def criterion_4_constraints(scale=1.0):
     cq = constraint_quantities(static, pts)
     worst = float(np.max([np.max(np.abs(cq.mu)), np.max(np.abs(cq.varpi)),
                           np.max(np.abs(cq.sigma))]))
-    out.append(_result("c4.static_slice_constraints", worst, tol))
+    out.append(CheckResult("c4.static_slice_constraints", worst, tol,
+                           "abs(value) <= tolerance"))
 
     cfg = ScenarioConfig(preset="bondi-schwarzschild", mass=1.0)
     exp = make_expansion(cfg)
@@ -122,11 +121,12 @@ def criterion_4_constraints(scale=1.0):
     cq = constraint_quantities(pulled, pts)
     worst = float(np.max([np.max(np.abs(cq.mu)), np.max(np.abs(cq.varpi)),
                           np.max(np.abs(cq.sigma))]))
-    out.append(_result("c4.bondi_slice_constraints", worst, tol,
-                       detail="vacuum slice, r >= 20"))
-    out.append(_result("c4.symmetric_sigma_exact",
-                       float(np.max(np.abs(cq.sigma))), 0.0,
-                       detail="identically zero for symmetric p"))
+    out.append(CheckResult("c4.bondi_slice_constraints", worst, tol,
+                           "abs(value) <= tolerance", "vacuum slice, r >= 20"))
+    out.append(CheckResult("c4.symmetric_sigma_exact",
+                           np.max(np.abs(cq.sigma)), 0.0,
+                           "abs(value) <= tolerance",
+                           "identically zero for symmetric p"))
     return out
 
 
@@ -142,8 +142,9 @@ def criterion_5_bondi_moments(scale=1.0):
     exp = BondiExpansion(c=zero, d=zero, M=M)
     mom = bondi_energy_momentum(mass_aspect_field(exp, 0.0, _grid()))
     err = float(np.max(np.abs(mom - np.array([m, 0.0, 0.0, m / 6.0]))))
-    return [_result("c5.mass_aspect_moments", err, 1e-10 * scale,
-                    detail=f"m_nu={np.array2string(mom, precision=10)}")]
+    return [CheckResult("c5.mass_aspect_moments", err, 1e-10 * scale,
+                        "abs(value) <= tolerance",
+                        f"m_nu={np.array2string(mom, precision=10)}")]
 
 
 def criterion_6_mass_loss(scale=1.0):
@@ -158,13 +159,15 @@ def criterion_6_mass_loss(scale=1.0):
     dmax = mass_loss_margin(traj)
     holder = flux_holder_margin(traj.flux)
     return [
-        _result("c6.flux_constant_value", f_err, 1e-10 * scale),
-        _result("c6.final_mass", m_err, 1e-8 * scale,
-                detail=f"m0(10)={traj.m[-1, 0]:.12f}"),
-        CheckResult("c6.margin_derivative_nonpositive", dmax <= 1e-9 * scale,
-                    dmax, 1e-9 * scale),
-        CheckResult("c6.flux_holder_chain", holder >= -1e-12 * scale, holder,
-                    1e-12 * scale, "sqrt(sum F_i^2) <= F_0 at every step"),
+        CheckResult("c6.flux_constant_value", f_err, 1e-10 * scale,
+                    "abs(value) <= tolerance"),
+        CheckResult("c6.final_mass", m_err, 1e-8 * scale,
+                    "abs(value) <= tolerance", f"m0(10)={traj.m[-1, 0]:.12f}"),
+        CheckResult("c6.margin_derivative_nonpositive", dmax, 1e-9 * scale,
+                    "value <= tolerance"),
+        CheckResult("c6.flux_holder_chain", holder, 1e-12 * scale,
+                    "value >= -tolerance",
+                    "sqrt(sum F_i^2) <= F_0 at every step"),
     ]
 
 
@@ -179,17 +182,13 @@ def criterion_7_expansion_consistency(scale=1.0):
         from .scenarios import make_a3
         rep = expansion_consistency(exp, u0=0.0, a3=make_a3(cfg),
                                     radii=(50.0, 100.0, 200.0, 400.0, 800.0))
-        worst_name, worst = "exact", np.inf
-        for name, fit in rep.items():
-            if not fit.exact and fit.exponent < worst:
-                worst, worst_name = fit.exponent, name
-        passed = worst >= 3.3  # exact-only components leave worst at +inf
-        out.append(CheckResult(f"c7.consistency_{preset}", bool(passed),
-                               float(worst), 3.3,
+        worst_name, worst = slowest_order(rep)
+        out.append(CheckResult(f"c7.consistency_{preset}", worst, 3.3,
+                               "value >= tolerance",
                                f"slowest component {worst_name}"))
     dt = time.perf_counter() - t0
-    out.append(_result("c7.consistency_runtime", dt, 60.0,
-                       detail=f"{dt:.2f}s for both presets"))
+    out.append(CheckResult("c7.consistency_runtime", dt, 60.0,
+                           "value <= tolerance", f"{dt:.2f}s for both presets"))
     return out
 
 
@@ -197,20 +196,16 @@ def criterion_8_decay_orders(scale=1.0):
     cfg = ScenarioConfig(preset="bondi-schwarzschild")
     data = induced_slice_data(make_expansion(cfg), u0=0.0)
     fit = estimate_decay_order(data, "a11", [20.0, 40.0, 80.0, 160.0])
-    out = [CheckResult("c8.schwarzschild_bondi_a11_order",
-                       bool(abs(fit.exponent - 3.0) <= 0.1 * scale),
-                       float(fit.exponent), 0.1 * scale,
-                       f"tau-hat = 3 +- {0.1 * scale:g}")]
+    out = [CheckResult("c8.schwarzschild_bondi_a11_order", fit.exponent - 3.0,
+                       0.1 * scale, "abs(value) <= tolerance",
+                       f"tau-hat={fit.exponent:.8f}")]
     cfg = ScenarioConfig(preset="bondi-biaxial", amplitude=0.08,
                          amplitude_d=0.05, news_zero_u=2.0)
     data = induced_slice_data(make_expansion(cfg), u0=2.0)
-    worst = np.inf
-    worst_name = "exact"
-    for comp, f in decay_orders(data, [20.0, 40.0, 80.0, 160.0]).items():
-        if not f.exact and f.exponent < worst:
-            worst, worst_name = f.exponent, comp
-    out.append(CheckResult("c8.generic_orders_above_gate",
-                           bool(worst >= 1.9), float(worst), 1.9,
+    worst_name, worst = slowest_order(
+        decay_orders(data, [20.0, 40.0, 80.0, 160.0]))
+    out.append(CheckResult("c8.generic_orders_above_gate", worst, 1.9,
+                           "value >= tolerance",
                            f"slowest component {worst_name} (gate 3/2)"))
     return out
 
@@ -225,11 +220,10 @@ def criterion_9_vanishing_news(scale=1.0):
     traj = rep["trajectory"]
     worst = float(np.min(traj.margin))
     return [
-        CheckResult("c9.mass_dominates_momentum", bool(worst >= -1e-9),
-                    worst, 1e-9, "m_0 >= |m| for u <= u0"),
-        CheckResult("c9.slice_pmt_margin",
-                    bool(rep["slice_pmt_margin"] >= -1e-4 * scale),
-                    float(rep["slice_pmt_margin"]), 1e-4 * scale),
+        CheckResult("c9.mass_dominates_momentum", worst, 1e-9,
+                    "value >= -tolerance", "m_0 >= |m| for u <= u0"),
+        CheckResult("c9.slice_pmt_margin", rep["slice_pmt_margin"],
+                    1e-4 * scale, "value >= -tolerance"),
     ]
 
 
@@ -261,8 +255,8 @@ def criterion_10_oracles(scale=1.0):
                 rng.uniform(0.4, 2.7), rng.uniform(0.0, 6.2))
                for _ in range(100)]
         worst_fd = np.maximum(worst_fd, _fd_check_metric(ev, pts))
-    out = [_result("c10.jets_vs_finite_differences", worst_fd, 1e-6 * scale,
-                   detail="100 points x 5 evaluators")]
+    out = [CheckResult("c10.jets_vs_finite_differences", worst_fd, 1e-6 * scale,
+                       "abs(value) <= tolerance", "100 points x 5 evaluators")]
 
     worst_conn = 0.0
     for _ in range(60):
@@ -270,8 +264,8 @@ def criterion_10_oracles(scale=1.0):
         th = rng.uniform(0.3, np.pi - 0.3)
         worst_conn = np.maximum(worst_conn, np.max(np.abs(
             background_connection(r, th) - background_connection_fd(r, th))))
-    out.append(_result("c10.background_connection_oracle", worst_conn,
-                       1e-8 * scale))
+    out.append(CheckResult("c10.background_connection_oracle", worst_conn,
+                           1e-8 * scale, "abs(value) <= tolerance"))
 
     g = _grid()
     n = direction_functions(g)
@@ -286,8 +280,8 @@ def criterion_10_oracles(scale=1.0):
             else:
                 ref = (1.0 / 3.0) if mu == nu else 0.0
             worst_q = np.maximum(worst_q, abs(got - ref))
-    out.append(_result("c10.quadrature_direction_family", worst_q,
-                       1e-12 * scale))
+    out.append(CheckResult("c10.quadrature_direction_family", worst_q,
+                           1e-12 * scale, "abs(value) <= tolerance"))
     return out
 
 
@@ -315,7 +309,8 @@ def run_verification(tolerance_scale=1.0, echo=print):
             if echo:
                 echo(res.line())
     elapsed = time.perf_counter() - t0
-    wall = CheckResult("c10.verify_wall_time", elapsed <= 300.0, elapsed, 300.0,
+    wall = CheckResult("c10.verify_wall_time", elapsed, 300.0,
+                       "value <= tolerance",
                        f"{elapsed:.1f}s for the full battery")
     results.append(wall)
     if echo:
