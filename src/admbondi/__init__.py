@@ -12,6 +12,6 @@ from .geometry import (Metric4Evaluator, Embedding, FrameField,
                        pullback_initial_data, curvature3, constraint_quantities,
                        rigidity_residual)
 from .spacetimes import (KerrParameters, SliceSpec, minkowski, schwarzschild,
-                         kerr, bondi_metric, bondi_functions,
+                         kerr, bondi_metric,
                          hyperboloid_embedding, bondi_slice_embedding,
                          t_const_embedding, ricci_residual)

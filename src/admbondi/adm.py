@@ -66,18 +66,13 @@ def adm_ladder_samples(data, radii, grid):
     ndir = direction_functions(grid)
     nvec = np.stack([ndir[k].values.ravel() for k in (1, 2, 3)])
     w = grid.weights.ravel()
-    zero = np.zeros(grid.shape)
 
     def samples_at(r):
         coords = [np.full((1, 1), float(r)), *grid.axes()]
         G, P = data.jets(coords, order=1)
-        F = data.frame.components(coords)
-        Fv = np.array([[value(F[i][a]) + zero for a in range(3)]
-                       for i in range(3)])
-        gv = np.array([[value(G[i][j]) + zero for j in range(3)]
-                       for i in range(3)]).reshape(3, 3, -1)
-        hv = np.array([[value(P[i][j]) + zero for j in range(3)]
-                       for i in range(3)]).reshape(3, 3, -1)
+        Fv = _leaf_array(data.frame.components(coords), value, grid.shape)
+        gv = _leaf_array(G, value, grid.shape).reshape(3, 3, -1)
+        hv = _leaf_array(P, value, grid.shape).reshape(3, 3, -1)
         # d_j g_ij - d_i g_jj, from only the frame-directional derivatives
         # D_k g_ij (Cartesian partials) that the two sums read
         e_int = np.empty((3,) + grid.shape)

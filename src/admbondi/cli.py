@@ -106,15 +106,11 @@ def parse_config(text):
         cfg.news_table = _parse_news_table(table)
         seen.add("news_table")
     provenance = {f: ("config" if f in seen else "default")
-                  for f in ("preset", "mass", "spin", "amplitude", "amplitude_d",
-                            "news_zero_u", "mass_aspect", "a3_amplitude",
-                            "n_theta", "n_psi", "radii", "u0", "u_start",
-                            "u_end", "du", "tolerance_scale", "news_table")}
+                  for f in [attr for attr, _ in _SCHEMA.values()]
+                  + ["news_table"]}
     for f, src in provenance.items():
         if src == "default":
             log.debug("config: %s defaulted", f)
-    cfg.defaulted_fields = tuple(f for f, s in provenance.items()
-                                 if s == "default")
     cfg.validate()
     return cfg, provenance
 
@@ -159,12 +155,15 @@ def _parse_news_table(table):
 
 
 def _apply_flags(cfg, args):
-    if args.ntheta:
+    if args.ntheta is not None:
         cfg.n_theta = args.ntheta
-    if args.npsi:
+    if args.npsi is not None:
         cfg.n_psi = args.npsi
-    if args.radii:
-        cfg.radii = tuple(float(x) for x in args.radii.split(","))
+    if args.radii is not None:
+        try:
+            cfg.radii = _FLOATS(args.radii)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for --radii: {exc}")
     if args.u0 is not None:
         # the start of an evolution, the slice time of every other command
         if args.subcommand == "bondi-evolve":
@@ -441,7 +440,6 @@ def main(argv=None):
                 cfg, provenance = parse_config(f.read())
         else:
             cfg, provenance = ScenarioConfig(), {}
-            cfg.defaulted_fields = ("all",)
         if args.preset:
             cfg.preset = args.preset
         cfg = _apply_flags(cfg, args)

@@ -90,10 +90,10 @@ def _leaf_array(X, entry, leaf):
     return out
 
 
-def _chart_gradient(X, leaf):
+def _chart_gradient(X, leaf, nvars=3):
     """Leaf values of d_a X, indexed [a, <indices of X>, <leaf>]."""
     return np.stack([_leaf_array(X, lambda x: _grad(x, a), leaf)
-                     for a in range(3)])
+                     for a in range(nvars)])
 
 
 def _frame_sum(F, dx):
@@ -141,13 +141,9 @@ def _jdd(x, a, b):
     return x.dd[a][b] if isinstance(x, Jet) else 0.0
 
 
-def _stack_leaf(entries, coords, shape):
-    """Leaf values of ``entries`` as one array indexed [<shape>, <leaf>];
-    plain-number entries are broadcast to the leaf shape of the coordinates."""
-    values = [value(x) for x in entries]
-    leaf = np.broadcast_shapes(*map(np.shape, list(coords) + values))
-    return np.reshape([np.broadcast_to(x, leaf) for x in values],
-                      tuple(shape) + leaf)
+def _coords_leaf(coords):
+    """Broadcast shape of a list of plain coordinates."""
+    return np.broadcast_shapes(*map(np.shape, coords))
 
 
 @dataclass
@@ -178,8 +174,7 @@ class Metric4Evaluator:
     def components(self, point):
         coords = list(point)
         self._check(coords)
-        g = self.fn(coords)
-        return _stack_leaf([x for row in g for x in row], coords, (4, 4))
+        return _leaf_array(self.fn(coords), value, _coords_leaf(coords))
 
     def jets(self, coords, order=1):
         """4x4 nested list of Jets over the four chart coordinates."""
@@ -190,10 +185,8 @@ class Metric4Evaluator:
     def first_derivs(self, point):
         """dg[c][a][b] = d_c g_{ab} at the point."""
         coords = list(point)
-        g = self.jets(coords, order=1)
-        return _stack_leaf([_jd(g[a][b], c) for c in range(4)
-                            for a in range(4) for b in range(4)],
-                           coords, (4, 4, 4))
+        return _chart_gradient(self.jets(coords, order=1),
+                               _coords_leaf(coords), 4)
 
 
 @dataclass
@@ -276,9 +269,8 @@ class InitialData:
         entries are broadcast to the leaf shape of the coordinates."""
         coords3 = list(coords3)
         G, P = self.gp(coords3)
-        g, p = _stack_leaf([x for X in (G, P) for row in X for x in row],
-                           coords3, (2, 3, 3))
-        return g, p
+        leaf = _coords_leaf(coords3)
+        return _leaf_array(G, value, leaf), _leaf_array(P, value, leaf)
 
     def jets(self, coords3, order=2):
         coords3 = list(coords3)
@@ -510,8 +502,8 @@ def frame_geometry(data, coords3):
     G, P = data.jets(coords3, order=2)
     F = data.frame.components(cj)
     F1 = [[trunc1(F[i][a]) for a in range(3)] for i in range(3)]
-    Fv = np.array([[value(F[i][a]) + np.zeros(np.shape(value(cj[0].f)))
-                    for a in range(3)] for i in range(3)])
+    leaf = _coords_leaf(coords3)
+    Fv = _leaf_array(F, value, leaf)
     Finv1 = inv3(F1)
 
     # structure coefficients [e_i, e_j] = C^k_{ij} e_k, kept to first order
@@ -553,17 +545,8 @@ def frame_geometry(data, coords3):
     om1 = [[[sum(ginv1[m][l] * om_low[l][i][j] for l in range(3))
              for j in range(3)] for i in range(3)] for m in range(3)]
 
-    leaf = np.shape(value(cj[0].f))
-    omv = np.array([[[value(om1[m][i][j]) + np.zeros(leaf) for j in range(3)]
-                     for i in range(3)] for m in range(3)])
-    Cv = np.array([[[value(C1[i][j][k]) + np.zeros(leaf) for k in range(3)]
-                    for j in range(3)] for i in range(3)])
-    gv = np.array([[value(G[i][j]) + np.zeros(leaf) for j in range(3)]
-                   for i in range(3)])
-    pv = np.array([[value(P[i][j]) + np.zeros(leaf) for j in range(3)]
-                   for i in range(3)])
-    ginv_v = np.array([[value(ginv1[i][j]) + np.zeros(leaf) for j in range(3)]
-                       for i in range(3)])
+    omv, Cv, gv, pv, ginv_v = (_leaf_array(X, value, leaf)
+                               for X in (om1, C1, G, P, ginv1))
 
     # e_k omega^m_{ij}, from the first-order parts of the omega jets
     Dom = frame_derivative(Fv, om1)

@@ -23,7 +23,7 @@ elementary function drop the terms it would annihilate and keep such a
 result a plain float, instead of multiplying it into an all-zero array or
 jet.  The helpers ``add``, ``sub``, ``mul``, ``div`` and ``prod`` apply the
 rule to operands of any level, plain numbers and arrays included; the
-linear algebra below (``det3``, ``inv3``, ``det4``, ``inv4``) and the tensor
+linear algebra below (``inv3``, ``det4``, ``inv4``) and the tensor
 contractions of ``geometry``'s pullback are written with them.
 
 The surviving terms are summed in the same order as in the full formula, so
@@ -40,9 +40,8 @@ import numpy as np
 
 __all__ = [
     "Jet", "seed", "value", "djet", "trunc1",
-    "sin", "cos", "tan", "sqrt", "exp", "log",
-    "sinh", "cosh", "tanh", "arctan", "arcsin", "arccos", "arctan2",
-    "inv3", "inv4", "det3", "det4",
+    "sin", "cos", "sqrt", "exp", "sinh", "cosh", "arccos", "arctan2",
+    "inv3", "inv4", "det4",
     "add", "sub", "mul", "div", "prod",
 ]
 
@@ -63,10 +62,6 @@ class Jet:
         self.f = f
         self.d = d
         self.dd = dd
-
-    @property
-    def nvars(self):
-        return len(self.d)
 
     def __repr__(self):
         return f"Jet(f={self.f!r}, nvars={len(self.d)}, order={1 if self.dd is None else 2})"
@@ -289,16 +284,6 @@ def cos(x):
         cos(j.f), -sin(j.f), None if j.dd is None else -cos(j.f)))
 
 
-def tan(x):
-    return _dispatch(x, np.tan, lambda j: _tan_jet(j))
-
-
-def _tan_jet(j):
-    t = tan(j.f)
-    sec2 = 1.0 + t * t
-    return j._chain(t, sec2, None if j.dd is None else 2.0 * t * sec2)
-
-
 def sqrt(x):
     return _dispatch(x, np.sqrt, lambda j: _sqrt_jet(j))
 
@@ -318,11 +303,6 @@ def _exp_jet(j):
     return j._chain(e, e, None if j.dd is None else e)
 
 
-def log(x):
-    return _dispatch(x, np.log, lambda j: j._chain(
-        log(j.f), 1.0 / j.f, None if j.dd is None else -1.0 / (j.f * j.f)))
-
-
 def sinh(x):
     return _dispatch(x, np.sinh, lambda j: j._chain(
         sinh(j.f), cosh(j.f), None if j.dd is None else sinh(j.f)))
@@ -331,38 +311,6 @@ def sinh(x):
 def cosh(x):
     return _dispatch(x, np.cosh, lambda j: j._chain(
         cosh(j.f), sinh(j.f), None if j.dd is None else cosh(j.f)))
-
-
-def tanh(x):
-    return _dispatch(x, np.tanh, lambda j: _tanh_jet(j))
-
-
-def _tanh_jet(j):
-    t = tanh(j.f)
-    sech2 = 1.0 - t * t
-    return j._chain(t, sech2, None if j.dd is None else -2.0 * t * sech2)
-
-
-def arctan(x):
-    return _dispatch(x, np.arctan, lambda j: _arctan_jet(j))
-
-
-def _arctan_jet(j):
-    v = j.f
-    den = 1.0 + v * v
-    f1 = 1.0 / den
-    return j._chain(arctan(v), f1, None if j.dd is None else -2.0 * v * f1 * f1)
-
-
-def arcsin(x):
-    return _dispatch(x, np.arcsin, lambda j: _arcsin_jet(j))
-
-
-def _arcsin_jet(j):
-    v = j.f
-    w = 1.0 - v * v
-    f1 = w ** -0.5
-    return j._chain(arcsin(v), f1, None if j.dd is None else v * f1 / w)
 
 
 def arccos(x):
@@ -411,12 +359,6 @@ def arctan2(y, x):
 def _cross(a, b, c, d):
     """a * b - c * d."""
     return sub(mul(a, b), mul(c, d))
-
-
-def det3(m):
-    return add(sub(mul(m[0][0], _cross(m[1][1], m[2][2], m[1][2], m[2][1])),
-                   mul(m[0][1], _cross(m[1][0], m[2][2], m[1][2], m[2][0]))),
-               mul(m[0][2], _cross(m[1][0], m[2][1], m[1][1], m[2][0])))
 
 
 def inv3(m):

@@ -11,7 +11,7 @@ polynomials, which vanish at both poles, so the polar-average condition
 holds for every table by construction; m != 0 modes average to zero in psi.
 """
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -57,7 +57,6 @@ class ScenarioConfig:
     du: float = 0.01
     tolerance_scale: float = 1.0
     news_table: Optional[dict] = None   # {"u_grid": array, (l, m): array}
-    defaulted_fields: tuple = dfield(default=())
 
     def validate(self):
         if self.preset not in PRESETS:

@@ -18,7 +18,7 @@ from .jets import cos, cosh, exp as gexp, sin, sinh, sqrt
 
 __all__ = [
     "KerrParameters", "SliceSpec",
-    "minkowski", "schwarzschild", "kerr", "bondi_metric", "bondi_functions",
+    "minkowski", "schwarzschild", "kerr", "bondi_metric",
     "hyperboloid_embedding", "bondi_slice_embedding", "t_const_embedding",
     "ricci_residual", "l_lbar", "p_pbar",
 ]
@@ -47,11 +47,7 @@ def _sym4(entries):
 
 
 def minkowski(chart="polar"):
-    """Flat spacetime in a cartesian, polar, or retarded chart."""
-    if chart == "cartesian":
-        def fn(c):
-            return _sym4({(0, 0): -1.0, (1, 1): 1.0, (2, 2): 1.0, (3, 3): 1.0})
-        return Metric4Evaluator(fn, "cartesian", "minkowski-cartesian")
+    """Flat spacetime in a polar or retarded chart."""
     if chart == "polar":
         def fn(c):
             _, r, th, _ = c
@@ -212,13 +208,6 @@ def _assemble_six(exp, u, r, th, ps):
     return beta, gam, dlt, U, V, W
 
 
-def bondi_functions(exp):
-    """Callables (u, r, theta, psi) -> (beta, gamma, delta, U, V, W)."""
-    def fns(u, r, th, ps):
-        return _assemble_six(exp, u, r, th, ps)
-    return fns
-
-
 def default_r_min(exp):
     sc, sd = exp.sup_news_estimate()
     # np.max keeps a NaN; the builtin max would drop it
@@ -300,7 +289,6 @@ class SliceSpec:
 
     u0: float = 0.0
     a3: Optional[Callable] = None   # a3(theta, psi), generic; None means 0
-    r_min: float = 1.0
 
 
 def bondi_slice_embedding(spec, exp):

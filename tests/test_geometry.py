@@ -26,12 +26,6 @@ def sample_points(rng, n, rlo=1.0, rhi=8.0):
 
 # -- Christoffel symbols ----------------------------------------------------
 
-def test_minkowski_cartesian_christoffels_vanish(rng):
-    g = minkowski("cartesian")
-    pt = list(rng.normal(size=4))
-    assert np.max(np.abs(christoffel4(g, pt))) == 0.0
-
-
 def test_minkowski_polar_christoffels():
     g = minkowski("polar")
     r, th = 2.7, 1.1

@@ -6,7 +6,7 @@ import pytest
 from admbondi.errors import DomainError
 from admbondi.geometry import _jdd
 from admbondi.jets import value
-from admbondi.spacetimes import (KerrParameters, SliceSpec, bondi_functions,
+from admbondi.spacetimes import (KerrParameters, SliceSpec, _assemble_six,
                                  bondi_metric, bondi_slice_embedding,
                                  hyperboloid_embedding, kerr, minkowski,
                                  ricci_residual, schwarzschild)
@@ -75,13 +75,10 @@ def test_minkowski_retarded_display():
 
 
 def test_minkowski_flat_everywhere(rng):
-    for chart in ("cartesian", "polar", "retarded"):
+    for chart in ("polar", "retarded"):
         g = minkowski(chart)
         for pt in rand_points(rng, 5, 1.0, 10.0):
-            pt = list(pt)
-            if chart == "cartesian":
-                pt = list(rng.normal(size=4))
-            assert ricci_residual(g, pt) <= 1e-9
+            assert ricci_residual(g, list(pt)) <= 1e-9
 
 
 def test_schwarzschild_static_display():
@@ -223,8 +220,7 @@ def test_bondi_static_news_vacuum_decay(rng):
 
 def test_bondi_functions_truncation():
     exp = StaticNews(c=0.1, M=2.0)
-    fns = bondi_functions(exp)
-    beta, gam, dlt, U, V, W = fns(0.0, 10.0, np.pi / 2, 0.0)
+    beta, gam, dlt, U, V, W = _assemble_six(exp, 0.0, 10.0, np.pi / 2, 0.0)
     c = 0.1
     assert gam == pytest.approx(c / 10.0 + (-c**3 / 6.0) / 1000.0, rel=1e-13)
     assert beta == pytest.approx(-c * c / 400.0, rel=1e-13)
