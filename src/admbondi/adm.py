@@ -16,11 +16,11 @@ import numpy as np
 
 from .errors import ConfigError
 from . import jets
-from .geometry import (InitialData, _chart_gradient, _leaf_array,
-                       frame_derivative, frame_entry)
-from .jets import Jet, value
-from .ladder import (LadderFit, fit_decay_exponent, fit_inverse_powers,
-                     ladder_map, rung_max, stacked_rungs)
+from .geometry import (InitialData, _chart_gradient, _chart_hessian,
+                       _leaf_array, frame_derivative, frame_entry)
+from .jets import value
+from .ladder import (LadderFit, check_ladder, fit_decay_exponent,
+                     fit_inverse_powers, ladder_map, rung_max, stacked_rungs)
 from .sphere import build_grid, direction_functions
 
 __all__ = ["AdmCharges", "adm_energy_momentum", "adm_ladder_samples",
@@ -106,11 +106,6 @@ def adm_energy_momentum(data, radii, grid=None):
     return fit_adm_charges(radii, adm_ladder_samples(data, radii, grid))
 
 
-def _hess(x, a, b):
-    """Leaf value of d_a d_b x (0 for constants)."""
-    return value(x.dd[a][b]) if isinstance(x, Jet) else 0.0
-
-
 _REQUIRED_ORDERS = {"g": 1.0, "dg": 2.0, "ddg": 3.0, "h": 2.0, "dh": 3.0}
 AF_DECAY_SLACK = 0.3
 
@@ -126,12 +121,13 @@ def _decay_sups(data, coords, n_rungs):
     dG = _chart_gradient(G, leaf)
     # e_k(e_l G) = F_k^a (d_a F_l^b) d_b G + F_k^a F_l^b d_a d_b G,
     # indexed [k, l, i, j, node]
+    hG = _chart_hessian(G, leaf)
     ddG = 0.0
     for a in range(3):
         for b in range(3):
-            dd = _leaf_array(G, lambda x: _hess(x, a, b), leaf)
             ddG = ddG + Fv[:, a, None, None, None] * (
-                dF[a, :, b, None, None] * dG[b] + Fv[:, b, None, None] * dd)
+                dF[a, :, b, None, None] * dG[b]
+                + Fv[:, b, None, None] * hG[a, b])
 
     def sup(x):
         return np.max(rung_max(x, n_rungs).reshape(-1, n_rungs), axis=0)
@@ -153,9 +149,7 @@ def check_af_decay(data, radii, grid=None):
     its exponent minus its ``required`` order is at least -AF_DECAY_SLACK.
     """
     _require_euclidean(data)
-    radii = list(radii)
-    if len(radii) < 4:
-        raise ConfigError("decay check needs at least 4 radii")
+    radii = check_ladder(radii, minimum=4)
     grid = grid or build_grid(12, 24)
 
     sups = _decay_sups(data, stacked_rungs(grid, radii), len(radii))

@@ -31,7 +31,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .ladder import slowest_order
+from .ladder import check_ladder, slowest_order
 from .reports import ChargeReport, CheckResult, write_json
 from .scenarios import (ADM_PRESETS, ScenarioConfig, make_a3, make_adm_data,
                         make_expansion)
@@ -370,8 +370,9 @@ def cmd_converge(cfg):
     scale = cfg.tolerance_scale
     if cfg.preset not in ADM_PRESETS:
         raise ConfigError(f"converge expects one of {ADM_PRESETS}")
+    # a 3-coefficient fit on 3 rungs has no residual to scale a tolerance by
+    radii = check_ladder(_default_radii(cfg, "adm"), minimum=4)
     data = make_adm_data(cfg)
-    radii = list(_default_radii(cfg, "adm"))
     from .sphere import build_grid
     # the longer ladder is the coarse one plus one rung; sample it once
     longer_radii = radii + [2.0 * radii[-1]]

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import jets
 from .errors import DomainError
-from .jets import (Jet, add, det4, djet, inv3, inv4, mul, prod, sub, trunc1,
+from .jets import (Jet, add, det4, inv3, inv4, mul, prod, sub, trunc1,
                    value)
 
 __all__ = [
@@ -59,18 +59,16 @@ def _perms4():
 _PERM4 = _perms4()
 
 
-def _d1(x, a):
-    """First-derivative-of-jet as an order-1 jet; constants differentiate to 0."""
-    if isinstance(x, Jet):
-        return djet(x, a)
-    return 0.0
-
-
 def _grad(x, a):
     """Leaf value of the a-th first derivative (0 for constants)."""
     if isinstance(x, Jet):
         return value(x.d[a])
     return 0.0
+
+
+def _hess(x, a, b):
+    """Leaf value of d_a d_b x (0 for constants)."""
+    return value(x.dd[a][b]) if isinstance(x, Jet) else 0.0
 
 
 def _leaf_array(X, entry, leaf):
@@ -96,6 +94,12 @@ def _chart_gradient(X, leaf, nvars=3):
                      for a in range(nvars)])
 
 
+def _chart_hessian(X, leaf):
+    """Leaf values of d_a d_b X, indexed [a, b, <indices of X>, <leaf>]."""
+    return np.stack([np.stack([_leaf_array(X, lambda x: _hess(x, a, b), leaf)
+                               for b in range(3)]) for a in range(3)])
+
+
 def _frame_sum(F, dx):
     """F^a dx_a summed over a = 0, 1, 2 in that order, started from 0, with
     the terms of structural zeros skipped: the one implementation of
@@ -113,6 +117,13 @@ def frame_entry(Fv, x, k):
     return _frame_sum(Fv[k], [_grad(x, a) for a in range(3)])
 
 
+def _frame_apply(Fv, dX):
+    """e_k X from the chart gradient dX, indexed [a, <indices>, <leaf>]."""
+    leaf = np.shape(Fv)[2:]
+    Fk = np.reshape(Fv, (3, 3) + (1,) * (dX.ndim - 1 - len(leaf)) + leaf)
+    return _frame_sum(np.swapaxes(Fk, 0, 1), dX)
+
+
 def frame_derivative(Fv, X):
     """Leaf values of e_k X for each jet of the nested list X, indexed
     [k, <indices of X>, <leaf>]; every entry equals ``frame_entry(Fv, x, k)``
@@ -121,10 +132,7 @@ def frame_derivative(Fv, X):
     It builds every entry: a caller that reads only a trace or a divergence
     calls ``frame_entry`` for those entries instead.
     """
-    leaf = np.shape(Fv)[2:]
-    dX = _chart_gradient(X, leaf)
-    Fk = np.reshape(Fv, (3, 3) + (1,) * (dX.ndim - 1 - len(leaf)) + leaf)
-    return _frame_sum(np.swapaxes(Fk, 0, 1), dX)
+    return _frame_apply(Fv, _chart_gradient(X, np.shape(Fv)[2:]))
 
 
 def _jf(x):
@@ -491,65 +499,80 @@ def pullback_initial_data(metric, emb, frame):
 # Frame geometry of 3-data: connection, curvature, constraints
 # ---------------------------------------------------------------------------
 
+def _product(spec, A, B):
+    """einsum(spec) of two first-order array jets with the product rule.
+
+    An array jet is indexed [s, <indices>, <leaf>]: s = 0 holds the leaf
+    values and s = 1 + c the chart derivatives d_c, as ``_first_order``
+    builds them; the result is one again.
+    """
+    ins, out = spec.split("->")
+    a, b = ins.split(",")
+    grad = np.einsum(f"z{a},{b}->z{out}", A[1:], B[0]) \
+        + np.einsum(f"{a},z{b}->z{out}", A[0], B[1:])
+    return np.concatenate([np.einsum(spec, A[0], B[0])[None], grad])
+
+
+def _inverse(M):
+    """Array jet of the inverse of a 3x3 array jet, d(M^-1) = -M^-1 dM M^-1;
+    the values are those of ``inv3``."""
+    inv = np.array(inv3(M[0]))
+    dinv = -np.einsum("zab...,bc...->zac...",
+                      np.einsum("ab...,zbc...->zac...", inv, M[1:]), inv)
+    return np.concatenate([inv[None], dinv])
+
+
+def _first_order(X, leaf):
+    """The array jets of a 3x3 nested list X of order-2 jets (or constants)
+    and of its chart gradient d_a X, indexed [s, i, j, <leaf>] and
+    [s, a, i, j, <leaf>]."""
+    grad = _chart_gradient(X, leaf)
+    return (np.concatenate([_leaf_array(X, value, leaf)[None], grad]),
+            np.concatenate([grad[None], _chart_hessian(X, leaf)]))
+
+
 def frame_geometry(data, coords3):
     """Connection, curvature and covariant derivatives of (g, p) in the frame.
 
     Koszul formula in the (generally non-holonomic) frame:
     2 g(nabla_i e_j, e_l) = e_i g_jl + e_j g_il - e_l g_ij
     + g([e_i,e_j], e_l) - g([e_i,e_l], e_j) - g([e_j,e_l], e_i).
+
+    The frame F and the metric G are read once, as arrays of their values,
+    chart gradients and chart Hessians.  The structure coefficients
+    ([e_i, e_j] = C^k_ij e_k), e_k g_ij, the lowered connection
+    omega_lij = g(nabla_i e_j, e_l) and omega^m_ij = g^ml omega_lij are each
+    an einsum of array jets (values and first chart derivatives) with the
+    product rule, and d(M^-1) = -M^-1 dM M^-1 for the inverses of F and G;
+    e_k omega comes from the exact first chart derivatives of omega.
     """
-    cj = jets.seed(list(coords3), order=2)
     G, P = data.jets(coords3, order=2)
-    F = data.frame.components(cj)
-    F1 = [[trunc1(F[i][a]) for a in range(3)] for i in range(3)]
     leaf = _coords_leaf(coords3)
-    Fv = _leaf_array(F, value, leaf)
-    Finv1 = inv3(F1)
+    F, dF = _first_order(
+        data.frame.components(jets.seed(list(coords3), order=2)), leaf)
+    Fv = F[0]
 
-    # structure coefficients [e_i, e_j] = C^k_{ij} e_k, kept to first order
-    C1 = [[[0.0] * 3 for _ in range(3)] for _ in range(3)]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            com = [0.0, 0.0, 0.0]
-            for b in range(3):
-                acc = 0.0
-                for a in range(3):
-                    acc = acc + F1[i][a] * _d1(F[j][b], a) \
-                        - F1[j][a] * _d1(F[i][b], a)
-                com[b] = acc
-            for k in range(3):
-                e = sum(com[b] * Finv1[b][k] for b in range(3))
-                C1[i][j][k] = e
-                C1[j][i][k] = -1.0 * e
+    # [e_i, e_j]^b = F_i^a d_a F_j^b - F_j^a d_a F_i^b, then C^k_ij
+    com = _product("ia...,ajb...->ijb...", F, dF)
+    com = com - np.swapaxes(com, 1, 2)
+    C = _product("ijb...,bk...->ijk...", com, _inverse(F))
 
-    G1 = [[trunc1(G[i][j]) if isinstance(G[i][j], Jet) else G[i][j]
-           for j in range(3)] for i in range(3)]
-    ginv1 = inv3(G1)
+    g, dg = _first_order(G, leaf)
+    Dg = _product("ka...,aij...->kij...", F, dg)     # e_k g_ij
+    CG = _product("ijk...,kl...->ijl...", C, g)      # g([e_i, e_j], e_l)
+    om_low = 0.5 * (np.einsum("sijl...->slij...", Dg)
+                    + np.einsum("sjil...->slij...", Dg) - Dg
+                    + np.einsum("sijl...->slij...", CG)
+                    - np.einsum("silj...->slij...", CG)
+                    - np.einsum("sjli...->slij...", CG))
+    ginv = _inverse(g)
+    om = _product("ml...,lij...->mij...", ginv, om_low)
 
-    def ddir(k, X):
-        """Frame-directional derivative e_k(X), kept to first order."""
-        return sum(F1[k][a] * _d1(X, a) for a in range(3))
+    omv, Cv, gv, ginv_v = om[0], C[0], g[0], ginv[0]
+    pv = _leaf_array(P, value, leaf)
 
-    Dg1 = [[[ddir(k, G[i][j]) for j in range(3)] for i in range(3)]
-           for k in range(3)]
-
-    om_low = [[[None] * 3 for _ in range(3)] for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            for l in range(3):
-                e = Dg1[i][j][l] + Dg1[j][i][l] - Dg1[l][i][j]
-                for k in range(3):
-                    e = e + C1[i][j][k] * G1[k][l] \
-                        - C1[i][l][k] * G1[k][j] - C1[j][l][k] * G1[k][i]
-                om_low[l][i][j] = 0.5 * e
-    om1 = [[[sum(ginv1[m][l] * om_low[l][i][j] for l in range(3))
-             for j in range(3)] for i in range(3)] for m in range(3)]
-
-    omv, Cv, gv, pv, ginv_v = (_leaf_array(X, value, leaf)
-                               for X in (om1, C1, G, P, ginv1))
-
-    # e_k omega^m_{ij}, from the first-order parts of the omega jets
-    Dom = frame_derivative(Fv, om1)
+    # e_k omega^m_{ij}, from the chart derivatives of omega
+    Dom = _frame_apply(Fv, om[1:])
 
     # covariant derivative of p: (nabla_k p)_{ij}
     Dp = frame_derivative(Fv, P)

@@ -24,7 +24,19 @@ result a plain float, instead of multiplying it into an all-zero array or
 jet.  The helpers ``add``, ``sub``, ``mul``, ``div`` and ``prod`` apply the
 rule to operands of any level, plain numbers and arrays included; the
 linear algebra below (``inv3``, ``det4``, ``inv4``) and the tensor
-contractions of ``geometry``'s pullback are written with them.
+contractions of ``geometry``'s pullback are written with them.  They test
+for a structural zero inline (``type(x) is float and x == 0.0``), since a
+charge evaluation calls them some hundred thousand times; ``_zero`` is the
+same test for the callers elsewhere that skip terms.
+
+Where the rule is tested: the ``dense_arithmetic`` fixture of
+``tests/conftest.py`` replaces the five helpers, in this module and where
+other modules imported them, by the plain operators and makes ``_zero``
+answer False.  ``tests/test_jets.py`` (the linear algebra) and
+``tests/test_geometry.py`` (the pullback's values and jets) compare every
+result with that dense evaluation bit for bit, and
+``test_dense_arithmetic_computes_every_structural_zero`` checks that the
+fixture switches the rule off.
 
 The surviving terms are summed in the same order as in the full formula, so
 each entry keeps its value up to the sign of an exact zero.  One downstream
@@ -39,7 +51,7 @@ entry.
 import numpy as np
 
 __all__ = [
-    "Jet", "seed", "value", "djet", "trunc1",
+    "Jet", "seed", "value", "trunc1",
     "sin", "cos", "sqrt", "exp", "sinh", "cosh", "arccos", "arctan2",
     "inv3", "inv4", "det4",
     "add", "sub", "mul", "div", "prod",
@@ -176,23 +188,23 @@ def _zero(x):
 
 def add(a, b):
     """a + b; the other operand if a or b is a structural zero."""
-    if _zero(a):
+    if type(a) is float and a == 0.0:
         return b
-    if _zero(b):
+    if type(b) is float and b == 0.0:
         return a
     return a + b
 
 
 def sub(a, b):
     """a - b; a itself if b is a structural zero."""
-    if _zero(b):
+    if type(b) is float and b == 0.0:
         return a
     return a - b
 
 
 def mul(a, b):
     """a * b; a structural zero if a or b is one."""
-    if _zero(a) or _zero(b):
+    if (type(a) is float and a == 0.0) or (type(b) is float and b == 0.0):
         return 0.0
     return a * b
 
@@ -200,8 +212,9 @@ def mul(a, b):
 def prod(*factors):
     """((f0 * f1) * f2) ...; a structural zero, with no partial product
     computed, if any factor is one."""
-    if any(map(_zero, factors)):
-        return 0.0
+    for f in factors:
+        if type(f) is float and f == 0.0:
+            return 0.0
     acc = factors[0]
     for f in factors[1:]:
         acc = acc * f
@@ -210,7 +223,7 @@ def prod(*factors):
 
 def div(a, b):
     """a / b; a structural zero if a is one."""
-    if _zero(a):
+    if type(a) is float and a == 0.0:
         return 0.0
     return a / b
 
@@ -248,15 +261,6 @@ def value(x):
     while isinstance(x, Jet):
         x = x.f
     return x
-
-
-def djet(x, a):
-    """The a-th first derivative of an order-2 jet, as an order-1 jet.
-
-    Turns (f, df, ddf) into the pair (df_a, ddf_a*) so that a quantity built
-    from derivatives can itself be differentiated once more.
-    """
-    return Jet(x.d[a], list(x.dd[a]))
 
 
 def trunc1(x):

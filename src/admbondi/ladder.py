@@ -57,7 +57,8 @@ class DecayFit:
 def check_ladder(radii, minimum=3):
     radii = [float(r) for r in radii]
     if len(radii) < minimum:
-        raise ConfigError(f"radius ladder needs >= {minimum} rungs, got {len(radii)}")
+        raise ConfigError(f"radius ladder {radii} needs >= {minimum} rungs, "
+                          f"got {len(radii)}")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ConfigError(f"radius ladder must be strictly increasing: {radii}")
     return radii

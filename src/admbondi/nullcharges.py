@@ -250,17 +250,19 @@ def null_energy_momentum(data, radii, grid=None, check_decay=True):
 
     Components whose fitted decay order falls below ``TAU_GATE`` make the
     charges unreliable; the per-component fits are always reported so the
-    caller can judge.
+    caller can judge.  The fits take the last 4 rungs, so with
+    ``check_decay`` a shorter ladder raises ConfigError: with no fits the
+    gate would pass vacuously.
     """
     _require_hyperboloid(data)
-    radii = check_ladder(radii)
+    radii = check_ladder(radii, minimum=4 if check_decay else 3)
     grid = grid or build_grid(48, 96)
     ndir = direction_functions(grid)
     nvals = [ndir[nu].values.ravel() for nu in range(4)]
     w = grid.weights.ravel()
 
     decay = {}
-    if check_decay and len(radii) >= 4:
+    if check_decay:
         decay = decay_orders(data, radii[-4:], build_grid(8, 16))
         _, slowest = slowest_order(decay)
         if slowest < TAU_GATE:

@@ -98,10 +98,6 @@ class SphereField:
         v = o.values if isinstance(o, SphereField) else o
         return SphereField(self.grid, self.values + v)
 
-    def __sub__(self, o):
-        v = o.values if isinstance(o, SphereField) else o
-        return SphereField(self.grid, self.values - v)
-
     def __mul__(self, o):
         v = o.values if isinstance(o, SphereField) else o
         return SphereField(self.grid, self.values * v)

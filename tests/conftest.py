@@ -1,6 +1,9 @@
 import contextlib
+import functools
 import io
 import json
+import operator
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,3 +38,37 @@ def battery_run(tmp_path_factory):
         code = main(["verify", "--out", str(out)])
     return SimpleNamespace(code=code, body=json.loads(out.read_text()),
                            stdout=stdout.getvalue())
+
+
+_DENSE = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+          "div": operator.truediv,
+          "prod": lambda *factors: functools.reduce(operator.mul, factors)}
+
+
+@contextlib.contextmanager
+def _dense_arithmetic():
+    """Evaluate with the structural-zero rule of ``admbondi.jets`` off.
+
+    The helpers ``add``/``sub``/``mul``/``div``/``prod`` test for a
+    structural zero inline, so they are replaced by the plain operators in
+    ``jets`` (which the Jet methods and the linear algebra read) and in every
+    admbondi module that imported them by name; ``_zero``, which the other
+    skips read, answers False.
+    """
+    from admbondi import jets
+    helpers = {name: getattr(jets, name) for name in _DENSE}
+    modules = [m for k, m in sys.modules.items() if k.startswith("admbondi")]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jets, "_zero", lambda x: False)
+        for mod in modules:
+            for name, helper in helpers.items():
+                if getattr(mod, name, None) is helper:
+                    mp.setattr(mod, name, _DENSE[name])
+        yield
+
+
+@pytest.fixture(scope="session")
+def dense_arithmetic():
+    """A context manager under which every term of a structural zero is
+    computed; session-scoped so that hypothesis tests can use it."""
+    return _dense_arithmetic

@@ -465,7 +465,8 @@ def test_vanishing_news_precondition_checked(grid):
 def test_zero_mass_scenario_stays_zero(grid):
     exp = BondiExpansion(c=_zero, d=_zero, M=_zero)
     traj, _ = vanishing_news_scenario(exp, u0=1.0, u_start=0.0, du=0.1,
-                                      grid=grid, radii=(30.0, 45.0, 70.0))
+                                      grid=grid,
+                                      radii=(30.0, 45.0, 70.0, 110.0))
     assert np.max(np.abs(traj.m)) == 0.0
     assert np.max(np.abs(traj.margin)) == 0.0
 
@@ -501,7 +502,8 @@ def test_expansion_consistency_schw_bondi():
 def test_vanishing_news_scenario_static(grid):
     exp = BondiExpansion(c=_zero, d=_zero, M=const_M(1.0))
     traj, slice_pmt_margin = vanishing_news_scenario(
-        exp, u0=2.0, u_start=0.0, du=0.1, grid=grid, radii=(30.0, 45.0, 70.0))
+        exp, u0=2.0, u_start=0.0, du=0.1, grid=grid,
+        radii=(30.0, 45.0, 70.0, 110.0))
     assert np.allclose(traj.m[:, 0], 1.0)
     assert np.min(traj.margin) >= 0.0
     assert slice_pmt_margin == pytest.approx(1.0, abs=1e-3)

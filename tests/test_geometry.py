@@ -11,7 +11,8 @@ from admbondi.geometry import (Embedding, InitialData, christoffel4,
                                euclidean_frame, frame_derivative,
                                frame_geometry, hyperboloid_frame, FrameField,
                                pullback_initial_data, rigidity_residual)
-from admbondi.scenarios import ScenarioConfig, make_expansion
+from admbondi.bondi import induced_slice_data
+from admbondi.scenarios import ScenarioConfig, make_a3, make_expansion
 from admbondi.spacetimes import (SliceSpec, bondi_metric, bondi_slice_embedding,
                                  hyperboloid_embedding, kerr, KerrParameters,
                                  minkowski, schwarzschild, t_const_embedding)
@@ -183,18 +184,56 @@ def test_riemann_symmetries(rng):
     assert np.max(np.abs(bianchi)) <= 1e-9
 
 
-def test_metric_compatibility_of_frame_connection(rng):
-    # nabla_k g_ij = e_k g_ij - omega^m_ki g_mj - omega^m_kj g_im vanishes
-    # for the Koszul connection
-    data = hyperbolic_background_data()
-    coords = list(sample_points(rng, 15))
+def _connection_data(case):
+    """Data for the frame-connection identities, with a radius span: the
+    frame-constant hyperbolic background, Kerr in the Euclidean frame and the
+    bondi-biaxial u0-slice in the hyperboloid frame."""
+    if case == "hyperbolic-background":
+        return hyperbolic_background_data(), (1.0, 8.0)
+    if case == "kerr-euclidean":
+        return pullback_initial_data(kerr(KerrParameters(1.0, 0.6)),
+                                     t_const_embedding(),
+                                     euclidean_frame()), (4.0, 30.0)
+    cfg = ScenarioConfig(preset="bondi-biaxial")
+    return induced_slice_data(make_expansion(cfg), u0=cfg.u0,
+                              a3=make_a3(cfg)), (20.0, 80.0)
+
+
+_CONNECTION_CASES = ["hyperbolic-background", "kerr-euclidean",
+                     "bondi-biaxial-u0"]
+
+
+@pytest.mark.parametrize("case", _CONNECTION_CASES)
+def test_metric_compatibility_of_frame_connection(rng, case):
+    # the Koszul connection is the Levi-Civita one: metric compatible,
+    # nabla_k g_ij = e_k g_ij - omega^m_ki g_mj - omega^m_kj g_im = 0, and
+    # torsion free, omega^k_ij - omega^k_ji = C^k_ij
+    data, (rlo, rhi) = _connection_data(case)
+    coords = list(sample_points(rng, 15, rlo, rhi))
     b = frame_geometry(data, coords)
     G, _ = data.jets(coords, order=1)
-    om, g = b["omega"], b["g"]
+    om, g, C = b["omega"], b["g"], b["C"]
     nabla_g = frame_derivative(b["F"], G) \
         - np.einsum("mki...,mj...->kij...", om, g) \
         - np.einsum("mkj...,im...->kij...", om, g)
-    assert np.max(np.abs(nabla_g)) <= 1e-9
+    assert np.max(np.abs(nabla_g)) <= 1e-12
+    torsion = om - np.swapaxes(om, 1, 2) - np.einsum("ijk...->kij...", C)
+    assert np.max(np.abs(torsion)) <= 1e-12
+    # the identities must not hold because everything vanishes
+    assert np.max(np.abs(om)) > 1e-3
+
+
+@pytest.mark.parametrize("case", _CONNECTION_CASES)
+def test_frame_curvature_matches_fd_connection_gradients(rng, case):
+    # the curvature from the exact chart derivatives of omega against
+    # central differences of omega
+    data, (rlo, rhi) = _connection_data(case)
+    for r, th, ps in zip(*sample_points(rng, 2, rlo, rhi)):
+        pt = [float(r), float(th), float(ps)]
+        riem = frame_geometry(data, pt)["riem"]
+        scale = np.max(np.abs(riem))
+        assert scale > 1e-4
+        assert np.max(np.abs(riem - _riemann_fd(data, pt))) <= 1e-6 * scale
 
 
 def test_product_sphere_curvature_matches_fd():
@@ -499,15 +538,15 @@ def _reference_values(metric, emb, frame, pts):
 @given(case=st.sampled_from(sorted(_PULLBACKS)),
        how=st.sampled_from(["values", 1, 2]), n=st.sampled_from([0, 3]),
        t=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
-def test_structural_zeros_leave_pullbacks_bit_identical(case, how, n, t):
+def test_structural_zeros_leave_pullbacks_bit_identical(case, how, n, t,
+                                                        dense_arithmetic):
     """Skipping structural zeros changes no bit of values() or jets(); the
     values also match a numpy evaluation of the formulas."""
     data = _PULLBACKS[case][0]
     pts = _points(case, n, t)
     got = _leaf_entries(data, pts, how)
-    with pytest.MonkeyPatch.context() as mp:
+    with dense_arithmetic():
         # no structural zeros: every term is computed
-        mp.setattr(jets, "_zero", lambda x: False)
         ref = _leaf_entries(data, pts, how)
     assert len(got) == len(ref)
     assert all(_same(a, b) for a, b in zip(got, ref)), (case, how)

@@ -130,6 +130,31 @@ def test_arctan2_derivatives(rng):
         assert value(j.d[1]) == pytest.approx(a / h, rel=1e-12)
 
 
+def test_dense_arithmetic_computes_every_structural_zero(dense_arithmetic):
+    """The dense reference of the structural-zero tests switches the rule
+    off in the helpers, in the Jet methods that call them and in the names
+    geometry imported, and restores it on exit."""
+    from admbondi import geometry
+    ones = np.ones(2)
+    x, _ = seed([ones, ones], order=1)
+
+    def skipped():
+        return [jets.add(0.0, ones) is ones, jets.sub(ones, 0.0) is ones,
+                type(jets.mul(0.0, ones)) is float,
+                type(jets.div(0.0, ones)) is float,
+                type(jets.prod(ones, 0.0)) is float,
+                geometry.add(0.0, ones) is ones,
+                geometry.sub(ones, 0.0) is ones,
+                type(geometry.mul(0.0, ones)) is float,
+                type(geometry.prod(ones, 0.0)) is float,
+                jets._zero(0.0), type((x * x).d[1]) is float]
+
+    assert all(skipped())
+    with dense_arithmetic():
+        assert not any(skipped())
+    assert all(skipped())
+
+
 def test_matrix_inverses(rng):
     for n, inv in ((3, jets.inv3), (4, jets.inv4)):
         m = rng.normal(size=(n, n)) + n * np.eye(n)
@@ -158,7 +183,8 @@ def test_inverse_with_jet_entries():
        zeros=st.lists(st.booleans(), min_size=16, max_size=16),
        seed_=st.integers(0, 2 ** 32 - 1))
 def test_zero_aware_linear_algebra_matches_dense_and_numpy(n, leaf, zeros,
-                                                           seed_):
+                                                           seed_,
+                                                           dense_arithmetic):
     """inv3/inv4/det4 with plain-float zeros give exactly what the dense
     formulas give, and agree with np.linalg."""
     vals = np.random.default_rng(seed_).uniform(-2.0, 2.0, (n, n) + leaf)
@@ -175,8 +201,7 @@ def test_zero_aware_linear_algebra_matches_dense_and_numpy(n, leaf, zeros,
         return np.array(rows), dets
 
     got_inv, got_det = evaluate()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(jets, "_zero", lambda x: False)
+    with dense_arithmetic():
         ref_inv, ref_det = evaluate()
     assert np.array_equal(got_inv, ref_inv)
     assert all(map(np.array_equal, got_det, ref_det))

@@ -255,6 +255,19 @@ def test_cli_null_order_gate_failure(capsys):
     assert "null.order_gate" in err
 
 
+@pytest.mark.parametrize("argv, ladder", [
+    (["null", "--preset", "bondi-biaxial", "--radii", "30,45,70"],
+     "[30.0, 45.0, 70.0]"),
+    (["converge", "--preset", "kerr", "--radii", "10,20,40"],
+     "[10.0, 20.0, 40.0]")])
+def test_cli_three_rung_ladder_exits_2(capsys, argv, ladder):
+    # the order gate fits 4 rungs and would pass with no fits at all; a
+    # 3-coefficient fit on 3 rungs leaves converge no residual to scale by
+    assert run_cli(argv + ["--ntheta", "8", "--npsi", "16"]) == 2
+    assert f"radius ladder {ladder} needs >= 4 rungs, got 3" \
+        in capsys.readouterr().err
+
+
 def test_cli_bad_config_diagnostic(tmp_path, capsys):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text("preset = kerr\n[parameters]\nmess = 1\n")
