@@ -9,7 +9,7 @@ from .sphere import (SphereGrid, SphereField, build_grid, integrate,
 from .geometry import (Metric4Evaluator, Embedding, FrameField,
                        InitialData, ConstraintQuantities, euclidean_frame,
                        hyperboloid_frame, christoffel4, ricci_tensor,
-                       pullback_initial_data, curvature3, constraint_quantities,
+                       pullback_initial_data, constraint_quantities,
                        rigidity_residual)
 from .spacetimes import (KerrParameters, SliceSpec, minkowski, schwarzschild,
                          kerr, bondi_metric,

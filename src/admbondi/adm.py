@@ -16,8 +16,9 @@ import numpy as np
 
 from .errors import ConfigError
 from . import jets
-from .geometry import (InitialData, _chart_gradient, _chart_hessian,
-                       _leaf_array, frame_derivative, frame_entry)
+from .geometry import (InitialData, _chart_gradient, _first_order,
+                       _frame_apply, _leaf_array, _product, frame_derivative,
+                       frame_entry)
 from .jets import value
 from .ladder import (LadderFit, check_ladder, fit_decay_exponent,
                      fit_inverse_powers, ladder_map, rung_max, stacked_rungs)
@@ -115,29 +116,23 @@ def _decay_sups(data, coords, n_rungs):
     rung of a leaf of n_rungs rungs with the same number of nodes."""
     leaf = coords[1].shape
     G, P = data.jets(coords, order=2)
-    F = data.frame.components(jets.seed(coords, order=1))
-    Fv = _leaf_array(F, value, leaf)
-    dF = _chart_gradient(F, leaf)           # dF[a, l, b] = d_a F_l^b
-    dG = _chart_gradient(G, leaf)
-    # e_k(e_l G) = F_k^a (d_a F_l^b) d_b G + F_k^a F_l^b d_a d_b G,
-    # indexed [k, l, i, j, node]
-    hG = _chart_hessian(G, leaf)
-    ddG = 0.0
-    for a in range(3):
-        for b in range(3):
-            ddG = ddG + Fv[:, a, None, None, None] * (
-                dF[a, :, b, None, None] * dG[b]
-                + Fv[:, b, None, None] * hG[a, b])
+    # the frame as an array jet: e_l e_k g needs no second derivative of F
+    Fj = data.frame.components(jets.seed(coords, order=1))
+    F = np.concatenate([_leaf_array(Fj, value, leaf)[None],
+                        _chart_gradient(Fj, leaf)])
+    g, dg = _first_order(G, leaf)
+    # e_k g_ij as an array jet, so e_l(e_k g_ij) is e_l of its chart gradient
+    Dg = _product("ka...,aij...->kij...", F, dg)
 
     def sup(x):
         return np.max(rung_max(x, n_rungs).reshape(-1, n_rungs), axis=0)
 
     return {
-        "g": sup(_leaf_array(G, value, leaf) - np.eye(3)[:, :, None]),
-        "dg": sup(frame_derivative(Fv, G)),
-        "ddg": sup(ddG),
+        "g": sup(g[0] - np.eye(3)[:, :, None]),
+        "dg": sup(Dg[0]),
+        "ddg": sup(_frame_apply(F[0], Dg[1:])),
         "h": sup(_leaf_array(P, value, leaf)),
-        "dh": sup(frame_derivative(Fv, P)),
+        "dh": sup(frame_derivative(F[0], P)),
     }
 
 

@@ -213,9 +213,10 @@ def _exponents(fits):
 def cmd_adm(cfg):
     from .adm import (AF_DECAY_SLACK, adm_energy_momentum, check_af_decay,
                       check_dec_flat, check_pmt_flat)
+    # the decay check fits 4 rungs; reject a shorter ladder before any work
+    radii = check_ladder(_default_radii(cfg, "adm"), minimum=4)
     scale = cfg.tolerance_scale
     data = make_adm_data(cfg)
-    radii = _default_radii(cfg, "adm")
     ch = adm_energy_momentum(data, radii, _grid_of(cfg))
     decay = check_af_decay(data, radii)
     rng = np.random.default_rng(0)
@@ -330,14 +331,17 @@ def cmd_bondi_evolve(cfg):
 def cmd_bondi_slice(cfg):
     from .bondi import expansion_consistency
     from .nullcharges import check_pmt_null, null_energy_momentum
+    # the null order gate fits 4 rungs and --radii sets both ladders; reject
+    # a shorter ladder before any work
+    radii = check_ladder(_default_radii(cfg, "slice"), minimum=4)
+    null_radii = check_ladder(_default_radii(cfg, "null"), minimum=4)
     scale = cfg.tolerance_scale
     exp = make_expansion(cfg)
     a3 = make_a3(cfg)
-    radii = _default_radii(cfg, "slice")
     rep = expansion_consistency(exp, u0=cfg.u0, a3=a3, radii=radii)
     worst_name, worst = slowest_order(rep)
     data = _slice_data(cfg)
-    ch = null_energy_momentum(data, _default_radii(cfg, "null"), _grid_of(cfg))
+    ch = null_energy_momentum(data, null_radii, _grid_of(cfg))
     pmt = check_pmt_null(ch)
     checks = [
         CheckResult("slice.expansion_consistency", worst, 3.3,

@@ -37,7 +37,7 @@ __all__ = [
     "InitialData", "ConstraintQuantities",
     "euclidean_frame", "hyperboloid_frame",
     "christoffel4", "ricci_tensor", "pullback_initial_data",
-    "curvature3", "constraint_quantities", "rigidity_residual",
+    "constraint_quantities", "rigidity_residual",
     "frame_geometry", "frame_derivative", "frame_entry",
 ]
 
@@ -88,16 +88,50 @@ def _leaf_array(X, entry, leaf):
     return out
 
 
-def _chart_gradient(X, leaf, nvars=3):
-    """Leaf values of d_a X, indexed [a, <indices of X>, <leaf>]."""
+def _chart_gradient(X, leaf):
+    """Leaf values of d_a X, indexed [a, <indices of X>, <leaf>], for X
+    a nested list over as many chart variables as its first index."""
     return np.stack([_leaf_array(X, lambda x: _grad(x, a), leaf)
-                     for a in range(nvars)])
+                     for a in range(len(X))])
 
 
 def _chart_hessian(X, leaf):
     """Leaf values of d_a d_b X, indexed [a, b, <indices of X>, <leaf>]."""
+    n = len(X)
     return np.stack([np.stack([_leaf_array(X, lambda x: _hess(x, a, b), leaf)
-                               for b in range(3)]) for a in range(3)])
+                               for b in range(n)]) for a in range(n)])
+
+
+# An array jet is indexed [s, <indices>, <leaf>]: s = 0 holds the leaf
+# values and s = 1 + c the chart derivatives d_c (forward-mode derivatives in
+# vector mode).  Connection and curvature are einsums of array jets.
+
+def _product(spec, A, B):
+    """einsum(spec) of two first-order array jets with the product rule; the
+    result is one again."""
+    ins, out = spec.split("->")
+    a, b = ins.split(",")
+    grad = np.einsum(f"z{a},{b}->z{out}", A[1:], B[0]) \
+        + np.einsum(f"{a},z{b}->z{out}", A[0], B[1:])
+    return np.concatenate([np.einsum(spec, A[0], B[0])[None], grad])
+
+
+def _inverse(M):
+    """Array jet of the inverse of a 3x3 or 4x4 array jet,
+    d(M^-1) = -M^-1 dM M^-1; the values are those of ``inv3`` or ``inv4``."""
+    inv = np.array((inv3 if len(M[0]) == 3 else inv4)(M[0]))
+    dinv = -np.einsum("zab...,bc...->zac...",
+                      np.einsum("ab...,zbc...->zac...", inv, M[1:]), inv)
+    return np.concatenate([inv[None], dinv])
+
+
+def _first_order(X, leaf):
+    """The array jets of an n x n nested list X of order-2 jets over n
+    variables (or constants) and of its chart gradient d_a X, indexed
+    [s, i, j, <leaf>] and [s, a, i, j, <leaf>]."""
+    grad = _chart_gradient(X, leaf)
+    return (np.concatenate([_leaf_array(X, value, leaf)[None], grad]),
+            np.concatenate([grad[None], _chart_hessian(X, leaf)]))
 
 
 def _frame_sum(F, dx):
@@ -194,7 +228,7 @@ class Metric4Evaluator:
         """dg[c][a][b] = d_c g_{ab} at the point."""
         coords = list(point)
         return _chart_gradient(self.jets(coords, order=1),
-                               _coords_leaf(coords), 4)
+                               _coords_leaf(coords))
 
 
 @dataclass
@@ -329,47 +363,23 @@ def christoffel4(metric, point):
 
 
 def ricci_tensor(metric, point):
-    """Ricci tensor from exact second derivatives of the metric."""
+    """Ricci tensor from exact second derivatives of the metric.
+
+    Gamma^a_bc = g^ad (d_b g_dc + d_c g_db - d_d g_bc) / 2 is one einsum of
+    array jets (values and the four chart derivatives) with the product rule,
+    and R_bc = d_a Gamma^a_bc - d_c Gamma^a_ab + Gamma^a_ad Gamma^d_bc
+    - Gamma^a_cd Gamma^d_ab is four einsums of that jet.
+    """
     coords = list(point)
-    gj = metric.jets(coords, order=2)
-    g = [[value(_jf(gj[a][b])) for b in range(4)] for a in range(4)]
-    ginv = inv4(g)
-    dg = [[[value(_jd(gj[a][b], c)) for b in range(4)] for a in range(4)]
-          for c in range(4)]
-    ddg = [[[[value(_jdd(gj[a][b], c, d)) for b in range(4)] for a in range(4)]
-            for d in range(4)] for c in range(4)]
-    dginv = [[[None] * 4 for _ in range(4)] for _ in range(4)]
-    for m in range(4):
-        tmp = [[sum(ginv[a][c] * dg[m][c][d] for c in range(4)) for d in range(4)]
-               for a in range(4)]
-        for a in range(4):
-            for b in range(4):
-                dginv[m][a][b] = -sum(tmp[a][d] * ginv[d][b] for d in range(4))
-    gam = _christoffel_from(ginv, dg)
-    dgam = [[[[None] * 4 for _ in range(4)] for _ in range(4)] for _ in range(4)]
-    for m in range(4):
-        for b in range(4):
-            for c in range(b, 4):
-                col0 = [dg[b][d][c] + dg[c][d][b] - dg[d][b][c] for d in range(4)]
-                col1 = [ddg[m][b][d][c] + ddg[m][c][d][b] - ddg[m][d][b][c]
-                        for d in range(4)]
-                for a in range(4):
-                    e = 0.5 * sum(dginv[m][a][d] * col0[d] + ginv[a][d] * col1[d]
-                                  for d in range(4))
-                    dgam[m][a][b][c] = e
-                    dgam[m][a][c][b] = e
-    ric = [[None] * 4 for _ in range(4)]
-    for s in range(4):
-        for n in range(s, 4):
-            e = 0.0
-            for m in range(4):
-                e = e + dgam[m][m][n][s] - dgam[n][m][m][s]
-                for lam in range(4):
-                    e = e + gam[m][m][lam] * gam[lam][n][s] \
-                        - gam[m][n][lam] * gam[lam][m][s]
-            ric[s][n] = e
-            ric[n][s] = e
-    return np.array(ric)
+    g, dg = _first_order(metric.jets(coords, order=2), _coords_leaf(coords))
+    col = np.einsum("sbdc...->sdbc...", dg) \
+        + np.einsum("scdb...->sdbc...", dg) - dg
+    gam = 0.5 * _product("ad...,dbc...->abc...", _inverse(g), col)
+    gv = gam[0]
+    return np.einsum("aabc...->bc...", gam[1:]) \
+        - np.einsum("caab...->bc...", gam[1:]) \
+        + np.einsum("aad...,dbc...->bc...", gv, gv) \
+        - np.einsum("acd...,dab...->bc...", gv, gv)
 
 
 # ---------------------------------------------------------------------------
@@ -499,38 +509,6 @@ def pullback_initial_data(metric, emb, frame):
 # Frame geometry of 3-data: connection, curvature, constraints
 # ---------------------------------------------------------------------------
 
-def _product(spec, A, B):
-    """einsum(spec) of two first-order array jets with the product rule.
-
-    An array jet is indexed [s, <indices>, <leaf>]: s = 0 holds the leaf
-    values and s = 1 + c the chart derivatives d_c, as ``_first_order``
-    builds them; the result is one again.
-    """
-    ins, out = spec.split("->")
-    a, b = ins.split(",")
-    grad = np.einsum(f"z{a},{b}->z{out}", A[1:], B[0]) \
-        + np.einsum(f"{a},z{b}->z{out}", A[0], B[1:])
-    return np.concatenate([np.einsum(spec, A[0], B[0])[None], grad])
-
-
-def _inverse(M):
-    """Array jet of the inverse of a 3x3 array jet, d(M^-1) = -M^-1 dM M^-1;
-    the values are those of ``inv3``."""
-    inv = np.array(inv3(M[0]))
-    dinv = -np.einsum("zab...,bc...->zac...",
-                      np.einsum("ab...,zbc...->zac...", inv, M[1:]), inv)
-    return np.concatenate([inv[None], dinv])
-
-
-def _first_order(X, leaf):
-    """The array jets of a 3x3 nested list X of order-2 jets (or constants)
-    and of its chart gradient d_a X, indexed [s, i, j, <leaf>] and
-    [s, a, i, j, <leaf>]."""
-    grad = _chart_gradient(X, leaf)
-    return (np.concatenate([_leaf_array(X, value, leaf)[None], grad]),
-            np.concatenate([grad[None], _chart_hessian(X, leaf)]))
-
-
 def frame_geometry(data, coords3):
     """Connection, curvature and covariant derivatives of (g, p) in the frame.
 
@@ -538,13 +516,19 @@ def frame_geometry(data, coords3):
     2 g(nabla_i e_j, e_l) = e_i g_jl + e_j g_il - e_l g_ij
     + g([e_i,e_j], e_l) - g([e_i,e_l], e_j) - g([e_j,e_l], e_i).
 
-    The frame F and the metric G are read once, as arrays of their values,
-    chart gradients and chart Hessians.  The structure coefficients
-    ([e_i, e_j] = C^k_ij e_k), e_k g_ij, the lowered connection
-    omega_lij = g(nabla_i e_j, e_l) and omega^m_ij = g^ml omega_lij are each
-    an einsum of array jets (values and first chart derivatives) with the
-    product rule, and d(M^-1) = -M^-1 dM M^-1 for the inverses of F and G;
-    e_k omega comes from the exact first chart derivatives of omega.
+    The frame F and the metric G are read once, as array jets of their
+    values and first and second chart derivatives (``_first_order``).  Each
+    formula below is then one einsum of array jets with the product rule,
+    with d(M^-1) = -M^-1 dM M^-1 for the inverses of F and g:
+
+    * structure coefficients [e_i, e_j] = C^k_ij e_k, and e_k g_ij;
+    * the lowered connection omega_lij = g(nabla_i e_j, e_l) and
+      omega^m_ij = g^ml omega_lij;
+    * (nabla_k p)_ij = e_k p_ij - omega^m_ki p_mj - omega^m_kj p_im;
+    * R(e_i, e_j) e_q = Rup^l_qij e_l with
+      Rup^l_qij = A^l_qij - A^l_qji - C^m_ij omega^l_mq and
+      A^l_qij = e_i omega^l_jq + omega^l_im omega^m_jq, where e_i omega
+      comes from the chart derivatives of the omega jet.
     """
     G, P = data.jets(coords3, order=2)
     leaf = _coords_leaf(coords3)
@@ -571,32 +555,13 @@ def frame_geometry(data, coords3):
     omv, Cv, gv, ginv_v = om[0], C[0], g[0], ginv[0]
     pv = _leaf_array(P, value, leaf)
 
-    # e_k omega^m_{ij}, from the chart derivatives of omega
-    Dom = _frame_apply(Fv, om[1:])
-
-    # covariant derivative of p: (nabla_k p)_{ij}
-    Dp = frame_derivative(Fv, P)
-    nabla_p = np.zeros((3, 3, 3) + leaf)
-    for k in range(3):
-        for i in range(3):
-            for j in range(3):
-                e = Dp[k, i, j]
-                for m in range(3):
-                    e = e - omv[m][k][i] * pv[m][j] - omv[m][k][j] * pv[i][m]
-                nabla_p[k, i, j] = e
-
-    # curvature: R(e_i, e_j) e_q = Rup[l, q, i, j] e_l
-    Rup = np.zeros((3, 3, 3, 3) + leaf)
-    for l in range(3):
-        for q in range(3):
-            for i in range(3):
-                for j in range(3):
-                    e = Dom[i, l, j, q] - Dom[j, l, i, q]
-                    for m in range(3):
-                        e = e + omv[l][i][m] * omv[m][j][q] \
-                            - omv[l][j][m] * omv[m][i][q] \
-                            - Cv[i][j][m] * omv[l][m][q]
-                    Rup[l, q, i, j] = e
+    nabla_p = frame_derivative(Fv, P) \
+        - np.einsum("mki...,mj...->kij...", omv, pv) \
+        - np.einsum("mkj...,im...->kij...", omv, pv)
+    A = np.einsum("iljq...->lqij...", _frame_apply(Fv, om[1:])) \
+        + np.einsum("lim...,mjq...->lqij...", omv, omv)
+    Rup = A - np.swapaxes(A, 2, 3) \
+        - np.einsum("ijm...,lmq...->lqij...", Cv, omv)
     riem = np.einsum("pl...,lqij...->pqij...", gv, Rup)
     scalar = np.einsum("ik...,jl...,ijkl...->...", ginv_v, ginv_v, riem)
 
@@ -605,12 +570,6 @@ def frame_geometry(data, coords3):
         "C": Cv, "omega": omv, "nabla_p": nabla_p,
         "riem": riem, "scalar": scalar,
     }
-
-
-def curvature3(data, coords3):
-    """Frame Riemann components and scalar curvature of the 3-data."""
-    b = frame_geometry(data, coords3)
-    return b["riem"], b["scalar"]
 
 
 def constraint_quantities(data, coords3):

@@ -125,9 +125,7 @@ def decay_orders(data, radii, grid=None, components=_COMPONENTS):
     for c in components:
         if c not in _COMPONENTS:
             raise ConfigError(f"unknown component {c!r}; use one of {_COMPONENTS}")
-    radii = list(radii)
-    if len(radii) < 4:
-        raise ConfigError("decay-order fit needs at least 4 radii")
+    radii = check_ladder(radii, minimum=4)
     grid = grid or build_grid(12, 24)
     coords = stacked_rungs(grid, radii)
     sups = rung_max(np.stack(deviation(data, coords)), len(radii))

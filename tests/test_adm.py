@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from admbondi import jets
+from admbondi import adm, jets
 from admbondi.adm import (AF_DECAY_SLACK, adm_energy_momentum, check_af_decay,
                           check_dec_flat, check_pmt_flat, rotated_data)
 from admbondi.errors import ConfigError, DomainError
-from admbondi.geometry import (InitialData, euclidean_frame, hyperboloid_frame,
+from admbondi.geometry import (InitialData, _chart_gradient, _chart_hessian,
+                               _leaf_array, euclidean_frame, hyperboloid_frame,
                                pullback_initial_data)
 from admbondi.ladder import fit_decay_exponent, fit_inverse_powers
 from admbondi.spacetimes import (KerrParameters, kerr, minkowski, schwarzschild,
@@ -120,6 +121,33 @@ def test_af_decay_schwarzschild(schw_data):
     assert out["h"]["fit"].exact and out["dh"]["fit"].exact
     assert all(v["fit"].exponent - v["required"] >= -AF_DECAY_SLACK
                for v in out.values())
+
+
+def test_second_frame_derivative_matches_index_loops(rng):
+    # e_k(e_l g_ij) = F_k^a (d_a F_l^b) d_b g_ij + F_k^a F_l^b d_a d_b g_ij,
+    # term by term over the chart indices, against the sup that the decay
+    # check fits
+    data = pullback_initial_data(kerr(KerrParameters(1.0, 0.6)),
+                                 t_const_embedding(), euclidean_frame())
+    coords = [rng.uniform(5.0, 40.0, 20), rng.uniform(0.4, 2.7, 20),
+              rng.uniform(0.0, 6.2, 20)]
+    leaf = coords[1].shape
+    G, _ = data.jets(coords, order=2)
+    F = data.frame.components(jets.seed(coords, order=1))
+    Fv = _leaf_array(F, jets.value, leaf)
+    dF = _chart_gradient(F, leaf)
+    dG = _chart_gradient(G, leaf)
+    hG = _chart_hessian(G, leaf)
+    ddG = 0.0
+    for a in range(3):
+        for b in range(3):
+            ddG = ddG + Fv[:, a, None, None, None] * (
+                dF[a, :, b, None, None] * dG[b]
+                + Fv[:, b, None, None] * hG[a, b])
+    want = np.max(np.abs(ddG))
+    assert want > 1e-4
+    got = adm._decay_sups(data, coords, 1)["ddg"]
+    assert got == pytest.approx([want], rel=1e-13)
 
 
 def test_af_decay_minkowski_exact():

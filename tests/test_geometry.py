@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from admbondi import geometry, jets
 from admbondi.errors import DomainError
-from admbondi.geometry import (Embedding, InitialData, christoffel4,
-                               constraint_quantities, curvature3,
+from admbondi.geometry import (Embedding, InitialData, Metric4Evaluator,
+                               christoffel4, constraint_quantities,
                                euclidean_frame, frame_derivative,
                                frame_geometry, hyperboloid_frame, FrameField,
-                               pullback_initial_data, rigidity_residual)
+                               pullback_initial_data, ricci_tensor,
+                               rigidity_residual)
 from admbondi.bondi import induced_slice_data
 from admbondi.scenarios import ScenarioConfig, make_a3, make_expansion
 from admbondi.spacetimes import (SliceSpec, bondi_metric, bondi_slice_embedding,
@@ -25,7 +26,7 @@ def sample_points(rng, n, rlo=1.0, rhi=8.0):
     return r, th, ps
 
 
-# -- Christoffel symbols ----------------------------------------------------
+# -- Christoffel symbols and Ricci tensor -----------------------------------
 
 def test_minkowski_polar_christoffels():
     g = minkowski("polar")
@@ -60,10 +61,33 @@ def test_christoffel_metric_compatibility(rng):
 
 
 def test_degenerate_metric_rejected():
-    from admbondi.geometry import Metric4Evaluator
     bad = Metric4Evaluator(lambda c: [[0.0] * 4 for _ in range(4)], "polar", "bad")
     with pytest.raises(DomainError):
         christoffel4(bad, [0.0, 1.0, 1.0, 1.0])
+
+
+def test_de_sitter_ricci_is_einstein(rng):
+    # the static de Sitter patch, f = 1 - r^2 / l^2 and
+    # g = diag(-f, 1/f, r^2, r^2 sin^2 theta), has R_ab = (3 / l^2) g_ab: a
+    # Ricci tensor that does not vanish, unlike every vacuum check
+    ell = 2.0
+
+    def fn(c):
+        _, r, th, _ = c
+        f = 1.0 - r * r / (ell * ell)
+        s = jets.sin(th)
+        return [[0.0 - f, 0.0, 0.0, 0.0],
+                [0.0, 1.0 / f, 0.0, 0.0],
+                [0.0, 0.0, r * r, 0.0],
+                [0.0, 0.0, 0.0, r * r * s * s]]
+
+    de_sitter = Metric4Evaluator(fn, "static", "de-sitter")
+    r, th, ps = sample_points(rng, 12, rlo=0.2, rhi=1.8)
+    pt = [0.3, r, th, ps]
+    ric = ricci_tensor(de_sitter, pt)
+    assert ric.shape == (4, 4, 12)
+    assert np.max(np.abs(ric - 3.0 / ell ** 2 * de_sitter.components(pt))) \
+        <= 1e-13
 
 
 # -- pullback ---------------------------------------------------------------
@@ -146,7 +170,8 @@ def test_euclidean_data_is_flat(rng):
         return eye, zero
     data = InitialData(gp, euclidean_frame(), "euclidean")
     r, th, ps = sample_points(rng, 20)
-    riem, R = curvature3(data, [r, th, ps])
+    b = frame_geometry(data, [r, th, ps])
+    riem, R = b["riem"], b["scalar"]
     assert np.max(np.abs(riem)) <= 1e-11
     assert np.max(np.abs(R)) <= 1e-11
 
@@ -154,7 +179,8 @@ def test_euclidean_data_is_flat(rng):
 def test_hyperbolic_curvature(rng):
     data = hyperbolic_background_data()
     r, th, ps = sample_points(rng, 30, rlo=0.5, rhi=20.0)
-    riem, R = curvature3(data, [r, th, ps])
+    b = frame_geometry(data, [r, th, ps])
+    riem, R = b["riem"], b["scalar"]
     assert np.max(np.abs(R + 6.0)) <= 1e-9
     # constant curvature -1: riem = -(g_ik g_jl - g_il g_jk) with g = identity
     eye = np.eye(3)
@@ -173,7 +199,7 @@ def test_riemann_symmetries(rng):
         return g, g
     data = InitialData(gp, hyperboloid_frame(), "synthetic")
     r, th, ps = sample_points(rng, 10)
-    riem, _ = curvature3(data, [r, th, ps])
+    riem = frame_geometry(data, [r, th, ps])["riem"]
     assert np.max(np.abs(riem + np.swapaxes(riem, 2, 3))) <= 1e-9   # (k,l)
     assert np.max(np.abs(riem + np.swapaxes(riem, 0, 1))) <= 1e-9   # (i,j)
     pair = np.einsum("ijkl...->klij...", riem)
@@ -252,7 +278,7 @@ def test_product_sphere_curvature_matches_fd():
         return eye, zero
 
     data = InitialData(gp, FrameField(comp, "product"), "r-cross-sphere")
-    _, R = curvature3(data, [1.0, 1.1, 0.4])
+    R = frame_geometry(data, [1.0, 1.1, 0.4])["scalar"]
     assert R == pytest.approx(2.0 / R0 ** 2, abs=1e-10)
     # independent finite-difference recomputation of the scalar curvature
     Rfd = _scalar_curvature_fd(data, [1.0, 1.1, 0.4])
@@ -274,17 +300,65 @@ def _riemann_fd(data, pt, h=1e-4):
         dn = list(pt); dn[a] = pt[a] - h
         dom[a] = (omega_at(up) - omega_at(dn)) / (2 * h)
     Dom = np.einsum("ka,amij->kmij", F, dom)
-    Rup = np.zeros((3, 3, 3, 3))
+    return np.einsum("pl,lqij->pqij", g, _rup_loops(Dom, om, C))
+
+
+def _nabla_p_loops(Dp, omv, pv):
+    """(nabla_k p)_ij = e_k p_ij - omega^m_ki p_mj - omega^m_kj p_im, entry by
+    entry, from Dp[k, i, j] = e_k p_ij."""
+    nabla_p = np.zeros_like(Dp)
+    for k in range(3):
+        for i in range(3):
+            for j in range(3):
+                e = Dp[k, i, j]
+                for m in range(3):
+                    e = e - omv[m][k][i] * pv[m][j] - omv[m][k][j] * pv[i][m]
+                nabla_p[k, i, j] = e
+    return nabla_p
+
+
+def _rup_loops(Dom, omv, Cv):
+    """R(e_i, e_j) e_q = Rup[l, q, i, j] e_l, entry by entry, from
+    Dom[k, m, i, j] = e_k omega^m_ij."""
+    Rup = np.zeros_like(Dom)
     for l in range(3):
         for q in range(3):
             for i in range(3):
                 for j in range(3):
                     e = Dom[i, l, j, q] - Dom[j, l, i, q]
-                    for mm in range(3):
-                        e += om[l][i][mm] * om[mm][j][q] \
-                            - om[l][j][mm] * om[mm][i][q] - C[i][j][mm] * om[l][mm][q]
+                    for m in range(3):
+                        e = e + omv[l][i][m] * omv[m][j][q] \
+                            - omv[l][j][m] * omv[m][i][q] \
+                            - Cv[i][j][m] * omv[l][m][q]
                     Rup[l, q, i, j] = e
-    return np.einsum("pl,lqij->pqij", g, Rup)
+    return Rup
+
+
+def test_frame_geometry_matches_index_loops(rng, monkeypatch):
+    # Kerr data in the (non-holonomic) hyperboloid frame with an
+    # antisymmetric part added to p; e_k omega is what frame_geometry
+    # computes, recorded on its way through _frame_apply
+    data = _twisted(pullback_initial_data(kerr(KerrParameters(1.0, 0.6)),
+                                          t_const_embedding(),
+                                          hyperboloid_frame()))
+    coords = list(sample_points(rng, 6, 4.0, 30.0))
+    apply, applied = geometry._frame_apply, []
+
+    def recording(Fv, dX):
+        applied.append(apply(Fv, dX))
+        return applied[-1]
+    monkeypatch.setattr(geometry, "_frame_apply", recording)
+    b = frame_geometry(data, coords)
+    Dom = max(applied, key=np.ndim)
+    om, C, p = b["omega"], b["C"], b["p"]
+    assert np.max(np.abs(C)) > 1e-3
+    assert np.max(np.abs(p - np.swapaxes(p, 0, 1))) > 1e-3
+
+    Dp = frame_derivative(b["F"], data.jets(coords, order=2)[1])
+    want = _nabla_p_loops(Dp, om, p)
+    assert np.max(np.abs(b["nabla_p"] - want)) <= 1e-13 * np.max(np.abs(want))
+    want = np.einsum("pl...,lqij...->pqij...", b["g"], _rup_loops(Dom, om, C))
+    assert np.max(np.abs(b["riem"] - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def _scalar_curvature_fd(data, pt, h=1e-4):
@@ -324,6 +398,20 @@ def test_sigma_for_nonsymmetric_p():
     assert np.max(np.abs(cq.sigma)) > 1e-4
 
 
+def _twisted(pulled):
+    """The data with the antisymmetric part w (e^0 e^1 - e^1 e^0) added to
+    p, w = 0.1 / (1 + r)."""
+    def gp(c):
+        G, P = pulled.gp(c)
+        w = 0.1 / (1.0 + c[0])
+        P = [list(row) for row in P]
+        P[0][1] = P[0][1] + w
+        P[1][0] = P[1][0] - w
+        return G, P
+    return InitialData(gp, pulled.frame, f"twisted[{pulled.name}]",
+                       pulled.g_only)
+
+
 def test_sigma_of_pullback_data_sees_an_antisymmetric_p():
     """sigma is computed, never assumed zero: on the Bondi slice of criterion
     4 (a pullback, so p is symmetric) it is exactly 0, and the same data with
@@ -333,15 +421,7 @@ def test_sigma_of_pullback_data_sees_an_antisymmetric_p():
         bondi_metric(exp, r_min=10.0),
         bondi_slice_embedding(SliceSpec(u0=0.0), exp), hyperboloid_frame())
 
-    def twisted_gp(c):
-        G, P = pulled.gp(c)
-        w = 0.1 / (1.0 + c[0])
-        P = [list(row) for row in P]
-        P[0][1] = P[0][1] + w
-        P[1][0] = P[1][0] - w
-        return G, P
-    twisted = InitialData(twisted_gp, hyperboloid_frame(), "twisted-bondi",
-                          pulled.g_only)
+    twisted = _twisted(pulled)
     pts = [np.array([20.0, 30.0, 50.0, 80.0]), np.array([0.9, 1.4, 2.0, 2.5]),
            np.array([0.3, 1.7, 3.4, 5.1])]
     assert np.max(np.abs(constraint_quantities(pulled, pts).sigma)) == 0.0

@@ -64,8 +64,8 @@ def test_background_connection_metric_compatible_and_torsion_free(rng):
 
 
 def test_background_curvature_is_hyperbolic():
-    from admbondi.geometry import curvature3
-    _, R = curvature3(hyperbolic_background(), [2.5, 1.1, 0.4])
+    from admbondi.geometry import frame_geometry
+    R = frame_geometry(hyperbolic_background(), [2.5, 1.1, 0.4])["scalar"]
     assert float(R) == pytest.approx(-6.0, abs=1e-10)
 
 
@@ -344,5 +344,6 @@ def test_divergent_ladder_flagged():
 
 
 def test_decay_order_needs_four_radii(schw_slice):
-    with pytest.raises(ConfigError, match="4 radii"):
+    message = r"radius ladder \[20.0, 40.0, 80.0\] needs >= 4 rungs, got 3"
+    with pytest.raises(ConfigError, match=message):
         estimate_decay_order(schw_slice, "a11", [20.0, 40.0, 80.0])

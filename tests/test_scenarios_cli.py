@@ -259,10 +259,19 @@ def test_cli_null_order_gate_failure(capsys):
     (["null", "--preset", "bondi-biaxial", "--radii", "30,45,70"],
      "[30.0, 45.0, 70.0]"),
     (["converge", "--preset", "kerr", "--radii", "10,20,40"],
-     "[10.0, 20.0, 40.0]")])
-def test_cli_three_rung_ladder_exits_2(capsys, argv, ladder):
+     "[10.0, 20.0, 40.0]"),
+    (["adm", "--preset", "kerr", "--radii", "10,20,40"],
+     "[10.0, 20.0, 40.0]"),
+    (["bondi-slice", "--preset", "bondi-biaxial", "--radii", "50,100,200"],
+     "[50.0, 100.0, 200.0]")])
+def test_cli_three_rung_ladder_exits_2(monkeypatch, capsys, argv, ladder):
     # the order gate fits 4 rungs and would pass with no fits at all; a
-    # 3-coefficient fit on 3 rungs leaves converge no residual to scale by
+    # 3-coefficient fit on 3 rungs leaves converge no residual to scale by.
+    # The ladder is checked before any rung is evaluated.
+    def evaluated(*args, **kwargs):
+        raise AssertionError("a rung was evaluated before the ladder check")
+    monkeypatch.setattr("admbondi.adm.adm_energy_momentum", evaluated)
+    monkeypatch.setattr("admbondi.bondi.expansion_consistency", evaluated)
     assert run_cli(argv + ["--ntheta", "8", "--npsi", "16"]) == 2
     assert f"radius ladder {ladder} needs >= 4 rungs, got 3" \
         in capsys.readouterr().err
