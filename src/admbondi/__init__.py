@@ -8,7 +8,7 @@ from .sphere import (SphereGrid, SphereField, build_grid, integrate,
                      project_multipole, direction_functions)
 from .geometry import (Metric4Evaluator, Embedding, FrameField,
                        InitialData, ConstraintQuantities, euclidean_frame,
-                       hyperboloid_frame, christoffel4, ricci_tensor,
+                       hyperboloid_frame, ricci_tensor,
                        pullback_initial_data, constraint_quantities,
                        rigidity_residual)
 from .spacetimes import (KerrParameters, SliceSpec, minkowski, schwarzschild,

@@ -20,8 +20,9 @@ from .geometry import (InitialData, _chart_gradient, _first_order,
                        _frame_apply, _leaf_array, _product, frame_derivative,
                        frame_entry)
 from .jets import value
-from .ladder import (LadderFit, check_ladder, fit_decay_exponent,
-                     fit_inverse_powers, ladder_map, rung_max, stacked_rungs)
+from .ladder import (LadderFit, causal_margin, check_ladder,
+                     fit_decay_exponent, fit_inverse_powers, ladder_map,
+                     rung_max, stacked_rungs)
 from .sphere import build_grid, direction_functions
 
 __all__ = ["AdmCharges", "adm_energy_momentum", "adm_ladder_samples",
@@ -164,12 +165,8 @@ def check_dec_flat(data, points):
 
 
 def check_pmt_flat(charges):
-    """E - |P|: the spatial-infinity positive-mass margin."""
-    if isinstance(charges, AdmCharges):
-        E, P = charges.E, charges.P
-    else:
-        E, P = charges
-    return float(E - np.sqrt(np.sum(np.asarray(P, dtype=float) ** 2)))
+    """E - |P| of AdmCharges: the spatial-infinity positive-mass margin."""
+    return float(causal_margin(np.append(charges.E, charges.P)))
 
 
 def rotated_data(data, Q):

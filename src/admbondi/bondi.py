@@ -29,10 +29,11 @@ from .errors import ConfigError, DomainError
 from .geometry import (InitialData, hyperboloid_frame, pullback_initial_data,
                        _jf, _jd, _jdd)
 from .jets import value
-from .ladder import check_ladder, fit_decay_exponent, rung_max, stacked_rungs
+from .ladder import (causal_margin, check_ladder, fit_decay_exponent, rung_max,
+                     stacked_rungs)
 from .sphere import build_grid, project_multipole
 from .spacetimes import (SliceSpec, bondi_metric, bondi_slice_embedding,
-                         l_lbar, p_pbar)
+                         l_lbar)
 
 log = logging.getLogger(__name__)
 
@@ -41,8 +42,7 @@ __all__ = [
     "bondi_energy_momentum", "news_flux",
     "evolve_energy_momentum", "mass_loss_margin", "flux_holder_margin",
     "induced_slice_data", "expansion_consistency", "vanishing_news_scenario",
-    "check_psi_periodicity", "check_polar_news_average", "trajectory_csv",
-    "SLICE_COMPONENTS",
+    "trajectory_csv", "SLICE_COMPONENTS",
 ]
 
 SLICE_COMPONENTS = ("g11", "g12", "g13", "g22", "g23", "g33",
@@ -185,7 +185,7 @@ def _flux_trajectory(exp, u, du, grid, m_of):
     flux."""
     F = np.stack([news_flux(exp, ui, grid) for ui in u])
     m = m_of(_cumulative_simpson(F, du))
-    margin = m[:, 0] - np.sqrt(np.sum(m[:, 1:] ** 2, axis=1))
+    margin = causal_margin(m)
     dm = np.empty_like(margin)
     dm[:-1] = np.diff(margin) / du
     dm[-1] = dm[-2] if len(dm) > 1 else 0.0
@@ -213,89 +213,7 @@ def mass_loss_margin(traj):
 
 def flux_holder_margin(F):
     """min over samples of F_0 - sqrt(F_1^2+F_2^2+F_3^2) (>= 0 pointwise)."""
-    F = np.atleast_2d(np.asarray(F, dtype=float))
-    return float(np.min(F[:, 0] - np.sqrt(np.sum(F[:, 1:] ** 2, axis=1))))
-
-
-# ---------------------------------------------------------------------------
-# Conditions on the expansion
-# ---------------------------------------------------------------------------
-
-def check_psi_periodicity(exp):
-    """Values and derivatives to second order must agree at psi = 0 and 2pi.
-
-    Checked on the news, the coefficient functions and the derived fields at
-    u = 0, 1 and theta = 0.7, 1.3, 2.3.  Returns the worst mismatch.
-    """
-    fns = [exp.c, exp.d, exp.M, exp.N, exp.P, exp.C, exp.H]
-    worst = 0.0
-    for u in (0.0, 1.0):
-        for th in (0.7, 1.3, 2.3):
-            for fn in fns:
-                a = fn(*jets.seed([u, th, 0.0], order=2))
-                b = fn(*jets.seed([u, th, 2.0 * np.pi], order=2))
-                worst = np.maximum(worst, _jet_mismatch(a, b))
-            ga = _derived_at(exp, u, th, 0.0)
-            gb = _derived_at(exp, u, th, 2.0 * np.pi)
-            for x, y in zip(ga, gb):
-                worst = np.maximum(worst, _jet_mismatch(x, y))
-    return float(worst)
-
-
-def _derived_at(exp, u, th, ps):
-    """(l, lbar, p, pbar) at one point, as order-2 jets over (u, theta, psi).
-
-    The seeds are nested: the news jets of order 1, which give c_,2 and
-    c_,3, are taken at the outer order-2 jets of the point."""
-    uo, tho, pso = jets.seed([u, th, ps], order=2)
-    cj, dj = exp.news_jets(uo, tho, pso, order=1)
-    ct = jets.cos(tho) / jets.sin(tho)
-    cs = 1.0 / jets.sin(tho)
-    cn = (_jf(cj), _jd(cj, 1), _jd(cj, 2))
-    dn = (_jf(dj), _jd(dj, 1), _jd(dj, 2))
-    return (*l_lbar(cn, dn, ct, cs),
-            *p_pbar(exp.N(uo, tho, pso), exp.P(uo, tho, pso), cn, dn, ct, cs))
-
-
-def _jet_mismatch(a, b):
-    worst = abs(float(value(a)) - float(value(b)))
-    if isinstance(a, jets.Jet) and isinstance(b, jets.Jet):
-        for i in range(len(a.d)):
-            worst = np.maximum(
-                worst, abs(float(value(a.d[i])) - float(value(b.d[i]))))
-            if a.dd is not None:
-                for j in range(len(a.d)):
-                    worst = np.maximum(worst, abs(float(value(a.dd[i][j]))
-                                                  - float(value(b.dd[i][j]))))
-    return float(worst)
-
-
-def check_polar_news_average(exp):
-    """The psi-average of c must vanish in the limits theta -> 0 and pi.
-
-    Evaluated at u = 0, 0.5, 1 over 64 psi nodes: directly at the pole when
-    the news is finite there, otherwise by one-sided polynomial
-    extrapolation from interior latitudes.
-    """
-    psis = np.arange(64) * (2.0 * np.pi / 64)
-
-    def avg(u, th):
-        vals = value(exp.c(np.full_like(psis, u), np.full_like(psis, th), psis))
-        return float(np.mean(np.asarray(vals) + 0.0 * psis)) * 2.0 * np.pi
-
-    worst = 0.0
-    for u in (0.0, 0.5, 1.0):
-        for pole in (0.0, np.pi):
-            direct = avg(u, pole)
-            if np.isfinite(direct):
-                worst = np.maximum(worst, abs(direct))
-                continue
-            sgn = 1.0 if pole == 0.0 else -1.0
-            hs = np.array([0.02, 0.04, 0.06, 0.08])
-            vals = [avg(u, pole + sgn * h) for h in hs]
-            coef = np.polyfit(hs, vals, 3)
-            worst = np.maximum(worst, abs(float(np.polyval(coef, 0.0))))
-    return float(worst)
+    return float(np.min(causal_margin(F)))
 
 
 # ---------------------------------------------------------------------------

@@ -29,14 +29,13 @@ import numpy as np
 
 from . import jets
 from .errors import DomainError
-from .jets import (Jet, add, det4, inv3, inv4, mul, prod, sub, trunc1,
-                   value)
+from .jets import Jet, add, inv3, inv4, mul, prod, sub, trunc1, value
 
 __all__ = [
     "Metric4Evaluator", "Embedding", "FrameField",
     "InitialData", "ConstraintQuantities",
     "euclidean_frame", "hyperboloid_frame",
-    "christoffel4", "ricci_tensor", "pullback_initial_data",
+    "ricci_tensor", "pullback_initial_data",
     "constraint_quantities", "rigidity_residual",
     "frame_geometry", "frame_derivative", "frame_entry",
 ]
@@ -345,21 +344,6 @@ def _christoffel_from(ginv, dg, rows=range(4)):
                 gam[a][b][c] = e
                 gam[a][c][b] = e
     return gam
-
-
-def christoffel4(metric, point):
-    """Levi-Civita connection coefficients Gamma^a_{bc} at a point."""
-    coords = list(point)
-    gj = metric.jets(coords, order=1)
-    g = [[_jf(gj[a][b]) for b in range(4)] for a in range(4)]
-    det = value(det4(g))
-    if np.any(np.abs(det) < 1e-14):
-        raise DomainError(f"metric degenerate at {coords}")
-    ginv = inv4(g)
-    dg = [[[_grad(gj[a][b], c) for b in range(4)] for a in range(4)]
-          for c in range(4)]
-    gam = _christoffel_from([[value(x) for x in row] for row in ginv], dg)
-    return np.array(gam)
 
 
 def ricci_tensor(metric, point):

@@ -23,7 +23,7 @@ elementary function drop the terms it would annihilate and keep such a
 result a plain float, instead of multiplying it into an all-zero array or
 jet.  The helpers ``add``, ``sub``, ``mul``, ``div`` and ``prod`` apply the
 rule to operands of any level, plain numbers and arrays included; the
-linear algebra below (``inv3``, ``det4``, ``inv4``) and the tensor
+linear algebra below (``inv3``, ``inv4``) and the tensor
 contractions of ``geometry``'s pullback are written with them.  They test
 for a structural zero inline (``type(x) is float and x == 0.0``), since a
 charge evaluation calls them some hundred thousand times; ``_zero`` is the
@@ -53,7 +53,7 @@ import numpy as np
 __all__ = [
     "Jet", "seed", "value", "trunc1",
     "sin", "cos", "sqrt", "exp", "sinh", "cosh", "arccos", "arctan2",
-    "inv3", "inv4", "det4",
+    "inv3", "inv4",
     "add", "sub", "mul", "div", "prod",
 ]
 
@@ -393,15 +393,11 @@ def _minors4(m):
     return s, c
 
 
-def _det4(s, c):
+def _det_of_minors(s, c):
+    """Determinant of a 4x4 matrix from its ``_minors4``."""
     return add(sub(add(add(sub(mul(s[0], c[5]), mul(s[1], c[4])),
                            mul(s[2], c[3])), mul(s[3], c[2])),
                    mul(s[4], c[1])), mul(s[5], c[0]))
-
-
-def det4(m):
-    """Determinant of a generic 4x4 nested-list matrix, as inside inv4."""
-    return _det4(*_minors4(m))
 
 
 # inv4: row i of the inverse pairs the columns other than i with these
@@ -420,7 +416,7 @@ def inv4(m):
     (t1 - t0) - t2, which is the same floating-point result.
     """
     s, c = _minors4(m)
-    det = _det4(s, c)
+    det = _det_of_minors(s, c)
     inv = [[None] * 4 for _ in range(4)]
     for i, terms in enumerate(_INV4_TERMS):
         for j in range(4):

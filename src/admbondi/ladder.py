@@ -2,7 +2,8 @@
 
 Limit-defining surface integrals are sampled on an increasing finite ladder
 of radii and extrapolated to infinity with a least-squares fit of
-A + B/r + C/r^2; decay orders are log-log slope fits of sup-norms.
+A + B/r + C/r^2; decay orders are log-log slope fits of sup-norms.  The
+extrapolated energy-momenta are judged by one causal margin.
 """
 
 from dataclasses import dataclass, field
@@ -13,7 +14,7 @@ from .errors import ConfigError, DomainError
 
 __all__ = ["LadderFit", "DecayFit", "fit_inverse_powers", "fit_decay_exponent",
            "slowest_order", "ladder_map", "check_ladder", "stacked_rungs",
-           "rung_max"]
+           "rung_max", "causal_margin"]
 
 EXACT_ZERO_FLOOR = 1e-13
 
@@ -59,9 +60,19 @@ def check_ladder(radii, minimum=3):
     if len(radii) < minimum:
         raise ConfigError(f"radius ladder {radii} needs >= {minimum} rungs, "
                           f"got {len(radii)}")
+    if not all(0.0 < r < np.inf for r in radii):
+        raise ConfigError(f"radius ladder {radii}: every rung must be finite "
+                          f"and positive")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ConfigError(f"radius ladder must be strictly increasing: {radii}")
     return radii
+
+
+def causal_margin(x):
+    """x_0 - |x_vec| over the last axis of the 4-vectors x: nonnegative iff x
+    is future-directed causal (or zero); a NaN component gives NaN."""
+    x = np.asarray(x, dtype=float)
+    return x[..., 0] - np.sqrt(np.sum(x[..., 1:] ** 2, axis=-1))
 
 
 def fit_inverse_powers(radii, samples):

@@ -26,8 +26,9 @@ from . import jets
 from .errors import ConfigError
 from .geometry import InitialData, _grad, frame_entry, hyperboloid_frame
 from .jets import value
-from .ladder import (check_ladder, fit_decay_exponent, fit_inverse_powers,
-                     ladder_map, rung_max, slowest_order, stacked_rungs)
+from .ladder import (causal_margin, check_ladder, fit_decay_exponent,
+                     fit_inverse_powers, ladder_map, rung_max, slowest_order,
+                     stacked_rungs)
 from .sphere import build_grid, direction_functions
 
 __all__ = [
@@ -306,10 +307,6 @@ def check_dec_null(data, points):
 
 
 def check_pmt_null(charges):
-    """(E_0 - P_0,1) - sqrt(sum_i (E_i - P_i,1)^2): the null positive-mass
-    margin."""
-    if isinstance(charges, NullCharges):
-        m = charges.margins()
-    else:
-        m = np.asarray(charges, dtype=float)
-    return float(m[0] - np.sqrt(m[1] ** 2 + m[2] ** 2 + m[3] ** 2))
+    """(E_0 - P_0,1) - sqrt(sum_i (E_i - P_i,1)^2) of NullCharges: the null
+    positive-mass margin."""
+    return float(causal_margin(charges.margins()))

@@ -20,6 +20,7 @@ from . import jets
 from .bondi import BondiExpansion
 from .errors import ConfigError
 from .geometry import euclidean_frame, pullback_initial_data
+from .ladder import check_ladder
 from .spacetimes import (KerrParameters, kerr, minkowski, schwarzschild,
                          t_const_embedding)
 
@@ -70,9 +71,7 @@ class ScenarioConfig:
         if self.tolerance_scale <= 0:
             raise ConfigError("tolerance_scale must be positive")
         if self.radii:
-            if list(self.radii) != sorted(set(self.radii)):
-                raise ConfigError(f"radius ladder must be strictly increasing: "
-                                  f"{list(self.radii)}")
+            check_ladder(self.radii, minimum=1)
         return self
 
 

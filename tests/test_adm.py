@@ -196,11 +196,6 @@ def test_dec_margin_kerr(rng):
     assert np.max(np.abs(margin)) <= 1e-5
 
 
-def test_pmt_margin_arithmetic():
-    assert check_pmt_flat((2.0, (1.0, 0.0, 0.0))) == pytest.approx(1.0)
-    assert check_pmt_flat((0.0, (0.0, 0.0, 0.0))) == 0.0
-
-
 def test_pmt_margin_schwarzschild(schw_data, grid):
     ch = adm_energy_momentum(schw_data, LADDER, grid)
     assert check_pmt_flat(ch) == pytest.approx(1.0, abs=1e-3)

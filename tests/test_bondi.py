@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from admbondi import jets
 from admbondi.bondi import (BondiExpansion, bondi_energy_momentum,
-                            check_polar_news_average, check_psi_periodicity,
                             evolve_energy_momentum,
                             expansion_consistency, flux_holder_margin,
                             induced_slice_data, mass_aspect_field,
@@ -79,20 +78,23 @@ def test_derived_zero_news(grid):
         assert np.max(np.abs(f.values)) == 0.0
 
 
-def test_periodicity_check_reads_the_full_p_and_pbar():
-    """The derived fields of check_psi_periodicity carry 2N and 2P."""
-    from admbondi.bondi import _derived_at, _jet_mismatch
+def test_derived_p_and_pbar_carry_2N_and_2P(grid):
     exp = make_expansion(ScenarioConfig(preset="bondi-biaxial"))
     bare = BondiExpansion(c=exp.c, d=exp.d, M=exp.M)
-    u, th, ps = 0.5, 1.1, 0.4
-    l, lbar, p, pbar = _derived_at(exp, u, th, ps)
-    l0, lbar0, p0, pbar0 = _derived_at(bare, u, th, ps)
-    assert _jet_mismatch(l, l0) == 0.0 and _jet_mismatch(lbar, lbar0) == 0.0
-    assert value(p) - value(p0) == pytest.approx(
-        2.0 * exp.N(u, th, ps), rel=1e-12)
-    assert value(pbar) - value(pbar0) == pytest.approx(
-        2.0 * exp.P(u, th, ps), rel=1e-12)
-    assert exp.N(u, th, ps) != 0.0 and exp.P(u, th, ps) != 0.0
+    u = 0.5
+    l, lbar, p, pbar = derived_fields(exp, u, grid)
+    l0, lbar0, p0, pbar0 = derived_fields(bare, u, grid)
+    assert np.array_equal(l.values, l0.values)
+    assert np.array_equal(lbar.values, lbar0.values)
+    T, Ps = grid.nodes()
+    U = np.full_like(T, u)
+    N = (value(exp.N(U, T, Ps)) + 0.0 * T).reshape(grid.shape)
+    P = (value(exp.P(U, T, Ps)) + 0.0 * T).reshape(grid.shape)
+    np.testing.assert_allclose(p.values - p0.values, 2.0 * N,
+                               rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(pbar.values - pbar0.values, 2.0 * P,
+                               rtol=0.0, atol=1e-12)
+    assert np.max(np.abs(N)) > 1e-3 and np.max(np.abs(P)) > 1e-3
 
 
 # -- energy-momentum moments ---------------------------------------------------
@@ -309,52 +311,12 @@ def test_trajectory_csv_format(grid):
     assert "e" in row[0]  # scientific notation
 
 
-# -- conditions -------------------------------------------------------------------
-
-def test_periodicity_holds_for_presets():
-    def c(u, th, ps):
-        return 0.1 * jets.sin(th) ** 2 * jets.cos(ps) * (1.0 + u)
-    exp = BondiExpansion(c=c, d=_zero, M=const_M(1.0))
-    assert check_psi_periodicity(exp) <= 1e-10
-
-
-def test_periodicity_detects_violation():
-    def c(u, th, ps):
-        return 0.1 * jets.sin(th) ** 2 * (ps / (2 * np.pi)) + 0.0 * u
-    exp = BondiExpansion(c=c, d=_zero, M=const_M(1.0))
-    assert check_psi_periodicity(exp) > 1e-3
-
-
-def test_periodicity_compares_derived_fields_to_second_order():
-    """d = sin^2(theta) psi^3 (psi - 2 pi)^3 / 1000 matches at psi = 0 and
-    2 pi to second order, but d_,333 changes sign between them, so l, which
-    carries d_,3 csc(theta), differs there in its second psi-derivative."""
-    from admbondi.bondi import _derived_at
-
-    def d(u, th, ps):
-        return 1e-3 * jets.sin(th) ** 2 * ps ** 3 * (ps - 2 * np.pi) ** 3 \
-            + 0.0 * u
-    exp = BondiExpansion(c=_zero, d=d, M=const_M(1.0))
-    assert all(x.dd is not None for x in _derived_at(exp, 0.0, 1.3, 0.0))
-    assert check_psi_periodicity(exp) > 1.0
-
-
-def test_polar_average_condition():
-    exp = quadrupole(A=0.2)
-    assert check_polar_news_average(exp) <= 1e-8
-
-    def bad_c(u, th, ps):
-        return 0.1 + 0.0 * u  # psi-average nonzero at the poles
-    bad = BondiExpansion(c=bad_c, d=_zero, M=const_M(1.0))
-    assert check_polar_news_average(bad) > 0.1
-
+# -- non-finite news ---------------------------------------------------------------
 
 def test_nan_news_fail_the_expansion_checks():
     def c(u, th, ps):
         return np.nan + 0.0 * u
     exp = BondiExpansion(c=c, d=_zero, M=const_M(1.0))
-    assert np.isnan(check_psi_periodicity(exp))
-    assert np.isnan(check_polar_news_average(exp))
     sc, sd = exp.sup_news_estimate()
     assert np.isnan(sc) and sd == 0.0
     with pytest.raises(DomainError, match="not finite"):

@@ -185,7 +185,7 @@ def test_inverse_with_jet_entries():
 def test_zero_aware_linear_algebra_matches_dense_and_numpy(n, leaf, zeros,
                                                            seed_,
                                                            dense_arithmetic):
-    """inv3/inv4/det4 with plain-float zeros give exactly what the dense
+    """inv3/inv4 and inv4's determinant with plain-float zeros give exactly what the dense
     formulas give, and agree with np.linalg."""
     vals = np.random.default_rng(seed_).uniform(-2.0, 2.0, (n, n) + leaf)
     vals[np.array(zeros[:n * n]).reshape(n, n)] = 0.0
@@ -197,7 +197,8 @@ def test_zero_aware_linear_algebra_matches_dense_and_numpy(n, leaf, zeros,
 
     def evaluate():
         rows = [[np.broadcast_to(x, leaf) for x in row] for row in inv(m)]
-        dets = [np.broadcast_to(jets.det4(m), leaf)] if n == 4 else []
+        dets = ([np.broadcast_to(jets._det_of_minors(*jets._minors4(m)),
+                                 leaf)] if n == 4 else [])
         return np.array(rows), dets
 
     got_inv, got_det = evaluate()

@@ -17,9 +17,11 @@ from admbondi.cli import main
 from admbondi.errors import DomainError
 from admbondi.geometry import (InitialData, euclidean_frame, hyperboloid_frame,
                                pullback_initial_data)
-from admbondi.ladder import fit_inverse_powers, rung_max, stacked_rungs
+from admbondi.ladder import (causal_margin, fit_inverse_powers, rung_max,
+                             stacked_rungs)
 from admbondi.nullcharges import (decay_orders, deviation,
                                   hyperbolic_background)
+from admbondi.reports import CheckResult
 from admbondi.scenarios import ScenarioConfig, make_a3, make_expansion
 from admbondi.spacetimes import (KerrParameters, SliceSpec, bondi_metric,
                                  bondi_slice_embedding, hyperboloid_embedding,
@@ -246,3 +248,38 @@ def test_fit_inverse_powers_recovers_the_limit(A, B, C, r0, ratio, n):
     scale = abs(A) + abs(B) / r0 + abs(C) / r0 ** 2
     assert abs(fit.value - A) <= 1e-9 * (1.0 + scale)
     assert fit.residual <= 1e-12 * (1.0 + scale)
+
+
+# -- the causal margin x_0 - |x_vec| of the pmt checks and the flux trajectory
+
+def test_causal_margin_arithmetic():
+    assert causal_margin([2.0, 1.0, 0.0, 0.0]) == pytest.approx(1.0)
+    assert causal_margin([0.0, 0.0, 0.0, 0.0]) == 0.0
+    assert causal_margin([5.0, 3.0, 0.0, 0.0]) == pytest.approx(2.0)
+    assert causal_margin([5.0, 0.0, 3.0, 4.0]) == 0.0
+    assert causal_margin([1.0, 0.0, 0.0, -2.0]) == -1.0
+    # one margin per row of a trajectory
+    np.testing.assert_array_equal(
+        causal_margin([[2.0, 1.0, 0.0, 0.0], [5.0, 0.0, 3.0, 4.0]]), [1.0, 0.0])
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_causal_margin_nan_fails_the_margin_check(k):
+    x = np.array([2.0, 0.1, 0.2, 0.3])
+    x[k] = np.nan
+    m = causal_margin(x)
+    assert np.isnan(m)
+    assert not CheckResult("pmt_margin", m, 1e-4, "value >= -tolerance").passed
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=4),
+                     min_size=1, max_size=5))
+def test_causal_margin_is_the_written_out_formula(rows):
+    """Bit for bit x0 - sqrt(x1 x1 + x2 x2 + x3 x3), the sum left to right,
+    row by row and over a stack of rows.  (A numpy scalar's ``** 2`` can be
+    one ulp off the rounded product; the array square is not.)"""
+    x = np.array(rows)
+    ref = [r[0] - np.sqrt(r[1] * r[1] + r[2] * r[2] + r[3] * r[3]) for r in x]
+    assert np.array_equal(causal_margin(x), ref)
+    assert [causal_margin(r) for r in x] == ref

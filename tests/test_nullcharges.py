@@ -325,11 +325,6 @@ def test_symmetric_p_margin_arms_coincide():
     assert abs(float(cq_margin)) <= 1e-7
 
 
-def test_pmt_null_arithmetic():
-    assert check_pmt_null(np.array([0.0, 0.0, 0.0, 0.0])) == 0.0
-    assert check_pmt_null(np.array([5.0, 3.0, 0.0, 0.0])) == pytest.approx(2.0)
-
-
 def test_divergent_ladder_flagged():
     # a slice with c != 0 at u0 has deviations of order 1; the energy ladder
     # grows with r and must carry the divergence flag

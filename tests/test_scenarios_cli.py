@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from admbondi import jets
-from admbondi.bondi import check_polar_news_average, check_psi_periodicity
+from admbondi.bondi import BondiExpansion
 from admbondi.cli import _SCHEMA, main, parse_config
 from admbondi.errors import ConfigError
 from admbondi.reports import COMPARATORS, CheckResult, report_json
-from admbondi.scenarios import (PRESETS, ScenarioConfig, harmonic_basis,
-                                harmonic_news, make_expansion, make_metric)
+from admbondi.scenarios import (BONDI_PRESETS, PRESETS, ScenarioConfig,
+                                harmonic_basis, harmonic_news, make_expansion,
+                                make_metric)
 
 
 # -- presets -------------------------------------------------------------------
@@ -25,16 +26,89 @@ def test_all_presets_resolve():
         make_expansion(cfg)
 
 
-def test_presets_satisfy_conditions():
-    for name in ("bondi-schwarzschild", "bondi-quadrupole", "bondi-biaxial"):
-        exp = make_expansion(ScenarioConfig(preset=name))
-        assert check_psi_periodicity(exp) <= 1e-10, name
-        assert check_polar_news_average(exp) <= 1e-8, name
-
-
 def test_unknown_preset_rejected():
     with pytest.raises(ConfigError):
         ScenarioConfig(preset="wormhole").validate()
+
+
+# -- Bondi's conditions, met by construction ---------------------------------------
+# Every expansion the CLI builds is 2 pi-periodic in psi (integer-m psi
+# factors) and has a news c whose psi-average vanishes at both poles (preset
+# sin^2 theta factors, pole-regular harmonic basis); these tests check the
+# construction instead of a run-time check that could never fail.
+
+def _zero(u, th, ps):
+    return 0.0 * u
+
+
+def _order2(x, leaf):
+    """An order-2 jet over (u, theta, psi), or a constant, as one array:
+    value, gradient and Hessian stacked over the leaf."""
+    if not isinstance(x, jets.Jet):
+        x = jets.Jet(x, [0.0] * 3, [[0.0] * 3] * 3)
+    entries = [x.f, *x.d, *(e for row in x.dd for e in row)]
+    return np.stack([np.broadcast_to(e, leaf) for e in entries])
+
+
+def psi_mismatch(fn):
+    """Largest difference of fn's value, gradient and Hessian at psi = 0 and
+    2 pi, over u = 0, 1 and theta = 0.7, 1.3, 2.3 (NaN stays NaN)."""
+    u = np.repeat([0.0, 1.0], 3)
+    th = np.tile([0.7, 1.3, 2.3], 2)
+    a, b = (_order2(fn(*jets.seed([u, th, np.full_like(u, ps)], order=2)),
+                    u.shape) for ps in (0.0, 2.0 * np.pi))
+    return np.max(np.abs(a - b))
+
+
+def polar_average(c):
+    """Largest |psi-average of c| at the poles theta = 0 and pi, over
+    u = 0, 0.5, 1 and 64 psi nodes."""
+    ps = np.arange(64) * (2.0 * np.pi / 64)
+    return np.max([abs(np.mean(jets.value(c(np.full_like(ps, u),
+                                            np.full_like(ps, pole), ps))
+                               + 0.0 * ps))
+                   for u in (0.0, 0.5, 1.0) for pole in (0.0, np.pi)])
+
+
+def _expansion_conditions(exp):
+    fields = (exp.c, exp.d, exp.M, exp.N, exp.P, exp.C, exp.H)
+    return np.max([psi_mismatch(fn) for fn in fields]), polar_average(exp.c)
+
+
+def test_presets_satisfy_conditions():
+    for name in BONDI_PRESETS:
+        periodic, polar = _expansion_conditions(
+            make_expansion(ScenarioConfig(preset=name)))
+        assert periodic <= 1e-10, name
+        assert polar <= 1e-12, name
+
+
+def test_every_harmonic_mode_satisfies_conditions():
+    modes = [(l, m) for l in range(1, 5) for m in range(-l, l + 1)
+             if (l, m) != (1, 0)]
+    for l, m in modes:
+        def basis(u, th, ps):
+            return harmonic_basis(l, m, th, ps) + 0.0 * u
+        assert psi_mismatch(basis) <= 1e-10, (l, m)
+        assert polar_average(basis) <= 1e-12, (l, m)
+    with pytest.raises(ConfigError):
+        harmonic_basis(1, 0, 1.0, 0.0)
+
+
+def test_condition_helpers_reject_violations():
+    def psi_linear(u, th, ps):
+        return 0.1 * jets.sin(th) ** 2 * (ps / (2 * np.pi)) + 0.0 * u
+
+    def polar_constant(u, th, ps):
+        return 0.1 + 0.0 * u
+    assert psi_mismatch(psi_linear) > 1e-3
+    assert polar_average(polar_constant) > 0.05
+
+    def nan_south(u, th, ps):  # NaN at theta > 2 and psi > 3 only
+        south = (jets.value(th) > 2.0) & (jets.value(ps) > 3.0)
+        return np.where(south, np.nan, 0.0) + 0.0 * u
+    assert np.isnan(psi_mismatch(nan_south))
+    assert np.isnan(polar_average(nan_south))
 
 
 # -- harmonic news ----------------------------------------------------------------
@@ -60,12 +134,11 @@ def test_harmonic_news_interpolation_and_derivative():
 
 
 def test_harmonic_table_condition_b_auto():
-    from admbondi.bondi import BondiExpansion
     table = {"u_grid": [0.0, 1.0], (2, 0): [0.1, 0.2]}
     c = harmonic_news(table)
-    exp = BondiExpansion(c=c, d=lambda u, th, ps: 0.0 * u,
-                         M=lambda u, th, ps: 1.0 + 0.0 * u)
-    assert check_polar_news_average(exp) <= 1e-8
+    exp = BondiExpansion(c=c, d=_zero, M=lambda u, th, ps: 1.0 + 0.0 * u)
+    periodic, polar = _expansion_conditions(exp)
+    assert periodic <= 1e-10 and polar <= 1e-12
 
 
 def test_harmonic_rows_validated():
@@ -132,8 +205,8 @@ c_2_0 = 0.0, 0.1, 0.2
 """
     cfg, _ = parse_config(text)
     assert cfg.news_table is not None
-    exp = make_expansion(cfg)
-    assert check_polar_news_average(exp) <= 1e-8
+    periodic, polar = _expansion_conditions(make_expansion(cfg))
+    assert periodic <= 1e-10 and polar <= 1e-12
 
 
 def test_parse_config_bad_table_key():
@@ -274,6 +347,26 @@ def test_cli_three_rung_ladder_exits_2(monkeypatch, capsys, argv, ladder):
     monkeypatch.setattr("admbondi.bondi.expansion_consistency", evaluated)
     assert run_cli(argv + ["--ntheta", "8", "--npsi", "16"]) == 2
     assert f"radius ladder {ladder} needs >= 4 rungs, got 3" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("radii", ["-80,-40,-20,-10", "0,10,20,40",
+                                   "10,20,40,inf"])
+@pytest.mark.parametrize("command, preset", [
+    ("adm", "kerr"), ("null", "bondi-biaxial"), ("bondi-slice", "bondi-biaxial")])
+def test_cli_rung_not_finite_and_positive_exits_2(monkeypatch, capsys, command,
+                                                  preset, radii):
+    # a negative ladder used to end in an uncaught LinAlgError (exit 1) and a
+    # zero rung in a non-finite sup-norm; both are now rejected up front
+    def evaluated(*args, **kwargs):
+        raise AssertionError("a rung was evaluated before the ladder check")
+    for target in ("adm.adm_energy_momentum", "bondi.expansion_consistency",
+                   "nullcharges.null_energy_momentum"):
+        monkeypatch.setattr(f"admbondi.{target}", evaluated)
+    assert run_cli([command, "--preset", preset, f"--radii={radii}",
+                    "--ntheta", "8", "--npsi", "16"]) == 2
+    ladder = [float(r) for r in radii.split(",")]
+    assert f"radius ladder {ladder}: every rung must be finite and positive" \
         in capsys.readouterr().err
 
 
