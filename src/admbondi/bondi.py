@@ -53,6 +53,12 @@ def _zero(u, th, ps):
     return 0.0 * u
 
 
+def _at_nodes(fn, u, T, Ps):
+    """fn(u, theta, psi) at the sphere nodes (T, Ps) at retarded time u, as
+    an array over the nodes even where fn returns a constant."""
+    return value(fn(np.full_like(T, float(u)), T, Ps)) + 0.0 * T
+
+
 @dataclass
 class BondiExpansion:
     """News potentials and subleading coefficients as generic callables.
@@ -91,8 +97,8 @@ class BondiExpansion:
         T, Ps = g.nodes()
         sc = sd = 0.0
         for u in us:
-            cu = value(self.c(np.full_like(T, u), T, Ps)) + 0.0 * T
-            du = value(self.d(np.full_like(T, u), T, Ps)) + 0.0 * T
+            cu = _at_nodes(self.c, u, T, Ps)
+            du = _at_nodes(self.d, u, T, Ps)
             # np.maximum keeps a NaN; the builtin max would drop it
             sc = np.maximum(sc, np.max(np.abs(cu)))
             sd = np.maximum(sd, np.max(np.abs(du)))
@@ -106,9 +112,7 @@ def bondi_energy_momentum(mass_aspect_field):
 
 
 def mass_aspect_field(exp, u, grid):
-    T, Ps = grid.nodes()
-    vals = value(exp.M(np.full_like(T, float(u)), T, Ps)) + 0.0 * T
-    return grid.field(vals)
+    return grid.field(_at_nodes(exp.M, u, *grid.nodes()))
 
 
 def news_flux(exp, u, grid):
@@ -231,8 +235,7 @@ def induced_slice_data(exp, u0=0.0, a3=None):
 
     def gp(coords):
         r, th, ps = coords
-        cj, dj = exp.news_jets(float(u0) if not isinstance(u0, jets.Jet) else u0,
-                               th, ps, order=2)
+        cj, dj = exp.news_jets(float(u0), th, ps, order=2)
         c = _jf(cj)
         c0, c2, c3 = _jd(cj, 0), _jd(cj, 1), _jd(cj, 2)
         c00, c02, c03 = _jdd(cj, 0, 0), _jdd(cj, 0, 1), _jdd(cj, 0, 2)
@@ -351,9 +354,8 @@ def vanishing_news_scenario(exp, u0, u_start, du=0.01, grid=None,
     u = _u_samples(u_start, u0, du, end="u0")
     grid = grid or build_grid(48, 96)
     T, Ps = grid.nodes()
-    uarr = np.full_like(T, float(u0))
-    cvals = np.abs(value(exp.c(uarr, T, Ps)) + 0.0 * T)
-    dvals = np.abs(value(exp.d(uarr, T, Ps)) + 0.0 * T)
+    cvals = np.abs(_at_nodes(exp.c, u0, T, Ps))
+    dvals = np.abs(_at_nodes(exp.d, u0, T, Ps))
     if cvals.max() > 1e-10 or dvals.max() > 1e-10:
         k = int(np.argmax(np.maximum(cvals, dvals)))
         raise DomainError(

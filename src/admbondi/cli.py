@@ -33,35 +33,10 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .ladder import check_ladder, slowest_order
 from .reports import ChargeReport, CheckResult, write_json
-from .scenarios import (ADM_PRESETS, ScenarioConfig, make_a3, make_adm_data,
-                        make_expansion)
+from .scenarios import (ADM_PRESETS, CONFIG_SCHEMA, ScenarioConfig, make_a3,
+                        make_adm_data, make_expansion, parse_floats)
 
 log = logging.getLogger(__name__)
-
-# (section, key) -> (attribute, parser)
-_FLOAT = float
-_INT = int
-_FLOATS = lambda s: tuple(float(x) for x in s.replace(",", " ").split())
-
-_SCHEMA = {
-    ("", "preset"): ("preset", str.strip),
-    ("parameters", "mass"): ("mass", _FLOAT),
-    ("parameters", "spin"): ("spin", _FLOAT),
-    ("parameters", "amplitude"): ("amplitude", _FLOAT),
-    ("parameters", "amplitude_d"): ("amplitude_d", _FLOAT),
-    ("parameters", "news_zero_u"): ("news_zero_u", _FLOAT),
-    ("parameters", "mass_aspect"): ("mass_aspect", str.strip),
-    ("parameters", "a3_amplitude"): ("a3_amplitude", _FLOAT),
-    ("grid", "n_theta"): ("n_theta", _INT),
-    ("grid", "n_psi"): ("n_psi", _INT),
-    ("ladder", "radii"): ("radii", _FLOATS),
-    ("slice", "u0"): ("u0", _FLOAT),
-    ("evolution", "u_start"): ("u_start", _FLOAT),
-    ("evolution", "u_end"): ("u_end", _FLOAT),
-    ("evolution", "du"): ("du", _FLOAT),
-    ("checks", "tolerance_scale"): ("tolerance_scale", _FLOAT),
-}
-
 
 def parse_config(text):
     """Parse nested-section key-value text into a ScenarioConfig.
@@ -79,8 +54,7 @@ def parse_config(text):
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
-            known = {s for s, _ in _SCHEMA} | {"news_table"}
-            if section not in known:
+            if section not in CONFIG_SCHEMA and section != "news_table":
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
             continue
         if "=" not in line:
@@ -91,23 +65,22 @@ def parse_config(text):
         if section == "news_table":
             table[key] = val
             continue
-        spec = _SCHEMA.get((section, key))
-        if spec is None:
+        parse = CONFIG_SCHEMA[section].get(key)
+        if parse is None:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in "
                               f"section [{section or 'top level'}]")
-        attr, conv = spec
         try:
-            setattr(cfg, attr, conv(val))
+            setattr(cfg, key, parse(val))
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}")
-        seen.add(attr)
+        seen.add(key)
 
     if table:
         cfg.news_table = _parse_news_table(table)
         seen.add("news_table")
+    fields = [key for keys in CONFIG_SCHEMA.values() for key in keys]
     provenance = {f: ("config" if f in seen else "default")
-                  for f in [attr for attr, _ in _SCHEMA.values()]
-                  + ["news_table"]}
+                  for f in fields + ["news_table"]}
     for f, src in provenance.items():
         if src == "default":
             log.debug("config: %s defaulted", f)
@@ -117,7 +90,7 @@ def parse_config(text):
 
 def _table_row(table, key):
     try:
-        row = _FLOATS(table[key])
+        row = parse_floats(table[key])
     except ValueError as exc:
         raise ConfigError(f"news_table row {key}: {exc}")
     if not np.all(np.isfinite(row)):
@@ -161,7 +134,7 @@ def _apply_flags(cfg, args):
         cfg.n_psi = args.npsi
     if args.radii is not None:
         try:
-            cfg.radii = _FLOATS(args.radii)
+            cfg.radii = parse_floats(args.radii)
         except ValueError as exc:
             raise ConfigError(f"bad value for --radii: {exc}")
     if args.u0 is not None:
@@ -174,8 +147,6 @@ def _apply_flags(cfg, args):
         cfg.u_end = args.u1
     if args.du is not None:
         cfg.du = args.du
-    if args.tolerance_scale is not None:
-        cfg.tolerance_scale = args.tolerance_scale
     cfg.validate()
     return cfg
 
@@ -215,7 +186,6 @@ def cmd_adm(cfg):
                       check_dec_flat, check_pmt_flat)
     # the decay check fits 4 rungs; reject a shorter ladder before any work
     radii = check_ladder(_default_radii(cfg, "adm"), minimum=4)
-    scale = cfg.tolerance_scale
     data = make_adm_data(cfg)
     ch = adm_energy_momentum(data, radii, _grid_of(cfg))
     decay = check_af_decay(data, radii)
@@ -227,16 +197,16 @@ def cmd_adm(cfg):
     m0 = _known_mass(cfg)
     checks = [
         CheckResult("adm.energy_matches_preset_mass", ch.E - m0,
-                    max(1e-2 * m0, 1e-9) * scale, "abs(value) <= tolerance"),
-        CheckResult("adm.momentum_small", np.max(np.abs(ch.P)), 1e-4 * scale,
+                    max(1e-2 * m0, 1e-9), "abs(value) <= tolerance"),
+        CheckResult("adm.momentum_small", np.max(np.abs(ch.P)), 1e-4,
                     "value <= tolerance"),
         CheckResult("adm.decay_orders_ok",
                     min(v["fit"].exponent - v["required"]
                         for v in decay.values()),
                     AF_DECAY_SLACK, "value >= -tolerance"),
-        CheckResult("adm.dec_margin", np.min(dec), 1e-5 * scale,
+        CheckResult("adm.dec_margin", np.min(dec), 1e-5,
                     "value >= -tolerance"),
-        CheckResult("adm.pmt_margin", pmt, 1e-6 * scale, "value >= -tolerance"),
+        CheckResult("adm.pmt_margin", pmt, 1e-6, "value >= -tolerance"),
     ]
     report = ChargeReport(
         scenario=cfg.preset, kind="adm",
@@ -266,7 +236,6 @@ def _slice_data(cfg):
 
 def cmd_null(cfg):
     from .nullcharges import check_dec_null, check_pmt_null, null_energy_momentum
-    scale = cfg.tolerance_scale
     data = _slice_data(cfg)
     radii = _default_radii(cfg, "null")
     ch = null_energy_momentum(data, radii, _grid_of(cfg))
@@ -280,10 +249,9 @@ def cmd_null(cfg):
                     "value >= tolerance", "fitted orders above 3/2 gate"),
         CheckResult("null.not_diverging", ch.diverging(), 0.0,
                     "value <= tolerance"),
-        CheckResult("null.dec_margin", np.min(dec), 1e-4 * scale,
+        CheckResult("null.dec_margin", np.min(dec), 1e-4,
                     "value >= -tolerance"),
-        CheckResult("null.pmt_margin", pmt, 1e-4 * scale,
-                    "value >= -tolerance"),
+        CheckResult("null.pmt_margin", pmt, 1e-4, "value >= -tolerance"),
     ]
     report = ChargeReport(
         scenario=cfg.preset, kind="null",
@@ -302,7 +270,6 @@ def cmd_bondi_evolve(cfg):
     from .bondi import (bondi_energy_momentum, evolve_energy_momentum,
                         flux_holder_margin, mass_aspect_field,
                         mass_loss_margin, trajectory_csv)
-    scale = cfg.tolerance_scale
     exp = make_expansion(cfg)
     grid = _grid_of(cfg)
     m0 = bondi_energy_momentum(mass_aspect_field(exp, cfg.u_start, grid))
@@ -311,11 +278,11 @@ def cmd_bondi_evolve(cfg):
     dm0 = np.max(np.diff(traj.m[:, 0]))
     holder = flux_holder_margin(traj.flux)
     checks = [
-        CheckResult("evolve.margin_nonincreasing", dmax, 1e-9 * scale,
+        CheckResult("evolve.margin_nonincreasing", dmax, 1e-9,
                     "value <= tolerance"),
-        CheckResult("evolve.mass_nonincreasing", dm0, 1e-9 * scale,
+        CheckResult("evolve.mass_nonincreasing", dm0, 1e-9,
                     "value <= tolerance"),
-        CheckResult("evolve.flux_holder_chain", holder, 1e-12 * scale,
+        CheckResult("evolve.flux_holder_chain", holder, 1e-12,
                     "value >= -tolerance"),
     ]
     report = ChargeReport(
@@ -335,7 +302,6 @@ def cmd_bondi_slice(cfg):
     # a shorter ladder before any work
     radii = check_ladder(_default_radii(cfg, "slice"), minimum=4)
     null_radii = check_ladder(_default_radii(cfg, "null"), minimum=4)
-    scale = cfg.tolerance_scale
     exp = make_expansion(cfg)
     a3 = make_a3(cfg)
     rep = expansion_consistency(exp, u0=cfg.u0, a3=a3, radii=radii)
@@ -346,8 +312,7 @@ def cmd_bondi_slice(cfg):
     checks = [
         CheckResult("slice.expansion_consistency", worst, 3.3,
                     "value >= tolerance", f"slowest component {worst_name}"),
-        CheckResult("slice.pmt_margin", pmt, 1e-4 * scale,
-                    "value >= -tolerance"),
+        CheckResult("slice.pmt_margin", pmt, 1e-4, "value >= -tolerance"),
     ]
     report = ChargeReport(
         scenario=cfg.preset, kind="null",
@@ -362,7 +327,7 @@ def cmd_bondi_slice(cfg):
 
 def cmd_verify(cfg):
     from .verify import run_verification
-    results, elapsed = run_verification(cfg.tolerance_scale, echo=print)
+    results, elapsed = run_verification(echo=print)
     report = ChargeReport(scenario="battery", kind="verify",
                           charges={}, samples={"elapsed_s": elapsed},
                           checks=tuple(results))
@@ -371,7 +336,6 @@ def cmd_verify(cfg):
 
 def cmd_converge(cfg):
     from .adm import adm_energy_momentum, adm_ladder_samples, fit_adm_charges
-    scale = cfg.tolerance_scale
     if cfg.preset not in ADM_PRESETS:
         raise ConfigError(f"converge expects one of {ADM_PRESETS}")
     # a 3-coefficient fit on 3 rungs has no residual to scale a tolerance by
@@ -390,10 +354,10 @@ def cmd_converge(cfg):
     dl = abs(longer.E - coarse.E)
     checks = [
         CheckResult("converge.grid_refinement", dg,
-                    max(coarse.energy.residual, 1e-12) * scale,
+                    max(coarse.energy.residual, 1e-12),
                     "value <= tolerance"),
         CheckResult("converge.ladder_extension", dl,
-                    max(10.0 * coarse.energy.residual, 1e-10) * scale,
+                    max(10.0 * coarse.energy.residual, 1e-10),
                     "value <= tolerance"),
     ]
     rows = ["quantity,coarse,fine,delta",
@@ -433,7 +397,6 @@ def build_parser():
                     help="slice time; for bondi-evolve, the start time")
     ap.add_argument("--u1", type=float, help="end time of bondi-evolve")
     ap.add_argument("--du", type=float)
-    ap.add_argument("--tolerance-scale", type=float, dest="tolerance_scale")
     return ap
 
 

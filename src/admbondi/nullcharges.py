@@ -24,7 +24,7 @@ import numpy as np
 
 from . import jets
 from .errors import ConfigError
-from .geometry import InitialData, _grad, frame_entry, hyperboloid_frame
+from .geometry import _grad, frame_entry
 from .jets import value
 from .ladder import (causal_margin, check_ladder, fit_decay_exponent,
                      fit_inverse_powers, ladder_map, rung_max, slowest_order,
@@ -32,7 +32,7 @@ from .ladder import (causal_margin, check_ladder, fit_decay_exponent,
 from .sphere import build_grid, direction_functions
 
 __all__ = [
-    "NullCharges", "hyperbolic_background", "TAU_GATE",
+    "NullCharges", "TAU_GATE",
     "background_connection", "background_connection_fd", "deviation",
     "decay_orders", "estimate_decay_order", "charge_integrand",
     "null_energy_momentum", "check_dec_null", "check_pmt_null",
@@ -43,14 +43,6 @@ _COMPONENTS = tuple(f"{t}{i}{j}" for t in "ab" for i in (1, 2, 3)
 
 # the order gate: slightly above 3/2, where the charges are guaranteed finite
 TAU_GATE = 1.55
-
-
-def hyperbolic_background():
-    """InitialData of the model: identity frame components for both tensors."""
-    def gp(coords):
-        eye = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-        return eye, eye
-    return InitialData(gp, hyperboloid_frame(), "hyperbolic-background")
 
 
 def background_connection(r, th):

@@ -24,8 +24,9 @@ from .ladder import check_ladder
 from .spacetimes import (KerrParameters, kerr, minkowski, schwarzschild,
                          t_const_embedding)
 
-__all__ = ["ScenarioConfig", "PRESETS", "make_expansion", "make_metric",
-           "make_adm_data", "harmonic_basis", "harmonic_news", "make_a3"]
+__all__ = ["ScenarioConfig", "CONFIG_SCHEMA", "parse_floats", "PRESETS",
+           "make_expansion", "make_metric", "make_adm_data", "harmonic_basis",
+           "harmonic_news", "make_a3"]
 
 PRESETS = ("minkowski", "schwarzschild", "kerr", "bondi-schwarzschild",
            "bondi-quadrupole", "bondi-biaxial")
@@ -33,10 +34,25 @@ PRESETS = ("minkowski", "schwarzschild", "kerr", "bondi-schwarzschild",
 ADM_PRESETS = ("minkowski", "schwarzschild", "kerr")
 BONDI_PRESETS = ("bondi-schwarzschild", "bondi-quadrupole", "bondi-biaxial")
 
-# every float field of ScenarioConfig; news_zero_u may also be None (unset)
-_FLOAT_FIELDS = ("mass", "spin", "amplitude", "amplitude_d", "news_zero_u",
-                 "a3_amplitude", "u0", "u_start", "u_end", "du",
-                 "tolerance_scale")
+
+def parse_floats(text):
+    """A comma- or space-separated list of floats, as a tuple."""
+    return tuple(float(x) for x in text.replace(",", " ").split())
+
+
+# The config file format: section -> key -> parser.  Each key sets the
+# ScenarioConfig field of the same name; "" is the top level, before any
+# section header.  [news_table] rows are parsed separately.
+CONFIG_SCHEMA = {
+    "": {"preset": str.strip},
+    "parameters": {"mass": float, "spin": float, "amplitude": float,
+                   "amplitude_d": float, "news_zero_u": float,
+                   "mass_aspect": str.strip, "a3_amplitude": float},
+    "grid": {"n_theta": int, "n_psi": int},
+    "ladder": {"radii": parse_floats},
+    "slice": {"u0": float},
+    "evolution": {"u_start": float, "u_end": float, "du": float},
+}
 
 
 @dataclass
@@ -56,7 +72,6 @@ class ScenarioConfig:
     u_start: float = 0.0
     u_end: float = 10.0
     du: float = 0.01
-    tolerance_scale: float = 1.0
     news_table: Optional[dict] = None   # {"u_grid": array, (l, m): array}
 
     def validate(self):
@@ -64,12 +79,12 @@ class ScenarioConfig:
             raise ConfigError(f"unknown preset {self.preset!r}; choose from {PRESETS}")
         if self.mass_aspect not in ("constant", "tilted"):
             raise ConfigError(f"unknown mass_aspect {self.mass_aspect!r}")
-        for name in _FLOAT_FIELDS:
+        # news_zero_u may also be None (unset)
+        for name in (key for keys in CONFIG_SCHEMA.values()
+                     for key, parse in keys.items() if parse is float):
             x = getattr(self, name)
             if x is not None and not np.isfinite(x):
                 raise ConfigError(f"{name} must be finite, got {x}")
-        if self.tolerance_scale <= 0:
-            raise ConfigError("tolerance_scale must be positive")
         if self.radii:
             check_ladder(self.radii, minimum=1)
         return self
@@ -197,7 +212,11 @@ def make_a3(cfg):
 
 
 def make_expansion(cfg):
-    """BondiExpansion for the radiating presets (or a news table)."""
+    """BondiExpansion for the radiating presets (or a news table).
+
+    minkowski and schwarzschild map onto the zero-news expansion.  kerr has
+    no expansion here, since that one would drop its spin, so it raises
+    ConfigError."""
     cfg.validate()
     if cfg.news_table is not None:
         c = harmonic_news(cfg.news_table)
@@ -210,7 +229,7 @@ def make_expansion(cfg):
 
     name = cfg.preset
     urange = (cfg.u_start, max(cfg.u_end, cfg.u0, cfg.u_start + 1.0))
-    if name in ("bondi-schwarzschild", "minkowski", "schwarzschild", "kerr"):
+    if name in ("bondi-schwarzschild", "minkowski", "schwarzschild"):
         def zero(u, th, ps):
             return 0.0 * u
         M = _mass_aspect(cfg) if name != "minkowski" else zero

@@ -41,37 +41,36 @@ def _grid():
     return _GRID
 
 
-def criterion_1_schwarzschild_adm(scale=1.0):
+def criterion_1_schwarzschild_adm():
     t0 = time.perf_counter()
     data = pullback_initial_data(schwarzschild(1.0, "static"),
                                  t_const_embedding(), euclidean_frame())
     ch = adm_energy_momentum(data, [10.0, 20.0, 40.0, 80.0], _grid())
     dt = time.perf_counter() - t0
-    tol = 1e-3 * scale
     out = [
-        CheckResult("c1.schwarzschild_adm_energy", ch.E - 1.0, tol,
+        CheckResult("c1.schwarzschild_adm_energy", ch.E - 1.0, 1e-3,
                     "abs(value) <= tolerance", f"E={ch.E:.8f}"),
         CheckResult("c1.schwarzschild_adm_momentum", np.max(np.abs(ch.P)),
-                    1e-6 * scale, "abs(value) <= tolerance"),
+                    1e-6, "abs(value) <= tolerance"),
         CheckResult("c1.schwarzschild_adm_runtime", dt, 10.0,
                     "value <= tolerance", f"{dt:.2f}s on 48x96, 4 rungs"),
     ]
     return out
 
 
-def criterion_2_kerr_adm(scale=1.0):
+def criterion_2_kerr_adm():
     data = pullback_initial_data(kerr(KerrParameters(1.0, 0.5)),
                                  t_const_embedding(), euclidean_frame())
     ch = adm_energy_momentum(data, [10.0, 20.0, 40.0, 80.0], _grid())
     return [
-        CheckResult("c2.kerr_adm_energy", ch.E - 1.0, 1e-2 * scale,
+        CheckResult("c2.kerr_adm_energy", ch.E - 1.0, 1e-2,
                     "abs(value) <= tolerance", f"E={ch.E:.8f}"),
         CheckResult("c2.kerr_adm_momentum", np.max(np.abs(ch.P)),
-                    1e-4 * scale, "abs(value) <= tolerance"),
+                    1e-4, "abs(value) <= tolerance"),
     ]
 
 
-def criterion_3_hyperboloid(scale=1.0):
+def criterion_3_hyperboloid():
     rng = np.random.default_rng(3)
     data = pullback_initial_data(minkowski("polar"), hyperboloid_embedding(),
                                  hyperboloid_frame())
@@ -88,18 +87,18 @@ def criterion_3_hyperboloid(scale=1.0):
     rr = rigidity_residual(data, [r[:20], th[:20], ps[:20]])
     rig = float(np.max([np.max(x) for x in rr]))
     return [
-        CheckResult("c3.hyperboloid_pullback_identity", worst, 1e-10 * scale,
+        CheckResult("c3.hyperboloid_pullback_identity", worst, 1e-10,
                     "abs(value) <= tolerance", "100 random points"),
-        CheckResult("c3.hyperboloid_null_charges", charge_mag, 1e-12 * scale,
+        CheckResult("c3.hyperboloid_null_charges", charge_mag, 1e-12,
                     "abs(value) <= tolerance"),
-        CheckResult("c3.hyperboloid_rigidity", rig, 1e-7 * scale,
+        CheckResult("c3.hyperboloid_rigidity", rig, 1e-7,
                     "abs(value) <= tolerance"),
     ]
 
 
-def criterion_4_constraints(scale=1.0):
+def criterion_4_constraints():
     rng = np.random.default_rng(4)
-    tol = 1e-5 * scale
+    tol = 1e-5
     out = []
     static = pullback_initial_data(schwarzschild(1.0, "static"),
                                    t_const_embedding(), euclidean_frame())
@@ -130,7 +129,7 @@ def criterion_4_constraints(scale=1.0):
     return out
 
 
-def criterion_5_bondi_moments(scale=1.0):
+def criterion_5_bondi_moments():
     m = 1.0
 
     def M(u, th, ps):
@@ -142,12 +141,12 @@ def criterion_5_bondi_moments(scale=1.0):
     exp = BondiExpansion(c=zero, d=zero, M=M)
     mom = bondi_energy_momentum(mass_aspect_field(exp, 0.0, _grid()))
     err = float(np.max(np.abs(mom - np.array([m, 0.0, 0.0, m / 6.0]))))
-    return [CheckResult("c5.mass_aspect_moments", err, 1e-10 * scale,
+    return [CheckResult("c5.mass_aspect_moments", err, 1e-10,
                         "abs(value) <= tolerance",
                         f"m_nu={np.array2string(mom, precision=10)}")]
 
 
-def criterion_6_mass_loss(scale=1.0):
+def criterion_6_mass_loss():
     cfg = ScenarioConfig(preset="bondi-quadrupole", amplitude=0.1,
                          news_zero_u=0.0, u_start=0.0, u_end=10.0, du=0.01)
     exp = make_expansion(cfg)
@@ -159,19 +158,19 @@ def criterion_6_mass_loss(scale=1.0):
     dmax = mass_loss_margin(traj)
     holder = flux_holder_margin(traj.flux)
     return [
-        CheckResult("c6.flux_constant_value", f_err, 1e-10 * scale,
+        CheckResult("c6.flux_constant_value", f_err, 1e-10,
                     "abs(value) <= tolerance"),
-        CheckResult("c6.final_mass", m_err, 1e-8 * scale,
+        CheckResult("c6.final_mass", m_err, 1e-8,
                     "abs(value) <= tolerance", f"m0(10)={traj.m[-1, 0]:.12f}"),
-        CheckResult("c6.margin_derivative_nonpositive", dmax, 1e-9 * scale,
+        CheckResult("c6.margin_derivative_nonpositive", dmax, 1e-9,
                     "value <= tolerance"),
-        CheckResult("c6.flux_holder_chain", holder, 1e-12 * scale,
+        CheckResult("c6.flux_holder_chain", holder, 1e-12,
                     "value >= -tolerance",
                     "sqrt(sum F_i^2) <= F_0 at every step"),
     ]
 
 
-def criterion_7_expansion_consistency(scale=1.0):
+def criterion_7_expansion_consistency():
     t0 = time.perf_counter()
     out = []
     for preset in ("bondi-quadrupole", "bondi-biaxial"):
@@ -192,12 +191,12 @@ def criterion_7_expansion_consistency(scale=1.0):
     return out
 
 
-def criterion_8_decay_orders(scale=1.0):
+def criterion_8_decay_orders():
     cfg = ScenarioConfig(preset="bondi-schwarzschild")
     data = induced_slice_data(make_expansion(cfg), u0=0.0)
     fit = estimate_decay_order(data, "a11", [20.0, 40.0, 80.0, 160.0])
     out = [CheckResult("c8.schwarzschild_bondi_a11_order", fit.exponent - 3.0,
-                       0.1 * scale, "abs(value) <= tolerance",
+                       0.1, "abs(value) <= tolerance",
                        f"tau-hat={fit.exponent:.8f}")]
     cfg = ScenarioConfig(preset="bondi-biaxial", amplitude=0.08,
                          amplitude_d=0.05, news_zero_u=2.0)
@@ -210,7 +209,7 @@ def criterion_8_decay_orders(scale=1.0):
     return out
 
 
-def criterion_9_vanishing_news(scale=1.0):
+def criterion_9_vanishing_news():
     cfg = ScenarioConfig(preset="bondi-quadrupole", amplitude=0.05,
                          news_zero_u=10.0)
     exp = make_expansion(cfg)
@@ -219,9 +218,9 @@ def criterion_9_vanishing_news(scale=1.0):
         radii=(30.0, 45.0, 70.0, 110.0, 170.0))
     worst = float(np.min(traj.margin))
     return [
-        CheckResult("c9.mass_dominates_momentum", worst, 1e-9 * scale,
+        CheckResult("c9.mass_dominates_momentum", worst, 1e-9,
                     "value >= -tolerance", "m_0 >= |m| for u <= u0"),
-        CheckResult("c9.slice_pmt_margin", slice_margin, 1e-4 * scale,
+        CheckResult("c9.slice_pmt_margin", slice_margin, 1e-4,
                     "value >= -tolerance"),
     ]
 
@@ -240,7 +239,7 @@ def _fd_check_metric(metric, pts, h=1e-5):
     return float(np.max(err))
 
 
-def criterion_10_oracles(scale=1.0):
+def criterion_10_oracles():
     rng = np.random.default_rng(10)
     cfg = ScenarioConfig(preset="bondi-biaxial", amplitude=0.08, amplitude_d=0.05)
     evaluators = [
@@ -254,7 +253,7 @@ def criterion_10_oracles(scale=1.0):
                 rng.uniform(0.4, 2.7), rng.uniform(0.0, 6.2))
                for _ in range(100)]
         worst_fd = np.maximum(worst_fd, _fd_check_metric(ev, pts))
-    out = [CheckResult("c10.jets_vs_finite_differences", worst_fd, 1e-6 * scale,
+    out = [CheckResult("c10.jets_vs_finite_differences", worst_fd, 1e-6,
                        "abs(value) <= tolerance", "100 points x 5 evaluators")]
 
     worst_conn = 0.0
@@ -264,7 +263,7 @@ def criterion_10_oracles(scale=1.0):
         worst_conn = np.maximum(worst_conn, np.max(np.abs(
             background_connection(r, th) - background_connection_fd(r, th))))
     out.append(CheckResult("c10.background_connection_oracle", worst_conn,
-                           1e-8 * scale, "abs(value) <= tolerance"))
+                           1e-8, "abs(value) <= tolerance"))
 
     g = _grid()
     n = direction_functions(g)
@@ -280,7 +279,7 @@ def criterion_10_oracles(scale=1.0):
                 ref = (1.0 / 3.0) if mu == nu else 0.0
             worst_q = np.maximum(worst_q, abs(got - ref))
     out.append(CheckResult("c10.quadrature_direction_family", worst_q,
-                           1e-12 * scale, "abs(value) <= tolerance"))
+                           1e-12, "abs(value) <= tolerance"))
     return out
 
 
@@ -298,12 +297,12 @@ CRITERIA = (
 )
 
 
-def run_verification(tolerance_scale=1.0, echo=print):
+def run_verification(echo=print):
     """Run the full battery; returns (results, elapsed_seconds)."""
     t0 = time.perf_counter()
     results = []
     for crit in CRITERIA:
-        for res in crit(tolerance_scale):
+        for res in crit():
             results.append(res)
             if echo:
                 echo(res.line())

@@ -28,6 +28,18 @@ def grid_16():
 
 
 @pytest.fixture(scope="session")
+def hyperbolic_background():
+    """InitialData of the hyperbolic model: identity frame components of
+    both g and h in the hyperboloid frame."""
+    from admbondi.geometry import InitialData, hyperboloid_frame
+
+    def gp(coords):
+        eye = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        return eye, eye
+    return InitialData(gp, hyperboloid_frame(), "hyperbolic-background")
+
+
+@pytest.fixture(scope="session")
 def battery_run(tmp_path_factory):
     """One ``admbondi verify --out battery.json`` run, shared by the tests of
     the full battery: its exit code, JSON body and standard output."""

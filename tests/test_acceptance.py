@@ -7,7 +7,7 @@ from admbondi import verify
 
 
 def _run(criterion):
-    results = criterion(1.0)
+    results = criterion()
     for r in results:
         print(r.line())
     failing = [r.name for r in results if not r.passed]

@@ -158,13 +158,6 @@ def test_timelike_slice_rejected():
 
 # -- frame curvature and constraints ----------------------------------------
 
-def hyperbolic_background_data():
-    def gp(c):
-        eye = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-        return eye, eye
-    return InitialData(gp, hyperboloid_frame(), "hyperbolic-background")
-
-
 def test_euclidean_data_is_flat(rng):
     def gp(c):
         eye = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
@@ -178,10 +171,9 @@ def test_euclidean_data_is_flat(rng):
     assert np.max(np.abs(R)) <= 1e-11
 
 
-def test_hyperbolic_curvature(rng):
-    data = hyperbolic_background_data()
+def test_hyperbolic_curvature(rng, hyperbolic_background):
     r, th, ps = sample_points(rng, 30, rlo=0.5, rhi=20.0)
-    b = frame_geometry(data, [r, th, ps])
+    b = frame_geometry(hyperbolic_background, [r, th, ps])
     riem, R = b["riem"], b["scalar"]
     assert np.max(np.abs(R + 6.0)) <= 1e-9
     # constant curvature -1: riem = -(g_ik g_jl - g_il g_jk) with g = identity
@@ -212,12 +204,12 @@ def test_riemann_symmetries(rng):
     assert np.max(np.abs(bianchi)) <= 1e-9
 
 
-def _connection_data(case):
+def _connection_data(case, hyperbolic_background):
     """Data for the frame-connection identities, with a radius span: the
     frame-constant hyperbolic background, Kerr in the Euclidean frame and the
     bondi-biaxial u0-slice in the hyperboloid frame."""
     if case == "hyperbolic-background":
-        return hyperbolic_background_data(), (1.0, 8.0)
+        return hyperbolic_background, (1.0, 8.0)
     if case == "kerr-euclidean":
         return pullback_initial_data(kerr(KerrParameters(1.0, 0.6)),
                                      t_const_embedding(),
@@ -232,11 +224,12 @@ _CONNECTION_CASES = ["hyperbolic-background", "kerr-euclidean",
 
 
 @pytest.mark.parametrize("case", _CONNECTION_CASES)
-def test_metric_compatibility_of_frame_connection(rng, case):
+def test_metric_compatibility_of_frame_connection(rng, case,
+                                                  hyperbolic_background):
     # the Koszul connection is the Levi-Civita one: metric compatible,
     # nabla_k g_ij = e_k g_ij - omega^m_ki g_mj - omega^m_kj g_im = 0, and
     # torsion free, omega^k_ij - omega^k_ji = C^k_ij
-    data, (rlo, rhi) = _connection_data(case)
+    data, (rlo, rhi) = _connection_data(case, hyperbolic_background)
     coords = list(sample_points(rng, 15, rlo, rhi))
     b = frame_geometry(data, coords)
     G, _ = data.jets(coords, order=1)
@@ -252,10 +245,11 @@ def test_metric_compatibility_of_frame_connection(rng, case):
 
 
 @pytest.mark.parametrize("case", _CONNECTION_CASES)
-def test_frame_curvature_matches_fd_connection_gradients(rng, case):
+def test_frame_curvature_matches_fd_connection_gradients(
+        rng, case, hyperbolic_background):
     # the curvature from the exact chart derivatives of omega against
     # central differences of omega
-    data, (rlo, rhi) = _connection_data(case)
+    data, (rlo, rhi) = _connection_data(case, hyperbolic_background)
     for r, th, ps in zip(*sample_points(rng, 2, rlo, rhi)):
         pt = [float(r), float(th), float(ps)]
         riem = frame_geometry(data, pt)["riem"]
@@ -380,10 +374,9 @@ def test_constraints_vanish_on_vacuum_static_slice(rng):
     assert np.max(np.abs(cq.sigma)) == 0.0
 
 
-def test_constraints_vanish_on_hyperboloid():
+def test_constraints_vanish_on_hyperboloid(hyperbolic_background):
     # mu = (R + (tr p)^2 - |p|^2)/2 = (-6 + 9 - 3)/2 = 0 with p = g
-    data = hyperbolic_background_data()
-    cq = constraint_quantities(data, [2.0, 1.0, 0.5])
+    cq = constraint_quantities(hyperbolic_background, [2.0, 1.0, 0.5])
     assert abs(cq.mu) <= 1e-10
     assert np.max(np.abs(cq.varpi)) <= 1e-10
 

@@ -19,8 +19,7 @@ from admbondi.geometry import (InitialData, euclidean_frame, hyperboloid_frame,
                                pullback_initial_data)
 from admbondi.ladder import (causal_margin, fit_inverse_powers, rung_max,
                              stacked_rungs)
-from admbondi.nullcharges import (decay_orders, deviation,
-                                  hyperbolic_background)
+from admbondi.nullcharges import decay_orders, deviation
 from admbondi.reports import CheckResult
 from admbondi.scenarios import ScenarioConfig, make_a3, make_expansion
 from admbondi.spacetimes import (KerrParameters, SliceSpec, bondi_metric,
@@ -188,8 +187,8 @@ def test_expansion_consistency_stacked_equals_per_rung(preset, amplitude, a3,
         assert np.array_equal(np.asarray(rep[name].sups), ref), name
 
 
-def test_decay_orders_of_constant_data_are_exact():
-    fits = decay_orders(hyperbolic_background(), [1.0, 2.0, 3.0, 4.0],
+def test_decay_orders_of_constant_data_are_exact(hyperbolic_background):
+    fits = decay_orders(hyperbolic_background, [1.0, 2.0, 3.0, 4.0],
                         build_grid(4, 8))
     assert all(f.exact and f.sups == (0.0,) * 4 for f in fits.values())
 

@@ -11,8 +11,7 @@ from admbondi.geometry import (InitialData, hyperboloid_frame,
 from admbondi.nullcharges import (background_connection, background_connection_fd,
                                   charge_integrand, check_dec_null,
                                   check_pmt_null, decay_orders, deviation,
-                                  estimate_decay_order, hyperbolic_background,
-                                  null_energy_momentum)
+                                  estimate_decay_order, null_energy_momentum)
 from admbondi.spacetimes import hyperboloid_embedding, minkowski
 from admbondi.sphere import build_grid
 
@@ -63,9 +62,9 @@ def test_background_connection_metric_compatible_and_torsion_free(rng):
         assert np.max(np.abs(fd - gam)) <= 1e-8
 
 
-def test_background_curvature_is_hyperbolic():
+def test_background_curvature_is_hyperbolic(hyperbolic_background):
     from admbondi.geometry import frame_geometry
-    R = frame_geometry(hyperbolic_background(), [2.5, 1.1, 0.4])["scalar"]
+    R = frame_geometry(hyperbolic_background, [2.5, 1.1, 0.4])["scalar"]
     assert float(R) == pytest.approx(-6.0, abs=1e-10)
 
 
@@ -151,8 +150,8 @@ def test_hyperboloid_exact_zero_order(hyperboloid_pullback):
 
 # -- integrands ---------------------------------------------------------------
 
-def test_integrand_vanishes_on_background():
-    e, p = charge_integrand(hyperbolic_background(), [4.0, 1.1, 0.3])
+def test_integrand_vanishes_on_background(hyperbolic_background):
+    e, p = charge_integrand(hyperbolic_background, [4.0, 1.1, 0.3])
     assert abs(float(e)) <= 1e-14
     assert np.max(np.abs(p)) <= 1e-14
 
@@ -302,8 +301,8 @@ def test_doubling_a_roughly_doubles_energy_charges():
 
 # -- inequalities -------------------------------------------------------------
 
-def test_dec_margin_hyperboloid():
-    m = check_dec_null(hyperbolic_background(), [3.0, 1.2, 0.4])
+def test_dec_margin_hyperboloid(hyperbolic_background):
+    m = check_dec_null(hyperbolic_background, [3.0, 1.2, 0.4])
     assert abs(float(m)) <= 1e-7
 
 
@@ -320,8 +319,8 @@ def test_dec_margin_schw_bondi_vacuum():
     assert np.max(np.abs(m)) <= 1e-4
 
 
-def test_symmetric_p_margin_arms_coincide():
-    cq_margin = check_dec_null(hyperbolic_background(), [2.0, 1.0, 0.5])
+def test_symmetric_p_margin_arms_coincide(hyperbolic_background):
+    cq_margin = check_dec_null(hyperbolic_background, [2.0, 1.0, 0.5])
     assert abs(float(cq_margin)) <= 1e-7
 
 

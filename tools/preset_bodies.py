@@ -45,8 +45,6 @@ u0 = 2.0
 u_start = 0.0
 u_end = 10.0
 du = 0.01
-[checks]
-tolerance_scale = 1.0
 """
 
 # run name -> (arguments, documented exit code, writes a table)
