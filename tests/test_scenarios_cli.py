@@ -445,15 +445,17 @@ def test_non_finite_parameters_rejected(name):
             ScenarioConfig(**{name: bad}).validate()
 
 
-_FLOAT_KEYS = [(section, key) for section, keys in CONFIG_SCHEMA.items()
+# (section, key, the ScenarioConfig field the error names): each key sets
+# the field of its own name
+_FLOAT_KEYS = [(section, key, key) for section, keys in CONFIG_SCHEMA.items()
                for key, parse in keys.items() if parse is float]
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("section, key", _FLOAT_KEYS)
-def test_parse_config_rejects_non_finite_floats(section, key, bad):
+@pytest.mark.parametrize("section, key, attr", _FLOAT_KEYS)
+def test_parse_config_rejects_non_finite_floats(section, key, attr, bad):
     text = f"preset = bondi-quadrupole\n[{section}]\n{key} = {bad}\n"
-    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+    with pytest.raises(ConfigError, match=f"{attr} must be finite"):
         parse_config(text)
 
 
@@ -621,6 +623,33 @@ def test_every_recorded_flag_recomputes_from_its_comparator(tmp_path,
     for c in checks:
         assert c["passed"] == _recomputed(c), c
     assert {c["passed"] for c in checks} == {True, False}
+
+
+def test_recorded_tolerances_are_the_pinned_constants(tmp_path):
+    """These checks record the constant tolerance they compared against, so
+    each flag is recomputable from the recorded value, tolerance and
+    comparator, and the report's config carries no tolerance scale."""
+    from admbondi import verify
+    checks = {c.name: c.as_dict() for c in
+              verify.criterion_8_decay_orders()
+              + verify.criterion_9_vanishing_news()}
+    out = tmp_path / "evolve.json"
+    assert run_cli(["bondi-evolve", "--preset", "bondi-quadrupole", "--u1", "1",
+                    "--du", "0.1", "--ntheta", "8", "--npsi", "16",
+                    "--out", str(out)]) == 0
+    body = json.loads(out.read_text())
+    checks.update({c["name"]: c for c in body["checks"]})
+    assert "tolerance_scale" not in json.dumps(body)
+    tolerances = {
+        "c8.schwarzschild_bondi_a11_order": 0.1,
+        "c9.mass_dominates_momentum": 1e-9,
+        "c9.slice_pmt_margin": 1e-4,
+        "evolve.mass_nonincreasing": 1e-9,
+    }
+    for name, tolerance in tolerances.items():
+        c = checks[name]
+        assert c["tolerance"] == tolerance, name
+        assert c["passed"] == _recomputed(c), name
 
 
 # -- package exports ----------------------------------------------------------------
