@@ -63,12 +63,12 @@ def _at_nodes(fn, u, T, Ps):
 class BondiExpansion:
     """News potentials and subleading coefficients as generic callables.
 
-    Coefficients left as None default to zero; the slice constructor logs a
-    notice for each defaulted field.
+    News left out are zero.  Coefficients left as None default to zero; the
+    slice constructor logs a notice for each defaulted field.
     """
 
-    c: Callable
-    d: Callable
+    c: Callable = _zero
+    d: Callable = _zero
     M: Optional[Callable] = None
     N: Optional[Callable] = None
     P: Optional[Callable] = None

@@ -8,24 +8,13 @@ Subcommands:
     verify        the full acceptance battery
     converge      grid/ladder refinement study
 
-Configuration is nested-section key-value text::
-
-    preset = schwarzschild
-    [parameters]
-    mass = 1.0
-    [grid]
-    n_theta = 48
-    n_psi = 96
-    [ladder]
-    radii = 10, 20, 40, 80
-
-Unknown sections or keys are rejected with the offending line.  Flags
-override config values.  Reports are byte-identical for identical configs
-apart from the metadata block.
+The config file format is described in ``scenarios``, which reads it.
+Flags override config values.  Reports are byte-identical for identical
+configs apart from the metadata block.
 """
 
 import argparse
-import logging
+import dataclasses
 import sys
 
 import numpy as np
@@ -33,122 +22,8 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .ladder import check_ladder, slowest_order
 from .reports import ChargeReport, CheckResult, write_json
-from .scenarios import (ADM_PRESETS, CONFIG_SCHEMA, ScenarioConfig, make_a3,
-                        make_adm_data, make_expansion, parse_floats)
-
-log = logging.getLogger(__name__)
-
-def parse_config(text):
-    """Parse nested-section key-value text into a ScenarioConfig.
-
-    Returns (config, provenance) where provenance records, per field, whether
-    it came from the file or from a default.
-    """
-    cfg = ScenarioConfig()
-    seen = set()
-    table = {}
-    section = ""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip().lower()
-            if section not in CONFIG_SCHEMA and section != "news_table":
-                raise ConfigError(f"line {lineno}: unknown section [{section}]")
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip().lower()
-        val = val.strip()
-        if section == "news_table":
-            table[key] = val
-            continue
-        parse = CONFIG_SCHEMA[section].get(key)
-        if parse is None:
-            raise ConfigError(f"line {lineno}: unknown key {key!r} in "
-                              f"section [{section or 'top level'}]")
-        try:
-            setattr(cfg, key, parse(val))
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {exc}")
-        seen.add(key)
-
-    if table:
-        cfg.news_table = _parse_news_table(table)
-        seen.add("news_table")
-    fields = [key for keys in CONFIG_SCHEMA.values() for key in keys]
-    provenance = {f: ("config" if f in seen else "default")
-                  for f in fields + ["news_table"]}
-    for f, src in provenance.items():
-        if src == "default":
-            log.debug("config: %s defaulted", f)
-    cfg.validate()
-    return cfg, provenance
-
-
-def _table_row(table, key):
-    try:
-        row = parse_floats(table[key])
-    except ValueError as exc:
-        raise ConfigError(f"news_table row {key}: {exc}")
-    if not np.all(np.isfinite(row)):
-        raise ConfigError(f"news_table row {key} must be finite: {list(row)}")
-    return row
-
-
-def _table_mode(key):
-    """(l, m) of a news_table key c_<l>_<m>."""
-    parts = key.split("_")
-    if len(parts) == 3 and parts[0] == "c":
-        try:
-            return int(parts[1]), int(parts[2])
-        except ValueError:
-            pass
-    raise ConfigError(f"news_table keys look like c_<l>_<m>, got {key!r}")
-
-
-def _parse_news_table(table):
-    if "u_grid" not in table:
-        raise ConfigError("news_table needs a u_grid row")
-    u_grid = _table_row(table, "u_grid")
-    if not all(b > a for a, b in zip(u_grid, u_grid[1:])):
-        raise ConfigError("news_table row u_grid must be finite and strictly "
-                          f"increasing: {list(u_grid)}")
-    out = {"u_grid": u_grid}
-    for key in table:
-        if key == "u_grid":
-            continue
-        lm = _table_mode(key)
-        out[lm] = _table_row(table, key)
-        if len(out[lm]) != len(u_grid):
-            raise ConfigError(f"news_table row {key} length mismatch")
-    return out
-
-
-def _apply_flags(cfg, args):
-    if args.ntheta is not None:
-        cfg.n_theta = args.ntheta
-    if args.npsi is not None:
-        cfg.n_psi = args.npsi
-    if args.radii is not None:
-        try:
-            cfg.radii = parse_floats(args.radii)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for --radii: {exc}")
-    if args.u0 is not None:
-        # the start of an evolution, the slice time of every other command
-        if args.subcommand == "bondi-evolve":
-            cfg.u_start = args.u0
-        else:
-            cfg.u0 = args.u0
-    if args.u1 is not None:
-        cfg.u_end = args.u1
-    if args.du is not None:
-        cfg.du = args.du
-    cfg.validate()
-    return cfg
+from .scenarios import (ADM_PRESETS, ScenarioConfig, make_a3, make_adm_data,
+                        make_expansion, parse_config, parse_floats)
 
 
 def _grid_of(cfg):
@@ -226,11 +101,12 @@ def _slice_data(cfg):
     from .geometry import hyperboloid_frame, pullback_initial_data
     from .spacetimes import hyperboloid_embedding, minkowski
     from .bondi import induced_slice_data
+    # built for minkowski too, so a news table under it stops here
+    exp = make_expansion(cfg)
     if cfg.preset == "minkowski":
         return pullback_initial_data(minkowski("polar"),
                                      hyperboloid_embedding(),
                                      hyperboloid_frame())
-    exp = make_expansion(cfg)
     return induced_slice_data(exp, u0=cfg.u0, a3=make_a3(cfg))
 
 
@@ -408,9 +284,20 @@ def main(argv=None):
                 cfg, provenance = parse_config(f.read())
         else:
             cfg, provenance = ScenarioConfig(), {}
-        if args.preset:
-            cfg.preset = args.preset
-        cfg = _apply_flags(cfg, args)
+        radii = None
+        if args.radii is not None:
+            try:
+                radii = parse_floats(args.radii)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for --radii: {exc}")
+        # --u0 is the start of an evolution, the slice time of every other
+        # command
+        u0 = "u_start" if args.subcommand == "bondi-evolve" else "u0"
+        flags = {"preset": args.preset, "n_theta": args.ntheta,
+                 "n_psi": args.npsi, "radii": radii, u0: args.u0,
+                 "u_end": args.u1, "du": args.du}
+        cfg = dataclasses.replace(
+            cfg, **{k: v for k, v in flags.items() if v is not None})
         report, table = _COMMANDS[args.subcommand](cfg)
     except (ConfigError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -238,9 +238,6 @@ class Embedding:
     chart: str
     name: str
 
-    def map(self, coords3):
-        return [value(x) for x in self.fn(list(coords3))]
-
     def jets(self, coords3, order=2):
         return self.fn(jets.seed(list(coords3), order=order))
 

@@ -5,28 +5,49 @@ Preset names addressable from the command line: "minkowski",
 (c = A u sin^2 theta, d = 0) and "bondi-biaxial" (both news on,
 psi-dependent, with all subleading coefficients exercised).
 
-News can also be given as a table of real harmonic coefficients on a u-grid.
-The m = 0 basis functions are differences P_{l-2} - P_l of Legendre
-polynomials, which vanish at both poles, so the polar-average condition
-holds for every table by construction; m != 0 modes average to zero in psi.
+Configuration is nested-section key-value text::
+
+    preset = schwarzschild
+    [parameters]
+    mass = 1.0
+    [grid]
+    n_theta = 48
+    n_psi = 96
+    [ladder]
+    radii = 10, 20, 40, 80
+
+``parse_config`` reads it into a ``ScenarioConfig``; unknown sections or
+keys are rejected with the offending line.  A ``ScenarioConfig`` checks its
+values when it is built, so a config read from a file, changed by a
+command-line flag or written in code passes the same checks.
+
+News can also be given as a table of real harmonic coefficients on a u-grid,
+in a [news_table] section of rows ``u_grid = ...`` and ``c_<l>_<m> = ...``
+under a bondi-* preset.  The m = 0 basis functions are differences
+P_{l-2} - P_l of Legendre polynomials, which vanish at both poles, so the
+polar-average condition holds for every table by construction; m != 0 modes
+average to zero in psi.
 """
 
-from dataclasses import dataclass
+import logging
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from . import jets
-from .bondi import BondiExpansion
+from .bondi import BondiExpansion, _zero
 from .errors import ConfigError
 from .geometry import euclidean_frame, pullback_initial_data
 from .ladder import check_ladder
 from .spacetimes import (KerrParameters, kerr, minkowski, schwarzschild,
                          t_const_embedding)
 
-__all__ = ["ScenarioConfig", "CONFIG_SCHEMA", "parse_floats", "PRESETS",
-           "make_expansion", "make_metric", "make_adm_data", "harmonic_basis",
-           "harmonic_news", "make_a3"]
+__all__ = ["ScenarioConfig", "CONFIG_SCHEMA", "parse_config", "parse_floats",
+           "PRESETS", "make_expansion", "make_metric", "make_adm_data",
+           "check_news_table", "harmonic_basis", "harmonic_news", "make_a3"]
+
+log = logging.getLogger(__name__)
 
 PRESETS = ("minkowski", "schwarzschild", "kerr", "bondi-schwarzschild",
            "bondi-quadrupole", "bondi-biaxial")
@@ -55,7 +76,7 @@ CONFIG_SCHEMA = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     preset: str = "schwarzschild"
     mass: float = 1.0
@@ -74,6 +95,9 @@ class ScenarioConfig:
     du: float = 0.01
     news_table: Optional[dict] = None   # {"u_grid": array, (l, m): array}
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
         if self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}; choose from {PRESETS}")
@@ -87,58 +111,153 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be finite, got {x}")
         if self.radii:
             check_ladder(self.radii, minimum=1)
-        return self
+        if self.news_table is not None:
+            check_news_table(self.news_table)
+
+
+def parse_config(text):
+    """Parse nested-section key-value text into a ScenarioConfig.
+
+    Returns (config, provenance) where provenance records, per field, whether
+    it came from the file or from a default.
+    """
+    values = {}
+    table = {}
+    section = ""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip().lower()
+            if section not in CONFIG_SCHEMA and section != "news_table":
+                raise ConfigError(f"line {lineno}: unknown section [{section}]")
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
+        key, _, val = line.partition("=")
+        key = key.strip().lower()
+        val = val.strip()
+        if section == "news_table":
+            table[key] = val
+            continue
+        parse = CONFIG_SCHEMA[section].get(key)
+        if parse is None:
+            raise ConfigError(f"line {lineno}: unknown key {key!r} in "
+                              f"section [{section or 'top level'}]")
+        try:
+            values[key] = parse(val)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: bad value for {key}: {exc}")
+
+    if table:
+        values["news_table"] = _parse_news_table(table)
+    cfg = ScenarioConfig(**values)
+    provenance = {f.name: ("config" if f.name in values else "default")
+                  for f in fields(ScenarioConfig)}
+    for f, src in provenance.items():
+        if src == "default":
+            log.debug("config: %s defaulted", f)
+    return cfg, provenance
+
+
+def _table_mode(key):
+    """(l, m) of a news_table key c_<l>_<m>."""
+    parts = key.split("_")
+    if len(parts) == 3 and parts[0] == "c":
+        try:
+            return int(parts[1]), int(parts[2])
+        except ValueError:
+            pass
+    raise ConfigError(f"news_table keys look like c_<l>_<m>, got {key!r}")
+
+
+def _parse_news_table(rows):
+    """The [news_table] rows, key -> text, as {"u_grid": row, (l, m): row};
+    ScenarioConfig checks the numbers."""
+    table = {}
+    for key, text in rows.items():
+        try:
+            row = parse_floats(text)
+        except ValueError as exc:
+            raise ConfigError(f"news_table row {key}: {exc}")
+        table[key if key == "u_grid" else _table_mode(key)] = row
+    return table
+
+
+def check_news_table(table):
+    """Stop with ConfigError unless ``table`` is a news table that
+    ``harmonic_news`` evaluates: a nonempty, finite, strictly increasing
+    u_grid, and finite rows of its length for modes ``harmonic_basis``
+    supports."""
+    if len(table.get("u_grid", ())) == 0:
+        raise ConfigError("news_table needs a u_grid row")
+    u_grid = np.asarray(table["u_grid"], dtype=float)
+    if not (np.all(np.isfinite(u_grid)) and np.all(np.diff(u_grid) > 0.0)):
+        raise ConfigError("news_table row u_grid must be finite and strictly "
+                          f"increasing: {u_grid.tolist()}")
+    for lm, row in table.items():
+        if lm == "u_grid":
+            continue
+        key = "c_{}_{}".format(*lm)
+        if lm not in _HARMONIC_MODES:
+            raise ConfigError(f"news_table row {key}: {_MODE_RULE}")
+        row = np.asarray(row, dtype=float)
+        if not np.all(np.isfinite(row)):
+            raise ConfigError(f"news_table row {key} must be finite: "
+                              f"{row.tolist()}")
+        if len(row) != len(u_grid):
+            raise ConfigError(f"news_table row {key} length mismatch")
 
 
 # ---------------------------------------------------------------------------
 # Harmonic basis for news tables
 # ---------------------------------------------------------------------------
 
-def _legendre(l, x):
-    if l == 0:
-        return 1.0 + 0.0 * x
-    if l == 1:
-        return x
-    if l == 2:
-        return 1.5 * x * x - 0.5
-    if l == 3:
-        return 2.5 * x ** 3 - 1.5 * x
-    if l == 4:
-        return (35.0 * x ** 4 - 30.0 * x * x + 3.0) / 8.0
-    raise ConfigError(f"harmonic degree l = {l} not supported (max 4)")
+# Legendre polynomials P_l(x), l <= 4
+_LEGENDRE = (
+    lambda x: 1.0 + 0.0 * x,
+    lambda x: x,
+    lambda x: 1.5 * x * x - 0.5,
+    lambda x: 2.5 * x ** 3 - 1.5 * x,
+    lambda x: (35.0 * x ** 4 - 30.0 * x * x + 3.0) / 8.0,
+)
 
+# P_l^m(cos theta) without the Condon-Shortley sign, 0 < m <= l <= 4, in
+# x = cos theta and s = sin theta
+_ASSOC_LEGENDRE = {
+    (1, 1): lambda x, s: s,
+    (2, 1): lambda x, s: 3.0 * s * x,
+    (2, 2): lambda x, s: 3.0 * s * s,
+    (3, 1): lambda x, s: 1.5 * s * (5.0 * x * x - 1.0),
+    (3, 2): lambda x, s: 15.0 * s * s * x,
+    (3, 3): lambda x, s: 15.0 * s ** 3,
+    (4, 1): lambda x, s: 2.5 * s * (7.0 * x ** 3 - 3.0 * x),
+    (4, 2): lambda x, s: 7.5 * s * s * (7.0 * x * x - 1.0),
+    (4, 3): lambda x, s: 105.0 * s ** 3 * x,
+    (4, 4): lambda x, s: 105.0 * s ** 4,
+}
 
-def _assoc_legendre(l, m, x, s):
-    """P_l^m(cos theta) without the Condon-Shortley sign, s = sin theta."""
-    key = (l, m)
-    table = {
-        (1, 1): lambda: s,
-        (2, 1): lambda: 3.0 * s * x,
-        (2, 2): lambda: 3.0 * s * s,
-        (3, 1): lambda: 1.5 * s * (5.0 * x * x - 1.0),
-        (3, 2): lambda: 15.0 * s * s * x,
-        (3, 3): lambda: 15.0 * s ** 3,
-        (4, 1): lambda: 2.5 * s * (7.0 * x ** 3 - 3.0 * x),
-        (4, 2): lambda: 7.5 * s * s * (7.0 * x * x - 1.0),
-        (4, 3): lambda: 105.0 * s ** 3 * x,
-        (4, 4): lambda: 105.0 * s ** 4,
-    }
-    if key not in table:
-        raise ConfigError(f"harmonic mode (l={l}, m={m}) not supported")
-    return table[key]()
+# every (l, m) harmonic_basis supports, m < 0 standing for sin(|m| psi)
+_HARMONIC_MODES = frozenset(
+    [(l, 0) for l in range(2, len(_LEGENDRE))]
+    + [(l, sign * m) for l, m in _ASSOC_LEGENDRE for sign in (1, -1)])
+_MODE_RULE = ("supported modes are l <= 4 and |m| <= l, and m = 0 needs "
+              "l >= 2")
 
 
 def harmonic_basis(l, m, th, ps):
     """Pole-regular real harmonic basis element for news tables."""
+    if (l, m) not in _HARMONIC_MODES:
+        raise ConfigError(f"harmonic mode (l={l}, m={m}) not supported; "
+                          f"{_MODE_RULE}")
     x = jets.cos(th)
-    s = jets.sin(th)
     if m == 0:
-        if l < 2:
-            raise ConfigError("m = 0 news modes need l >= 2")
-        return _legendre(l - 2, x) - _legendre(l, x)
+        return _LEGENDRE[l - 2](x) - _LEGENDRE[l](x)
+    p = _ASSOC_LEGENDRE[l, abs(m)](x, jets.sin(th))
     if m > 0:
-        return _assoc_legendre(l, m, x, s) * jets.cos(m * ps)
-    return _assoc_legendre(l, -m, x, s) * jets.sin(-m * ps)
+        return p * jets.cos(m * ps)
+    return p * jets.sin(-m * ps)
 
 
 def _lagrange_window(u, u_grid, table):
@@ -169,11 +288,10 @@ def harmonic_news(news_table):
     coefficient arrays of the same length; u-dependence is a local cubic
     fit, so jets in u differentiate the interpolant.
     """
+    check_news_table(news_table)
     u_grid = np.asarray(news_table["u_grid"], dtype=float)
     modes = [(lm, np.asarray(v, dtype=float)) for lm, v in news_table.items()
              if lm != "u_grid"]
-    if any(len(v) != len(u_grid) for _, v in modes):
-        raise ConfigError("harmonic table rows must match the u_grid length")
 
     def fn(u, th, ps):
         out = 0.0 * u + 0.0 * th
@@ -216,35 +334,28 @@ def make_expansion(cfg):
 
     minkowski and schwarzschild map onto the zero-news expansion.  kerr has
     no expansion here, since that one would drop its spin, so it raises
-    ConfigError."""
-    cfg.validate()
+    ConfigError.  A news table replaces the news of a bondi-* preset; with
+    any other preset it raises ConfigError."""
+    name = cfg.preset
     if cfg.news_table is not None:
-        c = harmonic_news(cfg.news_table)
-
-        def d(u, th, ps):
-            return 0.0 * u
-        return BondiExpansion(c=c, d=d, M=_mass_aspect(cfg),
-                              name=f"{cfg.preset}-table",
+        if name not in BONDI_PRESETS:
+            raise ConfigError(f"preset {name!r} takes no [news_table]; a "
+                              f"news table needs one of {BONDI_PRESETS}")
+        return BondiExpansion(c=harmonic_news(cfg.news_table),
+                              M=_mass_aspect(cfg), name=f"{name}-table",
                               u_range=(cfg.u_start, max(cfg.u_end, cfg.u0)))
 
-    name = cfg.preset
     urange = (cfg.u_start, max(cfg.u_end, cfg.u0, cfg.u_start + 1.0))
     if name in ("bondi-schwarzschild", "minkowski", "schwarzschild"):
-        def zero(u, th, ps):
-            return 0.0 * u
-        M = _mass_aspect(cfg) if name != "minkowski" else zero
-        return BondiExpansion(c=zero, d=zero, M=M,
-                              name="bondi-schwarzschild", u_range=urange)
+        M = _mass_aspect(cfg) if name != "minkowski" else _zero
+        return BondiExpansion(M=M, name="bondi-schwarzschild", u_range=urange)
     if name == "bondi-quadrupole":
         A = cfg.amplitude
         z = cfg.news_zero_u if cfg.news_zero_u is not None else 0.0
 
         def c(u, th, ps):
             return A * (u - z) * jets.sin(th) ** 2
-
-        def d(u, th, ps):
-            return 0.0 * u
-        return BondiExpansion(c=c, d=d, M=_mass_aspect(cfg),
+        return BondiExpansion(c=c, M=_mass_aspect(cfg),
                               name="bondi-quadrupole", u_range=urange)
     if name == "bondi-biaxial":
         Ac, Ad, m = cfg.amplitude, cfg.amplitude_d, cfg.mass
@@ -286,7 +397,6 @@ def make_expansion(cfg):
 
 def make_metric(cfg):
     """Exact metric of the spatial-infinity presets."""
-    cfg.validate()
     if cfg.preset == "minkowski":
         return minkowski("polar")
     if cfg.preset == "schwarzschild":

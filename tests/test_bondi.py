@@ -14,7 +14,9 @@ from admbondi.bondi import (BondiExpansion, bondi_energy_momentum,
 from admbondi.errors import ConfigError, DomainError
 from admbondi.geometry import _jd, _jf
 from admbondi.jets import value
-from admbondi.scenarios import BONDI_PRESETS, ScenarioConfig, make_expansion
+from admbondi.nullcharges import null_energy_momentum
+from admbondi.scenarios import (BONDI_PRESETS, ScenarioConfig, make_a3,
+                               make_expansion)
 from admbondi.spacetimes import bondi_metric, l_lbar, p_pbar
 from admbondi.sphere import build_grid, project_multipole
 
@@ -469,6 +471,29 @@ def test_vanishing_news_scenario_static(grid):
     assert np.allclose(traj.m[:, 0], 1.0)
     assert np.min(traj.margin) >= 0.0
     assert slice_pmt_margin == pytest.approx(1.0, abs=1e-3)
+
+
+def _slice_margins_minus_moments(preset, news_zero_u, grid):
+    """max |(E_nu - P_nu,1) of the u0 = 2 slice - m_nu at u0|, the m_nu
+    being the moments of the mass aspect at u0."""
+    cfg = ScenarioConfig(preset=preset, amplitude=0.08, amplitude_d=0.05,
+                         news_zero_u=news_zero_u, mass_aspect="tilted",
+                         a3_amplitude=0.02)
+    exp = make_expansion(cfg)
+    ch = null_energy_momentum(induced_slice_data(exp, u0=2.0, a3=make_a3(cfg)),
+                              (30.0, 45.0, 70.0, 110.0, 170.0), grid)
+    m = bondi_energy_momentum(mass_aspect_field(exp, 2.0, grid))
+    return float(np.max(np.abs(ch.margins() - m)))
+
+
+@pytest.mark.parametrize("preset", ["bondi-quadrupole", "bondi-biaxial"])
+def test_vanishing_news_slice_margins_are_the_bondi_moments(grid, preset):
+    """Link (a) of the theorem: with the news vanishing at u0, the slice
+    charges' boost margins at u0 are the Bondi moments m_nu(u0), to the
+    bound the benchmark's slice_margins reference uses.  With news that do
+    not vanish there, they are not."""
+    assert _slice_margins_minus_moments(preset, 2.0, grid) <= 1e-5
+    assert _slice_margins_minus_moments(preset, None, grid) > 1e-5
 
 
 def test_derived_fields_nan_news_rejected(grid):

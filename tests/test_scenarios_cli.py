@@ -35,7 +35,20 @@ def test_all_presets_resolve():
 
 def test_unknown_preset_rejected():
     with pytest.raises(ConfigError):
-        ScenarioConfig(preset="wormhole").validate()
+        ScenarioConfig(preset="wormhole")
+
+
+def test_scenario_config_is_valid_by_construction():
+    """A config cannot be changed in place, and a changed copy is checked
+    like a new one."""
+    import dataclasses
+    cfg = ScenarioConfig(preset="bondi-quadrupole")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.mass = float("nan")
+    with pytest.raises(ConfigError, match="mass must be finite"):
+        dataclasses.replace(cfg, mass=float("nan"))
+    with pytest.raises(ConfigError, match="row c_2_0 length mismatch"):
+        ScenarioConfig(news_table={"u_grid": [0.0, 1.0], (2, 0): [0.1]})
 
 
 # -- Bondi's conditions, met by construction ---------------------------------------
@@ -149,8 +162,10 @@ def test_harmonic_table_condition_b_auto():
 
 
 def test_harmonic_rows_validated():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="row c_2_0 length mismatch"):
         harmonic_news({"u_grid": [0.0, 1.0], (2, 0): [0.1]})
+    with pytest.raises(ConfigError, match="row c_7_0: supported modes"):
+        harmonic_news({"u_grid": [0.0, 1.0], (7, 0): [0.1, 0.2]})
     with pytest.raises(ConfigError):
         harmonic_basis(7, 0, 1.0, 0.0)
 
@@ -258,10 +273,22 @@ def test_parse_config_bad_table_key():
     ("u_grid = 0, nan, 2\nc_2_0 = 0, 1, 2\n", "row u_grid must be finite"),
     ("u_grid = 0, 1, 2\nc_2_0 = 0.0, nan, 0.1\n", "row c_2_0 must be finite"),
     ("u_grid = 0, 1, 2\nc_3_1 = 0.0, 0.1, inf\n", "row c_3_1 must be finite"),
+    ("c_2_0 = 0, 1\n", "needs a u_grid row"),
+    ("u_grid =\nc_2_0 =\n", "needs a u_grid row"),
 ])
 def test_parse_config_bad_table_rows(rows, match):
     with pytest.raises(ConfigError, match=match):
         parse_config("preset = bondi-quadrupole\n[news_table]\n" + rows)
+
+
+@pytest.mark.parametrize("key", ["c_7_0", "c_1_0", "c_2_3", "c_3_-4"])
+def test_parse_config_rejects_unsupported_table_modes(key):
+    """A mode harmonic_basis cannot evaluate stops the parse and names the
+    key as written, not a run that is already under way."""
+    with pytest.raises(ConfigError, match=f"news_table row {key}: supported "
+                       r"modes are l <= 4 and \|m\| <= l, and m = 0 needs"):
+        parse_config("preset = bondi-quadrupole\n[news_table]\n"
+                     f"u_grid = 0, 1, 2\n{key} = 0, 0.1, 0.2\n")
 
 
 _SECTIONS = sorted(set(CONFIG_SCHEMA) - {""}) + ["news_table", "weird"]
@@ -442,7 +469,7 @@ def test_cli_bad_news_table_exits_2(tmp_path, capsys, row, message):
 def test_non_finite_parameters_rejected(name):
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ConfigError, match=name):
-            ScenarioConfig(**{name: bad}).validate()
+            ScenarioConfig(**{name: bad})
 
 
 # (section, key, the ScenarioConfig field the error names): each key sets
@@ -489,6 +516,33 @@ def test_cli_kerr_has_no_radiating_expansion(capsys, command):
     assert run_cli([command, "--preset", "kerr"]) == 2
     assert "preset 'kerr' has no radiating expansion" \
         in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["null", "bondi-slice", "bondi-evolve"])
+@pytest.mark.parametrize("preset", ["kerr", "schwarzschild", "minkowski"])
+def test_cli_news_table_needs_a_bondi_preset(tmp_path, capsys, command,
+                                             preset):
+    """A news table under a preset that has no news of its own stops the
+    radiating commands instead of running the table under that preset's
+    name."""
+    cfgfile = tmp_path / "table.cfg"
+    cfgfile.write_text(f"preset = {preset}\n[news_table]\n"
+                       "u_grid = 0, 1, 2\nc_2_0 = 0, 0, 0\n")
+    assert run_cli([command, "--config", str(cfgfile), "--ntheta", "8",
+                    "--npsi", "16"]) == 2
+    assert f"preset {preset!r} takes no [news_table]" \
+        in capsys.readouterr().err
+
+
+def test_cli_news_table_takes_its_preset_from_the_flag(tmp_path):
+    """A table file without a preset runs under a bondi-* --preset, so the
+    table-needs-a-bondi-preset rule is checked on the config the flags
+    leave, not on the file alone."""
+    cfgfile = tmp_path / "table.cfg"
+    cfgfile.write_text("[news_table]\nu_grid = 0, 1, 2\nc_2_0 = 0, 0.1, 0.2\n")
+    assert run_cli(["bondi-evolve", "--config", str(cfgfile), "--preset",
+                    "bondi-quadrupole", "--u1", "1", "--du", "0.1",
+                    "--ntheta", "8", "--npsi", "16"]) == 0
 
 
 def test_cli_adm_nan_mass_exits_2(tmp_path, capsys):

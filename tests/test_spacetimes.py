@@ -230,21 +230,21 @@ def test_bondi_functions_truncation():
 
 def test_hyperboloid_embedding_origin_limit():
     emb = hyperboloid_embedding()
-    t, r, th, ps = emb.map([1e-8, 1.0, 0.0])
+    t, r, th, ps = emb.fn([1e-8, 1.0, 0.0])
     assert t == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bondi_slice_embedding_values():
     exp = StaticNews(c=0.0, M=1.0)
     emb = bondi_slice_embedding(SliceSpec(u0=3.0), exp)
-    u, r, th, ps = emb.map([10.0, 1.0, 0.5])
+    u, r, th, ps = emb.fn([10.0, 1.0, 0.5])
     assert u == pytest.approx(3.0 + np.sqrt(101.0) - 10.0, rel=1e-12)
 
     class UnitNews(StaticNews):
         def c(self, u, th, ps):
             return 1.0 + 0.0 * u
     emb2 = bondi_slice_embedding(SliceSpec(u0=0.0), UnitNews())
-    u2 = emb2.map([10.0, 1.0, 0.5])[0]
+    u2 = emb2.fn([10.0, 1.0, 0.5])[0]
     base = np.sqrt(101.0) - 10.0
     assert u2 - base == pytest.approx(1.0 / 12000.0, rel=1e-10)
 
@@ -291,7 +291,7 @@ def test_embedding_first_derivs_match_fd(rng):
             for a in range(3):
                 up = list(pt); up[a] += h
                 dn = list(pt); dn[a] -= h
-                ref = (np.array(emb.map(up)) - np.array(emb.map(dn))) / (2 * h)
+                ref = (np.array(emb.fn(up)) - np.array(emb.fn(dn))) / (2 * h)
                 got = np.array([ej[i].d[a] if hasattr(ej[i], "d") else 0.0
                                 for i in range(4)])
                 scale = 1.0 + np.abs(got)
