@@ -41,8 +41,8 @@ __all__ = [
     "BondiExpansion", "EnergyMomentumTrajectory",
     "bondi_energy_momentum", "news_flux",
     "evolve_energy_momentum", "mass_loss_margin", "flux_holder_margin",
-    "induced_slice_data", "expansion_consistency", "vanishing_news_scenario",
-    "trajectory_csv", "SLICE_COMPONENTS",
+    "induced_slice_data", "pullback_slice_data", "expansion_consistency",
+    "vanishing_news_scenario", "trajectory_csv", "SLICE_COMPONENTS",
 ]
 
 SLICE_COMPONENTS = ("g11", "g12", "g13", "g22", "g23", "g33",
@@ -306,6 +306,14 @@ def induced_slice_data(exp, u0=0.0, a3=None):
 # Expansion vs numerical pullback
 # ---------------------------------------------------------------------------
 
+def pullback_slice_data(exp, u0=0.0, a3=None, r_min=None):
+    """The u0-slice data pulled back numerically from ``bondi_metric``, in
+    the frame of ``induced_slice_data``."""
+    return pullback_initial_data(bondi_metric(exp, r_min=r_min),
+                                 bondi_slice_embedding(SliceSpec(u0, a3), exp),
+                                 hyperboloid_frame())
+
+
 def expansion_consistency(exp, u0=0.0, a3=None, radii=(50, 100, 200, 400, 800),
                           grid=None, r_min=None):
     """Fitted decay exponent of |numerical pullback - closed form| for every
@@ -319,10 +327,7 @@ def expansion_consistency(exp, u0=0.0, a3=None, radii=(50, 100, 200, 400, 800),
     radii = check_ladder(radii)
     grid = grid or build_grid(20, 40)
     closed = induced_slice_data(exp, u0, a3)
-    spec = SliceSpec(u0=u0, a3=a3)
-    metric = bondi_metric(exp, r_min=r_min)
-    emb = bondi_slice_embedding(spec, exp)
-    pulled = pullback_initial_data(metric, emb, hyperboloid_frame())
+    pulled = pullback_slice_data(exp, u0, a3, r_min)
 
     coords = stacked_rungs(grid, radii)
     gn, hn = pulled.values(coords)

@@ -8,8 +8,8 @@ Subcommands:
     verify        the full acceptance battery
     converge      grid/ladder refinement study
 
-The config file format is described in ``scenarios``, which reads it.
-Flags override config values.  Reports are byte-identical for identical
+``scenarios`` reads the config file and builds every input of a run from
+it; a subcommand here adds its checks.  Flags override config values.  Reports are byte-identical for identical
 configs apart from the metadata block.
 """
 
@@ -22,29 +22,10 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .ladder import check_ladder, slowest_order
 from .reports import ChargeReport, CheckResult, write_json
-from .scenarios import (ADM_PRESETS, ScenarioConfig, make_a3, make_adm_data,
-                        make_expansion, parse_config, parse_floats)
-
-
-def _grid_of(cfg):
-    from .sphere import build_grid
-    return build_grid(cfg.n_theta, cfg.n_psi)
-
-
-def _default_radii(cfg, kind):
-    if cfg.radii:
-        return tuple(cfg.radii)
-    if kind == "null" and cfg.preset == "minkowski":
-        # deviations are exactly zero; small radii keep the roundoff floor
-        # (which grows like r^2) below the exact-zero threshold
-        return (0.5, 1.0, 2.0, 4.0)
-    return {"adm": (10.0, 20.0, 40.0, 80.0),
-            "null": (30.0, 45.0, 70.0, 110.0, 170.0),
-            "slice": (50.0, 100.0, 200.0, 400.0, 800.0)}[kind]
-
-
-def _known_mass(cfg):
-    return 0.0 if cfg.preset == "minkowski" else cfg.mass
+from .scenarios import (ScenarioConfig, default_radii, known_mass, make_a3,
+                        make_adm_data, make_expansion, make_grid,
+                        make_slice_data, parse_config, parse_floats,
+                        scenario_name)
 
 
 def _exponents(fits):
@@ -60,16 +41,16 @@ def cmd_adm(cfg):
     from .adm import (AF_DECAY_SLACK, adm_energy_momentum, check_af_decay,
                       check_dec_flat, check_pmt_flat)
     # the decay check fits 4 rungs; reject a shorter ladder before any work
-    radii = check_ladder(_default_radii(cfg, "adm"), minimum=4)
+    radii = check_ladder(default_radii(cfg, "adm"), minimum=4)
     data = make_adm_data(cfg)
-    ch = adm_energy_momentum(data, radii, _grid_of(cfg))
+    ch = adm_energy_momentum(data, radii, make_grid(cfg))
     decay = check_af_decay(data, radii)
     rng = np.random.default_rng(0)
     pts = [rng.uniform(radii[0] / 2.0, radii[-1] / 2.0, size=10),
            rng.uniform(0.4, 2.7, size=10), rng.uniform(0.0, 6.2, size=10)]
     dec = check_dec_flat(data, pts)
     pmt = check_pmt_flat(ch)
-    m0 = _known_mass(cfg)
+    m0 = known_mass(cfg)
     checks = [
         CheckResult("adm.energy_matches_preset_mass", ch.E - m0,
                     max(1e-2 * m0, 1e-9), "abs(value) <= tolerance"),
@@ -84,7 +65,7 @@ def cmd_adm(cfg):
         CheckResult("adm.pmt_margin", pmt, 1e-6, "value >= -tolerance"),
     ]
     report = ChargeReport(
-        scenario=cfg.preset, kind="adm",
+        scenario=scenario_name(cfg), kind="adm",
         charges={"E": ch.E, "P": list(ch.P)},
         samples={"E": list(ch.energy.samples),
                  "P": [list(m.samples) for m in ch.momentum],
@@ -97,24 +78,11 @@ def cmd_adm(cfg):
     return report, None
 
 
-def _slice_data(cfg):
-    from .geometry import hyperboloid_frame, pullback_initial_data
-    from .spacetimes import hyperboloid_embedding, minkowski
-    from .bondi import induced_slice_data
-    # built for minkowski too, so a news table under it stops here
-    exp = make_expansion(cfg)
-    if cfg.preset == "minkowski":
-        return pullback_initial_data(minkowski("polar"),
-                                     hyperboloid_embedding(),
-                                     hyperboloid_frame())
-    return induced_slice_data(exp, u0=cfg.u0, a3=make_a3(cfg))
-
-
 def cmd_null(cfg):
     from .nullcharges import check_dec_null, check_pmt_null, null_energy_momentum
-    data = _slice_data(cfg)
-    radii = _default_radii(cfg, "null")
-    ch = null_energy_momentum(data, radii, _grid_of(cfg))
+    data = make_slice_data(cfg)
+    radii = default_radii(cfg, "null")
+    ch = null_energy_momentum(data, radii, make_grid(cfg))
     pmt = check_pmt_null(ch)
     pts = [np.array([max(20.0, radii[0]), 1.5 * max(20.0, radii[0])]),
            np.array([1.1, 2.0]), np.array([0.4, 3.2])]
@@ -130,7 +98,7 @@ def cmd_null(cfg):
         CheckResult("null.pmt_margin", pmt, 1e-4, "value >= -tolerance"),
     ]
     report = ChargeReport(
-        scenario=cfg.preset, kind="null",
+        scenario=scenario_name(cfg), kind="null",
         charges={"E": list(ch.E_values()),
                  "P": [list(r) for r in ch.P_values()],
                  "margins": list(ch.margins())},
@@ -147,7 +115,7 @@ def cmd_bondi_evolve(cfg):
                         flux_holder_margin, mass_aspect_field,
                         mass_loss_margin, trajectory_csv)
     exp = make_expansion(cfg)
-    grid = _grid_of(cfg)
+    grid = make_grid(cfg)
     m0 = bondi_energy_momentum(mass_aspect_field(exp, cfg.u_start, grid))
     traj = evolve_energy_momentum(m0, exp, cfg.u_start, cfg.u_end, cfg.du, grid)
     dmax = mass_loss_margin(traj)
@@ -162,7 +130,7 @@ def cmd_bondi_evolve(cfg):
                     "value >= -tolerance"),
     ]
     report = ChargeReport(
-        scenario=cfg.preset, kind="bondi",
+        scenario=scenario_name(cfg), kind="bondi",
         charges={"m_start": list(traj.m[0]), "m_end": list(traj.m[-1])},
         samples={"u": [float(traj.u[0]), float(traj.u[-1])],
                  "n_samples": len(traj.u)},
@@ -176,14 +144,13 @@ def cmd_bondi_slice(cfg):
     from .nullcharges import check_pmt_null, null_energy_momentum
     # the null order gate fits 4 rungs and --radii sets both ladders; reject
     # a shorter ladder before any work
-    radii = check_ladder(_default_radii(cfg, "slice"), minimum=4)
-    null_radii = check_ladder(_default_radii(cfg, "null"), minimum=4)
-    exp = make_expansion(cfg)
-    a3 = make_a3(cfg)
-    rep = expansion_consistency(exp, u0=cfg.u0, a3=a3, radii=radii)
+    radii = check_ladder(default_radii(cfg, "slice"), minimum=4)
+    null_radii = check_ladder(default_radii(cfg, "null"), minimum=4)
+    rep = expansion_consistency(make_expansion(cfg), u0=cfg.u0,
+                                a3=make_a3(cfg), radii=radii)
     worst_name, worst = slowest_order(rep)
-    data = _slice_data(cfg)
-    ch = null_energy_momentum(data, null_radii, _grid_of(cfg))
+    data = make_slice_data(cfg)
+    ch = null_energy_momentum(data, null_radii, make_grid(cfg))
     pmt = check_pmt_null(ch)
     checks = [
         CheckResult("slice.expansion_consistency", worst, 3.3,
@@ -191,7 +158,7 @@ def cmd_bondi_slice(cfg):
         CheckResult("slice.pmt_margin", pmt, 1e-4, "value >= -tolerance"),
     ]
     report = ChargeReport(
-        scenario=cfg.preset, kind="null",
+        scenario=scenario_name(cfg), kind="null",
         charges={"E": list(ch.E_values()), "margins": list(ch.margins())},
         samples={"consistency_radii": list(radii)},
         residuals={},
@@ -212,16 +179,13 @@ def cmd_verify(cfg):
 
 def cmd_converge(cfg):
     from .adm import adm_energy_momentum, adm_ladder_samples, fit_adm_charges
-    if cfg.preset not in ADM_PRESETS:
-        raise ConfigError(f"converge expects one of {ADM_PRESETS}")
     # a 3-coefficient fit on 3 rungs has no residual to scale a tolerance by
-    radii = check_ladder(_default_radii(cfg, "adm"), minimum=4)
+    radii = check_ladder(default_radii(cfg, "adm"), minimum=4)
     data = make_adm_data(cfg)
     from .sphere import build_grid
     # the longer ladder is the coarse one plus one rung; sample it once
     longer_radii = radii + [2.0 * radii[-1]]
-    rows = adm_ladder_samples(data, longer_radii,
-                              build_grid(cfg.n_theta, cfg.n_psi))
+    rows = adm_ladder_samples(data, longer_radii, make_grid(cfg))
     coarse = fit_adm_charges(radii, rows[:-1])
     fine = adm_energy_momentum(data, radii,
                                build_grid(2 * cfg.n_theta, 2 * cfg.n_psi))
@@ -240,7 +204,7 @@ def cmd_converge(cfg):
             f"E,{coarse.E:.17e},{fine.E:.17e},{dg:.17e}",
             f"E_ladder,{coarse.E:.17e},{longer.E:.17e},{dl:.17e}"]
     report = ChargeReport(
-        scenario=cfg.preset, kind="adm",
+        scenario=scenario_name(cfg), kind="adm",
         charges={"E_coarse": coarse.E, "E_fine": fine.E, "E_longer": longer.E},
         samples={"radii": radii}, residuals={"E": coarse.energy.residual},
         checks=tuple(checks))

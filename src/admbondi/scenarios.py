@@ -36,16 +36,19 @@ from typing import Optional
 import numpy as np
 
 from . import jets
-from .bondi import BondiExpansion, _zero
+from .bondi import BondiExpansion, _zero, induced_slice_data
 from .errors import ConfigError
-from .geometry import euclidean_frame, pullback_initial_data
+from .geometry import euclidean_frame, hyperboloid_frame, pullback_initial_data
 from .ladder import check_ladder
-from .spacetimes import (KerrParameters, kerr, minkowski, schwarzschild,
-                         t_const_embedding)
+from .spacetimes import (KerrParameters, hyperboloid_embedding, kerr, minkowski,
+                         schwarzschild, t_const_embedding)
+from .sphere import build_grid
 
 __all__ = ["ScenarioConfig", "CONFIG_SCHEMA", "parse_config", "parse_floats",
-           "PRESETS", "make_expansion", "make_metric", "make_adm_data",
-           "check_news_table", "harmonic_basis", "harmonic_news", "make_a3"]
+           "PRESETS", "scenario_name", "make_grid", "default_radii",
+           "known_mass", "make_expansion", "make_metric", "make_adm_data",
+           "make_slice_data", "check_news_table", "harmonic_basis",
+           "harmonic_news", "make_a3"]
 
 log = logging.getLogger(__name__)
 
@@ -119,10 +122,12 @@ def parse_config(text):
     """Parse nested-section key-value text into a ScenarioConfig.
 
     Returns (config, provenance) where provenance records, per field, whether
-    it came from the file or from a default.
+    it came from the file or from a default.  A key set twice stops the
+    parse, as do two news_table keys of one mode (c_2_0 and c_02_0).
     """
     values = {}
     table = {}
+    first_line = {}         # (section, field or mode) -> line that set it
     section = ""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -139,19 +144,25 @@ def parse_config(text):
         key = key.strip().lower()
         val = val.strip()
         if section == "news_table":
-            table[key] = val
-            continue
-        parse = CONFIG_SCHEMA[section].get(key)
-        if parse is None:
-            raise ConfigError(f"line {lineno}: unknown key {key!r} in "
-                              f"section [{section or 'top level'}]")
+            name = key if key == "u_grid" else _table_mode(key, lineno)
+            target, parse, what = table, parse_floats, "news_table row"
+        else:
+            name, parse = key, CONFIG_SCHEMA[section].get(key)
+            target, what = values, "bad value for"
+            if parse is None:
+                raise ConfigError(f"line {lineno}: unknown key {key!r} in "
+                                  f"section [{section or 'top level'}]")
+        first = first_line.setdefault((section, name), lineno)
+        if first != lineno:
+            raise ConfigError(f"line {lineno}: key {key!r} repeats line "
+                              f"{first}")
         try:
-            values[key] = parse(val)
+            target[name] = parse(val)
         except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {exc}")
+            raise ConfigError(f"line {lineno}: {what} {key}: {exc}")
 
     if table:
-        values["news_table"] = _parse_news_table(table)
+        values["news_table"] = table
     cfg = ScenarioConfig(**values)
     provenance = {f.name: ("config" if f.name in values else "default")
                   for f in fields(ScenarioConfig)}
@@ -161,28 +172,16 @@ def parse_config(text):
     return cfg, provenance
 
 
-def _table_mode(key):
-    """(l, m) of a news_table key c_<l>_<m>."""
+def _table_mode(key, lineno):
+    """(l, m) of a news_table key c_<l>_<m> on line ``lineno``."""
     parts = key.split("_")
     if len(parts) == 3 and parts[0] == "c":
         try:
             return int(parts[1]), int(parts[2])
         except ValueError:
             pass
-    raise ConfigError(f"news_table keys look like c_<l>_<m>, got {key!r}")
-
-
-def _parse_news_table(rows):
-    """The [news_table] rows, key -> text, as {"u_grid": row, (l, m): row};
-    ScenarioConfig checks the numbers."""
-    table = {}
-    for key, text in rows.items():
-        try:
-            row = parse_floats(text)
-        except ValueError as exc:
-            raise ConfigError(f"news_table row {key}: {exc}")
-        table[key if key == "u_grid" else _table_mode(key)] = row
-    return table
+    raise ConfigError(f"line {lineno}: news_table keys look like c_<l>_<m>, "
+                      f"got {key!r}")
 
 
 def check_news_table(table):
@@ -307,6 +306,35 @@ def harmonic_news(news_table):
 # Preset builders
 # ---------------------------------------------------------------------------
 
+def scenario_name(cfg):
+    """The name a run reports: the preset, or ``<preset>-table`` when a news
+    table replaces the preset's news."""
+    return cfg.preset if cfg.news_table is None else f"{cfg.preset}-table"
+
+
+def make_grid(cfg):
+    return build_grid(cfg.n_theta, cfg.n_psi)
+
+
+def default_radii(cfg, kind):
+    """The configured radius ladder, or the default one of ``kind``: "adm",
+    "null" or "slice"."""
+    if cfg.radii:
+        return tuple(cfg.radii)
+    if kind == "null" and cfg.preset == "minkowski":
+        # deviations are exactly zero; small radii keep the roundoff floor
+        # (which grows like r^2) below the exact-zero threshold
+        return (0.5, 1.0, 2.0, 4.0)
+    return {"adm": (10.0, 20.0, 40.0, 80.0),
+            "null": (30.0, 45.0, 70.0, 110.0, 170.0),
+            "slice": (50.0, 100.0, 200.0, 400.0, 800.0)}[kind]
+
+
+def known_mass(cfg):
+    """The ADM energy of a spatial-infinity preset."""
+    return 0.0 if cfg.preset == "minkowski" else cfg.mass
+
+
 def _mass_aspect(cfg):
     m = cfg.mass
     if cfg.mass_aspect == "tilted":
@@ -336,13 +364,11 @@ def make_expansion(cfg):
     no expansion here, since that one would drop its spin, so it raises
     ConfigError.  A news table replaces the news of a bondi-* preset; with
     any other preset it raises ConfigError."""
+    _check_table_preset(cfg)
     name = cfg.preset
     if cfg.news_table is not None:
-        if name not in BONDI_PRESETS:
-            raise ConfigError(f"preset {name!r} takes no [news_table]; a "
-                              f"news table needs one of {BONDI_PRESETS}")
         return BondiExpansion(c=harmonic_news(cfg.news_table),
-                              M=_mass_aspect(cfg), name=f"{name}-table",
+                              M=_mass_aspect(cfg), name=scenario_name(cfg),
                               u_range=(cfg.u_start, max(cfg.u_end, cfg.u0)))
 
     urange = (cfg.u_start, max(cfg.u_end, cfg.u0, cfg.u_start + 1.0))
@@ -395,8 +421,15 @@ def make_expansion(cfg):
     raise ConfigError(f"preset {cfg.preset!r} has no radiating expansion")
 
 
+def _check_table_preset(cfg):
+    if cfg.news_table is not None and cfg.preset not in BONDI_PRESETS:
+        raise ConfigError(f"preset {cfg.preset!r} takes no [news_table]; a "
+                          f"news table needs one of {BONDI_PRESETS}")
+
+
 def make_metric(cfg):
     """Exact metric of the spatial-infinity presets."""
+    _check_table_preset(cfg)
     if cfg.preset == "minkowski":
         return minkowski("polar")
     if cfg.preset == "schwarzschild":
@@ -405,9 +438,23 @@ def make_metric(cfg):
         return kerr(KerrParameters(cfg.mass, cfg.spin))
     raise ConfigError(
         f"preset {cfg.preset!r} is not asymptotically flat at spatial "
-        f"infinity; use one of {ADM_PRESETS} for the adm subcommand")
+        f"infinity; use one of {ADM_PRESETS} for the adm and converge "
+        "subcommands")
 
 
 def make_adm_data(cfg):
+    """The t = 0 slice of a spatial-infinity preset, in the Cartesian frame."""
     return pullback_initial_data(make_metric(cfg), t_const_embedding(),
                                  euclidean_frame())
+
+
+def make_slice_data(cfg):
+    """The u0-slice data of a preset: the unit hyperboloid of flat space for
+    minkowski, the closed-form induced data of its expansion otherwise."""
+    # built for minkowski too, so a news table under it stops here
+    exp = make_expansion(cfg)
+    if cfg.preset == "minkowski":
+        return pullback_initial_data(minkowski("polar"),
+                                     hyperboloid_embedding(),
+                                     hyperboloid_frame())
+    return induced_slice_data(exp, cfg.u0, make_a3(cfg))

@@ -13,20 +13,18 @@ from . import jets
 from .adm import adm_energy_momentum
 from .bondi import (bondi_energy_momentum, evolve_energy_momentum,
                     expansion_consistency, flux_holder_margin,
-                    induced_slice_data, mass_aspect_field, mass_loss_margin,
+                    mass_aspect_field, mass_loss_margin, pullback_slice_data,
                     vanishing_news_scenario)
-from .geometry import (constraint_quantities, euclidean_frame,
-                       hyperboloid_frame, pullback_initial_data,
-                       rigidity_residual)
+from .geometry import constraint_quantities, rigidity_residual
 from .nullcharges import (background_connection, background_connection_fd,
                           decay_orders, estimate_decay_order,
                           null_energy_momentum)
 from .ladder import slowest_order
 from .reports import CheckResult
-from .scenarios import ScenarioConfig, make_expansion
-from .spacetimes import (KerrParameters, bondi_metric, bondi_slice_embedding,
-                         hyperboloid_embedding, kerr, minkowski, schwarzschild,
-                         t_const_embedding, SliceSpec)
+from .scenarios import (ScenarioConfig, make_a3, make_adm_data,
+                        make_expansion, make_slice_data)
+from .spacetimes import (KerrParameters, bondi_metric, kerr, minkowski,
+                         schwarzschild)
 from .sphere import build_grid, direction_functions, integrate
 
 __all__ = ["run_verification", "CRITERIA"]
@@ -43,8 +41,7 @@ def _grid():
 
 def criterion_1_schwarzschild_adm():
     t0 = time.perf_counter()
-    data = pullback_initial_data(schwarzschild(1.0, "static"),
-                                 t_const_embedding(), euclidean_frame())
+    data = make_adm_data(ScenarioConfig(preset="schwarzschild", mass=1.0))
     ch = adm_energy_momentum(data, [10.0, 20.0, 40.0, 80.0], _grid())
     dt = time.perf_counter() - t0
     out = [
@@ -59,8 +56,7 @@ def criterion_1_schwarzschild_adm():
 
 
 def criterion_2_kerr_adm():
-    data = pullback_initial_data(kerr(KerrParameters(1.0, 0.5)),
-                                 t_const_embedding(), euclidean_frame())
+    data = make_adm_data(ScenarioConfig(preset="kerr", mass=1.0, spin=0.5))
     ch = adm_energy_momentum(data, [10.0, 20.0, 40.0, 80.0], _grid())
     return [
         CheckResult("c2.kerr_adm_energy", ch.E - 1.0, 1e-2,
@@ -72,8 +68,7 @@ def criterion_2_kerr_adm():
 
 def criterion_3_hyperboloid():
     rng = np.random.default_rng(3)
-    data = pullback_initial_data(minkowski("polar"), hyperboloid_embedding(),
-                                 hyperboloid_frame())
+    data = make_slice_data(ScenarioConfig(preset="minkowski"))
     r = rng.uniform(0.2, 10.0, size=100)
     th = rng.uniform(0.3, np.pi - 0.3, size=100)
     ps = rng.uniform(0.0, 2 * np.pi, size=100)
@@ -100,8 +95,7 @@ def criterion_4_constraints():
     rng = np.random.default_rng(4)
     tol = 1e-5
     out = []
-    static = pullback_initial_data(schwarzschild(1.0, "static"),
-                                   t_const_embedding(), euclidean_frame())
+    static = make_adm_data(ScenarioConfig(preset="schwarzschild", mass=1.0))
     pts = [rng.uniform(3.0, 25.0, size=8), rng.uniform(0.4, 2.7, size=8),
            rng.uniform(0.0, 6.2, size=8)]
     cq = constraint_quantities(static, pts)
@@ -111,10 +105,7 @@ def criterion_4_constraints():
                            "abs(value) <= tolerance"))
 
     cfg = ScenarioConfig(preset="bondi-schwarzschild", mass=1.0)
-    exp = make_expansion(cfg)
-    pulled = pullback_initial_data(
-        bondi_metric(exp, r_min=10.0),
-        bondi_slice_embedding(SliceSpec(u0=0.0), exp), hyperboloid_frame())
+    pulled = pullback_slice_data(make_expansion(cfg), r_min=10.0)
     pts = [np.array([20.0, 30.0, 50.0, 80.0]), np.array([0.9, 1.4, 2.0, 2.5]),
            np.array([0.3, 1.7, 3.4, 5.1])]
     cq = constraint_quantities(pulled, pts)
@@ -175,7 +166,6 @@ def criterion_7_expansion_consistency():
                              a3_amplitude=0.02 if preset == "bondi-biaxial" else 0.0,
                              news_zero_u=0.0 if preset == "bondi-quadrupole" else None)
         exp = make_expansion(cfg)
-        from .scenarios import make_a3
         rep = expansion_consistency(exp, u0=0.0, a3=make_a3(cfg),
                                     radii=(50.0, 100.0, 200.0, 400.0, 800.0))
         worst_name, worst = slowest_order(rep)
@@ -190,14 +180,14 @@ def criterion_7_expansion_consistency():
 
 def criterion_8_decay_orders():
     cfg = ScenarioConfig(preset="bondi-schwarzschild")
-    data = induced_slice_data(make_expansion(cfg), u0=0.0)
+    data = make_slice_data(cfg)
     fit = estimate_decay_order(data, "a11", [20.0, 40.0, 80.0, 160.0])
     out = [CheckResult("c8.schwarzschild_bondi_a11_order", fit.exponent - 3.0,
                        0.1, "abs(value) <= tolerance",
                        f"tau-hat={fit.exponent:.8f}")]
     cfg = ScenarioConfig(preset="bondi-biaxial", amplitude=0.08,
-                         amplitude_d=0.05, news_zero_u=2.0)
-    data = induced_slice_data(make_expansion(cfg), u0=2.0)
+                         amplitude_d=0.05, news_zero_u=2.0, u0=2.0)
+    data = make_slice_data(cfg)
     worst_name, worst = slowest_order(
         decay_orders(data, [20.0, 40.0, 80.0, 160.0]))
     out.append(CheckResult("c8.generic_orders_above_gate", worst, 1.9,

@@ -14,9 +14,11 @@ from admbondi.bondi import (BondiExpansion, bondi_energy_momentum,
 from admbondi.errors import ConfigError, DomainError
 from admbondi.geometry import _jd, _jf
 from admbondi.jets import value
-from admbondi.nullcharges import null_energy_momentum
+from admbondi.ladder import slowest_order
+from admbondi.nullcharges import check_pmt_null, null_energy_momentum
 from admbondi.scenarios import (BONDI_PRESETS, ScenarioConfig, make_a3,
-                               make_expansion)
+                               make_expansion, make_grid, make_slice_data,
+                               _HARMONIC_MODES)
 from admbondi.spacetimes import bondi_metric, l_lbar, p_pbar
 from admbondi.sphere import build_grid, project_multipole
 
@@ -494,6 +496,69 @@ def test_vanishing_news_slice_margins_are_the_bondi_moments(grid, preset):
     not vanish there, they are not."""
     assert _slice_margins_minus_moments(preset, 2.0, grid) <= 1e-5
     assert _slice_margins_minus_moments(preset, None, grid) > 1e-5
+
+
+# -- the theorem on random news tables ---------------------------------------
+# u_grid = 0, 1, 2, 3, 4 puts u0 = 2 on the third sample, where the cubic
+# interpolant of each row takes the row's value exactly.
+
+_THEOREM_LADDER = (30.0, 45.0, 70.0, 110.0, 170.0)
+
+
+def _table_slice(rows, mass, tilted, a3_amplitude):
+    """The u0 = 2 slice of a bondi-quadrupole config with the news table
+    ``rows``: its config, expansion, sphere grid and null charges."""
+    table = {"u_grid": (0.0, 1.0, 2.0, 3.0, 4.0), **rows}
+    cfg = ScenarioConfig(preset="bondi-quadrupole", news_table=table,
+                         mass=mass, a3_amplitude=a3_amplitude,
+                         mass_aspect="tilted" if tilted else "constant",
+                         u0=2.0, n_theta=24, n_psi=48, radii=_THEOREM_LADDER)
+    grid = make_grid(cfg)
+    ch = null_energy_momentum(make_slice_data(cfg), cfg.radii, grid)
+    return cfg, make_expansion(cfg), grid, ch
+
+
+def _slice_links(cfg, exp, grid, ch):
+    """(error of link (a), order-gate margin): max |margins - m_nu(u0)| and
+    the slowest decay order minus the gate."""
+    m = bondi_energy_momentum(mass_aspect_field(exp, cfg.u0, grid))
+    return (float(np.max(np.abs(ch.margins() - m))),
+            slowest_order(ch.decay_orders)[1] - ch.tau_gate)
+
+
+_coefficient = st.floats(-0.1, 0.1, allow_nan=False)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(rows=st.dictionaries(st.sampled_from(sorted(_HARMONIC_MODES)),
+                            st.lists(_coefficient, min_size=5, max_size=5),
+                            min_size=1, max_size=3),
+       at_u0=st.floats(0.05, 0.1) | st.floats(-0.1, -0.05),
+       mass=st.floats(0.5, 2.0), tilted=st.booleans(),
+       a3_amplitude=st.floats(-0.05, 0.05))
+def test_theorem_holds_for_news_tables_vanishing_at_u0(rows, at_u0, mass,
+                                                       tilted, a3_amplitude):
+    """The three links of the theorem on news tables whose rows vanish at
+    u0 = 2: (a) the slice charges pass the order gate and their margins are
+    the Bondi moments m_nu(u0); (b) E >= |P| on the slice; (c) m_0 - |m| is
+    nonnegative and nonincreasing for u <= u0.  Negative control: the same
+    rows moved off zero at u0 fail the gate or the match."""
+    vanishing = {lm: (*row[:2], 0.0, *row[3:]) for lm, row in rows.items()}
+    cfg, exp, grid, ch = _table_slice(vanishing, mass, tilted, a3_amplitude)
+    error, gate = _slice_links(cfg, exp, grid, ch)
+    assert error <= 1e-5 and gate >= 0.0                            # (a)
+    assert check_pmt_null(ch) >= 0.0                                # (b)
+    traj, slice_margin = vanishing_news_scenario(
+        exp, u0=2.0, u_start=0.0, du=0.05, grid=grid, radii=cfg.radii,
+        a3=make_a3(cfg))
+    assert slice_margin == check_pmt_null(ch)
+    assert np.min(traj.margin) >= 0.0                               # (c)
+    assert mass_loss_margin(traj) <= 1e-9
+
+    moved = {lm: (*row[:2], at_u0, *row[3:]) for lm, row in rows.items()}
+    error, gate = _slice_links(*_table_slice(moved, mass, tilted,
+                                             a3_amplitude))
+    assert error > 1e-5 or gate < 0.0                               # (d)
 
 
 def test_derived_fields_nan_news_rejected(grid):

@@ -12,10 +12,9 @@ from admbondi.geometry import (Embedding, InitialData, Metric4Evaluator,
                                frame_geometry, hyperboloid_frame, FrameField,
                                pullback_initial_data, ricci_tensor,
                                rigidity_residual)
-from admbondi.bondi import induced_slice_data
 from admbondi.nullcharges import background_connection, check_dec_null
 from admbondi.reports import CheckResult
-from admbondi.scenarios import ScenarioConfig, make_a3, make_expansion
+from admbondi.scenarios import ScenarioConfig, make_expansion, make_slice_data
 from admbondi.spacetimes import (SliceSpec, bondi_metric, bondi_slice_embedding,
                                  hyperboloid_embedding, kerr, KerrParameters,
                                  minkowski, schwarzschild, t_const_embedding)
@@ -214,9 +213,8 @@ def _connection_data(case, hyperbolic_background):
         return pullback_initial_data(kerr(KerrParameters(1.0, 0.6)),
                                      t_const_embedding(),
                                      euclidean_frame()), (4.0, 30.0)
-    cfg = ScenarioConfig(preset="bondi-biaxial")
-    return induced_slice_data(make_expansion(cfg), u0=cfg.u0,
-                              a3=make_a3(cfg)), (20.0, 80.0)
+    return make_slice_data(ScenarioConfig(preset="bondi-biaxial")), \
+        (20.0, 80.0)
 
 
 _CONNECTION_CASES = ["hyperbolic-background", "kerr-euclidean",
@@ -461,6 +459,60 @@ def test_constraints_of_a_constant_antisymmetric_p_match_closed_forms(rng):
     dec = check_dec_null(data, [r, th, ps])
     assert not CheckResult("null.dec_margin", np.min(dec), 1e-4,
                            "value >= -tolerance").passed
+
+
+def _flat_polynomial_data(A, B, C):
+    """g = delta in the Cartesian frame and the (nonsymmetric) p_ij =
+    A_ij + B_ijk x^k + C_ijkl x^k x^l of the Cartesian position x."""
+    def gp(c):
+        r, th, ps = c
+        x = (r * jets.sin(th) * jets.cos(ps), r * jets.sin(th) * jets.sin(ps),
+             r * jets.cos(th))
+        g = [[1.0 + 0.0 * r if i == j else 0.0 * r for j in range(3)]
+             for i in range(3)]
+        p = [[A[i, j] + sum(B[i, j, k] * x[k] for k in range(3))
+              + sum(C[i, j, k, l] * x[k] * x[l]
+                    for k in range(3) for l in range(3))
+              for j in range(3)] for i in range(3)]
+        return g, p
+    return InitialData(gp, euclidean_frame(), "flat-polynomial-p")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_flat_frame_constraints_are_partial_derivatives(seed):
+    """A connection-free oracle: in the Cartesian frame of flat space,
+    nabla_k p_ij is the partial derivative d_k p_ij, so for p polynomial in
+    x, varpi_j = d_a p_ja - d_j tr p and sigma_i = 2 (d_a p_ai - d_a p_ia)
+    are closed forms, and mu = (tr p^2 - p_ij p_ij) / 2.  Negative control:
+    the data with p transposed do not match these varpi and sigma."""
+    rng = np.random.default_rng(seed)
+    A, B = rng.normal(size=(3, 3)), rng.normal(size=(3, 3, 3))
+    C = rng.normal(size=(3, 3, 3, 3))
+    r, th, ps = sample_points(rng, 10, rlo=0.5, rhi=3.0)
+    x = np.stack([r * np.sin(th) * np.cos(ps), r * np.sin(th) * np.sin(ps),
+                  r * np.cos(th)])
+    p = A[..., None] + np.einsum("ijk,kn->ijn", B, x) \
+        + np.einsum("ijkl,kn,ln->ijn", C, x, x)
+    dp = np.einsum("ijk->kij", B)[..., None] \
+        + np.einsum("ijkl,ln->kijn", C + np.swapaxes(C, 2, 3), x)
+    varpi = np.einsum("aja...->j...", dp) - np.einsum("jaa...->j...", dp)
+    sigma = 2.0 * (np.einsum("aai...->i...", dp)
+                   - np.einsum("aia...->i...", dp))
+    mu = 0.5 * (np.einsum("ii...->...", p) ** 2 - np.sum(p * p, axis=(0, 1)))
+
+    data = _flat_polynomial_data(A, B, C)
+    b = frame_geometry(data, [r, th, ps])
+    cq = constraint_quantities(data, [r, th, ps])
+    np.testing.assert_allclose(b["nabla_p"], dp, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(cq.varpi, varpi, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(cq.sigma, sigma, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(cq.mu, mu, rtol=1e-12, atol=1e-12)
+
+    flipped = constraint_quantities(
+        _flat_polynomial_data(*(np.swapaxes(T, 0, 1) for T in (A, B, C))),
+        [r, th, ps])
+    assert np.max(np.abs(flipped.varpi - varpi)) > 0.1
+    assert np.max(np.abs(flipped.sigma - sigma)) > 0.1
 
 
 def test_rigidity_residuals_vanish_on_model(rng):

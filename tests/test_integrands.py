@@ -11,15 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from admbondi.adm import adm_ladder_samples, rotated_data
-from admbondi.bondi import induced_slice_data
-from admbondi.geometry import (_chart_gradient, _grad, frame_derivative,
-                               hyperboloid_frame, pullback_initial_data)
+from admbondi.geometry import _chart_gradient, _grad, frame_derivative
 from admbondi.jets import value
 from admbondi.nullcharges import (background_connection, charge_integrand,
                                   null_energy_momentum)
-from admbondi.scenarios import (ScenarioConfig, make_a3, make_adm_data,
-                                make_expansion)
-from admbondi.spacetimes import hyperboloid_embedding, minkowski
+from admbondi.scenarios import ScenarioConfig, make_adm_data, make_slice_data
 from admbondi.sphere import build_grid, direction_functions
 
 
@@ -31,9 +27,9 @@ def _rotation(angle):
 
 
 def _slice(preset, u0):
-    cfg = ScenarioConfig(preset=preset, amplitude=0.08, amplitude_d=0.05,
-                         mass_aspect="tilted", a3_amplitude=0.02)
-    return induced_slice_data(make_expansion(cfg), u0, make_a3(cfg))
+    return make_slice_data(ScenarioConfig(
+        preset=preset, amplitude=0.08, amplitude_d=0.05, mass_aspect="tilted",
+        a3_amplitude=0.02, u0=u0))
 
 
 _KERR = make_adm_data(ScenarioConfig(preset="kerr", mass=1.0, spin=0.6))
@@ -43,9 +39,7 @@ _ADM = {
     "rotated-kerr": rotated_data(_KERR, _rotation(0.7)),
 }
 _NULL = {
-    "hyperboloid": pullback_initial_data(minkowski("polar"),
-                                         hyperboloid_embedding(),
-                                         hyperboloid_frame()),
+    "hyperboloid": make_slice_data(ScenarioConfig(preset="minkowski")),
     "bondi-schwarzschild": _slice("bondi-schwarzschild", 0.0),
     "bondi-quadrupole": _slice("bondi-quadrupole", 0.5),
     "bondi-biaxial": _slice("bondi-biaxial", 2.0),

@@ -21,10 +21,10 @@ from admbondi.ladder import (causal_margin, fit_inverse_powers, rung_max,
                              stacked_rungs)
 from admbondi.nullcharges import decay_orders, deviation
 from admbondi.reports import CheckResult
-from admbondi.scenarios import ScenarioConfig, make_a3, make_expansion
+from admbondi.scenarios import (ScenarioConfig, make_a3, make_expansion,
+                                make_slice_data)
 from admbondi.spacetimes import (KerrParameters, SliceSpec, bondi_metric,
-                                 bondi_slice_embedding, hyperboloid_embedding,
-                                 kerr, minkowski, schwarzschild,
+                                 bondi_slice_embedding, kerr, schwarzschild,
                                  t_const_embedding)
 from admbondi.sphere import build_grid
 
@@ -77,13 +77,8 @@ def test_af_decay_stacked_equals_per_rung(kind, mass, spin, r0, ratio, n,
 
 
 def _null_data(case, amplitude, u0):
-    if case == "minkowski":
-        return pullback_initial_data(minkowski("polar"),
-                                     hyperboloid_embedding(),
-                                     hyperboloid_frame())
-    cfg = ScenarioConfig(preset=case, amplitude=amplitude,
-                         amplitude_d=0.5 * amplitude, u0=u0)
-    return induced_slice_data(make_expansion(cfg), u0=u0)
+    return make_slice_data(ScenarioConfig(preset=case, amplitude=amplitude,
+                                          amplitude_d=0.5 * amplitude, u0=u0))
 
 
 @_SETTINGS

@@ -259,7 +259,8 @@ c_2_0 = 0.0, 0.1, 0.2
 
 
 def test_parse_config_bad_table_key():
-    with pytest.raises(ConfigError, match="c_<l>_<m>"):
+    with pytest.raises(ConfigError, match="line 3: news_table keys look like "
+                       "c_<l>_<m>"):
         parse_config("[news_table]\nu_grid = 0, 1\nq_2_0 = 0, 1\n")
 
 
@@ -289,6 +290,23 @@ def test_parse_config_rejects_unsupported_table_modes(key):
                        r"modes are l <= 4 and \|m\| <= l, and m = 0 needs"):
         parse_config("preset = bondi-quadrupole\n[news_table]\n"
                      f"u_grid = 0, 1, 2\n{key} = 0, 0.1, 0.2\n")
+
+
+@pytest.mark.parametrize("text, match", [
+    ("mass = 1.0\n", "line 4: key 'mass' repeats line 3"),
+    ("[grid]\nn_theta = 8\n[parameters]\nmass = 2.0\n",
+     "line 7: key 'mass' repeats line 3"),
+    ("[news_table]\nu_grid = 0, 1, 2\nc_2_0 = 0, 0.1, 0.2\n"
+     "c_02_0 = 0, 0.3, 0.6\n", "line 7: key 'c_02_0' repeats line 6"),
+    ("[news_table]\nu_grid = 0, 1, 2\nu_grid = 0, 1, 3\n",
+     "line 6: key 'u_grid' repeats line 5"),
+], ids=["same-section", "section-reopened", "same-mode", "u_grid"])
+def test_parse_config_rejects_a_repeated_key(text, match):
+    """A key set twice, or two news_table keys of one mode, stop the parse
+    with both line numbers instead of keeping the last value."""
+    with pytest.raises(ConfigError, match=match):
+        parse_config("preset = bondi-quadrupole\n[parameters]\nmass = 1.0\n"
+                     + text)
 
 
 _SECTIONS = sorted(set(CONFIG_SCHEMA) - {""}) + ["news_table", "weird"]
@@ -518,13 +536,14 @@ def test_cli_kerr_has_no_radiating_expansion(capsys, command):
         in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["null", "bondi-slice", "bondi-evolve"])
+@pytest.mark.parametrize("command", ["null", "bondi-slice", "bondi-evolve",
+                                     "adm", "converge"])
 @pytest.mark.parametrize("preset", ["kerr", "schwarzschild", "minkowski"])
 def test_cli_news_table_needs_a_bondi_preset(tmp_path, capsys, command,
                                              preset):
-    """A news table under a preset that has no news of its own stops the
-    radiating commands instead of running the table under that preset's
-    name."""
+    """A news table under a preset that has no news of its own stops every
+    command that builds the preset, instead of running the table (or
+    ignoring it) under that preset's name."""
     cfgfile = tmp_path / "table.cfg"
     cfgfile.write_text(f"preset = {preset}\n[news_table]\n"
                        "u_grid = 0, 1, 2\nc_2_0 = 0, 0, 0\n")
@@ -543,6 +562,20 @@ def test_cli_news_table_takes_its_preset_from_the_flag(tmp_path):
     assert run_cli(["bondi-evolve", "--config", str(cfgfile), "--preset",
                     "bondi-quadrupole", "--u1", "1", "--du", "0.1",
                     "--ntheta", "8", "--npsi", "16"]) == 0
+
+
+@pytest.mark.parametrize("table, scenario", [
+    ("", "bondi-quadrupole"),
+    ("[news_table]\nu_grid = 0, 1, 2\nc_2_0 = 0, 0.1, 0.2\n",
+     "bondi-quadrupole-table")], ids=["preset", "table"])
+def test_cli_report_names_the_news_that_ran(tmp_path, table, scenario):
+    """A news table replaces the preset's news, and the report says so."""
+    cfgfile, out = tmp_path / "q.cfg", tmp_path / "r.json"
+    cfgfile.write_text("preset = bondi-quadrupole\n" + table)
+    assert run_cli(["bondi-evolve", "--config", str(cfgfile), "--u1", "1",
+                    "--du", "0.1", "--ntheta", "8", "--npsi", "16",
+                    "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["scenario"] == scenario
 
 
 def test_cli_adm_nan_mass_exits_2(tmp_path, capsys):
@@ -592,6 +625,18 @@ def test_cli_adm_config_with_radiating_preset_names_adm_presets(tmp_path,
     assert "{ADM_PRESETS}" not in err
     for name in ("minkowski", "schwarzschild", "kerr"):
         assert name in err
+
+
+def test_cli_converge_rejects_radiating_preset(monkeypatch, capsys):
+    """converge has no preset check of its own: make_metric's is the one,
+    and it names both commands that need it."""
+    def evaluated(*args, **kwargs):
+        raise AssertionError("a rung was evaluated before the preset check")
+    monkeypatch.setattr("admbondi.adm.adm_ladder_samples", evaluated)
+    assert run_cli(["converge", "--preset", "bondi-biaxial"]) == 2
+    err = capsys.readouterr().err
+    assert "not asymptotically flat" in err
+    assert "for the adm and converge subcommands" in err
 
 
 def test_report_json_contains_metadata_block():
