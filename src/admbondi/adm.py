@@ -16,9 +16,8 @@ import numpy as np
 
 from .errors import ConfigError
 from . import jets
-from .geometry import (InitialData, _chart_gradient, _first_order,
-                       _frame_apply, _leaf_array, _product, frame_derivative,
-                       frame_entry)
+from .geometry import (_chart_gradient, _first_order, _frame_apply,
+                       _leaf_array, _product, frame_derivative, frame_entry)
 from .jets import value
 from .ladder import (LadderFit, causal_margin, check_ladder,
                      fit_decay_exponent, fit_inverse_powers, ladder_map,
@@ -27,7 +26,7 @@ from .sphere import build_grid, direction_functions
 
 __all__ = ["AdmCharges", "adm_energy_momentum", "adm_ladder_samples",
            "fit_adm_charges", "check_af_decay", "AF_DECAY_SLACK",
-           "check_dec_flat", "check_pmt_flat", "rotated_data"]
+           "check_dec_flat", "check_pmt_flat"]
 
 
 @dataclass
@@ -168,29 +167,3 @@ def check_pmt_flat(charges):
     """E - |P| of AdmCharges: the spatial-infinity positive-mass margin."""
     return float(causal_margin(np.append(charges.E, charges.P)))
 
-
-def rotated_data(data, Q):
-    """The same physical data expressed in a rotated Cartesian chart x' = Qx.
-
-    Frame components transform as g' = Q g Q^T evaluated at the pre-image
-    point; charges computed from the rotated data satisfy E' = E, P' = Q P.
-    """
-    _require_euclidean(data)
-    Q = np.asarray(Q, dtype=float)
-    Qi = Q.T  # inverse of a rotation
-
-    def gp(coords):
-        r, th, ps = coords
-        st, ct = jets.sin(th), jets.cos(th)
-        n = [st * jets.cos(ps), st * jets.sin(ps), ct]
-        m = [sum(Qi[a][b] * n[b] for b in range(3)) for a in range(3)]
-        th0 = jets.arccos(m[2])
-        ps0 = jets.arctan2(m[1], m[0])
-        G, P = data.gp([r, th0, ps0])
-        Gp = [[sum(Q[i][a] * Q[j][b] * G[a][b] for a in range(3)
-                   for b in range(3)) for j in range(3)] for i in range(3)]
-        Pp = [[sum(Q[i][a] * Q[j][b] * P[a][b] for a in range(3)
-                   for b in range(3)) for j in range(3)] for i in range(3)]
-        return Gp, Pp
-
-    return InitialData(gp, data.frame, name=f"rotated[{data.name}]")

@@ -133,11 +133,13 @@ def _first_order(X, leaf):
             np.concatenate([grad[None], _chart_hessian(X, leaf)]))
 
 
-def _frame_sum(F, dx):
-    """F^a dx_a summed over a = 0, 1, 2 in that order, started from 0, with
-    the terms of structural zeros skipped: the one implementation of
-    e_k x = F_k^a d_a x."""
-    return sum(mul(F[a], dx[a]) for a in range(3))
+def _dot(xs, ys, acc=0.0):
+    """acc + sum_k xs[k] ys[k], summed over k in order, with the terms of
+    structural zeros skipped: the one implementation of the pullback's
+    contractions and of e_k x = F_k^a d_a x."""
+    for x, y in zip(xs, ys):
+        acc = add(acc, mul(x, y))
+    return acc
 
 
 def frame_entry(Fv, x, k):
@@ -147,14 +149,14 @@ def frame_entry(Fv, x, k):
     as one array [k, a, <leaf>] or as nested lists of values that broadcast
     to the leaf, with plain-float structural zeros.
     """
-    return _frame_sum(Fv[k], [_grad(x, a) for a in range(3)])
+    return _dot(Fv[k], [_grad(x, a) for a in range(3)])
 
 
 def _frame_apply(Fv, dX):
     """e_k X from the chart gradient dX, indexed [a, <indices>, <leaf>]."""
     leaf = np.shape(Fv)[2:]
     Fk = np.reshape(Fv, (3, 3) + (1,) * (dX.ndim - 1 - len(leaf)) + leaf)
-    return _frame_sum(np.swapaxes(Fk, 0, 1), dX)
+    return _dot(np.swapaxes(Fk, 0, 1), dX)
 
 
 def frame_derivative(Fv, X):
@@ -185,6 +187,21 @@ def _jdd(x, a, b):
 def _coords_leaf(coords):
     """Broadcast shape of a list of plain coordinates."""
     return np.broadcast_shapes(*map(np.shape, coords))
+
+
+def _reject(bad, coords, names, message):
+    """Raise DomainError naming the first point where the mask ``bad`` holds.
+
+    ``bad`` and the plain coordinates broadcast together; the point is the
+    first in C order, given as (<names>) = (<its coordinates>).
+    """
+    if not np.any(bad):
+        return
+    shape = np.broadcast_shapes(np.shape(bad), *map(np.shape, coords))
+    idx = np.unravel_index(np.argmax(np.broadcast_to(bad, shape)), shape)
+    point = ", ".join(repr(float(np.broadcast_to(c, shape)[idx]))
+                      for c in coords)
+    raise DomainError(f"{message} at ({names}) = ({point})")
 
 
 @dataclass
@@ -368,33 +385,52 @@ def ricci_tensor(metric, point):
 # ---------------------------------------------------------------------------
 
 def _induced_metric(g4, dphi):
-    """g_ij = g_ab d_i phi^a d_j phi^b, summed over a then b."""
+    """g_ij = g_ab d_i phi^a d_j phi^b, contracted one index at a time:
+    V_ib = g_ab d_i phi^a summed over a, then g_ij = V_ib d_j phi^b summed
+    over b."""
+    tangents = [[dphi[a][i] for a in range(4)] for i in range(3)]
+    V = [[_dot([g4[a][b] for a in range(4)], tangents[i]) for b in range(4)]
+         for i in range(3)]
     g3 = [[None] * 3 for _ in range(3)]
     for i in range(3):
         for j in range(i, 3):
-            acc = 0.0
-            for a in range(4):
-                for b in range(4):
-                    acc = add(acc, prod(g4[a][b], dphi[a][i], dphi[b][j]))
-            g3[i][j] = acc
-            g3[j][i] = acc
+            g3[i][j] = g3[j][i] = _dot(V[i], tangents[j])
     return g3
 
 
 def _in_frame(F, *tensors):
-    """Frame components F_i^a F_j^b T_ab of symmetric chart tensors T."""
-    out = [[[None] * 3 for _ in range(3)] for _ in tensors]
+    """Frame components F_i^a F_j^b T_ab of symmetric chart tensors T,
+    contracted one index at a time: U_ib = F_i^a T_ab summed over a, then
+    U_ib F_j^b summed over b."""
+    out = []
+    for t in tensors:
+        U = [[_dot(F[i], [t[a][b] for a in range(3)]) for b in range(3)]
+             for i in range(3)]
+        o = [[None] * 3 for _ in range(3)]
+        for i in range(3):
+            for j in range(i, 3):
+                o[i][j] = o[j][i] = _dot(U[i], F[j])
+        out.append(o)
+    return out
+
+
+def _second_form(n, rows, gam, dphi, ddphi):
+    """h_ij = -n_a hess^a_ij summed over the rows a, with the covariant
+    Hessian hess^a_ij = dd_ij phi^a + d_i phi^b W^a_bj summed over b and
+    W^a_bj = Gamma^a_bc d_j phi^c summed over c."""
+    tangents = [[dphi[c][j] for c in range(4)] for j in range(3)]
+    W = {a: [[_dot(gam[a][b], tangents[j]) for j in range(3)]
+             for b in range(4)] for a in rows}
+    h3 = [[None] * 3 for _ in range(3)]
     for i in range(3):
         for j in range(i, 3):
-            acc = [0.0] * len(tensors)
-            for a in range(3):
-                for b in range(3):
-                    acc = [add(x, prod(F[i][a], F[j][b], t[a][b]))
-                           for x, t in zip(acc, tensors)]
-            for o, x in zip(out, acc):
-                o[i][j] = x
-                o[j][i] = x
-    return out
+            hac = 0.0
+            for a in rows:
+                hess = _dot(tangents[i], [W[a][b][j] for b in range(4)],
+                            ddphi[a][i][j])
+                hac = add(hac, mul(n[a], hess))
+            h3[i][j] = h3[j][i] = 0.0 - hac
+    return h3
 
 
 def _normal_rows(n):
@@ -408,7 +444,9 @@ def pullback_initial_data(metric, emb, frame):
     Returns an InitialData whose evaluator runs the whole chain (embedding
     jets, metric jets, normal, covariant Hessian) in generic arithmetic, so
     chart derivatives of the produced frame components are again exact; it
-    raises DomainError where the induced metric is not positive definite.
+    raises DomainError, naming the first such point, where the slice is not
+    spacelike or the induced metric is not positive definite (a NaN fails
+    both checks).
     Its induced-metric-only evaluator gives the same g without the inner
     metric seed, the normal and the Hessian.
     """
@@ -445,8 +483,10 @@ def pullback_initial_data(metric, emb, frame):
         for a in range(4):
             for b in range(4):
                 nn = add(nn, prod(ginv[a][b], N[a], N[b]))
-        if np.any(value(nn) >= 0.0):
-            raise DomainError("slice is not spacelike (conormal fails to be timelike)")
+        at = [value(c) for c in coords3]
+        # written so that a NaN is rejected too
+        _reject(np.logical_not(value(nn) < 0.0), at, "r, theta, psi",
+                "slice is not spacelike (conormal fails to be timelike)")
         scale = 1.0 / jets.sqrt(0.0 - nn)
         flip = np.where(value(N[0]) > 0.0, -1.0, 1.0)  # future: n_0 < 0
         n = [prod(N[a], scale, flip) for a in range(4)]
@@ -457,19 +497,7 @@ def pullback_initial_data(metric, emb, frame):
         rows = _normal_rows(n)
         gam = _christoffel_from(ginv, dg4, rows)
         g3 = _induced_metric(g4, dphi)
-        h3 = [[None] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(i, 3):
-                hac = 0.0
-                for a in rows:
-                    hess = ddphi[a][i][j]
-                    for b in range(4):
-                        for c in range(4):
-                            hess = add(hess, prod(gam[a][b][c], dphi[b][i],
-                                                  dphi[c][j]))
-                    hac = add(hac, mul(n[a], hess))
-                h3[i][j] = 0.0 - hac
-                h3[j][i] = h3[i][j]
+        h3 = _second_form(n, rows, gam, dphi, ddphi)
 
         m = [[value(g3[i][j]) for j in range(3)] for i in range(3)]
         d1 = m[0][0]
@@ -477,8 +505,8 @@ def pullback_initial_data(metric, emb, frame):
         d3 = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
               - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
               + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-        if np.any(d1 <= 0) or np.any(d2 <= 0) or np.any(d3 <= 0):
-            raise DomainError("induced metric is not positive definite")
+        _reject(np.logical_not((d1 > 0) & (d2 > 0) & (d3 > 0)), at,
+                "r, theta, psi", "induced metric is not positive definite")
 
         return _in_frame(frame.components(coords3), g3, h3)
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import jets
 from .errors import DomainError
-from .geometry import Embedding, Metric4Evaluator, ricci_tensor
+from .geometry import Embedding, Metric4Evaluator, _reject, ricci_tensor
 from .jets import cos, cosh, exp as gexp, sin, sinh, sqrt
 
 __all__ = [
@@ -67,25 +67,10 @@ def minkowski(chart="polar"):
     raise DomainError(f"unknown Minkowski chart {chart!r}")
 
 
-def _reject(bad, coords, time, message):
-    """Raise DomainError naming the first point where the mask ``bad`` holds.
-
-    ``bad`` and the four coordinates broadcast together; the point is the
-    first in C order, given as (time, r, theta, psi).
-    """
-    if not np.any(bad):
-        return
-    shape = np.broadcast_shapes(np.shape(bad), *map(np.shape, coords))
-    idx = np.unravel_index(np.argmax(np.broadcast_to(bad, shape)), shape)
-    point = ", ".join(repr(float(np.broadcast_to(c, shape)[idx]))
-                      for c in coords)
-    raise DomainError(f"{message} at ({time}, r, theta, psi) = ({point})")
-
-
 def _positive_r(time):
     def domain(coords):
-        _reject(np.asarray(coords[1]) <= 0.0, coords, time,
-                "r must be positive")
+        _reject(np.asarray(coords[1]) <= 0.0, coords,
+                f"{time}, r, theta, psi", "r must be positive")
     return domain
 
 
@@ -96,7 +81,7 @@ def schwarzschild(m, chart="static"):
 
     def domain(coords):
         _reject(np.asarray(coords[1]) <= 2.0 * m, coords,
-                "t" if chart == "static" else "u",
+                f"{'t' if chart == 'static' else 'u'}, r, theta, psi",
                 f"r must exceed 2m = {2.0 * m}")
 
     if chart == "static":
@@ -132,7 +117,8 @@ def kerr(params):
     def domain(coords):
         r = np.asarray(coords[1])
         _reject((r <= 0.0) | (r * r - 2.0 * m * r + a * a <= 0.0), coords,
-                "t", "point outside the exterior region (Delta <= 0)")
+                "t, r, theta, psi",
+                "point outside the exterior region (Delta <= 0)")
 
     def fn(c):
         _, r, th, _ = c
@@ -228,7 +214,7 @@ def bondi_metric(exp, r_min=None):
     rmin = default_r_min(exp) if r_min is None else float(r_min)
 
     def domain(coords):
-        _reject(np.asarray(coords[1]) < rmin, coords, "u",
+        _reject(np.asarray(coords[1]) < rmin, coords, "u, r, theta, psi",
                 f"r below r_min = {rmin} for the truncated metric")
 
     def fn(c):

@@ -5,7 +5,7 @@ import pytest
 
 from admbondi import adm, jets
 from admbondi.adm import (AF_DECAY_SLACK, adm_energy_momentum, check_af_decay,
-                          check_dec_flat, check_pmt_flat, rotated_data)
+                          check_dec_flat, check_pmt_flat)
 from admbondi.errors import ConfigError, DomainError
 from admbondi.geometry import (InitialData, _chart_gradient, _chart_hessian,
                                _leaf_array, euclidean_frame, hyperboloid_frame,
@@ -13,6 +13,7 @@ from admbondi.geometry import (InitialData, _chart_gradient, _chart_hessian,
 from admbondi.ladder import fit_decay_exponent, fit_inverse_powers
 from admbondi.spacetimes import (KerrParameters, kerr, minkowski, schwarzschild,
                                  t_const_embedding)
+from helpers import rotated_data
 from admbondi.sphere import build_grid
 
 LADDER = [10.0, 20.0, 40.0, 80.0]

@@ -793,3 +793,178 @@ def test_gp_builds_only_normal_rows_bit_identically(case, order, n, t):
                 k = max(order, 1)
                 assert all(_same(a, b) for a, b in zip(
                     _entries(X[i][j], k), _entries(Y[i][j], k))), (case, i, j)
+
+
+# -- the pullback's contractions against their double-sum loops ------------------
+
+def _induced_metric_loops(g4, dphi):
+    """g_ij = g_ab d_i phi^a d_j phi^b, one triple product per (a, b)."""
+    g3 = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            acc = 0.0
+            for a in range(4):
+                for b in range(4):
+                    acc = jets.add(acc, jets.prod(g4[a][b], dphi[a][i],
+                                                  dphi[b][j]))
+            g3[i][j] = g3[j][i] = acc
+    return g3
+
+
+def _in_frame_loops(F, *tensors):
+    """F_i^a F_j^b T_ab, one triple product per (a, b)."""
+    out = [[[None] * 3 for _ in range(3)] for _ in tensors]
+    for i in range(3):
+        for j in range(i, 3):
+            for o, t in zip(out, tensors):
+                acc = 0.0
+                for a in range(3):
+                    for b in range(3):
+                        acc = jets.add(acc, jets.prod(F[i][a], F[j][b],
+                                                      t[a][b]))
+                o[i][j] = o[j][i] = acc
+    return out
+
+
+def _second_form_loops(n, rows, gam, dphi, ddphi):
+    """-n_a (dd_ij phi^a + Gamma^a_bc d_i phi^b d_j phi^c), one triple
+    product per (b, c)."""
+    h3 = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            hac = 0.0
+            for a in rows:
+                hess = ddphi[a][i][j]
+                for b in range(4):
+                    for c in range(4):
+                        hess = jets.add(hess, jets.prod(
+                            gam[a][b][c], dphi[b][i], dphi[c][j]))
+                hac = jets.add(hac, jets.mul(n[a], hess))
+            h3[i][j] = h3[j][i] = 0.0 - hac
+    return h3
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(["kerr", "hyperboloid", "bondi"]),
+       how=st.sampled_from(["values", 1, 2]), n=st.sampled_from([0, 3]),
+       t=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+def test_pullback_contractions_match_double_sum_loops(case, how, n, t):
+    """Contracting one index at a time only reassociates the double sums:
+    values() and jets() of the Kerr t = 0 slice (Euclidean frame), the
+    hyperboloid and the Bondi u0-slice (all four normal rows) agree with the
+    double-sum loops to rounding.  Derivative entries that cancel to
+    round-off are compared against the largest entry of the evaluation."""
+    data = _PULLBACKS[case][0]
+    pts = _points(case, n, t)
+    got = _leaf_entries(data, pts, how)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_induced_metric", _induced_metric_loops)
+        mp.setattr(geometry, "_in_frame", _in_frame_loops)
+        mp.setattr(geometry, "_second_form", _second_form_loops)
+        ref = _leaf_entries(data, pts, how)
+    assert len(got) == len(ref)
+    scale = max(np.max(np.abs(b)) for b in ref)
+    for a, b in zip(got, ref):
+        np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13 * scale)
+
+
+def _counted_products(mp):
+    """Record each product ``geometry`` forms of two operands neither of
+    which is a structural zero."""
+    calls = []
+    mul = jets.mul
+
+    def counted(a, b):
+        if not (jets._zero(a) or jets._zero(b)):
+            calls.append((a, b))
+        return mul(a, b)
+    mp.setattr(geometry, "mul", counted)
+    return calls
+
+
+def _nested(x):
+    """Nested lists over the leading two axes of x, with array entries."""
+    return [[x[i, j] for j in range(x.shape[1])] for i in range(x.shape[0])]
+
+
+def test_in_frame_makes_45_products_per_tensor(rng):
+    """A full frame and tensor take 27 products for U_ib = F_i^a T_ab and
+    18 for the six U_ib F_j^b, where the double sums took 54 triple
+    products; the result is F T F^T."""
+    F = rng.uniform(0.5, 1.5, size=(3, 3, 2))
+    T = rng.uniform(0.5, 1.5, size=(3, 3, 2))
+    T = T + np.swapaxes(T, 0, 1)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counted_products(mp)
+        (out,) = geometry._in_frame(_nested(F), _nested(T))
+        assert len(calls) == 27 + 18
+        calls.clear()
+        geometry._in_frame(_nested(F), _nested(T), _nested(T))
+        assert len(calls) == 2 * (27 + 18)
+    np.testing.assert_allclose(np.array(out),
+                               np.einsum("ia...,jb...,ab...->ij...", F, F, T),
+                               rtol=1e-14)
+
+
+def test_induced_metric_makes_72_products(rng):
+    """A full g_ab and 4x3 d phi take 48 products for V_ib = g_ab d_i phi^a
+    and 24 for the six V_ib d_j phi^b; the result is d phi^T g d phi."""
+    g4 = rng.uniform(0.5, 1.5, size=(4, 4, 2))
+    g4 = g4 + np.swapaxes(g4, 0, 1)
+    dphi = rng.uniform(0.5, 1.5, size=(4, 3, 2))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counted_products(mp)
+        g3 = geometry._induced_metric(_nested(g4), _nested(dphi))
+        assert len(calls) == 48 + 24
+    np.testing.assert_allclose(
+        np.array(g3), np.einsum("ab...,ai...,bj...->ij...", g4, dphi, dphi),
+        rtol=1e-14)
+
+
+# -- NaN in the pullback's domain checks -------------------------------------------
+
+def _poisoned_minkowski():
+    """Flat spacetime whose g_tt is NaN for r > 5."""
+    flat = minkowski("polar")
+
+    def fn(c):
+        g = flat.fn(c)
+        g[0][0] = g[0][0] + np.where(jets.value(c[1]) > 5.0, np.nan, 0.0)
+        return g
+    return Metric4Evaluator(fn, flat.chart, "poisoned", flat.domain)
+
+
+_POISON_POINTS = [np.array([3.0, 6.0, 7.0]), np.array([1.0, 1.2, 1.4]),
+                  np.array([0.5, 0.5, 0.5])]
+
+
+@pytest.mark.parametrize("how", ["values", 1, 2])
+def test_nan_metric_fails_the_spacelike_check(how):
+    """A NaN g_tt makes n.n NaN: the slice is rejected at the first NaN
+    node, r = 6, and not returned with NaN in h."""
+    data = pullback_initial_data(_poisoned_minkowski(), t_const_embedding(),
+                                 euclidean_frame())
+    data.values([p[:1] for p in _POISON_POINTS])       # r = 3 is fine
+    with pytest.raises(DomainError, match=r"not spacelike .* at \(r, theta, "
+                       r"psi\) = \(6\.0, 1\.2, 0\.5\)"):
+        _leaf_entries(data, _POISON_POINTS, how)
+
+
+@pytest.mark.parametrize("how", ["values", 1, 2])
+def test_nan_induced_metric_fails_the_definiteness_check(how):
+    """A NaN in g_rr of the slice fails the positive-definiteness check,
+    which names the first NaN node."""
+    data = pullback_initial_data(minkowski("polar"), t_const_embedding(),
+                                 euclidean_frame())
+    induced = geometry._induced_metric
+
+    def poisoned(g4, dphi):
+        g3 = induced(g4, dphi)
+        g3[0][0] = g3[0][0] + np.where(jets.value(g4[2][2]) > 25.0, np.nan,
+                                       0.0)
+        return g3
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_induced_metric", poisoned)
+        with pytest.raises(DomainError, match=r"not positive definite at "
+                           r"\(r, theta, psi\) = \(6\.0, 1\.2, 0\.5\)"):
+            _leaf_entries(data, _POISON_POINTS, how)

@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from admbondi.adm import adm_ladder_samples, rotated_data
+from admbondi.adm import adm_ladder_samples
 from admbondi.geometry import _chart_gradient, _grad, frame_derivative
 from admbondi.jets import value
 from admbondi.nullcharges import (background_connection, charge_integrand,
                                   null_energy_momentum)
 from admbondi.scenarios import ScenarioConfig, make_adm_data, make_slice_data
 from admbondi.sphere import build_grid, direction_functions
+from helpers import rotated_data
 
 
 def _rotation(angle):
