@@ -17,7 +17,7 @@ grid = build_grid(48, 96)
 ladder = [10.0, 20.0, 40.0, 80.0]
 
 for label, metric in [
-    ("static black hole, m = 1", schwarzschild(1.0, "static")),
+    ("static black hole, m = 1", schwarzschild(1.0, "polar")),
     ("rotating exterior, m = 1, a = 0.5", kerr(KerrParameters(1.0, 0.5))),
 ]:
     data = pullback_initial_data(metric, t_const_embedding(), euclidean_frame())

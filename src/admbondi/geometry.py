@@ -204,6 +204,12 @@ def _reject(bad, coords, names, message):
     raise DomainError(f"{message} at ({names}) = ({point})")
 
 
+def _reject_non_finite(coords, names):
+    """DomainError naming the first point with a non-finite coordinate."""
+    finite = np.all(np.isfinite(np.broadcast_arrays(*coords)), axis=0)
+    _reject(np.logical_not(finite), coords, names, "coordinate is not finite")
+
+
 @dataclass
 class Metric4Evaluator:
     """Pure map from chart coordinates to the symmetric matrix g_{ab}.
@@ -211,6 +217,10 @@ class Metric4Evaluator:
     ``fn`` must be written in generic arithmetic (operators plus the
     admbondi.jets elementary functions) so that jet seeding yields exact
     first and second coordinate derivatives.
+
+    The chart is (t|u, r, theta, psi), with u in the ``retarded`` chart.  It
+    holds for finite coordinates with r > ``r_min``: any other point raises
+    DomainError naming the first one, with the message ``domain`` if r fails.
 
     A point is four coordinates; each coordinate may be a number or an
     array, so a (4, n) array is n points evaluated at once.  ``components``
@@ -223,11 +233,15 @@ class Metric4Evaluator:
     fn: Callable
     chart: str
     name: str
-    domain: Optional[Callable] = None  # raises DomainError on bad coords
+    r_min: float = 0.0
+    domain: str = "r must be positive"
 
     def _check(self, coords):
-        if self.domain is not None:
-            self.domain([value(c) for c in coords])
+        at = [value(c) for c in coords]
+        names = f"{'u' if self.chart == 'retarded' else 't'}, r, theta, psi"
+        _reject_non_finite(at, names)
+        # written so that a NaN bound (from a NaN mass) rejects every point
+        _reject(np.logical_not(at[1] > self.r_min), at, names, self.domain)
 
     def components(self, point):
         coords = list(point)
@@ -249,14 +263,17 @@ class Metric4Evaluator:
 
 @dataclass
 class Embedding:
-    """Map from the 3-chart (r, theta, psi) into a spacetime chart."""
+    """Map from the 3-chart (r, theta, psi) into a spacetime chart; a point
+    with a coordinate that is not finite is rejected before ``fn`` runs."""
 
     fn: Callable
     chart: str
     name: str
 
     def jets(self, coords3, order=2):
-        return self.fn(jets.seed(list(coords3), order=order))
+        coords3 = list(coords3)
+        _reject_non_finite([value(c) for c in coords3], "r, theta, psi")
+        return self.fn(jets.seed(coords3, order=order))
 
 
 @dataclass

@@ -17,8 +17,8 @@ Rules that keep nesting sound:
   checks must look at.
 
 Structural zeros: an entry that is the plain Python float ``0.0`` (as
-``seed``, ``arctan2`` and constant metric components create them) is known
-to vanish everywhere.  The ring operations, ``_chain`` and hence every
+``seed`` and constant metric components create them) is known to vanish
+everywhere.  The ring operations, ``_chain`` and hence every
 elementary function drop the terms it would annihilate and keep such a
 result a plain float, instead of multiplying it into an all-zero array or
 jet.  The helpers ``add``, ``sub``, ``mul``, ``div`` and ``prod`` apply the
@@ -52,7 +52,7 @@ import numpy as np
 
 __all__ = [
     "Jet", "seed", "value", "trunc1",
-    "sin", "cos", "sqrt", "exp", "sinh", "cosh", "arccos", "arctan2",
+    "sin", "cos", "sqrt", "exp", "sinh", "cosh",
     "inv3", "inv4",
     "add", "sub", "mul", "div", "prod",
 ]
@@ -315,45 +315,6 @@ def sinh(x):
 def cosh(x):
     return _dispatch(x, np.cosh, lambda j: j._chain(
         cosh(j.f), sinh(j.f), None if j.dd is None else cosh(j.f)))
-
-
-def arccos(x):
-    return _dispatch(x, np.arccos, lambda j: _arccos_jet(j))
-
-
-def _arccos_jet(j):
-    v = j.f
-    w = 1.0 - v * v
-    f1 = -(w ** -0.5)
-    return j._chain(arccos(v), f1, None if j.dd is None else v * f1 / w)
-
-
-def arctan2(y, x):
-    """Two-argument arctangent; correct away from the branch cut."""
-    jy, jx = isinstance(y, Jet), isinstance(x, Jet)
-    if not jy and not jx:
-        return np.arctan2(y, x)
-    if jy and not jx:
-        k = len(y.d)
-        x = Jet(x, [0.0] * k, None if y.dd is None else [[0.0] * k for _ in range(k)])
-    elif jx and not jy:
-        k = len(x.d)
-        y = Jet(y, [0.0] * k, None if x.dd is None else [[0.0] * k for _ in range(k)])
-    fy, fx = y.f, x.f
-    h = fx * fx + fy * fy
-    k = len(y.d)
-    d = [div(sub(mul(fx, y.d[i]), mul(fy, x.d[i])), h) for i in range(k)]
-    dd = None
-    if y.dd is not None:
-        fx2, fy2 = 2.0 * fx, 2.0 * fy
-
-        def entry(i, j):
-            dN = sub(sub(add(mul(x.d[j], y.d[i]), mul(fx, y.dd[i][j])),
-                         mul(y.d[j], x.d[i])), mul(fy, x.dd[i][j]))
-            dh = add(mul(fx2, x.d[j]), mul(fy2, y.d[j]))
-            return div(sub(dN, mul(d[i], dh)), h)
-        dd = _sym2(entry, k)
-    return Jet(arctan2(fy, fx), d, dd)
 
 
 # -- small generic linear algebra --------------------------------------------

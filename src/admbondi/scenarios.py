@@ -3,7 +3,11 @@
 Preset names addressable from the command line: "minkowski",
 "schwarzschild", "kerr", "bondi-schwarzschild", "bondi-quadrupole"
 (c = A u sin^2 theta, d = 0) and "bondi-biaxial" (both news on,
-psi-dependent, with all subleading coefficients exercised).
+psi-dependent, with all subleading coefficients exercised).  The
+``mass_aspect`` key sets M for "bondi-schwarzschild", "bondi-quadrupole"
+and news tables; "bondi-biaxial" ignores it and always uses the tilted
+M = m (1 + 0.2 cos theta), so ``mass_aspect = constant`` changes nothing
+there.
 
 Configuration is nested-section key-value text::
 
@@ -335,14 +339,20 @@ def known_mass(cfg):
     return 0.0 if cfg.preset == "minkowski" else cfg.mass
 
 
+def _tilted_mass_aspect(m):
+    """M = m (1 + 0.2 cos(theta))."""
+    def M(u, th, ps):
+        return m * (1.0 + 0.2 * jets.cos(th)) + 0.0 * u
+    return M
+
+
 def _mass_aspect(cfg):
     m = cfg.mass
     if cfg.mass_aspect == "tilted":
-        def M(u, th, ps):
-            return m * (1.0 + 0.2 * jets.cos(th)) + 0.0 * u
-    else:
-        def M(u, th, ps):
-            return m + 0.0 * u
+        return _tilted_mass_aspect(m)
+
+    def M(u, th, ps):
+        return m + 0.0 * u
     return M
 
 
@@ -384,7 +394,7 @@ def make_expansion(cfg):
         return BondiExpansion(c=c, M=_mass_aspect(cfg),
                               name="bondi-quadrupole", u_range=urange)
     if name == "bondi-biaxial":
-        Ac, Ad, m = cfg.amplitude, cfg.amplitude_d, cfg.mass
+        Ac, Ad = cfg.amplitude, cfg.amplitude_d
         z = cfg.news_zero_u
 
         def fc(u):
@@ -413,10 +423,8 @@ def make_expansion(cfg):
         def H(u, th, ps):
             return 0.05 * Ad * jets.sin(th) ** 2 * jets.sin(ps) + 0.0 * u
 
-        def M(u, th, ps):
-            return m * (1.0 + 0.2 * jets.cos(th)) + 0.0 * u
-
-        return BondiExpansion(c=c, d=d, M=M, N=N, P=P, C=C, H=H,
+        return BondiExpansion(c=c, d=d, M=_tilted_mass_aspect(cfg.mass),
+                              N=N, P=P, C=C, H=H,
                               name="bondi-biaxial", u_range=urange)
     raise ConfigError(f"preset {cfg.preset!r} has no radiating expansion")
 
@@ -433,7 +441,7 @@ def make_metric(cfg):
     if cfg.preset == "minkowski":
         return minkowski("polar")
     if cfg.preset == "schwarzschild":
-        return schwarzschild(cfg.mass, "static")
+        return schwarzschild(cfg.mass, "polar")
     if cfg.preset == "kerr":
         return kerr(KerrParameters(cfg.mass, cfg.spin))
     raise ConfigError(

@@ -1,9 +1,11 @@
 """Catalog of exact metrics, the truncated radiating metric, and slice
 embeddings.
 
-All component functions are written in generic arithmetic so they can be
-evaluated on jets.  Asymptotic series of the radiating metric are truncated
-after their last displayed term; the truncation is guarded by ``r_min``.
+Every metric is written in the chart (t|u, r, theta, psi), with u in the
+retarded chart.  It holds for finite coordinates with r > ``r_min``: 0, 2m,
+the Kerr r_+, or the radius that guards the truncation of the radiating
+metric's asymptotic series after their last displayed term.  All component
+functions are written in generic arithmetic so they can be evaluated on jets.
 """
 
 from dataclasses import dataclass
@@ -13,7 +15,7 @@ import numpy as np
 
 from . import jets
 from .errors import DomainError
-from .geometry import Embedding, Metric4Evaluator, _reject, ricci_tensor
+from .geometry import Embedding, Metric4Evaluator, ricci_tensor
 from .jets import cos, cosh, exp as gexp, sin, sinh, sqrt
 
 __all__ = [
@@ -46,62 +48,34 @@ def _sym4(entries):
     return g
 
 
+def _spherical(f, chart, name, **domain):
+    """-f dt^2 + dr^2/f + r^2 dOmega^2 in the polar chart, or
+    -f du^2 - 2 du dr + r^2 dOmega^2 in the retarded chart."""
+    if chart not in ("polar", "retarded"):
+        raise DomainError(f"unknown chart {chart!r} for {name}")
+
+    def fn(c):
+        _, r, th, _ = c
+        fr, r2 = f(r), r * r
+        g = {(0, 0): -1.0 * fr, (2, 2): r2, (3, 3): r2 * sin(th) ** 2}
+        g.update({(1, 1): 1.0 / fr} if chart == "polar" else {(0, 1): -1.0})
+        return _sym4(g)
+    return Metric4Evaluator(fn, chart, name, **domain)
+
+
 def minkowski(chart="polar"):
     """Flat spacetime in a polar or retarded chart."""
-    if chart == "polar":
-        def fn(c):
-            _, r, th, _ = c
-            r2 = r * r
-            return _sym4({(0, 0): -1.0, (1, 1): 1.0, (2, 2): r2,
-                          (3, 3): r2 * sin(th) ** 2})
-        return Metric4Evaluator(fn, "polar", "minkowski-polar",
-                                domain=_positive_r("t"))
-    if chart == "retarded":
-        def fn(c):
-            _, r, th, _ = c
-            r2 = r * r
-            return _sym4({(0, 0): -1.0, (0, 1): -1.0, (2, 2): r2,
-                          (3, 3): r2 * sin(th) ** 2})
-        return Metric4Evaluator(fn, "retarded", "minkowski-retarded",
-                                domain=_positive_r("u"))
-    raise DomainError(f"unknown Minkowski chart {chart!r}")
+    return _spherical(lambda r: 1.0, chart, f"minkowski-{chart}")
 
 
-def _positive_r(time):
-    def domain(coords):
-        _reject(np.asarray(coords[1]) <= 0.0, coords,
-                f"{time}, r, theta, psi", "r must be positive")
-    return domain
-
-
-def schwarzschild(m, chart="static"):
-    """Vacuum black-hole exterior, static or retarded chart; requires r > 2m."""
+def schwarzschild(m, chart="polar"):
+    """Vacuum black-hole exterior, polar or retarded chart; requires r > 2m."""
     if m <= 0:
         raise DomainError(f"mass must be positive, got {m}")
-
-    def domain(coords):
-        _reject(np.asarray(coords[1]) <= 2.0 * m, coords,
-                f"{'t' if chart == 'static' else 'u'}, r, theta, psi",
-                f"r must exceed 2m = {2.0 * m}")
-
-    if chart == "static":
-        def fn(c):
-            _, r, th, _ = c
-            f = 1.0 - 2.0 * m / r
-            r2 = r * r
-            return _sym4({(0, 0): -1.0 * f, (1, 1): 1.0 / f, (2, 2): r2,
-                          (3, 3): r2 * sin(th) ** 2})
-        return Metric4Evaluator(fn, "polar", f"schwarzschild(m={m})", domain=domain)
-    if chart == "retarded":
-        def fn(c):
-            _, r, th, _ = c
-            f = 1.0 - 2.0 * m / r
-            r2 = r * r
-            return _sym4({(0, 0): -1.0 * f, (0, 1): -1.0, (2, 2): r2,
-                          (3, 3): r2 * sin(th) ** 2})
-        return Metric4Evaluator(fn, "retarded", f"schwarzschild-retarded(m={m})",
-                                domain=domain)
-    raise DomainError(f"unknown Schwarzschild chart {chart!r}")
+    suffix = "" if chart == "polar" else f"-{chart}"
+    return _spherical(lambda r: 1.0 - 2.0 * m / r, chart,
+                      f"schwarzschild{suffix}(m={m})", r_min=2.0 * m,
+                      domain=f"r must exceed 2m = {2.0 * m}")
 
 
 def kerr(params):
@@ -110,15 +84,12 @@ def kerr(params):
     Components: Sigma = r^2 + a^2 cos^2(theta), Delta = r^2 - 2 m r + a^2,
     g_tt = -(1 - 2mr/Sigma), g_tpsi = -2 m a r sin^2(theta)/Sigma,
     g_rr = Sigma/Delta, g_thth = Sigma,
-    g_psipsi = (r^2 + a^2 + 2 m r a^2 sin^2(theta)/Sigma) sin^2(theta).
+    g_psipsi = (r^2 + a^2 + 2 m r a^2 sin^2(theta)/Sigma) sin^2(theta);
+    requires r > r_+.
     """
     m, a = params.m, params.a
-
-    def domain(coords):
-        r = np.asarray(coords[1])
-        _reject((r <= 0.0) | (r * r - 2.0 * m * r + a * a <= 0.0), coords,
-                "t, r, theta, psi",
-                "point outside the exterior region (Delta <= 0)")
+    # r_+ = m + sqrt(m^2 - a^2); with a^2 > m^2, Delta > 0 at every r > 0
+    r_plus = 0.0 if a * a > m * m else m + np.sqrt(m * m - a * a)
 
     def fn(c):
         _, r, th, _ = c
@@ -133,7 +104,8 @@ def kerr(params):
             (3, 3): (r * r + a * a + 2.0 * m * r * a * a * st2 / sigma) * st2,
         })
 
-    return Metric4Evaluator(fn, "polar", f"kerr(m={m},a={a})", domain=domain)
+    return Metric4Evaluator(fn, "polar", f"kerr(m={m},a={a})", r_plus,
+                            "point outside the exterior region (Delta <= 0)")
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +180,10 @@ def bondi_metric(exp, r_min=None):
     """Radiating metric assembled from the truncated expansions.
 
     With vanishing news and constant mass aspect it reduces exactly to the
-    retarded black-hole metric.  Evaluation below r_min is rejected: the
+    retarded black-hole metric.  Evaluation at r <= r_min is rejected: the
     truncated series only represent the asymptotic regime.
     """
     rmin = default_r_min(exp) if r_min is None else float(r_min)
-
-    def domain(coords):
-        _reject(np.asarray(coords[1]) < rmin, coords, "u, r, theta, psi",
-                f"r below r_min = {rmin} for the truncated metric")
 
     def fn(c):
         u, r, th, ps = c
@@ -239,9 +207,8 @@ def bondi_metric(exp, r_min=None):
         })
 
     name = f"bondi[{getattr(exp, 'name', 'expansion')}]"
-    ev = Metric4Evaluator(fn, "retarded", name, domain=domain)
-    ev.r_min = rmin
-    return ev
+    return Metric4Evaluator(fn, "retarded", name, rmin,
+                            f"r below r_min = {rmin} for the truncated metric")
 
 
 # ---------------------------------------------------------------------------

@@ -230,7 +230,7 @@ def criterion_10_oracles():
     rng = np.random.default_rng(10)
     cfg = ScenarioConfig(preset="bondi-biaxial", amplitude=0.08, amplitude_d=0.05)
     evaluators = [
-        minkowski("polar"), schwarzschild(1.0, "static"),
+        minkowski("polar"), schwarzschild(1.0, "polar"),
         schwarzschild(1.0, "retarded"), kerr(KerrParameters(1.0, 0.6)),
         bondi_metric(make_expansion(cfg), r_min=5.0),
     ]

@@ -4,6 +4,50 @@ import numpy as np
 
 from admbondi import jets
 from admbondi.geometry import InitialData
+from admbondi.jets import Jet
+
+
+# The jet rules below call the structural-zero helpers as attributes of
+# ``jets``, so the ``dense_arithmetic`` fixture reaches them too.
+
+def arccos(x):
+    return jets._dispatch(x, np.arccos, _arccos_jet)
+
+
+def _arccos_jet(j):
+    v = j.f
+    w = 1.0 - v * v
+    f1 = -(w ** -0.5)
+    return j._chain(arccos(v), f1, None if j.dd is None else v * f1 / w)
+
+
+def arctan2(y, x):
+    """Two-argument arctangent; correct away from the branch cut."""
+    jy, jx = isinstance(y, Jet), isinstance(x, Jet)
+    if not jy and not jx:
+        return np.arctan2(y, x)
+    if jy and not jx:
+        k = len(y.d)
+        x = Jet(x, [0.0] * k, None if y.dd is None else [[0.0] * k for _ in range(k)])
+    elif jx and not jy:
+        k = len(x.d)
+        y = Jet(y, [0.0] * k, None if x.dd is None else [[0.0] * k for _ in range(k)])
+    add, sub, mul, div = jets.add, jets.sub, jets.mul, jets.div
+    fy, fx = y.f, x.f
+    h = fx * fx + fy * fy
+    k = len(y.d)
+    d = [div(sub(mul(fx, y.d[i]), mul(fy, x.d[i])), h) for i in range(k)]
+    dd = None
+    if y.dd is not None:
+        fx2, fy2 = 2.0 * fx, 2.0 * fy
+
+        def entry(i, j):
+            dN = sub(sub(add(mul(x.d[j], y.d[i]), mul(fx, y.dd[i][j])),
+                         mul(y.d[j], x.d[i])), mul(fy, x.dd[i][j]))
+            dh = add(mul(fx2, x.d[j]), mul(fy2, y.d[j]))
+            return div(sub(dN, mul(d[i], dh)), h)
+        dd = jets._sym2(entry, k)
+    return Jet(arctan2(fy, fx), d, dd)
 
 
 def rotated_data(data, Q):
@@ -21,8 +65,8 @@ def rotated_data(data, Q):
         st, ct = jets.sin(th), jets.cos(th)
         n = [st * jets.cos(ps), st * jets.sin(ps), ct]
         m = [sum(Qi[a][b] * n[b] for b in range(3)) for a in range(3)]
-        th0 = jets.arccos(m[2])
-        ps0 = jets.arctan2(m[1], m[0])
+        th0 = arccos(m[2])
+        ps0 = arctan2(m[1], m[0])
         G, P = data.gp([r, th0, ps0])
         Gp = [[sum(Q[i][a] * Q[j][b] * G[a][b] for a in range(3)
                    for b in range(3)) for j in range(3)] for i in range(3)]

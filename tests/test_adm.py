@@ -26,7 +26,7 @@ def grid():
 
 @pytest.fixture(scope="module")
 def schw_data():
-    return pullback_initial_data(schwarzschild(1.0, "static"),
+    return pullback_initial_data(schwarzschild(1.0, "polar"),
                                  t_const_embedding(), euclidean_frame())
 
 
@@ -166,7 +166,7 @@ def test_decay_fit_rejects_non_finite_samples():
 
 
 def test_af_decay_nan_mass_raises():
-    data = pullback_initial_data(schwarzschild(float("nan"), "static"),
+    data = pullback_initial_data(schwarzschild(float("nan"), "polar"),
                                  t_const_embedding(), euclidean_frame())
     with pytest.raises(DomainError):
         check_af_decay(data, LADDER)

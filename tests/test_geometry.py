@@ -1,5 +1,7 @@
 """Pullback, frame curvature and constraint quantities on known geometries."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,7 +49,7 @@ def test_minkowski_polar_christoffels():
 
 def test_schwarzschild_christoffel_rtt():
     m = 1.0
-    g = schwarzschild(m, "static")
+    g = schwarzschild(m, "polar")
     for r in (3.0, 5.0, 20.0):
         gam = christoffel(g, [0.0, r, 1.2, 0.3])
         assert gam[1, 0, 0] == pytest.approx(m * (r - 2 * m) / r ** 3, rel=1e-10)
@@ -82,7 +84,7 @@ def test_de_sitter_ricci_is_einstein(rng):
                 [0.0, 0.0, r * r, 0.0],
                 [0.0, 0.0, 0.0, r * r * s * s]]
 
-    de_sitter = Metric4Evaluator(fn, "static", "de-sitter")
+    de_sitter = Metric4Evaluator(fn, "polar", "de-sitter")
     r, th, ps = sample_points(rng, 12, rlo=0.2, rhi=1.8)
     pt = [0.3, r, th, ps]
     ric = ricci_tensor(de_sitter, pt)
@@ -114,7 +116,7 @@ def test_hyperboloid_pullback_gives_identity_pair(rng):
 
 
 def test_static_slice_has_zero_second_form(rng):
-    data = pullback_initial_data(schwarzschild(1.0, "static"),
+    data = pullback_initial_data(schwarzschild(1.0, "polar"),
                                  t_const_embedding(), euclidean_frame())
     for _ in range(5):
         r, th, ps = (rng.uniform(3.0, 30.0), rng.uniform(0.3, 2.8),
@@ -363,7 +365,7 @@ def _scalar_curvature_fd(data, pt, h=1e-4):
 
 
 def test_constraints_vanish_on_vacuum_static_slice(rng):
-    data = pullback_initial_data(schwarzschild(1.0, "static"),
+    data = pullback_initial_data(schwarzschild(1.0, "polar"),
                                  t_const_embedding(), euclidean_frame())
     r, th, ps = sample_points(rng, 8, rlo=3.0, rhi=25.0)
     cq = constraint_quantities(data, [r, th, ps])
@@ -560,7 +562,7 @@ def test_perturbed_hyperboloid_rigidity_nonzero(rng):
 
 
 def test_initial_data_first_derivatives_match_fd(rng):
-    data = pullback_initial_data(schwarzschild(1.0, "static"),
+    data = pullback_initial_data(schwarzschild(1.0, "polar"),
                                  t_const_embedding(), euclidean_frame())
     h = 1e-5
     for _ in range(5):
@@ -583,7 +585,7 @@ def _pullback_parts():
     exp = make_expansion(ScenarioConfig(preset="bondi-biaxial", amplitude=0.08,
                                         amplitude_d=0.05))
     return {
-        "schwarzschild": ((schwarzschild(1.0, "static"), t_const_embedding(),
+        "schwarzschild": ((schwarzschild(1.0, "polar"), t_const_embedding(),
                            euclidean_frame()), (2.5, 40.0)),
         "kerr": ((kerr(KerrParameters(1.0, 0.6)), t_const_embedding(),
                   euclidean_frame()), (2.5, 40.0)),
@@ -729,7 +731,7 @@ def test_jets_keeps_the_domain_checks(order):
                                      hyperboloid_frame())
     with pytest.raises(DomainError, match="not spacelike"):
         timelike.jets([3.0, 1.0, 0.5], order)
-    inside = pullback_initial_data(schwarzschild(1.0, "static"),
+    inside = pullback_initial_data(schwarzschild(1.0, "polar"),
                                    t_const_embedding(), euclidean_frame())
     with pytest.raises(DomainError, match="exceed 2m"):
         inside.jets([np.array([5.0, 1.5]), np.array([1.0, 1.0]),
@@ -931,7 +933,7 @@ def _poisoned_minkowski():
         g = flat.fn(c)
         g[0][0] = g[0][0] + np.where(jets.value(c[1]) > 5.0, np.nan, 0.0)
         return g
-    return Metric4Evaluator(fn, flat.chart, "poisoned", flat.domain)
+    return dataclasses.replace(flat, fn=fn, name="poisoned")
 
 
 _POISON_POINTS = [np.array([3.0, 6.0, 7.0]), np.array([1.0, 1.2, 1.4]),

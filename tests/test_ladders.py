@@ -64,7 +64,7 @@ def test_stacked_rungs_and_rung_max():
        n=st.integers(4, 5), shape=_GRIDS)
 def test_af_decay_stacked_equals_per_rung(kind, mass, spin, r0, ratio, n,
                                           shape):
-    metric = (schwarzschild(mass, "static") if kind == "schwarzschild"
+    metric = (schwarzschild(mass, "polar") if kind == "schwarzschild"
               else kerr(KerrParameters(mass, spin * mass)))
     data = pullback_initial_data(metric, t_const_embedding(), euclidean_frame())
     radii = _ladder(r0 * mass, ratio, n)
@@ -131,7 +131,7 @@ def test_data_jets_on_the_axes_equal_the_flat_nodes(case, amplitude, u0, r0,
     theta, psi = grid.axes()
     T, P = grid.nodes()
     if case in ("schwarzschild", "kerr"):
-        metric = (schwarzschild(1.0, "static") if case == "schwarzschild"
+        metric = (schwarzschild(1.0, "polar") if case == "schwarzschild"
                   else kerr(KerrParameters(1.0, 0.6)))
         data = pullback_initial_data(metric, t_const_embedding(),
                                      euclidean_frame())
@@ -222,7 +222,7 @@ def test_converge_reuses_the_coarse_rungs(tmp_path):
     assert main(["converge", "--preset", "schwarzschild", "--ntheta", "12",
                  "--npsi", "24", "--out", str(out)]) == 0
     charges = json.loads(out.read_text())["charges"]
-    data = pullback_initial_data(schwarzschild(1.0, "static"),
+    data = pullback_initial_data(schwarzschild(1.0, "polar"),
                                  t_const_embedding(), euclidean_frame())
     ladder = [10.0, 20.0, 40.0, 80.0]
     grid = build_grid(12, 24)

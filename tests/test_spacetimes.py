@@ -1,15 +1,20 @@
 """Catalog metrics: displayed components, degenerations, vacuum residuals."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from admbondi.errors import DomainError
-from admbondi.geometry import _jdd
+from admbondi.geometry import (Embedding, _jdd, euclidean_frame,
+                               pullback_initial_data, ricci_tensor)
 from admbondi.jets import value
 from admbondi.spacetimes import (KerrParameters, SliceSpec, _assemble_six,
                                  bondi_metric, bondi_slice_embedding,
                                  hyperboloid_embedding, kerr, minkowski,
-                                 ricci_residual, schwarzschild)
+                                 ricci_residual, schwarzschild,
+                                 t_const_embedding)
 
 
 class StaticNews:
@@ -83,7 +88,7 @@ def test_minkowski_flat_everywhere(rng):
 
 def test_schwarzschild_static_display():
     m = 1.3
-    g = schwarzschild(m, "static")
+    g = schwarzschild(m, "polar")
     r = 7.0
     comp = g.components([0.0, r, 1.0, 0.0])
     assert comp[0, 0] == pytest.approx(-(1 - 2 * m / r))
@@ -98,7 +103,7 @@ def test_schwarzschild_retarded_display():
 
 
 def test_schwarzschild_vacuum(rng):
-    g = schwarzschild(1.0, "static")
+    g = schwarzschild(1.0, "polar")
     for pt in rand_points(rng, 8, 3.0, 40.0):
         assert ricci_residual(g, list(pt)) <= 1e-8
     gr = schwarzschild(1.0, "retarded")
@@ -113,7 +118,7 @@ def test_schwarzschild_horizon_rejected():
 
 
 def test_schwarzschild_mass_to_zero_is_minkowski(rng):
-    g = schwarzschild(1e-14, "static")
+    g = schwarzschild(1e-14, "polar")
     flat = minkowski("polar")
     for pt in rand_points(rng, 5, 1.0, 10.0):
         assert np.allclose(g.components(list(pt)), flat.components(list(pt)),
@@ -122,7 +127,7 @@ def test_schwarzschild_mass_to_zero_is_minkowski(rng):
 
 def test_kerr_reduces_to_schwarzschild(rng):
     g0 = kerr(KerrParameters(1.0, 0.0))
-    gs = schwarzschild(1.0, "static")
+    gs = schwarzschild(1.0, "polar")
     for pt in rand_points(rng, 8, 3.0, 30.0):
         assert np.allclose(g0.components(list(pt)), gs.components(list(pt)),
                            atol=1e-14)
@@ -147,6 +152,12 @@ def test_kerr_interior_rejected():
     g = kerr(KerrParameters(1.0, 0.5))
     with pytest.raises(DomainError):
         g.components([0.0, 1.0, 1.0, 0.0])
+    # inside r_- = 0.2, where Delta = 0.17 > 0: not the exterior either
+    with pytest.raises(DomainError, match="exterior region"):
+        kerr(KerrParameters(1.0, 0.6)).components([0.0, 0.1, 1.0, 0.0])
+    # a^2 > m^2 has no horizon: Delta > 0 at every r > 0
+    assert lorentzian(kerr(KerrParameters(1.0, 1.2)).components(
+        [0.0, 0.5, 1.0, 0.0]))
     with pytest.raises(DomainError):
         KerrParameters(-1.0, 0.2)
 
@@ -174,6 +185,8 @@ def test_bondi_r_min_guard():
     assert gb.r_min == pytest.approx(5.0)
     with pytest.raises(DomainError):
         gb.components([0.0, 2.0, 1.0, 0.0])
+    with pytest.raises(DomainError, match="r below r_min"):
+        gb.components([0.0, gb.r_min, 1.0, 0.0])
 
 
 def test_bondi_theta_coefficient_leading_order():
@@ -250,7 +263,7 @@ def test_bondi_slice_embedding_values():
 
 
 def test_catalog_metrics_symmetric_and_lorentzian(rng):
-    metrics = [minkowski("polar"), schwarzschild(1.0, "static"),
+    metrics = [minkowski("polar"), schwarzschild(1.0, "polar"),
                kerr(KerrParameters(1.0, 0.5)),
                bondi_metric(StaticNews(c=0.1, M=1.0), r_min=4.0)]
     for g in metrics:
@@ -262,7 +275,7 @@ def test_catalog_metrics_symmetric_and_lorentzian(rng):
 
 def test_metric_first_derivs_match_fd(rng):
     # dual-number first derivatives vs central differences
-    metrics = [minkowski("polar"), schwarzschild(1.0, "static"),
+    metrics = [minkowski("polar"), schwarzschild(1.0, "polar"),
                schwarzschild(1.0, "retarded"), kerr(KerrParameters(1.0, 0.6)),
                bondi_metric(StaticNews(c=0.15, M=1.0), r_min=4.0)]
     h = 1e-5
@@ -299,7 +312,7 @@ def test_embedding_first_derivs_match_fd(rng):
 
 
 def test_metric_second_derivs_match_fd(rng):
-    g = schwarzschild(1.0, "static")
+    g = schwarzschild(1.0, "polar")
     h = 1e-4
     for _ in range(5):
         pt = [0.0, rng.uniform(5.0, 20.0), rng.uniform(0.5, 2.6),
@@ -327,7 +340,7 @@ def _oracle_metrics():
     from admbondi.scenarios import ScenarioConfig, make_expansion
     cfg = ScenarioConfig(preset="bondi-biaxial", amplitude=0.08,
                          amplitude_d=0.05)
-    return [minkowski("polar"), schwarzschild(1.0, "static"),
+    return [minkowski("polar"), schwarzschild(1.0, "polar"),
             schwarzschild(1.0, "retarded"), kerr(KerrParameters(1.0, 0.6)),
             bondi_metric(make_expansion(cfg), r_min=5.0)]
 
@@ -352,7 +365,7 @@ def test_array_points_match_per_point_evaluation(index, rng):
 @pytest.mark.parametrize("metric, r_bad, text", [
     (minkowski("polar"), -1.0, r"r must be positive at \(t, r, theta, psi\)"),
     (minkowski("retarded"), 0.0, r"r must be positive at \(u, r, theta, psi\)"),
-    (schwarzschild(1.0, "static"), 1.5, r"exceed 2m = 2.0 at \(t, r,"),
+    (schwarzschild(1.0, "polar"), 1.5, r"exceed 2m = 2.0 at \(t, r,"),
     (schwarzschild(1.0, "retarded"), 2.0, r"exceed 2m = 2.0 at \(u, r,"),
     (kerr(KerrParameters(1.0, 0.6)), 1.0, r"Delta <= 0\) at \(t, r,"),
     (bondi_metric(StaticNews(c=0.1, M=1.0), r_min=4.0), 3.5,
@@ -368,3 +381,74 @@ def test_domain_error_names_the_first_bad_point(metric, r_bad, text):
             getattr(metric, method)(x)
     with pytest.raises(DomainError, match=point):
         metric.components([0.3, r_bad, 1.2, 0.25])
+
+
+# -- non-finite coordinates ------------------------------------------------------
+
+_CATALOG = _oracle_metrics() + [minkowski("retarded")]
+
+
+def _t0_slice(chart):
+    """The slice t = 0: u = t - r = -r in a retarded chart."""
+    if chart == "polar":
+        return t_const_embedding()
+    return Embedding(lambda c: [0.0 - c[0], c[0], c[1], c[2]], chart, "t=0")
+
+
+def _poisoned_points(n, coord, k, bad):
+    """Points inside every catalog chart, as (4, n) arrays or, for n = 0,
+    one scalar point, with ``bad`` at coordinate ``coord`` of point ``k``;
+    returns the points and the coordinates of point ``k``."""
+    x = np.array([np.linspace(-0.5, 0.5, max(n, 1)),
+                  np.linspace(7.0, 20.0, max(n, 1)),
+                  np.linspace(0.5, 2.5, max(n, 1)),
+                  np.linspace(0.1, 6.0, max(n, 1))])
+    k = k % max(n, 1)
+    x[coord, k] = bad
+    return (list(x) if n else [float(v) for v in x[:, 0]]), list(x[:, k])
+
+
+def _named(names, point):
+    """The end of the DomainError message that names ``point``."""
+    return re.escape(f"({names}) = (" + ", ".join(repr(float(v)) for v in point)
+                     + ")")
+
+
+_NON_FINITE = dict(index=st.integers(0, len(_CATALOG) - 1),
+                   bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+                   n=st.sampled_from([0, 1, 4]), k=st.integers(0, 3))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(coord=st.integers(0, 3), **_NON_FINITE)
+def test_non_finite_coordinate_is_rejected(index, coord, bad, n, k):
+    """A NaN or +-inf in any coordinate of a catalog metric's point raises
+    DomainError naming that point, through every evaluation, which takes
+    the same points finite."""
+    g = _CATALOG[index]
+    pt, point = _poisoned_points(n, coord, k, bad)
+    ok, _ = _poisoned_points(n, coord, k, 9.0 if coord == 1 else 1.0)
+    time = "u" if g.chart == "retarded" else "t"
+    text = "coordinate is not finite at " + _named(f"{time}, r, theta, psi",
+                                                   point)
+    for evaluate in (g.components, g.first_derivs,
+                     lambda p: g.jets(p, order=1), lambda p: g.jets(p, order=2),
+                     lambda p: ricci_tensor(g, p)):
+        evaluate(ok)
+        with pytest.raises(DomainError, match=text):
+            evaluate(pt)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(coord=st.integers(1, 3), **_NON_FINITE)
+def test_non_finite_slice_coordinate_is_rejected(index, coord, bad, n, k):
+    """The t = 0 slice of a catalog metric rejects a NaN or +-inf slice
+    coordinate, naming the point, and takes the same points finite."""
+    g = _CATALOG[index]
+    data = pullback_initial_data(g, _t0_slice(g.chart), euclidean_frame())
+    pt, point = _poisoned_points(n, coord, k, bad)
+    ok, _ = _poisoned_points(n, coord, k, 9.0 if coord == 1 else 1.0)
+    data.values(ok[1:])
+    with pytest.raises(DomainError, match="coordinate is not finite at "
+                       + _named("r, theta, psi", point[1:])):
+        data.values(pt[1:])
