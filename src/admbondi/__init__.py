@@ -11,7 +11,7 @@ from .geometry import (Metric4Evaluator, Embedding, FrameField,
                        hyperboloid_frame, ricci_tensor,
                        pullback_initial_data, constraint_quantities,
                        rigidity_residual)
-from .spacetimes import (KerrParameters, SliceSpec, minkowski, schwarzschild,
+from .spacetimes import (KerrParameters, minkowski, schwarzschild,
                          kerr, bondi_metric,
                          hyperboloid_embedding, bondi_slice_embedding,
                          t_const_embedding, ricci_residual)

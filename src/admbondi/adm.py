@@ -16,12 +16,13 @@ import numpy as np
 
 from .errors import ConfigError
 from . import jets
-from .geometry import (_chart_gradient, _first_order, _frame_apply,
-                       _leaf_array, _product, frame_derivative, frame_entry)
+from .geometry import (_chart_gradient, _coords_leaf, _first_order,
+                       _frame_apply, _leaf_array, _product, frame_derivative,
+                       frame_entry)
 from .jets import value
 from .ladder import (LadderFit, causal_margin, check_ladder,
                      fit_decay_exponent, fit_inverse_powers, ladder_map,
-                     rung_max, stacked_rungs)
+                     rung_axes, rung_sups)
 from .sphere import build_grid, direction_functions
 
 __all__ = ["AdmCharges", "adm_energy_momentum", "adm_ladder_samples",
@@ -58,18 +59,16 @@ def adm_ladder_samples(data, radii, grid):
     """Surface integrals (E, [P_1, P_2, P_3]) at each rung, one row per
     radius; a rung's row depends on nothing but its radius.
 
-    A rung is evaluated on the grid's axes, r as a (1, 1) array against the
-    theta column and the psi row, so the data's work that depends on r and
-    theta alone runs once per latitude.  The integrands are broadcast to the
-    grid and raveled, so each node sees the same operations and every sum
-    runs over the node-ordered array as on flat nodes."""
+    Each rung is evaluated alone, as a one-rung ``rung_axes`` ladder; its
+    integrands are raveled, so every sum runs over the node-ordered array
+    as on flat nodes."""
     _require_euclidean(data)
     ndir = direction_functions(grid)
     nvec = np.stack([ndir[k].values.ravel() for k in (1, 2, 3)])
     w = grid.weights.ravel()
 
     def samples_at(r):
-        coords = [np.full((1, 1), float(r)), *grid.axes()]
+        coords = rung_axes([r], *grid.axes())
         G, P = data.jets(coords, order=1)
         Fv = _leaf_array(data.frame.components(coords), value, grid.shape)
         gv = _leaf_array(G, value, grid.shape).reshape(3, 3, -1)
@@ -111,10 +110,10 @@ _REQUIRED_ORDERS = {"g": 1.0, "dg": 2.0, "ddg": 3.0, "h": 2.0, "dh": 3.0}
 AF_DECAY_SLACK = 0.3
 
 
-def _decay_sups(data, coords, n_rungs):
+def _decay_sups(data, coords):
     """Sup-norms of (g - delta), dg, ddg, h, dh over every component at each
-    rung of a leaf of n_rungs rungs with the same number of nodes."""
-    leaf = coords[1].shape
+    rung of ``rung_axes`` points."""
+    leaf = _coords_leaf(coords)
     G, P = data.jets(coords, order=2)
     # the frame as an array jet: e_l e_k g needs no second derivative of F
     Fj = data.frame.components(jets.seed(coords, order=1))
@@ -125,10 +124,10 @@ def _decay_sups(data, coords, n_rungs):
     Dg = _product("ka...,aij...->kij...", F, dg)
 
     def sup(x):
-        return np.max(rung_max(x, n_rungs).reshape(-1, n_rungs), axis=0)
+        return np.max(rung_sups(x).reshape(-1, leaf[0]), axis=0)
 
     return {
-        "g": sup(g[0] - np.eye(3)[:, :, None]),
+        "g": sup(g[0] - np.eye(3).reshape((3, 3) + (1,) * len(leaf))),
         "dg": sup(Dg[0]),
         "ddg": sup(_frame_apply(F[0], Dg[1:])),
         "h": sup(_leaf_array(P, value, leaf)),
@@ -147,7 +146,7 @@ def check_af_decay(data, radii, grid=None):
     radii = check_ladder(radii, minimum=4)
     grid = grid or build_grid(12, 24)
 
-    sups = _decay_sups(data, stacked_rungs(grid, radii), len(radii))
+    sups = _decay_sups(data, rung_axes(radii, *grid.axes()))
     out = {}
     for key, req in _REQUIRED_ORDERS.items():
         out[key] = {"fit": fit_decay_exponent(radii, sups[key]),

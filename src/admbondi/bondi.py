@@ -29,11 +29,10 @@ from .errors import ConfigError, DomainError
 from .geometry import (InitialData, hyperboloid_frame, pullback_initial_data,
                        _jf, _jd, _jdd)
 from .jets import value
-from .ladder import (causal_margin, check_ladder, fit_decay_exponent, rung_max,
-                     stacked_rungs)
+from .ladder import (causal_margin, check_ladder, fit_decay_exponent,
+                     rung_axes, rung_sups)
 from .sphere import build_grid, project_multipole
-from .spacetimes import (SliceSpec, bondi_metric, bondi_slice_embedding,
-                         l_lbar)
+from .spacetimes import bondi_metric, bondi_slice_embedding, l_lbar
 
 log = logging.getLogger(__name__)
 
@@ -310,7 +309,7 @@ def pullback_slice_data(exp, u0=0.0, a3=None, r_min=None):
     """The u0-slice data pulled back numerically from ``bondi_metric``, in
     the frame of ``induced_slice_data``."""
     return pullback_initial_data(bondi_metric(exp, r_min=r_min),
-                                 bondi_slice_embedding(SliceSpec(u0, a3), exp),
+                                 bondi_slice_embedding(exp, u0, a3),
                                  hyperboloid_frame())
 
 
@@ -329,10 +328,10 @@ def expansion_consistency(exp, u0=0.0, a3=None, radii=(50, 100, 200, 400, 800),
     closed = induced_slice_data(exp, u0, a3)
     pulled = pullback_slice_data(exp, u0, a3, r_min)
 
-    coords = stacked_rungs(grid, radii)
+    coords = rung_axes(radii, *grid.axes())
     gn, hn = pulled.values(coords)
     gc, hc = closed.values(coords)
-    sups = rung_max(np.stack([gn - gc, hn - hc]), len(radii))
+    sups = rung_sups(np.stack([gn - gc, hn - hc]))
     return {name: fit_decay_exponent(
                 radii, sups["gh".index(name[0]), int(name[1]) - 1,
                             int(name[2]) - 1], zero_floor=1e-12)

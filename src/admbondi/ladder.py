@@ -4,6 +4,10 @@ Limit-defining surface integrals are sampled on an increasing finite ladder
 of radii and extrapolated to infinity with a least-squares fit of
 A + B/r + C/r^2; decay orders are log-log slope fits of sup-norms.  The
 extrapolated energy-momenta are judged by one causal margin.
+
+A whole ladder is evaluated in one layout, ``rung_axes``: r on the leading
+axis against the sphere grid's theta column and psi row; ``rung_sups``
+reduces it to one sup-norm per rung.
 """
 
 from dataclasses import dataclass, field
@@ -13,8 +17,8 @@ import numpy as np
 from .errors import ConfigError, DomainError
 
 __all__ = ["LadderFit", "DecayFit", "fit_inverse_powers", "fit_decay_exponent",
-           "slowest_order", "ladder_map", "check_ladder", "stacked_rungs",
-           "rung_max", "causal_margin"]
+           "slowest_order", "ladder_map", "check_ladder", "rung_axes",
+           "rung_sups", "causal_margin"]
 
 EXACT_ZERO_FLOOR = 1e-13
 
@@ -128,23 +132,16 @@ def ladder_map(fn, radii):
     return [fn(r) for r in radii]
 
 
-def stacked_rungs(grid, radii):
-    """Chart points (r, theta, psi) of every rung of a small grid in one
-    leaf, rung after rung, so that one evaluation covers the whole ladder.
-
-    Per-node work is the same as rung by rung; what falls is the number of
-    jet operations, which dominates on grids of a few hundred nodes.  Large
-    grids are cheaper evaluated one rung at a time.
-    """
-    T, P = grid.nodes()
-    n = len(radii)
-    return [np.repeat(np.asarray(radii, dtype=float), T.size),
-            np.tile(T, n), np.tile(P, n)]
+def rung_axes(radii, theta, psi):
+    """Chart points (r, theta, psi) of a whole ladder in one leaf: the radii
+    on a leading axis against the theta column and psi row of ``grid.axes()``
+    (or a block of its rows), so work on the angles alone runs once for all
+    rungs.  Leaf index [k], raveled, is rung k at the nodes in node order."""
+    return [np.asarray(radii, dtype=float)[:, None, None], theta, psi]
 
 
-def rung_max(x, n_rungs):
-    """max |x| over the nodes of each rung of a stacked leaf (the last axis
-    of x); the result ends in an axis of length n_rungs.  np.max keeps a
-    NaN, which the builtin max would drop."""
-    x = np.abs(x)
-    return np.max(x.reshape(x.shape[:-1] + (n_rungs, -1)), axis=-1)
+def rung_sups(x):
+    """max |x| over the (theta, psi) nodes, the last two axes of x; the
+    result ends in one axis per rung.  np.max keeps a NaN, which the builtin
+    max would drop."""
+    return np.max(np.abs(x), axis=(-2, -1))

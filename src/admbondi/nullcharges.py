@@ -27,8 +27,8 @@ from .errors import ConfigError
 from .geometry import _grad, frame_entry
 from .jets import value
 from .ladder import (causal_margin, check_ladder, fit_decay_exponent,
-                     fit_inverse_powers, ladder_map, rung_max, slowest_order,
-                     stacked_rungs)
+                     fit_inverse_powers, ladder_map, rung_axes, rung_sups,
+                     slowest_order)
 from .sphere import build_grid, direction_functions
 
 __all__ = [
@@ -120,8 +120,8 @@ def decay_orders(data, radii, grid=None, components=_COMPONENTS):
             raise ConfigError(f"unknown component {c!r}; use one of {_COMPONENTS}")
     radii = check_ladder(radii, minimum=4)
     grid = grid or build_grid(12, 24)
-    coords = stacked_rungs(grid, radii)
-    sups = rung_max(np.stack(deviation(data, coords)), len(radii))
+    coords = rung_axes(radii, *grid.axes())
+    sups = rung_sups(np.stack(deviation(data, coords)))
     return {c: fit_decay_exponent(
                 radii, sups["ab".index(c[0]), int(c[1]) - 1, int(c[2]) - 1])
             for c in components}
@@ -230,14 +230,11 @@ class NullCharges:
 def null_energy_momentum(data, radii, grid=None, check_decay=True):
     """E_nu and P_nu,k over the radius ladder, with the order gate.
 
-    The integrands are evaluated radius by latitude: the grid's theta rows
-    are split into one contiguous block per rung (fewer when there are
-    fewer rows than rungs), and each block is evaluated at every radius at
-    once, on ``[radii[:, None, None], theta[rows], psi]`` from the grid's
-    axes.  Each evaluation has about one rung's worth of points, while the
-    data's work that depends on theta alone runs once per latitude, on
-    (theta, psi) once per node and on psi once per block.  Each rung then
-    sums its full row of nodes, raveled in node order.
+    The integrands are evaluated on ``rung_axes`` in blocks of the grid's
+    theta rows, one contiguous block per rung (fewer when there are fewer
+    rows than rungs), so each evaluation has about one rung's worth of
+    points.  Each rung then sums its full row of nodes, raveled in node
+    order.
 
     Components whose fitted decay order falls below ``TAU_GATE`` make the
     charges unreliable; the per-component fits are always reported so the
@@ -262,13 +259,12 @@ def null_energy_momentum(data, radii, grid=None, check_decay=True):
                 "charges may not be limits", slowest, TAU_GATE)
 
     theta, psi = grid.axes()
-    column = np.array(radii)[:, None, None]
     e_int = np.empty((len(radii),) + grid.shape)
     p_int = np.empty((3,) + e_int.shape)
     for rows in np.array_split(np.arange(grid.n_theta),
                                min(len(radii), grid.n_theta)):
         e_int[:, rows], p_int[:, :, rows] = charge_integrand(
-            data, [column, theta[rows], psi])
+            data, rung_axes(radii, theta[rows], psi))
     e_int = e_int.reshape(len(radii), -1)
     p_int = p_int.reshape(3, len(radii), -1)
 

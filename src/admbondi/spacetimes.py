@@ -9,7 +9,6 @@ functions are written in generic arithmetic so they can be evaluated on jets.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -19,11 +18,16 @@ from .geometry import Embedding, Metric4Evaluator, ricci_tensor
 from .jets import cos, cosh, exp as gexp, sin, sinh, sqrt
 
 __all__ = [
-    "KerrParameters", "SliceSpec",
+    "KerrParameters",
     "minkowski", "schwarzschild", "kerr", "bondi_metric",
     "hyperboloid_embedding", "bondi_slice_embedding", "t_const_embedding",
     "ricci_residual", "l_lbar", "p_pbar",
 ]
+
+
+def _check_mass(m):
+    if not 0 < m < np.inf:
+        raise DomainError(f"mass must be positive and finite, got {m}")
 
 
 @dataclass(frozen=True)
@@ -34,8 +38,9 @@ class KerrParameters:
     a: float
 
     def __post_init__(self):
-        if self.m <= 0:
-            raise DomainError(f"mass must be positive, got {self.m}")
+        _check_mass(self.m)
+        if not np.isfinite(self.a):
+            raise DomainError(f"spin must be finite, got {self.a}")
 
 
 def _sym4(entries):
@@ -70,8 +75,7 @@ def minkowski(chart="polar"):
 
 def schwarzschild(m, chart="polar"):
     """Vacuum black-hole exterior, polar or retarded chart; requires r > 2m."""
-    if m <= 0:
-        raise DomainError(f"mass must be positive, got {m}")
+    _check_mass(m)
     suffix = "" if chart == "polar" else f"-{chart}"
     return _spherical(lambda r: 1.0 - 2.0 * m / r, chart,
                       f"schwarzschild{suffix}(m={m})", r_min=2.0 * m,
@@ -231,22 +235,16 @@ def hyperboloid_embedding():
     return Embedding(fn, "polar", "hyperboloid")
 
 
-@dataclass
-class SliceSpec:
-    """Asymptotically null slice of a retarded chart.
+def bondi_slice_embedding(exp, u0=0.0, a3=None):
+    """Asymptotically null slice of the retarded chart of ``exp``:
 
-    u = u0 + sqrt(1+r^2) - r + (c^2+d^2)|_{u0} / (12 r^3) + a3(theta,psi)/r^4.
-    The difference sqrt(1+r^2) - r is evaluated as 1/(sqrt(1+r^2) + r) to
-    avoid catastrophic cancellation at large radius.
+    u = u0 + sqrt(1+r^2) - r + (c^2+d^2)|_{u0} / (12 r^3) + a3(theta,psi)/r^4,
+
+    with a3 generic in (theta, psi), and None meaning 0.  The difference
+    sqrt(1+r^2) - r is evaluated as 1/(sqrt(1+r^2) + r) to avoid
+    catastrophic cancellation at large radius.
     """
-
-    u0: float = 0.0
-    a3: Optional[Callable] = None   # a3(theta, psi), generic; None means 0
-
-
-def bondi_slice_embedding(spec, exp):
-    u0 = float(spec.u0)
-    a3 = spec.a3
+    u0 = float(u0)
 
     def fn(c):
         r, th, ps = c

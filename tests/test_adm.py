@@ -130,8 +130,9 @@ def test_second_frame_derivative_matches_index_loops(rng):
     # check fits
     data = pullback_initial_data(kerr(KerrParameters(1.0, 0.6)),
                                  t_const_embedding(), euclidean_frame())
-    coords = [rng.uniform(5.0, 40.0, 20), rng.uniform(0.4, 2.7, 20),
-              rng.uniform(0.0, 6.2, 20)]
+    coords = [rng.uniform(5.0, 40.0, 20).reshape(1, 4, 5),
+              rng.uniform(0.4, 2.7, 20).reshape(1, 4, 5),
+              rng.uniform(0.0, 6.2, 20).reshape(1, 4, 5)]
     leaf = coords[1].shape
     G, _ = data.jets(coords, order=2)
     F = data.frame.components(jets.seed(coords, order=1))
@@ -147,7 +148,7 @@ def test_second_frame_derivative_matches_index_loops(rng):
                 + Fv[:, b, None, None] * hG[a, b])
     want = np.max(np.abs(ddG))
     assert want > 1e-4
-    got = adm._decay_sups(data, coords, 1)["ddg"]
+    got = adm._decay_sups(data, coords)["ddg"]
     assert got == pytest.approx([want], rel=1e-13)
 
 
@@ -166,9 +167,9 @@ def test_decay_fit_rejects_non_finite_samples():
 
 
 def test_af_decay_nan_mass_raises():
-    data = pullback_initial_data(schwarzschild(float("nan"), "polar"),
-                                 t_const_embedding(), euclidean_frame())
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="mass"):
+        data = pullback_initial_data(schwarzschild(float("nan"), "polar"),
+                                     t_const_embedding(), euclidean_frame())
         check_af_decay(data, LADDER)
 
 

@@ -17,7 +17,7 @@ from admbondi.geometry import (Embedding, InitialData, Metric4Evaluator,
 from admbondi.nullcharges import background_connection, check_dec_null
 from admbondi.reports import CheckResult
 from admbondi.scenarios import ScenarioConfig, make_expansion, make_slice_data
-from admbondi.spacetimes import (SliceSpec, bondi_metric, bondi_slice_embedding,
+from admbondi.spacetimes import (bondi_metric, bondi_slice_embedding,
                                  hyperboloid_embedding, kerr, KerrParameters,
                                  minkowski, schwarzschild, t_const_embedding)
 
@@ -414,7 +414,7 @@ def test_sigma_of_pullback_data_sees_an_antisymmetric_p():
     exp = make_expansion(ScenarioConfig(preset="bondi-schwarzschild"))
     pulled = pullback_initial_data(
         bondi_metric(exp, r_min=10.0),
-        bondi_slice_embedding(SliceSpec(u0=0.0), exp), hyperboloid_frame())
+        bondi_slice_embedding(exp, 0.0), hyperboloid_frame())
 
     twisted = _twisted(pulled)
     pts = [np.array([20.0, 30.0, 50.0, 80.0]), np.array([0.9, 1.4, 2.0, 2.5]),
@@ -592,7 +592,7 @@ def _pullback_parts():
         "hyperboloid": ((minkowski("polar"), hyperboloid_embedding(),
                          hyperboloid_frame()), (0.2, 40.0)),
         "bondi": ((bondi_metric(exp, r_min=5.0),
-                   bondi_slice_embedding(SliceSpec(u0=0.5), exp),
+                   bondi_slice_embedding(exp, 0.5),
                    hyperboloid_frame()), (6.0, 80.0)),
     }
 

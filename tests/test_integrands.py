@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from admbondi.adm import adm_ladder_samples
 from admbondi.geometry import _chart_gradient, _grad, frame_derivative
 from admbondi.jets import value
+from admbondi.ladder import rung_axes
 from admbondi.nullcharges import (background_connection, charge_integrand,
                                   null_energy_momentum)
 from admbondi.scenarios import ScenarioConfig, make_adm_data, make_slice_data
@@ -175,7 +176,7 @@ def test_adm_rung_memory_stays_near_the_pullback_peak():
     grid = build_grid(96, 192)
     r = 40.0
     adm_ladder_samples(_KERR, [r], grid)      # the grid's lazy fields
-    coords = [np.full((1, 1), r), *grid.axes()]
+    coords = rung_axes([r], *grid.axes())
     pullback = _traced_peak(lambda: _KERR.jets(coords, order=1))
     rung = _traced_peak(lambda: adm_ladder_samples(_KERR, [r], grid))
     leaf = grid.weights.nbytes
@@ -231,7 +232,7 @@ def test_null_ladder_memory_stays_near_one_block():
     theta, psi = grid.axes()
     rows = np.array_split(np.arange(grid.n_theta), len(radii))[0]
     block = _traced_peak(lambda: charge_integrand(
-        data, [np.array(radii)[:, None, None], theta[rows], psi]))
+        data, rung_axes(radii, theta[rows], psi)))
     ladder = _traced_peak(lambda: null_energy_momentum(data, radii, grid,
                                                        check_decay=False))
     assert (ladder - block) / grid.weights.nbytes <= 32.0

@@ -1,7 +1,9 @@
-"""Radius ladders evaluated once over stacked rungs: the per-rung sup-norms
-equal those of a rung-by-rung evaluation bit for bit, a NaN still names its
-radius, and the converge study reuses its coarse rungs exactly.  Slice data
-evaluated on the sphere grid's axes equal the data on its flat nodes."""
+"""Radius ladders evaluated in one call on ``rung_axes``, r on the leading
+axis: the per-rung sup-norms equal those of a rung-by-rung evaluation on the
+flat nodes bit for bit, a NaN shows in its own rung's sup only and still
+names its radius, and the converge study reuses its coarse rungs exactly.
+Slice data evaluated on the ladder layout equal the data on the flat
+nodes."""
 
 import json
 
@@ -17,13 +19,13 @@ from admbondi.cli import main
 from admbondi.errors import DomainError
 from admbondi.geometry import (InitialData, euclidean_frame, hyperboloid_frame,
                                pullback_initial_data)
-from admbondi.ladder import (causal_margin, fit_inverse_powers, rung_max,
-                             stacked_rungs)
+from admbondi.ladder import (causal_margin, fit_inverse_powers, rung_axes,
+                             rung_sups)
 from admbondi.nullcharges import decay_orders, deviation
 from admbondi.reports import CheckResult
 from admbondi.scenarios import (ScenarioConfig, make_a3, make_expansion,
                                 make_slice_data)
-from admbondi.spacetimes import (KerrParameters, SliceSpec, bondi_metric,
+from admbondi.spacetimes import (KerrParameters, bondi_metric,
                                  bondi_slice_embedding, kerr, schwarzschild,
                                  t_const_embedding)
 from admbondi.sphere import build_grid
@@ -40,21 +42,48 @@ def _rung(grid, r):
     return [np.full_like(T, float(r)), T, P]
 
 
+def _flat_rung(grid, r):
+    """``_rung`` as a one-rung leaf of one row, the shape ``rung_sups``
+    reduces: the flat nodes, not the grid's axes."""
+    return [x.reshape(1, 1, -1) for x in _rung(grid, r)]
+
+
 def _ladder(r0, ratio, n):
     return [r0 * ratio ** k for k in range(n)]
 
 
-def test_stacked_rungs_and_rung_max():
-    grid = build_grid(3, 4)
-    r, T, P = stacked_rungs(grid, [1.0, 2.0])
-    T0, P0 = grid.nodes()
-    assert np.array_equal(r, np.repeat([1.0, 2.0], 12))
-    assert np.array_equal(T, np.tile(T0, 2)) and np.array_equal(P, np.tile(P0, 2))
-    x = np.array([[1.0, -3.0, 2.0, 0.5], [0.0, np.nan, -7.0, 1.0]])
-    got = rung_max(x, 2)
-    assert got.shape == (2, 2)
-    assert np.array_equal(got[0], [3.0, 2.0])
-    assert np.isnan(got[1, 0]) and got[1, 1] == 7.0
+@settings(_SETTINGS, max_examples=40)
+@given(r0=st.floats(0.5, 50.0), ratio=st.floats(1.1, 3.0),
+       n=st.integers(1, 6), shape=st.tuples(st.integers(2, 6),
+                                            st.sampled_from([4, 6, 8])),
+       draw=st.data())
+def test_rung_axes_and_rung_sups(r0, ratio, n, shape, draw):
+    """Rung k of the ladder layout is the grid's flat nodes at radii[k], in
+    node order; a NaN planted at one (rung, node) shows in that rung's sups
+    only, and every other rung's sup is the max of that rung evaluated alone
+    on the flat nodes."""
+    grid = build_grid(*shape)
+    radii = _ladder(r0, ratio, n)
+    k = draw.draw(st.integers(0, n - 1))
+    node = draw.draw(st.integers(0, grid.weights.size - 1))
+
+    def field(r, th, ps):
+        return np.cos(3.0 * th) * np.sin(2.0 * ps + r) / r
+
+    x = field(*rung_axes(radii, *grid.axes()))
+    assert x.shape == (n,) + grid.shape
+    clean = x.copy()
+    x[(k,) + np.unravel_index(node, grid.shape)] = np.nan
+    sups = rung_sups(np.stack([x, -2.0 * x]))
+    assert sups.shape == (2, n)
+    for j, r in enumerate(radii):
+        flat = field(*_rung(grid, r))
+        assert np.array_equal(clean[j].ravel(), flat)
+        if j == k:
+            assert np.isnan(sups[:, j]).all()
+        else:
+            assert np.array_equal(sups[:, j], [np.max(np.abs(flat)),
+                                               np.max(np.abs(-2.0 * flat))])
 
 
 @_SETTINGS
@@ -62,15 +91,15 @@ def test_stacked_rungs_and_rung_max():
        mass=st.floats(0.5, 2.0), spin=st.floats(0.0, 0.9),
        r0=st.floats(5.0, 20.0), ratio=st.floats(1.3, 2.5),
        n=st.integers(4, 5), shape=_GRIDS)
-def test_af_decay_stacked_equals_per_rung(kind, mass, spin, r0, ratio, n,
-                                          shape):
+def test_af_decay_ladder_equals_per_rung(kind, mass, spin, r0, ratio, n,
+                                         shape):
     metric = (schwarzschild(mass, "polar") if kind == "schwarzschild"
               else kerr(KerrParameters(mass, spin * mass)))
     data = pullback_initial_data(metric, t_const_embedding(), euclidean_frame())
     radii = _ladder(r0 * mass, ratio, n)
     grid = build_grid(*shape)
     out = check_af_decay(data, radii, grid)
-    per_rung = [adm._decay_sups(data, _rung(grid, r), 1) for r in radii]
+    per_rung = [adm._decay_sups(data, _flat_rung(grid, r)) for r in radii]
     for key, v in out.items():
         ref = np.concatenate([s[key] for s in per_rung])
         assert np.array_equal(np.asarray(v["fit"].sups), ref), key
@@ -86,8 +115,8 @@ def _null_data(case, amplitude, u0):
                              "bondi-quadrupole", "bondi-biaxial"]),
        amplitude=st.floats(0.02, 0.1), u0=st.floats(0.0, 3.0),
        r0=st.floats(0.5, 40.0), ratio=st.floats(1.3, 2.5), shape=_GRIDS)
-def test_null_decay_fits_stacked_equal_per_rung(case, amplitude, u0, r0, ratio,
-                                                shape):
+def test_null_decay_fits_ladder_equal_per_rung(case, amplitude, u0, r0, ratio,
+                                               shape):
     data = _null_data(case, amplitude, u0)
     radii = _ladder(r0, ratio, 4)
     grid = build_grid(*shape)
@@ -123,9 +152,8 @@ def test_data_jets_on_the_axes_equal_the_flat_nodes(case, amplitude, u0, r0,
                                                     ratio, n, order, shape):
     """data.jets on the grid's axes, broadcast to the grid and raveled,
     equals data.jets on the flat nodes in every value and derivative entry,
-    bit for bit with zero signs: ADM data one rung at a time on
-    [r (1, 1), theta column, psi row], null data the whole ladder at once on
-    [radii[:, None, None], theta column, psi row]."""
+    bit for bit with zero signs: ADM data one rung at a time and null data
+    the whole ladder at once, each on ``rung_axes``."""
     grid = build_grid(*shape)
     radii = np.array(_ladder(r0, ratio, n))
     theta, psi = grid.axes()
@@ -135,13 +163,13 @@ def test_data_jets_on_the_axes_equal_the_flat_nodes(case, amplitude, u0, r0,
                   else kerr(KerrParameters(1.0, 0.6)))
         data = pullback_initial_data(metric, t_const_embedding(),
                                      euclidean_frame())
-        layouts = [([np.full((1, 1), r), theta, psi],
-                    [np.full_like(T, r), T, P]) for r in radii]
+        ladders = [[r] for r in radii]
     else:
         data = _null_data(case, amplitude, u0)
-        layouts = [([radii[:, None, None], theta, psi],
-                     [radii[:, None], T, P])]
-    for on_axes, flat in layouts:
+        ladders = [radii]
+    for rs in ladders:
+        on_axes = rung_axes(rs, theta, psi)
+        flat = [np.array(rs)[:, None], T, P]
         leaf = np.broadcast_shapes(*map(np.shape, flat))
         got = [_entries(x) for X in data.jets(on_axes, order) for row in X
                for x in row]
@@ -159,8 +187,8 @@ def test_data_jets_on_the_axes_equal_the_flat_nodes(case, amplitude, u0, r0,
 @given(preset=st.sampled_from(["bondi-quadrupole", "bondi-biaxial"]),
        amplitude=st.floats(0.02, 0.1), a3=st.sampled_from([0.0, 0.02]),
        r0=st.floats(40.0, 80.0), shape=st.sampled_from([(4, 8), (6, 12)]))
-def test_expansion_consistency_stacked_equals_per_rung(preset, amplitude, a3,
-                                                       r0, shape):
+def test_expansion_consistency_ladder_equals_per_rung(preset, amplitude, a3,
+                                                      r0, shape):
     cfg = ScenarioConfig(preset=preset, amplitude=amplitude,
                          amplitude_d=0.5 * amplitude, a3_amplitude=a3)
     exp, a3fn = make_expansion(cfg), make_a3(cfg)
@@ -168,7 +196,7 @@ def test_expansion_consistency_stacked_equals_per_rung(preset, amplitude, a3,
     grid = build_grid(*shape)
     rep = expansion_consistency(exp, u0=0.0, a3=a3fn, radii=radii, grid=grid)
     pulled = pullback_initial_data(
-        bondi_metric(exp), bondi_slice_embedding(SliceSpec(u0=0.0, a3=a3fn), exp),
+        bondi_metric(exp), bondi_slice_embedding(exp, 0.0, a3fn),
         hyperboloid_frame())
     closed = induced_slice_data(exp, 0.0, a3fn)
     diffs = []

@@ -310,8 +310,7 @@ def test_dec_margin_schw_bondi_vacuum():
     data = pullback_initial_data(
         __import__("admbondi.spacetimes", fromlist=["x"]).schwarzschild(1.0, "retarded"),
         __import__("admbondi.spacetimes", fromlist=["x"]).bondi_slice_embedding(
-            __import__("admbondi.spacetimes", fromlist=["x"]).SliceSpec(u0=0.0),
-            schw_bondi_expansion()),
+            schw_bondi_expansion(), 0.0),
         hyperboloid_frame())
     pts = [np.array([20.0, 30.0, 50.0]), np.array([1.0, 1.6, 2.2]),
            np.array([0.2, 2.1, 4.0])]

@@ -10,7 +10,7 @@ from admbondi.errors import DomainError
 from admbondi.geometry import (Embedding, _jdd, euclidean_frame,
                                pullback_initial_data, ricci_tensor)
 from admbondi.jets import value
-from admbondi.spacetimes import (KerrParameters, SliceSpec, _assemble_six,
+from admbondi.spacetimes import (KerrParameters, _assemble_six,
                                  bondi_metric, bondi_slice_embedding,
                                  hyperboloid_embedding, kerr, minkowski,
                                  ricci_residual, schwarzschild,
@@ -158,8 +158,16 @@ def test_kerr_interior_rejected():
     # a^2 > m^2 has no horizon: Delta > 0 at every r > 0
     assert lorentzian(kerr(KerrParameters(1.0, 1.2)).components(
         [0.0, 0.5, 1.0, 0.0]))
-    with pytest.raises(DomainError):
-        KerrParameters(-1.0, 0.2)
+    # a mass that is not positive and finite, or a spin that is not finite,
+    # stops at construction, named, not later at every point's domain check
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(DomainError, match=f"mass must be .*, got {bad}"):
+            KerrParameters(bad, 0.2)
+        with pytest.raises(DomainError, match=f"mass must be .*, got {bad}"):
+            schwarzschild(bad)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match=f"spin must be finite, got {bad}"):
+            kerr(KerrParameters(1.0, bad))
 
 
 def test_kerr_lorentzian_signature(rng):
@@ -249,14 +257,14 @@ def test_hyperboloid_embedding_origin_limit():
 
 def test_bondi_slice_embedding_values():
     exp = StaticNews(c=0.0, M=1.0)
-    emb = bondi_slice_embedding(SliceSpec(u0=3.0), exp)
+    emb = bondi_slice_embedding(exp, 3.0)
     u, r, th, ps = emb.fn([10.0, 1.0, 0.5])
     assert u == pytest.approx(3.0 + np.sqrt(101.0) - 10.0, rel=1e-12)
 
     class UnitNews(StaticNews):
         def c(self, u, th, ps):
             return 1.0 + 0.0 * u
-    emb2 = bondi_slice_embedding(SliceSpec(u0=0.0), UnitNews())
+    emb2 = bondi_slice_embedding(UnitNews(), 0.0)
     u2 = emb2.fn([10.0, 1.0, 0.5])[0]
     base = np.sqrt(101.0) - 10.0
     assert u2 - base == pytest.approx(1.0 / 12000.0, rel=1e-10)
@@ -294,7 +302,7 @@ def test_metric_first_derivs_match_fd(rng):
 def test_embedding_first_derivs_match_fd(rng):
     exp = StaticNews(c=0.2, M=1.0)
     embs = [hyperboloid_embedding(),
-            bondi_slice_embedding(SliceSpec(u0=1.0), exp)]
+            bondi_slice_embedding(exp, 1.0)]
     h = 1e-6
     for emb in embs:
         for _ in range(25):
