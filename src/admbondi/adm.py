@@ -17,8 +17,8 @@ import numpy as np
 from .errors import ConfigError
 from . import jets
 from .geometry import (_chart_gradient, _coords_leaf, _first_order,
-                       _frame_apply, _leaf_array, _product, frame_derivative,
-                       frame_entry)
+                       _frame_apply, _leaf_array, _product,
+                       constraint_quantities, frame_derivative, frame_entry)
 from .jets import value
 from .ladder import (LadderFit, causal_margin, check_ladder,
                      fit_decay_exponent, fit_inverse_powers, ladder_map,
@@ -42,10 +42,6 @@ class AdmCharges:
     @property
     def P(self):
         return np.array([m.value for m in self.momentum])
-
-    def as_dict(self):
-        return {"E": self.energy.as_dict(),
-                "P": [m.as_dict() for m in self.momentum]}
 
 
 def _require_euclidean(data):
@@ -157,7 +153,6 @@ def check_af_decay(data, radii, grid=None):
 def check_dec_flat(data, points):
     """Margin mu - |varpi| at the sample points; nonnegative iff the dominant
     energy condition holds there."""
-    from .geometry import constraint_quantities
     cq = constraint_quantities(data, points)
     return cq.mu - np.sqrt(np.sum(cq.varpi ** 2, axis=0))
 

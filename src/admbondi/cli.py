@@ -79,7 +79,8 @@ def cmd_adm(cfg):
 
 
 def cmd_null(cfg):
-    from .nullcharges import check_dec_null, check_pmt_null, null_energy_momentum
+    from .nullcharges import (TAU_GATE, check_dec_null, check_pmt_null,
+                              null_energy_momentum)
     data = make_slice_data(cfg)
     radii = default_radii(cfg, "null")
     ch = null_energy_momentum(data, radii, make_grid(cfg))
@@ -89,7 +90,7 @@ def cmd_null(cfg):
     dec = check_dec_null(data, pts)
     _, slowest = slowest_order(ch.decay_orders)
     checks = [
-        CheckResult("null.order_gate", slowest, ch.tau_gate,
+        CheckResult("null.order_gate", slowest, TAU_GATE,
                     "value >= tolerance", "fitted orders above 3/2 gate"),
         CheckResult("null.not_diverging", ch.diverging(), 0.0,
                     "value <= tolerance"),
@@ -170,7 +171,7 @@ def cmd_bondi_slice(cfg):
 
 def cmd_verify(cfg):
     from .verify import run_verification
-    results, elapsed = run_verification(echo=print)
+    results, elapsed = run_verification()
     report = ChargeReport(scenario="battery", kind="verify",
                           charges={}, samples={"elapsed_s": elapsed},
                           checks=tuple(results))

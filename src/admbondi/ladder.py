@@ -34,16 +34,6 @@ class LadderFit:
     residual: float           # rms misfit of the model on the rungs
     diverging: bool           # samples still drifting at the largest rungs
 
-    def as_dict(self):
-        return {
-            "value": self.value,
-            "radii": list(self.radii),
-            "samples": list(self.samples),
-            "coefficients": list(self.coefficients),
-            "residual": self.residual,
-            "diverging": self.diverging,
-        }
-
 
 @dataclass
 class DecayFit:
@@ -53,10 +43,6 @@ class DecayFit:
     residual: float
     exact: bool               # exactly when exponent is inf
     sups: tuple = field(default=())
-
-    def as_dict(self):
-        return {"exponent": self.exponent, "residual": self.residual,
-                "exact": self.exact, "sups": list(self.sups)}
 
 
 def check_ladder(radii, minimum=3):

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import jets
 from .errors import ConfigError
-from .geometry import _grad, frame_entry
+from .geometry import _grad, constraint_quantities, frame_entry
 from .jets import value
 from .ladder import (causal_margin, check_ladder, fit_decay_exponent,
                      fit_inverse_powers, ladder_map, rung_axes, rung_sups,
@@ -200,7 +200,6 @@ class NullCharges:
     E: tuple                   # four LadderFits, nu = 0..3
     P: tuple                   # 4 x 3 LadderFits [nu][k]
     decay_orders: dict         # component -> DecayFit
-    tau_gate: float
 
     def E_values(self):
         return np.array([f.value for f in self.E])
@@ -215,16 +214,6 @@ class NullCharges:
     def diverging(self):
         return any(f.diverging for f in self.E) \
             or any(f.diverging for row in self.P for f in row)
-
-    def as_dict(self):
-        return {
-            "E": [f.as_dict() for f in self.E],
-            "P": [[f.as_dict() for f in row] for row in self.P],
-            "margins": list(self.margins()),
-            "decay_orders": {k: v.as_dict() for k, v in self.decay_orders.items()},
-            "tau_gate": self.tau_gate,
-            "diverging": self.diverging(),
-        }
 
 
 def null_energy_momentum(data, radii, grid=None, check_decay=True):
@@ -282,12 +271,11 @@ def null_energy_momentum(data, radii, grid=None, check_decay=True):
               for nu in range(4))
     P = tuple(tuple(fit_inverse_powers(radii, [row[1][nu][k] for row in rows])
                     for k in range(3)) for nu in range(4))
-    return NullCharges(E, P, decay, TAU_GATE)
+    return NullCharges(E, P, decay)
 
 
 def check_dec_null(data, points):
     """Margin mu - max(|varpi|, |varpi + sigma|) at the sample points."""
-    from .geometry import constraint_quantities
     cq = constraint_quantities(data, points)
     n1 = np.sqrt(np.sum(cq.varpi ** 2, axis=0))
     n2 = np.sqrt(np.sum((cq.varpi + cq.sigma) ** 2, axis=0))

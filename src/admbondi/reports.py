@@ -6,15 +6,16 @@ comparing runs.
 """
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
 
 import numpy as np
 
 SCHEMA_VERSION = 2
 
-__all__ = ["CheckResult", "ChargeReport", "COMPARATORS", "report_json",
-           "write_json", "SCHEMA_VERSION"]
+__all__ = ["CheckResult", "ChargeReport", "COMPARATORS", "jsonable",
+           "report_json", "write_json", "SCHEMA_VERSION"]
 
 # The pass rules, keyed by the formula a report records.  A NaN value fails
 # each of them; +-inf compares as a number (an exact zero decays at order inf).
@@ -42,11 +43,6 @@ class CheckResult:
         self.value = float(self.value)
         self.passed = COMPARATORS[self.comparator](self.value, self.tolerance)
 
-    def as_dict(self):
-        return {"name": self.name, "passed": self.passed,
-                "value": _jsonable(self.value), "tolerance": self.tolerance,
-                "comparator": self.comparator, "detail": self.detail}
-
     def line(self):
         status = "PASS" if self.passed else "FAIL"
         return f"[{status}] {self.name}: value={self.value:.6g} " \
@@ -56,7 +52,7 @@ class CheckResult:
 @dataclass
 class ChargeReport:
     scenario: str
-    kind: str                      # "adm" | "null" | "bondi"
+    kind: str                      # "adm" | "null" | "bondi" | "verify"
     charges: dict = field(default_factory=dict)
     samples: dict = field(default_factory=dict)
     residuals: dict = field(default_factory=dict)
@@ -69,44 +65,38 @@ class ChargeReport:
         return all(c.passed for c in self.checks)
 
     def as_dict(self):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "scenario": self.scenario,
-            "kind": self.kind,
-            "charges": _jsonable(self.charges),
-            "samples": _jsonable(self.samples),
-            "residuals": _jsonable(self.residuals),
-            "dec_min_margin": _jsonable(self.dec_min_margin),
-            "pmt_margin": _jsonable(self.pmt_margin),
-            "decay_exponents": _jsonable(self.decay_exponents),
-            "checks": [c.as_dict() for c in self.checks],
-            "passed": self.passed(),
-        }
+        return {**jsonable(self), "schema_version": SCHEMA_VERSION,
+                "passed": self.passed()}
 
 
-def _jsonable(x):
+def jsonable(x):
+    """x as plain JSON values: a dataclass record becomes the dict of its
+    fields, and a non-finite number the string "nan", "inf" or "-inf"."""
+    if is_dataclass(x) and not isinstance(x, type):
+        return {f.name: jsonable(getattr(x, f.name)) for f in fields(x)}
     if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
+        return {str(k): jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
+        return [jsonable(v) for v in x]
     if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, float) and (np.isnan(x) or np.isinf(x)):
+        return [jsonable(v) for v in x.tolist()]
+    if isinstance(x, np.generic):
+        return jsonable(x.item())
+    if isinstance(x, float) and not math.isfinite(x):
         return repr(x)
     return x
 
 
 def report_json(body):
-    """Serialise with sorted keys; metadata block holds the timestamp."""
+    """Serialise ``jsonable(body)`` as strict JSON with sorted keys; a
+    metadata block holds the timestamp."""
     from . import __version__
-    out = dict(body)
+    out = jsonable(body)
     out["metadata"] = {
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "tool_version": __version__,
     }
-    return json.dumps(out, sort_keys=True, indent=2) + "\n"
+    return json.dumps(out, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_json(path, body):

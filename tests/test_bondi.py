@@ -15,7 +15,8 @@ from admbondi.errors import ConfigError, DomainError
 from admbondi.geometry import _jd, _jf
 from admbondi.jets import value
 from admbondi.ladder import slowest_order
-from admbondi.nullcharges import check_pmt_null, null_energy_momentum
+from admbondi.nullcharges import (TAU_GATE, check_pmt_null,
+                                  null_energy_momentum)
 from admbondi.scenarios import (BONDI_PRESETS, ScenarioConfig, make_a3,
                                make_expansion, make_grid, make_slice_data,
                                _HARMONIC_MODES)
@@ -523,7 +524,7 @@ def _slice_links(cfg, exp, grid, ch):
     the slowest decay order minus the gate."""
     m = bondi_energy_momentum(mass_aspect_field(exp, cfg.u0, grid))
     return (float(np.max(np.abs(ch.margins() - m))),
-            slowest_order(ch.decay_orders)[1] - ch.tau_gate)
+            slowest_order(ch.decay_orders)[1] - TAU_GATE)
 
 
 _coefficient = st.floats(-0.1, 0.1, allow_nan=False)

@@ -1,18 +1,20 @@
 """Presets, config parsing, CLI subcommands, reports and determinism."""
 
+import dataclasses
 import importlib.util
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from admbondi import jets
 from admbondi.bondi import BondiExpansion
 from admbondi.cli import main, parse_config
 from admbondi.errors import ConfigError
-from admbondi.reports import COMPARATORS, CheckResult, report_json
+from admbondi.ladder import DecayFit, LadderFit
+from admbondi.reports import COMPARATORS, CheckResult, jsonable, report_json
 from admbondi.scenarios import (BONDI_PRESETS, CONFIG_SCHEMA, PRESETS,
                                 ScenarioConfig, harmonic_basis, harmonic_news,
                                 make_expansion, make_metric)
@@ -645,10 +647,80 @@ def test_report_json_contains_metadata_block():
     assert "metadata" in body and "generated_at" in body["metadata"]
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def _strict_loads(text):
+    """json.loads that refuses the NaN, Infinity and -Infinity RFC 8259
+    does not permit."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+_any_float = st.floats() | st.sampled_from([np.nan, np.inf, -np.inf])
+_float_tuple = st.lists(_any_float, max_size=4).map(tuple)
+_records = (
+    st.builds(CheckResult, st.text(max_size=5), _any_float, _any_float,
+              st.sampled_from(sorted(COMPARATORS)), st.text(max_size=5))
+    | st.builds(LadderFit, _any_float, _float_tuple, _float_tuple,
+                _float_tuple, _any_float, st.booleans())
+    | st.builds(DecayFit, _any_float, _any_float, st.booleans(),
+                _float_tuple))
+_leaves = (_any_float | _any_float.map(np.float64) | st.booleans()
+           | st.integers(-2 ** 40, 2 ** 40) | st.integers(-99, 99).map(np.int64)
+           | st.booleans().map(np.bool_) | st.text(max_size=5) | st.none()
+           | st.lists(_any_float, max_size=4).map(np.array) | _records)
+_bodies = st.recursive(
+    _leaves, lambda children: st.lists(children, max_size=3)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=5), children, max_size=3),
+    max_leaves=12)
+
+
+def _check_read_back(x, back):
+    """Walk a value and its strict-JSON reading side by side: a finite
+    number reads back equal, a non-finite one as "nan", "inf" or "-inf", and
+    a check's flag recomputes from what was written of it."""
+    if isinstance(x, CheckResult):
+        assert back["passed"] == COMPARATORS[back["comparator"]](
+            float(back["value"]), float(back["tolerance"]))
+    if dataclasses.is_dataclass(x):
+        x = {f.name: getattr(x, f.name) for f in dataclasses.fields(x)}
+    if isinstance(x, dict):
+        assert sorted(back) == sorted(x)
+        for k, v in x.items():
+            _check_read_back(v, back[k])
+    elif isinstance(x, (list, tuple, np.ndarray)):
+        assert len(back) == len(x)
+        for v, b in zip(x, back):
+            _check_read_back(v, b)
+    elif isinstance(x, (float, np.floating)):
+        if np.isfinite(x):
+            assert back == x
+        else:
+            assert back in ("nan", "inf", "-inf")
+            assert np.array_equal(float(back), x, equal_nan=True)
+    else:
+        assert back == x
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_bodies)
+@example({"a": np.float64("nan"), "b": [np.float64("-inf")],
+          "c": CheckResult("x.inf_tol", 1.0, np.inf, "value <= tolerance")})
+def test_report_json_is_strict_and_reads_back_every_number(x):
+    """Any nesting of dicts, sequences, numpy arrays and scalars and report
+    records serialises to strict JSON that reads back to the same numbers,
+    with the non-finite ones as strings."""
+    back = _strict_loads(report_json({"body": x}))["body"]
+    _check_read_back(x, back)
+    assert back == jsonable(x)
+
+
 def test_check_result_with_nan_value_fails():
     for comparator in COMPARATORS:
         nan = CheckResult("x.nan", float("nan"), 1.0, comparator)
-        assert not nan.passed and not nan.as_dict()["passed"], comparator
+        assert not nan.passed and not jsonable(nan)["passed"], comparator
         assert nan.line().startswith("[FAIL]")
     # +-inf compare as numbers: decay fits use inf for an exact zero
     assert CheckResult("x.inf", np.inf, 0.3, "value >= tolerance").passed
@@ -686,7 +758,10 @@ def test_cli_verify_battery(battery_run):
     body = battery_run.body
     assert len(body["checks"]) >= 20
     assert body["passed"] is True
-    assert battery_run.stdout.count("[PASS]") >= 20
+    # main is the one printer: one status line per recorded check
+    lines = battery_run.stdout.splitlines()
+    assert sum(line.startswith(("[PASS]", "[FAIL]")) for line in lines) \
+        == len(body["checks"])
 
 
 def _recomputed(check):
@@ -729,7 +804,7 @@ def test_recorded_tolerances_are_the_pinned_constants(tmp_path):
     each flag is recomputable from the recorded value, tolerance and
     comparator, and the report's config carries no tolerance scale."""
     from admbondi import verify
-    checks = {c.name: c.as_dict() for c in
+    checks = {c.name: jsonable(c) for c in
               verify.criterion_8_decay_orders()
               + verify.criterion_9_vanishing_news()}
     out = tmp_path / "evolve.json"
