@@ -51,9 +51,11 @@ def _require_euclidean(data):
             f"got frame kind {data.frame.kind!r}")
 
 
-def adm_ladder_samples(data, radii, grid):
+def adm_ladder_samples(data, radii, grid, momentum=True):
     """Surface integrals (E, [P_1, P_2, P_3]) at each rung, one row per
-    radius; a rung's row depends on nothing but its radius.
+    radius; a rung's row depends on nothing but its radius.  Without
+    ``momentum`` a row is E alone, and P is left out of the evaluation of
+    the data too (``InitialData.jets``).
 
     Each rung is evaluated alone, as a one-rung ``rung_axes`` ladder; its
     integrands are raveled, so every sum runs over the node-ordered array
@@ -63,12 +65,14 @@ def adm_ladder_samples(data, radii, grid):
     nvec = np.stack([ndir[k].values.ravel() for k in (1, 2, 3)])
     w = grid.weights.ravel()
 
+    def surface(x, r, c):
+        """r^2 int x_i n^i dOmega / c of a raveled vector x_i."""
+        return np.sum(w * np.einsum("iu,iu->u", x, nvec)) * r * r / c
+
     def samples_at(r):
         coords = rung_axes([r], *grid.axes())
-        G, P = data.jets(coords, order=1)
+        G, P = data.jets(coords, order=1, momentum=momentum)
         Fv = _leaf_array(data.frame.components(coords), value, grid.shape)
-        gv = _leaf_array(G, value, grid.shape).reshape(3, 3, -1)
-        hv = _leaf_array(P, value, grid.shape).reshape(3, 3, -1)
         # d_j g_ij - d_i g_jj, from only the frame-directional derivatives
         # D_k g_ij (Cartesian partials) that the two sums read
         e_int = np.empty((3,) + grid.shape)
@@ -76,14 +80,14 @@ def adm_ladder_samples(data, radii, grid):
             div_g = sum(frame_entry(Fv, G[i][j], j) for j in range(3))
             grad_tr = sum(frame_entry(Fv, G[j][j], i) for j in range(3))
             e_int[i] = div_g - grad_tr
-        e_int = e_int.reshape(3, -1)
-        energy = np.sum(w * np.einsum("iu,iu->u", e_int, nvec)) \
-            * r * r / (16.0 * np.pi)
+        energy = surface(e_int.reshape(3, -1), r, 16.0 * np.pi)
+        if not momentum:
+            return energy
+        gv = _leaf_array(G, value, grid.shape).reshape(3, 3, -1)
+        hv = _leaf_array(P, value, grid.shape).reshape(3, 3, -1)
         trh = np.einsum("jju->u", hv)
         p_int = hv - np.einsum("kiu,u->kiu", gv, trh)
-        mom = [np.sum(w * np.einsum("iu,iu->u", p_int[k], nvec))
-               * r * r / (8.0 * np.pi) for k in range(3)]
-        return energy, mom
+        return energy, [surface(p_int[k], r, 8.0 * np.pi) for k in range(3)]
 
     return ladder_map(samples_at, radii)
 

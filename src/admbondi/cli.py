@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .ladder import check_ladder, slowest_order
+from .ladder import check_ladder, fit_inverse_powers, slowest_order
 from .reports import ChargeReport, CheckResult, write_json
 from .scenarios import (ScenarioConfig, default_radii, known_mass, make_a3,
                         make_adm_data, make_expansion, make_grid,
@@ -179,35 +179,41 @@ def cmd_verify(cfg):
 
 
 def cmd_converge(cfg):
-    from .adm import adm_energy_momentum, adm_ladder_samples, fit_adm_charges
+    from .adm import adm_ladder_samples
+    from .sphere import build_grid
     # a 3-coefficient fit on 3 rungs has no residual to scale a tolerance by
     radii = check_ladder(default_radii(cfg, "adm"), minimum=4)
     data = make_adm_data(cfg)
-    from .sphere import build_grid
+
+    def energies(ladder, grid):
+        # the study reports energies only, so no momentum is evaluated
+        return adm_ladder_samples(data, ladder, grid, momentum=False)
+
     # the longer ladder is the coarse one plus one rung; sample it once
     longer_radii = radii + [2.0 * radii[-1]]
-    rows = adm_ladder_samples(data, longer_radii, make_grid(cfg))
-    coarse = fit_adm_charges(radii, rows[:-1])
-    fine = adm_energy_momentum(data, radii,
-                               build_grid(2 * cfg.n_theta, 2 * cfg.n_psi))
-    longer = fit_adm_charges(longer_radii, rows)
-    dg = abs(fine.E - coarse.E)
-    dl = abs(longer.E - coarse.E)
+    samples = energies(longer_radii, make_grid(cfg))
+    coarse = fit_inverse_powers(radii, samples[:-1])
+    fine = fit_inverse_powers(
+        radii, energies(radii, build_grid(2 * cfg.n_theta, 2 * cfg.n_psi)))
+    longer = fit_inverse_powers(longer_radii, samples)
+    dg = abs(fine.value - coarse.value)
+    dl = abs(longer.value - coarse.value)
     checks = [
         CheckResult("converge.grid_refinement", dg,
-                    max(coarse.energy.residual, 1e-12),
+                    max(coarse.residual, 1e-12),
                     "value <= tolerance"),
         CheckResult("converge.ladder_extension", dl,
-                    max(10.0 * coarse.energy.residual, 1e-10),
+                    max(10.0 * coarse.residual, 1e-10),
                     "value <= tolerance"),
     ]
     rows = ["quantity,coarse,fine,delta",
-            f"E,{coarse.E:.17e},{fine.E:.17e},{dg:.17e}",
-            f"E_ladder,{coarse.E:.17e},{longer.E:.17e},{dl:.17e}"]
+            f"E,{coarse.value:.17e},{fine.value:.17e},{dg:.17e}",
+            f"E_ladder,{coarse.value:.17e},{longer.value:.17e},{dl:.17e}"]
     report = ChargeReport(
         scenario=scenario_name(cfg), kind="adm",
-        charges={"E_coarse": coarse.E, "E_fine": fine.E, "E_longer": longer.E},
-        samples={"radii": radii}, residuals={"E": coarse.energy.residual},
+        charges={"E_coarse": coarse.value, "E_fine": fine.value,
+                 "E_longer": longer.value},
+        samples={"radii": radii}, residuals={"E": coarse.residual},
         checks=tuple(checks))
     return report, "\n".join(rows) + "\n"
 

@@ -322,13 +322,18 @@ class InitialData:
     """Evaluators of frame components g(e_i, e_j), p(e_i, e_j) on the 3-chart.
 
     ``gp`` must be generic over jet level; it returns a pair of 3x3 nested
-    lists.  p need not be symmetric.  ``g_only``, if given, is generic in the
-    same way and returns exactly the G of ``gp`` for less work.
+    lists.  p need not be symmetric.  ``g_only(coords3, checks)``, if given,
+    is generic in the same way and returns exactly the G of ``gp`` for less
+    work; with ``checks`` true it also makes every domain check that ``gp``
+    makes, and with ``checks`` false it makes none of them.
 
     ``jets(coords3, order)`` returns g with ``order`` chart derivatives and p
     with ``order - 1`` (plain values at order 1): the charges read dg and p,
     the constraints ddg and dp.  With ``g_only`` it runs ``gp`` one jet level
     lower, for p and for the domain checks ``gp`` makes.
+    ``jets(coords3, order, momentum=False)`` returns (G, None) and leaves p
+    out of the evaluation: with ``g_only`` it runs only ``g_only``, with its
+    checks, so an energy evaluates neither p nor what only p needs.
     """
 
     gp: Callable
@@ -344,15 +349,19 @@ class InitialData:
         leaf = _coords_leaf(coords3)
         return _leaf_array(G, value, leaf), _leaf_array(P, value, leaf)
 
-    def jets(self, coords3, order=2):
+    def jets(self, coords3, order=2, momentum=True):
         coords3 = list(coords3)
         if self.g_only is None:
             G, P = self.gp(jets.seed(coords3, order=order))
+            if not momentum:
+                return G, None
             lower = _jf if order == 1 else trunc1
             return G, [[lower(x) for x in row] for row in P]
+        if not momentum:
+            return self.g_only(jets.seed(coords3, order=order), True), None
         _, P = self.gp(coords3 if order == 1
                        else jets.seed(coords3, order=order - 1))
-        return self.g_only(jets.seed(coords3, order=order)), P
+        return self.g_only(jets.seed(coords3, order=order), False), P
 
 
 # ---------------------------------------------------------------------------
@@ -455,76 +464,118 @@ def _normal_rows(n):
     return [a for a in range(4) if not jets._zero(n[a])]
 
 
+def _tangents(ej):
+    """d_i phi^a of the embedding jets ej, indexed [a][i]."""
+    return [[_jd(ej[a], i) for i in range(3)] for a in range(4)]
+
+
+def _conormal(g4, dphi):
+    """g^ab, the conormal N_a = eps_abcd d_r phi^b d_theta phi^c d_psi phi^d
+    (the signed cross product of the coordinate tangents) and its norm
+    g^ab N_a N_b."""
+    ginv = inv4(g4)
+    N = [0.0, 0.0, 0.0, 0.0]
+    for (a, b, c, d), s in _PERM4:
+        N[a] = add(N[a], prod(s, dphi[b][0], dphi[c][1], dphi[d][2]))
+    nn = 0.0
+    for a in range(4):
+        for b in range(4):
+            nn = add(nn, prod(ginv[a][b], N[a], N[b]))
+    return ginv, N, nn
+
+
+def _on_slice(metric, coords3, ej, normal):
+    """The metric along a slice, between the pullback's domain checks.
+
+    ``ej`` are the embedding jets at the slice points ``coords3``.  Three
+    checks run, each once, on leaf values:
+
+    * phi = ej lies in the metric's chart domain
+      (``Metric4Evaluator._check``, before the metric runs);
+    * the slice is spacelike: its conormal N_a is timelike;
+    * the induced metric g_ij = g_ab d_i phi^a d_j phi^b is positive
+      definite.
+
+    Each raises DomainError naming the first failing point; a NaN fails
+    every one of them.  Returns d_i phi^a, the metric jets at phi, g^ab, N_a,
+    g^ab N_a N_b and g_ij.  With ``normal``, for the unit normal and the
+    second form, the metric is seeded to first order at phi and g^ab and N_a
+    are built at the level of ej.  Without it the metric is unseeded, and
+    g^ab and N_a, which only the spacelike check reads, are built on leaf
+    values.
+    """
+    phi = [_jf(e) for e in ej]
+    dphi = _tangents(ej)
+    metric._check(phi)
+    if normal:
+        gj = metric.fn(jets.seed(phi, order=1))
+        g4 = [[_jf(x) for x in row] for row in gj]
+        ginv, N, nn = _conormal(g4, dphi)
+    else:
+        gj = g4 = metric.fn(phi)
+        ginv, N, nn = _conormal([[value(x) for x in row] for row in g4],
+                                [[value(x) for x in row] for row in dphi])
+    at = [value(c) for c in coords3]
+    # written so that a NaN is rejected too
+    _reject(np.logical_not(value(nn) < 0.0), at, "r, theta, psi",
+            "slice is not spacelike (conormal fails to be timelike)")
+    g3 = _induced_metric(g4, dphi)
+    m = [[value(g3[i][j]) for j in range(3)] for i in range(3)]
+    d1 = m[0][0]
+    d2 = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    d3 = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+          - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+          + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+    _reject(np.logical_not((d1 > 0) & (d2 > 0) & (d3 > 0)), at,
+            "r, theta, psi", "induced metric is not positive definite")
+    return dphi, gj, ginv, N, nn, g3
+
+
 def pullback_initial_data(metric, emb, frame):
     """Induced metric and second fundamental form of an embedded slice.
 
     Returns an InitialData whose evaluator runs the whole chain (embedding
     jets, metric jets, normal, covariant Hessian) in generic arithmetic, so
     chart derivatives of the produced frame components are again exact; it
-    raises DomainError, naming the first such point, where the slice is not
-    spacelike or the induced metric is not positive definite (a NaN fails
-    both checks).
+    raises DomainError, naming the first such point, where phi leaves the
+    metric's chart domain, the slice is not spacelike or the induced metric
+    is not positive definite (``_on_slice``).
     Its induced-metric-only evaluator gives the same g without the inner
-    metric seed, the normal and the Hessian.
+    metric seed, the normal and the Hessian, and makes those checks when
+    asked to.
     """
     if emb.chart != metric.chart:
         raise DomainError(
             f"embedding targets chart {emb.chart!r} but metric uses {metric.chart!r}")
 
-    def g_only(coords3):
+    def g_only(coords3, checks):
         # g_ab d_i phi^a d_j phi^b needs only first derivatives of phi and no
         # derivative of g_ab, so the metric is evaluated at phi unseeded
         ej = emb.jets(coords3, order=1)
-        dphi = [[_jd(ej[a], i) for i in range(3)] for a in range(4)]
-        g3 = _induced_metric(metric.fn([_jf(e) for e in ej]), dphi)
+        if checks:
+            g3 = _on_slice(metric, coords3, ej, normal=False)[-1]
+        else:
+            g3 = _induced_metric(metric.fn([_jf(e) for e in ej]),
+                                 _tangents(ej))
         return _in_frame(frame.components(coords3), g3)[0]
 
     def gp(coords3):
         ej = emb.jets(coords3, order=2)
-        phi = [_jf(e) for e in ej]
-        dphi = [[_jd(ej[a], i) for i in range(3)] for a in range(4)]
+        dphi, gj, ginv, N, nn, g3 = _on_slice(metric, coords3, ej, normal=True)
         ddphi = [[[_jdd(ej[a], i, j) for j in range(3)] for i in range(3)]
                  for a in range(4)]
-        metric._check(phi)
-        gj = metric.fn(jets.seed(phi, order=1))
-        g4 = [[_jf(gj[a][b]) for b in range(4)] for a in range(4)]
         dg4 = [[[_jd(gj[a][b], c) for b in range(4)] for a in range(4)]
                for c in range(4)]
-        ginv = inv4(g4)
-
-        # conormal via the signed cross product of the coordinate tangents
-        N = [0.0, 0.0, 0.0, 0.0]
-        for (a, b, c, d), s in _PERM4:
-            N[a] = add(N[a], prod(s, dphi[b][0], dphi[c][1], dphi[d][2]))
-        nn = 0.0
-        for a in range(4):
-            for b in range(4):
-                nn = add(nn, prod(ginv[a][b], N[a], N[b]))
-        at = [value(c) for c in coords3]
-        # written so that a NaN is rejected too
-        _reject(np.logical_not(value(nn) < 0.0), at, "r, theta, psi",
-                "slice is not spacelike (conormal fails to be timelike)")
         scale = 1.0 / jets.sqrt(0.0 - nn)
         flip = np.where(value(N[0]) > 0.0, -1.0, 1.0)  # future: n_0 < 0
         n = [prod(N[a], scale, flip) for a in range(4)]
 
-        # induced metric and covariant Hessian in chart directions; a row a
-        # of Gamma and of the Hessian only enters through n_a, so the rows
-        # where n_a is a structural zero are not built
+        # covariant Hessian in chart directions; a row a of Gamma and of the
+        # Hessian only enters through n_a, so the rows where n_a is a
+        # structural zero are not built
         rows = _normal_rows(n)
         gam = _christoffel_from(ginv, dg4, rows)
-        g3 = _induced_metric(g4, dphi)
         h3 = _second_form(n, rows, gam, dphi, ddphi)
-
-        m = [[value(g3[i][j]) for j in range(3)] for i in range(3)]
-        d1 = m[0][0]
-        d2 = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        d3 = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-              - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-              + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-        _reject(np.logical_not((d1 > 0) & (d2 > 0) & (d3 > 0)), at,
-                "r, theta, psi", "induced metric is not positive definite")
-
         return _in_frame(frame.components(coords3), g3, h3)
 
     return InitialData(gp, frame, f"pullback[{metric.name};{emb.name}]",

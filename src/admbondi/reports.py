@@ -7,6 +7,8 @@ comparing runs.
 
 import json
 import math
+import os
+import platform
 from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
 
@@ -89,12 +91,16 @@ def jsonable(x):
 
 def report_json(body):
     """Serialise ``jsonable(body)`` as strict JSON with sorted keys; a
-    metadata block holds the timestamp."""
+    metadata block holds the timestamp and the run environment (tool,
+    numpy and Python versions, CPU count)."""
     from . import __version__
     out = jsonable(body)
     out["metadata"] = {
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "tool_version": __version__,
+        "numpy_version": np.__version__,
+        "python_version": platform.python_version(),
+        "cpu_count": os.cpu_count(),
     }
     return json.dumps(out, sort_keys=True, indent=2, allow_nan=False) + "\n"
 

@@ -69,7 +69,8 @@ class SphereGrid:
 def build_grid(n_theta, n_psi):
     """Build the Gauss-Legendre x uniform-psi product grid.
 
-    Requires n_theta >= 2 and even n_psi >= 4.
+    Requires n_theta >= 2 and even n_psi >= 4.  The node and weight arrays
+    are read-only.
     """
     if not (isinstance(n_theta, (int, np.integer)) and n_theta >= 2):
         raise ConfigError(f"n_theta must be an integer >= 2, got {n_theta!r}")
@@ -80,6 +81,9 @@ def build_grid(n_theta, n_psi):
     w_theta = wx[::-1].copy()
     psi = np.arange(n_psi) * (2.0 * np.pi / n_psi)
     weights = np.outer(w_theta, np.full(n_psi, 2.0 * np.pi / n_psi))
+    # one grid is shared by every check of a run: no caller may write to it
+    for a in (theta, psi, weights):
+        a.flags.writeable = False
     return SphereGrid(int(n_theta), int(n_psi), theta, psi, weights)
 
 

@@ -14,12 +14,14 @@ from admbondi.geometry import (Embedding, InitialData, Metric4Evaluator,
                                frame_geometry, hyperboloid_frame, FrameField,
                                pullback_initial_data, ricci_tensor,
                                rigidity_residual)
+from admbondi.ladder import rung_axes
 from admbondi.nullcharges import background_connection, check_dec_null
 from admbondi.reports import CheckResult
 from admbondi.scenarios import ScenarioConfig, make_expansion, make_slice_data
 from admbondi.spacetimes import (bondi_metric, bondi_slice_embedding,
                                  hyperboloid_embedding, kerr, KerrParameters,
                                  minkowski, schwarzschild, t_const_embedding)
+from admbondi.sphere import build_grid
 
 
 def sample_points(rng, n, rlo=1.0, rhi=8.0):
@@ -736,6 +738,45 @@ def test_jets_keeps_the_domain_checks(order):
     with pytest.raises(DomainError, match="exceed 2m"):
         inside.jets([np.array([5.0, 1.5]), np.array([1.0, 1.0]),
                      np.array([0.5, 0.5])], order)
+
+
+def _bad_rung(case):
+    """Pullback data and one rung of converge's 96x192 grid on which the
+    data fail one domain check."""
+    theta, psi = build_grid(96, 192).axes()
+    schw = pullback_initial_data(schwarzschild(1.0, "polar"),
+                                 t_const_embedding(), euclidean_frame())
+    if case == "inside 2m":
+        return schw, rung_axes([1.5], theta, psi)
+    if case == "inside r+":        # r_+ = 1 + sqrt(1 - 0.36) = 1.8
+        return (pullback_initial_data(kerr(KerrParameters(1.0, 0.6)),
+                                      t_const_embedding(), euclidean_frame()),
+                rung_axes([1.7], theta, psi))
+    if case == "NaN":
+        theta = theta.copy()
+        theta[50] = np.nan
+        return schw, rung_axes([40.0], theta, psi)
+    steep = Embedding(lambda c: [2.0 * c[0], c[0], c[1], c[2]], "polar",
+                      "t=2r")
+    return (pullback_initial_data(minkowski("polar"), steep,
+                                  euclidean_frame()),
+            rung_axes([3.0], theta, psi))
+
+
+@pytest.mark.parametrize("case, text", [
+    ("inside 2m", "exceed 2m"), ("inside r+", "outside the exterior region"),
+    ("NaN", "coordinate is not finite"), ("timelike", "not spacelike")])
+@pytest.mark.parametrize("order", [1, 2])
+def test_energy_only_jets_raise_the_domain_error_of_jets(case, text, order):
+    """The P-less evaluation makes every domain check of ``jets`` and
+    raises the same DomainError, word for word, on the grid of converge's
+    fine ladder."""
+    data, coords = _bad_rung(case)
+    with pytest.raises(DomainError, match=text) as full:
+        data.jets(coords, order)
+    with pytest.raises(DomainError) as energy_only:
+        data.jets(coords, order, momentum=False)
+    assert str(energy_only.value) == str(full.value)
 
 
 @pytest.mark.parametrize("order", [1, 2])

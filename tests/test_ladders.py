@@ -5,13 +5,16 @@ names its radius, and the converge study reuses its coarse rungs exactly.
 Slice data evaluated on the ladder layout equal the data on the flat
 nodes."""
 
+import contextlib
+import io
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from admbondi import adm, jets
+from admbondi import adm, geometry, jets
 from admbondi.adm import adm_energy_momentum, check_af_decay
 from admbondi.bondi import SLICE_COMPONENTS, expansion_consistency, \
     induced_slice_data
@@ -23,7 +26,8 @@ from admbondi.ladder import (causal_margin, fit_inverse_powers, rung_axes,
                              rung_sups)
 from admbondi.nullcharges import decay_orders, deviation
 from admbondi.reports import CheckResult
-from admbondi.scenarios import (ScenarioConfig, make_a3, make_expansion,
+from admbondi.scenarios import (ScenarioConfig, default_radii, make_a3,
+                                make_adm_data, make_expansion, make_metric,
                                 make_slice_data)
 from admbondi.spacetimes import (KerrParameters, bondi_metric,
                                  bondi_slice_embedding, kerr, schwarzschild,
@@ -245,18 +249,75 @@ def test_nan_on_one_rung_names_its_radius():
         decay_orders(null, [30.0, 45.0, 70.0, 110.0], build_grid(4, 8))
 
 
-def test_converge_reuses_the_coarse_rungs(tmp_path):
+@pytest.mark.parametrize("preset", ["schwarzschild", "kerr"])
+def test_converge_reuses_the_coarse_rungs(preset, tmp_path):
+    """converge samples energies only, and each of its energies is the E of
+    ``adm_energy_momentum`` bit for bit: E_coarse and E_longer on the coarse
+    grid (the longer ladder reusing the coarse rungs), E_fine on the grid
+    with twice the nodes in each angle."""
     out = tmp_path / "c.json"
-    assert main(["converge", "--preset", "schwarzschild", "--ntheta", "12",
+    assert main(["converge", "--preset", preset, "--ntheta", "12",
                  "--npsi", "24", "--out", str(out)]) == 0
     charges = json.loads(out.read_text())["charges"]
-    data = pullback_initial_data(schwarzschild(1.0, "polar"),
-                                 t_const_embedding(), euclidean_frame())
-    ladder = [10.0, 20.0, 40.0, 80.0]
+    cfg = ScenarioConfig(preset=preset)
+    data = make_adm_data(cfg)
+    ladder = list(default_radii(cfg, "adm"))
     grid = build_grid(12, 24)
     assert charges["E_coarse"] == adm_energy_momentum(data, ladder, grid).E
-    assert charges["E_longer"] == adm_energy_momentum(data, ladder + [160.0],
-                                                      grid).E
+    assert charges["E_longer"] == adm_energy_momentum(
+        data, ladder + [2.0 * ladder[-1]], grid).E
+    assert charges["E_fine"] == adm_energy_momentum(data, ladder,
+                                                    build_grid(24, 48)).E
+
+
+@settings(_SETTINGS)
+@given(m=st.floats(0.5, 1.5), spin=st.floats(0.0, 0.99),
+       r0=st.floats(4.0, 80.0), ratio=st.floats(1.2, 3.0),
+       n=st.integers(1, 4), order=st.sampled_from([1, 2]), shape=_GRIDS)
+def test_energy_only_jets_equal_the_full_g(m, spin, r0, ratio, n, order,
+                                           shape):
+    """The P-less evaluation of Kerr data (``momentum=False``) gives the G
+    of ``InitialData.jets`` at every rung, in every value and every chart
+    derivative, bit for bit with zero signs, and no P."""
+    data = pullback_initial_data(kerr(KerrParameters(m, spin * m)),
+                                 t_const_embedding(), euclidean_frame())
+    axes = build_grid(*shape).axes()
+    for r in _ladder(r0, ratio, n):
+        coords = rung_axes([r], *axes)
+        G, P = data.jets(coords, order, momentum=False)
+        assert P is None
+        got = [_entries(x) for row in G for x in row]
+        ref = [_entries(x) for row in data.jets(coords, order)[0]
+               for x in row]
+        assert [len(e) for e in got] == [len(e) for e in ref], r
+        for g, f in zip(sum(got, []), sum(ref, [])):
+            g, f = np.broadcast_arrays(g, f)
+            assert np.array_equal(g, f), r
+            assert np.array_equal(np.signbit(g), np.signbit(f)), r
+
+
+def test_converge_runs_every_domain_check_once_per_rung(monkeypatch):
+    """Each of converge's nine rungs (five on the coarse grid, four on the
+    doubled one) runs each domain check of the pullback exactly once: the
+    chart domain, the spacelike slice and the positive definite induced
+    metric; the finiteness checks run once on the slice coordinates and
+    once on the chart coordinates."""
+    seen = Counter()
+    reject = geometry._reject
+
+    def counted(bad, coords, names, message):
+        seen[message] += 1
+        return reject(bad, coords, names, message)
+
+    monkeypatch.setattr(geometry, "_reject", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["converge", "--preset", "kerr", "--ntheta", "6",
+                     "--npsi", "12"]) == 0
+    domain = make_metric(ScenarioConfig(preset="kerr")).domain
+    spacelike = "slice is not spacelike (conormal fails to be timelike)"
+    assert seen == {domain: 9, spacelike: 9,
+                    "induced metric is not positive definite": 9,
+                    "coordinate is not finite": 18}
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -3,6 +3,8 @@
 import dataclasses
 import importlib.util
 import json
+import os
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -642,9 +644,14 @@ def test_cli_converge_rejects_radiating_preset(monkeypatch, capsys):
 
 
 def test_report_json_contains_metadata_block():
-    text = report_json({"x": 1})
-    body = json.loads(text)
-    assert "metadata" in body and "generated_at" in body["metadata"]
+    """The metadata block records when, by which tool and in which
+    environment a report was written."""
+    meta = json.loads(report_json({"x": 1}))["metadata"]
+    assert set(meta) == {"generated_at", "tool_version", "numpy_version",
+                         "python_version", "cpu_count"}
+    assert meta["numpy_version"] == np.__version__
+    assert meta["python_version"] == platform.python_version()
+    assert meta["cpu_count"] == os.cpu_count()
 
 
 def _reject_constant(name):

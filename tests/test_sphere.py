@@ -26,6 +26,19 @@ def test_weights_normalise_to_sphere_area():
     assert g.weights.size == 8
 
 
+@pytest.mark.parametrize("name", ["theta", "psi", "weights"])
+def test_grid_arrays_are_read_only(name):
+    """A grid is shared by every check of a run, so an in-place write to
+    its nodes or weights raises instead of changing the checks after it."""
+    a = getattr(build_grid(4, 8), name)
+    before = a.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        a[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        a *= 2.0
+    np.testing.assert_array_equal(a, before)
+
+
 def _integral(grid, k, m, trig):
     T, P = grid.nodes()
     return integrate(grid.field(np.cos(T) ** k * trig(m * P)))
