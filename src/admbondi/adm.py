@@ -26,8 +26,8 @@ from .ladder import (LadderFit, causal_margin, check_ladder,
 from .sphere import build_grid, direction_functions
 
 __all__ = ["AdmCharges", "adm_energy_momentum", "adm_ladder_samples",
-           "fit_adm_charges", "check_af_decay", "AF_DECAY_SLACK",
-           "check_dec_flat", "check_pmt_flat"]
+           "check_af_decay", "AF_DECAY_SLACK", "check_dec_flat",
+           "check_pmt_flat"]
 
 
 @dataclass
@@ -92,18 +92,13 @@ def adm_ladder_samples(data, radii, grid, momentum=True):
     return ladder_map(samples_at, radii)
 
 
-def fit_adm_charges(radii, rows):
-    """Charges extrapolated from the rows of ``adm_ladder_samples``."""
+def adm_energy_momentum(data, radii, grid=None):
+    """Charges of a single end, extrapolated over the radius ladder."""
+    rows = adm_ladder_samples(data, radii, grid or build_grid(48, 96))
     energy = fit_inverse_powers(radii, [row[0] for row in rows])
     momentum = tuple(fit_inverse_powers(radii, [row[1][k] for row in rows])
                      for k in range(3))
     return AdmCharges(energy, momentum)
-
-
-def adm_energy_momentum(data, radii, grid=None):
-    """Charges of a single end, extrapolated over the radius ladder."""
-    grid = grid or build_grid(48, 96)
-    return fit_adm_charges(radii, adm_ladder_samples(data, radii, grid))
 
 
 _REQUIRED_ORDERS = {"g": 1.0, "dg": 2.0, "ddg": 3.0, "h": 2.0, "dh": 3.0}

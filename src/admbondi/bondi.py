@@ -232,37 +232,34 @@ def induced_slice_data(exp, u0=0.0, a3=None):
         log.info("slice data: coefficient %s not supplied, using 0", key)
     a3fn = a3 if a3 is not None else (lambda th, ps: 0.0 * th)
 
-    def gp(coords):
-        r, th, ps = coords
+    def news_terms(th, ps):
+        """The terms that the g_ij and h_ij expansions share: c and d, their
+        jets over (u, theta, psi) and the derivatives both read, q2 = c^2 +
+        d^2, cc0 = c c_,0 + d d_,0, l, lbar and their u-derivatives, cot,
+        csc, M, N, P, C, H and a3, all at u0."""
         cj, dj = exp.news_jets(float(u0), th, ps, order=2)
-        c = _jf(cj)
-        c0, c2, c3 = _jd(cj, 0), _jd(cj, 1), _jd(cj, 2)
-        c00, c02, c03 = _jdd(cj, 0, 0), _jdd(cj, 0, 1), _jdd(cj, 0, 2)
-        c22, c23, c33 = _jdd(cj, 1, 1), _jdd(cj, 1, 2), _jdd(cj, 2, 2)
-        d = _jf(dj)
-        d0, d2, d3 = _jd(dj, 0), _jd(dj, 1), _jd(dj, 2)
-        d00, d02, d03 = _jdd(dj, 0, 0), _jdd(dj, 0, 1), _jdd(dj, 0, 2)
-        d22, d23, d33 = _jdd(dj, 1, 1), _jdd(dj, 1, 2), _jdd(dj, 2, 2)
-
+        c, d = _jf(cj), _jf(dj)
+        c0, c2, c3, c00 = _jd(cj, 0), _jd(cj, 1), _jd(cj, 2), _jdd(cj, 0, 0)
+        d0, d2, d3, d00 = _jd(dj, 0), _jd(dj, 1), _jd(dj, 2), _jdd(dj, 0, 0)
         ct = jets.cos(th) / jets.sin(th)
         cs = 1.0 / jets.sin(th)
-        Mv = exp.M(u0, th, ps)
-        Nv = exp.N(u0, th, ps)
-        Pv = exp.P(u0, th, ps)
-        Cv = exp.C(u0, th, ps)
-        Hv = exp.H(u0, th, ps)
-        a3v = a3fn(th, ps)
-
         l, lbar = l_lbar((c, c2, c3), (d, d2, d3), ct, cs)
-        l0, lbar0 = l_lbar((c0, c02, c03), (d0, d02, d03), ct, cs)
-        l2 = c22 + 2.0 * c2 * ct - 2.0 * c * cs * cs + d23 * cs - d3 * cs * ct
-        lbar3 = d23 + 2.0 * d3 * ct - c33 * cs
-
+        l0, lbar0 = l_lbar((c0, _jdd(cj, 0, 1), _jdd(cj, 0, 2)),
+                           (d0, _jdd(dj, 0, 1), _jdd(dj, 0, 2)), ct, cs)
         q2 = c * c + d * d
         cc0 = c * c0 + d * d0
+        return (cj, dj, c, c0, c2, c3, c00, d, d0, d2, d3, d00, q2, cc0,
+                l, lbar, l0, lbar0, ct, cs,
+                *(f(u0, th, ps) for f in (exp.M, exp.N, exp.P, exp.C, exp.H)),
+                a3fn(th, ps))
+
+    def g(coords):
+        r, th, ps = coords
+        (_, _, c, c0, c2, c3, c00, d, d0, d2, d3, d00, q2, cc0,
+         l, lbar, l0, lbar0, ct, cs, Mv, Nv, Pv, Cv, Hv, a3v) = \
+            news_terms(th, ps)
         r2 = r * r
         r3 = r2 * r
-
         g11 = 1.0 + (16.0 * a3v + Mv - c * c0 - d * d0) / (2.0 * r3)
         g12 = -0.5 * l / r2 + (12.0 * Nv - 3.0 * l0
                                + 4.0 * (c * c2 + d * d2)) / (12.0 * r3)
@@ -274,7 +271,19 @@ def induced_slice_data(exp, u0=0.0, a3=None):
             + (c * c * d + d ** 3 + 2.0 * Hv + 0.25 * d00) / r3
         g33 = 1.0 - 2.0 * c / r + (2.0 * q2 - c0) / r2 \
             + (-(c ** 3) - c * d * d - 2.0 * Cv + 2.0 * cc0 - 0.25 * c00) / r3
+        return [[g11, g12, g13], [g12, g22, g23], [g13, g23, g33]]
 
+    def h(coords):
+        r, th, ps = coords
+        (cj, dj, c, c0, c2, c3, c00, d, d0, d2, d3, d00, q2, cc0,
+         l, lbar, l0, lbar0, ct, cs, Mv, Nv, Pv, Cv, Hv, a3v) = \
+            news_terms(th, ps)
+        c22, c33 = _jdd(cj, 1, 1), _jdd(cj, 2, 2)
+        d22, d23, d33 = _jdd(dj, 1, 1), _jdd(dj, 1, 2), _jdd(dj, 2, 2)
+        l2 = c22 + 2.0 * c2 * ct - 2.0 * c * cs * cs + d23 * cs - d3 * cs * ct
+        lbar3 = d23 + 2.0 * d3 * ct - c33 * cs
+        r2 = r * r
+        r3 = r2 * r
         h11 = 1.0 + q2 / r2 + (16.0 * a3v - Mv) / r3
         h12 = 0.5 * l / r2 + (0.5 / r3) * (
             0.5 * l0 - 2.0 * q2 * ct - 4.0 * Nv
@@ -292,12 +301,9 @@ def induced_slice_data(exp, u0=0.0, a3=None):
         h33 = 1.0 - c / r - c0 / r2 + (0.25 / r3) * (
             3.0 * Mv - 16.0 * a3v + 4.0 * Cv + 2.0 * c * q2 + 5.0 * cc0
             - 1.5 * c00 - 2.0 * l * ct - 2.0 * lbar3 * cs)
+        return [[h11, h12, h13], [h12, h22, h23], [h13, h23, h33]]
 
-        g = [[g11, g12, g13], [g12, g22, g23], [g13, g23, g33]]
-        h = [[h11, h12, h13], [h12, h22, h23], [h13, h23, h33]]
-        return g, h
-
-    return InitialData(gp, hyperboloid_frame(),
+    return InitialData(g, h, hyperboloid_frame(),
                        name=f"slice[{exp.name};u0={u0}]")
 
 

@@ -23,13 +23,13 @@ Koszul formula with structure coefficients rather than chart Christoffels.
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from . import jets
 from .errors import DomainError
-from .jets import Jet, add, inv3, inv4, mul, prod, sub, trunc1, value
+from .jets import Jet, add, inv3, inv4, mul, prod, sub, value
 
 __all__ = [
     "Metric4Evaluator", "Embedding", "FrameField",
@@ -321,47 +321,37 @@ class ConstraintQuantities:
 class InitialData:
     """Evaluators of frame components g(e_i, e_j), p(e_i, e_j) on the 3-chart.
 
-    ``gp`` must be generic over jet level; it returns a pair of 3x3 nested
-    lists.  p need not be symmetric.  ``g_only(coords3, checks)``, if given,
-    is generic in the same way and returns exactly the G of ``gp`` for less
-    work; with ``checks`` true it also makes every domain check that ``gp``
-    makes, and with ``checks`` false it makes none of them.
+    ``g`` and ``p`` must be generic over jet level; each returns a 3x3 nested
+    list.  p need not be symmetric.  ``p`` may rely on the domain checks that
+    ``g`` makes on the same points, so ``values`` and ``jets`` both evaluate
+    ``g`` first.
 
     ``jets(coords3, order)`` returns g with ``order`` chart derivatives and p
     with ``order - 1`` (plain values at order 1): the charges read dg and p,
-    the constraints ddg and dp.  With ``g_only`` it runs ``gp`` one jet level
-    lower, for p and for the domain checks ``gp`` makes.
-    ``jets(coords3, order, momentum=False)`` returns (G, None) and leaves p
-    out of the evaluation: with ``g_only`` it runs only ``g_only``, with its
-    checks, so an energy evaluates neither p nor what only p needs.
+    the constraints ddg and dp.  ``jets(coords3, order, momentum=False)``
+    returns (G, None) and leaves p out of the evaluation.
     """
 
-    gp: Callable
+    g: Callable
+    p: Callable
     frame: FrameField
     name: str = "data"
-    g_only: Optional[Callable] = None
 
     def values(self, coords3):
         """Leaf values of G and P, each indexed [i, j, <leaf>]; plain-number
         entries are broadcast to the leaf shape of the coordinates."""
         coords3 = list(coords3)
-        G, P = self.gp(coords3)
         leaf = _coords_leaf(coords3)
-        return _leaf_array(G, value, leaf), _leaf_array(P, value, leaf)
+        G = _leaf_array(self.g(coords3), value, leaf)
+        return G, _leaf_array(self.p(coords3), value, leaf)
 
     def jets(self, coords3, order=2, momentum=True):
         coords3 = list(coords3)
-        if self.g_only is None:
-            G, P = self.gp(jets.seed(coords3, order=order))
-            if not momentum:
-                return G, None
-            lower = _jf if order == 1 else trunc1
-            return G, [[lower(x) for x in row] for row in P]
+        G = self.g(jets.seed(coords3, order=order))
         if not momentum:
-            return self.g_only(jets.seed(coords3, order=order), True), None
-        _, P = self.gp(coords3 if order == 1
-                       else jets.seed(coords3, order=order - 1))
-        return self.g_only(jets.seed(coords3, order=order), False), P
+            return G, None
+        return G, self.p(coords3 if order == 1
+                         else jets.seed(coords3, order=order - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -424,20 +414,17 @@ def _induced_metric(g4, dphi):
     return g3
 
 
-def _in_frame(F, *tensors):
-    """Frame components F_i^a F_j^b T_ab of symmetric chart tensors T,
+def _in_frame(F, t):
+    """Frame components F_i^a F_j^b T_ab of a symmetric chart tensor T,
     contracted one index at a time: U_ib = F_i^a T_ab summed over a, then
     U_ib F_j^b summed over b."""
-    out = []
-    for t in tensors:
-        U = [[_dot(F[i], [t[a][b] for a in range(3)]) for b in range(3)]
-             for i in range(3)]
-        o = [[None] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(i, 3):
-                o[i][j] = o[j][i] = _dot(U[i], F[j])
-        out.append(o)
-    return out
+    U = [[_dot(F[i], [t[a][b] for a in range(3)]) for b in range(3)]
+         for i in range(3)]
+    o = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            o[i][j] = o[j][i] = _dot(U[i], F[j])
+    return o
 
 
 def _second_form(n, rows, gam, dphi, ddphi):
@@ -484,40 +471,31 @@ def _conormal(g4, dphi):
     return ginv, N, nn
 
 
-def _on_slice(metric, coords3, ej, normal):
-    """The metric along a slice, between the pullback's domain checks.
+def _on_slice(metric, coords3, ej):
+    """The induced metric g_ij = g_ab d_i phi^a d_j phi^b of a slice,
+    between the pullback's domain checks.
 
-    ``ej`` are the embedding jets at the slice points ``coords3``.  Three
-    checks run, each once, on leaf values:
+    ``ej`` are the embedding jets at the slice points ``coords3``; the
+    metric is evaluated at phi = ej unseeded.  Three checks run, each once,
+    on leaf values:
 
-    * phi = ej lies in the metric's chart domain
+    * phi lies in the metric's chart domain
       (``Metric4Evaluator._check``, before the metric runs);
     * the slice is spacelike: its conormal N_a is timelike;
-    * the induced metric g_ij = g_ab d_i phi^a d_j phi^b is positive
-      definite.
+    * the induced metric is positive definite.
 
     Each raises DomainError naming the first failing point; a NaN fails
-    every one of them.  Returns d_i phi^a, the metric jets at phi, g^ab, N_a,
-    g^ab N_a N_b and g_ij.  With ``normal``, for the unit normal and the
-    second form, the metric is seeded to first order at phi and g^ab and N_a
-    are built at the level of ej.  Without it the metric is unseeded, and
-    g^ab and N_a, which only the spacelike check reads, are built on leaf
-    values.
+    every one of them.
     """
     phi = [_jf(e) for e in ej]
     dphi = _tangents(ej)
     metric._check(phi)
-    if normal:
-        gj = metric.fn(jets.seed(phi, order=1))
-        g4 = [[_jf(x) for x in row] for row in gj]
-        ginv, N, nn = _conormal(g4, dphi)
-    else:
-        gj = g4 = metric.fn(phi)
-        ginv, N, nn = _conormal([[value(x) for x in row] for row in g4],
-                                [[value(x) for x in row] for row in dphi])
+    g4 = metric.fn(phi)
+    nn = _conormal([[value(x) for x in row] for row in g4],
+                   [[value(x) for x in row] for row in dphi])[2]
     at = [value(c) for c in coords3]
     # written so that a NaN is rejected too
-    _reject(np.logical_not(value(nn) < 0.0), at, "r, theta, psi",
+    _reject(np.logical_not(nn < 0.0), at, "r, theta, psi",
             "slice is not spacelike (conormal fails to be timelike)")
     g3 = _induced_metric(g4, dphi)
     m = [[value(g3[i][j]) for j in range(3)] for i in range(3)]
@@ -528,42 +506,38 @@ def _on_slice(metric, coords3, ej, normal):
           + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
     _reject(np.logical_not((d1 > 0) & (d2 > 0) & (d3 > 0)), at,
             "r, theta, psi", "induced metric is not positive definite")
-    return dphi, gj, ginv, N, nn, g3
+    return g3
 
 
 def pullback_initial_data(metric, emb, frame):
     """Induced metric and second fundamental form of an embedded slice.
 
-    Returns an InitialData whose evaluator runs the whole chain (embedding
-    jets, metric jets, normal, covariant Hessian) in generic arithmetic, so
-    chart derivatives of the produced frame components are again exact; it
-    raises DomainError, naming the first such point, where phi leaves the
-    metric's chart domain, the slice is not spacelike or the induced metric
-    is not positive definite (``_on_slice``).
-    Its induced-metric-only evaluator gives the same g without the inner
-    metric seed, the normal and the Hessian, and makes those checks when
-    asked to.
+    Returns an InitialData whose two evaluators run the chain (embedding
+    jets, metric at phi, and for h the metric jets, normal and covariant
+    Hessian) in generic arithmetic, so chart derivatives of the produced
+    frame components are again exact.  ``g`` raises DomainError, naming the
+    first such point, where phi leaves the metric's chart domain, the slice
+    is not spacelike or the induced metric is not positive definite
+    (``_on_slice``).  ``p`` makes none of these checks: ``InitialData``
+    evaluates ``g`` on the same points first.
     """
     if emb.chart != metric.chart:
         raise DomainError(
             f"embedding targets chart {emb.chart!r} but metric uses {metric.chart!r}")
 
-    def g_only(coords3, checks):
+    def g(coords3):
         # g_ab d_i phi^a d_j phi^b needs only first derivatives of phi and no
-        # derivative of g_ab, so the metric is evaluated at phi unseeded
-        ej = emb.jets(coords3, order=1)
-        if checks:
-            g3 = _on_slice(metric, coords3, ej, normal=False)[-1]
-        else:
-            g3 = _induced_metric(metric.fn([_jf(e) for e in ej]),
-                                 _tangents(ej))
-        return _in_frame(frame.components(coords3), g3)[0]
+        # derivative of g_ab
+        g3 = _on_slice(metric, coords3, emb.jets(coords3, order=1))
+        return _in_frame(frame.components(coords3), g3)
 
-    def gp(coords3):
+    def p(coords3):
         ej = emb.jets(coords3, order=2)
-        dphi, gj, ginv, N, nn, g3 = _on_slice(metric, coords3, ej, normal=True)
+        dphi = _tangents(ej)
         ddphi = [[[_jdd(ej[a], i, j) for j in range(3)] for i in range(3)]
                  for a in range(4)]
+        gj = metric.fn(jets.seed([_jf(e) for e in ej], order=1))
+        ginv, N, nn = _conormal([[_jf(x) for x in row] for row in gj], dphi)
         dg4 = [[[_jd(gj[a][b], c) for b in range(4)] for a in range(4)]
                for c in range(4)]
         scale = 1.0 / jets.sqrt(0.0 - nn)
@@ -575,11 +549,10 @@ def pullback_initial_data(metric, emb, frame):
         # structural zero are not built
         rows = _normal_rows(n)
         gam = _christoffel_from(ginv, dg4, rows)
-        h3 = _second_form(n, rows, gam, dphi, ddphi)
-        return _in_frame(frame.components(coords3), g3, h3)
+        return _in_frame(frame.components(coords3),
+                         _second_form(n, rows, gam, dphi, ddphi))
 
-    return InitialData(gp, frame, f"pullback[{metric.name};{emb.name}]",
-                       g_only)
+    return InitialData(g, p, frame, f"pullback[{metric.name};{emb.name}]")
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ entry.
 import numpy as np
 
 __all__ = [
-    "Jet", "seed", "value", "trunc1",
+    "Jet", "seed", "value",
     "sin", "cos", "sqrt", "exp", "sinh", "cosh",
     "inv3", "inv4",
     "add", "sub", "mul", "div", "prod",
@@ -260,13 +260,6 @@ def value(x):
     """Descend through nested jets to the leaf value."""
     while isinstance(x, Jet):
         x = x.f
-    return x
-
-
-def trunc1(x):
-    """Drop the second-order block of a jet (or pass plain numbers through)."""
-    if isinstance(x, Jet):
-        return Jet(x.f, x.d)
     return x
 
 

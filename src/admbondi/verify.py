@@ -5,6 +5,7 @@ Each criterion function returns CheckResult records with pinned tolerances;
 ``verify`` subcommand and the acceptance test module share.
 """
 
+import functools
 import time
 
 import numpy as np
@@ -29,14 +30,10 @@ from .sphere import build_grid, direction_functions, integrate
 
 __all__ = ["run_verification", "CRITERIA"]
 
-_GRID = None
 
-
+@functools.cache
 def _grid():
-    global _GRID
-    if _GRID is None:
-        _GRID = build_grid(48, 96)
-    return _GRID
+    return build_grid(48, 96)
 
 
 def criterion_1_schwarzschild_adm():

@@ -31,12 +31,13 @@ def grid_16():
 def hyperbolic_background():
     """InitialData of the hyperbolic model: identity frame components of
     both g and h in the hyperboloid frame."""
-    from admbondi.geometry import InitialData, hyperboloid_frame
+    from admbondi.geometry import hyperboloid_frame
+    from helpers import from_gp
 
     def gp(coords):
         eye = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
         return eye, eye
-    return InitialData(gp, hyperboloid_frame(), "hyperbolic-background")
+    return from_gp(gp, hyperboloid_frame(), "hyperbolic-background")
 
 
 @pytest.fixture(scope="session")

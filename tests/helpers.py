@@ -50,6 +50,11 @@ def arctan2(y, x):
     return Jet(arctan2(fy, fx), d, dd)
 
 
+def from_gp(gp, frame, name="data"):
+    """InitialData from one closed-form evaluator of the pair (g, p)."""
+    return InitialData(lambda c: gp(c)[0], lambda c: gp(c)[1], frame, name)
+
+
 def rotated_data(data, Q):
     """The same physical data expressed in a rotated Cartesian chart x' = Qx.
 
@@ -60,18 +65,17 @@ def rotated_data(data, Q):
     Q = np.asarray(Q, dtype=float)
     Qi = Q.T  # inverse of a rotation
 
-    def gp(coords):
-        r, th, ps = coords
-        st, ct = jets.sin(th), jets.cos(th)
-        n = [st * jets.cos(ps), st * jets.sin(ps), ct]
-        m = [sum(Qi[a][b] * n[b] for b in range(3)) for a in range(3)]
-        th0 = arccos(m[2])
-        ps0 = arctan2(m[1], m[0])
-        G, P = data.gp([r, th0, ps0])
-        Gp = [[sum(Q[i][a] * Q[j][b] * G[a][b] for a in range(3)
-                   for b in range(3)) for j in range(3)] for i in range(3)]
-        Pp = [[sum(Q[i][a] * Q[j][b] * P[a][b] for a in range(3)
-                   for b in range(3)) for j in range(3)] for i in range(3)]
-        return Gp, Pp
+    def rotated(evaluator):
+        def fn(coords):
+            r, th, ps = coords
+            st, ct = jets.sin(th), jets.cos(th)
+            n = [st * jets.cos(ps), st * jets.sin(ps), ct]
+            m = [sum(Qi[a][b] * n[b] for b in range(3)) for a in range(3)]
+            T = evaluator([r, arccos(m[2]), arctan2(m[1], m[0])])
+            return [[sum(Q[i][a] * Q[j][b] * T[a][b] for a in range(3)
+                         for b in range(3)) for j in range(3)]
+                    for i in range(3)]
+        return fn
 
-    return InitialData(gp, data.frame, name=f"rotated[{data.name}]")
+    return InitialData(rotated(data.g), rotated(data.p), data.frame,
+                       name=f"rotated[{data.name}]")

@@ -7,13 +7,13 @@ from admbondi import adm, jets
 from admbondi.adm import (AF_DECAY_SLACK, adm_energy_momentum, check_af_decay,
                           check_dec_flat, check_pmt_flat)
 from admbondi.errors import ConfigError, DomainError
-from admbondi.geometry import (InitialData, _chart_gradient, _chart_hessian,
+from admbondi.geometry import (_chart_gradient, _chart_hessian,
                                _leaf_array, euclidean_frame, hyperboloid_frame,
                                pullback_initial_data)
 from admbondi.ladder import fit_decay_exponent, fit_inverse_powers
 from admbondi.spacetimes import (KerrParameters, kerr, minkowski, schwarzschild,
                                  t_const_embedding)
-from helpers import rotated_data
+from helpers import from_gp, rotated_data
 from admbondi.sphere import build_grid
 
 LADDER = [10.0, 20.0, 40.0, 80.0]
@@ -61,7 +61,7 @@ def test_time_symmetric_momentum_identically_zero(schw_data, grid):
 
 
 def test_wrong_frame_rejected():
-    data = InitialData(lambda c: ([[1.0] * 3] * 3, [[0.0] * 3] * 3),
+    data = from_gp(lambda c: ([[1.0] * 3] * 3, [[0.0] * 3] * 3),
                        hyperboloid_frame())
     with pytest.raises(ConfigError):
         adm_energy_momentum(data, LADDER)
@@ -84,7 +84,7 @@ def synthetic_momentum_data(w):
         h = [[(w[i] * n[j] + n[i] * w[j]) / (r * r) for j in range(3)]
              for i in range(3)]
         return eye, h
-    return InitialData(gp, euclidean_frame(), "boost-like")
+    return from_gp(gp, euclidean_frame(), "boost-like")
 
 
 def test_synthetic_momentum_closed_form(grid):

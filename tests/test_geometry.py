@@ -22,6 +22,7 @@ from admbondi.spacetimes import (bondi_metric, bondi_slice_embedding,
                                  hyperboloid_embedding, kerr, KerrParameters,
                                  minkowski, schwarzschild, t_const_embedding)
 from admbondi.sphere import build_grid
+from helpers import from_gp
 
 
 def sample_points(rng, n, rlo=1.0, rhi=8.0):
@@ -166,7 +167,7 @@ def test_euclidean_data_is_flat(rng):
         eye = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
         zero = [[0.0] * 3 for _ in range(3)]
         return eye, zero
-    data = InitialData(gp, euclidean_frame(), "euclidean")
+    data = from_gp(gp, euclidean_frame(), "euclidean")
     r, th, ps = sample_points(rng, 20)
     b = frame_geometry(data, [r, th, ps])
     riem, R = b["riem"], b["scalar"]
@@ -194,7 +195,7 @@ def test_riemann_symmetries(rng):
              [0.05 * w, 1.0 - 0.5 * w, 0.02 * w],
              [0.0, 0.02 * w, 1.0 + 0.3 * w]]
         return g, g
-    data = InitialData(gp, hyperboloid_frame(), "synthetic")
+    data = from_gp(gp, hyperboloid_frame(), "synthetic")
     r, th, ps = sample_points(rng, 10)
     riem = frame_geometry(data, [r, th, ps])["riem"]
     assert np.max(np.abs(riem + np.swapaxes(riem, 2, 3))) <= 1e-9   # (k,l)
@@ -275,7 +276,7 @@ def test_product_sphere_curvature_matches_fd():
         zero = [[0.0] * 3 for _ in range(3)]
         return eye, zero
 
-    data = InitialData(gp, FrameField(comp, "product"), "r-cross-sphere")
+    data = from_gp(gp, FrameField(comp, "product"), "r-cross-sphere")
     R = frame_geometry(data, [1.0, 1.1, 0.4])["scalar"]
     assert R == pytest.approx(2.0 / R0 ** 2, abs=1e-10)
     # independent finite-difference recomputation of the scalar curvature
@@ -390,7 +391,7 @@ def test_sigma_for_nonsymmetric_p():
         w = 0.1 / (1.0 + r)
         p = [[1.0, w, 0.0], [0.0 - w, 1.0, 0.0], [0.0, 0.0, 1.0]]
         return eye, p
-    data = InitialData(gp, hyperboloid_frame(), "twisted")
+    data = from_gp(gp, hyperboloid_frame(), "twisted")
     cq = constraint_quantities(data, [2.0, 1.2, 0.3])
     assert np.max(np.abs(cq.sigma)) > 1e-4
 
@@ -398,15 +399,13 @@ def test_sigma_for_nonsymmetric_p():
 def _twisted(pulled):
     """The data with the antisymmetric part w (e^0 e^1 - e^1 e^0) added to
     p, w = 0.1 / (1 + r)."""
-    def gp(c):
-        G, P = pulled.gp(c)
+    def p(c):
+        P = [list(row) for row in pulled.p(c)]
         w = 0.1 / (1.0 + c[0])
-        P = [list(row) for row in P]
         P[0][1] = P[0][1] + w
         P[1][0] = P[1][0] - w
-        return G, P
-    return InitialData(gp, pulled.frame, f"twisted[{pulled.name}]",
-                       pulled.g_only)
+        return P
+    return InitialData(pulled.g, p, pulled.frame, f"twisted[{pulled.name}]")
 
 
 def test_sigma_of_pullback_data_sees_an_antisymmetric_p():
@@ -437,10 +436,10 @@ def test_constraints_of_a_constant_antisymmetric_p_match_closed_forms(rng):
     pulled = pullback_initial_data(minkowski("polar"), hyperboloid_embedding(),
                                    hyperboloid_frame())
 
-    def gp(c):
-        G, P = pulled.gp(c)
-        return G, [[P[i][j] + A[i][j] for j in range(3)] for i in range(3)]
-    data = InitialData(gp, pulled.frame, "antisymmetric-A", pulled.g_only)
+    def p(c):
+        P = pulled.p(c)
+        return [[P[i][j] + A[i][j] for j in range(3)] for i in range(3)]
+    data = InitialData(pulled.g, p, pulled.frame, "antisymmetric-A")
     r, th, ps = sample_points(rng, 20, rlo=0.5, rhi=5.0)
 
     gam = np.array([[[np.broadcast_to(x, r.shape) for x in row] for row in m]
@@ -479,7 +478,7 @@ def _flat_polynomial_data(A, B, C):
                     for k in range(3) for l in range(3))
               for j in range(3)] for i in range(3)]
         return g, p
-    return InitialData(gp, euclidean_frame(), "flat-polynomial-p")
+    return from_gp(gp, euclidean_frame(), "flat-polynomial-p")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -534,7 +533,7 @@ def test_rigidity_residuals_zero_for_flat_time_symmetric():
         eye = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
         zero = [[0.0] * 3 for _ in range(3)]
         return eye, zero
-    data = InitialData(gp, euclidean_frame(), "flat")
+    data = from_gp(gp, euclidean_frame(), "flat")
     r1, r2, r3 = rigidity_residual(data, [2.0, 1.1, 0.2])
     assert max(float(r1), float(r2), float(r3)) <= 1e-11
 
@@ -547,7 +546,7 @@ def test_perturbed_hyperboloid_rigidity_nonzero(rng):
         b = eps * jets.sin(th) ** 2 * jets.cos(ps) / (1.0 + r ** 3)
         g = [[1.0 + b, 0.0, 0.0], [0.0, 1.0 - b, 0.0], [0.0, 0.0, 1.0]]
         return g, g
-    data = InitialData(gp, hyperboloid_frame(), "perturbed")
+    data = from_gp(gp, hyperboloid_frame(), "perturbed")
     pt = [1.5, 1.0, 0.8]
     r1, _, _ = rigidity_residual(data, pt)
     assert float(r1) > 1e-6
@@ -629,17 +628,32 @@ def _same(a, b):
     return np.array_equal(*np.broadcast_arrays(a, b))
 
 
+def _seeded_metric_g(case, arg):
+    """G of a pullback through a chain that ``g`` does not run: the metric
+    seeded to first order at phi of the order-2 embedding jets, as ``p``
+    seeds it, and then its values.  ``g`` evaluates the metric at phi
+    unseeded, from the order-1 embedding jets."""
+    metric, emb, frame = _PARTS[case][0]
+    ej = emb.jets(arg, order=2)
+    gj = metric.fn(jets.seed([geometry._jf(e) for e in ej], order=1))
+    g3 = geometry._induced_metric([[geometry._jf(x) for x in row]
+                                   for row in gj], geometry._tangents(ej))
+    return geometry._in_frame(frame.components(arg), g3)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(case=st.sampled_from(sorted(_PULLBACKS)), order=st.sampled_from([1, 2]),
        n=st.sampled_from([0, 3]), t=st.lists(st.floats(0.0, 1.0), min_size=3,
                                               max_size=3))
 def test_jets_mixed_order_contract_on_pullbacks(case, order, n, t):
-    """G of jets() equals G of gp at the same order bit for bit, and p is P
-    of gp one order lower (plain values at order 1)."""
+    """G of jets() equals G of the seeded-metric chain at the same order bit
+    for bit, and P is p at that order with its top order dropped (plain
+    values at order 1)."""
     data = _PULLBACKS[case][0]
     pts = _points(case, n, t)
     G, P = data.jets(pts, order)
-    Gr, Pr = data.gp(jets.seed(pts, order))
+    arg = jets.seed(pts, order)
+    Gr, Pr = _seeded_metric_g(case, arg), data.p(arg)
     for i in range(3):
         for j in range(3):
             got, ref = _entries(G[i][j], order), _entries(Gr[i][j], order)
@@ -786,7 +800,7 @@ def test_jets_lowers_p_of_closed_form_data(order):
         b = jets.sin(th) * jets.cos(ps) / (r * r)
         return ([[1.0 + b, b, 0.0], [b, 1.0 - b, 0.0], [0.0, 0.0, 1.0]],
                 [[b, 0.0, 0.0], [0.0, 2.0 * b, 0.0], [0.0, 0.0, 0.0]])
-    data = InitialData(gp, euclidean_frame(), "closed-form")
+    data = from_gp(gp, euclidean_frame(), "closed-form")
     pt = [3.0, 1.0, 0.5]
     G, P = data.jets(pt, order)
     Gr, Pr = gp(jets.seed(pt, order))
@@ -809,10 +823,11 @@ def test_jets_lowers_p_of_closed_form_data(order):
 @given(case=st.sampled_from(["kerr", "hyperboloid", "bondi"]),
        order=st.sampled_from([0, 1, 2]), n=st.sampled_from([0, 3]),
        t=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
-def test_gp_builds_only_normal_rows_bit_identically(case, order, n, t):
-    """gp builds the Christoffel rows a with a nonzero n_a only (one row on a
-    t = const slice, two on the hyperboloid, all four on the Bondi slice),
-    and its G and P equal those of the all-rows evaluation bit for bit."""
+def test_p_builds_only_normal_rows_bit_identically(case, order, n, t):
+    """p builds the Christoffel rows a with a nonzero n_a only (one row on a
+    t = const slice, two on the hyperboloid, all four on the Bondi slice)
+    and g builds none; P equals that of the all-rows evaluation and G that
+    of the seeded-metric chain bit for bit."""
     data = _PULLBACKS[case][0]
     pts = _points(case, n, t)
     arg = pts if order == 0 else jets.seed(pts, order)
@@ -825,12 +840,12 @@ def test_gp_builds_only_normal_rows_bit_identically(case, order, n, t):
         return rows
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_normal_rows", recorded)
-        got = data.gp(arg)
+        G, P = data.g(arg), data.p(arg)
         mp.setattr(geometry, "_normal_rows", lambda n4: list(range(4)))
-        ref = data.gp(arg)
+        Pr = data.p(arg)
     assert seen == [{"kerr": [0], "hyperboloid": [0, 1],
                      "bondi": [0, 1, 2, 3]}[case]]
-    for X, Y in zip(got, ref):
+    for X, Y in ((G, _seeded_metric_g(case, arg)), (P, Pr)):
         for i in range(3):
             for j in range(3):
                 k = max(order, 1)
@@ -854,19 +869,17 @@ def _induced_metric_loops(g4, dphi):
     return g3
 
 
-def _in_frame_loops(F, *tensors):
+def _in_frame_loops(F, t):
     """F_i^a F_j^b T_ab, one triple product per (a, b)."""
-    out = [[[None] * 3 for _ in range(3)] for _ in tensors]
+    o = [[None] * 3 for _ in range(3)]
     for i in range(3):
         for j in range(i, 3):
-            for o, t in zip(out, tensors):
-                acc = 0.0
-                for a in range(3):
-                    for b in range(3):
-                        acc = jets.add(acc, jets.prod(F[i][a], F[j][b],
-                                                      t[a][b]))
-                o[i][j] = o[j][i] = acc
-    return out
+            acc = 0.0
+            for a in range(3):
+                for b in range(3):
+                    acc = jets.add(acc, jets.prod(F[i][a], F[j][b], t[a][b]))
+            o[i][j] = o[j][i] = acc
+    return o
 
 
 def _second_form_loops(n, rows, gam, dphi, ddphi):
@@ -939,11 +952,8 @@ def test_in_frame_makes_45_products_per_tensor(rng):
     T = T + np.swapaxes(T, 0, 1)
     with pytest.MonkeyPatch.context() as mp:
         calls = _counted_products(mp)
-        (out,) = geometry._in_frame(_nested(F), _nested(T))
+        out = geometry._in_frame(_nested(F), _nested(T))
         assert len(calls) == 27 + 18
-        calls.clear()
-        geometry._in_frame(_nested(F), _nested(T), _nested(T))
-        assert len(calls) == 2 * (27 + 18)
     np.testing.assert_allclose(np.array(out),
                                np.einsum("ia...,jb...,ab...->ij...", F, F, T),
                                rtol=1e-14)

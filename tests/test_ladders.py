@@ -20,7 +20,7 @@ from admbondi.bondi import SLICE_COMPONENTS, expansion_consistency, \
     induced_slice_data
 from admbondi.cli import main
 from admbondi.errors import DomainError
-from admbondi.geometry import (InitialData, euclidean_frame, hyperboloid_frame,
+from admbondi.geometry import (euclidean_frame, hyperboloid_frame,
                                pullback_initial_data)
 from admbondi.ladder import (causal_margin, fit_inverse_powers, rung_axes,
                              rung_sups)
@@ -33,6 +33,7 @@ from admbondi.spacetimes import (KerrParameters, bondi_metric,
                                  bondi_slice_embedding, kerr, schwarzschild,
                                  t_const_embedding)
 from admbondi.sphere import build_grid
+from helpers import from_gp
 
 # no shrinking: each example evaluates whole ladders, and the first failing
 # example already names the key, component or rung at fault
@@ -233,7 +234,7 @@ def test_nan_on_one_rung_names_its_radius():
              for i in range(3)]
         return G, [[0.0 * r for _ in range(3)] for _ in range(3)]
 
-    flat = InitialData(flat_gp, euclidean_frame(), "nan-at-40")
+    flat = from_gp(flat_gp, euclidean_frame(), "nan-at-40")
     with pytest.raises(DomainError, match="radius 40"):
         check_af_decay(flat, [10.0, 20.0, 40.0, 80.0], build_grid(4, 8))
 
@@ -244,7 +245,7 @@ def test_nan_on_one_rung_names_its_radius():
              for i in range(3)]
         return G, G
 
-    null = InitialData(null_gp, hyperboloid_frame(), "nan-at-45")
+    null = from_gp(null_gp, hyperboloid_frame(), "nan-at-45")
     with pytest.raises(DomainError, match="radius 45"):
         decay_orders(null, [30.0, 45.0, 70.0, 110.0], build_grid(4, 8))
 
@@ -301,7 +302,9 @@ def test_converge_runs_every_domain_check_once_per_rung(monkeypatch):
     doubled one) runs each domain check of the pullback exactly once: the
     chart domain, the spacelike slice and the positive definite induced
     metric; the finiteness checks run once on the slice coordinates and
-    once on the chart coordinates."""
+    once on the chart coordinates.  Each of adm's six rungs, which evaluate
+    p too, runs them as often, with one more finiteness check for the
+    embedding of p."""
     seen = Counter()
     reject = geometry._reject
 
@@ -310,14 +313,16 @@ def test_converge_runs_every_domain_check_once_per_rung(monkeypatch):
         return reject(bad, coords, names, message)
 
     monkeypatch.setattr(geometry, "_reject", counted)
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["converge", "--preset", "kerr", "--ntheta", "6",
-                     "--npsi", "12"]) == 0
     domain = make_metric(ScenarioConfig(preset="kerr")).domain
     spacelike = "slice is not spacelike (conormal fails to be timelike)"
-    assert seen == {domain: 9, spacelike: 9,
-                    "induced metric is not positive definite": 9,
-                    "coordinate is not finite": 18}
+    for command, rungs, finite in (("converge", 9, 18), ("adm", 6, 18)):
+        seen.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([command, "--preset", "kerr", "--ntheta", "6",
+                         "--npsi", "12"]) == 0
+        assert seen == {domain: rungs, spacelike: rungs,
+                        "induced metric is not positive definite": rungs,
+                        "coordinate is not finite": finite}, command
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -6,14 +6,14 @@ import pytest
 from admbondi import jets
 from admbondi.bondi import BondiExpansion, induced_slice_data
 from admbondi.errors import ConfigError
-from admbondi.geometry import (InitialData, hyperboloid_frame,
-                               pullback_initial_data)
+from admbondi.geometry import hyperboloid_frame, pullback_initial_data
 from admbondi.nullcharges import (background_connection, background_connection_fd,
                                   charge_integrand, check_dec_null,
                                   check_pmt_null, decay_orders, deviation,
                                   estimate_decay_order, null_energy_momentum)
 from admbondi.spacetimes import hyperboloid_embedding, minkowski
 from admbondi.sphere import build_grid
+from helpers import from_gp
 
 
 def _zero(u, th, ps):
@@ -82,7 +82,7 @@ def test_values_broadcast_plain_zero_entries():
         d = 1.0 + 1.0 / (c[0] * c[0])
         m = [[d, 0.0, 0.0], [0.0, d, 0.0], [0.0, 0.0, d]]
         return m, m
-    data = InitialData(gp, hyperboloid_frame(), "diagonal")
+    data = from_gp(gp, hyperboloid_frame(), "diagonal")
     r = np.array([2.0, 4.0])
     pts = [r, np.array([1.0, 1.5]), np.array([0.5, 2.0])]
     g, p = data.values(pts)
@@ -164,7 +164,7 @@ def test_integrand_conformal_against_fd():
         phi = 0.01 / (1.0 + r * r)
         g = [[1.0 + phi, 0.0, 0.0], [0.0, 1.0 + phi, 0.0], [0.0, 0.0, 1.0 + phi]]
         return g, g
-    data = InitialData(gp, hyperboloid_frame(), "conformal")
+    data = from_gp(gp, hyperboloid_frame(), "conformal")
     r, th, ps = 3.0, 1.2, 0.4
     e, _ = charge_integrand(data, [r, th, ps])
 
@@ -191,7 +191,7 @@ def test_momentum_integrand_direct_substitution():
         eye = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
         two = [[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]]
         return eye, two
-    data = InitialData(gp, hyperboloid_frame(), "b-eq-g")
+    data = from_gp(gp, hyperboloid_frame(), "b-eq-g")
     _, p = charge_integrand(data, [5.0, 1.0, 1.0])
     # b = delta: tr b = 3, so P_1 = 1 - 1*3 = -2, P_2 = P_3 = 0
     assert p[0] == pytest.approx(-2.0)
@@ -207,7 +207,7 @@ def test_integrand_linearity_in_small_amplitude():
                  [0.0, 0.0, 1.0]]
             p = [[1.0 + 2.0 * w, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0 - w]]
             return g, p
-        return InitialData(gp, hyperboloid_frame(), f"eps={eps}")
+        return from_gp(gp, hyperboloid_frame(), f"eps={eps}")
 
     pt = [2.0, 1.1, 0.7]
     eps = 1e-4
@@ -290,7 +290,7 @@ def test_doubling_a_roughly_doubles_energy_charges():
                  [0.0, 0.0, 1.0 - 0.2 * w]]
             eye = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
             return g, eye
-        return InitialData(gp, hyperboloid_frame(), "scaled")
+        return from_gp(gp, hyperboloid_frame(), "scaled")
     grid = build_grid(16, 32)
     c1 = null_energy_momentum(make(1.0), [20.0, 40.0, 80.0], grid=grid,
                               check_decay=False)
