@@ -43,7 +43,8 @@ def cmd_adm(cfg):
     # the decay check fits 4 rungs; reject a shorter ladder before any work
     radii = check_ladder(default_radii(cfg, "adm"), minimum=4)
     data = make_adm_data(cfg)
-    ch = adm_energy_momentum(data, radii, make_grid(cfg))
+    grid = make_grid(cfg, "adm")
+    ch = adm_energy_momentum(data, radii, grid)
     decay = check_af_decay(data, radii)
     rng = np.random.default_rng(0)
     pts = [rng.uniform(radii[0] / 2.0, radii[-1] / 2.0, size=10),
@@ -69,7 +70,7 @@ def cmd_adm(cfg):
         charges={"E": ch.E, "P": list(ch.P)},
         samples={"E": list(ch.energy.samples),
                  "P": [list(m.samples) for m in ch.momentum],
-                 "radii": list(radii)},
+                 "radii": list(radii), "grid": list(grid.shape)},
         residuals={"E": ch.energy.residual,
                    "P": [m.residual for m in ch.momentum]},
         dec_min_margin=float(np.min(dec)), pmt_margin=pmt,
@@ -83,7 +84,8 @@ def cmd_null(cfg):
                               null_energy_momentum)
     data = make_slice_data(cfg)
     radii = default_radii(cfg, "null")
-    ch = null_energy_momentum(data, radii, make_grid(cfg))
+    grid = make_grid(cfg, "null")
+    ch = null_energy_momentum(data, radii, grid)
     pmt = check_pmt_null(ch)
     pts = [np.array([max(20.0, radii[0]), 1.5 * max(20.0, radii[0])]),
            np.array([1.1, 2.0]), np.array([0.4, 3.2])]
@@ -103,7 +105,8 @@ def cmd_null(cfg):
         charges={"E": list(ch.E_values()),
                  "P": [list(r) for r in ch.P_values()],
                  "margins": list(ch.margins())},
-        samples={"E0": list(ch.E[0].samples), "radii": list(radii)},
+        samples={"E0": list(ch.E[0].samples), "radii": list(radii),
+                 "grid": list(grid.shape)},
         residuals={"E": [f.residual for f in ch.E]},
         dec_min_margin=float(np.min(dec)), pmt_margin=pmt,
         decay_exponents=_exponents(ch.decay_orders),
@@ -116,7 +119,7 @@ def cmd_bondi_evolve(cfg):
                         flux_holder_margin, mass_aspect_field,
                         mass_loss_margin, trajectory_csv)
     exp = make_expansion(cfg)
-    grid = make_grid(cfg)
+    grid = make_grid(cfg, "evolve")
     m0 = bondi_energy_momentum(mass_aspect_field(exp, cfg.u_start, grid))
     traj = evolve_energy_momentum(m0, exp, cfg.u_start, cfg.u_end, cfg.du, grid)
     dmax = mass_loss_margin(traj)
@@ -134,7 +137,7 @@ def cmd_bondi_evolve(cfg):
         scenario=scenario_name(cfg), kind="bondi",
         charges={"m_start": list(traj.m[0]), "m_end": list(traj.m[-1])},
         samples={"u": [float(traj.u[0]), float(traj.u[-1])],
-                 "n_samples": len(traj.u)},
+                 "n_samples": len(traj.u), "grid": list(grid.shape)},
         residuals={}, pmt_margin=float(traj.margin[-1]),
         checks=tuple(checks))
     return report, trajectory_csv(traj)
@@ -151,7 +154,8 @@ def cmd_bondi_slice(cfg):
                                 a3=make_a3(cfg), radii=radii)
     worst_name, worst = slowest_order(rep)
     data = make_slice_data(cfg)
-    ch = null_energy_momentum(data, null_radii, make_grid(cfg))
+    grid = make_grid(cfg, "slice")
+    ch = null_energy_momentum(data, null_radii, grid)
     pmt = check_pmt_null(ch)
     checks = [
         CheckResult("slice.expansion_consistency", worst, 3.3,
@@ -161,7 +165,7 @@ def cmd_bondi_slice(cfg):
     report = ChargeReport(
         scenario=scenario_name(cfg), kind="null",
         charges={"E": list(ch.E_values()), "margins": list(ch.margins())},
-        samples={"consistency_radii": list(radii)},
+        samples={"consistency_radii": list(radii), "grid": list(grid.shape)},
         residuals={},
         pmt_margin=pmt,
         decay_exponents=_exponents(rep),
@@ -191,10 +195,11 @@ def cmd_converge(cfg):
 
     # the longer ladder is the coarse one plus one rung; sample it once
     longer_radii = radii + [2.0 * radii[-1]]
-    samples = energies(longer_radii, make_grid(cfg))
+    grid = make_grid(cfg, "adm")
+    fine_grid = build_grid(2 * grid.n_theta, 2 * grid.n_psi)
+    samples = energies(longer_radii, grid)
     coarse = fit_inverse_powers(radii, samples[:-1])
-    fine = fit_inverse_powers(
-        radii, energies(radii, build_grid(2 * cfg.n_theta, 2 * cfg.n_psi)))
+    fine = fit_inverse_powers(radii, energies(radii, fine_grid))
     longer = fit_inverse_powers(longer_radii, samples)
     dg = abs(fine.value - coarse.value)
     dl = abs(longer.value - coarse.value)
@@ -213,7 +218,9 @@ def cmd_converge(cfg):
         scenario=scenario_name(cfg), kind="adm",
         charges={"E_coarse": coarse.value, "E_fine": fine.value,
                  "E_longer": longer.value},
-        samples={"radii": radii}, residuals={"E": coarse.residual},
+        samples={"radii": radii, "grid": list(grid.shape),
+                 "fine_grid": list(fine_grid.shape)},
+        residuals={"E": coarse.residual},
         checks=tuple(checks))
     return report, "\n".join(rows) + "\n"
 

@@ -20,6 +20,14 @@ Configuration is nested-section key-value text::
     [ladder]
     radii = 10, 20, 40, 80
 
+Where the config leaves the grid or the ladder unset (``n_theta`` and
+``n_psi`` are None, ``radii`` is empty), the kind of run fills it in.
+``make_grid`` gives 24 x 48 to the ADM charges of ``adm`` and ``converge``,
+whose surface integrals agree with 96 x 192 to roundoff there, and 48 x 96
+to null, slice and evolve runs, whose charges are not grid-converged on
+24 x 48.  ``default_radii`` gives each kind its ladder.  A field set by the
+config or a flag wins.
+
 ``parse_config`` reads it into a ``ScenarioConfig``; unknown sections or
 keys are rejected with the offending line.  A ``ScenarioConfig`` checks its
 values when it is built, so a config read from a file, changed by a
@@ -93,8 +101,8 @@ class ScenarioConfig:
     news_zero_u: Optional[float] = None
     mass_aspect: str = "constant"       # "constant" | "tilted"
     a3_amplitude: float = 0.0
-    n_theta: int = 48
-    n_psi: int = 96
+    n_theta: Optional[int] = None       # None: the default of the run's kind
+    n_psi: Optional[int] = None
     radii: tuple = ()
     u0: float = 0.0
     u_start: float = 0.0
@@ -316,8 +324,19 @@ def scenario_name(cfg):
     return cfg.preset if cfg.news_table is None else f"{cfg.preset}-table"
 
 
-def make_grid(cfg):
-    return build_grid(cfg.n_theta, cfg.n_psi)
+# (n_theta, n_psi) of each kind of run where [grid] leaves it unset; the
+# module docstring gives the reason
+_DEFAULT_GRIDS = {"adm": (24, 48), "null": (48, 96), "slice": (48, 96),
+                  "evolve": (48, 96)}
+
+
+def make_grid(cfg, kind):
+    """The sphere grid of a run of ``kind``: "adm", "null", "slice" or
+    "evolve".  Each of n_theta and n_psi is the configured one, or the
+    default of ``kind``."""
+    n_theta, n_psi = _DEFAULT_GRIDS[kind]
+    return build_grid(n_theta if cfg.n_theta is None else cfg.n_theta,
+                      n_psi if cfg.n_psi is None else cfg.n_psi)
 
 
 def default_radii(cfg, kind):

@@ -1,5 +1,7 @@
 """Spatial-infinity charges, decay checks and flat-case inequalities."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from admbondi.geometry import (_chart_gradient, _chart_hessian,
 from admbondi.ladder import fit_decay_exponent, fit_inverse_powers
 from admbondi.spacetimes import (KerrParameters, kerr, minkowski, schwarzschild,
                                  t_const_embedding)
+from admbondi.scenarios import ScenarioConfig, make_adm_data, make_grid
 from helpers import from_gp, rotated_data
 from admbondi.sphere import build_grid
 
@@ -111,6 +114,43 @@ def test_grid_refinement_within_residual(schw_data):
     coarse = adm_energy_momentum(schw_data, LADDER, build_grid(24, 48))
     fine = adm_energy_momentum(schw_data, LADDER, build_grid(48, 96))
     assert abs(fine.E - coarse.E) <= max(coarse.energy.residual, 1e-12)
+
+
+# The default ADM grid against 96 x 192: the README ladder and one four
+# times closer in, where the Kerr integrands carry more angular structure.
+_RESOLUTION_LADDERS = ((10.0, 20.0, 40.0, 80.0), (2.5, 5.0, 10.0, 20.0))
+_RESOLUTION_BOUND = 1e-13
+
+
+@functools.cache
+def _adm_charges(preset, spin, radii, shape):
+    """(E, P_1, P_2, P_3) of a preset on the grid of ``shape``."""
+    cfg = ScenarioConfig(preset=preset, spin=spin)
+    ch = adm_energy_momentum(make_adm_data(cfg), radii, build_grid(*shape))
+    return np.append(ch.E, ch.P)
+
+
+def _resolution_deviation(preset, spin, radii, shape):
+    """max |(E, P) on ``shape`` - (E, P) on 96 x 192|."""
+    return np.max(np.abs(_adm_charges(preset, spin, radii, shape)
+                         - _adm_charges(preset, spin, radii, (96, 192))))
+
+
+@pytest.mark.parametrize("radii", _RESOLUTION_LADDERS)
+@pytest.mark.parametrize("preset, spin", [("schwarzschild", 0.5),
+                                          ("kerr", 0.5), ("kerr", 0.95),
+                                          ("minkowski", 0.5)])
+def test_default_adm_grid_matches_96x192(preset, spin, radii):
+    shape = make_grid(ScenarioConfig(preset=preset), "adm").shape
+    assert _resolution_deviation(preset, spin, radii, shape) \
+        <= _RESOLUTION_BOUND
+
+
+def test_coarse_adm_grid_fails_the_resolution_bound():
+    """The negative control: on 2 x 4 the Kerr a = 0.95 charges are off by
+    about 2e-6, so the comparison above can fail."""
+    assert _resolution_deviation("kerr", 0.95, _RESOLUTION_LADDERS[0],
+                                 (2, 4)) > _RESOLUTION_BOUND
 
 
 def test_af_decay_schwarzschild(schw_data):

@@ -514,7 +514,7 @@ def _table_slice(rows, mass, tilted, a3_amplitude):
                          mass=mass, a3_amplitude=a3_amplitude,
                          mass_aspect="tilted" if tilted else "constant",
                          u0=2.0, n_theta=24, n_psi=48, radii=_THEOREM_LADDER)
-    grid = make_grid(cfg)
+    grid = make_grid(cfg, "null")
     ch = null_energy_momentum(make_slice_data(cfg), cfg.radii, grid)
     return cfg, make_expansion(cfg), grid, ch
 

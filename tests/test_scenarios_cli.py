@@ -19,7 +19,7 @@ from admbondi.ladder import DecayFit, LadderFit
 from admbondi.reports import COMPARATORS, CheckResult, jsonable, report_json
 from admbondi.scenarios import (BONDI_PRESETS, CONFIG_SCHEMA, PRESETS,
                                 ScenarioConfig, harmonic_basis, harmonic_news,
-                                make_expansion, make_metric)
+                                make_expansion, make_grid, make_metric)
 
 
 # -- presets -------------------------------------------------------------------
@@ -201,9 +201,14 @@ def test_parse_config_good():
 
 
 def test_parse_config_minimal_defaults():
+    """Unset grid fields are None, and make_grid gives (24, 48) to adm runs
+    and (48, 96) to every other kind."""
     cfg, prov = parse_config("preset = minkowski\n")
     assert cfg.preset == "minkowski"
-    assert cfg.n_theta == 48 and cfg.n_psi == 96
+    assert cfg.n_theta is None and cfg.n_psi is None
+    assert make_grid(cfg, "adm").shape == (24, 48)
+    for kind in ("null", "slice", "evolve"):
+        assert make_grid(cfg, kind).shape == (48, 96)
     assert all(v == "default" for k, v in prov.items() if k != "preset")
 
 
@@ -612,6 +617,42 @@ def test_cli_converge(tmp_path):
     assert code == 0
     text = (tmp_path / "c.csv").read_text()
     assert text.startswith("quantity,coarse,fine,delta")
+
+
+def _report(tmp_path, args):
+    """The report body of a run that exits 0."""
+    out = tmp_path / "r.json"
+    assert run_cli(args + ["--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("command", ["adm", "converge"])
+@pytest.mark.parametrize("source, args, grid", [
+    ("default", [], [24, 48]),
+    ("config", ["--config", "{cfg}"], [12, 24]),
+    ("flags", ["--ntheta", "12", "--npsi", "24"], [12, 24]),
+    # each field is configured or defaulted on its own
+    ("one flag", ["--ntheta", "12"], [12, 48]),
+])
+def test_cli_adm_grid_is_the_configured_one(tmp_path, command, source, args,
+                                            grid):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("preset = kerr\n[grid]\nn_theta = 12\nn_psi = 24\n")
+    body = _report(tmp_path, [command, "--preset", "kerr"]
+                   + [a.format(cfg=cfg) for a in args])
+    assert body["samples"]["grid"] == grid
+    if command == "converge":
+        # the fine grid doubles the grid the run used
+        assert body["samples"]["fine_grid"] == [2 * n for n in grid]
+
+
+@pytest.mark.parametrize("args", [
+    ["null", "--preset", "bondi-quadrupole"],
+    ["bondi-slice", "--preset", "bondi-biaxial"],
+    ["bondi-evolve", "--preset", "bondi-quadrupole", "--u1", "0.1"],
+])
+def test_cli_null_runs_keep_the_48x96_grid(tmp_path, args):
+    assert _report(tmp_path, args)["samples"]["grid"] == [48, 96]
 
 
 def test_cli_adm_rejects_radiating_preset(capsys):
