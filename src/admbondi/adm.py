@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from . import jets
 from .geometry import (_chart_gradient, _coords_leaf, _first_order,
                        _frame_apply, _leaf_array, _product,
                        constraint_quantities, frame_derivative, frame_entry)
@@ -71,8 +70,8 @@ def adm_ladder_samples(data, radii, grid, momentum=True):
 
     def samples_at(r):
         coords = rung_axes([r], *grid.axes())
-        G, P = data.jets(coords, order=1, momentum=momentum)
-        Fv = _leaf_array(data.frame.components(coords), value, grid.shape)
+        G, P, F = data.jets(coords, order=1, momentum=momentum)
+        Fv = _leaf_array(F, value, grid.shape)
         # d_j g_ij - d_i g_jj, from only the frame-directional derivatives
         # D_k g_ij (Cartesian partials) that the two sums read
         e_int = np.empty((3,) + grid.shape)
@@ -109,11 +108,10 @@ def _decay_sups(data, coords):
     """Sup-norms of (g - delta), dg, ddg, h, dh over every component at each
     rung of ``rung_axes`` points."""
     leaf = _coords_leaf(coords)
-    G, P = data.jets(coords, order=2)
+    G, P, F = data.jets(coords, order=2)
     # the frame as an array jet: e_l e_k g needs no second derivative of F
-    Fj = data.frame.components(jets.seed(coords, order=1))
-    F = np.concatenate([_leaf_array(Fj, value, leaf)[None],
-                        _chart_gradient(Fj, leaf)])
+    F = np.concatenate([_leaf_array(F, value, leaf)[None],
+                        _chart_gradient(F, leaf)])
     g, dg = _first_order(G, leaf)
     # e_k g_ij as an array jet, so e_l(e_k g_ij) is e_l of its chart gradient
     Dg = _product("ka...,aij...->kij...", F, dg)

@@ -253,7 +253,7 @@ def induced_slice_data(exp, u0=0.0, a3=None):
                 *(f(u0, th, ps) for f in (exp.M, exp.N, exp.P, exp.C, exp.H)),
                 a3fn(th, ps))
 
-    def g(coords):
+    def g(coords, F):
         r, th, ps = coords
         (_, _, c, c0, c2, c3, c00, d, d0, d2, d3, d00, q2, cc0,
          l, lbar, l0, lbar0, ct, cs, Mv, Nv, Pv, Cv, Hv, a3v) = \
@@ -273,7 +273,7 @@ def induced_slice_data(exp, u0=0.0, a3=None):
             + (-(c ** 3) - c * d * d - 2.0 * Cv + 2.0 * cc0 - 0.25 * c00) / r3
         return [[g11, g12, g13], [g12, g22, g23], [g13, g23, g33]]
 
-    def h(coords):
+    def h(coords, F):
         r, th, ps = coords
         (cj, dj, c, c0, c2, c3, c00, d, d0, d2, d3, d00, q2, cc0,
          l, lbar, l0, lbar0, ct, cs, Mv, Nv, Pv, Cv, Hv, a3v) = \

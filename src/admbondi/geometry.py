@@ -263,17 +263,12 @@ class Metric4Evaluator:
 
 @dataclass
 class Embedding:
-    """Map from the 3-chart (r, theta, psi) into a spacetime chart; a point
-    with a coordinate that is not finite is rejected before ``fn`` runs."""
+    """Map ``fn`` from the 3-chart (r, theta, psi) into a spacetime chart,
+    generic over jet level; ``InitialData`` rejects non-finite points."""
 
     fn: Callable
     chart: str
     name: str
-
-    def jets(self, coords3, order=2):
-        coords3 = list(coords3)
-        _reject_non_finite([value(c) for c in coords3], "r, theta, psi")
-        return self.fn(jets.seed(coords3, order=order))
 
 
 @dataclass
@@ -317,19 +312,31 @@ class ConstraintQuantities:
     sigma: np.ndarray       # antisymmetry current, shape (3, ...)
 
 
+def _lower(x):
+    """x, or each entry of nested lists x, one chart-derivative order lower:
+    Jet(f, d) of an order-2 jet, f of an order-1 jet, a number as it is."""
+    if isinstance(x, list):
+        return [_lower(e) for e in x]
+    if isinstance(x, Jet):
+        return x.f if x.dd is None else Jet(x.f, x.d)
+    return x
+
+
 @dataclass
 class InitialData:
     """Evaluators of frame components g(e_i, e_j), p(e_i, e_j) on the 3-chart.
 
-    ``g`` and ``p`` must be generic over jet level; each returns a 3x3 nested
-    list.  p need not be symmetric.  ``p`` may rely on the domain checks that
-    ``g`` makes on the same points, so ``values`` and ``jets`` both evaluate
-    ``g`` first.
+    ``g(coords3, F)`` and ``p(coords3, F)``, F the frame at the jet level of
+    the coordinates, must be generic over jet level; each returns a 3x3
+    nested list.  p need not be symmetric.  ``values`` and ``jets`` reject a
+    coordinate that is not finite, then evaluate the frame once and ``g``
+    before ``p``, so ``p`` may rely on the domain checks that ``g`` makes.
 
-    ``jets(coords3, order)`` returns g with ``order`` chart derivatives and p
-    with ``order - 1`` (plain values at order 1): the charges read dg and p,
-    the constraints ddg and dp.  ``jets(coords3, order, momentum=False)``
-    returns (G, None) and leaves p out of the evaluation.
+    ``jets(coords3, order)`` returns (G, P, F): G and F with ``order`` chart
+    derivatives, P with ``order - 1`` (plain values at order 1) from the
+    ``_lower`` coordinates and F, bit for bit those one order lower, as a
+    jet's f and d never read dd.  The charges read dg and p, the
+    constraints ddg and dp.  ``momentum=False`` leaves p out: P is None.
     """
 
     g: Callable
@@ -340,18 +347,20 @@ class InitialData:
     def values(self, coords3):
         """Leaf values of G and P, each indexed [i, j, <leaf>]; plain-number
         entries are broadcast to the leaf shape of the coordinates."""
-        coords3 = list(coords3)
+        _reject_non_finite(coords3, "r, theta, psi")
         leaf = _coords_leaf(coords3)
-        G = _leaf_array(self.g(coords3), value, leaf)
-        return G, _leaf_array(self.p(coords3), value, leaf)
+        F = self.frame.components(coords3)
+        G = _leaf_array(self.g(coords3, F), value, leaf)
+        return G, _leaf_array(self.p(coords3, F), value, leaf)
 
     def jets(self, coords3, order=2, momentum=True):
-        coords3 = list(coords3)
-        G = self.g(jets.seed(coords3, order=order))
+        _reject_non_finite(coords3, "r, theta, psi")
+        c = jets.seed(coords3, order=order)
+        F = self.frame.components(c)
+        G = self.g(c, F)
         if not momentum:
-            return G, None
-        return G, self.p(coords3 if order == 1
-                         else jets.seed(coords3, order=order - 1))
+            return G, None, F
+        return G, self.p(_lower(c), _lower(F)), F
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +484,9 @@ def _on_slice(metric, coords3, ej):
     """The induced metric g_ij = g_ab d_i phi^a d_j phi^b of a slice,
     between the pullback's domain checks.
 
-    ``ej`` are the embedding jets at the slice points ``coords3``; the
-    metric is evaluated at phi = ej unseeded.  Three checks run, each once,
-    on leaf values:
+    ``ej`` are the embedding jets at the slice points ``coords3``, whose
+    finiteness ``InitialData`` has checked; the metric is evaluated at
+    phi = ej unseeded.  Three checks run, each once, on leaf values:
 
     * phi lies in the metric's chart domain
       (``Metric4Evaluator._check``, before the metric runs);
@@ -514,25 +523,25 @@ def pullback_initial_data(metric, emb, frame):
 
     Returns an InitialData whose two evaluators run the chain (embedding
     jets, metric at phi, and for h the metric jets, normal and covariant
-    Hessian) in generic arithmetic, so chart derivatives of the produced
-    frame components are again exact.  ``g`` raises DomainError, naming the
-    first such point, where phi leaves the metric's chart domain, the slice
-    is not spacelike or the induced metric is not positive definite
-    (``_on_slice``).  ``p`` makes none of these checks: ``InitialData``
-    evaluates ``g`` on the same points first.
+    Hessian, then the frame F they are handed) in generic arithmetic, so
+    chart derivatives of the produced frame components are again exact.
+    ``g`` raises DomainError, naming the first such point, where phi leaves
+    the metric's chart domain, the slice is not spacelike or the induced
+    metric is not positive definite (``_on_slice``).  ``p`` makes none of
+    these checks: ``InitialData`` evaluates ``g`` on the same points first.
     """
     if emb.chart != metric.chart:
         raise DomainError(
             f"embedding targets chart {emb.chart!r} but metric uses {metric.chart!r}")
 
-    def g(coords3):
+    def g(coords3, F):
         # g_ab d_i phi^a d_j phi^b needs only first derivatives of phi and no
         # derivative of g_ab
-        g3 = _on_slice(metric, coords3, emb.jets(coords3, order=1))
-        return _in_frame(frame.components(coords3), g3)
+        g3 = _on_slice(metric, coords3, emb.fn(jets.seed(coords3, order=1)))
+        return _in_frame(F, g3)
 
-    def p(coords3):
-        ej = emb.jets(coords3, order=2)
+    def p(coords3, F):
+        ej = emb.fn(jets.seed(coords3, order=2))
         dphi = _tangents(ej)
         ddphi = [[[_jdd(ej[a], i, j) for j in range(3)] for i in range(3)]
                  for a in range(4)]
@@ -549,8 +558,7 @@ def pullback_initial_data(metric, emb, frame):
         # structural zero are not built
         rows = _normal_rows(n)
         gam = _christoffel_from(ginv, dg4, rows)
-        return _in_frame(frame.components(coords3),
-                         _second_form(n, rows, gam, dphi, ddphi))
+        return _in_frame(F, _second_form(n, rows, gam, dphi, ddphi))
 
     return InitialData(g, p, frame, f"pullback[{metric.name};{emb.name}]")
 
@@ -580,10 +588,9 @@ def frame_geometry(data, coords3):
       A^l_qij = e_i omega^l_jq + omega^l_im omega^m_jq, where e_i omega
       comes from the chart derivatives of the omega jet.
     """
-    G, P = data.jets(coords3, order=2)
+    G, P, F = data.jets(coords3, order=2)
     leaf = _coords_leaf(coords3)
-    F, dF = _first_order(
-        data.frame.components(jets.seed(list(coords3), order=2)), leaf)
+    F, dF = _first_order(F, leaf)
     Fv = F[0]
 
     # [e_i, e_j]^b = F_i^a d_a F_j^b - F_j^a d_a F_i^b, then C^k_ij

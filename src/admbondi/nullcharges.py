@@ -150,8 +150,8 @@ def charge_integrand(data, coords3):
     """
     _require_hyperboloid(data)
     r, th, _ = coords3
-    G, P = data.jets(coords3, order=1)
-    Fv = [[value(x) for x in row] for row in data.frame.components(coords3)]
+    G, P, F = data.jets(coords3, order=1)
+    Fv = [[value(x) for x in row] for row in F]
     zero = np.zeros(np.broadcast_shapes(*map(np.shape, coords3)))
     eye = np.eye(3)
 

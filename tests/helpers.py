@@ -51,27 +51,31 @@ def arctan2(y, x):
 
 
 def from_gp(gp, frame, name="data"):
-    """InitialData from one closed-form evaluator of the pair (g, p)."""
-    return InitialData(lambda c: gp(c)[0], lambda c: gp(c)[1], frame, name)
+    """InitialData from one closed-form evaluator of the pair (g, p); the
+    evaluators ignore the frame that ``InitialData`` hands them."""
+    return InitialData(lambda c, F: gp(c)[0], lambda c, F: gp(c)[1], frame,
+                       name)
 
 
 def rotated_data(data, Q):
     """The same physical data expressed in a rotated Cartesian chart x' = Qx.
 
     Frame components transform as g' = Q g Q^T evaluated at the pre-image
-    point; charges computed from the rotated data satisfy E' = E, P' = Q P.
+    point, with the frame there; charges computed from the rotated data
+    satisfy E' = E, P' = Q P.
     """
     assert data.frame.kind == "euclidean"
     Q = np.asarray(Q, dtype=float)
     Qi = Q.T  # inverse of a rotation
 
     def rotated(evaluator):
-        def fn(coords):
+        def fn(coords, F):
             r, th, ps = coords
             st, ct = jets.sin(th), jets.cos(th)
             n = [st * jets.cos(ps), st * jets.sin(ps), ct]
             m = [sum(Qi[a][b] * n[b] for b in range(3)) for a in range(3)]
-            T = evaluator([r, arccos(m[2]), arctan2(m[1], m[0])])
+            pre = [r, arccos(m[2]), arctan2(m[1], m[0])]
+            T = evaluator(pre, data.frame.components(pre))
             return [[sum(Q[i][a] * Q[j][b] * T[a][b] for a in range(3)
                          for b in range(3)) for j in range(3)]
                     for i in range(3)]

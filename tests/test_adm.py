@@ -9,14 +9,14 @@ from admbondi import adm, jets
 from admbondi.adm import (AF_DECAY_SLACK, adm_energy_momentum, check_af_decay,
                           check_dec_flat, check_pmt_flat)
 from admbondi.errors import ConfigError, DomainError
-from admbondi.geometry import (_chart_gradient, _chart_hessian,
-                               _leaf_array, euclidean_frame, hyperboloid_frame,
-                               pullback_initial_data)
+from admbondi.geometry import (Embedding, InitialData, _chart_gradient,
+                               _chart_hessian, _leaf_array, euclidean_frame,
+                               hyperboloid_frame, pullback_initial_data)
 from admbondi.ladder import fit_decay_exponent, fit_inverse_powers
 from admbondi.spacetimes import (KerrParameters, kerr, minkowski, schwarzschild,
                                  t_const_embedding)
 from admbondi.scenarios import ScenarioConfig, make_adm_data, make_grid
-from helpers import from_gp, rotated_data
+from helpers import arccos, from_gp, rotated_data
 from admbondi.sphere import build_grid
 
 LADDER = [10.0, 20.0, 40.0, 80.0]
@@ -110,6 +110,53 @@ def test_rotation_covariance(grid):
     assert np.allclose(ch1.P, Q @ ch0.P, atol=1e-9)
 
 
+def boosted_embedding(beta):
+    """The t' = 0 slice of the frame moving with velocity beta along z: in
+    slice coordinates z' = r' cos(theta') and rho = r' sin(theta'), it is
+    t = gamma beta z', z = gamma z', r = sqrt(rho^2 + z^2),
+    theta = arccos(z / r), psi = psi'."""
+    gamma = 1.0 / np.sqrt(1.0 - beta * beta)
+
+    def fn(c):
+        r, th, ps = c
+        z, rho = gamma * r * jets.cos(th), r * jets.sin(th)
+        rr = jets.sqrt(rho * rho + z * z)
+        return [beta * z, rr, arccos(z / rr), ps]
+    return Embedding(fn, "polar", f"boost(beta={beta})")
+
+
+# K = 3 inverse-power fits of the static E on LADDER are within 1e-3 m
+# (test_schwarzschild_energy); a boost scales the charges by gamma.
+_BOOST_TOL = 1e-3
+
+
+@pytest.mark.parametrize("metric", [schwarzschild(1.0, "polar"),
+                                    kerr(KerrParameters(1.0, 0.5))],
+                         ids=["schwarzschild", "kerr-0.5"])
+@pytest.mark.parametrize("beta", [0.6, -0.6, 0.3])
+def test_boosted_slice_carries_the_boosted_momentum(metric, beta):
+    """The ADM 4-momentum of a boosted slice of a mass-1 black hole is
+    (gamma, 0, 0, gamma beta) and its positive-mass margin
+    gamma (1 - |beta|); the same slice with h negated fails P_z."""
+    gamma = 1.0 / np.sqrt(1.0 - beta * beta)
+    data = pullback_initial_data(metric, boosted_embedding(beta),
+                                 euclidean_frame())
+    grid = build_grid(24, 48)
+    tol = _BOOST_TOL * gamma
+    ch = adm_energy_momentum(data, LADDER, grid)
+    assert abs(ch.E - gamma) <= tol
+    assert abs(ch.P[2] - gamma * beta) <= tol
+    assert np.max(np.abs(ch.P[:2])) <= 1e-12
+    assert abs(check_pmt_flat(ch) - gamma * (1.0 - abs(beta))) <= 2.0 * tol
+
+    def flipped(c, F):
+        return [[0.0 - x for x in row] for row in data.p(c, F)]
+    flip = adm_energy_momentum(
+        InitialData(data.g, flipped, data.frame, "h flipped"), LADDER, grid)
+    assert abs(flip.E - gamma) <= tol
+    assert abs(flip.P[2] - gamma * beta) > tol
+
+
 def test_grid_refinement_within_residual(schw_data):
     coarse = adm_energy_momentum(schw_data, LADDER, build_grid(24, 48))
     fine = adm_energy_momentum(schw_data, LADDER, build_grid(48, 96))
@@ -174,7 +221,7 @@ def test_second_frame_derivative_matches_index_loops(rng):
               rng.uniform(0.4, 2.7, 20).reshape(1, 4, 5),
               rng.uniform(0.0, 6.2, 20).reshape(1, 4, 5)]
     leaf = coords[1].shape
-    G, _ = data.jets(coords, order=2)
+    G, _, _ = data.jets(coords, order=2)
     F = data.frame.components(jets.seed(coords, order=1))
     Fv = _leaf_array(F, jets.value, leaf)
     dF = _chart_gradient(F, leaf)

@@ -15,7 +15,8 @@ from admbondi.geometry import (Embedding, InitialData, Metric4Evaluator,
                                pullback_initial_data, ricci_tensor,
                                rigidity_residual)
 from admbondi.ladder import rung_axes
-from admbondi.nullcharges import background_connection, check_dec_null
+from admbondi.nullcharges import (background_connection, charge_integrand,
+                                  check_dec_null)
 from admbondi.reports import CheckResult
 from admbondi.scenarios import ScenarioConfig, make_expansion, make_slice_data
 from admbondi.spacetimes import (bondi_metric, bondi_slice_embedding,
@@ -235,7 +236,7 @@ def test_metric_compatibility_of_frame_connection(rng, case,
     data, (rlo, rhi) = _connection_data(case, hyperbolic_background)
     coords = list(sample_points(rng, 15, rlo, rhi))
     b = frame_geometry(data, coords)
-    G, _ = data.jets(coords, order=1)
+    G, _, _ = data.jets(coords, order=1)
     om, g, C = b["omega"], b["g"], b["C"]
     nabla_g = frame_derivative(b["F"], G) \
         - np.einsum("mki...,mj...->kij...", om, g) \
@@ -399,8 +400,8 @@ def test_sigma_for_nonsymmetric_p():
 def _twisted(pulled):
     """The data with the antisymmetric part w (e^0 e^1 - e^1 e^0) added to
     p, w = 0.1 / (1 + r)."""
-    def p(c):
-        P = [list(row) for row in pulled.p(c)]
+    def p(c, F):
+        P = [list(row) for row in pulled.p(c, F)]
         w = 0.1 / (1.0 + c[0])
         P[0][1] = P[0][1] + w
         P[1][0] = P[1][0] - w
@@ -436,8 +437,8 @@ def test_constraints_of_a_constant_antisymmetric_p_match_closed_forms(rng):
     pulled = pullback_initial_data(minkowski("polar"), hyperboloid_embedding(),
                                    hyperboloid_frame())
 
-    def p(c):
-        P = pulled.p(c)
+    def p(c, F):
+        P = pulled.p(c, F)
         return [[P[i][j] + A[i][j] for j in range(3)] for i in range(3)]
     data = InitialData(pulled.g, p, pulled.frame, "antisymmetric-A")
     r, th, ps = sample_points(rng, 20, rlo=0.5, rhi=5.0)
@@ -568,7 +569,7 @@ def test_initial_data_first_derivatives_match_fd(rng):
     h = 1e-5
     for _ in range(5):
         pt = [rng.uniform(4.0, 15.0), rng.uniform(0.5, 2.6), rng.uniform(0.0, 6.0)]
-        G, P = data.jets(pt, order=1)
+        G, P, _ = data.jets(pt, order=1)
         for a in range(3):
             up = list(pt); up[a] = pt[a] + h
             dn = list(pt); dn[a] = pt[a] - h
@@ -634,7 +635,7 @@ def _seeded_metric_g(case, arg):
     seeds it, and then its values.  ``g`` evaluates the metric at phi
     unseeded, from the order-1 embedding jets."""
     metric, emb, frame = _PARTS[case][0]
-    ej = emb.jets(arg, order=2)
+    ej = emb.fn(jets.seed(arg, order=2))
     gj = metric.fn(jets.seed([geometry._jf(e) for e in ej], order=1))
     g3 = geometry._induced_metric([[geometry._jf(x) for x in row]
                                    for row in gj], geometry._tangents(ej))
@@ -651,9 +652,10 @@ def test_jets_mixed_order_contract_on_pullbacks(case, order, n, t):
     values at order 1)."""
     data = _PULLBACKS[case][0]
     pts = _points(case, n, t)
-    G, P = data.jets(pts, order)
+    G, P, _ = data.jets(pts, order)
     arg = jets.seed(pts, order)
-    Gr, Pr = _seeded_metric_g(case, arg), data.p(arg)
+    Gr = _seeded_metric_g(case, arg)
+    Pr = data.p(arg, data.frame.components(arg))
     for i in range(3):
         for j in range(3):
             got, ref = _entries(G[i][j], order), _entries(Gr[i][j], order)
@@ -675,7 +677,7 @@ def _leaf_entries(data, pts, how):
     """Every leaf entry of values() ("values") or of jets(pts, how)."""
     if how == "values":
         return list(data.values(pts))
-    G, P = data.jets(pts, how)
+    G, P, _ = data.jets(pts, how)
     return [a for i in range(3) for j in range(3)
             for a in _entries(G[i][j], how) + (
                 [jets.value(P[i][j])] if how == 1 else _entries(P[i][j], 1))]
@@ -692,7 +694,7 @@ def _reference_values(metric, emb, frame, pts):
             x = x.d[step] if isinstance(step, int) else x.dd[step[0]][step[1]]
         return np.broadcast_to(np.asarray(jets.value(x), dtype=float), leaf)
 
-    ej = emb.jets(pts, order=2)
+    ej = emb.fn(jets.seed(pts, order=2))
     dphi = np.array([[lv(e, i) for i in range(3)] for e in ej])
     ddphi = np.array([[[lv(e, (i, j)) for j in range(3)] for i in range(3)]
                       for e in ej])
@@ -802,7 +804,7 @@ def test_jets_lowers_p_of_closed_form_data(order):
                 [[b, 0.0, 0.0], [0.0, 2.0 * b, 0.0], [0.0, 0.0, 0.0]])
     data = from_gp(gp, euclidean_frame(), "closed-form")
     pt = [3.0, 1.0, 0.5]
-    G, P = data.jets(pt, order)
+    G, P, _ = data.jets(pt, order)
     Gr, Pr = gp(jets.seed(pt, order))
     for i in range(3):
         for j in range(3):
@@ -815,6 +817,136 @@ def test_jets_lowers_p_of_closed_form_data(order):
                 assert not isinstance(P[i][j], jets.Jet) or P[i][j].dd is None
                 assert all(_same(a, b) for a, b in zip(_entries(P[i][j], 1),
                                                        _entries(Pr[i][j], 1)))
+
+
+# -- one frame evaluation per call and the lowering of p's arguments -------------
+
+def _bondi_biaxial():
+    return make_slice_data(ScenarioConfig(preset="bondi-biaxial"))
+
+
+@pytest.mark.parametrize("kind", ["pullback", "closed-form"])
+def test_every_evaluation_runs_the_frame_once(kind):
+    """Each values() and jets() call, at orders 1 and 2 and with or without
+    p, calls ``frame.components`` exactly once, and jets() returns that F.
+    The data's evaluators read no frame of their own: the frame is swapped
+    for a counting one after the data are built."""
+    if kind == "pullback":
+        data, pts = _PULLBACKS["kerr"][0], _points("kerr", 3, (0.2, 0.5, 0.7))
+    else:
+        data, pts = _bondi_biaxial(), _points("bondi", 3, (0.2, 0.5, 0.7))
+    made = []
+
+    def components(c):
+        made.append(data.frame.components(c))
+        return made[-1]
+    counted = dataclasses.replace(
+        data, frame=FrameField(components, data.frame.kind))
+    calls = [("values", lambda: counted.values(pts))] + [
+        ((order, momentum),
+         lambda order=order, momentum=momentum: counted.jets(pts, order,
+                                                             momentum))
+        for order in (1, 2) for momentum in (True, False)]
+    for how, call in calls:
+        made.clear()
+        out = call()
+        assert len(made) == 1, (kind, how)
+        if how != "values":
+            assert out[2] is made[0], (kind, how)
+
+
+def _flat(X):
+    return [e for x in X for e in _flat(x)] if isinstance(X, list) else [X]
+
+
+def _same_jets(x, y):
+    """The same nesting of lists and jets, a structural zero (plain 0.0)
+    exactly where the other has one, and equal leaf values of equal shape
+    with equal zero signs."""
+    if isinstance(x, list) or isinstance(y, list):
+        return (isinstance(x, list) and isinstance(y, list)
+                and len(x) == len(y)
+                and all(_same_jets(a, b) for a, b in zip(x, y)))
+    if isinstance(x, jets.Jet) or isinstance(y, jets.Jet):
+        return (isinstance(x, jets.Jet) and isinstance(y, jets.Jet)
+                and all(_same_jets(a, b) for a, b in
+                        ((x.f, y.f), (x.d, y.d), (x.dd, y.dd))))
+    if x is None or y is None or jets._zero(x) or jets._zero(y):
+        return x is y or (jets._zero(x) and jets._zero(y))
+    return (np.shape(x) == np.shape(y) and np.array_equal(x, y)
+            and np.array_equal(np.signbit(x), np.signbit(y)))
+
+
+def _lowered_evaluators():
+    exp = make_expansion(ScenarioConfig(preset="bondi-biaxial"))
+    return {"euclidean frame": euclidean_frame().components,
+            "hyperboloid frame": hyperboloid_frame().components,
+            "t = 0": t_const_embedding().fn,
+            "hyperboloid": hyperboloid_embedding().fn,
+            "null slice": bondi_slice_embedding(exp, 0.5).fn}
+
+
+_LOWERED = _lowered_evaluators()
+
+
+@st.composite
+def _finite_points(draw):
+    """A scalar point, n points, or radius, theta and psi on three axes."""
+    r = draw(st.floats(0.5, 60.0))
+    th = draw(st.floats(0.2, 2.9))
+    ps = draw(st.floats(0.0, 6.2))
+    layout = draw(st.sampled_from(["scalar", "flat", "axes"]))
+    if layout == "scalar":
+        return [r, th, ps]
+    spread = np.linspace(0.0, 0.2, draw(st.integers(1, 4)))
+    pts = [r + 10.0 * spread, th + spread, ps + 2.0 * spread]
+    if layout == "axes":
+        pts = [pts[0][:, None, None], pts[1][:, None], pts[2][None, :]]
+    return pts
+
+
+def _check_lower(lower, fn, pts):
+    x2, x1, x0 = fn(jets.seed(pts, 2)), fn(jets.seed(pts, 1)), fn(pts)
+    for hi, lo in ((x2, x1), (x1, x0)):
+        assert _same_jets(lower(hi), lo)
+        # structural zeros stay plain floats
+        assert all(jets._zero(b) for a, b in zip(_flat(hi), _flat(lower(hi)))
+                   if jets._zero(a))
+
+
+def _lower_to_value(x):
+    """A wrong lowering: every jet to its value, order 2 included."""
+    if isinstance(x, list):
+        return [_lower_to_value(e) for e in x]
+    return x.f if isinstance(x, jets.Jet) else x
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(_LOWERED)), pts=_finite_points())
+def test_lower_is_the_evaluation_one_order_lower(name, pts):
+    """``_lower`` of the order-2 evaluation of both frames and of every
+    catalog embedding is the order-1 evaluation, and ``_lower`` of that is
+    the plain evaluation, bit for bit; a lowering that takes an order-2 jet
+    to its value fails the same check."""
+    fn = _LOWERED[name]
+    _check_lower(geometry._lower, fn, pts)
+    with pytest.raises(AssertionError):
+        _check_lower(_lower_to_value, fn, pts)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_closed_form_slice_data_reject_a_non_finite_coordinate(bad):
+    """The closed-form slice data stop at a theta that is not finite, in
+    values() and in the null charge integrands, naming the point."""
+    data = _bondi_biaxial()
+    coords = [np.array([30.0, 40.0]), np.array([1.0, bad]),
+              np.array([0.5, 0.5])]
+    message = ("coordinate is not finite at (r, theta, psi) = "
+               f"(40.0, {float(bad)!r}, 0.5)")
+    for evaluate in (data.values, lambda c: charge_integrand(data, c)):
+        with pytest.raises(DomainError) as err:
+            evaluate(coords)
+        assert str(err.value) == message
 
 
 # -- Christoffel rows of the normal ----------------------------------------------
@@ -840,9 +972,10 @@ def test_p_builds_only_normal_rows_bit_identically(case, order, n, t):
         return rows
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_normal_rows", recorded)
-        G, P = data.g(arg), data.p(arg)
+        F = data.frame.components(arg)
+        G, P = data.g(arg, F), data.p(arg, F)
         mp.setattr(geometry, "_normal_rows", lambda n4: list(range(4)))
-        Pr = data.p(arg)
+        Pr = data.p(arg, F)
     assert seen == [{"kerr": [0], "hyperboloid": [0, 1],
                      "bondi": [0, 1, 2, 3]}[case]]
     for X, Y in ((G, _seeded_metric_g(case, arg)), (P, Pr)):

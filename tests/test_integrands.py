@@ -72,7 +72,7 @@ def _adm_reference(data, grid, r):
     w = grid.weights.ravel()
     T, Ps = grid.nodes()
     coords = [np.full_like(T, r), T, Ps]
-    G, P = data.jets(coords, order=1)
+    G, P, _ = data.jets(coords, order=1)
     F = data.frame.components(coords)
 
     def leaf(X):
@@ -93,7 +93,7 @@ def _adm_reference(data, grid, r):
 def _null_reference(data, coords3):
     """(E-integrand, P_k-integrand) from all 27 nabla_k a_ij."""
     r, th, _ = coords3
-    G, P = data.jets(coords3, order=1)
+    G, P, _ = data.jets(coords3, order=1)
     F = data.frame.components(coords3)
     leaf = np.shape(np.asarray(r, dtype=float))
     Fv, gv, pv = (np.array([[value(X[i][j]) + np.zeros(leaf) for j in range(3)]
