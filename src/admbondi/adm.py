@@ -21,7 +21,7 @@ from .geometry import (_chart_gradient, _coords_leaf, _first_order,
 from .jets import value
 from .ladder import (LadderFit, causal_margin, check_ladder,
                      fit_decay_exponent, fit_inverse_powers, ladder_map,
-                     rung_axes, rung_sups)
+                     rung_axes, rung_blocks, rung_sups)
 from .sphere import build_grid, direction_functions
 
 __all__ = ["AdmCharges", "adm_energy_momentum", "adm_ladder_samples",
@@ -56,39 +56,55 @@ def adm_ladder_samples(data, radii, grid, momentum=True):
     ``momentum`` a row is E alone, and P is left out of the evaluation of
     the data too (``InitialData.jets``).
 
-    Each rung is evaluated alone, as a one-rung ``rung_axes`` ladder; its
-    integrands are raveled, so every sum runs over the node-ordered array
-    as on flat nodes."""
+    The data are evaluated for all rungs at once on ``rung_axes``, once per
+    block of theta rows (``rung_blocks``); each rung then sums its own
+    integrands, raveled in node order, as on flat nodes."""
     _require_euclidean(data)
     ndir = direction_functions(grid)
     nvec = np.stack([ndir[k].values.ravel() for k in (1, 2, 3)])
     w = grid.weights.ravel()
+    n = len(radii)
+    theta, psi = grid.axes()
+    # rung first, so that each rung's integrands are one contiguous array
+    e_int = np.empty((n, 3) + grid.shape)
+    gh = np.empty((n, 2, 3, 3) + grid.shape) if momentum else None
+
+    def integrands(rows):
+        """Fill the block's rows; its jets are freed before the next block
+        is evaluated."""
+        coords = rung_axes(radii, theta[rows], psi)
+        leaf = _coords_leaf(coords)
+        G, P, F = data.jets(coords, order=1, momentum=momentum)
+        Fv = _leaf_array(F, value, leaf)
+        # d_j g_ij - d_i g_jj, from only the frame-directional derivatives
+        # D_k g_ij (Cartesian partials) that the two sums read
+        for i in range(3):
+            div_g = sum(frame_entry(Fv, G[i][j], j) for j in range(3))
+            grad_tr = sum(frame_entry(Fv, G[j][j], i) for j in range(3))
+            e_int[:, i, rows] = div_g - grad_tr
+        if momentum:
+            for k, X in enumerate((G, P)):
+                gh[:, k, ..., rows, :] = np.moveaxis(
+                    _leaf_array(X, value, leaf), 2, 0)
+
+    for rows in rung_blocks(n, grid):
+        integrands(rows)
 
     def surface(x, r, c):
         """r^2 int x_i n^i dOmega / c of a raveled vector x_i."""
         return np.sum(w * np.einsum("iu,iu->u", x, nvec)) * r * r / c
 
-    def samples_at(r):
-        coords = rung_axes([r], *grid.axes())
-        G, P, F = data.jets(coords, order=1, momentum=momentum)
-        Fv = _leaf_array(F, value, grid.shape)
-        # d_j g_ij - d_i g_jj, from only the frame-directional derivatives
-        # D_k g_ij (Cartesian partials) that the two sums read
-        e_int = np.empty((3,) + grid.shape)
-        for i in range(3):
-            div_g = sum(frame_entry(Fv, G[i][j], j) for j in range(3))
-            grad_tr = sum(frame_entry(Fv, G[j][j], i) for j in range(3))
-            e_int[i] = div_g - grad_tr
-        energy = surface(e_int.reshape(3, -1), r, 16.0 * np.pi)
+    def samples_at(rung):
+        r = radii[rung]
+        energy = surface(e_int[rung].reshape(3, -1), r, 16.0 * np.pi)
         if not momentum:
             return energy
-        gv = _leaf_array(G, value, grid.shape).reshape(3, 3, -1)
-        hv = _leaf_array(P, value, grid.shape).reshape(3, 3, -1)
+        gv, hv = gh[rung].reshape(2, 3, 3, -1)
         trh = np.einsum("jju->u", hv)
         p_int = hv - np.einsum("kiu,u->kiu", gv, trh)
         return energy, [surface(p_int[k], r, 8.0 * np.pi) for k in range(3)]
 
-    return ladder_map(samples_at, radii)
+    return ladder_map(samples_at, range(n))
 
 
 def adm_energy_momentum(data, radii, grid=None):

@@ -233,10 +233,12 @@ def induced_slice_data(exp, u0=0.0, a3=None):
     a3fn = a3 if a3 is not None else (lambda th, ps: 0.0 * th)
 
     def news_terms(th, ps):
-        """The terms that the g_ij and h_ij expansions share: c and d, their
-        jets over (u, theta, psi) and the derivatives both read, q2 = c^2 +
-        d^2, cc0 = c c_,0 + d d_,0, l, lbar and their u-derivatives, cot,
-        csc, M, N, P, C, H and a3, all at u0."""
+        """The chart-level terms that the g_ij and h_ij expansions share: c
+        and d and the derivatives both read, q2 = c^2 + d^2, cc0 = c c_,0 +
+        d d_,0, l, lbar and their u-derivatives, cot, csc, the second
+        derivatives c_,22, c_,33, d_,22, d_,23, d_,33 that h reads, M, N, P,
+        C, H and a3, all at u0.  Only chart-level objects, so that
+        ``InitialData`` lowers them one chart order for h."""
         cj, dj = exp.news_jets(float(u0), th, ps, order=2)
         c, d = _jf(cj), _jf(dj)
         c0, c2, c3, c00 = _jd(cj, 0), _jd(cj, 1), _jd(cj, 2), _jdd(cj, 0, 0)
@@ -248,16 +250,19 @@ def induced_slice_data(exp, u0=0.0, a3=None):
                            (d0, _jdd(dj, 0, 1), _jdd(dj, 0, 2)), ct, cs)
         q2 = c * c + d * d
         cc0 = c * c0 + d * d0
-        return (cj, dj, c, c0, c2, c3, c00, d, d0, d2, d3, d00, q2, cc0,
+        return [c, c0, c2, c3, c00, d, d0, d2, d3, d00, q2, cc0,
                 l, lbar, l0, lbar0, ct, cs,
+                _jdd(cj, 1, 1), _jdd(cj, 2, 2),
+                _jdd(dj, 1, 1), _jdd(dj, 1, 2), _jdd(dj, 2, 2),
                 *(f(u0, th, ps) for f in (exp.M, exp.N, exp.P, exp.C, exp.H)),
-                a3fn(th, ps))
+                a3fn(th, ps)]
 
     def g(coords, F):
         r, th, ps = coords
-        (_, _, c, c0, c2, c3, c00, d, d0, d2, d3, d00, q2, cc0,
-         l, lbar, l0, lbar0, ct, cs, Mv, Nv, Pv, Cv, Hv, a3v) = \
-            news_terms(th, ps)
+        S = news_terms(th, ps)
+        (c, c0, c2, c3, c00, d, d0, d2, d3, d00, q2, cc0,
+         l, lbar, l0, lbar0, ct, cs, _, _, _, _, _,
+         Mv, Nv, Pv, Cv, Hv, a3v) = S
         r2 = r * r
         r3 = r2 * r
         g11 = 1.0 + (16.0 * a3v + Mv - c * c0 - d * d0) / (2.0 * r3)
@@ -271,15 +276,13 @@ def induced_slice_data(exp, u0=0.0, a3=None):
             + (c * c * d + d ** 3 + 2.0 * Hv + 0.25 * d00) / r3
         g33 = 1.0 - 2.0 * c / r + (2.0 * q2 - c0) / r2 \
             + (-(c ** 3) - c * d * d - 2.0 * Cv + 2.0 * cc0 - 0.25 * c00) / r3
-        return [[g11, g12, g13], [g12, g22, g23], [g13, g23, g33]]
+        return [[g11, g12, g13], [g12, g22, g23], [g13, g23, g33]], S
 
-    def h(coords, F):
-        r, th, ps = coords
-        (cj, dj, c, c0, c2, c3, c00, d, d0, d2, d3, d00, q2, cc0,
-         l, lbar, l0, lbar0, ct, cs, Mv, Nv, Pv, Cv, Hv, a3v) = \
-            news_terms(th, ps)
-        c22, c33 = _jdd(cj, 1, 1), _jdd(cj, 2, 2)
-        d22, d23, d33 = _jdd(dj, 1, 1), _jdd(dj, 1, 2), _jdd(dj, 2, 2)
+    def h(coords, F, S):
+        r = coords[0]
+        (c, c0, c2, c3, c00, d, d0, d2, d3, d00, q2, cc0,
+         l, lbar, l0, lbar0, ct, cs, c22, c33, d22, d23, d33,
+         Mv, Nv, Pv, Cv, Hv, a3v) = S
         l2 = c22 + 2.0 * c2 * ct - 2.0 * c * cs * cs + d23 * cs - d3 * cs * ct
         lbar3 = d23 + 2.0 * d3 * ct - c33 * cs
         r2 = r * r

@@ -326,17 +326,20 @@ def _lower(x):
 class InitialData:
     """Evaluators of frame components g(e_i, e_j), p(e_i, e_j) on the 3-chart.
 
-    ``g(coords3, F)`` and ``p(coords3, F)``, F the frame at the jet level of
-    the coordinates, must be generic over jet level; each returns a 3x3
-    nested list.  p need not be symmetric.  ``values`` and ``jets`` reject a
-    coordinate that is not finite, then evaluate the frame once and ``g``
-    before ``p``, so ``p`` may rely on the domain checks that ``g`` makes.
+    ``g(coords3, F)``, F the frame at the jet level of the coordinates,
+    returns (G, S): G the 3x3 nested list of g and S the chart-level
+    intermediates that p also reads, or None.  ``p(coords3, F, S)`` returns
+    the 3x3 nested list of p, which need not be symmetric.  Both must be
+    generic over jet level.  ``values`` and ``jets`` reject a coordinate
+    that is not finite, then evaluate the frame once and ``g`` before ``p``,
+    so ``p`` may rely on the domain checks that ``g`` makes.
 
     ``jets(coords3, order)`` returns (G, P, F): G and F with ``order`` chart
     derivatives, P with ``order - 1`` (plain values at order 1) from the
-    ``_lower`` coordinates and F, bit for bit those one order lower, as a
-    jet's f and d never read dd.  The charges read dg and p, the
-    constraints ddg and dp.  ``momentum=False`` leaves p out: P is None.
+    ``_lower`` coordinates, F and S, bit for bit those one order lower, as a
+    jet's f and d never read dd.  ``values`` hands p the S of g unchanged.
+    The charges read dg and p, the constraints ddg and dp.
+    ``momentum=False`` leaves p out: P is None.
     """
 
     g: Callable
@@ -350,17 +353,18 @@ class InitialData:
         _reject_non_finite(coords3, "r, theta, psi")
         leaf = _coords_leaf(coords3)
         F = self.frame.components(coords3)
-        G = _leaf_array(self.g(coords3, F), value, leaf)
-        return G, _leaf_array(self.p(coords3, F), value, leaf)
+        G, S = self.g(coords3, F)
+        return (_leaf_array(G, value, leaf),
+                _leaf_array(self.p(coords3, F, S), value, leaf))
 
     def jets(self, coords3, order=2, momentum=True):
         _reject_non_finite(coords3, "r, theta, psi")
         c = jets.seed(coords3, order=order)
         F = self.frame.components(c)
-        G = self.g(c, F)
+        G, S = self.g(c, F)
         if not momentum:
             return G, None, F
-        return G, self.p(_lower(c), _lower(F)), F
+        return G, self.p(_lower(c), _lower(F), _lower(S)), F
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +533,7 @@ def pullback_initial_data(metric, emb, frame):
     the metric's chart domain, the slice is not spacelike or the induced
     metric is not positive definite (``_on_slice``).  ``p`` makes none of
     these checks: ``InitialData`` evaluates ``g`` on the same points first.
+    ``g`` hands ``p`` no intermediates (S is None).
     """
     if emb.chart != metric.chart:
         raise DomainError(
@@ -538,9 +543,9 @@ def pullback_initial_data(metric, emb, frame):
         # g_ab d_i phi^a d_j phi^b needs only first derivatives of phi and no
         # derivative of g_ab
         g3 = _on_slice(metric, coords3, emb.fn(jets.seed(coords3, order=1)))
-        return _in_frame(F, g3)
+        return _in_frame(F, g3), None
 
-    def p(coords3, F):
+    def p(coords3, F, S):
         ej = emb.fn(jets.seed(coords3, order=2))
         dphi = _tangents(ej)
         ddphi = [[[_jdd(ej[a], i, j) for j in range(3)] for i in range(3)]

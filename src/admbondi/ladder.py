@@ -6,8 +6,9 @@ A + B/r + C/r^2; decay orders are log-log slope fits of sup-norms.  The
 extrapolated energy-momenta are judged by one causal margin.
 
 A whole ladder is evaluated in one layout, ``rung_axes``: r on the leading
-axis against the sphere grid's theta column and psi row; ``rung_sups``
-reduces it to one sup-norm per rung.
+axis against the sphere grid's theta column and psi row, in the blocks of
+theta rows that ``rung_blocks`` gives; ``rung_sups`` reduces it to one
+sup-norm per rung.
 """
 
 from dataclasses import dataclass, field
@@ -18,9 +19,11 @@ from .errors import ConfigError, DomainError
 
 __all__ = ["LadderFit", "DecayFit", "fit_inverse_powers", "fit_decay_exponent",
            "slowest_order", "ladder_map", "check_ladder", "rung_axes",
-           "rung_sups", "causal_margin"]
+           "rung_blocks", "rung_sups", "causal_margin"]
 
 EXACT_ZERO_FLOOR = 1e-13
+# chart points per ladder evaluation: one rung of the 48 x 96 grid
+RUNG_BLOCK_POINTS = 48 * 96
 
 
 @dataclass
@@ -124,6 +127,21 @@ def rung_axes(radii, theta, psi):
     (or a block of its rows), so work on the angles alone runs once for all
     rungs.  Leaf index [k], raveled, is rung k at the nodes in node order."""
     return [np.asarray(radii, dtype=float)[:, None, None], theta, psi]
+
+
+def rung_blocks(n_rungs, grid):
+    """Consecutive slices of the grid's theta rows, each evaluated for all
+    ``n_rungs`` rungs at once on ``rung_axes(radii, theta[rows], psi)``.
+
+    They are the fewest blocks that hold RUNG_BLOCK_POINTS chart points
+    (rungs x rows x n_psi) on average, split as evenly as whole rows allow,
+    with at least one row each: a block of several rows holds less than
+    RUNG_BLOCK_POINTS plus one row.  Five rungs of 48 x 96 give five
+    blocks of 9-10 rows, four rungs of 24 x 48 one block."""
+    total = n_rungs * grid.n_theta * grid.n_psi
+    n = min(grid.n_theta, -(-total // RUNG_BLOCK_POINTS))
+    return [slice(int(b[0]), int(b[-1]) + 1)
+            for b in np.array_split(np.arange(grid.n_theta), n)]
 
 
 def rung_sups(x):

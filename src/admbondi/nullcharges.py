@@ -27,8 +27,8 @@ from .errors import ConfigError
 from .geometry import _grad, constraint_quantities, frame_entry
 from .jets import value
 from .ladder import (causal_margin, check_ladder, fit_decay_exponent,
-                     fit_inverse_powers, ladder_map, rung_axes, rung_sups,
-                     slowest_order)
+                     fit_inverse_powers, ladder_map, rung_axes, rung_blocks,
+                     rung_sups, slowest_order)
 from .sphere import build_grid, direction_functions
 
 __all__ = [
@@ -219,11 +219,9 @@ class NullCharges:
 def null_energy_momentum(data, radii, grid=None, check_decay=True):
     """E_nu and P_nu,k over the radius ladder, with the order gate.
 
-    The integrands are evaluated on ``rung_axes`` in blocks of the grid's
-    theta rows, one contiguous block per rung (fewer when there are fewer
-    rows than rungs), so each evaluation has about one rung's worth of
-    points.  Each rung then sums its full row of nodes, raveled in node
-    order.
+    The integrands are evaluated for all rungs at once on ``rung_axes``,
+    once per block of theta rows (``rung_blocks``).  Each rung then sums
+    its full row of nodes, raveled in node order.
 
     Components whose fitted decay order falls below ``TAU_GATE`` make the
     charges unreliable; the per-component fits are always reported so the
@@ -250,8 +248,7 @@ def null_energy_momentum(data, radii, grid=None, check_decay=True):
     theta, psi = grid.axes()
     e_int = np.empty((len(radii),) + grid.shape)
     p_int = np.empty((3,) + e_int.shape)
-    for rows in np.array_split(np.arange(grid.n_theta),
-                               min(len(radii), grid.n_theta)):
+    for rows in rung_blocks(len(radii), grid):
         e_int[:, rows], p_int[:, :, rows] = charge_integrand(
             data, rung_axes(radii, theta[rows], psi))
     e_int = e_int.reshape(len(radii), -1)

@@ -52,9 +52,10 @@ def arctan2(y, x):
 
 def from_gp(gp, frame, name="data"):
     """InitialData from one closed-form evaluator of the pair (g, p); the
-    evaluators ignore the frame that ``InitialData`` hands them."""
-    return InitialData(lambda c, F: gp(c)[0], lambda c, F: gp(c)[1], frame,
-                       name)
+    evaluators ignore the frame that ``InitialData`` hands them, and g hands
+    p no intermediates."""
+    return InitialData(lambda c, F: (gp(c)[0], None),
+                       lambda c, F, S: gp(c)[1], frame, name)
 
 
 def rotated_data(data, Q):
@@ -68,18 +69,24 @@ def rotated_data(data, Q):
     Q = np.asarray(Q, dtype=float)
     Qi = Q.T  # inverse of a rotation
 
-    def rotated(evaluator):
-        def fn(coords, F):
-            r, th, ps = coords
-            st, ct = jets.sin(th), jets.cos(th)
-            n = [st * jets.cos(ps), st * jets.sin(ps), ct]
-            m = [sum(Qi[a][b] * n[b] for b in range(3)) for a in range(3)]
-            pre = [r, arccos(m[2]), arctan2(m[1], m[0])]
-            T = evaluator(pre, data.frame.components(pre))
-            return [[sum(Q[i][a] * Q[j][b] * T[a][b] for a in range(3)
-                         for b in range(3)) for j in range(3)]
-                    for i in range(3)]
-        return fn
+    def at_preimage(evaluator, coords, *S):
+        """The evaluator at the pre-image of coords, with the frame there."""
+        r, th, ps = coords
+        st, ct = jets.sin(th), jets.cos(th)
+        n = [st * jets.cos(ps), st * jets.sin(ps), ct]
+        m = [sum(Qi[a][b] * n[b] for b in range(3)) for a in range(3)]
+        pre = [r, arccos(m[2]), arctan2(m[1], m[0])]
+        return evaluator(pre, data.frame.components(pre), *S)
 
-    return InitialData(rotated(data.g), rotated(data.p), data.frame,
-                       name=f"rotated[{data.name}]")
+    def rotate(T):
+        return [[sum(Q[i][a] * Q[j][b] * T[a][b] for a in range(3)
+                     for b in range(3)) for j in range(3)] for i in range(3)]
+
+    def g(coords, F):
+        G, S = at_preimage(data.g, coords)
+        return rotate(G), S
+
+    def p(coords, F, S):
+        return rotate(at_preimage(data.p, coords, S))
+
+    return InitialData(g, p, data.frame, name=f"rotated[{data.name}]")

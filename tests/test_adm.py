@@ -149,12 +149,41 @@ def test_boosted_slice_carries_the_boosted_momentum(metric, beta):
     assert np.max(np.abs(ch.P[:2])) <= 1e-12
     assert abs(check_pmt_flat(ch) - gamma * (1.0 - abs(beta))) <= 2.0 * tol
 
-    def flipped(c, F):
-        return [[0.0 - x for x in row] for row in data.p(c, F)]
+    def flipped(c, F, S):
+        return [[0.0 - x for x in row] for row in data.p(c, F, S)]
     flip = adm_energy_momentum(
         InitialData(data.g, flipped, data.frame, "h flipped"), LADDER, grid)
     assert abs(flip.E - gamma) <= tol
     assert abs(flip.P[2] - gamma * beta) > tol
+
+
+_BLOCKED_DATA = {
+    "schwarzschild": (schwarzschild(1.0, "polar"), t_const_embedding()),
+    "kerr-0.5": (kerr(KerrParameters(1.0, 0.5)), t_const_embedding()),
+    "boosted": (schwarzschild(1.0, "polar"), boosted_embedding(0.6)),
+}
+
+
+@pytest.mark.parametrize("momentum", [True, False])
+@pytest.mark.parametrize("ladder", [LADDER, LADDER + [160.0]],
+                         ids=["4 rungs", "5 rungs"])
+@pytest.mark.parametrize("shape", [(24, 48), (48, 96)])
+@pytest.mark.parametrize("case", sorted(_BLOCKED_DATA))
+def test_blocked_ladder_samples_equal_the_rung_by_rung_ones(case, shape,
+                                                             ladder, momentum):
+    """Every sample of a ladder evaluated in ``rung_blocks`` (one block of
+    4 rungs on 24 x 48, two of 5; four and five blocks on 48 x 96) equals
+    the sample of its rung evaluated alone, bit for bit with zero signs."""
+    metric, emb = _BLOCKED_DATA[case]
+    data = pullback_initial_data(metric, emb, euclidean_frame())
+    grid = build_grid(*shape)
+    blocked = adm.adm_ladder_samples(data, ladder, grid, momentum)
+    alone = [adm.adm_ladder_samples(data, [r], grid, momentum)[0]
+             for r in ladder]
+    for got, ref in zip(blocked, alone):
+        got, ref = (np.hstack(x if momentum else [x]) for x in (got, ref))
+        assert np.array_equal(got, ref), (case, shape)
+        assert np.array_equal(np.signbit(got), np.signbit(ref)), (case, shape)
 
 
 def test_grid_refinement_within_residual(schw_data):

@@ -1,12 +1,14 @@
 """Pullback, frame curvature and constraint quantities on known geometries."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from admbondi import geometry, jets
+from admbondi.bondi import induced_slice_data
 from admbondi.errors import DomainError
 from admbondi.geometry import (Embedding, InitialData, Metric4Evaluator,
                                constraint_quantities,
@@ -18,7 +20,8 @@ from admbondi.ladder import rung_axes
 from admbondi.nullcharges import (background_connection, charge_integrand,
                                   check_dec_null)
 from admbondi.reports import CheckResult
-from admbondi.scenarios import ScenarioConfig, make_expansion, make_slice_data
+from admbondi.scenarios import (ScenarioConfig, make_a3, make_expansion,
+                                make_slice_data)
 from admbondi.spacetimes import (bondi_metric, bondi_slice_embedding,
                                  hyperboloid_embedding, kerr, KerrParameters,
                                  minkowski, schwarzschild, t_const_embedding)
@@ -400,8 +403,8 @@ def test_sigma_for_nonsymmetric_p():
 def _twisted(pulled):
     """The data with the antisymmetric part w (e^0 e^1 - e^1 e^0) added to
     p, w = 0.1 / (1 + r)."""
-    def p(c, F):
-        P = [list(row) for row in pulled.p(c, F)]
+    def p(c, F, S):
+        P = [list(row) for row in pulled.p(c, F, S)]
         w = 0.1 / (1.0 + c[0])
         P[0][1] = P[0][1] + w
         P[1][0] = P[1][0] - w
@@ -437,8 +440,8 @@ def test_constraints_of_a_constant_antisymmetric_p_match_closed_forms(rng):
     pulled = pullback_initial_data(minkowski("polar"), hyperboloid_embedding(),
                                    hyperboloid_frame())
 
-    def p(c, F):
-        P = pulled.p(c, F)
+    def p(c, F, S):
+        P = pulled.p(c, F, S)
         return [[P[i][j] + A[i][j] for j in range(3)] for i in range(3)]
     data = InitialData(pulled.g, p, pulled.frame, "antisymmetric-A")
     r, th, ps = sample_points(rng, 20, rlo=0.5, rhi=5.0)
@@ -655,7 +658,7 @@ def test_jets_mixed_order_contract_on_pullbacks(case, order, n, t):
     G, P, _ = data.jets(pts, order)
     arg = jets.seed(pts, order)
     Gr = _seeded_metric_g(case, arg)
-    Pr = data.p(arg, data.frame.components(arg))
+    Pr = data.p(arg, data.frame.components(arg), None)
     for i in range(3):
         for j in range(3):
             got, ref = _entries(G[i][j], order), _entries(Gr[i][j], order)
@@ -855,6 +858,35 @@ def test_every_evaluation_runs_the_frame_once(kind):
             assert out[2] is made[0], (kind, how)
 
 
+def test_every_slice_evaluation_runs_the_news_terms_once():
+    """Each values() and jets() call of the closed-form slice data, at orders
+    1 and 2 and with or without p, evaluates the news jets and each of M,
+    N, P, C and H exactly once: g hands p the terms they share."""
+    exp = make_expansion(ScenarioConfig(preset="bondi-biaxial"))
+    seen = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            seen[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    exp = dataclasses.replace(exp, **{k: counted(k, getattr(exp, k))
+                                      for k in "MNPCH"})
+    exp.news_jets = counted("news_jets", exp.news_jets)
+    data = induced_slice_data(exp, 0.5, make_a3(
+        ScenarioConfig(preset="bondi-biaxial", a3_amplitude=0.02)))
+    pts = _points("bondi", 3, (0.2, 0.5, 0.7))
+    calls = [("values", lambda: data.values(pts))] + [
+        ((order, momentum),
+         lambda order=order, momentum=momentum: data.jets(pts, order,
+                                                          momentum))
+        for order in (1, 2) for momentum in (True, False)]
+    for how, call in calls:
+        seen.clear()
+        call()
+        assert seen == dict.fromkeys(["news_jets", *"MNPCH"], 1), how
+
+
 def _flat(X):
     return [e for x in X for e in _flat(x)] if isinstance(X, list) else [X]
 
@@ -877,13 +909,38 @@ def _same_jets(x, y):
             and np.array_equal(np.signbit(x), np.signbit(y)))
 
 
+def _slice_data():
+    """Closed-form slice data whose g hands p the shared news terms: a news
+    table, bondi-biaxial with a3 and bondi-quadrupole."""
+    table = {"u_grid": np.linspace(0.0, 2.0, 5),
+             (2, 0): [0.0, 0.05, 0.1, 0.05, 0.0],
+             (2, 1): [0.02, 0.0, -0.02, 0.01, 0.0]}
+    cfgs = {"news table": ScenarioConfig(preset="bondi-quadrupole",
+                                         news_table=table, u0=0.7),
+            "bondi-biaxial with a3": ScenarioConfig(preset="bondi-biaxial",
+                                                    a3_amplitude=0.02, u0=0.5),
+            "bondi-quadrupole": ScenarioConfig(preset="bondi-quadrupole",
+                                               u0=0.5)}
+    return {name: make_slice_data(cfg) for name, cfg in cfgs.items()}
+
+
+_SLICE_DATA = _slice_data()
+
+
+def _news_terms(data):
+    """S of the data's g: the chart-level terms it hands p."""
+    return lambda c: data.g(c, data.frame.components(c))[1]
+
+
 def _lowered_evaluators():
     exp = make_expansion(ScenarioConfig(preset="bondi-biaxial"))
     return {"euclidean frame": euclidean_frame().components,
             "hyperboloid frame": hyperboloid_frame().components,
             "t = 0": t_const_embedding().fn,
             "hyperboloid": hyperboloid_embedding().fn,
-            "null slice": bondi_slice_embedding(exp, 0.5).fn}
+            "null slice": bondi_slice_embedding(exp, 0.5).fn,
+            **{f"news terms of {name}": _news_terms(data)
+               for name, data in _SLICE_DATA.items()}}
 
 
 _LOWERED = _lowered_evaluators()
@@ -921,17 +978,32 @@ def _lower_to_value(x):
     return x.f if isinstance(x, jets.Jet) else x
 
 
+def _check_p_from_lowered_terms(data, pts):
+    """P of jets() at orders 1 and 2, from the lowered news terms of g, is
+    p evaluated on its own one order lower, with the terms of that order."""
+    for order in (1, 2):
+        lo = pts if order == 1 else jets.seed(pts, 1)
+        F = data.frame.components(lo)
+        ref = data.p(lo, F, data.g(lo, F)[1])
+        assert _same_jets(data.jets(pts, order)[1], ref), order
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(name=st.sampled_from(sorted(_LOWERED)), pts=_finite_points())
 def test_lower_is_the_evaluation_one_order_lower(name, pts):
-    """``_lower`` of the order-2 evaluation of both frames and of every
-    catalog embedding is the order-1 evaluation, and ``_lower`` of that is
-    the plain evaluation, bit for bit; a lowering that takes an order-2 jet
-    to its value fails the same check."""
+    """``_lower`` of the order-2 evaluation of both frames, of every
+    catalog embedding and of the news terms that closed-form slice data
+    share between g and p is the order-1 evaluation, and ``_lower`` of that
+    is the plain evaluation, bit for bit; a lowering that takes an order-2
+    jet to its value fails the same check.  For the slice data, P from the
+    shared terms is P evaluated on its own one order lower."""
     fn = _LOWERED[name]
     _check_lower(geometry._lower, fn, pts)
     with pytest.raises(AssertionError):
         _check_lower(_lower_to_value, fn, pts)
+    if name.startswith("news terms of "):
+        _check_p_from_lowered_terms(
+            _SLICE_DATA[name.removeprefix("news terms of ")], pts)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -973,9 +1045,10 @@ def test_p_builds_only_normal_rows_bit_identically(case, order, n, t):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_normal_rows", recorded)
         F = data.frame.components(arg)
-        G, P = data.g(arg, F), data.p(arg, F)
+        G, S = data.g(arg, F)
+        P = data.p(arg, F, S)
         mp.setattr(geometry, "_normal_rows", lambda n4: list(range(4)))
-        Pr = data.p(arg, F)
+        Pr = data.p(arg, F, S)
     assert seen == [{"kerr": [0], "hyperboloid": [0, 1],
                      "bondi": [0, 1, 2, 3]}[case]]
     for X, Y in ((G, _seeded_metric_g(case, arg)), (P, Pr)):

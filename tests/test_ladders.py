@@ -9,12 +9,13 @@ import contextlib
 import io
 import json
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from admbondi import adm, geometry, jets
+from admbondi import adm, geometry, jets, ladder
 from admbondi.adm import adm_energy_momentum, check_af_decay
 from admbondi.bondi import SLICE_COMPONENTS, expansion_consistency, \
     induced_slice_data
@@ -23,12 +24,12 @@ from admbondi.errors import DomainError
 from admbondi.geometry import (euclidean_frame, hyperboloid_frame,
                                pullback_initial_data)
 from admbondi.ladder import (causal_margin, fit_inverse_powers, rung_axes,
-                             rung_sups)
+                             rung_blocks, rung_sups)
 from admbondi.nullcharges import decay_orders, deviation
 from admbondi.reports import CheckResult
 from admbondi.scenarios import (ScenarioConfig, default_radii, make_a3,
-                                make_adm_data, make_expansion, make_metric,
-                                make_slice_data)
+                                make_adm_data, make_expansion, make_grid,
+                                make_metric, make_slice_data)
 from admbondi.spacetimes import (KerrParameters, bondi_metric,
                                  bondi_slice_embedding, kerr, schwarzschild,
                                  t_const_embedding)
@@ -297,13 +298,14 @@ def test_energy_only_jets_equal_the_full_g(m, spin, r0, ratio, n, order,
             assert np.array_equal(np.signbit(g), np.signbit(f)), r
 
 
-def test_converge_runs_every_domain_check_once_per_rung(monkeypatch):
-    """Each of converge's nine rungs (five on the coarse grid, four on the
-    doubled one) runs each domain check of the pullback exactly once: the
-    chart domain, the spacelike slice and the positive definite induced
-    metric; the finiteness checks run once on the slice coordinates and
-    once on the chart coordinates.  Each of adm's six rungs, which evaluate
-    p too, runs them as often."""
+def test_converge_runs_every_domain_check_once_per_block(monkeypatch):
+    """Each evaluation of the slice data runs each domain check of the
+    pullback exactly once: the chart domain, the spacelike slice and the
+    positive definite induced metric; the finiteness checks run once on the
+    slice coordinates and once on the chart coordinates.  converge evaluates
+    its five coarse rungs and its four rungs on the doubled grid in
+    ``rung_blocks``; adm its four rungs in ``rung_blocks``, then the decay
+    ladder and the DEC sample points once each."""
     seen = Counter()
     reject = geometry._reject
 
@@ -312,16 +314,98 @@ def test_converge_runs_every_domain_check_once_per_rung(monkeypatch):
         return reject(bad, coords, names, message)
 
     monkeypatch.setattr(geometry, "_reject", counted)
-    domain = make_metric(ScenarioConfig(preset="kerr")).domain
+    cfg = ScenarioConfig(preset="kerr")
+    domain = make_metric(cfg).domain
     spacelike = "slice is not spacelike (conormal fails to be timelike)"
-    for command, rungs, finite in (("converge", 9, 18), ("adm", 6, 12)):
+    grid, n = make_grid(cfg, "adm"), len(default_radii(cfg, "adm"))
+    fine = build_grid(2 * grid.n_theta, 2 * grid.n_psi)
+    blocks = {"converge": len(rung_blocks(n + 1, grid))
+                          + len(rung_blocks(n, fine)),
+              "adm": len(rung_blocks(n, grid)) + 2}
+    assert blocks == {"converge": 2 + 4, "adm": 1 + 2}
+    for command, evaluations in blocks.items():
         seen.clear()
         with contextlib.redirect_stdout(io.StringIO()):
-            assert main([command, "--preset", "kerr", "--ntheta", "6",
-                         "--npsi", "12"]) == 0
-        assert seen == {domain: rungs, spacelike: rungs,
-                        "induced metric is not positive definite": rungs,
-                        "coordinate is not finite": finite}, command
+            assert main([command, "--preset", "kerr"]) == 0
+        assert seen == {domain: evaluations, spacelike: evaluations,
+                        "induced metric is not positive definite": evaluations,
+                        "coordinate is not finite": 2 * evaluations}, command
+
+
+@pytest.mark.parametrize("command", ["adm", "converge"])
+def test_a_rung_inside_the_horizon_exits_2(command, capsys):
+    """A rung inside Kerr's horizon (r_+ = 1.87 at m = 1, a = 0.5) stops
+    adm and converge with exit 2 and a message naming a point at that
+    radius."""
+    assert main([command, "--preset", "kerr", "--radii", "1.5,10,20,40"]) == 2
+    err = capsys.readouterr().err
+    assert "outside the exterior region" in err
+    assert "at (t, r, theta, psi) = (0.0, 1.5, " in err
+
+
+@pytest.mark.parametrize("momentum", [True, False])
+@pytest.mark.parametrize("position", [0, 2, 4])
+def test_every_rung_of_a_block_is_checked(position, momentum):
+    """The evaluations of adm (with momentum) and converge (energy only)
+    stop at a rung inside Kerr's horizon wherever it sits in a block's
+    ladder, first, in the middle or last, naming a point at that radius.
+    An increasing ladder (``check_ladder``) can hold such a rung first
+    only, so the ladder is passed unsorted; its five rungs on 24 x 48 are
+    two blocks."""
+    data = make_adm_data(ScenarioConfig(preset="kerr"))
+    radii = [10.0, 20.0, 40.0, 80.0]
+    radii.insert(position, 1.5)
+    grid = build_grid(24, 48)
+    assert len(rung_blocks(len(radii), grid)) == 2
+    with pytest.raises(DomainError, match=r"outside the exterior region "
+                       r".* = \(0\.0, 1\.5, "):
+        adm.adm_ladder_samples(data, radii, grid, momentum)
+
+
+def _parent_blocks(n_rungs, n_theta):
+    """The null ladder's row split before ``rung_blocks``: one block per
+    rung, or one per row when there are fewer rows."""
+    return np.array_split(np.arange(n_theta), min(n_rungs, n_theta))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(n_rungs=st.integers(1, 12), n_theta=st.integers(1, 200),
+       n_psi=st.integers(1, 400))
+def test_rung_blocks_cover_the_rows_in_order(n_rungs, n_theta, n_psi):
+    """Consecutive blocks cover every theta row once, in order, as evenly
+    as whole rows allow; they are the fewest that hold RUNG_BLOCK_POINTS
+    points on average, so a block of several rows holds less than that plus
+    one row.  ``rung_blocks`` reads only the grid's shape."""
+    grid = SimpleNamespace(n_theta=n_theta, n_psi=n_psi)
+    blocks = rung_blocks(n_rungs, grid)
+    budget, row = ladder.RUNG_BLOCK_POINTS, n_rungs * n_psi
+    assert all(isinstance(b, slice) and b.step is None for b in blocks)
+    assert [i for b in blocks for i in range(b.start, b.stop)] \
+        == list(range(n_theta))
+    sizes = [b.stop - b.start for b in blocks]
+    assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+    n = len(blocks)
+    # the average block fits, or every block is a single row ...
+    assert n * budget >= row * n_theta or n == n_theta
+    # ... and one block fewer would not fit on average
+    assert n == 1 or (n - 1) * budget < row * n_theta
+    assert all(size * row < budget + row for size in sizes if size > 1)
+
+
+@pytest.mark.parametrize("n_rungs, shape, sizes", [
+    (5, (48, 96), [10, 10, 10, 9, 9]),    # the null ladder, as before
+    (4, (48, 96), [12] * 4),              # converge's fine ladder
+    (4, (24, 48), [24]),                  # adm, verify c1/c2: one block
+    (5, (24, 48), [12, 12]),              # converge's coarse ladder
+])
+def test_rung_blocks_of_the_default_ladders(n_rungs, shape, sizes):
+    """The default ladders' blocks; five rungs of 48 x 96 keep the row
+    split of the null ladder before ``rung_blocks``."""
+    blocks = rung_blocks(n_rungs, build_grid(*shape))
+    assert [b.stop - b.start for b in blocks] == sizes
+    if shape == (48, 96):
+        assert [list(range(b.start, b.stop)) for b in blocks] \
+            == [list(b) for b in _parent_blocks(n_rungs, shape[0])]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -266,8 +266,8 @@ def test_charges_with_fd_connection_agree(schw_slice):
                                    check_decay=False)
     finally:
         nc.background_connection = orig
-    # 16 theta rows in three blocks
-    assert calls == [(3, 6, 1), (3, 5, 1), (3, 5, 1)]
+    # three rungs of 16 theta rows: one block (``rung_blocks``)
+    assert calls == [(3, 16, 1)]
     assert np.max(np.abs(base.E_values() - alt.E_values())) <= 1e-8
     assert np.max(np.abs(base.P_values() - alt.P_values())) <= 1e-8
 
