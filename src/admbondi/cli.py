@@ -15,6 +15,7 @@ configs apart from the metadata block.
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 import numpy as np
@@ -235,6 +236,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="admbondi",

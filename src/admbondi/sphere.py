@@ -10,9 +10,11 @@ Fourier modes up to n_psi/2 - 1.
 
 A field that depends on theta or psi alone can be evaluated on the grid's
 axes (``SphereGrid.axes``), once per latitude or per meridian, and broadcast
-to the nodes.
+to the nodes.  Every command of a process shares one grid per resolution;
+the direction functions are still built per call (until ROADMAP item 2).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +29,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SphereGrid:
-    """Product quadrature grid on S^2; immutable and shareable."""
+    """Product quadrature grid on S^2, shared process-wide per resolution."""
 
     n_theta: int
     n_psi: int
@@ -67,24 +69,27 @@ class SphereGrid:
 
 
 def build_grid(n_theta, n_psi):
-    """Build the Gauss-Legendre x uniform-psi product grid.
-
-    Requires n_theta >= 2 and even n_psi >= 4.  The node and weight arrays
-    are read-only.
-    """
+    """The Gauss-Legendre x uniform-psi product grid for n_theta >= 2 and
+    even n_psi >= 4, checked on every call.  Every command of a process
+    shares one grid per resolution (48 and np.int64(48) alike), so its node
+    and weight arrays are read-only."""
     if not (isinstance(n_theta, (int, np.integer)) and n_theta >= 2):
         raise ConfigError(f"n_theta must be an integer >= 2, got {n_theta!r}")
     if not (isinstance(n_psi, (int, np.integer)) and n_psi >= 4 and n_psi % 2 == 0):
         raise ConfigError(f"n_psi must be an even integer >= 4, got {n_psi!r}")
-    x, wx = np.polynomial.legendre.leggauss(int(n_theta))
+    return _shared_grid(int(n_theta), int(n_psi))
+
+
+@functools.cache
+def _shared_grid(n_theta, n_psi):
+    x, wx = np.polynomial.legendre.leggauss(n_theta)
     theta = np.arccos(x)[::-1].copy()          # increasing in theta
-    w_theta = wx[::-1].copy()
     psi = np.arange(n_psi) * (2.0 * np.pi / n_psi)
-    weights = np.outer(w_theta, np.full(n_psi, 2.0 * np.pi / n_psi))
-    # one grid is shared by every check of a run: no caller may write to it
+    weights = np.outer(wx[::-1], np.full(n_psi, 2.0 * np.pi / n_psi))
+    # one grid is shared by every command of a process: none may write to it
     for a in (theta, psi, weights):
         a.flags.writeable = False
-    return SphereGrid(int(n_theta), int(n_psi), theta, psi, weights)
+    return SphereGrid(n_theta, n_psi, theta, psi, weights)
 
 
 class SphereField:

@@ -5,7 +5,6 @@ Each criterion function returns CheckResult records with pinned tolerances;
 ``verify`` subcommand and the acceptance test module share.
 """
 
-import functools
 import time
 
 import numpy as np
@@ -30,12 +29,6 @@ from .spacetimes import (KerrParameters, bondi_metric, kerr, minkowski,
 from .sphere import build_grid, direction_functions, integrate
 
 __all__ = ["run_verification", "CRITERIA"]
-
-
-@functools.cache
-def _grid():
-    """The grid of the null-infinity criteria: c5, c6, c9 and c10."""
-    return build_grid(48, 96)
 
 
 def _adm_charges(cfg):
@@ -133,7 +126,8 @@ def criterion_5_bondi_moments():
     def M(u, th, ps):
         return m * (1.0 + 0.5 * jets.cos(th)) + 0.0 * u
     exp = BondiExpansion(M=M)
-    mom = bondi_energy_momentum(mass_aspect_field(exp, 0.0, _grid()))
+    mom = bondi_energy_momentum(mass_aspect_field(exp, 0.0,
+                                                  build_grid(48, 96)))
     err = float(np.max(np.abs(mom - np.array([m, 0.0, 0.0, m / 6.0]))))
     return [CheckResult("c5.mass_aspect_moments", err, 1e-10,
                         "abs(value) <= tolerance",
@@ -145,7 +139,7 @@ def criterion_6_mass_loss():
                          news_zero_u=0.0, u_start=0.0, u_end=10.0, du=0.01)
     exp = make_expansion(cfg)
     traj = evolve_energy_momentum([1.0, 0.0, 0.0, 0.0], exp, 0.0, 10.0, 0.01,
-                                  _grid())
+                                  build_grid(48, 96))
     F0_ref = 8.0 * 0.01 / 15.0
     f_err = float(np.max(np.abs(traj.flux[:, 0] - F0_ref)))
     m_err = abs(traj.m[-1, 0] - (1.0 - F0_ref * 10.0))
@@ -207,7 +201,7 @@ def criterion_9_vanishing_news():
                          news_zero_u=10.0)
     exp = make_expansion(cfg)
     traj, slice_margin = vanishing_news_scenario(
-        exp, u0=10.0, u_start=0.0, du=0.02, grid=_grid(),
+        exp, u0=10.0, u_start=0.0, du=0.02, grid=build_grid(48, 96),
         radii=(30.0, 45.0, 70.0, 110.0, 170.0))
     worst = float(np.min(traj.margin))
     return [
@@ -258,8 +252,7 @@ def criterion_10_oracles():
     out.append(CheckResult("c10.background_connection_oracle", worst_conn,
                            1e-8, "abs(value) <= tolerance"))
 
-    g = _grid()
-    n = direction_functions(g)
+    n = direction_functions(build_grid(48, 96))
     worst_q = 0.0
     for mu in range(4):
         for nu in range(4):

@@ -157,6 +157,31 @@ def test_boosted_slice_carries_the_boosted_momentum(metric, beta):
     assert abs(flip.P[2] - gamma * beta) > tol
 
 
+def test_boost_along_a_generic_axis_rotates_the_momentum():
+    """The beta = 0.6 boost along z, seen in a chart rotated by Q that takes
+    z to a generic direction, is a boost along Q z: the same E, P rotated to
+    Q P, and still the boosted 4-momentum (gamma, Q (0, 0, gamma beta))."""
+    beta = 0.6
+    gamma = 1.0 / np.sqrt(1.0 - beta * beta)
+    a, b = 0.9, 0.4
+    Rz = np.array([[np.cos(a), -np.sin(a), 0.0], [np.sin(a), np.cos(a), 0.0],
+                   [0.0, 0.0, 1.0]])
+    Ry = np.array([[np.cos(b), 0.0, np.sin(b)], [0.0, 1.0, 0.0],
+                   [-np.sin(b), 0.0, np.cos(b)]])
+    Q = Rz @ Ry
+    assert np.min(np.abs(Q[:, 2])) > 0.1        # Q z has no zero component
+    data = pullback_initial_data(schwarzschild(1.0, "polar"),
+                                 boosted_embedding(beta), euclidean_frame())
+    grid = build_grid(24, 48)
+    ch = adm_energy_momentum(data, LADDER, grid)
+    rot = adm_energy_momentum(rotated_data(data, Q), LADDER, grid)
+    assert abs(rot.E - ch.E) <= 1e-12
+    assert np.max(np.abs(rot.P - Q @ ch.P)) <= 1e-12
+    tol = _BOOST_TOL * gamma
+    assert abs(rot.E - gamma) <= tol
+    assert np.max(np.abs(rot.P - Q @ [0.0, 0.0, gamma * beta])) <= tol
+
+
 _BLOCKED_DATA = {
     "schwarzschild": (schwarzschild(1.0, "polar"), t_const_embedding()),
     "kerr-0.5": (kerr(KerrParameters(1.0, 0.5)), t_const_embedding()),

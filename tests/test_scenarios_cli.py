@@ -5,12 +5,15 @@ import importlib.util
 import json
 import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import admbondi
 from admbondi import jets
 from admbondi.bondi import BondiExpansion
 from admbondi.cli import main, parse_config
@@ -653,6 +656,35 @@ def test_cli_adm_grid_is_the_configured_one(tmp_path, command, source, args,
 ])
 def test_cli_null_runs_keep_the_48x96_grid(tmp_path, args):
     assert _report(tmp_path, args)["samples"]["grid"] == [48, 96]
+
+
+def _body(path):
+    """A written report body without its metadata block."""
+    body = json.loads(Path(path).read_text())
+    body.pop("metadata")
+    return body
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    """``main`` parses every call with one cached parser: a flag of one call
+    does not reach the next, and neither does a call that exits 2."""
+    kerr = ["adm", "--preset", "kerr"]
+    out = str(tmp_path / "r.json")
+    assert run_cli(kerr + ["--ntheta", "8", "--npsi", "16", "--out", out]) == 0
+    assert _body(out)["samples"]["grid"] == [8, 16]
+    assert run_cli(kerr + ["--out", out]) == 0
+    assert _body(out)["samples"]["grid"] == [24, 48]
+
+    assert run_cli(kerr + ["--ntheta", "0", "--out", out]) == 2
+    assert "n_theta must be an integer >= 2" in capsys.readouterr().err
+    assert run_cli(kerr + ["--out", out]) == 0
+    fresh = str(tmp_path / "fresh.json")
+    # the package this test imported, run in a new interpreter
+    src = str(Path(admbondi.__file__).parents[1])
+    subprocess.run([sys.executable, "-m", "admbondi.cli", *kerr,
+                    "--out", fresh], env=dict(os.environ, PYTHONPATH=src),
+                   check=True, capture_output=True)
+    assert _body(out) == _body(fresh)
 
 
 def test_cli_adm_rejects_radiating_preset(capsys):

@@ -1,12 +1,16 @@
-"""Quadrature exactness and multipole projection."""
+"""Quadrature exactness, multipole projection and the shared grids."""
+
+import collections
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from admbondi import sphere
 from admbondi.errors import ConfigError, DomainError
 from admbondi.sphere import (build_grid, direction_functions, integrate,
                              project_multipole)
+from admbondi.verify import run_verification
 
 FOUR_PI = 4.0 * np.pi
 
@@ -81,6 +85,45 @@ def test_bad_sizes_rejected():
         build_grid(8, 7)
     with pytest.raises(ConfigError):
         build_grid(8, 2)
+
+
+@pytest.mark.parametrize("sizes", [(1, 96), (48, 5), (48.0, 96), (48, 96.0),
+                                   ([48], 96)])
+def test_bad_sizes_rejected_on_every_call(sizes):
+    """The checks run before the shared grid is looked up: a bad size is a
+    ConfigError on a first and on a second call, never a cached grid or a
+    TypeError from an unhashable key."""
+    for _ in range(2):
+        with pytest.raises(ConfigError):
+            build_grid(*sizes)
+
+
+def test_one_shared_grid_per_resolution():
+    g = build_grid(48, 96)
+    assert g is build_grid(np.int64(48), 96) is build_grid(48, np.int64(96))
+    assert type(g.n_theta) is int and type(g.n_psi) is int
+    assert build_grid(24, 48) is not g
+    # every caller holds the same arrays, so none of them may write to them
+    for a in (g.theta, g.psi, g.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
+def test_verification_builds_each_grid_once(monkeypatch):
+    """One battery computes the Gauss-Legendre nodes at most once per
+    n_theta, however many of its checks ask for that grid."""
+    leggauss = np.polynomial.legendre.leggauss
+    calls = collections.Counter()
+
+    def counted(n):
+        calls[n] += 1
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    # grids built by earlier tests would hide repeated builds
+    sphere._shared_grid.cache_clear()
+    run_verification()
+    assert calls and max(calls.values()) == 1, calls
 
 
 def test_constant_integrates_to_area():
