@@ -107,9 +107,9 @@ def adm_ladder_samples(data, radii, grid, momentum=True):
     return ladder_map(samples_at, range(n))
 
 
-def adm_energy_momentum(data, radii, grid=None):
-    """Charges of a single end, extrapolated over the radius ladder."""
-    rows = adm_ladder_samples(data, radii, grid or build_grid(48, 96))
+def adm_energy_momentum(data, radii, grid):
+    """Charges of a single end on ``grid``, extrapolated over the ladder."""
+    rows = adm_ladder_samples(data, radii, grid)
     energy = fit_inverse_powers(radii, [row[0] for row in rows])
     momentum = tuple(fit_inverse_powers(radii, [row[1][k] for row in rows])
                      for k in range(3))

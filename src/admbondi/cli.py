@@ -81,8 +81,8 @@ def cmd_adm(cfg):
 
 
 def cmd_null(cfg):
-    from .nullcharges import (TAU_GATE, check_dec_null, check_pmt_null,
-                              null_energy_momentum)
+    from .nullcharges import (PMT_NULL_SLACK, TAU_GATE, check_dec_null,
+                              check_pmt_null, null_energy_momentum)
     data = make_slice_data(cfg)
     radii = default_radii(cfg, "null")
     grid = make_grid(cfg, "null")
@@ -99,7 +99,8 @@ def cmd_null(cfg):
                     "value <= tolerance"),
         CheckResult("null.dec_margin", np.min(dec), 1e-4,
                     "value >= -tolerance"),
-        CheckResult("null.pmt_margin", pmt, 1e-4, "value >= -tolerance"),
+        CheckResult("null.pmt_margin", pmt, PMT_NULL_SLACK,
+                    "value >= -tolerance"),
     ]
     report = ChargeReport(
         scenario=scenario_name(cfg), kind="null",
@@ -116,9 +117,9 @@ def cmd_null(cfg):
 
 
 def cmd_bondi_evolve(cfg):
-    from .bondi import (bondi_energy_momentum, evolve_energy_momentum,
-                        flux_holder_margin, mass_aspect_field,
-                        mass_loss_margin, trajectory_csv)
+    from .bondi import (HOLDER_SLACK, MASS_LOSS_SLACK, bondi_energy_momentum,
+                        evolve_energy_momentum, flux_holder_margin,
+                        mass_aspect_field, mass_loss_margin, trajectory_csv)
     exp = make_expansion(cfg)
     grid = make_grid(cfg, "evolve")
     m0 = bondi_energy_momentum(mass_aspect_field(exp, cfg.u_start, grid))
@@ -127,11 +128,11 @@ def cmd_bondi_evolve(cfg):
     dm0 = np.max(np.diff(traj.m[:, 0]))
     holder = flux_holder_margin(traj.flux)
     checks = [
-        CheckResult("evolve.margin_nonincreasing", dmax, 1e-9,
+        CheckResult("evolve.margin_nonincreasing", dmax, MASS_LOSS_SLACK,
                     "value <= tolerance"),
         CheckResult("evolve.mass_nonincreasing", dm0, 1e-9,
                     "value <= tolerance"),
-        CheckResult("evolve.flux_holder_chain", holder, 1e-12,
+        CheckResult("evolve.flux_holder_chain", holder, HOLDER_SLACK,
                     "value >= -tolerance"),
     ]
     report = ChargeReport(
@@ -145,23 +146,25 @@ def cmd_bondi_evolve(cfg):
 
 
 def cmd_bondi_slice(cfg):
-    from .bondi import expansion_consistency
-    from .nullcharges import check_pmt_null, null_energy_momentum
+    from .bondi import CONSISTENCY_ORDER, expansion_consistency
+    from .nullcharges import (PMT_NULL_SLACK, check_pmt_null,
+                              null_energy_momentum)
     # the null order gate fits 4 rungs and --radii sets both ladders; reject
     # a shorter ladder before any work
     radii = check_ladder(default_radii(cfg, "slice"), minimum=4)
     null_radii = check_ladder(default_radii(cfg, "null"), minimum=4)
-    rep = expansion_consistency(make_expansion(cfg), u0=cfg.u0,
-                                a3=make_a3(cfg), radii=radii)
+    rep = expansion_consistency(make_expansion(cfg), radii, u0=cfg.u0,
+                                a3=make_a3(cfg))
     worst_name, worst = slowest_order(rep)
     data = make_slice_data(cfg)
     grid = make_grid(cfg, "slice")
     ch = null_energy_momentum(data, null_radii, grid)
     pmt = check_pmt_null(ch)
     checks = [
-        CheckResult("slice.expansion_consistency", worst, 3.3,
+        CheckResult("slice.expansion_consistency", worst, CONSISTENCY_ORDER,
                     "value >= tolerance", f"slowest component {worst_name}"),
-        CheckResult("slice.pmt_margin", pmt, 1e-4, "value >= -tolerance"),
+        CheckResult("slice.pmt_margin", pmt, PMT_NULL_SLACK,
+                    "value >= -tolerance"),
     ]
     report = ChargeReport(
         scenario=scenario_name(cfg), kind="null",

@@ -32,7 +32,7 @@ from .ladder import (causal_margin, check_ladder, fit_decay_exponent,
 from .sphere import build_grid, direction_functions
 
 __all__ = [
-    "NullCharges", "TAU_GATE",
+    "NullCharges", "TAU_GATE", "PMT_NULL_SLACK",
     "background_connection", "background_connection_fd", "deviation",
     "decay_orders", "estimate_decay_order", "charge_integrand",
     "null_energy_momentum", "check_dec_null", "check_pmt_null",
@@ -43,6 +43,8 @@ _COMPONENTS = tuple(f"{t}{i}{j}" for t in "ab" for i in (1, 2, 3)
 
 # the order gate: slightly above 3/2, where the charges are guaranteed finite
 TAU_GATE = 1.55
+# the slack of the null positive-mass margin ``check_pmt_null``
+PMT_NULL_SLACK = 1e-4
 
 
 def background_connection(r, th):
@@ -216,8 +218,8 @@ class NullCharges:
             or any(f.diverging for row in self.P for f in row)
 
 
-def null_energy_momentum(data, radii, grid=None, check_decay=True):
-    """E_nu and P_nu,k over the radius ladder, with the order gate.
+def null_energy_momentum(data, radii, grid, check_decay=True):
+    """E_nu and P_nu,k on ``grid`` over the radius ladder, with the order gate.
 
     The integrands are evaluated for all rungs at once on ``rung_axes``,
     once per block of theta rows (``rung_blocks``).  Each rung then sums
@@ -231,7 +233,6 @@ def null_energy_momentum(data, radii, grid=None, check_decay=True):
     """
     _require_hyperboloid(data)
     radii = check_ladder(radii, minimum=4 if check_decay else 3)
-    grid = grid or build_grid(48, 96)
     ndir = direction_functions(grid)
     nvals = [ndir[nu].values.ravel() for nu in range(4)]
     w = grid.weights.ravel()

@@ -26,7 +26,8 @@ Where the config leaves the grid or the ladder unset (``n_theta`` and
 whose surface integrals agree with 96 x 192 to roundoff there, and 48 x 96
 to null, slice and evolve runs, whose charges are not grid-converged on
 24 x 48.  ``default_radii`` gives each kind its ladder.  A field set by the
-config or a flag wins.
+config or a flag wins.  This module decides the grid, ladder and step of
+every subcommand and ``verify`` criterion; the charge functions take them.
 
 ``parse_config`` reads it into a ``ScenarioConfig``; unknown sections or
 keys are rejected with the offending line.  A ``ScenarioConfig`` checks its

@@ -67,12 +67,12 @@ def test_wrong_frame_rejected():
     data = from_gp(lambda c: ([[1.0] * 3] * 3, [[0.0] * 3] * 3),
                        hyperboloid_frame())
     with pytest.raises(ConfigError):
-        adm_energy_momentum(data, LADDER)
+        adm_energy_momentum(data, LADDER, build_grid(48, 96))
 
 
 def test_ladder_validation(schw_data):
     with pytest.raises(ConfigError):
-        adm_energy_momentum(schw_data, [80.0, 40.0])
+        adm_energy_momentum(schw_data, [80.0, 40.0], build_grid(48, 96))
     with pytest.raises(ConfigError):
         fit_inverse_powers([10.0, 10.0, 20.0], [1.0, 1.0, 1.0])
 

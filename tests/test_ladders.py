@@ -272,6 +272,22 @@ def test_converge_reuses_the_coarse_rungs(preset, tmp_path):
                                                     build_grid(24, 48)).E
 
 
+@pytest.mark.parametrize("preset", ["schwarzschild", "kerr"])
+def test_adm_command_charges_are_the_library_charges(preset, tmp_path):
+    """``admbondi adm`` reports, bit for bit, the charges and samples of
+    ``adm_energy_momentum`` on the grid and ladder that ``scenarios`` gives
+    an adm run."""
+    out = tmp_path / "a.json"
+    assert main(["adm", "--preset", preset, "--out", str(out)]) == 0
+    body = json.loads(out.read_text())
+    cfg = ScenarioConfig(preset=preset)
+    ch = adm_energy_momentum(make_adm_data(cfg), default_radii(cfg, "adm"),
+                             make_grid(cfg, "adm"))
+    assert body["charges"] == {"E": ch.E, "P": list(ch.P)}
+    assert body["samples"]["E"] == list(ch.energy.samples)
+    assert body["samples"]["P"] == [list(m.samples) for m in ch.momentum]
+
+
 @settings(_SETTINGS)
 @given(m=st.floats(0.5, 1.5), spin=st.floats(0.0, 0.99),
        r0=st.floats(4.0, 80.0), ratio=st.floats(1.2, 3.0),
