@@ -7,7 +7,8 @@ The charges of asymptotically flat data (Euclidean frame, single end) are
 
 with outward orientation (this is the sign that makes a static black hole
 carry E = +m).  Partial derivatives are frame-directional derivatives of the
-Euclidean-frame components, which coincide with Cartesian partials.
+Euclidean-frame components, which coincide with Cartesian partials.  Each
+rung's integral of x_i n^i is one ``sphere.integrate`` over its nodes.
 """
 
 from dataclasses import dataclass
@@ -20,9 +21,9 @@ from .geometry import (_chart_gradient, _coords_leaf, _first_order,
                        constraint_quantities, frame_derivative, frame_entry)
 from .jets import value
 from .ladder import (LadderFit, causal_margin, check_ladder,
-                     fit_decay_exponent, fit_inverse_powers, ladder_map,
-                     rung_axes, rung_blocks, rung_sups)
-from .sphere import build_grid, direction_functions
+                     fit_decay_exponent, fit_inverse_powers, ladder_integrands,
+                     ladder_map, rung_axes, rung_sups)
+from .sphere import build_grid, direction_functions, integrate
 
 __all__ = ["AdmCharges", "adm_energy_momentum", "adm_ladder_samples",
            "check_af_decay", "AF_DECAY_SLACK", "check_dec_flat",
@@ -56,55 +57,47 @@ def adm_ladder_samples(data, radii, grid, momentum=True):
     ``momentum`` a row is E alone, and P is left out of the evaluation of
     the data too (``InitialData.jets``).
 
-    The data are evaluated for all rungs at once on ``rung_axes``, once per
-    block of theta rows (``rung_blocks``); each rung then sums its own
-    integrands, raveled in node order, as on flat nodes."""
+    The data are evaluated for all rungs at once, in the blocks of
+    ``ladder_integrands``; each rung then integrates its own vector
+    integrands x_i, contracted with n^i first."""
     _require_euclidean(data)
-    ndir = direction_functions(grid)
-    nvec = np.stack([ndir[k].values.ravel() for k in (1, 2, 3)])
-    w = grid.weights.ravel()
-    n = len(radii)
-    theta, psi = grid.axes()
-    # rung first, so that each rung's integrands are one contiguous array
-    e_int = np.empty((n, 3) + grid.shape)
-    gh = np.empty((n, 2, 3, 3) + grid.shape) if momentum else None
+    n = direction_functions(grid)[1:]
 
-    def integrands(rows):
-        """Fill the block's rows; its jets are freed before the next block
-        is evaluated."""
-        coords = rung_axes(radii, theta[rows], psi)
+    def integrands(coords):
+        """E's vector integrand and, with ``momentum``, g_ij and h_ij."""
         leaf = _coords_leaf(coords)
         G, P, F = data.jets(coords, order=1, momentum=momentum)
         Fv = _leaf_array(F, value, leaf)
+        e_int = np.empty(leaf[:1] + (3,) + leaf[1:])
         # d_j g_ij - d_i g_jj, from only the frame-directional derivatives
         # D_k g_ij (Cartesian partials) that the two sums read
         for i in range(3):
             div_g = sum(frame_entry(Fv, G[i][j], j) for j in range(3))
             grad_tr = sum(frame_entry(Fv, G[j][j], i) for j in range(3))
-            e_int[:, i, rows] = div_g - grad_tr
-        if momentum:
-            for k, X in enumerate((G, P)):
-                gh[:, k, ..., rows, :] = np.moveaxis(
-                    _leaf_array(X, value, leaf), 2, 0)
+            e_int[:, i] = div_g - grad_tr
+        if not momentum:
+            return (e_int,)
+        return (e_int,) + tuple(np.moveaxis(_leaf_array(X, value, leaf), 2, 0)
+                                for X in (G, P))
 
-    for rows in rung_blocks(n, grid):
-        integrands(rows)
+    e_int, *gh = ladder_integrands(radii, grid, integrands)
 
     def surface(x, r, c):
-        """r^2 int x_i n^i dOmega / c of a raveled vector x_i."""
-        return np.sum(w * np.einsum("iu,iu->u", x, nvec)) * r * r / c
+        """r^2 int x_i n^i dOmega / c, the index i just before the grid's."""
+        return integrate(grid, np.einsum("...iab,iab->...ab", x, n)) \
+            * r * r / c
 
     def samples_at(rung):
         r = radii[rung]
-        energy = surface(e_int[rung].reshape(3, -1), r, 16.0 * np.pi)
+        energy = surface(e_int[rung], r, 16.0 * np.pi)
         if not momentum:
             return energy
-        gv, hv = gh[rung].reshape(2, 3, 3, -1)
-        trh = np.einsum("jju->u", hv)
-        p_int = hv - np.einsum("kiu,u->kiu", gv, trh)
-        return energy, [surface(p_int[k], r, 8.0 * np.pi) for k in range(3)]
+        g, h = (x[rung] for x in gh)
+        trh = np.einsum("jj...->...", h)
+        p_int = h - np.einsum("ki...,...->ki...", g, trh)
+        return energy, list(surface(p_int, r, 8.0 * np.pi))
 
-    return ladder_map(samples_at, range(n))
+    return ladder_map(samples_at, range(len(radii)))
 
 
 def adm_energy_momentum(data, radii, grid):

@@ -7,8 +7,8 @@ extrapolated energy-momenta are judged by one causal margin.
 
 A whole ladder is evaluated in one layout, ``rung_axes``: r on the leading
 axis against the sphere grid's theta column and psi row, in the blocks of
-theta rows that ``rung_blocks`` gives; ``rung_sups`` reduces it to one
-sup-norm per rung.
+theta rows that ``rung_blocks`` gives (``ladder_integrands`` is that loop);
+``rung_sups`` reduces it to one sup-norm per rung.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +19,7 @@ from .errors import ConfigError, DomainError
 
 __all__ = ["LadderFit", "DecayFit", "fit_inverse_powers", "fit_decay_exponent",
            "slowest_order", "ladder_map", "check_ladder", "rung_axes",
-           "rung_blocks", "rung_sups", "causal_margin"]
+           "rung_blocks", "ladder_integrands", "rung_sups", "causal_margin"]
 
 EXACT_ZERO_FLOOR = 1e-13
 # chart points per ladder evaluation: one rung of the 48 x 96 grid
@@ -142,6 +142,21 @@ def rung_blocks(n_rungs, grid):
     n = min(grid.n_theta, -(-total // RUNG_BLOCK_POINTS))
     return [slice(int(b[0]), int(b[-1]) + 1)
             for b in np.array_split(np.arange(grid.n_theta), n)]
+
+
+def ladder_integrands(radii, grid, integrands):
+    """The rung-first arrays that ``integrands(rung_axes(radii, theta[rows],
+    psi))`` returns for each block of ``rung_blocks``, assembled over the
+    grid; a block's arrays are freed before the next block is evaluated."""
+    theta, psi = grid.axes()
+    out = []
+    for rows in rung_blocks(len(radii), grid):
+        block = integrands(rung_axes(radii, theta[rows], psi))
+        out = out or [np.empty(b.shape[:-2] + grid.shape) for b in block]
+        for whole, part in zip(out, block):
+            whole[..., rows, :] = part
+        del block, part
+    return out
 
 
 def rung_sups(x):

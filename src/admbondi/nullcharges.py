@@ -14,6 +14,8 @@ background (frame delta), and g_11 = 1 + a_11 is kept literally.  Charges are
 
     E_nu    = (1/16 pi) lim_r int E-integrand  n^nu r^3 dOmega,
     P_nu,k  = (1/8 pi)  lim_r int P_k-integrand n^nu r^3 dOmega.
+
+Each rung's moments are taken by ``sphere.integrate``, all four n^nu at once.
 """
 
 import functools
@@ -27,9 +29,9 @@ from .errors import ConfigError
 from .geometry import _grad, constraint_quantities, frame_entry
 from .jets import value
 from .ladder import (causal_margin, check_ladder, fit_decay_exponent,
-                     fit_inverse_powers, ladder_map, rung_axes, rung_blocks,
-                     rung_sups, slowest_order)
-from .sphere import build_grid, direction_functions
+                     fit_inverse_powers, ladder_integrands, ladder_map,
+                     rung_axes, rung_sups, slowest_order)
+from .sphere import build_grid, direction_functions, integrate
 
 __all__ = [
     "NullCharges", "TAU_GATE", "PMT_NULL_SLACK",
@@ -221,9 +223,8 @@ class NullCharges:
 def null_energy_momentum(data, radii, grid, check_decay=True):
     """E_nu and P_nu,k on ``grid`` over the radius ladder, with the order gate.
 
-    The integrands are evaluated for all rungs at once on ``rung_axes``,
-    once per block of theta rows (``rung_blocks``).  Each rung then sums
-    its full row of nodes, raveled in node order.
+    The integrands are evaluated for all rungs at once, in the blocks of
+    ``ladder_integrands``; each rung then integrates its own, times n^nu.
 
     Components whose fitted decay order falls below ``TAU_GATE`` make the
     charges unreliable; the per-component fits are always reported so the
@@ -233,9 +234,7 @@ def null_energy_momentum(data, radii, grid, check_decay=True):
     """
     _require_hyperboloid(data)
     radii = check_ladder(radii, minimum=4 if check_decay else 3)
-    ndir = direction_functions(grid)
-    nvals = [ndir[nu].values.ravel() for nu in range(4)]
-    w = grid.weights.ravel()
+    n = direction_functions(grid)
 
     decay = {}
     if check_decay:
@@ -246,25 +245,19 @@ def null_energy_momentum(data, radii, grid, check_decay=True):
                 "slowest deviation order %.3f is below the gate %.2f; "
                 "charges may not be limits", slowest, TAU_GATE)
 
-    theta, psi = grid.axes()
-    e_int = np.empty((len(radii),) + grid.shape)
-    p_int = np.empty((3,) + e_int.shape)
-    for rows in rung_blocks(len(radii), grid):
-        e_int[:, rows], p_int[:, :, rows] = charge_integrand(
-            data, rung_axes(radii, theta[rows], psi))
-    e_int = e_int.reshape(len(radii), -1)
-    p_int = p_int.reshape(3, len(radii), -1)
+    def integrands(coords):
+        e, p = charge_integrand(data, coords)
+        return e, np.moveaxis(p, 0, 1)       # rung first
+
+    e_int, p_int = ladder_integrands(radii, grid, integrands)
 
     def samples_at(rung):
-        r, e_row, p_row = rung
-        r3 = r ** 3
-        es = [np.sum(w * e_row * nvals[nu]) * r3 / (16.0 * np.pi)
-              for nu in range(4)]
-        ps = [[np.sum(w * p_row[k] * nvals[nu]) * r3 / (8.0 * np.pi)
-               for k in range(3)] for nu in range(4)]
-        return es, ps
+        """E_nu and P_nu,k of one rung: w * (x * n^nu) summed over the nodes."""
+        r3 = radii[rung] ** 3
+        return (integrate(grid, e_int[rung] * n) * r3 / (16.0 * np.pi),
+                integrate(grid, n[:, None] * p_int[rung]) * r3 / (8.0 * np.pi))
 
-    rows = ladder_map(samples_at, list(zip(radii, e_int, p_int.swapaxes(0, 1))))
+    rows = ladder_map(samples_at, range(len(radii)))
     E = tuple(fit_inverse_powers(radii, [row[0][nu] for row in rows])
               for nu in range(4))
     P = tuple(tuple(fit_inverse_powers(radii, [row[1][nu][k] for row in rows])

@@ -342,7 +342,7 @@ def make_grid(cfg, kind):
 
 def default_radii(cfg, kind):
     """The configured radius ladder, or the default one of ``kind``: "adm",
-    "null" or "slice"."""
+    "null", "slice" or "decay" (the battery's decay-order fits)."""
     if cfg.radii:
         return tuple(cfg.radii)
     if kind == "null" and cfg.preset == "minkowski":
@@ -351,7 +351,8 @@ def default_radii(cfg, kind):
         return (0.5, 1.0, 2.0, 4.0)
     return {"adm": (10.0, 20.0, 40.0, 80.0),
             "null": (30.0, 45.0, 70.0, 110.0, 170.0),
-            "slice": (50.0, 100.0, 200.0, 400.0, 800.0)}[kind]
+            "slice": (50.0, 100.0, 200.0, 400.0, 800.0),
+            "decay": (20.0, 40.0, 80.0, 160.0)}[kind]
 
 
 def known_mass(cfg):

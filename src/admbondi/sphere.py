@@ -12,6 +12,7 @@ A field that depends on theta or psi alone can be evaluated on the grid's
 axes (``SphereGrid.axes``), once per latitude or per meridian, and broadcast
 to the nodes.  Every command of a process shares one grid per resolution;
 the direction functions are still built per call (until ROADMAP item 2).
+Every charge is a moment against them, taken by ``integrate``.
 """
 
 import functools
@@ -96,46 +97,38 @@ class SphereField:
     """Real scalar samples on a SphereGrid, as an array of the grid's shape.
 
     Build one with ``grid.field``, which checks the samples; the constructor
-    and the arithmetic only store what they are given.
+    only stores what it is given.
     """
 
     def __init__(self, grid, values):
         self.grid = grid
         self.values = values
 
-    def __add__(self, o):
-        v = o.values if isinstance(o, SphereField) else o
-        return SphereField(self.grid, self.values + v)
-
-    def __mul__(self, o):
-        v = o.values if isinstance(o, SphereField) else o
-        return SphereField(self.grid, self.values * v)
-
-    __rmul__ = __mul__
-
 
 def direction_functions(grid):
-    """The four direction functions n^0..n^3 as SphereFields on the grid:
-    n^0 = 1, n^1 = sin(theta) cos(psi), n^2 = sin(theta) sin(psi),
-    n^3 = cos(theta)."""
+    """The four direction functions n^0..n^3 on the grid as one
+    (4, n_theta, n_psi) array: n^0 = 1, n^1 = sin(theta) cos(psi),
+    n^2 = sin(theta) sin(psi), n^3 = cos(theta)."""
     T, P = np.meshgrid(grid.theta, grid.psi, indexing="ij")
     st = np.sin(T)
-    return (
-        SphereField(grid, np.ones_like(T)),
-        SphereField(grid, st * np.cos(P)),
-        SphereField(grid, st * np.sin(P)),
-        SphereField(grid, np.cos(T)),
-    )
+    n = np.empty((4,) + grid.shape)
+    n[0] = 1.0
+    np.multiply(st, np.cos(P), out=n[1])
+    np.multiply(st, np.sin(P), out=n[2])
+    np.cos(T, out=n[3])
+    return n
 
 
-def integrate(f):
-    """Quadrature of a SphereField over S^2 (weight includes sin(theta))."""
-    return float(np.sum(f.grid.weights * f.values))
+def integrate(grid, values):
+    """Quadrature over S^2 (weights include sin(theta)) of samples whose
+    last two axes are the grid's (theta, psi), over any leading axes (rungs,
+    components, nu); each slice is summed bit for bit as on its own."""
+    return np.sum(grid.weights * values, axis=(-2, -1))
 
 
 def project_multipole(f, nu):
-    """(1/4pi) * integral of f * n^nu over the sphere."""
+    """(1/4pi) * integral of the SphereField f times n^nu over the sphere."""
     if nu not in (0, 1, 2, 3):
         raise ValueError(f"multipole index must be 0..3, got {nu!r}")
     n = direction_functions(f.grid)[nu]
-    return integrate(f * n) / (4.0 * np.pi)
+    return integrate(f.grid, f.values * n) / (4.0 * np.pi)

@@ -7,6 +7,12 @@ from admbondi.geometry import InitialData
 from admbondi.jets import Jet
 
 
+def same_bits(x, y):
+    """Equal values with equal signs of zero."""
+    return np.array_equal(x, y) and np.array_equal(np.signbit(x),
+                                                   np.signbit(y))
+
+
 # The jet rules below call the structural-zero helpers as attributes of
 # ``jets``, so the ``dense_arithmetic`` fixture reaches them too.
 

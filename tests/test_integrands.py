@@ -18,7 +18,7 @@ from admbondi.nullcharges import (background_connection, charge_integrand,
                                   null_energy_momentum)
 from admbondi.scenarios import ScenarioConfig, make_adm_data, make_slice_data
 from admbondi.sphere import build_grid, direction_functions
-from helpers import rotated_data
+from helpers import rotated_data, same_bits
 
 
 def _rotation(angle):
@@ -59,16 +59,9 @@ def _all_entries(Fv, X):
     return out
 
 
-def _same_bits(x, y):
-    """Equal values with equal signs of zero."""
-    return np.array_equal(x, y) and np.array_equal(np.signbit(x),
-                                                   np.signbit(y))
-
-
 def _adm_reference(data, grid, r):
     """(E, [P_k]) of one rung from all 27 D_k g_ij and their traces."""
-    ndir = direction_functions(grid)
-    nvec = np.stack([ndir[k].values.ravel() for k in (1, 2, 3)])
+    nvec = direction_functions(grid)[1:].reshape(3, -1)
     w = grid.weights.ravel()
     T, Ps = grid.nodes()
     coords = [np.full_like(T, r), T, Ps]
@@ -129,8 +122,8 @@ def test_adm_rung_equals_full_frame_derivative(case, r, shape):
     data, grid = _ADM[case], build_grid(*shape)
     [(energy, mom)] = adm_ladder_samples(data, [r], grid)
     ref_energy, ref_mom = _adm_reference(data, grid, r)
-    assert _same_bits(energy, ref_energy), case
-    assert _same_bits(mom, ref_mom), case
+    assert same_bits(energy, ref_energy), case
+    assert same_bits(mom, ref_mom), case
 
 
 _SPANS = {"hyperboloid": (0.2, 40.0), "bondi-schwarzschild": (6.0, 200.0),
@@ -155,7 +148,7 @@ def test_null_integrand_equals_full_frame_derivative(case, n, t):
     ref = _null_reference(_NULL[case], pts)
     for x, y in zip(got, ref):
         assert np.shape(x) == np.shape(y), case
-        assert _same_bits(x, y), case
+        assert same_bits(x, y), case
 
 
 def _traced_peak(fn):
@@ -185,17 +178,17 @@ def test_adm_rung_memory_stays_near_the_pullback_peak():
 
 def _ladder_reference(data, radii, grid):
     """Per-rung samples E[nu][rung] and P[nu][k][rung]: charge_integrand on
-    full-node arrays at one radius at a time, each rung summed on its own."""
-    ndir = direction_functions(grid)
-    nvals = [ndir[nu].values.ravel() for nu in range(4)]
+    full-node arrays at one radius at a time, each rung summed on its own as
+    w * (x * n^nu) over the raveled nodes."""
+    nvals = direction_functions(grid).reshape(4, -1)
     w = grid.weights.ravel()
     T, Ps = grid.nodes()
     E, P = [], []
     for r in radii:
         e_int, p_int = charge_integrand(data, [np.full_like(T, r), T, Ps])
-        E.append([np.sum(w * e_int * nvals[nu]) * r ** 3 / (16.0 * np.pi)
+        E.append([np.sum(w * (e_int * nvals[nu])) * r ** 3 / (16.0 * np.pi)
                   for nu in range(4)])
-        P.append([[np.sum(w * p_int[k] * nvals[nu]) * r ** 3 / (8.0 * np.pi)
+        P.append([[np.sum(w * (p_int[k] * nvals[nu])) * r ** 3 / (8.0 * np.pi)
                    for k in range(3)] for nu in range(4)])
     return np.transpose(E), np.transpose(P, (1, 2, 0))
 
@@ -215,8 +208,8 @@ def test_null_ladder_equals_rung_by_rung(case, shape):
     radii = _LADDERS[case]
     ch = null_energy_momentum(_NULL[case], radii, grid, check_decay=False)
     ref_E, ref_P = _ladder_reference(_NULL[case], radii, grid)
-    assert _same_bits(np.array([f.samples for f in ch.E]), ref_E)
-    assert _same_bits(np.array([[f.samples for f in row] for row in ch.P]),
+    assert same_bits(np.array([f.samples for f in ch.E]), ref_E)
+    assert same_bits(np.array([[f.samples for f in row] for row in ch.P]),
                       ref_P)
 
 

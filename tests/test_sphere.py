@@ -11,14 +11,15 @@ from admbondi.errors import ConfigError, DomainError
 from admbondi.sphere import (build_grid, direction_functions, integrate,
                              project_multipole)
 from admbondi.verify import run_verification
+from helpers import same_bits
 
 FOUR_PI = 4.0 * np.pi
 
 
 def sample(grid, fn):
-    """The field of fn(theta, psi) over all nodes of the grid."""
+    """fn(theta, psi) at every node of the grid, shaped like the grid."""
     T, P = grid.nodes()
-    return grid.field(np.asarray(fn(T, P)) + np.zeros_like(T))
+    return (np.asarray(fn(T, P)) + np.zeros_like(T)).reshape(grid.shape)
 
 
 def test_weights_normalise_to_sphere_area():
@@ -44,8 +45,8 @@ def test_grid_arrays_are_read_only(name):
 
 
 def _integral(grid, k, m, trig):
-    T, P = grid.nodes()
-    return integrate(grid.field(np.cos(T) ** k * trig(m * P)))
+    return integrate(grid, sample(grid, lambda T, P: np.cos(T) ** k
+                                  * trig(m * P)))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -128,41 +129,60 @@ def test_verification_builds_each_grid_once(monkeypatch):
 
 def test_constant_integrates_to_area():
     g = build_grid(8, 16)
-    assert integrate(sample(g, lambda T, P: 1.0)) == pytest.approx(FOUR_PI, rel=1e-13)
+    assert integrate(g, sample(g, lambda T, P: 1.0)) == pytest.approx(
+        FOUR_PI, rel=1e-13)
 
 
 def test_cos2_integral():
     # closed form: int cos^2(theta) dOmega = 4 pi / 3
     g = build_grid(8, 16)
     f = sample(g, lambda T, P: np.cos(T) ** 2)
-    assert integrate(f) == pytest.approx(FOUR_PI / 3.0, abs=1e-12)
+    assert integrate(g, f) == pytest.approx(FOUR_PI / 3.0, abs=1e-12)
 
 
 def test_odd_function_integrates_to_zero():
     g = build_grid(8, 16)
     f = sample(g, lambda T, P: np.cos(T))
-    assert integrate(f) == pytest.approx(0.0, abs=1e-13)
+    assert integrate(g, f) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_sin4_integral():
     # int_0^pi sin^5 = 16/15, so (1/4pi) int sin^4 dOmega = 8/15
     g = build_grid(8, 16)
     f = sample(g, lambda T, P: np.sin(T) ** 4)
-    assert integrate(f) / FOUR_PI == pytest.approx(8.0 / 15.0, abs=1e-13)
+    assert integrate(g, f) / FOUR_PI == pytest.approx(8.0 / 15.0, abs=1e-13)
 
 
 def test_direction_functions_unit_norm():
     g = build_grid(12, 24)
     n = direction_functions(g)
-    s = n[1].values ** 2 + n[2].values ** 2 + n[3].values ** 2
+    assert n.shape == (4,) + g.shape
+    s = n[1] ** 2 + n[2] ** 2 + n[3] ** 2
     assert np.max(np.abs(s - 1.0)) <= 1e-14
+
+
+@pytest.mark.parametrize("shape", [(2, 4), (8, 16), (48, 96)])
+def test_direction_functions_and_projection_bit_for_bit(shape, rng):
+    """Each row of direction_functions is its closed form at the nodes,
+    and project_multipole is the quadrature of the field times that row,
+    bit for bit: the Bondi moments and the news flux rest on both."""
+    g = build_grid(*shape)
+    T, P = g.nodes()
+    closed = [np.ones_like(T), np.sin(T) * np.cos(P), np.sin(T) * np.sin(P),
+              np.cos(T)]
+    n = direction_functions(g)
+    f = g.field(rng.normal(size=g.shape))
+    for nu in range(4):
+        assert same_bits(n[nu].ravel(), closed[nu]), nu
+        assert same_bits(project_multipole(f, nu),
+                          integrate(g, f.values * n[nu]) / FOUR_PI), nu
 
 
 def test_multipole_projections():
     g = build_grid(8, 16)
-    one = sample(g, lambda T, P: 1.0)
+    one = g.field(sample(g, lambda T, P: 1.0))
     assert project_multipole(one, 0) == pytest.approx(1.0, abs=1e-13)
-    cz = sample(g, lambda T, P: np.cos(T))
+    cz = g.field(sample(g, lambda T, P: np.cos(T)))
     assert project_multipole(cz, 3) == pytest.approx(1.0 / 3.0, abs=1e-13)
     assert project_multipole(cz, 1) == pytest.approx(0.0, abs=1e-14)
     with pytest.raises(ValueError):
@@ -175,7 +195,7 @@ def test_pairwise_direction_products_exact():
     n = direction_functions(g)
     for mu in range(4):
         for nu in range(4):
-            got = integrate(n[mu] * n[nu]) / FOUR_PI
+            got = integrate(g, n[mu] * n[nu]) / FOUR_PI
             if mu == 0 and nu == 0:
                 ref = 1.0
             elif mu == 0 or nu == 0:
@@ -185,14 +205,32 @@ def test_pairwise_direction_products_exact():
             assert got == pytest.approx(ref, abs=1e-12), (mu, nu)
 
 
-def test_integrate_is_linear(rng):
-    g = build_grid(10, 20)
-    a = g.field(rng.normal(size=g.shape))
-    b = g.field(rng.normal(size=g.shape))
-    al, be = 1.7, -0.4
-    lhs = integrate(a * al + b * be)
-    rhs = al * integrate(a) + be * integrate(b)
-    assert lhs == pytest.approx(rhs, rel=1e-13)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n_theta=st.integers(2, 24), half_psi=st.integers(2, 24),
+       lead=st.lists(st.integers(1, 4), max_size=3),
+       coef=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_integrate_over_leading_axes(n_theta, half_psi, lead, coef, seed):
+    """integrate keeps the leading axes and sums every slice bit for bit as
+    the raveled weighted sum of that slice alone; it is linear to roundoff;
+    and the Gram matrix of the direction functions, integrated in one call,
+    is diag(1, 1/3, 1/3, 1/3)."""
+    g = build_grid(n_theta, 2 * half_psi)
+    lead = tuple(lead)
+    a, b = np.random.default_rng(seed).normal(size=(2,) + lead + g.shape)
+    got = integrate(g, a)
+    assert np.shape(got) == lead
+    for idx in np.ndindex(*lead):
+        assert same_bits(got[idx], np.sum(g.weights.ravel() * a[idx].ravel()))
+    al, be = coef
+    lhs = integrate(g, al * a + be * b)
+    rhs = al * got + be * integrate(g, b)
+    scale = integrate(g, np.abs(al * a) + np.abs(be * b))
+    assert np.all(np.abs(lhs - rhs) <= 1e-13 * scale)
+    n = direction_functions(g)
+    gram = integrate(g, n[:, None] * n[None, :]) / FOUR_PI
+    assert np.max(np.abs(gram - np.diag([1.0, 1.0 / 3.0, 1.0 / 3.0,
+                                         1.0 / 3.0]))) <= 1e-12
 
 
 def test_nonfinite_samples_rejected():
@@ -212,4 +250,4 @@ def test_quadrature_exact_high_degree_product():
         return 2.5 * x ** 3 - 1.5 * x
 
     f = sample(g, lambda T, P: p3(np.cos(T)) ** 2 * np.cos(7 * P) ** 2)
-    assert integrate(f) == pytest.approx(2.0 * np.pi / 7.0, abs=1e-12)
+    assert integrate(g, f) == pytest.approx(2.0 * np.pi / 7.0, abs=1e-12)
