@@ -41,7 +41,7 @@ def zero(u, th, ps):
 
 exp = BondiExpansion(c=zero, d=zero, M=lambda u, th, ps: 1.0 + 0.0 * u,
                      name="schw-bondi")
-data = induced_slice_data(exp, u0=0.0)
+data = induced_slice_data(exp, u0=0.0, a3=None)
 a, b = deviation(data, [20.0, 1.2, 0.4])
 print(f"   a_11(r=20) = {a[0, 0]:.6e}  (closed form m/(2 r^3) = {0.5 / 20**3:.6e})")
 charges = null_energy_momentum(data, [20.0, 40.0, 80.0, 160.0], grid=grid)

@@ -92,8 +92,8 @@ class BondiExpansion:
                 missing.append(key)
         self.defaulted = tuple(missing)
 
-    def news_jets(self, u, th, ps, order=2):
-        """c and d as jets over (u, theta, psi) at the given point."""
+    def news_jets(self, u, th, ps, order):
+        """c and d as jets of ``order`` over (u, theta, psi) at the point."""
         nu, nth, nps = jets.seed([u, th, ps], order=order)
         return self.c(nu, nth, nps), self.d(nu, nth, nps)
 
@@ -227,11 +227,13 @@ def flux_holder_margin(F):
 # Closed-form induced data of the u0-slice
 # ---------------------------------------------------------------------------
 
-def induced_slice_data(exp, u0=0.0, a3=None):
-    """Frame components of (g, h) on the asymptotically null u0-slice,
-    transcribed term by term from the third-order expansions; omitted
-    o(1/r^3) remainders are zero.  All coefficient functions are evaluated
-    at u = u0 before angular derivatives are taken."""
+def induced_slice_data(exp, u0, a3):
+    """Frame components of (g, h) on the asymptotically null u0-slice of
+    ``bondi_slice_embedding(exp, u0, a3)``, transcribed term by term from the
+    third-order expansions; omitted o(1/r^3) remainders are zero.  ``a3`` is
+    a function of (theta, psi), or None for a3 = 0.  All coefficient
+    functions are evaluated at u = u0 before angular derivatives are
+    taken."""
     for key in exp.defaulted:
         log.info("slice data: coefficient %s not supplied, using 0", key)
     a3fn = a3 if a3 is not None else (lambda th, ps: 0.0 * th)
@@ -318,17 +320,19 @@ def induced_slice_data(exp, u0=0.0, a3=None):
 # Expansion vs numerical pullback
 # ---------------------------------------------------------------------------
 
-def pullback_slice_data(exp, u0=0.0, a3=None, r_min=None):
-    """The u0-slice data pulled back numerically from ``bondi_metric``, in
-    the frame of ``induced_slice_data``."""
+def pullback_slice_data(exp, u0, a3, r_min=None):
+    """The slice data of ``bondi_slice_embedding(exp, u0, a3)`` pulled back
+    numerically from ``bondi_metric(exp, r_min)``, in the frame of
+    ``induced_slice_data``."""
     return pullback_initial_data(bondi_metric(exp, r_min=r_min),
                                  bondi_slice_embedding(exp, u0, a3),
                                  hyperboloid_frame())
 
 
-def expansion_consistency(exp, radii, u0=0.0, a3=None, grid=None):
+def expansion_consistency(exp, radii, u0, a3, grid=None):
     """Fitted decay exponent of |numerical pullback - closed form| for every
-    slice component over the ladder ``radii``.
+    component of the (u0, a3)-slice over the ladder ``radii``, on ``grid``
+    (20 x 40 when None).
 
     Consistency means each exponent is at least CONSISTENCY_ORDER (the
     omitted remainders are o(1/r^3), in practice O(1/r^4)).  Rungs whose
@@ -354,14 +358,15 @@ def expansion_consistency(exp, radii, u0=0.0, a3=None, grid=None):
 # Vanishing-news scenario
 # ---------------------------------------------------------------------------
 
-def vanishing_news_scenario(exp, u0, u_start, du, grid, radii, a3=None):
+def vanishing_news_scenario(exp, u0, u_start, du, grid, radii, a3):
     """Positivity scenario at a retarded time u0 where the news vanish.
 
     Checks c = d = 0 (to 1e-10) on the sphere at u0, or raises DomainError
-    naming the worst node.  Returns ``(trajectory, slice_pmt_margin)``: the
-    energy-momentum evolved backwards from its value at u0, whose ``margin``
-    is m_0 - |m| at every sample, and the positive-mass margin
-    ``check_pmt_null`` of the charges of the u0-slice data over ``radii``.
+    naming the worst node; news that are not finite fail it.  Returns
+    ``(trajectory, slice_pmt_margin)``: the energy-momentum evolved backwards
+    from its value at u0, whose ``margin`` is m_0 - |m| at every sample, and
+    the positive-mass margin ``check_pmt_null`` of the charges of the data of
+    the (u0, a3)-slice over ``radii``.
     """
     from .nullcharges import check_pmt_null, null_energy_momentum
 
@@ -369,7 +374,7 @@ def vanishing_news_scenario(exp, u0, u_start, du, grid, radii, a3=None):
     T, Ps = grid.nodes()
     cvals = np.abs(_at_nodes(exp.c, u0, T, Ps))
     dvals = np.abs(_at_nodes(exp.d, u0, T, Ps))
-    if cvals.max() > 1e-10 or dvals.max() > 1e-10:
+    if not (cvals.max() <= 1e-10 and dvals.max() <= 1e-10):
         k = int(np.argmax(np.maximum(cvals, dvals)))
         raise DomainError(
             f"news do not vanish at u0={u0}: |c|={cvals.max():.3e}, "

@@ -248,8 +248,8 @@ class Metric4Evaluator:
         self._check(coords)
         return _leaf_array(self.fn(coords), value, _coords_leaf(coords))
 
-    def jets(self, coords, order=1):
-        """4x4 nested list of Jets over the four chart coordinates."""
+    def jets(self, coords, order):
+        """4x4 nested list of Jets of ``order`` over the chart coordinates."""
         coords = list(coords)
         self._check(coords)
         return self.fn(jets.seed(coords, order=order))
@@ -357,7 +357,7 @@ class InitialData:
         return (_leaf_array(G, value, leaf),
                 _leaf_array(self.p(coords3, F, S), value, leaf))
 
-    def jets(self, coords3, order=2, momentum=True):
+    def jets(self, coords3, order, momentum=True):
         _reject_non_finite(coords3, "r, theta, psi")
         c = jets.seed(coords3, order=order)
         F = self.frame.components(c)
@@ -371,7 +371,7 @@ class InitialData:
 # 4D Christoffel symbols and curvature
 # ---------------------------------------------------------------------------
 
-def _christoffel_from(ginv, dg, rows=range(4)):
+def _christoffel_from(ginv, dg, rows):
     """Gamma^a_{bc} from the inverse metric and dg[c][a][b] = d_c g_{ab},
     for the upper indices a in ``rows`` (the other rows are left None)."""
     gam = [[[None] * 4 for _ in range(4)] for _ in range(4)]

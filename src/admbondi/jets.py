@@ -155,15 +155,11 @@ class Jet:
         return self._chain(f0, f1, f2)
 
     def __pow__(self, n):
+        if isinstance(n, int) and n == 2:
+            return self * self
         v = self.f
-        if isinstance(n, int):
-            if n == 2:
-                return self * self
-            f1 = n * v ** (n - 1)
-            f2 = None if self.dd is None else n * (n - 1) * v ** (n - 2)
-            return self._chain(v ** n, f1, f2)
-        f1 = n * v ** (n - 1.0)
-        f2 = None if self.dd is None else n * (n - 1.0) * v ** (n - 2.0)
+        f1 = n * v ** (n - 1)
+        f2 = None if self.dd is None else n * (n - 1) * v ** (n - 2)
         return self._chain(v ** n, f1, f2)
 
     # -- composition -------------------------------------------------------

@@ -82,8 +82,7 @@ def fit_inverse_powers(radii, samples):
     # converging samples have shrinking successive differences on an
     # increasing ladder; growing tail differences mean no limit is in sight
     d = np.abs(np.diff(y))
-    diverging = bool(len(y) >= 3 and d[-1] > 2.0 * d[0] + 1e-13
-                     and d[-1] > 1e-12)
+    diverging = bool(d[-1] > 2.0 * d[0] + 1e-13 and d[-1] > 1e-12)
     return LadderFit(float(coef[0]), tuple(radii), tuple(y), tuple(coef),
                      resid, diverging)
 

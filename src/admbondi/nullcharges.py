@@ -71,9 +71,11 @@ def background_connection(r, th):
     return gam
 
 
-def background_connection_fd(r, th, h=1e-6):
+def background_connection_fd(r, th):
     """Structure-equation oracle: the same coefficients with the frame
-    commutators computed by central finite differences on the chart."""
+    commutators computed by central finite differences (step 1e-6)."""
+    h = 1e-6
+
     def frame_at(rr, tt):
         s = np.sqrt(1.0 + rr * rr)
         return np.array([[s, 0.0, 0.0],
@@ -116,19 +118,17 @@ def deviation(data, coords3):
     return g - eye, p - eye
 
 
-def decay_orders(data, radii, grid=None, components=_COMPONENTS):
-    """Fitted decay orders tau-hat of deviation components over >= 4 radii,
-    from one evaluation of the data over all rungs of the small grid."""
-    for c in components:
-        if c not in _COMPONENTS:
-            raise ConfigError(f"unknown component {c!r}; use one of {_COMPONENTS}")
+def decay_orders(data, radii, grid=None):
+    """Fitted decay orders tau-hat of every deviation component over >= 4
+    radii, from one evaluation of the data over all rungs of ``grid`` (12 x 24
+    when None)."""
     radii = check_ladder(radii, minimum=4)
     grid = grid or build_grid(12, 24)
     coords = rung_axes(radii, *grid.axes())
     sups = rung_sups(np.stack(deviation(data, coords)))
     return {c: fit_decay_exponent(
                 radii, sups["ab".index(c[0]), int(c[1]) - 1, int(c[2]) - 1])
-            for c in components}
+            for c in _COMPONENTS}
 
 
 def estimate_decay_order(data, component, radii):
@@ -136,7 +136,10 @@ def estimate_decay_order(data, component, radii):
 
     ``component`` is one of a11..a33, b11..b33 (upper triangle).
     """
-    return decay_orders(data, radii, components=(component,))[component]
+    if component not in _COMPONENTS:
+        raise ConfigError(
+            f"unknown component {component!r}; use one of {_COMPONENTS}")
+    return decay_orders(data, radii)[component]
 
 
 def charge_integrand(data, coords3):

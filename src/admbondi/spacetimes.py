@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jets
 from .errors import DomainError
-from .geometry import Embedding, Metric4Evaluator, ricci_tensor
+from .geometry import Embedding, Metric4Evaluator, _jd, _jf, ricci_tensor
 from .jets import cos, cosh, exp as gexp, sin, sinh, sqrt
 
 __all__ = [
@@ -68,13 +67,14 @@ def _spherical(f, chart, name, **domain):
     return Metric4Evaluator(fn, chart, name, **domain)
 
 
-def minkowski(chart="polar"):
-    """Flat spacetime in a polar or retarded chart."""
+def minkowski(chart):
+    """Flat spacetime in the ``chart`` "polar" or "retarded"."""
     return _spherical(lambda r: 1.0, chart, f"minkowski-{chart}")
 
 
-def schwarzschild(m, chart="polar"):
-    """Vacuum black-hole exterior, polar or retarded chart; requires r > 2m."""
+def schwarzschild(m, chart):
+    """Vacuum black-hole exterior in the ``chart`` "polar" or "retarded";
+    requires r > 2m."""
     _check_mass(m)
     suffix = "" if chart == "polar" else f"-{chart}"
     return _spherical(lambda r: 1.0 - 2.0 * m / r, chart,
@@ -116,20 +116,6 @@ def kerr(params):
 # Truncated radiating metric
 # ---------------------------------------------------------------------------
 
-def _news_block(exp, u, th, ps):
-    """News potentials with their angular first derivatives, via inner jets."""
-    nu, nth, nps = jets.seed([u, th, ps], order=1)
-    cj = exp.c(nu, nth, nps)
-    dj = exp.d(nu, nth, nps)
-
-    def parts(x):
-        if isinstance(x, jets.Jet):
-            return x.f, x.d[1], x.d[2]
-        return x, 0.0, 0.0
-
-    return parts(cj), parts(dj)
-
-
 def l_lbar(cn, dn, ct, cs):
     """l = c_,2 + 2 c cot + d_,3 csc and lbar = d_,2 + 2 d cot - c_,3 csc.
 
@@ -153,7 +139,9 @@ def p_pbar(Nv, Pv, cn, dn, ct, cs):
 
 def _assemble_six(exp, u, r, th, ps):
     """The six metric functions at (u, r, theta, psi), truncated."""
-    cn, dn = _news_block(exp, u, th, ps)
+    # the news with their angular first derivatives, via inner jets
+    cn, dn = ((_jf(x), _jd(x, 1), _jd(x, 2))
+              for x in exp.news_jets(u, th, ps, order=1))
     c, d = cn[0], dn[0]
     ct = cos(th) / sin(th)
     cs = 1.0 / sin(th)
@@ -235,12 +223,12 @@ def hyperboloid_embedding():
     return Embedding(fn, "polar", "hyperboloid")
 
 
-def bondi_slice_embedding(exp, u0=0.0, a3=None):
+def bondi_slice_embedding(exp, u0, a3):
     """Asymptotically null slice of the retarded chart of ``exp``:
 
     u = u0 + sqrt(1+r^2) - r + (c^2+d^2)|_{u0} / (12 r^3) + a3(theta,psi)/r^4,
 
-    with a3 generic in (theta, psi), and None meaning 0.  The difference
+    with a3 generic in (theta, psi), or None for a3 = 0.  The difference
     sqrt(1+r^2) - r is evaluated as 1/(sqrt(1+r^2) + r) to avoid
     catastrophic cancellation at large radius.
     """

@@ -108,7 +108,8 @@ def criterion_4_constraints():
 
     cfg = ScenarioConfig(preset="bondi-schwarzschild", mass=1.0)
     # r_min: below this check's own sample radii, 20..80
-    pulled = pullback_slice_data(make_expansion(cfg), r_min=10.0)
+    pulled = pullback_slice_data(make_expansion(cfg), cfg.u0, make_a3(cfg),
+                                 r_min=10.0)
     pts = [np.array([20.0, 30.0, 50.0, 80.0]), np.array([0.9, 1.4, 2.0, 2.5]),
            np.array([0.3, 1.7, 3.4, 5.1])]
     cq = constraint_quantities(pulled, pts)
@@ -205,7 +206,7 @@ def criterion_9_vanishing_news():
                          news_zero_u=10.0, u0=10.0, du=0.02)
     traj, slice_margin = vanishing_news_scenario(
         make_expansion(cfg), cfg.u0, cfg.u_start, cfg.du,
-        make_grid(cfg, "null"), default_radii(cfg, "null"))
+        make_grid(cfg, "null"), default_radii(cfg, "null"), make_a3(cfg))
     worst = float(np.min(traj.margin))
     return [
         CheckResult("c9.mass_dominates_momentum", worst, 1e-9,
@@ -215,9 +216,11 @@ def criterion_9_vanishing_news():
     ]
 
 
-def _fd_check_metric(metric, pts, h=1e-5):
+def _fd_check_metric(metric, pts):
     """Largest scaled difference between the jet derivatives of the metric
-    and central differences, over all points at once; a NaN is kept."""
+    and central differences (step 1e-5), over all points at once; a NaN is
+    kept."""
+    h = 1e-5
     x = np.array(pts, dtype=float).T          # (4, number of points)
     dg = metric.first_derivs(x)
     err = np.empty_like(dg)

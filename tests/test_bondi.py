@@ -304,17 +304,17 @@ def test_vanishing_news_rejects_step_not_dividing_range(grid):
     exp = BondiExpansion(c=_zero, d=_zero, M=const_M(1.0))
     with pytest.raises(ConfigError, match="du=0.3 .*u0=1.0"):
         vanishing_news_scenario(exp, u0=1.0, u_start=0.0, du=0.3, grid=grid,
-                                radii=_UNREACHED_LADDER)
+                                radii=_UNREACHED_LADDER, a3=None)
 
 
 def test_vanishing_news_rejects_bad_step_and_empty_range(grid):
     exp = BondiExpansion(c=_zero, d=_zero, M=const_M(1.0))
     with pytest.raises(ConfigError, match="du=-0.1"):
         vanishing_news_scenario(exp, u0=1.0, u_start=0.0, du=-0.1, grid=grid,
-                                radii=_UNREACHED_LADDER)
+                                radii=_UNREACHED_LADDER, a3=None)
     with pytest.raises(ConfigError, match="u_start=2.0, u0=1.0"):
         vanishing_news_scenario(exp, u0=1.0, u_start=2.0, du=0.1, grid=grid,
-                                radii=_UNREACHED_LADDER)
+                                radii=_UNREACHED_LADDER, a3=None)
 
 
 def test_trajectory_csv_format(grid):
@@ -345,7 +345,7 @@ def test_nan_news_fail_the_expansion_checks():
 
 def test_slice_reduces_to_background_when_trivial():
     exp = BondiExpansion(c=_zero, d=_zero, M=_zero)
-    data = induced_slice_data(exp, u0=0.0)
+    data = induced_slice_data(exp, u0=0.0, a3=None)
     g, h = data.values([7.0, 1.0, 0.5])
     assert np.array_equal(g, np.eye(3))
     assert np.array_equal(h, np.eye(3))
@@ -353,7 +353,7 @@ def test_slice_reduces_to_background_when_trivial():
 
 def test_slice_schwarzschild_values():
     exp = BondiExpansion(c=_zero, d=_zero, M=const_M(1.0), name="schw")
-    data = induced_slice_data(exp, u0=0.0)
+    data = induced_slice_data(exp, u0=0.0, a3=None)
     r = 12.0
     g, h = data.values([r, 1.1, 0.2])
     assert g[0, 0] == pytest.approx(1.0 + 0.5 / r ** 3, rel=1e-14)
@@ -364,7 +364,7 @@ def test_slice_defaults_logged(caplog):
     import logging
     exp = BondiExpansion(c=_zero, d=_zero, M=const_M(1.0))
     with caplog.at_level(logging.INFO, logger="admbondi.bondi"):
-        induced_slice_data(exp, u0=0.0)
+        induced_slice_data(exp, u0=0.0, a3=None)
     assert any("not supplied" in r.message for r in caplog.records)
 
 
@@ -407,8 +407,8 @@ def a3_fn(th, ps):
 
 def test_expansion_consistency_minkowski_reduction():
     exp = BondiExpansion(c=_zero, d=_zero, M=_zero, name="flat")
-    rep = expansion_consistency(exp, radii=(10.0, 20.0, 40.0),
-                                grid=build_grid(8, 16))
+    rep = expansion_consistency(exp, radii=(10.0, 20.0, 40.0), u0=0.0,
+                                a3=None, grid=build_grid(8, 16))
     for name, fit in rep.items():
         assert fit.exact or max(fit.sups) <= 1e-11, name
 
@@ -427,7 +427,7 @@ def test_vanishing_news_scenario_runs(grid):
     exp = quadrupole(A=0.05, u_zero=4.0)
     traj, slice_pmt_margin = vanishing_news_scenario(
         exp, u0=4.0, u_start=0.0, du=0.05, grid=grid,
-        radii=(30.0, 45.0, 70.0, 110.0))
+        radii=(30.0, 45.0, 70.0, 110.0), a3=None)
     assert traj.margin[-1] >= -1e-12
     assert np.all(traj.margin >= -1e-9)
     assert slice_pmt_margin >= -1e-4
@@ -440,14 +440,29 @@ def test_vanishing_news_precondition_checked(grid):
     exp = quadrupole(A=0.05, u_zero=4.0)
     with pytest.raises(DomainError):
         vanishing_news_scenario(exp, u0=3.0, u_start=0.0, du=0.01, grid=grid,
-                                radii=_UNREACHED_LADDER)
+                                radii=_UNREACHED_LADDER, a3=None)
+
+
+def test_vanishing_news_rejects_news_that_are_not_finite(grid):
+    """NaN news fail the check at u0, named at their node: the comparison
+    |c| > 1e-10 is False for a NaN, so it would pass them on."""
+    def c(u, th, ps):
+        return np.nan * jets.sin(th) + 0.0 * u
+    exp = BondiExpansion(c=c, d=_zero, M=const_M(1.0))
+    T, Ps = grid.nodes()
+    message = (rf"news do not vanish at u0=2.0: \|c\|=nan, \|d\|=0.000e\+00 "
+               rf"at node theta={T[0]:.4f}, psi={Ps[0]:.4f}$")
+    with pytest.raises(DomainError, match=message):
+        vanishing_news_scenario(exp, u0=2.0, u_start=0.0, du=0.1, grid=grid,
+                                radii=_UNREACHED_LADDER, a3=None)
 
 
 def test_zero_mass_scenario_stays_zero(grid):
     exp = BondiExpansion(c=_zero, d=_zero, M=_zero)
     traj, _ = vanishing_news_scenario(exp, u0=1.0, u_start=0.0, du=0.1,
                                       grid=grid,
-                                      radii=(30.0, 45.0, 70.0, 110.0))
+                                      radii=(30.0, 45.0, 70.0, 110.0),
+                                      a3=None)
     assert np.max(np.abs(traj.m)) == 0.0
     assert np.max(np.abs(traj.margin)) == 0.0
 
@@ -474,7 +489,8 @@ def test_expansion_consistency_schw_bondi():
     # with zero news the assembled metric is exact, so the difference is the
     # omitted o(1/r^3) remainder of the closed forms alone
     exp = BondiExpansion(c=_zero, d=_zero, M=const_M(1.0), name="schw")
-    rep = expansion_consistency(exp, radii=(50.0, 100.0, 200.0, 400.0, 800.0))
+    rep = expansion_consistency(exp, radii=(50.0, 100.0, 200.0, 400.0, 800.0),
+                                u0=0.0, a3=None)
     for name, fit in rep.items():
         assert fit.exact or fit.exponent >= 3.3, (name, fit.exponent)
 
@@ -483,7 +499,7 @@ def test_vanishing_news_scenario_static(grid):
     exp = BondiExpansion(c=_zero, d=_zero, M=const_M(1.0))
     traj, slice_pmt_margin = vanishing_news_scenario(
         exp, u0=2.0, u_start=0.0, du=0.1, grid=grid,
-        radii=(30.0, 45.0, 70.0, 110.0))
+        radii=(30.0, 45.0, 70.0, 110.0), a3=None)
     assert np.allclose(traj.m[:, 0], 1.0)
     assert np.min(traj.margin) >= 0.0
     assert slice_pmt_margin == pytest.approx(1.0, abs=1e-3)

@@ -41,7 +41,8 @@ def sample_points(rng, n, rlo=1.0, rhi=8.0):
 def christoffel(metric, pt):
     """Gamma^a_bc at a point through the formula the pullback runs."""
     ginv = jets.inv4(metric.components(pt))
-    return np.array(geometry._christoffel_from(ginv, metric.first_derivs(pt)))
+    return np.array(geometry._christoffel_from(ginv, metric.first_derivs(pt),
+                                               range(4)))
 
 
 def test_minkowski_polar_christoffels():
@@ -419,7 +420,7 @@ def test_sigma_of_pullback_data_sees_an_antisymmetric_p():
     exp = make_expansion(ScenarioConfig(preset="bondi-schwarzschild"))
     pulled = pullback_initial_data(
         bondi_metric(exp, r_min=10.0),
-        bondi_slice_embedding(exp, 0.0), hyperboloid_frame())
+        bondi_slice_embedding(exp, 0.0, None), hyperboloid_frame())
 
     twisted = _twisted(pulled)
     pts = [np.array([20.0, 30.0, 50.0, 80.0]), np.array([0.9, 1.4, 2.0, 2.5]),
@@ -597,7 +598,7 @@ def _pullback_parts():
         "hyperboloid": ((minkowski("polar"), hyperboloid_embedding(),
                          hyperboloid_frame()), (0.2, 40.0)),
         "bondi": ((bondi_metric(exp, r_min=5.0),
-                   bondi_slice_embedding(exp, 0.5),
+                   bondi_slice_embedding(exp, 0.5, None),
                    hyperboloid_frame()), (6.0, 80.0)),
     }
 
@@ -938,7 +939,7 @@ def _lowered_evaluators():
             "hyperboloid frame": hyperboloid_frame().components,
             "t = 0": t_const_embedding().fn,
             "hyperboloid": hyperboloid_embedding().fn,
-            "null slice": bondi_slice_embedding(exp, 0.5).fn,
+            "null slice": bondi_slice_embedding(exp, 0.5, None).fn,
             **{f"news terms of {name}": _news_terms(data)
                for name, data in _SLICE_DATA.items()}}
 

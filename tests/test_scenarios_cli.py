@@ -923,3 +923,55 @@ def test_every_exported_name_resolves():
         missing = [n for n in getattr(module, "__all__", ())
                    if not hasattr(module, n)]
         assert not missing, (name, missing)
+
+
+# every parameter default of the package, as module.function(parameter);
+# the slice time u0, a3, the chart, the jet order, grids, ladders and steps
+# are none of them: each caller states its own
+_PARAMETER_DEFAULTS = {
+    "adm.adm_ladder_samples(momentum)", "adm.check_af_decay(grid)",
+    "bondi._u_samples(end)", "bondi.pullback_slice_data(r_min)",
+    "bondi.expansion_consistency(grid)", "cli.main(argv)",
+    "geometry._dot(acc)", "geometry.InitialData.jets(momentum)",
+    "jets.Jet.__init__(dd)", "jets.seed(order)",
+    "ladder.check_ladder(minimum)", "ladder.fit_decay_exponent(zero_floor)",
+    "nullcharges.decay_orders(grid)",
+    "nullcharges.null_energy_momentum(check_decay)",
+    "spacetimes.bondi_metric(r_min)",
+}
+
+
+def _written_functions(module):
+    """(qualified name, function) of every function and method whose source
+    is in ``module``: a dataclass's generated methods are not, and their
+    defaults are the field defaults."""
+    import inspect
+
+    for name, obj in vars(module).items():
+        obj = inspect.unwrap(obj) if callable(obj) else obj
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            for attr, fn in vars(obj).items():
+                if inspect.isfunction(fn) \
+                        and fn.__code__.co_filename == module.__file__:
+                    yield f"{name}.{attr}", fn
+
+
+def test_every_parameter_default_is_listed():
+    """A new default is a new hidden input of every caller that leaves it
+    out, so it must be added to _PARAMETER_DEFAULTS on purpose."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    found = set()
+    for info in pkgutil.iter_modules(admbondi.__path__):
+        module = importlib.import_module(f"admbondi.{info.name}")
+        for qualname, fn in _written_functions(module):
+            found |= {f"{info.name}.{qualname}({p.name})"
+                      for p in inspect.signature(fn).parameters.values()
+                      if p.default is not inspect.Parameter.empty}
+    assert found == _PARAMETER_DEFAULTS

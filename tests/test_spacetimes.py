@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from admbondi.bondi import BondiExpansion
 from admbondi.errors import DomainError
 from admbondi.geometry import (Embedding, _jdd, euclidean_frame,
                                pullback_initial_data, ricci_tensor)
@@ -50,6 +51,9 @@ class StaticNews:
 
     def sup_news_estimate(self):
         return abs(self._c), abs(self._d)
+
+    # c and d as jets, the way the metric reads them
+    news_jets = BondiExpansion.news_jets
 
 
 def lorentzian(g):
@@ -112,7 +116,7 @@ def test_schwarzschild_vacuum(rng):
 
 
 def test_schwarzschild_horizon_rejected():
-    g = schwarzschild(1.0)
+    g = schwarzschild(1.0, "polar")
     with pytest.raises(DomainError):
         g.components([0.0, 1.9, 1.0, 0.0])
 
@@ -164,7 +168,7 @@ def test_kerr_interior_rejected():
         with pytest.raises(DomainError, match=f"mass must be .*, got {bad}"):
             KerrParameters(bad, 0.2)
         with pytest.raises(DomainError, match=f"mass must be .*, got {bad}"):
-            schwarzschild(bad)
+            schwarzschild(bad, "polar")
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(DomainError, match=f"spin must be finite, got {bad}"):
             kerr(KerrParameters(1.0, bad))
@@ -257,14 +261,14 @@ def test_hyperboloid_embedding_origin_limit():
 
 def test_bondi_slice_embedding_values():
     exp = StaticNews(c=0.0, M=1.0)
-    emb = bondi_slice_embedding(exp, 3.0)
+    emb = bondi_slice_embedding(exp, 3.0, None)
     u, r, th, ps = emb.fn([10.0, 1.0, 0.5])
     assert u == pytest.approx(3.0 + np.sqrt(101.0) - 10.0, rel=1e-12)
 
     class UnitNews(StaticNews):
         def c(self, u, th, ps):
             return 1.0 + 0.0 * u
-    emb2 = bondi_slice_embedding(UnitNews(), 0.0)
+    emb2 = bondi_slice_embedding(UnitNews(), 0.0, None)
     u2 = emb2.fn([10.0, 1.0, 0.5])[0]
     base = np.sqrt(101.0) - 10.0
     assert u2 - base == pytest.approx(1.0 / 12000.0, rel=1e-10)
@@ -302,7 +306,7 @@ def test_metric_first_derivs_match_fd(rng):
 def test_embedding_first_derivs_match_fd(rng):
     exp = StaticNews(c=0.2, M=1.0)
     embs = [hyperboloid_embedding(),
-            bondi_slice_embedding(exp, 1.0)]
+            bondi_slice_embedding(exp, 1.0, None)]
     h = 1e-6
     for emb in embs:
         for _ in range(25):
