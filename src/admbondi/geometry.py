@@ -17,6 +17,9 @@ Conventions fixed here and inherited everywhere else:
 
 Frame vectors live on the 3-chart (r, theta, psi) as F[i][a] with
 e_i = F[i][a] d_a; the pullback lifts them through the embedding differential.
+It has one contraction, C_ij = A_i^a A_j^b T_ab of a symmetric T: the
+induced metric (A = d phi, T = g_ab), the Christoffel term of h (A = d phi,
+T = Gamma^a) and the frame components of g and h (A = F).
 Connection and curvature of 3-data are computed in frame components via the
 Koszul formula with structure coefficients rather than chart Christoffels.
 """
@@ -58,18 +61,6 @@ def _perms4():
 _PERM4 = _perms4()
 
 
-def _grad(x, a):
-    """Leaf value of the a-th first derivative (0 for constants)."""
-    if isinstance(x, Jet):
-        return value(x.d[a])
-    return 0.0
-
-
-def _hess(x, a, b):
-    """Leaf value of d_a d_b x (0 for constants)."""
-    return value(x.dd[a][b]) if isinstance(x, Jet) else 0.0
-
-
 def _leaf_array(X, entry, leaf):
     """entry(x) for each x of the nested list X, broadcast to the leaf shape:
     an array indexed [<indices of X>, <leaf>]."""
@@ -90,14 +81,15 @@ def _leaf_array(X, entry, leaf):
 def _chart_gradient(X, leaf):
     """Leaf values of d_a X, indexed [a, <indices of X>, <leaf>], for X
     a nested list over as many chart variables as its first index."""
-    return np.stack([_leaf_array(X, lambda x: _grad(x, a), leaf)
+    return np.stack([_leaf_array(X, lambda x: value(_jd(x, a)), leaf)
                      for a in range(len(X))])
 
 
 def _chart_hessian(X, leaf):
     """Leaf values of d_a d_b X, indexed [a, b, <indices of X>, <leaf>]."""
     n = len(X)
-    return np.stack([np.stack([_leaf_array(X, lambda x: _hess(x, a, b), leaf)
+    return np.stack([np.stack([_leaf_array(X, lambda x: value(_jdd(x, a, b)),
+                                           leaf)
                                for b in range(n)]) for a in range(n)])
 
 
@@ -133,10 +125,11 @@ def _first_order(X, leaf):
             np.concatenate([grad[None], _chart_hessian(X, leaf)]))
 
 
-def _dot(xs, ys, acc=0.0):
-    """acc + sum_k xs[k] ys[k], summed over k in order, with the terms of
+def _dot(xs, ys):
+    """sum_k xs[k] ys[k], summed over k in order, with the terms of
     structural zeros skipped: the one implementation of the pullback's
     contractions and of e_k x = F_k^a d_a x."""
+    acc = 0.0
     for x, y in zip(xs, ys):
         acc = add(acc, mul(x, y))
     return acc
@@ -149,7 +142,7 @@ def frame_entry(Fv, x, k):
     as one array [k, a, <leaf>] or as nested lists of values that broadcast
     to the leaf, with plain-float structural zeros.
     """
-    return _dot(Fv[k], [_grad(x, a) for a in range(3)])
+    return _dot(Fv[k], [value(_jd(x, a)) for a in range(3)])
 
 
 def _frame_apply(Fv, dX):
@@ -413,49 +406,28 @@ def ricci_tensor(metric, point):
 # Pullback of (g, h) to a spacelike slice
 # ---------------------------------------------------------------------------
 
-def _induced_metric(g4, dphi):
-    """g_ij = g_ab d_i phi^a d_j phi^b, contracted one index at a time:
-    V_ib = g_ab d_i phi^a summed over a, then g_ij = V_ib d_j phi^b summed
-    over b."""
-    tangents = [[dphi[a][i] for a in range(4)] for i in range(3)]
-    V = [[_dot([g4[a][b] for a in range(4)], tangents[i]) for b in range(4)]
-         for i in range(3)]
-    g3 = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(i, 3):
-            g3[i][j] = g3[j][i] = _dot(V[i], tangents[j])
-    return g3
-
-
-def _in_frame(F, t):
-    """Frame components F_i^a F_j^b T_ab of a symmetric chart tensor T,
-    contracted one index at a time: U_ib = F_i^a T_ab summed over a, then
-    U_ib F_j^b summed over b."""
-    U = [[_dot(F[i], [t[a][b] for a in range(3)]) for b in range(3)]
-         for i in range(3)]
-    o = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(i, 3):
-            o[i][j] = o[j][i] = _dot(U[i], F[j])
-    return o
+def _congruence(A, T):
+    """C_ij = A_i^a A_j^b T_ab of a symmetric T, contracted one index at a
+    time: U_ib = A_i^a T_ab summed over a, then C_ij = U_ib A_j^b summed
+    over b for j >= i, mirrored."""
+    U = [[_dot(Ai, [Ta[b] for Ta in T]) for b in range(len(T))] for Ai in A]
+    C = [[None] * len(A) for _ in A]
+    for i in range(len(A)):
+        for j in range(i, len(A)):
+            C[i][j] = C[j][i] = _dot(U[i], A[j])
+    return C
 
 
 def _second_form(n, rows, gam, dphi, ddphi):
     """h_ij = -n_a hess^a_ij summed over the rows a, with the covariant
-    Hessian hess^a_ij = dd_ij phi^a + d_i phi^b W^a_bj summed over b and
-    W^a_bj = Gamma^a_bc d_j phi^c summed over c."""
-    tangents = [[dphi[c][j] for c in range(4)] for j in range(3)]
-    W = {a: [[_dot(gam[a][b], tangents[j]) for j in range(3)]
-             for b in range(4)] for a in rows}
+    Hessian hess^a_ij = dd_ij phi^a + Gamma^a_bc d_i phi^b d_j phi^c."""
+    hess = {a: _congruence(dphi, gam[a]) for a in rows}
     h3 = [[None] * 3 for _ in range(3)]
     for i in range(3):
         for j in range(i, 3):
-            hac = 0.0
-            for a in rows:
-                hess = _dot(tangents[i], [W[a][b][j] for b in range(4)],
-                            ddphi[a][i][j])
-                hac = add(hac, mul(n[a], hess))
-            h3[i][j] = h3[j][i] = 0.0 - hac
+            h3[i][j] = h3[j][i] = 0.0 - _dot(
+                [n[a] for a in rows],
+                [add(ddphi[a][i][j], hess[a][i][j]) for a in rows])
     return h3
 
 
@@ -465,8 +437,9 @@ def _normal_rows(n):
 
 
 def _tangents(ej):
-    """d_i phi^a of the embedding jets ej, indexed [a][i]."""
-    return [[_jd(ej[a], i) for i in range(3)] for a in range(4)]
+    """The tangent vectors d_i phi^a of the embedding jets ej, as rows
+    indexed [i][a]."""
+    return [[_jd(e, i) for e in ej] for i in range(3)]
 
 
 def _conormal(g4, dphi):
@@ -476,7 +449,7 @@ def _conormal(g4, dphi):
     ginv = inv4(g4)
     N = [0.0, 0.0, 0.0, 0.0]
     for (a, b, c, d), s in _PERM4:
-        N[a] = add(N[a], prod(s, dphi[b][0], dphi[c][1], dphi[d][2]))
+        N[a] = add(N[a], prod(s, dphi[0][b], dphi[1][c], dphi[2][d]))
     nn = 0.0
     for a in range(4):
         for b in range(4):
@@ -510,7 +483,7 @@ def _on_slice(metric, coords3, ej):
     # written so that a NaN is rejected too
     _reject(np.logical_not(nn < 0.0), at, "r, theta, psi",
             "slice is not spacelike (conormal fails to be timelike)")
-    g3 = _induced_metric(g4, dphi)
+    g3 = _congruence(dphi, g4)
     m = [[value(g3[i][j]) for j in range(3)] for i in range(3)]
     d1 = m[0][0]
     d2 = m[0][0] * m[1][1] - m[0][1] * m[1][0]
@@ -543,7 +516,7 @@ def pullback_initial_data(metric, emb, frame):
         # g_ab d_i phi^a d_j phi^b needs only first derivatives of phi and no
         # derivative of g_ab
         g3 = _on_slice(metric, coords3, emb.fn(jets.seed(coords3, order=1)))
-        return _in_frame(F, g3), None
+        return _congruence(F, g3), None
 
     def p(coords3, F, S):
         ej = emb.fn(jets.seed(coords3, order=2))
@@ -563,7 +536,7 @@ def pullback_initial_data(metric, emb, frame):
         # structural zero are not built
         rows = _normal_rows(n)
         gam = _christoffel_from(ginv, dg4, rows)
-        return _in_frame(F, _second_form(n, rows, gam, dphi, ddphi))
+        return _congruence(F, _second_form(n, rows, gam, dphi, ddphi))
 
     return InitialData(g, p, frame, f"pullback[{metric.name};{emb.name}]")
 

@@ -2,8 +2,9 @@
 
 Limit-defining surface integrals are sampled on an increasing finite ladder
 of radii and extrapolated to infinity with a least-squares fit of
-A + B/r + C/r^2; decay orders are log-log slope fits of sup-norms.  The
-extrapolated energy-momenta are judged by one causal margin.
+A + B/r + C/r^2; decay orders are log-log slope fits of sup-norms.  A
+sample that is not finite stops either fit with DomainError naming its
+radius.  The extrapolated energy-momenta are judged by one causal margin.
 
 A whole ladder is evaluated in one layout, ``rung_axes``: r on the leading
 axis against the sphere grid's theta column and psi row, in the blocks of
@@ -68,12 +69,22 @@ def causal_margin(x):
     return x[..., 0] - np.sqrt(np.sum(x[..., 1:] ** 2, axis=-1))
 
 
+def _finite(radii, samples, what):
+    """The samples as floats; DomainError at the radius of the first one that
+    is not finite, which no fit may read as converging or as exact zero."""
+    s = np.asarray(samples, dtype=float)
+    if not np.all(np.isfinite(s)):
+        k = int(np.argmin(np.isfinite(s)))
+        raise DomainError(f"non-finite {what} {s[k]} at radius {radii[k]:g}")
+    return s
+
+
 def fit_inverse_powers(radii, samples):
     """Least-squares fit of samples(r) ~ A + B/r + C/r^2; returns A with
     diagnostics.  Flags divergence when the tail of the samples is still
     moving away from the fitted limit."""
     radii = np.asarray(check_ladder(radii), dtype=float)
-    y = np.asarray(samples, dtype=float)
+    y = _finite(radii, samples, "sample")
     cols = [radii ** (-k) for k in range(3)]
     M = np.stack(cols, axis=1)
     coef, *_ = np.linalg.lstsq(M, y, rcond=None)
@@ -94,11 +105,7 @@ def fit_decay_exponent(radii, sups, zero_floor=EXACT_ZERO_FLOOR):
     counting it as an exact zero would pass a decay check vacuously.
     """
     radii = np.asarray(check_ladder(radii, minimum=2), dtype=float)
-    s = np.asarray(sups, dtype=float)
-    bad = ~np.isfinite(s)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise DomainError(f"non-finite sup-norm {s[k]} at radius {radii[k]:g}")
+    s = _finite(radii, sups, "sup-norm")
     keep = s > zero_floor
     if keep.sum() < 2:
         return DecayFit(np.inf, 0.0, True, tuple(s))

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import jets
 from .errors import ConfigError
-from .geometry import _grad, constraint_quantities, frame_entry
+from .geometry import _jd, constraint_quantities, frame_entry
 from .jets import value
 from .ladder import (causal_margin, check_ladder, fit_decay_exponent,
                      fit_inverse_powers, ladder_integrands, ladder_map,
@@ -192,9 +192,10 @@ def charge_integrand(data, coords3):
     tra = a(0, 0) + a(1, 1) + a(2, 2)
     trb = b(0, 0) + b(1, 1) + b(2, 2)
     div_a = nabla_a(0) + nabla_a(1) + nabla_a(2)   # nabla^j a_1j
-    grad_tr = sum(Fv[0][c] * (_grad(G[0][0], c) + _grad(G[1][1], c)
-                              + _grad(G[2][2], c))
-                  for c in range(3) if not jets._zero(Fv[0][c]))
+    grad_tr = sum(
+        Fv[0][c] * (value(_jd(G[0][0], c)) + value(_jd(G[1][1], c))
+                    + value(_jd(G[2][2], c)))
+        for c in range(3) if not jets._zero(Fv[0][c]))
     e_int = div_a - grad_tr - (a(0, 0) - gv(0, 0) * tra)
     p_int = np.stack([b(k, 0) - gv(k, 0) * trb for k in range(3)])
     return e_int, p_int

@@ -1,6 +1,7 @@
 """Pullback, frame curvature and constraint quantities on known geometries."""
 
 import dataclasses
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -641,9 +642,9 @@ def _seeded_metric_g(case, arg):
     metric, emb, frame = _PARTS[case][0]
     ej = emb.fn(jets.seed(arg, order=2))
     gj = metric.fn(jets.seed([geometry._jf(e) for e in ej], order=1))
-    g3 = geometry._induced_metric([[geometry._jf(x) for x in row]
-                                   for row in gj], geometry._tangents(ej))
-    return geometry._in_frame(frame.components(arg), g3)
+    g3 = geometry._congruence(geometry._tangents(ej),
+                              [[geometry._jf(x) for x in row] for row in gj])
+    return geometry._congruence(frame.components(arg), g3)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -1062,31 +1063,17 @@ def test_p_builds_only_normal_rows_bit_identically(case, order, n, t):
 
 # -- the pullback's contractions against their double-sum loops ------------------
 
-def _induced_metric_loops(g4, dphi):
-    """g_ij = g_ab d_i phi^a d_j phi^b, one triple product per (a, b)."""
-    g3 = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(i, 3):
+def _congruence_loops(A, T):
+    """A_i^a A_j^b T_ab, one triple product per (a, b)."""
+    C = [[None] * len(A) for _ in A]
+    for i in range(len(A)):
+        for j in range(i, len(A)):
             acc = 0.0
-            for a in range(4):
-                for b in range(4):
-                    acc = jets.add(acc, jets.prod(g4[a][b], dphi[a][i],
-                                                  dphi[b][j]))
-            g3[i][j] = g3[j][i] = acc
-    return g3
-
-
-def _in_frame_loops(F, t):
-    """F_i^a F_j^b T_ab, one triple product per (a, b)."""
-    o = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(i, 3):
-            acc = 0.0
-            for a in range(3):
-                for b in range(3):
-                    acc = jets.add(acc, jets.prod(F[i][a], F[j][b], t[a][b]))
-            o[i][j] = o[j][i] = acc
-    return o
+            for a in range(len(T)):
+                for b in range(len(T)):
+                    acc = jets.add(acc, jets.prod(A[i][a], A[j][b], T[a][b]))
+            C[i][j] = C[j][i] = acc
+    return C
 
 
 def _second_form_loops(n, rows, gam, dphi, ddphi):
@@ -1101,7 +1088,7 @@ def _second_form_loops(n, rows, gam, dphi, ddphi):
                 for b in range(4):
                     for c in range(4):
                         hess = jets.add(hess, jets.prod(
-                            gam[a][b][c], dphi[b][i], dphi[c][j]))
+                            gam[a][b][c], dphi[i][b], dphi[j][c]))
                 hac = jets.add(hac, jets.mul(n[a], hess))
             h3[i][j] = h3[j][i] = 0.0 - hac
     return h3
@@ -1121,8 +1108,7 @@ def test_pullback_contractions_match_double_sum_loops(case, how, n, t):
     pts = _points(case, n, t)
     got = _leaf_entries(data, pts, how)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry, "_induced_metric", _induced_metric_loops)
-        mp.setattr(geometry, "_in_frame", _in_frame_loops)
+        mp.setattr(geometry, "_congruence", _congruence_loops)
         mp.setattr(geometry, "_second_form", _second_form_loops)
         ref = _leaf_entries(data, pts, how)
     assert len(got) == len(ref)
@@ -1150,35 +1136,134 @@ def _nested(x):
     return [[x[i, j] for j in range(x.shape[1])] for i in range(x.shape[0])]
 
 
-def test_in_frame_makes_45_products_per_tensor(rng):
-    """A full frame and tensor take 27 products for U_ib = F_i^a T_ab and
-    18 for the six U_ib F_j^b, where the double sums took 54 triple
-    products; the result is F T F^T."""
-    F = rng.uniform(0.5, 1.5, size=(3, 3, 2))
-    T = rng.uniform(0.5, 1.5, size=(3, 3, 2))
+@pytest.mark.parametrize("m, n", [(3, 3), (3, 4)])
+def test_congruence_products(rng, m, n):
+    """A full m x n A and n x n T take m n^2 products for U_ib = A_i^a T_ab
+    and n for each of the six U_ib A_j^b with j >= i, where the double sums
+    took
+    6 n^2 triple products: 27 + 18 for the frame components of a tensor,
+    48 + 24 for the induced metric.  The result is A T A^T."""
+    A = rng.uniform(0.5, 1.5, size=(m, n, 2))
+    T = rng.uniform(0.5, 1.5, size=(n, n, 2))
     T = T + np.swapaxes(T, 0, 1)
     with pytest.MonkeyPatch.context() as mp:
         calls = _counted_products(mp)
-        out = geometry._in_frame(_nested(F), _nested(T))
-        assert len(calls) == 27 + 18
+        out = geometry._congruence(_nested(A), _nested(T))
+        assert len(calls) == m * n * n + 6 * n
     np.testing.assert_allclose(np.array(out),
-                               np.einsum("ia...,jb...,ab...->ij...", F, F, T),
+                               np.einsum("ia...,jb...,ab...->ij...", A, A, T),
                                rtol=1e-14)
 
 
-def test_induced_metric_makes_72_products(rng):
-    """A full g_ab and 4x3 d phi take 48 products for V_ib = g_ab d_i phi^a
-    and 24 for the six V_ib d_j phi^b; the result is d phi^T g d phi."""
-    g4 = rng.uniform(0.5, 1.5, size=(4, 4, 2))
-    g4 = g4 + np.swapaxes(g4, 0, 1)
-    dphi = rng.uniform(0.5, 1.5, size=(4, 3, 2))
+def test_second_form_products_for_one_normal_row(rng):
+    """One full normal row a takes 48 + 24 products for the Gamma^a term of
+    the six hess^a_ij and 6 for n_a hess^a_ij, as many as contracting
+    W^a_bj = Gamma^a_bc d_j phi^c first would; the result is
+    -n_a (dd phi^a + d phi Gamma^a d phi^T)."""
+    gam = rng.uniform(0.5, 1.5, size=(4, 4, 4, 2))
+    gam = gam + np.swapaxes(gam, 1, 2)
+    dphi = rng.uniform(0.5, 1.5, size=(3, 4, 2))
+    ddphi = rng.uniform(0.5, 1.5, size=(4, 3, 3, 2))
+    ddphi = ddphi + np.swapaxes(ddphi, 1, 2)
+    n = [0.0, rng.uniform(0.5, 1.5, size=2), 0.0, 0.0]
     with pytest.MonkeyPatch.context() as mp:
         calls = _counted_products(mp)
-        g3 = geometry._induced_metric(_nested(g4), _nested(dphi))
-        assert len(calls) == 48 + 24
+        h3 = geometry._second_form(n, [1], [None, _nested(gam[1]), None, None],
+                                   _nested(dphi), [None, ddphi[1], None, None])
+        assert len(calls) == 48 + 24 + 6
     np.testing.assert_allclose(
-        np.array(g3), np.einsum("ab...,ai...,bj...->ij...", g4, dphi, dphi),
-        rtol=1e-14)
+        np.array(h3), -n[1] * (ddphi[1] + np.einsum(
+            "ib...,jc...,bc...->ij...", dphi, dphi, gam[1])), rtol=1e-14)
+
+
+def _slot(ks):
+    """Index of the part d_ks of an entry: 0 the value, 1 + k the first
+    derivative d_k, 4 + 3 k + l the second derivative d_k d_l."""
+    if not ks:
+        return 0
+    return 1 + ks[0] if len(ks) == 1 else 4 + 3 * ks[0] + ks[1]
+
+
+def _entry(parts, order):
+    """One tensor entry from its 13 parts: a plain-float structural zero if
+    they all vanish, else the value array (order 0) or a jet over three
+    variables whose vanishing derivative parts are structural zeros."""
+    def leaf(x):
+        return x if np.any(x) else 0.0
+    if not np.any(parts):
+        return 0.0
+    if order == 0:
+        return parts[0]
+    return jets.Jet(parts[0], [leaf(parts[_slot([k])]) for k in range(3)],
+                    None if order == 1 else
+                    [[leaf(parts[_slot([k, m])]) for m in range(3)]
+                     for k in range(3)])
+
+
+def _random_parts(rng, shape, p_zero):
+    """Parts [13, <shape>, 2] of random entries, a random share p_zero of
+    them structural zeros and as many of their derivative parts; the second
+    derivatives are symmetric."""
+    parts = rng.uniform(0.5, 1.5, size=(13,) + shape + (2,))
+    dd = parts[4:].reshape((3, 3) + shape + (2,))
+    parts[4:] = (dd + np.swapaxes(dd, 0, 1)).reshape((9,) + shape + (2,))
+    zero = rng.uniform(size=(13,) + shape) < p_zero
+    zero[4:] |= np.swapaxes(zero[4:].reshape((3, 3) + shape), 0, 1) \
+        .reshape((9,) + shape)
+    zero[0] = False
+    zero[:, rng.uniform(size=shape) < p_zero] = True
+    parts[zero] = 0.0
+    return parts
+
+
+def _leibniz(Ap, Tp, ks):
+    """d_ks (A_i^a A_j^b T_ab) of the parts, one einsum per way of handing
+    the derivatives to the three factors."""
+    out = 0.0
+    for owners in itertools.product(range(3), repeat=len(ks)):
+        a, b, t = (_slot([k for k, o in zip(ks, owners) if o == f])
+                   for f in range(3))
+        out = out + np.einsum("ia...,jb...,ab...->ij...", Ap[a], Ap[b],
+                              Tp[t])
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(shape=st.sampled_from([(3, 3), (3, 4)]),
+       order=st.sampled_from([0, 1, 2]),
+       p_zero=st.sampled_from([0.0, 0.3, 0.7]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_congruence_is_the_symmetric_einsum(shape, order, p_zero, seed,
+                                            dense_arithmetic):
+    """A_i^a A_j^b T_ab of random A and symmetric T, as arrays and as
+    order-1 and order-2 jets with plain-float structural zeros: symmetric,
+    the Leibniz-rule einsum of the parts to rounding, and the evaluation
+    with every structural-zero term computed bit for bit."""
+    m, n = shape
+    rng = np.random.default_rng(seed)
+    Ap = _random_parts(rng, shape, p_zero)
+    Tp = _random_parts(rng, (n, n), p_zero)
+    Tp = np.where(np.triu(np.ones((n, n), bool))[..., None], Tp,
+                  np.swapaxes(Tp, 1, 2))
+    A = [[_entry(Ap[:, i, a], order) for a in range(n)] for i in range(m)]
+    T = [[_entry(Tp[:, a, b], order) for b in range(n)] for a in range(n)]
+    C = geometry._congruence(A, T)
+    with dense_arithmetic():
+        dense = geometry._congruence(A, T)
+    k = max(order, 1)
+    derivs = [ks for q in range(order + 1)
+              for ks in itertools.product(range(3), repeat=q)]
+    ref = [_leibniz(Ap, Tp, ks) for ks in derivs]
+    scale = max(np.max(np.abs(r)) for r in ref)
+    for i in range(m):
+        for j in range(m):
+            got = _entries(C[i][j], k)[:len(derivs)]
+            assert all(_same(a, b) for a, b in zip(got, _entries(C[j][i], k)))
+            assert all(_same(a, b) for a, b in zip(
+                got, _entries(dense[i][j], k))), (i, j)
+            for a, r in zip(got, ref):
+                np.testing.assert_allclose(np.broadcast_to(a, (2,)), r[i, j],
+                                           rtol=1e-13, atol=1e-14 * scale)
 
 
 # -- NaN in the pullback's domain checks -------------------------------------------
@@ -1216,15 +1301,16 @@ def test_nan_induced_metric_fails_the_definiteness_check(how):
     which names the first NaN node."""
     data = pullback_initial_data(minkowski("polar"), t_const_embedding(),
                                  euclidean_frame())
-    induced = geometry._induced_metric
+    congruence = geometry._congruence
 
-    def poisoned(g4, dphi):
-        g3 = induced(g4, dphi)
-        g3[0][0] = g3[0][0] + np.where(jets.value(g4[2][2]) > 25.0, np.nan,
-                                       0.0)
-        return g3
+    def poisoned(A, T):
+        C = congruence(A, T)
+        if len(T) == 4:        # the induced metric, A = d phi, T = g_ab
+            C[0][0] = C[0][0] + np.where(jets.value(T[2][2]) > 25.0, np.nan,
+                                         0.0)
+        return C
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry, "_induced_metric", poisoned)
+        mp.setattr(geometry, "_congruence", poisoned)
         with pytest.raises(DomainError, match=r"not positive definite at "
                            r"\(r, theta, psi\) = \(6\.0, 1\.2, 0\.5\)"):
             _leaf_entries(data, _POISON_POINTS, how)

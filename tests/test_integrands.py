@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from admbondi.adm import adm_ladder_samples
-from admbondi.geometry import _chart_gradient, _grad, frame_derivative
+from admbondi.geometry import _chart_gradient, _jd, frame_derivative
 from admbondi.jets import value
 from admbondi.ladder import rung_axes
 from admbondi.nullcharges import (background_connection, charge_integrand,
@@ -106,8 +106,8 @@ def _null_reference(data, coords3):
     tra = a[0, 0] + a[1, 1] + a[2, 2]
     trb = b[0, 0] + b[1, 1] + b[2, 2]
     div_a = Da[0, 0, 0] + Da[1, 0, 1] + Da[2, 0, 2]
-    grad_tr = sum(Fv[0][c] * (_grad(G[0][0], c) + _grad(G[1][1], c)
-                              + _grad(G[2][2], c)) for c in range(3))
+    grad_tr = sum(Fv[0][c] * (value(_jd(G[0][0], c)) + value(_jd(G[1][1], c))
+                              + value(_jd(G[2][2], c))) for c in range(3))
     e_int = div_a - grad_tr - (a[0, 0] - gv[0, 0] * tra)
     p_int = np.stack([b[k, 0] - gv[k, 0] * trb for k in range(3)])
     return e_int, p_int

@@ -23,8 +23,9 @@ from admbondi.cli import main
 from admbondi.errors import DomainError
 from admbondi.geometry import (euclidean_frame, hyperboloid_frame,
                                pullback_initial_data)
-from admbondi.ladder import (causal_margin, fit_inverse_powers, rung_axes,
-                             rung_blocks, rung_sups)
+from admbondi.ladder import (causal_margin, fit_decay_exponent,
+                             fit_inverse_powers, rung_axes, rung_blocks,
+                             rung_sups)
 from admbondi.nullcharges import decay_orders, deviation
 from admbondi.reports import CheckResult
 from admbondi.scenarios import (ScenarioConfig, default_radii, make_a3,
@@ -435,6 +436,22 @@ def test_fit_inverse_powers_recovers_the_limit(A, B, C, r0, ratio, n):
     scale = abs(A) + abs(B) / r0 + abs(C) / r0 ** 2
     assert abs(fit.value - A) <= 1e-9 * (1.0 + scale)
     assert fit.residual <= 1e-12 * (1.0 + scale)
+
+
+@pytest.mark.parametrize("fit, what", [(fit_inverse_powers, "sample"),
+                                       (fit_decay_exponent, "sup-norm")])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("rung", range(4))
+def test_fits_reject_non_finite_samples(fit, what, bad, rung):
+    """A NaN or infinite sample at any rung stops both fits with DomainError
+    naming its radius: a NaN limit must not come out as converging, and a
+    NaN sup-norm not as an exact zero."""
+    radii = [10.0, 20.0, 40.0, 80.0]
+    samples = [1.0, 0.5, 0.25, 0.125]
+    samples[rung] = bad
+    with pytest.raises(DomainError, match=rf"non-finite {what} {bad} at "
+                       rf"radius {radii[rung]:g}$"):
+        fit(radii, samples)
 
 
 # -- the causal margin x_0 - |x_vec| of the pmt checks and the flux trajectory

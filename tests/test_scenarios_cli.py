@@ -932,7 +932,7 @@ _PARAMETER_DEFAULTS = {
     "adm.adm_ladder_samples(momentum)", "adm.check_af_decay(grid)",
     "bondi._u_samples(end)", "bondi.pullback_slice_data(r_min)",
     "bondi.expansion_consistency(grid)", "cli.main(argv)",
-    "geometry._dot(acc)", "geometry.InitialData.jets(momentum)",
+    "geometry.InitialData.jets(momentum)",
     "jets.Jet.__init__(dd)", "jets.seed(order)",
     "ladder.check_ladder(minimum)", "ladder.fit_decay_exponent(zero_floor)",
     "nullcharges.decay_orders(grid)",
