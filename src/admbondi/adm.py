@@ -9,6 +9,11 @@ with outward orientation (this is the sign that makes a static black hole
 carry E = +m).  Partial derivatives are frame-directional derivatives of the
 Euclidean-frame components, which coincide with Cartesian partials.  Each
 rung's integral of x_i n^i is one ``sphere.integrate`` over its nodes.
+
+The decay check reads each class of the asymptotic-flatness hypotheses
+(g - delta, dg, ddg, h, dh) as a sup-norm per rung as soon as the class is
+formed, e_k g and e_l e_k g one frame direction k at a time: it never holds
+all 81 e_l e_k g_ij.
 """
 
 from dataclasses import dataclass
@@ -16,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import (_chart_gradient, _coords_leaf, _first_order,
-                       _frame_apply, _leaf_array, _product,
-                       constraint_quantities, frame_derivative, frame_entry)
+from .geometry import (_chart_gradient, _chart_hessian, _coords_leaf,
+                       _frame_apply, _leaf_array, constraint_quantities,
+                       frame_derivative, frame_entry)
 from .jets import value
 from .ladder import (LadderFit, causal_margin, check_ladder,
                      fit_decay_exponent, fit_inverse_powers, ladder_integrands,
@@ -115,26 +120,41 @@ AF_DECAY_SLACK = 0.3
 
 def _decay_sups(data, coords):
     """Sup-norms of (g - delta), dg, ddg, h, dh over every component at each
-    rung of ``rung_axes`` points."""
+    rung of ``rung_axes`` points.
+
+    Each class is reduced as soon as it is formed, and the jets are dropped
+    once read: h and e_k h first, then g from the leaf values, chart
+    gradient and chart Hessian of G, then e_k g and e_l e_k g one frame
+    direction k at a time, so at most the 27 e_l e_k g_ij of one k exist
+    at once.  A sup over every component is a max, so it does not depend
+    on that order."""
     leaf = _coords_leaf(coords)
     G, P, F = data.jets(coords, order=2)
-    # the frame as an array jet: e_l e_k g needs no second derivative of F
-    F = np.concatenate([_leaf_array(F, value, leaf)[None],
-                        _chart_gradient(F, leaf)])
-    g, dg = _first_order(G, leaf)
-    # e_k g_ij as an array jet, so e_l(e_k g_ij) is e_l of its chart gradient
-    Dg = _product("ka...,aij...->kij...", F, dg)
 
     def sup(x):
         return np.max(rung_sups(x).reshape(-1, leaf[0]), axis=0)
 
-    return {
-        "g": sup(g[0] - np.eye(3).reshape((3, 3) + (1,) * len(leaf))),
-        "dg": sup(Dg[0]),
-        "ddg": sup(_frame_apply(F[0], Dg[1:])),
-        "h": sup(_leaf_array(P, value, leaf)),
-        "dh": sup(frame_derivative(F[0], P)),
-    }
+    # e_l e_k g needs no second derivative of the frame
+    Fv, dF = _leaf_array(F, value, leaf), _chart_gradient(F, leaf)
+    out = {"h": sup(_leaf_array(P, value, leaf)),
+           "dh": sup(frame_derivative(Fv, P))}
+    del P, F
+    out["g"] = sup(_leaf_array(G, value, leaf)
+                   - np.eye(3).reshape((3, 3) + (1,) * len(leaf)))
+    dg, ddg = _chart_gradient(G, leaf), _chart_hessian(G, leaf)
+    del G
+    sups = []
+    for k in range(3):
+        # e_k g_ij = F_k^a d_a g_ij and its chart gradient, by the product
+        # rule d_c(e_k g_ij) = (d_c F_k^a) d_a g_ij + F_k^a d_c d_a g_ij;
+        # e_l(e_k g_ij) is e_l of that gradient
+        dDg = np.einsum("ca...,aij...->cij...", dF[:, k], dg)
+        dDg += np.einsum("a...,caij...->cij...", Fv[k], ddg)
+        sups.append((sup(np.einsum("a...,aij...->ij...", Fv[k], dg)),
+                     sup(_frame_apply(Fv, dDg))))
+        del dDg
+    out["dg"], out["ddg"] = (np.max(s, axis=0) for s in zip(*sups))
+    return out
 
 
 def check_af_decay(data, radii, grid=None):

@@ -34,6 +34,22 @@ def _exponents(fits):
     return {k: "exact" if f.exact else f.exponent for k, f in fits.items()}
 
 
+def _on_failure(check, detail):
+    """``check`` with the text ``detail()`` as its detail if it fails; a
+    passing check keeps an empty detail."""
+    if not check.passed:
+        check.detail = detail()
+    return check
+
+
+def _smallest_at(margin, pts):
+    """Where the margin at the sample points (r, theta, psi) is smallest; a
+    NaN margin counts as the smallest."""
+    k = int(np.argmin(margin))
+    point = ", ".join(repr(float(c[k])) for c in pts)
+    return f"smallest margin at (r, theta, psi) = ({point})"
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -53,17 +69,22 @@ def cmd_adm(cfg):
     dec = check_dec_flat(data, pts)
     pmt = check_pmt_flat(ch)
     m0 = known_mass(cfg)
+    margins = {k: v["fit"].exponent - v["required"] for k, v in decay.items()}
+    slow = min(margins, key=margins.get)
     checks = [
         CheckResult("adm.energy_matches_preset_mass", ch.E - m0,
                     max(1e-2 * m0, 1e-9), "abs(value) <= tolerance"),
         CheckResult("adm.momentum_small", np.max(np.abs(ch.P)), 1e-4,
                     "value <= tolerance"),
-        CheckResult("adm.decay_orders_ok",
-                    min(v["fit"].exponent - v["required"]
-                        for v in decay.values()),
-                    AF_DECAY_SLACK, "value >= -tolerance"),
-        CheckResult("adm.dec_margin", np.min(dec), 1e-5,
-                    "value >= -tolerance"),
+        _on_failure(
+            CheckResult("adm.decay_orders_ok", margins[slow], AF_DECAY_SLACK,
+                        "value >= -tolerance"),
+            lambda: f"slowest class {slow}: exponent "
+                    f"{decay[slow]['fit'].exponent:.6g}, required "
+                    f"{decay[slow]['required']:g}"),
+        _on_failure(CheckResult("adm.dec_margin", np.min(dec), 1e-5,
+                                "value >= -tolerance"),
+                    lambda: _smallest_at(dec, pts)),
         CheckResult("adm.pmt_margin", pmt, 1e-6, "value >= -tolerance"),
     ]
     report = ChargeReport(
@@ -97,8 +118,9 @@ def cmd_null(cfg):
                     "value >= tolerance", "fitted orders above 3/2 gate"),
         CheckResult("null.not_diverging", ch.diverging(), 0.0,
                     "value <= tolerance"),
-        CheckResult("null.dec_margin", np.min(dec), 1e-4,
-                    "value >= -tolerance"),
+        _on_failure(CheckResult("null.dec_margin", np.min(dec), 1e-4,
+                                "value >= -tolerance"),
+                    lambda: _smallest_at(dec, pts)),
         CheckResult("null.pmt_margin", pmt, PMT_NULL_SLACK,
                     "value >= -tolerance"),
     ]

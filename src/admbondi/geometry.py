@@ -61,15 +61,20 @@ def _perms4():
 _PERM4 = _perms4()
 
 
+def _nested_shape(X):
+    """Lengths of the nested lists of X, outermost first."""
+    shape = []
+    while isinstance(X, list):
+        shape.append(len(X))
+        X = X[0]
+    return tuple(shape)
+
+
 def _leaf_array(X, entry, leaf):
     """entry(x) for each x of the nested list X, broadcast to the leaf shape:
     an array indexed [<indices of X>, <leaf>]."""
-    shape = []
-    x = X
-    while isinstance(x, list):
-        shape.append(len(x))
-        x = x[0]
-    out = np.empty(tuple(shape) + tuple(leaf))
+    shape = _nested_shape(X)
+    out = np.empty(shape + tuple(leaf))
     for idx in np.ndindex(*shape):
         x = X
         for i in idx:
@@ -86,11 +91,14 @@ def _chart_gradient(X, leaf):
 
 
 def _chart_hessian(X, leaf):
-    """Leaf values of d_a d_b X, indexed [a, b, <indices of X>, <leaf>]."""
+    """Leaf values of d_a d_b X, indexed [a, b, <indices of X>, <leaf>],
+    written into one array entry (a, b) at a time: besides the result, only
+    one entry's leaf array is held."""
     n = len(X)
-    return np.stack([np.stack([_leaf_array(X, lambda x: value(_jdd(x, a, b)),
-                                           leaf)
-                               for b in range(n)]) for a in range(n)])
+    out = np.empty((n, n) + _nested_shape(X) + tuple(leaf))
+    for a, b in np.ndindex(n, n):
+        out[a, b] = _leaf_array(X, lambda x: value(_jdd(x, a, b)), leaf)
+    return out
 
 
 # An array jet is indexed [s, <indices>, <leaf>]: s = 0 holds the leaf

@@ -268,13 +268,21 @@ def _dispatch(x, npfun, chain):
 
 
 def sin(x):
-    return _dispatch(x, np.sin, lambda j: j._chain(
-        sin(j.f), cos(j.f), None if j.dd is None else -sin(j.f)))
+    return _dispatch(x, np.sin, _sin_jet)
+
+
+def _sin_jet(j):
+    s = sin(j.f)
+    return j._chain(s, cos(j.f), None if j.dd is None else -s)
 
 
 def cos(x):
-    return _dispatch(x, np.cos, lambda j: j._chain(
-        cos(j.f), -sin(j.f), None if j.dd is None else -cos(j.f)))
+    return _dispatch(x, np.cos, _cos_jet)
+
+
+def _cos_jet(j):
+    c = cos(j.f)
+    return j._chain(c, -sin(j.f), None if j.dd is None else -c)
 
 
 def sqrt(x):
@@ -297,13 +305,21 @@ def _exp_jet(j):
 
 
 def sinh(x):
-    return _dispatch(x, np.sinh, lambda j: j._chain(
-        sinh(j.f), cosh(j.f), None if j.dd is None else sinh(j.f)))
+    return _dispatch(x, np.sinh, _sinh_jet)
+
+
+def _sinh_jet(j):
+    s = sinh(j.f)
+    return j._chain(s, cosh(j.f), None if j.dd is None else s)
 
 
 def cosh(x):
-    return _dispatch(x, np.cosh, lambda j: j._chain(
-        cosh(j.f), sinh(j.f), None if j.dd is None else cosh(j.f)))
+    return _dispatch(x, np.cosh, _cosh_jet)
+
+
+def _cosh_jet(j):
+    c = cosh(j.f)
+    return j._chain(c, sinh(j.f), None if j.dd is None else c)
 
 
 # -- small generic linear algebra --------------------------------------------

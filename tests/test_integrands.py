@@ -1,8 +1,9 @@
 """The ADM and null charge integrands read only the frame-derivative entries
 they need; they must equal the integrands built from every entry, bit for
-bit, and must not build rank-3 arrays over the nodes.  The null ladder,
-evaluated radius by latitude, must equal the ladder evaluated rung by
-rung."""
+bit, and must not build rank-3 arrays over the nodes.  The sups of the decay
+check, reduced one frame direction at a time, must equal those of the
+classes formed whole.  The null ladder, evaluated radius by latitude, must
+equal the ladder evaluated rung by rung."""
 
 import tracemalloc
 
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from admbondi.adm import adm_ladder_samples
-from admbondi.geometry import _chart_gradient, _jd, frame_derivative
+from admbondi.adm import _decay_sups, adm_ladder_samples, check_af_decay
+from admbondi.geometry import (_chart_gradient, _first_order, _frame_apply,
+                               _jd, _leaf_array, _product, frame_derivative)
 from admbondi.jets import value
 from admbondi.ladder import rung_axes
 from admbondi.nullcharges import (background_connection, charge_integrand,
@@ -174,6 +176,55 @@ def test_adm_rung_memory_stays_near_the_pullback_peak():
     rung = _traced_peak(lambda: adm_ladder_samples(_KERR, [r], grid))
     leaf = grid.weights.nbytes
     assert (rung - pullback) / leaf <= 32.0
+
+
+def test_af_decay_memory_stays_near_the_data_jets_peak():
+    """The decay check of a 12x24 four-rung Kerr ladder needs at most 100
+    node-sized arrays beyond the peak of the data's own order-2 jets.  It
+    measures 82: e_k h while the jets are alive sets the peak.  Holding one
+    more 27-entry array there would exceed the bound; forming all 81
+    e_l e_k g_ij with the whole Hessian jet at once took 424."""
+    grid = build_grid(12, 24)
+    radii = [10.0, 20.0, 40.0, 80.0]
+    check_af_decay(_KERR, radii, grid)
+    coords = rung_axes(radii, *grid.axes())
+    jets2 = _traced_peak(lambda: _KERR.jets(coords, order=2))
+    check = _traced_peak(lambda: check_af_decay(_KERR, radii, grid))
+    node = len(radii) * grid.weights.nbytes
+    assert (check - jets2) / node <= 100.0
+
+
+def _decay_sups_whole(data, coords):
+    """The decay sups with e_k g_ij and its chart gradient formed as one
+    array jet, and all 81 e_l e_k g_ij as one array."""
+    leaf = np.broadcast_shapes(*map(np.shape, coords))
+    G, P, F = data.jets(coords, order=2)
+    F = np.concatenate([_leaf_array(F, value, leaf)[None],
+                        _chart_gradient(F, leaf)])
+    g, dg = _first_order(G, leaf)
+    Dg = _product("ka...,aij...->kij...", F, dg)
+
+    def sup(x):
+        return np.max(np.abs(x).reshape(-1, leaf[0], leaf[1] * leaf[2]),
+                      axis=(0, 2))
+    return {"g": sup(g[0] - np.eye(3)[:, :, None, None, None]),
+            "dg": sup(Dg[0]), "ddg": sup(_frame_apply(F[0], Dg[1:])),
+            "h": sup(_leaf_array(P, value, leaf)),
+            "dh": sup(frame_derivative(F[0], P))}
+
+
+@pytest.mark.parametrize("shape", [(2, 4), (5, 10), (12, 24)])
+@pytest.mark.parametrize("case", sorted(_ADM))
+def test_decay_sups_per_direction_equal_the_whole_arrays(case, shape):
+    """The decay check, which reduces e_k g and e_l e_k g one frame
+    direction k at a time, gives every sup bit for bit as the classes
+    formed whole."""
+    coords = rung_axes([7.0, 13.0, 29.0, 51.0, 90.0],
+                       *build_grid(*shape).axes())
+    got = _decay_sups(_ADM[case], coords)
+    want = _decay_sups_whole(_ADM[case], coords)
+    for key in want:
+        assert same_bits(got[key], want[key]), (case, key)
 
 
 def _ladder_reference(data, radii, grid):

@@ -378,3 +378,34 @@ def test_structural_zeros_match_dense_reference_and_fd(tree, points, orders):
             i, j = steps[0] if len(steps) == 1 else steps
             np.testing.assert_allclose(a, hess[i][j], rtol=1e-3,
                                        atol=1e-4 * scale, err_msg=str(p))
+
+
+@pytest.mark.parametrize("name, f, df, ddf", [
+    ("sin", np.sin, np.cos, lambda v: -np.sin(v)),
+    ("cos", np.cos, lambda v: -np.sin(v), lambda v: -np.cos(v)),
+    ("sinh", np.sinh, np.cosh, np.sinh),
+    ("cosh", np.cosh, np.sinh, np.cosh)])
+def test_order2_chain_reuses_the_function_value(monkeypatch, name, f, df, ddf):
+    """At order 2, f'' = -f (sin, cos) or f (sinh, cosh) reuses f(v): a jet
+    nested two levels deep calls each leaf function twice, once for f and
+    once for f' at the inner level, where recomputing f'' took nine calls."""
+    x = np.array([0.3, 1.1, 2.0])
+    inner = seed([x, 0.5 * x], order=2)
+    outer = seed(inner, order=2)
+    calls = []
+
+    def counted(fn):
+        def leaf(v):
+            calls.append(fn)
+            return fn(v)
+        return leaf
+    for fn in (np.sin, np.cos, np.sinh, np.cosh):
+        monkeypatch.setattr(np, fn.__name__, counted(fn))
+    y = getattr(jets, name)(outer[0])
+    monkeypatch.undo()
+    assert len(calls) == 4
+    # f, f' and f'' at the outer level, and f'' at the inner one
+    assert np.array_equal(value(y), f(x))
+    assert np.array_equal(y.d[0].f, df(x))
+    assert np.array_equal(y.dd[0][0].f, ddf(x))
+    assert np.array_equal(y.f.dd[0][0], ddf(x))

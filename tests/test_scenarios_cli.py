@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import admbondi
-from admbondi import jets
+from admbondi import adm, jets
 from admbondi.bondi import BondiExpansion
 from admbondi.cli import main, parse_config
 from admbondi.errors import ConfigError
@@ -975,3 +975,52 @@ def test_every_parameter_default_is_listed():
                       for p in inspect.signature(fn).parameters.values()
                       if p.default is not inspect.Parameter.empty}
     assert found == _PARAMETER_DEFAULTS
+
+
+def _failed_run(tmp_path, args):
+    """The report body of a run that exits 1, and its checks by name."""
+    out = tmp_path / "r.json"
+    assert run_cli(args + ["--out", str(out)]) == 1
+    body = json.loads(out.read_text())
+    return body, {c["name"]: c for c in body["checks"]}
+
+
+@pytest.mark.parametrize("command, target, check", [
+    (["adm", "--preset", "schwarzschild", "--ntheta", "8", "--npsi", "16"],
+     "admbondi.adm.check_dec_flat", "adm.dec_margin"),
+    (["null", "--preset", "minkowski", "--ntheta", "8", "--npsi", "16"],
+     "admbondi.nullcharges.check_dec_null", "null.dec_margin")])
+def test_failing_dec_margin_names_its_smallest_point(tmp_path, monkeypatch,
+                                                     command, target, check):
+    """A failing dominant-energy margin names the sample point (r, theta,
+    psi) with the smallest margin; the passing checks keep no detail."""
+    seen = []
+
+    def margin(data, pts):
+        seen.append(pts)
+        m = np.zeros(np.shape(pts[0]))
+        m[1] = -1.0
+        return m
+    monkeypatch.setattr(target, margin)
+    _, checks = _failed_run(tmp_path, command)
+    [pts] = seen
+    point = ", ".join(repr(float(c[1])) for c in pts)
+    assert not checks[check]["passed"]
+    assert checks[check]["detail"] == \
+        f"smallest margin at (r, theta, psi) = ({point})"
+    assert all(c["detail"] == "" for c in checks.values() if c["passed"]
+               and c["name"] != "null.order_gate")
+
+
+def test_failing_decay_orders_name_the_slowest_class(tmp_path, monkeypatch):
+    """Requiring ddg = O(1/r^5) of Schwarzschild fails the decay check, and
+    its detail names ddg with its fitted exponent."""
+    monkeypatch.setitem(adm._REQUIRED_ORDERS, "ddg", 5.0)
+    body, checks = _failed_run(tmp_path, ["adm", "--preset", "schwarzschild",
+                                           "--ntheta", "8", "--npsi", "16"])
+    exponent = body["decay_exponents"]["ddg"]
+    assert not checks["adm.decay_orders_ok"]["passed"]
+    assert checks["adm.decay_orders_ok"]["value"] == exponent - 5.0
+    assert checks["adm.decay_orders_ok"]["detail"] == \
+        f"slowest class ddg: exponent {exponent:.6g}, required 5"
+    assert all(c["detail"] == "" for c in checks.values() if c["passed"])
