@@ -23,10 +23,10 @@ for label, metric in [
     data = pullback_initial_data(metric, t_const_embedding(), euclidean_frame())
     charges = adm_energy_momentum(data, ladder, grid)
     print(f"== {label}")
-    for r, s in zip(charges.energy.radii, charges.energy.samples):
+    for r, s in zip(ladder, charges.energy.samples):
         print(f"   E(r={r:>5.1f}) = {s:.8f}")
-    print(f"   extrapolated E = {charges.E:.8f}   (fit residual "
-          f"{charges.energy.residual:.2e})")
+    print(f"   extrapolated E = {charges.E:.8f} +- "
+          f"{charges.energy.error:.1e}   (through all {len(ladder)} rungs)")
     print(f"   P = {np.array2string(charges.P, precision=3)}")
     print(f"   positive-mass margin E - |P| = {check_pmt_flat(charges):.8f}")
     decay = check_af_decay(data, ladder)

@@ -28,6 +28,8 @@ charges = null_energy_momentum(model, [0.5, 1.0, 2.0, 4.0], grid=grid,
                                check_decay=False)
 print(f"   max |E_nu| = {np.max(np.abs(charges.E_values())):.2e}")
 print(f"   max |P_nu,k| = {np.max(np.abs(charges.P_values())):.2e}")
+print(f"   largest error estimate = "
+      f"{max(f.error for f in charges.fits().values()):.2e}  (roundoff only)")
 r1, r2, r3 = rigidity_residual(model, [2.0, 1.2, 0.7])
 print(f"   rigidity residuals: {float(r1):.2e} {float(r2):.2e} {float(r3):.2e}")
 
@@ -49,6 +51,8 @@ E, P = charges.E_values(), charges.P_values()
 print(f"   E_0 = {E[0]:+.6f}, P_0,1 = {P[0, 0]:+.6f}")
 print(f"   boost margins E_nu - P_nu,1 = "
       f"{np.array2string(charges.margins(), precision=6)}")
+print(f"   their error estimates = "
+      f"{np.array2string(charges.margin_errors(), precision=1)}")
 print(f"   positivity margin = {check_pmt_null(charges):.6f} (mass recovered)")
 orders = {k: ("exact" if f.exact else f"{f.exponent:.2f}")
           for k, f in charges.decay_orders.items() if k in ("a11", "b11", "b22")}

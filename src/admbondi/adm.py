@@ -31,8 +31,8 @@ from .ladder import (LadderFit, causal_margin, check_ladder,
 from .sphere import build_grid, direction_functions, integrate
 
 __all__ = ["AdmCharges", "adm_energy_momentum", "adm_ladder_samples",
-           "check_af_decay", "AF_DECAY_SLACK", "check_dec_flat",
-           "check_pmt_flat"]
+           "unit_samples", "check_af_decay", "AF_DECAY_SLACK",
+           "check_dec_flat", "check_pmt_flat"]
 
 
 @dataclass
@@ -108,10 +108,19 @@ def adm_ladder_samples(data, radii, grid, momentum=True):
 def adm_energy_momentum(data, radii, grid):
     """Charges of a single end on ``grid``, extrapolated over the ladder."""
     rows = adm_ladder_samples(data, radii, grid)
-    energy = fit_inverse_powers(radii, [row[0] for row in rows])
-    momentum = tuple(fit_inverse_powers(radii, [row[1][k] for row in rows])
+    energy = fit_inverse_powers(radii, [row[0] for row in rows],
+                                unit_samples(radii, 16.0 * np.pi))
+    momentum = tuple(fit_inverse_powers(radii, [row[1][k] for row in rows],
+                                        unit_samples(radii, 8.0 * np.pi))
                      for k in range(3))
     return AdmCharges(energy, momentum)
+
+
+def unit_samples(radii, c):
+    """4 pi r^2 / c at each rung: the sample of a unit integrand.  The
+    integrands cancel terms of order 1, the flat metric's, so their
+    rounding scales with it."""
+    return 4.0 * np.pi * np.asarray(radii, dtype=float) ** 2 / c
 
 
 _REQUIRED_ORDERS = {"g": 1.0, "dg": 2.0, "ddg": 3.0, "h": 2.0, "dh": 3.0}

@@ -1,10 +1,12 @@
 """Radius-ladder extrapolation and decay-order fits.
 
 Limit-defining surface integrals are sampled on an increasing finite ladder
-of radii and extrapolated to infinity with a least-squares fit of
-A + B/r + C/r^2; decay orders are log-log slope fits of sup-norms.  A
-sample that is not finite stops either fit with DomainError naming its
-radius.  The extrapolated energy-momenta are judged by one causal margin.
+of radii and extrapolated to infinity through every rung: the polynomial in
+1/r of degree n - 1 through the n samples, evaluated at 1/r = 0 (Richardson
+extrapolation), with an error estimate; decay orders are log-log slope fits
+of sup-norms.  A sample that is not finite stops either fit with DomainError
+naming its radius.  The extrapolated energy-momenta are judged by one causal
+margin.
 
 A whole ladder is evaluated in one layout, ``rung_axes``: r on the leading
 axis against the sphere grid's theta column and psi row, in the blocks of
@@ -12,17 +14,21 @@ theta rows that ``rung_blocks`` gives (``ladder_integrands`` is that loop);
 ``rung_sups`` reduces it to one sup-norm per rung.
 """
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
 
-__all__ = ["LadderFit", "DecayFit", "fit_inverse_powers", "fit_decay_exponent",
-           "slowest_order", "ladder_map", "check_ladder", "rung_axes",
-           "rung_blocks", "ladder_integrands", "rung_sups", "causal_margin"]
+__all__ = ["LadderFit", "DecayFit", "extrapolation_weights",
+           "fit_inverse_powers", "fit_decay_exponent", "slowest_order",
+           "ladder_map", "check_ladder", "rung_axes", "rung_blocks",
+           "ladder_integrands", "rung_sups", "causal_margin"]
 
 EXACT_ZERO_FLOOR = 1e-13
+EPS = np.finfo(float).eps
 # chart points per ladder evaluation: one rung of the 48 x 96 grid
 RUNG_BLOCK_POINTS = 48 * 96
 
@@ -32,10 +38,8 @@ class LadderFit:
     """Extrapolated limit of per-radius samples with diagnostics."""
 
     value: float
-    radii: tuple
     samples: tuple
-    coefficients: tuple       # (A, B, C, ...)
-    residual: float           # rms misfit of the model on the rungs
+    error: float              # estimate of |value - limit|
     diverging: bool           # samples still drifting at the largest rungs
 
 
@@ -79,23 +83,54 @@ def _finite(radii, samples, what):
     return s
 
 
-def fit_inverse_powers(radii, samples):
-    """Least-squares fit of samples(r) ~ A + B/r + C/r^2; returns A with
-    diagnostics.  Flags divergence when the tail of the samples is still
-    moving away from the fitted limit."""
-    radii = np.asarray(check_ladder(radii), dtype=float)
+@functools.cache
+def extrapolation_weights(radii):
+    """The weights w_k of the samples y_k whose sum w . y is the polynomial
+    in 1/r through every rung of the ladder ``radii`` (a tuple), evaluated
+    at 1/r = 0: the Lagrange weights prod_{j != k} r_k / (r_k - r_j).
+    One read-only array per ladder."""
+    w = np.array([np.prod([rk / (rk - rj) for rj in radii if rj != rk])
+                  for rk in radii])
+    w.flags.writeable = False
+    return w
+
+
+def fit_inverse_powers(radii, samples, scale):
+    """Extrapolation of samples y_k at the n rungs r_k through all of them:
+    A = w . y, the polynomial in 1/r of degree n - 1 through the samples at
+    1/r = 0, with an error estimate, the sum of two terms:
+
+    * truncation: |A - A'|, A' the extrapolation through every rung but the
+      innermost.  That is the truncation error of A', which bounds the one
+      of A while the 1/r series converges on the ladder.  Samples whose
+      successive differences more than double along the ladder, by more
+      than their rounding, show no limit; their truncation term is
+      sum_k |w_k y_k|, which bounds |A|.
+    * rounding: n eps sum_k |w_k| s_k, a dot product's bound with s_k =
+      max(|y_k|, scale_k).  ``scale``, one magnitude per rung, is what a
+      sample is rounded relative to when it cancels below it: the sample
+      that an integrand of unit size gives, for integrands that cancel
+      terms of order 1; 0 for samples rounded relative to themselves.
+
+    Flags divergence when the tail of the samples is still moving away from
+    the limit by more than roundoff."""
+    radii = tuple(check_ladder(radii))
     y = _finite(radii, samples, "sample")
-    cols = [radii ** (-k) for k in range(3)]
-    M = np.stack(cols, axis=1)
-    coef, *_ = np.linalg.lstsq(M, y, rcond=None)
-    fitted = M @ coef
-    resid = float(np.sqrt(np.mean((fitted - y) ** 2)))
+    w = extrapolation_weights(radii)
+    value = math.fsum(w * y)
+    s = np.maximum(np.abs(y), scale)
+    rounding = len(y) * EPS * float(np.abs(w) @ s)
     # converging samples have shrinking successive differences on an
     # increasing ladder; growing tail differences mean no limit is in sight
     d = np.abs(np.diff(y))
+    if d[-1] > 2.0 * d[0] + len(y) * EPS * np.max(s):
+        truncation = float(np.abs(w) @ np.abs(y))
+    else:
+        truncation = abs(value - math.fsum(extrapolation_weights(radii[1:])
+                                           * y[1:]))
+    # a growing tail within roundoff is not flagged
     diverging = bool(d[-1] > 2.0 * d[0] + 1e-13 and d[-1] > 1e-12)
-    return LadderFit(float(coef[0]), tuple(radii), tuple(y), tuple(coef),
-                     resid, diverging)
+    return LadderFit(value, tuple(y), truncation + rounding, diverging)
 
 
 def fit_decay_exponent(radii, sups, zero_floor=EXACT_ZERO_FLOOR):

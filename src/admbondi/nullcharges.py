@@ -219,9 +219,20 @@ class NullCharges:
         """The four boost margins E_nu - P_nu,1."""
         return self.E_values() - self.P_values()[:, 0]
 
+    def margin_errors(self):
+        """Error estimates of the margins: those of E_nu and P_nu,1 added."""
+        return np.array([e.error + p[0].error for e, p in zip(self.E, self.P)])
+
+    def fits(self):
+        """Each charge's LadderFit by name: E_nu, then P_nu,k with k = 1..3."""
+        return {**{f"E_{nu}": f for nu, f in enumerate(self.E)},
+                **{f"P_{nu},{k + 1}": f for nu, row in enumerate(self.P)
+                   for k, f in enumerate(row)}}
+
     def diverging(self):
-        return any(f.diverging for f in self.E) \
-            or any(f.diverging for row in self.P for f in row)
+        """Names of the charges whose samples still drift, in ``fits``
+        order."""
+        return [name for name, f in self.fits().items() if f.diverging]
 
 
 def null_energy_momentum(data, radii, grid, check_decay=True):
@@ -262,9 +273,14 @@ def null_energy_momentum(data, radii, grid, check_decay=True):
                 integrate(grid, n[:, None] * p_int[rung]) * r3 / (8.0 * np.pi))
 
     rows = ladder_map(samples_at, range(len(radii)))
-    E = tuple(fit_inverse_powers(radii, [row[0][nu] for row in rows])
-              for nu in range(4))
-    P = tuple(tuple(fit_inverse_powers(radii, [row[1][nu][k] for row in rows])
+    # the samples of a unit integrand, 4 pi r^3 / c: the integrands cancel
+    # terms of order 1, the hyperbolic metric's, so their rounding scales
+    # with it
+    unit = 4.0 * np.pi * np.asarray(radii, dtype=float) ** 3
+    E = tuple(fit_inverse_powers(radii, [row[0][nu] for row in rows],
+                                 unit / (16.0 * np.pi)) for nu in range(4))
+    P = tuple(tuple(fit_inverse_powers(radii, [row[1][nu][k] for row in rows],
+                                       unit / (8.0 * np.pi))
                     for k in range(3)) for nu in range(4))
     return NullCharges(E, P, decay)
 

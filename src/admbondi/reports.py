@@ -14,7 +14,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 __all__ = ["CheckResult", "ChargeReport", "COMPARATORS", "jsonable",
            "report_json", "write_json", "SCHEMA_VERSION"]
@@ -57,7 +57,8 @@ class ChargeReport:
     kind: str                      # "adm" | "null" | "bondi" | "verify"
     charges: dict = field(default_factory=dict)
     samples: dict = field(default_factory=dict)
-    residuals: dict = field(default_factory=dict)
+    errors: dict = field(default_factory=dict)      # beside each charge
+    fits: dict = field(default_factory=dict)        # LadderFit, DecayFit
     dec_min_margin: float = None
     pmt_margin: float = None
     decay_exponents: dict = field(default_factory=dict)

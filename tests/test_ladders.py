@@ -8,7 +8,9 @@ nodes."""
 import contextlib
 import io
 import json
+import math
 from collections import Counter
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,9 +25,9 @@ from admbondi.cli import main
 from admbondi.errors import DomainError
 from admbondi.geometry import (euclidean_frame, hyperboloid_frame,
                                pullback_initial_data)
-from admbondi.ladder import (causal_margin, fit_decay_exponent,
-                             fit_inverse_powers, rung_axes, rung_blocks,
-                             rung_sups)
+from admbondi.ladder import (causal_margin, extrapolation_weights,
+                             fit_decay_exponent, fit_inverse_powers,
+                             rung_axes, rung_blocks, rung_sups)
 from admbondi.nullcharges import decay_orders, deviation
 from admbondi.reports import CheckResult
 from admbondi.scenarios import (ScenarioConfig, default_radii, make_a3,
@@ -425,21 +427,120 @@ def test_rung_blocks_of_the_default_ladders(n_rungs, shape, sizes):
             == [list(b) for b in _parent_blocks(n_rungs, shape[0])]
 
 
+def _exact_samples(coefficients, radii):
+    """sum_j c_j / r^j at each rung, rounded once: samples that carry only
+    the rounding the error estimate assumes of them."""
+    return [float(sum(Fraction(c) / Fraction(r) ** j
+                      for j, c in enumerate(coefficients))) for r in radii]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(A=st.floats(-10.0, 10.0), B=st.floats(-10.0, 10.0),
        C=st.floats(-10.0, 10.0), r0=st.floats(1.0, 100.0),
        ratio=st.floats(1.2, 3.0), n=st.integers(3, 7))
 def test_fit_inverse_powers_recovers_the_limit(A, B, C, r0, ratio, n):
     radii = _ladder(r0, ratio, n)
-    samples = [A + B / r + C / r ** 2 for r in radii]
-    fit = fit_inverse_powers(radii, samples)
+    fit = fit_inverse_powers(radii, _exact_samples([A, B, C], radii), 0.0)
     scale = abs(A) + abs(B) / r0 + abs(C) / r0 ** 2
     assert abs(fit.value - A) <= 1e-9 * (1.0 + scale)
-    assert fit.residual <= 1e-12 * (1.0 + scale)
+    assert abs(fit.value - A) <= fit.error
 
 
-@pytest.mark.parametrize("fit, what", [(fit_inverse_powers, "sample"),
-                                       (fit_decay_exponent, "sup-norm")])
+# increasing ladders of 3-6 rungs, each rung 1.1-3 times the one before
+_LADDERS = st.builds(
+    lambda r0, ratios: list(r0 * np.cumprod([1.0] + ratios)),
+    st.floats(0.5, 100.0),
+    st.integers(2, 5).flatmap(
+        lambda k: st.lists(st.floats(1.1, 3.0), min_size=k, max_size=k)))
+# normal floats: a subnormal sample carries an absolute rounding that no
+# relative bound sees
+_COEFFICIENT = st.floats(-10.0, 10.0, allow_subnormal=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(radii=_LADDERS, draw=st.data())
+def test_extrapolation_is_exact_below_degree_n(radii, draw):
+    """A polynomial in 1/r of degree below the number of rungs n comes back
+    to within a small multiple of eps sum_k |w_k y_k|, the rounding of the
+    weights and of their dot product with the samples, and within the error
+    estimate; the weights sum to 1, the extrapolation of a constant."""
+    n = len(radii)
+    coefficients = draw.draw(st.lists(_COEFFICIENT, min_size=1, max_size=n))
+    samples = _exact_samples(coefficients, radii)
+    fit = fit_inverse_powers(radii, samples, 0.0)
+    w = extrapolation_weights(tuple(radii))
+    size = np.sum(np.abs(w * samples))
+    assert abs(fit.value - coefficients[0]) <= 2 * n * np.finfo(float).eps \
+        * size
+    assert abs(fit.value - coefficients[0]) <= fit.error
+    assert abs(math.fsum(w) - 1.0) <= 2 * n * np.finfo(float).eps \
+        * np.sum(np.abs(w))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(radii=_LADDERS, c=st.floats(1e-3, 10.0) | st.floats(-10.0, -1e-3),
+       draw=st.data())
+def test_error_bounds_a_term_beyond_the_fit(radii, c, draw):
+    """Negative control: a c / r^n term that n rungs cannot resolve moves the
+    extrapolation away from A, and the error estimate still covers it.
+
+    With x_k = 1 / r_k that miss is |c| prod_k x_k, and the truncation term
+    |A - A'| is |c| prod_{k>0} x_k sum_k x_k, larger by sum_k x_k / x_0, as
+    long as the polynomial below is one that A' resolves too (degree below
+    n - 1).  A degree n - 1 coefficient near -c sum_k x_k would cancel it:
+    no estimate from the samples alone sees that term."""
+    n = len(radii)
+    coefficients = draw.draw(st.lists(_COEFFICIENT, min_size=1,
+                                      max_size=n - 1))
+    coefficients += [0.0] * (n - len(coefficients))
+    fit = fit_inverse_powers(radii, _exact_samples(coefficients + [c],
+                                                   radii), 0.0)
+    assert fit.error >= abs(fit.value - coefficients[0])
+
+
+def test_extrapolation_weights_are_cached_and_read_only():
+    """One weight array per ladder, shared by every fit on it."""
+    w = extrapolation_weights((10.0, 20.0, 40.0, 80.0))
+    assert extrapolation_weights((10.0, 20.0, 40.0, 80.0)) is w
+    np.testing.assert_allclose(w, np.array([-1.0, 14.0, -56.0, 64.0]) / 21.0,
+                               rtol=1e-15)
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+
+
+def test_roundoff_scale_covers_a_cancelled_component():
+    """A charge whose integrand cancels terms of order 1 down to roundoff is
+    judged by the rounding of a unit integrand's sample, not by its own
+    size."""
+    radii = [10.0, 20.0, 40.0, 80.0]
+    noise = [8e-18 * 10.0 / r for r in radii]
+    alone = fit_inverse_powers(radii, noise, 0.0)
+    scaled = fit_inverse_powers(radii, noise, adm.unit_samples(radii,
+                                                               8.0 * np.pi))
+    assert alone.value == scaled.value
+    assert alone.error < 1e-30 < 1e-15 < scaled.error
+
+
+@pytest.mark.parametrize("samples, growing", [
+    ([1.0, 1.0, 1.0, 1.0 + 2.0 ** -52], False),   # rounding jitter
+    ([1e-17, 2e-16, 2e-15, 7e-15], True),          # roundoff growing like r^3
+])
+def test_a_growing_tail_is_bounded_by_its_terms(samples, growing):
+    """Differences that more than double along the ladder leave an error
+    of sum_k |w_k y_k|, which bounds the extrapolation itself; a jitter
+    within the samples' rounding leaves a rounding-sized error."""
+    radii = [10.0, 20.0, 40.0, 80.0]
+    fit = fit_inverse_powers(radii, samples, 0.0)
+    terms = np.sum(np.abs(extrapolation_weights(tuple(radii)) * samples))
+    assert (fit.error >= terms) == growing
+    assert abs(fit.value) <= fit.error if growing else fit.error <= 1e-14
+
+
+@pytest.mark.parametrize("fit, what", [
+    pytest.param(lambda radii, samples: fit_inverse_powers(radii, samples,
+                                                           0.0),
+                 "sample", id="fit_inverse_powers-sample"),
+    (fit_decay_exponent, "sup-norm")])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("rung", range(4))
 def test_fits_reject_non_finite_samples(fit, what, bad, rung):

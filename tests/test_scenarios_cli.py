@@ -389,7 +389,7 @@ def test_cli_adm_schwarzschild(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "all 5 checks passed" in text
     body = json.loads(out.read_text())
-    assert body["schema_version"] == 2
+    assert body["schema_version"] == 3
     assert abs(body["charges"]["E"] - 1.0) <= 1e-2
     assert body["passed"] is True
 
@@ -742,8 +742,8 @@ _float_tuple = st.lists(_any_float, max_size=4).map(tuple)
 _records = (
     st.builds(CheckResult, st.text(max_size=5), _any_float, _any_float,
               st.sampled_from(sorted(COMPARATORS)), st.text(max_size=5))
-    | st.builds(LadderFit, _any_float, _float_tuple, _float_tuple,
-                _float_tuple, _any_float, st.booleans())
+    | st.builds(LadderFit, _any_float, _float_tuple, _any_float,
+                st.booleans())
     | st.builds(DecayFit, _any_float, _any_float, st.booleans(),
                 _float_tuple))
 _leaves = (_any_float | _any_float.map(np.float64) | st.booleans()
@@ -1008,8 +1008,7 @@ def test_failing_dec_margin_names_its_smallest_point(tmp_path, monkeypatch,
     assert not checks[check]["passed"]
     assert checks[check]["detail"] == \
         f"smallest margin at (r, theta, psi) = ({point})"
-    assert all(c["detail"] == "" for c in checks.values() if c["passed"]
-               and c["name"] != "null.order_gate")
+    assert all(c["detail"] == "" for c in checks.values() if c["passed"])
 
 
 def test_failing_decay_orders_name_the_slowest_class(tmp_path, monkeypatch):
@@ -1024,3 +1023,85 @@ def test_failing_decay_orders_name_the_slowest_class(tmp_path, monkeypatch):
     assert checks["adm.decay_orders_ok"]["detail"] == \
         f"slowest class ddg: exponent {exponent:.6g}, required 5"
     assert all(c["detail"] == "" for c in checks.values() if c["passed"])
+
+
+def test_failing_null_checks_name_the_slowest_fit_and_diverging_charge(
+        tmp_path):
+    """The README's ``null --preset bondi-biaxial --u0 2.0`` fails the order
+    gate and the divergence check: the first names the slowest of the 12
+    decay fits and its order, the second the first diverging charge."""
+    body, checks = _failed_run(tmp_path, ["null", "--preset", "bondi-biaxial",
+                                          "--u0", "2.0"])
+    decay = body["fits"]["decay"]
+    exponents = {k: float(f["exponent"]) for k, f in decay.items()}
+    slow = min(exponents, key=exponents.get)
+    assert slow == "b23"
+    gate = checks["null.order_gate"]
+    assert not gate["passed"] and gate["value"] == exponents[slow]
+    assert gate["detail"] == f"slowest component b23: order " \
+                             f"{exponents[slow]:.6g}"
+    names = [f"E_{nu}" for nu in range(4)] + \
+        [f"P_{nu},{k}" for nu in range(4) for k in (1, 2, 3)]
+    fits = body["fits"]["E"] + [f for row in body["fits"]["P"] for f in row]
+    diverging = [n for n, f in zip(names, fits) if f["diverging"]]
+    assert diverging[0] == "E_0"
+    assert checks["null.not_diverging"]["detail"] == \
+        "first diverging charge E_0"
+    assert all(c["detail"] == "" for c in checks.values() if c["passed"])
+
+
+def _charge_errors(charges, errors):
+    """(charge, error) of every charge in a report, walking both tables."""
+    if isinstance(charges, list):
+        assert isinstance(errors, list) and len(errors) == len(charges)
+        for c, e in zip(charges, errors):
+            yield from _charge_errors(c, e)
+    else:
+        yield charges, errors
+
+
+@pytest.mark.parametrize("argv", [
+    ["adm", "--preset", "kerr"], ["null", "--preset", "minkowski"],
+    ["null", "--preset", "bondi-biaxial", "--u0", "2.0"],
+    ["converge", "--preset", "schwarzschild"],
+    ["bondi-slice", "--preset", "bondi-biaxial"]])
+def test_every_charge_has_its_error_beside_it(tmp_path, argv):
+    """Each charge of a report has a finite, nonnegative error in the same
+    place of ``errors``; a null report's margins add the errors of E_nu
+    and P_nu,1."""
+    out = tmp_path / "r.json"
+    run_cli(argv + ["--ntheta", "12", "--npsi", "24", "--out", str(out)])
+    body = _strict_loads(out.read_text())
+    assert body["schema_version"] == 3
+    assert sorted(body["errors"]) == sorted(body["charges"])
+    for key, charges in body["charges"].items():
+        for _, error in _charge_errors(charges, body["errors"][key]):
+            assert isinstance(error, float) and 0.0 <= error < np.inf
+    if argv[0] == "null":
+        E, P = body["errors"]["E"], body["errors"]["P"]
+        assert body["errors"]["margins"] == [E[nu] + P[nu][0]
+                                             for nu in range(4)]
+
+
+def test_null_report_carries_every_fit(tmp_path):
+    """All 16 charge fits and all 12 decay fits are in a null report, so
+    each charge and its error can be read back with its samples."""
+    out = tmp_path / "r.json"
+    run_cli(["null", "--preset", "bondi-quadrupole", "--ntheta", "12",
+             "--npsi", "24", "--out", str(out)])
+    body = _strict_loads(out.read_text())
+    fits, radii = body["fits"], body["samples"]["radii"]
+    assert len(fits["E"]) == 4 and [len(row) for row in fits["P"]] == [3] * 4
+    for table in ("E", "P"):
+        flat = lambda x: [leaf for leaf, _ in _charge_errors(x, x)]
+        for fit, value, error in zip(flat(fits[table]),
+                                     flat(body["charges"][table]),
+                                     flat(body["errors"][table]), strict=True):
+            assert sorted(fit) == ["diverging", "error", "samples", "value"]
+            assert len(fit["samples"]) == len(radii)
+            assert (fit["value"], fit["error"]) == (value, error)
+    assert sorted(fits["decay"]) == sorted(body["decay_exponents"])
+    assert len(fits["decay"]) == 12
+    for fit in fits["decay"].values():
+        assert sorted(fit) == ["exact", "exponent", "residual", "sups"]
+        assert len(fit["sups"]) == 4
