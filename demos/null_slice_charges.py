@@ -13,7 +13,8 @@ import numpy as np
 
 from admbondi.bondi import BondiExpansion, induced_slice_data
 from admbondi.geometry import hyperboloid_frame, pullback_initial_data, rigidity_residual
-from admbondi.nullcharges import check_pmt_null, deviation, null_energy_momentum
+from admbondi.nullcharges import (check_pmt_null, decay_orders, deviation,
+                                  null_energy_momentum)
 from admbondi.spacetimes import hyperboloid_embedding, minkowski
 from admbondi.sphere import build_grid
 
@@ -24,8 +25,7 @@ model = pullback_initial_data(minkowski("polar"), hyperboloid_embedding(),
                               hyperboloid_frame())
 a, b = deviation(model, [3.0, 1.1, 0.4])
 print(f"   max |a| = {np.max(np.abs(a)):.2e}, max |b| = {np.max(np.abs(b)):.2e}")
-charges = null_energy_momentum(model, [0.5, 1.0, 2.0, 4.0], grid=grid,
-                               check_decay=False)
+charges = null_energy_momentum(model, [0.5, 1.0, 2.0, 4.0], grid=grid)
 print(f"   max |E_nu| = {np.max(np.abs(charges.E_values())):.2e}")
 print(f"   max |P_nu,k| = {np.max(np.abs(charges.P_values())):.2e}")
 print(f"   largest error estimate = "
@@ -54,6 +54,7 @@ print(f"   boost margins E_nu - P_nu,1 = "
 print(f"   their error estimates = "
       f"{np.array2string(charges.margin_errors(), precision=1)}")
 print(f"   positivity margin = {check_pmt_null(charges):.6f} (mass recovered)")
-orders = {k: ("exact" if f.exact else f"{f.exponent:.2f}")
-          for k, f in charges.decay_orders.items() if k in ("a11", "b11", "b22")}
+fits = decay_orders(data, [20.0, 40.0, 80.0, 160.0], build_grid(8, 16))
+orders = {k: ("exact" if fits[k].exact else f"{fits[k].exponent:.2f}")
+          for k in ("a11", "b11", "b22")}
 print(f"   fitted decay orders: {orders}")

@@ -4,7 +4,7 @@ Subcommands:
     adm           charges at spatial infinity + decay/DEC/positivity checks
     null          charges of the asymptotically null slice + order gate
     bondi-evolve  mass-loss trajectory (CSV) + monotonicity margins
-    bondi-slice   induced slice data: consistency fit + slice charges
+    bondi-slice   induced slice data: consistency fit + charges + order gate
     verify        the full acceptance battery
     converge      grid/ladder refinement study
 
@@ -27,6 +27,7 @@ from .scenarios import (ScenarioConfig, default_radii, known_mass, make_a3,
                         make_adm_data, make_expansion, make_grid,
                         make_slice_data, parse_config, parse_floats,
                         scenario_name)
+from .sphere import build_grid
 
 
 def _exponents(fits):
@@ -100,26 +101,39 @@ def cmd_adm(cfg):
     return report, None
 
 
+def _null_order_gate(prefix, data, radii, ch):
+    """``<prefix>.order_gate`` and ``<prefix>.not_diverging`` of the null
+    charges ``ch`` of ``data``, and the 12 decay fits over the outer 4 of
+    ``radii`` that the gate read."""
+    from .nullcharges import TAU_GATE, decay_orders
+    decay = decay_orders(data, radii[-4:], build_grid(8, 16))
+    slow, slowest = slowest_order(decay)
+    diverging = ch.diverging()
+    checks = [
+        _on_failure(CheckResult(f"{prefix}.order_gate", slowest, TAU_GATE,
+                                "value >= tolerance"),
+                    lambda: f"slowest component {slow}: order {slowest:.6g}"),
+        _on_failure(CheckResult(f"{prefix}.not_diverging", bool(diverging),
+                                0.0, "value <= tolerance"),
+                    lambda: f"first diverging charge {diverging[0]}"),
+    ]
+    return checks, decay
+
+
 def cmd_null(cfg):
-    from .nullcharges import (PMT_NULL_SLACK, TAU_GATE, check_dec_null,
-                              check_pmt_null, null_energy_momentum)
+    from .nullcharges import (PMT_NULL_SLACK, check_dec_null, check_pmt_null,
+                              null_energy_momentum)
+    # the order gate fits 4 rungs; reject a shorter ladder before any work
+    radii = check_ladder(default_radii(cfg, "null"), minimum=4)
     data = make_slice_data(cfg)
-    radii = default_radii(cfg, "null")
     grid = make_grid(cfg, "null")
     ch = null_energy_momentum(data, radii, grid)
+    gate, decay = _null_order_gate("null", data, radii, ch)
     pmt = check_pmt_null(ch)
     pts = [np.array([max(20.0, radii[0]), 1.5 * max(20.0, radii[0])]),
            np.array([1.1, 2.0]), np.array([0.4, 3.2])]
     dec = check_dec_null(data, pts)
-    slow, slowest = slowest_order(ch.decay_orders)
-    diverging = ch.diverging()
-    checks = [
-        _on_failure(CheckResult("null.order_gate", slowest, TAU_GATE,
-                                "value >= tolerance"),
-                    lambda: f"slowest component {slow}: order {slowest:.6g}"),
-        _on_failure(CheckResult("null.not_diverging", bool(diverging), 0.0,
-                                "value <= tolerance"),
-                    lambda: f"first diverging charge {diverging[0]}"),
+    checks = gate + [
         _on_failure(CheckResult("null.dec_margin", np.min(dec), 1e-4,
                                 "value >= -tolerance"),
                     lambda: _smallest_at(dec, pts)),
@@ -135,9 +149,9 @@ def cmd_null(cfg):
                 "P": [[f.error for f in row] for row in ch.P],
                 "margins": list(ch.margin_errors())},
         samples={"radii": list(radii), "grid": list(grid.shape)},
-        fits={"E": ch.E, "P": ch.P, "decay": ch.decay_orders},
+        fits={"E": ch.E, "P": ch.P, "decay": decay},
         dec_min_margin=float(np.min(dec)), pmt_margin=pmt,
-        decay_exponents=_exponents(ch.decay_orders),
+        decay_exponents=_exponents(decay),
         checks=tuple(checks))
     return report, None
 
@@ -185,8 +199,9 @@ def cmd_bondi_slice(cfg):
     data = make_slice_data(cfg)
     grid = make_grid(cfg, "slice")
     ch = null_energy_momentum(data, null_radii, grid)
+    gate, _ = _null_order_gate("slice", data, null_radii, ch)
     pmt = check_pmt_null(ch)
-    checks = [
+    checks = gate + [
         CheckResult("slice.expansion_consistency", worst, CONSISTENCY_ORDER,
                     "value >= tolerance", f"slowest component {worst_name}"),
         CheckResult("slice.pmt_margin", pmt, PMT_NULL_SLACK,
@@ -215,7 +230,6 @@ def cmd_verify(cfg):
 
 def cmd_converge(cfg):
     from .adm import adm_ladder_samples, unit_samples
-    from .sphere import build_grid
     # the ladder check's tolerance is the coarse fit's error estimate, whose
     # truncation term on 3 rungs would rest on a line through the outer 2
     radii = check_ladder(default_radii(cfg, "adm"), minimum=4)

@@ -19,7 +19,6 @@ Each rung's moments are taken by ``sphere.integrate``, all four n^nu at once.
 """
 
 import functools
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,7 @@ from .geometry import _jd, constraint_quantities, frame_entry
 from .jets import value
 from .ladder import (causal_margin, check_ladder, fit_decay_exponent,
                      fit_inverse_powers, ladder_integrands, ladder_map,
-                     rung_axes, rung_sups, slowest_order)
+                     rung_axes, rung_sups)
 from .sphere import build_grid, direction_functions, integrate
 
 __all__ = [
@@ -207,7 +206,6 @@ class NullCharges:
 
     E: tuple                   # four LadderFits, nu = 0..3
     P: tuple                   # 4 x 3 LadderFits [nu][k]
-    decay_orders: dict         # component -> DecayFit
 
     def E_values(self):
         return np.array([f.value for f in self.E])
@@ -235,30 +233,18 @@ class NullCharges:
         return [name for name, f in self.fits().items() if f.diverging]
 
 
-def null_energy_momentum(data, radii, grid, check_decay=True):
-    """E_nu and P_nu,k on ``grid`` over the radius ladder, with the order gate.
+def null_energy_momentum(data, radii, grid):
+    """E_nu and P_nu,k on ``grid`` over the radius ladder of >= 3 rungs.
 
     The integrands are evaluated for all rungs at once, in the blocks of
     ``ladder_integrands``; each rung then integrates its own, times n^nu.
 
-    Components whose fitted decay order falls below ``TAU_GATE`` make the
-    charges unreliable; the per-component fits are always reported so the
-    caller can judge.  The fits take the last 4 rungs, so with
-    ``check_decay`` a shorter ladder raises ConfigError: with no fits the
-    gate would pass vacuously.
+    They are limits only if every deviation decays faster than
+    ``TAU_GATE``: that is the caller's order gate, on ``decay_orders``.
     """
     _require_hyperboloid(data)
-    radii = check_ladder(radii, minimum=4 if check_decay else 3)
+    radii = check_ladder(radii)
     n = direction_functions(grid)
-
-    decay = {}
-    if check_decay:
-        decay = decay_orders(data, radii[-4:], build_grid(8, 16))
-        _, slowest = slowest_order(decay)
-        if slowest < TAU_GATE:
-            logging.getLogger(__name__).warning(
-                "slowest deviation order %.3f is below the gate %.2f; "
-                "charges may not be limits", slowest, TAU_GATE)
 
     def integrands(coords):
         e, p = charge_integrand(data, coords)
@@ -282,7 +268,7 @@ def null_energy_momentum(data, radii, grid, check_decay=True):
     P = tuple(tuple(fit_inverse_powers(radii, [row[1][nu][k] for row in rows],
                                        unit / (8.0 * np.pi))
                     for k in range(3)) for nu in range(4))
-    return NullCharges(E, P, decay)
+    return NullCharges(E, P)
 
 
 def check_dec_null(data, points):

@@ -78,7 +78,7 @@ def criterion_3_hyperboloid():
     eye = np.eye(3)[:, :, None]
     worst = float(np.max([np.max(np.abs(g - eye)), np.max(np.abs(h - eye))]))
     ch = null_energy_momentum(data, default_radii(cfg, "null"),
-                              build_grid(32, 64), check_decay=False)
+                              build_grid(32, 64))
     charge_mag = float(np.max([np.max(np.abs(ch.E_values())),
                                np.max(np.abs(ch.P_values()))]))
     rr = rigidity_residual(data, [r[:20], th[:20], ps[:20]])

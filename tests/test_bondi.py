@@ -15,7 +15,7 @@ from admbondi.errors import ConfigError, DomainError
 from admbondi.geometry import _jd, _jf
 from admbondi.jets import value
 from admbondi.ladder import slowest_order
-from admbondi.nullcharges import (TAU_GATE, check_pmt_null,
+from admbondi.nullcharges import (TAU_GATE, check_pmt_null, decay_orders,
                                   null_energy_momentum)
 from admbondi.scenarios import (BONDI_PRESETS, ScenarioConfig, make_a3,
                                make_expansion, make_grid, make_slice_data,
@@ -553,10 +553,12 @@ def _table_slice(rows, mass, tilted, a3_amplitude):
 
 def _slice_links(cfg, exp, grid, ch):
     """(error of link (a), order-gate margin): max |margins - m_nu(u0)| and
-    the slowest decay order minus the gate."""
+    the slowest decay order, over the outer 4 rungs, minus the gate."""
     m = bondi_energy_momentum(mass_aspect_field(exp, cfg.u0, grid))
+    decay = decay_orders(make_slice_data(cfg), cfg.radii[-4:],
+                         build_grid(8, 16))
     return (float(np.max(np.abs(ch.margins() - m))),
-            slowest_order(ch.decay_orders)[1] - TAU_GATE)
+            slowest_order(decay)[1] - TAU_GATE)
 
 
 _coefficient = st.floats(-0.1, 0.1, allow_nan=False)

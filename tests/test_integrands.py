@@ -257,7 +257,7 @@ def test_null_ladder_equals_rung_by_rung(case, shape):
     the 2 rows of a 2x4 grid are fewer than the five rungs."""
     grid = build_grid(*shape)
     radii = _LADDERS[case]
-    ch = null_energy_momentum(_NULL[case], radii, grid, check_decay=False)
+    ch = null_energy_momentum(_NULL[case], radii, grid)
     ref_E, ref_P = _ladder_reference(_NULL[case], radii, grid)
     assert same_bits(np.array([f.samples for f in ch.E]), ref_E)
     assert same_bits(np.array([[f.samples for f in row] for row in ch.P]),
@@ -272,11 +272,10 @@ def test_null_ladder_memory_stays_near_one_block():
     grid = build_grid(48, 96)
     radii = _LADDERS["bondi-biaxial"]
     data = _NULL["bondi-biaxial"]
-    null_energy_momentum(data, radii, grid, check_decay=False)
+    null_energy_momentum(data, radii, grid)
     theta, psi = grid.axes()
     rows = np.array_split(np.arange(grid.n_theta), len(radii))[0]
     block = _traced_peak(lambda: charge_integrand(
         data, rung_axes(radii, theta[rows], psi)))
-    ladder = _traced_peak(lambda: null_energy_momentum(data, radii, grid,
-                                                       check_decay=False))
+    ladder = _traced_peak(lambda: null_energy_momentum(data, radii, grid))
     assert (ladder - block) / grid.weights.nbytes <= 32.0

@@ -223,7 +223,7 @@ def test_integrand_linearity_in_small_amplitude():
 
 def test_hyperboloid_charges_tiny(hyperboloid_pullback):
     ch = null_energy_momentum(hyperboloid_pullback, [0.5, 1.0, 2.0, 4.0],
-                              grid=build_grid(32, 64), check_decay=False)
+                              grid=build_grid(32, 64))
     assert np.max(np.abs(ch.E_values())) <= 1e-12
     assert np.max(np.abs(ch.P_values())) <= 1e-12
     # roundoff is the only error here, and the estimates cover it
@@ -239,7 +239,7 @@ def test_schw_bondi_charges(schw_slice):
     assert check_pmt_null(ch) == pytest.approx(1.0, abs=1e-4)
     # self-convergence: double the resolution and compare
     ch2 = null_energy_momentum(schw_slice, [20.0, 40.0, 80.0, 160.0],
-                               grid=build_grid(64, 128), check_decay=False)
+                               grid=build_grid(64, 128))
     assert abs(check_pmt_null(ch2) - check_pmt_null(ch)) <= 1e-4
 
 
@@ -251,7 +251,7 @@ def test_charges_with_fd_connection_agree(schw_slice):
     import admbondi.nullcharges as nc
     grid = build_grid(16, 32)
     ladder = [20.0, 40.0, 80.0]
-    base = null_energy_momentum(schw_slice, ladder, grid=grid, check_decay=False)
+    base = null_energy_momentum(schw_slice, ladder, grid=grid)
     orig = nc.background_connection
     calls = []
     try:
@@ -265,8 +265,7 @@ def test_charges_with_fd_connection_agree(schw_slice):
                     float(r[idx]), float(th[idx]))
             return out
         nc.background_connection = fd_conn
-        alt = null_energy_momentum(schw_slice, ladder, grid=grid,
-                                   check_decay=False)
+        alt = null_energy_momentum(schw_slice, ladder, grid=grid)
     finally:
         nc.background_connection = orig
     # three rungs of 16 theta rows: one block (``rung_blocks``)
@@ -277,7 +276,7 @@ def test_charges_with_fd_connection_agree(schw_slice):
 
 def test_charge_samples_cauchy(schw_slice):
     ch = null_energy_momentum(schw_slice, [20.0, 30.0, 45.0, 70.0, 110.0],
-                              grid=build_grid(16, 32), check_decay=False)
+                              grid=build_grid(16, 32))
     s = np.array(ch.E[0].samples)
     early = np.max(np.abs(np.diff(s[:3])))
     late = np.max(np.abs(np.diff(s[-2:])))
@@ -295,10 +294,8 @@ def test_doubling_a_roughly_doubles_energy_charges():
             return g, eye
         return from_gp(gp, hyperboloid_frame(), "scaled")
     grid = build_grid(16, 32)
-    c1 = null_energy_momentum(make(1.0), [20.0, 40.0, 80.0], grid=grid,
-                              check_decay=False)
-    c2 = null_energy_momentum(make(2.0), [20.0, 40.0, 80.0], grid=grid,
-                              check_decay=False)
+    c1 = null_energy_momentum(make(1.0), [20.0, 40.0, 80.0], grid=grid)
+    c2 = null_energy_momentum(make(2.0), [20.0, 40.0, 80.0], grid=grid)
     assert np.allclose(c2.E_values(), 2.0 * c1.E_values(), atol=1e-9)
 
 
@@ -334,7 +331,7 @@ def test_divergent_ladder_flagged():
     exp = BondiExpansion(c=c, d=_zero, M=lambda u, th, ps: 1.0 + 0.0 * u)
     data = induced_slice_data(exp, u0=0.0, a3=None)
     ch = null_energy_momentum(data, [30.0, 60.0, 120.0, 240.0],
-                              grid=build_grid(16, 32), check_decay=False)
+                              grid=build_grid(16, 32))
     assert ch.E[0].diverging
     assert ch.diverging()
 

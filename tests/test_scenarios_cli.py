@@ -444,8 +444,9 @@ def test_cli_three_rung_ladder_exits_2(monkeypatch, capsys, argv, ladder):
     # The ladder is checked before any rung is evaluated.
     def evaluated(*args, **kwargs):
         raise AssertionError("a rung was evaluated before the ladder check")
-    monkeypatch.setattr("admbondi.adm.adm_energy_momentum", evaluated)
-    monkeypatch.setattr("admbondi.bondi.expansion_consistency", evaluated)
+    for target in ("adm.adm_energy_momentum", "bondi.expansion_consistency",
+                   "nullcharges.null_energy_momentum"):
+        monkeypatch.setattr(f"admbondi.{target}", evaluated)
     assert run_cli(argv + ["--ntheta", "8", "--npsi", "16"]) == 2
     assert f"radius ladder {ladder} needs >= 4 rungs, got 3" \
         in capsys.readouterr().err
@@ -655,7 +656,12 @@ def test_cli_adm_grid_is_the_configured_one(tmp_path, command, source, args,
     ["bondi-evolve", "--preset", "bondi-quadrupole", "--u1", "0.1"],
 ])
 def test_cli_null_runs_keep_the_48x96_grid(tmp_path, args):
-    assert _report(tmp_path, args)["samples"]["grid"] == [48, 96]
+    # the news of bondi-biaxial do not vanish at the slice time, so its
+    # bondi-slice run fails slice.order_gate and exits 1
+    code = 1 if args[0] == "bondi-slice" else 0
+    out = tmp_path / "r.json"
+    assert run_cli(args + ["--out", str(out)]) == code
+    assert json.loads(out.read_text())["samples"]["grid"] == [48, 96]
 
 
 def _body(path):
@@ -865,8 +871,9 @@ def test_every_recorded_flag_recomputes_from_its_comparator(tmp_path,
         "null-minkowski": (["null", "--preset", "minkowski"] + small, 0),
         "bondi-evolve": (["bondi-evolve", "--preset", "bondi-quadrupole",
                           "--u1", "1", "--du", "0.1"] + small, 0),
+        # the slice of the null run: slice.order_gate fails
         "bondi-slice": (["bondi-slice", "--preset", "bondi-biaxial"] + small,
-                        0),
+                        1),
         "converge": (["converge", "--preset", "schwarzschild"] + small, 0),
     }
     checks = list(battery_run.body["checks"])
@@ -936,7 +943,6 @@ _PARAMETER_DEFAULTS = {
     "jets.Jet.__init__(dd)", "jets.seed(order)",
     "ladder.check_ladder(minimum)", "ladder.fit_decay_exponent(zero_floor)",
     "nullcharges.decay_orders(grid)",
-    "nullcharges.null_energy_momentum(check_decay)",
     "spacetimes.bondi_metric(r_min)",
 }
 
@@ -1048,6 +1054,37 @@ def test_failing_null_checks_name_the_slowest_fit_and_diverging_charge(
     assert checks["null.not_diverging"]["detail"] == \
         "first diverging charge E_0"
     assert all(c["detail"] == "" for c in checks.values() if c["passed"])
+
+
+@pytest.mark.parametrize("vanishing", [True, False])
+def test_null_and_bondi_slice_read_one_order_gate(tmp_path, vanishing):
+    """``null`` and ``bondi-slice`` on one slice config: their order_gate
+    checks agree in value, flag and detail, and so do their not_diverging
+    checks.  With news that vanish at u0 both pass; with news that do not,
+    ``bondi-slice`` exits 1 and names the slowest of the 12 decay fits and
+    the first diverging charge."""
+    news = "news_zero_u = 2.0\n" if vanishing else ""
+    cfg = tmp_path / "slice.cfg"
+    cfg.write_text("preset = bondi-biaxial\n[parameters]\n" + news
+                   + "mass_aspect = tilted\n[slice]\nu0 = 2.0\n")
+    gates = {}
+    for command, prefix in (("null", "null"), ("bondi-slice", "slice")):
+        out = tmp_path / f"{command}.json"
+        code = run_cli([command, "--config", str(cfg), "--ntheta", "16",
+                        "--npsi", "32", "--out", str(out)])
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        gates[command] = [checks[f"{prefix}.{name}"]
+                          for name in ("order_gate", "not_diverging")]
+        for c in gates[command]:
+            del c["name"]
+    assert gates["null"] == gates["bondi-slice"]
+    order_gate, not_diverging = gates["bondi-slice"]
+    assert order_gate["passed"] == not_diverging["passed"] == vanishing
+    if not vanishing:
+        assert code == 1
+        assert order_gate["detail"] == \
+            f"slowest component b23: order {order_gate['value']:.6g}"
+        assert not_diverging["detail"] == "first diverging charge E_0"
 
 
 def _charge_errors(charges, errors):

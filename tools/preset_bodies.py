@@ -59,8 +59,10 @@ RUNS = {
     # the news of the preset do not vanish at u0: null.order_gate fails
     "null-bondi-biaxial-u0-2": (["null", "--preset", "bondi-biaxial",
                                  "--u0", "2.0"], 1, False),
+    # nor do they vanish at the default slice time u0 = 0:
+    # slice.order_gate fails
     "bondi-slice-bondi-biaxial": (["bondi-slice", "--preset",
-                                   "bondi-biaxial"], 0, False),
+                                   "bondi-biaxial"], 1, False),
     "bondi-slice-config": (["bondi-slice", "--config", "{null_cfg}"], 0,
                            False),
     "converge-kerr": (["converge", "--preset", "kerr"], 0, True),
