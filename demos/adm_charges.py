@@ -10,6 +10,7 @@ import numpy as np
 
 from admbondi.adm import adm_energy_momentum, check_af_decay, check_pmt_flat
 from admbondi.geometry import euclidean_frame, pullback_initial_data
+from admbondi.ladder import fit_field
 from admbondi.spacetimes import KerrParameters, kerr, schwarzschild, t_const_embedding
 from admbondi.sphere import build_grid
 
@@ -23,10 +24,11 @@ for label, metric in [
     data = pullback_initial_data(metric, t_const_embedding(), euclidean_frame())
     charges = adm_energy_momentum(data, ladder, grid)
     print(f"== {label}")
-    for r, s in zip(ladder, charges.energy.samples):
+    for r, s in zip(ladder, fit_field(charges.energy, "samples")):
         print(f"   E(r={r:>5.1f}) = {s:.8f}")
     print(f"   extrapolated E = {charges.E:.8f} +- "
-          f"{charges.energy.error:.1e}   (through all {len(ladder)} rungs)")
+          f"{fit_field(charges.energy, 'error'):.1e}   "
+          f"(through all {len(ladder)} rungs)")
     print(f"   P = {np.array2string(charges.P, precision=3)}")
     print(f"   positive-mass margin E - |P| = {check_pmt_flat(charges):.8f}")
     decay = check_af_decay(data, ladder)

@@ -13,8 +13,9 @@ import numpy as np
 
 from admbondi.bondi import BondiExpansion, induced_slice_data
 from admbondi.geometry import hyperboloid_frame, pullback_initial_data, rigidity_residual
+from admbondi.ladder import fit_field
 from admbondi.nullcharges import (check_pmt_null, decay_orders, deviation,
-                                  null_energy_momentum)
+                                  margin_errors, margins, null_energy_momentum)
 from admbondi.spacetimes import hyperboloid_embedding, minkowski
 from admbondi.sphere import build_grid
 
@@ -26,10 +27,11 @@ model = pullback_initial_data(minkowski("polar"), hyperboloid_embedding(),
 a, b = deviation(model, [3.0, 1.1, 0.4])
 print(f"   max |a| = {np.max(np.abs(a)):.2e}, max |b| = {np.max(np.abs(b)):.2e}")
 charges = null_energy_momentum(model, [0.5, 1.0, 2.0, 4.0], grid=grid)
-print(f"   max |E_nu| = {np.max(np.abs(charges.E_values())):.2e}")
-print(f"   max |P_nu,k| = {np.max(np.abs(charges.P_values())):.2e}")
-print(f"   largest error estimate = "
-      f"{max(f.error for f in charges.fits().values()):.2e}  (roundoff only)")
+print(f"   max |E_nu| = {np.max(np.abs(charges.E)):.2e}")
+print(f"   max |P_nu,k| = {np.max(np.abs(charges.P)):.2e}")
+largest = max(np.max(fit_field(fits, "error"))
+              for fits in (charges.energy, charges.momentum))
+print(f"   largest error estimate = {largest:.2e}  (roundoff only)")
 r1, r2, r3 = rigidity_residual(model, [2.0, 1.2, 0.7])
 print(f"   rigidity residuals: {float(r1):.2e} {float(r2):.2e} {float(r3):.2e}")
 
@@ -47,12 +49,12 @@ data = induced_slice_data(exp, u0=0.0, a3=None)
 a, b = deviation(data, [20.0, 1.2, 0.4])
 print(f"   a_11(r=20) = {a[0, 0]:.6e}  (closed form m/(2 r^3) = {0.5 / 20**3:.6e})")
 charges = null_energy_momentum(data, [20.0, 40.0, 80.0, 160.0], grid=grid)
-E, P = charges.E_values(), charges.P_values()
+E, P = charges.E, charges.P
 print(f"   E_0 = {E[0]:+.6f}, P_0,1 = {P[0, 0]:+.6f}")
 print(f"   boost margins E_nu - P_nu,1 = "
-      f"{np.array2string(charges.margins(), precision=6)}")
+      f"{np.array2string(margins(charges), precision=6)}")
 print(f"   their error estimates = "
-      f"{np.array2string(charges.margin_errors(), precision=1)}")
+      f"{np.array2string(margin_errors(charges), precision=1)}")
 print(f"   positivity margin = {check_pmt_null(charges):.6f} (mass recovered)")
 fits = decay_orders(data, [20.0, 40.0, 80.0, 160.0], build_grid(8, 16))
 orders = {k: ("exact" if fits[k].exact else f"{fits[k].exponent:.2f}")

@@ -16,8 +16,6 @@ formed, e_k g and e_l e_k g one frame direction k at a time: it never holds
 all 81 e_l e_k g_ij.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError
@@ -25,28 +23,13 @@ from .geometry import (_chart_gradient, _chart_hessian, _coords_leaf,
                        _frame_apply, _leaf_array, constraint_quantities,
                        frame_derivative, frame_entry)
 from .jets import value
-from .ladder import (LadderFit, causal_margin, check_ladder,
-                     fit_decay_exponent, fit_inverse_powers, ladder_integrands,
-                     ladder_map, rung_axes, rung_sups)
+from .ladder import (Charges, causal_margin, check_ladder,
+                     fit_decay_exponent, fit_ladder, ladder_integrands,
+                     rung_axes, rung_sups, unit_samples)
 from .sphere import build_grid, direction_functions, integrate
 
-__all__ = ["AdmCharges", "adm_energy_momentum", "adm_ladder_samples",
-           "unit_samples", "check_af_decay", "AF_DECAY_SLACK",
-           "check_dec_flat", "check_pmt_flat"]
-
-
-@dataclass
-class AdmCharges:
-    energy: LadderFit
-    momentum: tuple           # three LadderFits
-
-    @property
-    def E(self):
-        return self.energy.value
-
-    @property
-    def P(self):
-        return np.array([m.value for m in self.momentum])
+__all__ = ["adm_energy_momentum", "adm_ladder_samples", "check_af_decay",
+           "AF_DECAY_SLACK", "check_dec_flat", "check_pmt_flat"]
 
 
 def _require_euclidean(data):
@@ -57,19 +40,19 @@ def _require_euclidean(data):
 
 
 def adm_ladder_samples(data, radii, grid, momentum=True):
-    """Surface integrals (E, [P_1, P_2, P_3]) at each rung, one row per
-    radius; a rung's row depends on nothing but its radius.  Without
-    ``momentum`` a row is E alone, and P is left out of the evaluation of
-    the data too (``InitialData.jets``).
+    """Surface integrals (E, P) at each rung, rung axis first: E of shape
+    (n_r,) and P_k of shape (n_r, 3); a rung's samples depend on nothing but
+    its radius.  Without ``momentum`` the samples are E alone, and P is left
+    out of the evaluation of the data too (``InitialData.jets``).
 
-    The data are evaluated for all rungs at once, in the blocks of
-    ``ladder_integrands``; each rung then integrates its own vector
-    integrands x_i, contracted with n^i first."""
+    The integrands are formed for all rungs at once, in the blocks of
+    ``ladder_integrands`` (P_k's, h_ki - g_ki tr h, once the jets are
+    dropped); each rung then integrates its own, contracted with n^i first."""
     _require_euclidean(data)
     n = direction_functions(grid)[1:]
 
     def integrands(coords):
-        """E's vector integrand and, with ``momentum``, g_ij and h_ij."""
+        """The vector integrands of E and, with ``momentum``, of P_k."""
         leaf = _coords_leaf(coords)
         G, P, F = data.jets(coords, order=1, momentum=momentum)
         Fv = _leaf_array(F, value, leaf)
@@ -82,45 +65,32 @@ def adm_ladder_samples(data, radii, grid, momentum=True):
             e_int[:, i] = div_g - grad_tr
         if not momentum:
             return (e_int,)
-        return (e_int,) + tuple(np.moveaxis(_leaf_array(X, value, leaf), 2, 0)
-                                for X in (G, P))
+        g, h = (_leaf_array(X, value, leaf) for X in (G, P))
+        del G, P, F, Fv
+        p_int = h - np.einsum("ki...,...->ki...", g, np.einsum("jj...", h))
+        return e_int, np.moveaxis(p_int, 2, 0)
 
-    e_int, *gh = ladder_integrands(radii, grid, integrands)
+    e_int, *p_int = ladder_integrands(radii, grid, integrands)
 
     def surface(x, r, c):
         """r^2 int x_i n^i dOmega / c, the index i just before the grid's."""
         return integrate(grid, np.einsum("...iab,iab->...ab", x, n)) \
             * r * r / c
 
-    def samples_at(rung):
-        r = radii[rung]
-        energy = surface(e_int[rung], r, 16.0 * np.pi)
-        if not momentum:
-            return energy
-        g, h = (x[rung] for x in gh)
-        trh = np.einsum("jj...->...", h)
-        p_int = h - np.einsum("ki...,...->ki...", g, trh)
-        return energy, list(surface(p_int, r, 8.0 * np.pi))
-
-    return ladder_map(samples_at, range(len(radii)))
+    energy = np.array([surface(x, r, 16.0 * np.pi)
+                       for x, r in zip(e_int, radii)])
+    if not momentum:
+        return energy
+    return energy, np.array([surface(p, r, 8.0 * np.pi)
+                             for p, r in zip(p_int[0], radii)])
 
 
 def adm_energy_momentum(data, radii, grid):
     """Charges of a single end on ``grid``, extrapolated over the ladder."""
-    rows = adm_ladder_samples(data, radii, grid)
-    energy = fit_inverse_powers(radii, [row[0] for row in rows],
-                                unit_samples(radii, 16.0 * np.pi))
-    momentum = tuple(fit_inverse_powers(radii, [row[1][k] for row in rows],
-                                        unit_samples(radii, 8.0 * np.pi))
-                     for k in range(3))
-    return AdmCharges(energy, momentum)
-
-
-def unit_samples(radii, c):
-    """4 pi r^2 / c at each rung: the sample of a unit integrand.  The
-    integrands cancel terms of order 1, the flat metric's, so their
-    rounding scales with it."""
-    return 4.0 * np.pi * np.asarray(radii, dtype=float) ** 2 / c
+    energy, momentum = adm_ladder_samples(data, radii, grid)
+    return Charges(
+        fit_ladder(radii, energy, unit_samples(radii, 2, 16.0 * np.pi)),
+        fit_ladder(radii, momentum, unit_samples(radii, 2, 8.0 * np.pi)))
 
 
 _REQUIRED_ORDERS = {"g": 1.0, "dg": 2.0, "ddg": 3.0, "h": 2.0, "dh": 3.0}
@@ -178,11 +148,8 @@ def check_af_decay(data, radii, grid=None):
     grid = grid or build_grid(12, 24)
 
     sups = _decay_sups(data, rung_axes(radii, *grid.axes()))
-    out = {}
-    for key, req in _REQUIRED_ORDERS.items():
-        out[key] = {"fit": fit_decay_exponent(radii, sups[key]),
-                    "required": req}
-    return out
+    return {key: {"fit": fit_decay_exponent(radii, sups[key]), "required": req}
+            for key, req in _REQUIRED_ORDERS.items()}
 
 
 def check_dec_flat(data, points):
@@ -193,6 +160,6 @@ def check_dec_flat(data, points):
 
 
 def check_pmt_flat(charges):
-    """E - |P| of AdmCharges: the spatial-infinity positive-mass margin."""
+    """E - |P| of ADM Charges: the spatial-infinity positive-mass margin."""
     return float(causal_margin(np.append(charges.E, charges.P)))
 

@@ -29,8 +29,7 @@ from .errors import ConfigError, DomainError
 from .geometry import (InitialData, hyperboloid_frame, pullback_initial_data,
                        _jf, _jd, _jdd)
 from .jets import value
-from .ladder import (causal_margin, check_ladder, fit_decay_exponent,
-                     rung_axes, rung_sups)
+from .ladder import causal_margin, check_ladder, fit_pair_decay, rung_axes
 from .sphere import build_grid, project_multipole
 from .spacetimes import bondi_metric, bondi_slice_embedding, l_lbar
 
@@ -347,11 +346,7 @@ def expansion_consistency(exp, radii, u0, a3, grid=None):
     coords = rung_axes(radii, *grid.axes())
     gn, hn = pulled.values(coords)
     gc, hc = closed.values(coords)
-    sups = rung_sups(np.stack([gn - gc, hn - hc]))
-    return {name: fit_decay_exponent(
-                radii, sups["gh".index(name[0]), int(name[1]) - 1,
-                            int(name[2]) - 1], zero_floor=1e-12)
-            for name in SLICE_COMPONENTS}
+    return fit_pair_decay(radii, (gn - gc, hn - hc), "gh", zero_floor=1e-12)
 
 
 # ---------------------------------------------------------------------------

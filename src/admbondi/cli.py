@@ -9,8 +9,8 @@ Subcommands:
     converge      grid/ladder refinement study
 
 ``scenarios`` reads the config file and builds every input of a run from
-it; a subcommand here adds its checks.  Flags override config values.  Reports are byte-identical for identical
-configs apart from the metadata block.
+it; a subcommand here adds its checks.  Flags override config values.
+Reports are byte-identical for identical configs apart from the metadata block.
 """
 
 import argparse
@@ -21,7 +21,8 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .ladder import check_ladder, fit_inverse_powers, slowest_order
+from .ladder import (check_ladder, fit_field, fit_inverse_powers,
+                     slowest_order, unit_samples)
 from .reports import ChargeReport, CheckResult, write_json
 from .scenarios import (ScenarioConfig, default_radii, known_mass, make_a3,
                         make_adm_data, make_expansion, make_grid,
@@ -90,11 +91,12 @@ def cmd_adm(cfg):
     ]
     report = ChargeReport(
         scenario=scenario_name(cfg), kind="adm",
-        charges={"E": ch.E, "P": list(ch.P)},
-        samples={"E": list(ch.energy.samples),
-                 "P": [list(m.samples) for m in ch.momentum],
+        charges={"E": ch.E, "P": ch.P},
+        samples={"E": fit_field(ch.energy, "samples"),
+                 "P": fit_field(ch.momentum, "samples"),
                  "radii": list(radii), "grid": list(grid.shape)},
-        errors={"E": ch.energy.error, "P": [m.error for m in ch.momentum]},
+        errors={"E": fit_field(ch.energy, "error"),
+                "P": fit_field(ch.momentum, "error")},
         dec_min_margin=float(np.min(dec)), pmt_margin=pmt,
         decay_exponents=_exponents({k: v["fit"] for k, v in decay.items()}),
         checks=tuple(checks))
@@ -105,24 +107,24 @@ def _null_order_gate(prefix, data, radii, ch):
     """``<prefix>.order_gate`` and ``<prefix>.not_diverging`` of the null
     charges ``ch`` of ``data``, and the 12 decay fits over the outer 4 of
     ``radii`` that the gate read."""
-    from .nullcharges import TAU_GATE, decay_orders
+    from .nullcharges import TAU_GATE, decay_orders, diverging
     decay = decay_orders(data, radii[-4:], build_grid(8, 16))
     slow, slowest = slowest_order(decay)
-    diverging = ch.diverging()
+    drifting = diverging(ch)
     checks = [
         _on_failure(CheckResult(f"{prefix}.order_gate", slowest, TAU_GATE,
                                 "value >= tolerance"),
                     lambda: f"slowest component {slow}: order {slowest:.6g}"),
-        _on_failure(CheckResult(f"{prefix}.not_diverging", bool(diverging),
+        _on_failure(CheckResult(f"{prefix}.not_diverging", bool(drifting),
                                 0.0, "value <= tolerance"),
-                    lambda: f"first diverging charge {diverging[0]}"),
+                    lambda: f"first diverging charge {drifting[0]}"),
     ]
     return checks, decay
 
 
 def cmd_null(cfg):
     from .nullcharges import (PMT_NULL_SLACK, check_dec_null, check_pmt_null,
-                              null_energy_momentum)
+                              margin_errors, margins, null_energy_momentum)
     # the order gate fits 4 rungs; reject a shorter ladder before any work
     radii = check_ladder(default_radii(cfg, "null"), minimum=4)
     data = make_slice_data(cfg)
@@ -142,14 +144,12 @@ def cmd_null(cfg):
     ]
     report = ChargeReport(
         scenario=scenario_name(cfg), kind="null",
-        charges={"E": list(ch.E_values()),
-                 "P": [list(r) for r in ch.P_values()],
-                 "margins": list(ch.margins())},
-        errors={"E": [f.error for f in ch.E],
-                "P": [[f.error for f in row] for row in ch.P],
-                "margins": list(ch.margin_errors())},
+        charges={"E": ch.E, "P": ch.P, "margins": margins(ch)},
+        errors={"E": fit_field(ch.energy, "error"),
+                "P": fit_field(ch.momentum, "error"),
+                "margins": margin_errors(ch)},
         samples={"radii": list(radii), "grid": list(grid.shape)},
-        fits={"E": ch.E, "P": ch.P, "decay": decay},
+        fits={"E": ch.energy, "P": ch.momentum, "decay": decay},
         dec_min_margin=float(np.min(dec)), pmt_margin=pmt,
         decay_exponents=_exponents(decay),
         checks=tuple(checks))
@@ -188,7 +188,7 @@ def cmd_bondi_evolve(cfg):
 def cmd_bondi_slice(cfg):
     from .bondi import CONSISTENCY_ORDER, expansion_consistency
     from .nullcharges import (PMT_NULL_SLACK, check_pmt_null,
-                              null_energy_momentum)
+                              margin_errors, margins, null_energy_momentum)
     # the null order gate fits 4 rungs and --radii sets both ladders; reject
     # a shorter ladder before any work
     radii = check_ladder(default_radii(cfg, "slice"), minimum=4)
@@ -209,9 +209,9 @@ def cmd_bondi_slice(cfg):
     ]
     report = ChargeReport(
         scenario=scenario_name(cfg), kind="null",
-        charges={"E": list(ch.E_values()), "margins": list(ch.margins())},
-        errors={"E": [f.error for f in ch.E],
-                "margins": list(ch.margin_errors())},
+        charges={"E": ch.E, "margins": margins(ch)},
+        errors={"E": fit_field(ch.energy, "error"),
+                "margins": margin_errors(ch)},
         samples={"consistency_radii": list(radii), "grid": list(grid.shape)},
         pmt_margin=pmt,
         decay_exponents=_exponents(rep),
@@ -229,24 +229,22 @@ def cmd_verify(cfg):
 
 
 def cmd_converge(cfg):
-    from .adm import adm_ladder_samples, unit_samples
+    from .adm import adm_ladder_samples
     # the ladder check's tolerance is the coarse fit's error estimate, whose
     # truncation term on 3 rungs would rest on a line through the outer 2
     radii = check_ladder(default_radii(cfg, "adm"), minimum=4)
     data = make_adm_data(cfg)
 
-    def energies(ladder, grid):
-        # the study reports energies only, so no momentum is evaluated
-        return adm_ladder_samples(data, ladder, grid, momentum=False)
-
     # the longer ladder is the coarse one plus one rung; sample it once
     longer_radii = radii + [2.0 * radii[-1]]
     grid = make_grid(cfg, "adm")
     fine_grid = build_grid(2 * grid.n_theta, 2 * grid.n_psi)
-    samples = energies(longer_radii, grid)
-    unit = unit_samples(longer_radii, 16.0 * np.pi)
+    # the study reports energies only, so no momentum is evaluated
+    samples = adm_ladder_samples(data, longer_radii, grid, momentum=False)
+    unit = unit_samples(longer_radii, 2, 16.0 * np.pi)
     coarse = fit_inverse_powers(radii, samples[:-1], unit[:-1])
-    fine = fit_inverse_powers(radii, energies(radii, fine_grid), unit[:-1])
+    fine = fit_inverse_powers(radii, adm_ladder_samples(
+        data, radii, fine_grid, momentum=False), unit[:-1])
     longer = fit_inverse_powers(longer_radii, samples, unit)
     dg = abs(fine.value - coarse.value)
     dl = abs(longer.value - coarse.value)
@@ -324,8 +322,10 @@ def main(argv=None):
         flags = {"preset": args.preset, "n_theta": args.ntheta,
                  "n_psi": args.npsi, "radii": radii, u0: args.u0,
                  "u_end": args.u1, "du": args.du}
-        cfg = dataclasses.replace(
-            cfg, **{k: v for k, v in flags.items() if v is not None})
+        flags = {k: v for k, v in flags.items() if v is not None}
+        cfg = dataclasses.replace(cfg, **flags)
+        if provenance:
+            provenance.update(dict.fromkeys(flags, "flag"))
         report, table = _COMMANDS[args.subcommand](cfg)
     except (ConfigError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

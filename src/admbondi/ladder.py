@@ -8,6 +8,10 @@ of sup-norms.  A sample that is not finite stops either fit with DomainError
 naming its radius.  The extrapolated energy-momenta are judged by one causal
 margin.
 
+The charges at spatial and at null infinity share one path: ``fit_ladder``
+fits rung-first samples, rounded relative to ``unit_samples``, into the
+LadderFits of a ``Charges`` record, which ``fit_field`` reads as arrays.
+
 A whole ladder is evaluated in one layout, ``rung_axes``: r on the leading
 axis against the sphere grid's theta column and psi row, in the blocks of
 theta rows that ``rung_blocks`` gives (``ladder_integrands`` is that loop);
@@ -22,8 +26,9 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 
-__all__ = ["LadderFit", "DecayFit", "extrapolation_weights",
-           "fit_inverse_powers", "fit_decay_exponent", "slowest_order",
+__all__ = ["LadderFit", "DecayFit", "Charges", "extrapolation_weights",
+           "fit_inverse_powers", "fit_ladder", "fit_field", "unit_samples",
+           "fit_decay_exponent", "fit_pair_decay", "slowest_order",
            "ladder_map", "check_ladder", "rung_axes", "rung_blocks",
            "ladder_integrands", "rung_sups", "causal_margin"]
 
@@ -51,6 +56,23 @@ class DecayFit:
     residual: float
     exact: bool               # exactly when exponent is inf
     sups: tuple = field(default=())
+
+
+@dataclass
+class Charges:
+    """Energy and momentum LadderFits, nested like the trailing axes of
+    their samples (``fit_ladder``); E and P are their values."""
+
+    energy: object            # a LadderFit, or a tuple of them
+    momentum: tuple
+
+    @property
+    def E(self):
+        return fit_field(self.energy, "value")
+
+    @property
+    def P(self):
+        return fit_field(self.momentum, "value")
 
 
 def check_ladder(radii, minimum=3):
@@ -133,6 +155,29 @@ def fit_inverse_powers(radii, samples, scale):
     return LadderFit(value, tuple(y), truncation + rounding, diverging)
 
 
+def fit_ladder(radii, samples, scale):
+    """``fit_inverse_powers`` of each component of the rung-first
+    ``samples``, as LadderFits nested in tuples like ``samples.shape[1:]``."""
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim == 1:
+        return fit_inverse_powers(radii, samples, scale)
+    return tuple(fit_ladder(radii, s, scale) for s in samples.swapaxes(0, 1))
+
+
+def fit_field(fits, name):
+    """The field ``name`` of nested LadderFits as an array of the nesting's
+    shape, with one more axis for the samples."""
+    if isinstance(fits, LadderFit):
+        return np.asarray(getattr(fits, name))[()]
+    return np.array([fit_field(f, name) for f in fits])
+
+
+def unit_samples(radii, power, c):
+    """4 pi r^power / c at each rung: the sample of a unit integrand, which
+    sets the rounding of integrands that cancel the background's terms."""
+    return 4.0 * np.pi * np.asarray(radii, dtype=float) ** power / c
+
+
 def fit_decay_exponent(radii, sups, zero_floor=EXACT_ZERO_FLOOR):
     """tau-hat from sup-norm samples; reports exact zero below the floor.
 
@@ -155,6 +200,16 @@ def slowest_order(fits):
     ("exact", inf) when every fit is exact or there are none."""
     return min([("exact", np.inf)] + [(k, f.exponent) for k, f in fits.items()],
                key=lambda item: item[1])
+
+
+def fit_pair_decay(radii, pair, letters, zero_floor):
+    """``fit_decay_exponent`` of each component <letter><i><j>, i <= j, of a
+    pair of symmetric tensors on ``rung_axes`` points, in ``letters`` order."""
+    sups = rung_sups(np.stack(pair))
+    return {f"{t}{i + 1}{j + 1}": fit_decay_exponent(radii, sups[a, i, j],
+                                                     zero_floor)
+            for a, t in enumerate(letters) for i in range(3)
+            for j in range(i, 3)}
 
 
 def ladder_map(fn, radii):

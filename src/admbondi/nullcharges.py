@@ -15,11 +15,11 @@ background (frame delta), and g_11 = 1 + a_11 is kept literally.  Charges are
     E_nu    = (1/16 pi) lim_r int E-integrand  n^nu r^3 dOmega,
     P_nu,k  = (1/8 pi)  lim_r int P_k-integrand n^nu r^3 dOmega.
 
-Each rung's moments are taken by ``sphere.integrate``, all four n^nu at once.
+Each rung's moments are taken by ``sphere.integrate``, all four n^nu at once,
+into a ``ladder.Charges`` record that ``margins`` and ``diverging`` read.
 """
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,16 +27,17 @@ from . import jets
 from .errors import ConfigError
 from .geometry import _jd, constraint_quantities, frame_entry
 from .jets import value
-from .ladder import (causal_margin, check_ladder, fit_decay_exponent,
-                     fit_inverse_powers, ladder_integrands, ladder_map,
-                     rung_axes, rung_sups)
+from .ladder import (EXACT_ZERO_FLOOR, Charges, causal_margin, check_ladder,
+                     fit_field, fit_ladder, fit_pair_decay, ladder_integrands,
+                     rung_axes, unit_samples)
 from .sphere import build_grid, direction_functions, integrate
 
 __all__ = [
-    "NullCharges", "TAU_GATE", "PMT_NULL_SLACK",
+    "TAU_GATE", "PMT_NULL_SLACK",
     "background_connection", "background_connection_fd", "deviation",
     "decay_orders", "estimate_decay_order", "charge_integrand",
-    "null_energy_momentum", "check_dec_null", "check_pmt_null",
+    "null_energy_momentum", "margins", "margin_errors", "named_fits",
+    "diverging", "check_dec_null", "check_pmt_null",
 ]
 
 _COMPONENTS = tuple(f"{t}{i}{j}" for t in "ab" for i in (1, 2, 3)
@@ -123,11 +124,8 @@ def decay_orders(data, radii, grid=None):
     when None)."""
     radii = check_ladder(radii, minimum=4)
     grid = grid or build_grid(12, 24)
-    coords = rung_axes(radii, *grid.axes())
-    sups = rung_sups(np.stack(deviation(data, coords)))
-    return {c: fit_decay_exponent(
-                radii, sups["ab".index(c[0]), int(c[1]) - 1, int(c[2]) - 1])
-            for c in _COMPONENTS}
+    pair = deviation(data, rung_axes(radii, *grid.axes()))
+    return fit_pair_decay(radii, pair, "ab", EXACT_ZERO_FLOOR)
 
 
 def estimate_decay_order(data, component, radii):
@@ -200,39 +198,6 @@ def charge_integrand(data, coords3):
     return e_int, p_int
 
 
-@dataclass
-class NullCharges:
-    """All sixteen charges with per-radius diagnostics."""
-
-    E: tuple                   # four LadderFits, nu = 0..3
-    P: tuple                   # 4 x 3 LadderFits [nu][k]
-
-    def E_values(self):
-        return np.array([f.value for f in self.E])
-
-    def P_values(self):
-        return np.array([[f.value for f in row] for row in self.P])
-
-    def margins(self):
-        """The four boost margins E_nu - P_nu,1."""
-        return self.E_values() - self.P_values()[:, 0]
-
-    def margin_errors(self):
-        """Error estimates of the margins: those of E_nu and P_nu,1 added."""
-        return np.array([e.error + p[0].error for e, p in zip(self.E, self.P)])
-
-    def fits(self):
-        """Each charge's LadderFit by name: E_nu, then P_nu,k with k = 1..3."""
-        return {**{f"E_{nu}": f for nu, f in enumerate(self.E)},
-                **{f"P_{nu},{k + 1}": f for nu, row in enumerate(self.P)
-                   for k, f in enumerate(row)}}
-
-    def diverging(self):
-        """Names of the charges whose samples still drift, in ``fits``
-        order."""
-        return [name for name, f in self.fits().items() if f.diverging]
-
-
 def null_energy_momentum(data, radii, grid):
     """E_nu and P_nu,k on ``grid`` over the radius ladder of >= 3 rungs.
 
@@ -252,23 +217,36 @@ def null_energy_momentum(data, radii, grid):
 
     e_int, p_int = ladder_integrands(radii, grid, integrands)
 
-    def samples_at(rung):
-        """E_nu and P_nu,k of one rung: w * (x * n^nu) summed over the nodes."""
-        r3 = radii[rung] ** 3
-        return (integrate(grid, e_int[rung] * n) * r3 / (16.0 * np.pi),
-                integrate(grid, n[:, None] * p_int[rung]) * r3 / (8.0 * np.pi))
+    energy = np.array([integrate(grid, e * n) * r ** 3 / (16.0 * np.pi)
+                       for e, r in zip(e_int, radii)])
+    momentum = np.array([integrate(grid, n[:, None] * p) * r ** 3
+                         / (8.0 * np.pi) for p, r in zip(p_int, radii)])
+    return Charges(
+        fit_ladder(radii, energy, unit_samples(radii, 3, 16.0 * np.pi)),
+        fit_ladder(radii, momentum, unit_samples(radii, 3, 8.0 * np.pi)))
 
-    rows = ladder_map(samples_at, range(len(radii)))
-    # the samples of a unit integrand, 4 pi r^3 / c: the integrands cancel
-    # terms of order 1, the hyperbolic metric's, so their rounding scales
-    # with it
-    unit = 4.0 * np.pi * np.asarray(radii, dtype=float) ** 3
-    E = tuple(fit_inverse_powers(radii, [row[0][nu] for row in rows],
-                                 unit / (16.0 * np.pi)) for nu in range(4))
-    P = tuple(tuple(fit_inverse_powers(radii, [row[1][nu][k] for row in rows],
-                                       unit / (8.0 * np.pi))
-                    for k in range(3)) for nu in range(4))
-    return NullCharges(E, P)
+
+def margins(charges):
+    """The four boost margins E_nu - P_nu,1 of the null Charges."""
+    return charges.E - charges.P[:, 0]
+
+
+def margin_errors(charges):
+    """Error estimates of the margins: those of E_nu and P_nu,1 added."""
+    return fit_field(charges.energy, "error") \
+        + fit_field(charges.momentum, "error")[:, 0]
+
+
+def named_fits(charges):
+    """The null Charges' LadderFits by name: E_nu, then P_nu,k, k = 1..3."""
+    return {**{f"E_{nu}": f for nu, f in enumerate(charges.energy)},
+            **{f"P_{nu},{k + 1}": f for nu, row in enumerate(charges.momentum)
+               for k, f in enumerate(row)}}
+
+
+def diverging(charges):
+    """Names of the charges whose samples still drift (``named_fits``)."""
+    return [name for name, f in named_fits(charges).items() if f.diverging]
 
 
 def check_dec_null(data, points):
@@ -280,6 +258,6 @@ def check_dec_null(data, points):
 
 
 def check_pmt_null(charges):
-    """(E_0 - P_0,1) - sqrt(sum_i (E_i - P_i,1)^2) of NullCharges: the null
-    positive-mass margin."""
-    return float(causal_margin(charges.margins()))
+    """(E_0 - P_0,1) - sqrt(sum_i (E_i - P_i,1)^2) of the null Charges: the
+    null positive-mass margin."""
+    return float(causal_margin(margins(charges)))

@@ -73,8 +73,12 @@ BONDI_PRESETS = ("bondi-schwarzschild", "bondi-quadrupole", "bondi-biaxial")
 
 
 def parse_floats(text):
-    """A comma- or space-separated list of floats, as a tuple."""
-    return tuple(float(x) for x in text.replace(",", " ").split())
+    """A comma- or space-separated list of floats, as a tuple; ValueError
+    when the text holds none, which no ladder or table row may be."""
+    words = text.replace(",", " ").split()
+    if not words:
+        raise ValueError(f"no numbers in {text!r}")
+    return tuple(float(x) for x in words)
 
 
 # The config file format: section -> key -> parser.  Each key sets the

@@ -79,8 +79,7 @@ def criterion_3_hyperboloid():
     worst = float(np.max([np.max(np.abs(g - eye)), np.max(np.abs(h - eye))]))
     ch = null_energy_momentum(data, default_radii(cfg, "null"),
                               build_grid(32, 64))
-    charge_mag = float(np.max([np.max(np.abs(ch.E_values())),
-                               np.max(np.abs(ch.P_values()))]))
+    charge_mag = float(np.max([np.max(np.abs(ch.E)), np.max(np.abs(ch.P))]))
     rr = rigidity_residual(data, [r[:20], th[:20], ps[:20]])
     rig = float(np.max([np.max(x) for x in rr]))
     return [

@@ -212,13 +212,16 @@ def test_blocked_ladder_samples_equal_the_rung_by_rung_ones(case, shape,
     metric, emb = _BLOCKED_DATA[case]
     data = pullback_initial_data(metric, emb, euclidean_frame())
     grid = build_grid(*shape)
-    blocked = adm.adm_ladder_samples(data, ladder, grid, momentum)
-    alone = [adm.adm_ladder_samples(data, [r], grid, momentum)[0]
-             for r in ladder]
-    for got, ref in zip(blocked, alone):
-        got, ref = (np.hstack(x if momentum else [x]) for x in (got, ref))
-        assert np.array_equal(got, ref), (case, shape)
-        assert np.array_equal(np.signbit(got), np.signbit(ref)), (case, shape)
+
+    def rows(ladder):
+        """One row per rung: E, then P_k with ``momentum``."""
+        samples = adm.adm_ladder_samples(data, ladder, grid, momentum)
+        return np.column_stack(samples if momentum else [samples])
+
+    got = rows(ladder)
+    ref = np.vstack([rows([r]) for r in ladder])
+    assert np.array_equal(got, ref), (case, shape)
+    assert np.array_equal(np.signbit(got), np.signbit(ref)), (case, shape)
 
 
 def test_grid_refinement_within_roundoff(schw_data):

@@ -26,8 +26,9 @@ from admbondi.errors import DomainError
 from admbondi.geometry import (euclidean_frame, hyperboloid_frame,
                                pullback_initial_data)
 from admbondi.ladder import (causal_margin, extrapolation_weights,
-                             fit_decay_exponent, fit_inverse_powers,
-                             rung_axes, rung_blocks, rung_sups)
+                             fit_decay_exponent, fit_field, fit_inverse_powers,
+                             fit_ladder, rung_axes, rung_blocks, rung_sups,
+                             unit_samples)
 from admbondi.nullcharges import decay_orders, deviation
 from admbondi.reports import CheckResult
 from admbondi.scenarios import (ScenarioConfig, default_radii, make_a3,
@@ -37,7 +38,7 @@ from admbondi.spacetimes import (KerrParameters, bondi_metric,
                                  bondi_slice_embedding, kerr, schwarzschild,
                                  t_const_embedding)
 from admbondi.sphere import build_grid
-from helpers import from_gp
+from helpers import from_gp, same_bits
 
 # no shrinking: each example evaluates whole ladders, and the first failing
 # example already names the key, component or rung at fault
@@ -515,8 +516,8 @@ def test_roundoff_scale_covers_a_cancelled_component():
     radii = [10.0, 20.0, 40.0, 80.0]
     noise = [8e-18 * 10.0 / r for r in radii]
     alone = fit_inverse_powers(radii, noise, 0.0)
-    scaled = fit_inverse_powers(radii, noise, adm.unit_samples(radii,
-                                                               8.0 * np.pi))
+    scaled = fit_inverse_powers(radii, noise,
+                                unit_samples(radii, 2, 8.0 * np.pi))
     assert alone.value == scaled.value
     assert alone.error < 1e-30 < 1e-15 < scaled.error
 
@@ -553,6 +554,43 @@ def test_fits_reject_non_finite_samples(fit, what, bad, rung):
     with pytest.raises(DomainError, match=rf"non-finite {what} {bad} at "
                        rf"radius {radii[rung]:g}$"):
         fit(radii, samples)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(radii=_LADDERS, shape=st.lists(st.integers(1, 3), max_size=2),
+       power=st.sampled_from([2, 3]), c=st.sampled_from([8.0, 16.0]),
+       draw=st.data())
+def test_fit_ladder_fits_each_component_alone(radii, shape, power, c, draw):
+    """Each nested fit of ``fit_ladder`` over samples of shape (n_r, *s) is
+    ``fit_inverse_powers`` of its own component's samples, bit for bit, and
+    ``fit_field`` reads every field back as an array of shape s (s + (n_r,)
+    for the samples).  A NaN sample of any component names its radius."""
+    shape = tuple(shape)
+    n = len(radii) * math.prod(shape)
+    samples = np.reshape(draw.draw(st.lists(st.floats(-1e3, 1e3),
+                                            min_size=n, max_size=n)),
+                         (len(radii),) + shape)
+    scale = unit_samples(radii, power, c * np.pi)
+    fits = fit_ladder(radii, samples, scale)
+    fields = {name: fit_field(fits, name)
+              for name in ("value", "error", "diverging", "samples")}
+    for name, x in fields.items():
+        assert x.shape == shape + ((len(radii),) if name == "samples"
+                                   else ()), name
+    for idx in np.ndindex(*shape):
+        fit = fits
+        for k in idx:
+            fit = fit[k]
+        ref = fit_inverse_powers(radii, samples[(slice(None),) + idx], scale)
+        for name, x in fields.items():
+            assert same_bits(getattr(fit, name), getattr(ref, name)), name
+            assert same_bits(x[idx], getattr(ref, name)), name
+    rung = draw.draw(st.integers(0, len(radii) - 1))
+    where = (rung,) + tuple(draw.draw(st.integers(0, m - 1)) for m in shape)
+    samples[where] = np.nan
+    with pytest.raises(DomainError, match=rf"non-finite sample nan at "
+                       rf"radius {radii[rung]:g}$"):
+        fit_ladder(radii, samples, scale)
 
 
 # -- the causal margin x_0 - |x_vec| of the pmt checks and the flux trajectory

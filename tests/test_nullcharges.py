@@ -7,10 +7,12 @@ from admbondi import jets
 from admbondi.bondi import BondiExpansion, induced_slice_data
 from admbondi.errors import ConfigError
 from admbondi.geometry import hyperboloid_frame, pullback_initial_data
+from admbondi.ladder import fit_field
 from admbondi.nullcharges import (background_connection, background_connection_fd,
                                   charge_integrand, check_dec_null,
                                   check_pmt_null, decay_orders, deviation,
-                                  estimate_decay_order, null_energy_momentum)
+                                  diverging, estimate_decay_order, margins,
+                                  named_fits, null_energy_momentum)
 from admbondi.spacetimes import hyperboloid_embedding, minkowski
 from admbondi.sphere import build_grid
 from helpers import from_gp
@@ -224,16 +226,16 @@ def test_integrand_linearity_in_small_amplitude():
 def test_hyperboloid_charges_tiny(hyperboloid_pullback):
     ch = null_energy_momentum(hyperboloid_pullback, [0.5, 1.0, 2.0, 4.0],
                               grid=build_grid(32, 64))
-    assert np.max(np.abs(ch.E_values())) <= 1e-12
-    assert np.max(np.abs(ch.P_values())) <= 1e-12
+    assert np.max(np.abs(ch.E)) <= 1e-12
+    assert np.max(np.abs(ch.P)) <= 1e-12
     # roundoff is the only error here, and the estimates cover it
-    assert all(abs(f.value) <= f.error for f in ch.fits().values())
+    assert all(abs(f.value) <= f.error for f in named_fits(ch).values())
 
 
 def test_schw_bondi_charges(schw_slice):
     grid = build_grid(32, 64)
     ch = null_energy_momentum(schw_slice, [20.0, 40.0, 80.0, 160.0], grid=grid)
-    m = ch.margins()
+    m = margins(ch)
     assert m[0] == pytest.approx(1.0, abs=1e-4)
     assert np.max(np.abs(m[1:])) <= 1e-10
     assert check_pmt_null(ch) == pytest.approx(1.0, abs=1e-4)
@@ -270,14 +272,14 @@ def test_charges_with_fd_connection_agree(schw_slice):
         nc.background_connection = orig
     # three rungs of 16 theta rows: one block (``rung_blocks``)
     assert calls == [(3, 16, 1)]
-    assert np.max(np.abs(base.E_values() - alt.E_values())) <= 1e-8
-    assert np.max(np.abs(base.P_values() - alt.P_values())) <= 1e-8
+    assert np.max(np.abs(base.E - alt.E)) <= 1e-8
+    assert np.max(np.abs(base.P - alt.P)) <= 1e-8
 
 
 def test_charge_samples_cauchy(schw_slice):
     ch = null_energy_momentum(schw_slice, [20.0, 30.0, 45.0, 70.0, 110.0],
                               grid=build_grid(16, 32))
-    s = np.array(ch.E[0].samples)
+    s = fit_field(ch.energy[0], "samples")
     early = np.max(np.abs(np.diff(s[:3])))
     late = np.max(np.abs(np.diff(s[-2:])))
     assert late < early
@@ -296,7 +298,7 @@ def test_doubling_a_roughly_doubles_energy_charges():
     grid = build_grid(16, 32)
     c1 = null_energy_momentum(make(1.0), [20.0, 40.0, 80.0], grid=grid)
     c2 = null_energy_momentum(make(2.0), [20.0, 40.0, 80.0], grid=grid)
-    assert np.allclose(c2.E_values(), 2.0 * c1.E_values(), atol=1e-9)
+    assert np.allclose(c2.E, 2.0 * c1.E, atol=1e-9)
 
 
 # -- inequalities -------------------------------------------------------------
@@ -332,8 +334,8 @@ def test_divergent_ladder_flagged():
     data = induced_slice_data(exp, u0=0.0, a3=None)
     ch = null_energy_momentum(data, [30.0, 60.0, 120.0, 240.0],
                               grid=build_grid(16, 32))
-    assert ch.E[0].diverging
-    assert ch.diverging()
+    assert ch.energy[0].diverging
+    assert diverging(ch)
 
 
 def test_decay_order_needs_four_radii(schw_slice):

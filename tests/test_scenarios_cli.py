@@ -287,7 +287,7 @@ def test_parse_config_bad_table_key():
     ("u_grid = 0, 1, 2\nc_2_0 = 0.0, nan, 0.1\n", "row c_2_0 must be finite"),
     ("u_grid = 0, 1, 2\nc_3_1 = 0.0, 0.1, inf\n", "row c_3_1 must be finite"),
     ("c_2_0 = 0, 1\n", "needs a u_grid row"),
-    ("u_grid =\nc_2_0 =\n", "needs a u_grid row"),
+    ("u_grid =\nc_2_0 =\n", "line 3: news_table row u_grid: no numbers"),
 ])
 def test_parse_config_bad_table_rows(rows, match):
     with pytest.raises(ConfigError, match=match):
@@ -538,6 +538,49 @@ def test_cli_zero_grid_flag_exits_2(capsys, grid, message):
 def test_cli_malformed_radii_exits_2(capsys):
     assert run_cli(["null", "--preset", "minkowski", "--radii", "1,abc"]) == 2
     assert "bad value for --radii" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("radii", ["", " , "])
+def test_cli_empty_radii_flag_exits_2(capsys, radii):
+    """A --radii without a number stops the run instead of running the
+    default ladder."""
+    assert run_cli(["adm", "--preset", "kerr", f"--radii={radii}"]) == 2
+    captured = capsys.readouterr()
+    assert f"bad value for --radii: no numbers in {radii!r}" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_empty_config_ladder_exits_2(tmp_path, capsys):
+    """So does a config line [ladder] radii = without a number, naming the
+    line."""
+    cfgfile = tmp_path / "empty.cfg"
+    cfgfile.write_text("preset = kerr\n[ladder]\nradii =\n")
+    assert run_cli(["adm", "--config", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    assert "line 3: bad value for radii: no numbers in ''" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_flags_over_a_config_record_flag_provenance(tmp_path):
+    """A field a flag sets over a config file is recorded as "flag", the
+    ones the file sets as "config"; a run without a config file records
+    nothing."""
+    cfgfile = tmp_path / "q.cfg"
+    cfgfile.write_text("preset = bondi-quadrupole\n[grid]\nn_theta = 8\n"
+                       "n_psi = 16\n[ladder]\nradii = 40, 60, 90, 135\n")
+    out = tmp_path / "r.json"
+    assert run_cli(["null", "--config", str(cfgfile), "--preset",
+                    "minkowski", "--radii", "0.5,1,2,4",
+                    "--out", str(out)]) == 0
+    body = json.loads(out.read_text())
+    assert body["samples"]["radii"] == [0.5, 1.0, 2.0, 4.0]
+    prov = body["config_provenance"]
+    assert (prov["preset"], prov["radii"]) == ("flag", "flag")
+    assert (prov["n_theta"], prov["n_psi"]) == ("config", "config")
+    assert prov["mass"] == "default"
+    assert run_cli(["null", "--preset", "minkowski", "--ntheta", "8",
+                    "--npsi", "16", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config_provenance"] == {}
 
 
 @pytest.mark.parametrize("command", ["null", "bondi-slice", "bondi-evolve"])
