@@ -32,7 +32,7 @@ for label, metric in [
     print(f"   P = {np.array2string(charges.P, precision=3)}")
     print(f"   positive-mass margin E - |P| = {check_pmt_flat(charges):.8f}")
     decay = check_af_decay(data, ladder)
-    orders = {k: ("exact" if v["fit"].exact else f"{v['fit'].exponent:.2f}")
-              for k, v in decay.items()}
+    orders = {k: ("exact" if f.exact else f"{f.exponent:.2f}")
+              for k, f in decay.items()}
     print(f"   decay orders: {orders}")
     print()

@@ -29,7 +29,8 @@ from .ladder import (Charges, causal_margin, check_ladder,
 from .sphere import build_grid, direction_functions, integrate
 
 __all__ = ["adm_energy_momentum", "adm_ladder_samples", "check_af_decay",
-           "AF_DECAY_SLACK", "check_dec_flat", "check_pmt_flat"]
+           "AF_REQUIRED_ORDERS", "AF_DECAY_SLACK", "check_dec_flat",
+           "check_pmt_flat"]
 
 
 def _require_euclidean(data):
@@ -93,7 +94,7 @@ def adm_energy_momentum(data, radii, grid):
         fit_ladder(radii, momentum, unit_samples(radii, 2, 8.0 * np.pi)))
 
 
-_REQUIRED_ORDERS = {"g": 1.0, "dg": 2.0, "ddg": 3.0, "h": 2.0, "dh": 3.0}
+AF_REQUIRED_ORDERS = {"g": 1.0, "dg": 2.0, "ddg": 3.0, "h": 2.0, "dh": 3.0}
 AF_DECAY_SLACK = 0.3
 
 
@@ -137,19 +138,19 @@ def _decay_sups(data, coords):
 
 
 def check_af_decay(data, radii, grid=None):
-    """Fitted decay exponents of (g - delta), dg, ddg, h, dh sup-norms.
+    """DecayFit of the sup-norms of each class (g - delta), dg, ddg, h, dh.
 
     Exponents may come out 'exact' (inf) when a class vanishes identically
-    (e.g. h of a time-symmetric slice).  A component decays fast enough when
-    its exponent minus its ``required`` order is at least -AF_DECAY_SLACK.
+    (e.g. h of a time-symmetric slice).  A class decays fast enough when
+    its exponent minus AF_REQUIRED_ORDERS[class] is >= -AF_DECAY_SLACK.
     """
     _require_euclidean(data)
     radii = check_ladder(radii, minimum=4)
     grid = grid or build_grid(12, 24)
 
     sups = _decay_sups(data, rung_axes(radii, *grid.axes()))
-    return {key: {"fit": fit_decay_exponent(radii, sups[key]), "required": req}
-            for key, req in _REQUIRED_ORDERS.items()}
+    return {key: fit_decay_exponent(radii, sups[key])
+            for key in AF_REQUIRED_ORDERS}
 
 
 def check_dec_flat(data, points):

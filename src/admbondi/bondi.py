@@ -353,18 +353,16 @@ def expansion_consistency(exp, radii, u0, a3, grid=None):
 # Vanishing-news scenario
 # ---------------------------------------------------------------------------
 
-def vanishing_news_scenario(exp, u0, u_start, du, grid, radii, a3):
-    """Positivity scenario at a retarded time u0 where the news vanish.
+def vanishing_news_scenario(exp, u0, u_start, du, grid):
+    """The Bondi side of the positivity scenario at a retarded time u0 where
+    the news vanish.
 
     Checks c = d = 0 (to 1e-10) on the sphere at u0, or raises DomainError
-    naming the worst node; news that are not finite fail it.  Returns
-    ``(trajectory, slice_pmt_margin)``: the energy-momentum evolved backwards
-    from its value at u0, whose ``margin`` is m_0 - |m| at every sample, and
-    the positive-mass margin ``check_pmt_null`` of the charges of the data of
-    the (u0, a3)-slice over ``radii``.
+    naming the worst node; news that are not finite fail it.  Returns the
+    energy-momentum trajectory evolved backwards from its value at u0, whose
+    ``margin`` is m_0 - |m| at every sample.  The charges of the u0-slice
+    and their checks are ``cli.slice_verdict``'s.
     """
-    from .nullcharges import check_pmt_null, null_energy_momentum
-
     u = _u_samples(u_start, u0, du, end="u0")
     T, Ps = grid.nodes()
     cvals = np.abs(_at_nodes(exp.c, u0, T, Ps))
@@ -376,13 +374,8 @@ def vanishing_news_scenario(exp, u0, u_start, du, grid, radii, a3):
             f"|d|={dvals.max():.3e} at node theta={T[k]:.4f}, psi={Ps[k]:.4f}")
 
     m_final = bondi_energy_momentum(mass_aspect_field(exp, u0, grid))
-
-    traj = _flux_trajectory(exp, u, du, grid,
+    return _flux_trajectory(exp, u, du, grid,
                             lambda I: m_final[None, :] + (I[-1] - I))
-
-    charges = null_energy_momentum(induced_slice_data(exp, u0, a3), radii,
-                                   grid=grid)
-    return traj, check_pmt_null(charges)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,14 @@ Subcommands:
     converge      grid/ladder refinement study
 
 ``scenarios`` reads the config file and builds every input of a run from
-it; a subcommand here adds its checks.  Flags override config values.
+it; a subcommand here adds its checks.  ``null``, ``bondi-slice``, c7 and
+c9 judge a u0-slice through ``slice_verdict`` and ``consistency_verdict``.
+Flags override config values.
 Reports are byte-identical for identical configs apart from the metadata block.
 """
 
 import argparse
+import collections
 import dataclasses
 import functools
 import sys
@@ -21,8 +24,8 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .ladder import (check_ladder, fit_field, fit_inverse_powers,
-                     slowest_order, unit_samples)
+from .ladder import (fit_field, fit_inverse_powers, slowest_order,
+                     unit_samples)
 from .reports import ChargeReport, CheckResult, write_json
 from .scenarios import (ScenarioConfig, default_radii, known_mass, make_a3,
                         make_adm_data, make_expansion, make_grid,
@@ -57,10 +60,9 @@ def _smallest_at(margin, pts):
 # ---------------------------------------------------------------------------
 
 def cmd_adm(cfg):
-    from .adm import (AF_DECAY_SLACK, adm_energy_momentum, check_af_decay,
-                      check_dec_flat, check_pmt_flat)
-    # the decay check fits 4 rungs; reject a shorter ladder before any work
-    radii = check_ladder(default_radii(cfg, "adm"), minimum=4)
+    from .adm import (AF_DECAY_SLACK, AF_REQUIRED_ORDERS, adm_energy_momentum,
+                      check_af_decay, check_dec_flat, check_pmt_flat)
+    radii = default_radii(cfg, "adm")
     data = make_adm_data(cfg)
     grid = make_grid(cfg, "adm")
     ch = adm_energy_momentum(data, radii, grid)
@@ -71,7 +73,7 @@ def cmd_adm(cfg):
     dec = check_dec_flat(data, pts)
     pmt = check_pmt_flat(ch)
     m0 = known_mass(cfg)
-    margins = {k: v["fit"].exponent - v["required"] for k, v in decay.items()}
+    margins = {k: f.exponent - AF_REQUIRED_ORDERS[k] for k, f in decay.items()}
     slow = min(margins, key=margins.get)
     checks = [
         CheckResult("adm.energy_matches_preset_mass", ch.E - m0,
@@ -82,8 +84,8 @@ def cmd_adm(cfg):
             CheckResult("adm.decay_orders_ok", margins[slow], AF_DECAY_SLACK,
                         "value >= -tolerance"),
             lambda: f"slowest class {slow}: exponent "
-                    f"{decay[slow]['fit'].exponent:.6g}, required "
-                    f"{decay[slow]['required']:g}"),
+                    f"{decay[slow].exponent:.6g}, required "
+                    f"{AF_REQUIRED_ORDERS[slow]:g}"),
         _on_failure(CheckResult("adm.dec_margin", np.min(dec), 1e-5,
                                 "value >= -tolerance"),
                     lambda: _smallest_at(dec, pts)),
@@ -98,20 +100,32 @@ def cmd_adm(cfg):
         errors={"E": fit_field(ch.energy, "error"),
                 "P": fit_field(ch.momentum, "error")},
         dec_min_margin=float(np.min(dec)), pmt_margin=pmt,
-        decay_exponents=_exponents({k: v["fit"] for k, v in decay.items()}),
+        decay_exponents=_exponents(decay),
         checks=tuple(checks))
     return report, None
 
 
-def _null_order_gate(prefix, data, radii, ch):
-    """``<prefix>.order_gate`` and ``<prefix>.not_diverging`` of the null
-    charges ``ch`` of ``data``, and the 12 decay fits over the outer 4 of
-    ``radii`` that the gate read."""
-    from .nullcharges import TAU_GATE, decay_orders, diverging
+SliceVerdict = collections.namedtuple(
+    "SliceVerdict", "data radii grid charges decay gate pmt")
+
+
+def slice_verdict(cfg, prefix):
+    """The null charges of the u0-slice data of ``cfg`` on its "null" ladder
+    and grid, and the checks that judge them, as a SliceVerdict.  ``gate``
+    is the theorem's hypothesis: ``<prefix>.order_gate``, the 12 fits
+    ``decay`` over the outer 4 rungs decay faster than TAU_GATE, and
+    ``<prefix>.not_diverging``.  ``pmt`` is its conclusion,
+    ``<prefix>.pmt_margin``."""
+    from .nullcharges import (PMT_NULL_SLACK, TAU_GATE, check_pmt_null,
+                              decay_orders, diverging, null_energy_momentum)
+    radii = default_radii(cfg, "null")
+    data = make_slice_data(cfg)
+    grid = make_grid(cfg, "null")
+    ch = null_energy_momentum(data, radii, grid)
     decay = decay_orders(data, radii[-4:], build_grid(8, 16))
     slow, slowest = slowest_order(decay)
     drifting = diverging(ch)
-    checks = [
+    gate = [
         _on_failure(CheckResult(f"{prefix}.order_gate", slowest, TAU_GATE,
                                 "value >= tolerance"),
                     lambda: f"slowest component {slow}: order {slowest:.6g}"),
@@ -119,28 +133,37 @@ def _null_order_gate(prefix, data, radii, ch):
                                 0.0, "value <= tolerance"),
                     lambda: f"first diverging charge {drifting[0]}"),
     ]
-    return checks, decay
+    pmt = CheckResult(f"{prefix}.pmt_margin", check_pmt_null(ch),
+                      PMT_NULL_SLACK, "value >= -tolerance")
+    return SliceVerdict(data, radii, grid, ch, decay, gate, pmt)
+
+
+def consistency_verdict(cfg, name):
+    """(radii, fits, check): the ``expansion_consistency`` fits of the
+    u0-slice of ``cfg`` over its "slice" ladder, and the check ``name``
+    that its slowest component decays at CONSISTENCY_ORDER at least."""
+    from .bondi import CONSISTENCY_ORDER, expansion_consistency
+    radii = default_radii(cfg, "slice")
+    fits = expansion_consistency(make_expansion(cfg), radii, u0=cfg.u0,
+                                 a3=make_a3(cfg))
+    worst_name, worst = slowest_order(fits)
+    return radii, fits, CheckResult(name, worst, CONSISTENCY_ORDER,
+                                    "value >= tolerance",
+                                    f"slowest component {worst_name}")
 
 
 def cmd_null(cfg):
-    from .nullcharges import (PMT_NULL_SLACK, check_dec_null, check_pmt_null,
-                              margin_errors, margins, null_energy_momentum)
-    # the order gate fits 4 rungs; reject a shorter ladder before any work
-    radii = check_ladder(default_radii(cfg, "null"), minimum=4)
-    data = make_slice_data(cfg)
-    grid = make_grid(cfg, "null")
-    ch = null_energy_momentum(data, radii, grid)
-    gate, decay = _null_order_gate("null", data, radii, ch)
-    pmt = check_pmt_null(ch)
+    from .nullcharges import check_dec_null, margin_errors, margins
+    v = slice_verdict(cfg, "null")
+    ch, radii = v.charges, v.radii
     pts = [np.array([max(20.0, radii[0]), 1.5 * max(20.0, radii[0])]),
            np.array([1.1, 2.0]), np.array([0.4, 3.2])]
-    dec = check_dec_null(data, pts)
-    checks = gate + [
+    dec = check_dec_null(v.data, pts)
+    checks = v.gate + [
         _on_failure(CheckResult("null.dec_margin", np.min(dec), 1e-4,
                                 "value >= -tolerance"),
                     lambda: _smallest_at(dec, pts)),
-        CheckResult("null.pmt_margin", pmt, PMT_NULL_SLACK,
-                    "value >= -tolerance"),
+        v.pmt,
     ]
     report = ChargeReport(
         scenario=scenario_name(cfg), kind="null",
@@ -148,10 +171,10 @@ def cmd_null(cfg):
         errors={"E": fit_field(ch.energy, "error"),
                 "P": fit_field(ch.momentum, "error"),
                 "margins": margin_errors(ch)},
-        samples={"radii": list(radii), "grid": list(grid.shape)},
-        fits={"E": ch.energy, "P": ch.momentum, "decay": decay},
-        dec_min_margin=float(np.min(dec)), pmt_margin=pmt,
-        decay_exponents=_exponents(decay),
+        samples={"radii": list(radii), "grid": list(v.grid.shape)},
+        fits={"E": ch.energy, "P": ch.momentum, "decay": v.decay},
+        dec_min_margin=float(np.min(dec)), pmt_margin=v.pmt.value,
+        decay_exponents=_exponents(v.decay),
         checks=tuple(checks))
     return report, None
 
@@ -186,36 +209,21 @@ def cmd_bondi_evolve(cfg):
 
 
 def cmd_bondi_slice(cfg):
-    from .bondi import CONSISTENCY_ORDER, expansion_consistency
-    from .nullcharges import (PMT_NULL_SLACK, check_pmt_null,
-                              margin_errors, margins, null_energy_momentum)
-    # the null order gate fits 4 rungs and --radii sets both ladders; reject
-    # a shorter ladder before any work
-    radii = check_ladder(default_radii(cfg, "slice"), minimum=4)
-    null_radii = check_ladder(default_radii(cfg, "null"), minimum=4)
-    rep = expansion_consistency(make_expansion(cfg), radii, u0=cfg.u0,
-                                a3=make_a3(cfg))
-    worst_name, worst = slowest_order(rep)
-    data = make_slice_data(cfg)
-    grid = make_grid(cfg, "slice")
-    ch = null_energy_momentum(data, null_radii, grid)
-    gate, _ = _null_order_gate("slice", data, null_radii, ch)
-    pmt = check_pmt_null(ch)
-    checks = gate + [
-        CheckResult("slice.expansion_consistency", worst, CONSISTENCY_ORDER,
-                    "value >= tolerance", f"slowest component {worst_name}"),
-        CheckResult("slice.pmt_margin", pmt, PMT_NULL_SLACK,
-                    "value >= -tolerance"),
-    ]
+    from .nullcharges import margin_errors, margins
+    radii, fits, consistency = consistency_verdict(
+        cfg, "slice.expansion_consistency")
+    v = slice_verdict(cfg, "slice")
+    ch = v.charges
     report = ChargeReport(
         scenario=scenario_name(cfg), kind="null",
         charges={"E": ch.E, "margins": margins(ch)},
         errors={"E": fit_field(ch.energy, "error"),
                 "margins": margin_errors(ch)},
-        samples={"consistency_radii": list(radii), "grid": list(grid.shape)},
-        pmt_margin=pmt,
-        decay_exponents=_exponents(rep),
-        checks=tuple(checks))
+        samples={"radii": list(v.radii), "consistency_radii": list(radii),
+                 "grid": list(v.grid.shape)},
+        pmt_margin=v.pmt.value,
+        decay_exponents=_exponents(fits),
+        checks=tuple(v.gate + [consistency, v.pmt]))
     return report, None
 
 
@@ -230,9 +238,7 @@ def cmd_verify(cfg):
 
 def cmd_converge(cfg):
     from .adm import adm_ladder_samples
-    # the ladder check's tolerance is the coarse fit's error estimate, whose
-    # truncation term on 3 rungs would rest on a line through the outer 2
-    radii = check_ladder(default_radii(cfg, "adm"), minimum=4)
+    radii = default_radii(cfg, "adm")
     data = make_adm_data(cfg)
 
     # the longer ladder is the coarse one plus one rung; sample it once

@@ -24,8 +24,9 @@ Where the config leaves the grid or the ladder unset (``n_theta`` and
 ``n_psi`` are None, ``radii`` is empty), the kind of run fills it in.
 ``make_grid`` gives 24 x 48 to the ADM charges of ``adm`` and ``converge``,
 whose surface integrals agree with 96 x 192 to roundoff there, and 48 x 96
-to null, slice and evolve runs, whose charges are not grid-converged on
-24 x 48.  ``default_radii`` gives each kind its ladder.  A field set by the
+to null and evolve runs, whose charges are not grid-converged on 24 x 48.
+``default_radii`` gives each kind its ladder, and stops a configured ladder
+of fewer than the 4 rungs that the decay fits read.  A field set by the
 config or a flag wins.  This module decides the grid, ladder and step of
 every subcommand and ``verify`` criterion; the charge functions take them.
 
@@ -331,14 +332,13 @@ def scenario_name(cfg):
 
 # (n_theta, n_psi) of each kind of run where [grid] leaves it unset; the
 # module docstring gives the reason
-_DEFAULT_GRIDS = {"adm": (24, 48), "null": (48, 96), "slice": (48, 96),
-                  "evolve": (48, 96)}
+_DEFAULT_GRIDS = {"adm": (24, 48), "null": (48, 96), "evolve": (48, 96)}
 
 
 def make_grid(cfg, kind):
-    """The sphere grid of a run of ``kind``: "adm", "null", "slice" or
-    "evolve".  Each of n_theta and n_psi is the configured one, or the
-    default of ``kind``."""
+    """The sphere grid of a run of ``kind``: "adm", "null" or "evolve".
+    Each of n_theta and n_psi is the configured one, or the default of
+    ``kind``."""
     n_theta, n_psi = _DEFAULT_GRIDS[kind]
     return build_grid(n_theta if cfg.n_theta is None else cfg.n_theta,
                       n_psi if cfg.n_psi is None else cfg.n_psi)
@@ -346,17 +346,18 @@ def make_grid(cfg, kind):
 
 def default_radii(cfg, kind):
     """The configured radius ladder, or the default one of ``kind``: "adm",
-    "null", "slice" or "decay" (the battery's decay-order fits)."""
+    "null", "slice" or "decay" (the battery's decay-order fits), as a list.
+    A configured ladder needs the 4 rungs that the decay fits read."""
     if cfg.radii:
-        return tuple(cfg.radii)
+        return check_ladder(cfg.radii, minimum=4)
     if kind == "null" and cfg.preset == "minkowski":
         # deviations are exactly zero; small radii keep the roundoff floor
         # (which grows like r^2) below the exact-zero threshold
-        return (0.5, 1.0, 2.0, 4.0)
-    return {"adm": (10.0, 20.0, 40.0, 80.0),
-            "null": (30.0, 45.0, 70.0, 110.0, 170.0),
-            "slice": (50.0, 100.0, 200.0, 400.0, 800.0),
-            "decay": (20.0, 40.0, 80.0, 160.0)}[kind]
+        return [0.5, 1.0, 2.0, 4.0]
+    return {"adm": [10.0, 20.0, 40.0, 80.0],
+            "null": [30.0, 45.0, 70.0, 110.0, 170.0],
+            "slice": [50.0, 100.0, 200.0, 400.0, 800.0],
+            "decay": [20.0, 40.0, 80.0, 160.0]}[kind]
 
 
 def known_mass(cfg):

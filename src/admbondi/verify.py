@@ -11,15 +11,15 @@ import numpy as np
 
 from . import jets
 from .adm import adm_energy_momentum
-from .bondi import (CONSISTENCY_ORDER, HOLDER_SLACK, MASS_LOSS_SLACK,
-                    BondiExpansion, bondi_energy_momentum,
-                    evolve_energy_momentum, expansion_consistency,
+from .bondi import (HOLDER_SLACK, MASS_LOSS_SLACK, BondiExpansion,
+                    bondi_energy_momentum, evolve_energy_momentum,
                     flux_holder_margin, mass_aspect_field, mass_loss_margin,
                     pullback_slice_data, vanishing_news_scenario)
+from .cli import consistency_verdict, slice_verdict
 from .geometry import constraint_quantities, rigidity_residual
-from .nullcharges import (PMT_NULL_SLACK, background_connection,
-                          background_connection_fd, decay_orders,
-                          estimate_decay_order, null_energy_momentum)
+from .nullcharges import (background_connection, background_connection_fd,
+                          decay_orders, estimate_decay_order,
+                          null_energy_momentum)
 from .ladder import slowest_order
 from .reports import CheckResult
 from .scenarios import (ScenarioConfig, default_radii, make_a3,
@@ -169,13 +169,8 @@ def criterion_7_expansion_consistency():
         cfg = ScenarioConfig(preset=preset, amplitude=0.1, amplitude_d=0.05,
                              a3_amplitude=0.02 if preset == "bondi-biaxial" else 0.0,
                              news_zero_u=0.0 if preset == "bondi-quadrupole" else None)
-        exp = make_expansion(cfg)
-        rep = expansion_consistency(exp, default_radii(cfg, "slice"),
-                                    u0=cfg.u0, a3=make_a3(cfg))
-        worst_name, worst = slowest_order(rep)
-        out.append(CheckResult(f"c7.consistency_{preset}", worst,
-                               CONSISTENCY_ORDER, "value >= tolerance",
-                               f"slowest component {worst_name}"))
+        _, _, check = consistency_verdict(cfg, f"c7.consistency_{preset}")
+        out.append(check)
     dt = time.perf_counter() - t0
     out.append(CheckResult("c7.consistency_runtime", dt, 60.0,
                            "value <= tolerance", f"{dt:.2f}s for both presets"))
@@ -203,15 +198,13 @@ def criterion_8_decay_orders():
 def criterion_9_vanishing_news():
     cfg = ScenarioConfig(preset="bondi-quadrupole", amplitude=0.05,
                          news_zero_u=10.0, u0=10.0, du=0.02)
-    traj, slice_margin = vanishing_news_scenario(
-        make_expansion(cfg), cfg.u0, cfg.u_start, cfg.du,
-        make_grid(cfg, "null"), default_radii(cfg, "null"), make_a3(cfg))
-    worst = float(np.min(traj.margin))
+    traj = vanishing_news_scenario(make_expansion(cfg), cfg.u0, cfg.u_start,
+                                   cfg.du, make_grid(cfg, "evolve"))
+    slice_ = slice_verdict(cfg, "c9")
     return [
-        CheckResult("c9.mass_dominates_momentum", worst, 1e-9,
+        CheckResult("c9.mass_dominates_momentum", np.min(traj.margin), 1e-9,
                     "value >= -tolerance", "m_0 >= |m| for u <= u0"),
-        CheckResult("c9.slice_pmt_margin", slice_margin, PMT_NULL_SLACK,
-                    "value >= -tolerance"),
+        *slice_.gate, slice_.pmt,
     ]
 
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from admbondi import adm, jets
-from admbondi.adm import (AF_DECAY_SLACK, adm_energy_momentum, check_af_decay,
-                          check_dec_flat, check_pmt_flat)
+from admbondi.adm import (AF_DECAY_SLACK, AF_REQUIRED_ORDERS,
+                          adm_energy_momentum, check_af_decay, check_dec_flat,
+                          check_pmt_flat)
 from admbondi.errors import ConfigError, DomainError
 from admbondi.geometry import (Embedding, InitialData, _chart_gradient,
                                _chart_hessian, _leaf_array, euclidean_frame,
@@ -270,12 +271,12 @@ def test_coarse_adm_grid_fails_the_resolution_bound():
 def test_af_decay_schwarzschild(schw_data):
     out = check_af_decay(schw_data, [10.0, 20.0, 40.0, 80.0])
     # exponents ~ (1, 2, 3); subleading tails may steepen the finite-ladder fit
-    assert 0.9 <= out["g"]["fit"].exponent <= 1.4
-    assert 1.9 <= out["dg"]["fit"].exponent <= 2.5
-    assert 2.9 <= out["ddg"]["fit"].exponent <= 3.6
-    assert out["h"]["fit"].exact and out["dh"]["fit"].exact
-    assert all(v["fit"].exponent - v["required"] >= -AF_DECAY_SLACK
-               for v in out.values())
+    assert 0.9 <= out["g"].exponent <= 1.4
+    assert 1.9 <= out["dg"].exponent <= 2.5
+    assert 2.9 <= out["ddg"].exponent <= 3.6
+    assert out["h"].exact and out["dh"].exact
+    assert all(f.exponent - AF_REQUIRED_ORDERS[k] >= -AF_DECAY_SLACK
+               for k, f in out.items())
 
 
 def test_second_frame_derivative_matches_index_loops(rng):
@@ -310,7 +311,7 @@ def test_af_decay_minkowski_exact():
     data = pullback_initial_data(minkowski("polar"), t_const_embedding(),
                                  euclidean_frame())
     out = check_af_decay(data, [10.0, 20.0, 40.0, 80.0])
-    assert all(v["fit"].exact for v in out.values())
+    assert all(f.exact for f in out.values())
 
 
 def test_decay_fit_rejects_non_finite_samples():
@@ -331,9 +332,9 @@ def test_af_decay_kerr_h():
     data = pullback_initial_data(kerr(KerrParameters(1.0, 0.5)),
                                  t_const_embedding(), euclidean_frame())
     out = check_af_decay(data, [10.0, 20.0, 40.0, 80.0])
-    assert out["h"]["fit"].exact or out["h"]["fit"].exponent >= 2.0
-    assert all(v["fit"].exponent - v["required"] >= -AF_DECAY_SLACK
-               for v in out.values())
+    assert out["h"].exact or out["h"].exponent >= 2.0
+    assert all(f.exponent - AF_REQUIRED_ORDERS[k] >= -AF_DECAY_SLACK
+               for k, f in out.items())
 
 
 def test_dec_margin_vacuum(schw_data, rng):

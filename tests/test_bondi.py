@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from admbondi import jets
+from admbondi.cli import slice_verdict
 from admbondi.bondi import (BondiExpansion, bondi_energy_momentum,
                             evolve_energy_momentum,
                             expansion_consistency, flux_holder_margin,
@@ -295,26 +296,19 @@ def test_evolution_rejects_non_finite_step(grid):
                                float("nan"), grid)
 
 
-# a ladder for the scenario tests that stop before any rung is evaluated
-_UNREACHED_LADDER = (40.0, 60.0, 90.0, 135.0, 200.0)
-
-
 def test_vanishing_news_rejects_step_not_dividing_range(grid):
     # 0.3 steps from 0 end at 0.9, which would be labelled with m(u0 = 1)
     exp = BondiExpansion(c=_zero, d=_zero, M=const_M(1.0))
     with pytest.raises(ConfigError, match="du=0.3 .*u0=1.0"):
-        vanishing_news_scenario(exp, u0=1.0, u_start=0.0, du=0.3, grid=grid,
-                                radii=_UNREACHED_LADDER, a3=None)
+        vanishing_news_scenario(exp, u0=1.0, u_start=0.0, du=0.3, grid=grid)
 
 
 def test_vanishing_news_rejects_bad_step_and_empty_range(grid):
     exp = BondiExpansion(c=_zero, d=_zero, M=const_M(1.0))
     with pytest.raises(ConfigError, match="du=-0.1"):
-        vanishing_news_scenario(exp, u0=1.0, u_start=0.0, du=-0.1, grid=grid,
-                                radii=_UNREACHED_LADDER, a3=None)
+        vanishing_news_scenario(exp, u0=1.0, u_start=0.0, du=-0.1, grid=grid)
     with pytest.raises(ConfigError, match="u_start=2.0, u0=1.0"):
-        vanishing_news_scenario(exp, u0=1.0, u_start=2.0, du=0.1, grid=grid,
-                                radii=_UNREACHED_LADDER, a3=None)
+        vanishing_news_scenario(exp, u0=1.0, u_start=2.0, du=0.1, grid=grid)
 
 
 def test_trajectory_csv_format(grid):
@@ -423,11 +417,18 @@ def test_expansion_consistency_biaxial_all_components():
 
 # -- vanishing-news scenario ------------------------------------------------------------
 
+def _slice_pmt_margin(exp, u0, grid):
+    """``check_pmt_null`` of the charges of the (u0, a3 = 0)-slice of
+    ``exp`` over 30..110."""
+    return check_pmt_null(null_energy_momentum(
+        induced_slice_data(exp, u0, None), (30.0, 45.0, 70.0, 110.0), grid))
+
+
 def test_vanishing_news_scenario_runs(grid):
     exp = quadrupole(A=0.05, u_zero=4.0)
-    traj, slice_pmt_margin = vanishing_news_scenario(
-        exp, u0=4.0, u_start=0.0, du=0.05, grid=grid,
-        radii=(30.0, 45.0, 70.0, 110.0), a3=None)
+    traj = vanishing_news_scenario(exp, u0=4.0, u_start=0.0, du=0.05,
+                                   grid=grid)
+    slice_pmt_margin = _slice_pmt_margin(exp, 4.0, grid)
     assert traj.margin[-1] >= -1e-12
     assert np.all(traj.margin >= -1e-9)
     assert slice_pmt_margin >= -1e-4
@@ -439,8 +440,7 @@ def test_vanishing_news_scenario_runs(grid):
 def test_vanishing_news_precondition_checked(grid):
     exp = quadrupole(A=0.05, u_zero=4.0)
     with pytest.raises(DomainError):
-        vanishing_news_scenario(exp, u0=3.0, u_start=0.0, du=0.01, grid=grid,
-                                radii=_UNREACHED_LADDER, a3=None)
+        vanishing_news_scenario(exp, u0=3.0, u_start=0.0, du=0.01, grid=grid)
 
 
 def test_vanishing_news_rejects_news_that_are_not_finite(grid):
@@ -453,16 +453,13 @@ def test_vanishing_news_rejects_news_that_are_not_finite(grid):
     message = (rf"news do not vanish at u0=2.0: \|c\|=nan, \|d\|=0.000e\+00 "
                rf"at node theta={T[0]:.4f}, psi={Ps[0]:.4f}$")
     with pytest.raises(DomainError, match=message):
-        vanishing_news_scenario(exp, u0=2.0, u_start=0.0, du=0.1, grid=grid,
-                                radii=_UNREACHED_LADDER, a3=None)
+        vanishing_news_scenario(exp, u0=2.0, u_start=0.0, du=0.1, grid=grid)
 
 
 def test_zero_mass_scenario_stays_zero(grid):
     exp = BondiExpansion(c=_zero, d=_zero, M=_zero)
-    traj, _ = vanishing_news_scenario(exp, u0=1.0, u_start=0.0, du=0.1,
-                                      grid=grid,
-                                      radii=(30.0, 45.0, 70.0, 110.0),
-                                      a3=None)
+    traj = vanishing_news_scenario(exp, u0=1.0, u_start=0.0, du=0.1,
+                                   grid=grid)
     assert np.max(np.abs(traj.m)) == 0.0
     assert np.max(np.abs(traj.margin)) == 0.0
 
@@ -497,9 +494,9 @@ def test_expansion_consistency_schw_bondi():
 
 def test_vanishing_news_scenario_static(grid):
     exp = BondiExpansion(c=_zero, d=_zero, M=const_M(1.0))
-    traj, slice_pmt_margin = vanishing_news_scenario(
-        exp, u0=2.0, u_start=0.0, du=0.1, grid=grid,
-        radii=(30.0, 45.0, 70.0, 110.0), a3=None)
+    traj = vanishing_news_scenario(exp, u0=2.0, u_start=0.0, du=0.1,
+                                   grid=grid)
+    slice_pmt_margin = _slice_pmt_margin(exp, 2.0, grid)
     assert np.allclose(traj.m[:, 0], 1.0)
     assert np.min(traj.margin) >= 0.0
     assert slice_pmt_margin == pytest.approx(1.0, abs=1e-3)
@@ -583,10 +580,9 @@ def test_theorem_holds_for_news_tables_vanishing_at_u0(rows, at_u0, mass,
     error, gate = _slice_links(cfg, exp, grid, ch)
     assert error <= 1e-5 and gate >= 0.0                            # (a)
     assert check_pmt_null(ch) >= 0.0                                # (b)
-    traj, slice_margin = vanishing_news_scenario(
-        exp, u0=2.0, u_start=0.0, du=0.05, grid=grid, radii=cfg.radii,
-        a3=make_a3(cfg))
-    assert slice_margin == check_pmt_null(ch)
+    traj = vanishing_news_scenario(exp, u0=2.0, u_start=0.0, du=0.05,
+                                   grid=grid)
+    assert slice_verdict(cfg, "slice").pmt.value == check_pmt_null(ch)
     assert np.min(traj.margin) >= 0.0                               # (c)
     assert mass_loss_margin(traj) <= 1e-9
 

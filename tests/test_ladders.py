@@ -110,9 +110,9 @@ def test_af_decay_ladder_equals_per_rung(kind, mass, spin, r0, ratio, n,
     grid = build_grid(*shape)
     out = check_af_decay(data, radii, grid)
     per_rung = [adm._decay_sups(data, _flat_rung(grid, r)) for r in radii]
-    for key, v in out.items():
+    for key, f in out.items():
         ref = np.concatenate([s[key] for s in per_rung])
-        assert np.array_equal(np.asarray(v["fit"].sups), ref), key
+        assert np.array_equal(np.asarray(f.sups), ref), key
 
 
 def _null_data(case, amplitude, u0):

@@ -210,7 +210,7 @@ def test_parse_config_minimal_defaults():
     assert cfg.preset == "minkowski"
     assert cfg.n_theta is None and cfg.n_psi is None
     assert make_grid(cfg, "adm").shape == (24, 48)
-    for kind in ("null", "slice", "evolve"):
+    for kind in ("null", "evolve"):
         assert make_grid(cfg, kind).shape == (48, 96)
     assert all(v == "default" for k, v in prov.items() if k != "preset")
 
@@ -450,6 +450,28 @@ def test_cli_three_rung_ladder_exits_2(monkeypatch, capsys, argv, ladder):
     assert run_cli(argv + ["--ntheta", "8", "--npsi", "16"]) == 2
     assert f"radius ladder {ladder} needs >= 4 rungs, got 3" \
         in capsys.readouterr().err
+
+
+def test_cli_three_rung_config_ladder_exits_2_where_it_is_read(tmp_path,
+                                                               capsys):
+    """A 3-rung ``[ladder]`` in a config file stops every command that reads
+    a ladder, naming it, and not ``bondi-evolve``, which reads none."""
+    ladder = "[ladder]\nradii = 10, 20, 40\n"
+    configs = {}
+    for preset in ("kerr", "bondi-quadrupole"):
+        configs[preset] = tmp_path / f"{preset}.cfg"
+        configs[preset].write_text(f"preset = {preset}\n" + ladder)
+    assert run_cli(["bondi-evolve", "--config", str(configs["bondi-quadrupole"]),
+                    "--u1", "1", "--du", "0.1", "--ntheta", "8",
+                    "--npsi", "16"]) == 0
+    capsys.readouterr()
+    for command, preset in (("adm", "kerr"), ("null", "bondi-quadrupole"),
+                            ("bondi-slice", "bondi-quadrupole"),
+                            ("converge", "kerr")):
+        assert run_cli([command, "--config", str(configs[preset]),
+                        "--ntheta", "8", "--npsi", "16"]) == 2, command
+        assert "radius ladder [10.0, 20.0, 40.0] needs >= 4 rungs, got 3" \
+            in capsys.readouterr().err, command
 
 
 @pytest.mark.parametrize("radii", ["-80,-40,-20,-10", "0,10,20,40",
@@ -947,7 +969,7 @@ def test_recorded_tolerances_are_the_pinned_constants(tmp_path):
     tolerances = {
         "c8.schwarzschild_bondi_a11_order": 0.1,
         "c9.mass_dominates_momentum": 1e-9,
-        "c9.slice_pmt_margin": 1e-4,
+        "c9.pmt_margin": 1e-4,
         "evolve.mass_nonincreasing": 1e-9,
     }
     for name, tolerance in tolerances.items():
@@ -1063,7 +1085,7 @@ def test_failing_dec_margin_names_its_smallest_point(tmp_path, monkeypatch,
 def test_failing_decay_orders_name_the_slowest_class(tmp_path, monkeypatch):
     """Requiring ddg = O(1/r^5) of Schwarzschild fails the decay check, and
     its detail names ddg with its fitted exponent."""
-    monkeypatch.setitem(adm._REQUIRED_ORDERS, "ddg", 5.0)
+    monkeypatch.setitem(adm.AF_REQUIRED_ORDERS, "ddg", 5.0)
     body, checks = _failed_run(tmp_path, ["adm", "--preset", "schwarzschild",
                                            "--ntheta", "8", "--npsi", "16"])
     exponent = body["decay_exponents"]["ddg"]
@@ -1103,9 +1125,9 @@ def test_failing_null_checks_name_the_slowest_fit_and_diverging_charge(
 def test_null_and_bondi_slice_read_one_order_gate(tmp_path, vanishing):
     """``null`` and ``bondi-slice`` on one slice config: their order_gate
     checks agree in value, flag and detail, and so do their not_diverging
-    checks.  With news that vanish at u0 both pass; with news that do not,
-    ``bondi-slice`` exits 1 and names the slowest of the 12 decay fits and
-    the first diverging charge."""
+    and pmt_margin checks.  With news that vanish at u0 the gate passes;
+    with news that do not, ``bondi-slice`` exits 1 and names the slowest of
+    the 12 decay fits and the first diverging charge."""
     news = "news_zero_u = 2.0\n" if vanishing else ""
     cfg = tmp_path / "slice.cfg"
     cfg.write_text("preset = bondi-biaxial\n[parameters]\n" + news
@@ -1116,18 +1138,37 @@ def test_null_and_bondi_slice_read_one_order_gate(tmp_path, vanishing):
         code = run_cli([command, "--config", str(cfg), "--ntheta", "16",
                         "--npsi", "32", "--out", str(out)])
         checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
-        gates[command] = [checks[f"{prefix}.{name}"]
-                          for name in ("order_gate", "not_diverging")]
+        gates[command] = [checks[f"{prefix}.{name}"] for name in
+                          ("order_gate", "not_diverging", "pmt_margin")]
         for c in gates[command]:
             del c["name"]
     assert gates["null"] == gates["bondi-slice"]
-    order_gate, not_diverging = gates["bondi-slice"]
+    order_gate, not_diverging, _ = gates["bondi-slice"]
     assert order_gate["passed"] == not_diverging["passed"] == vanishing
     if not vanishing:
         assert code == 1
         assert order_gate["detail"] == \
             f"slowest component b23: order {order_gate['value']:.6g}"
         assert not_diverging["detail"] == "first diverging charge E_0"
+
+
+def test_c9_reads_the_slice_checks_of_null(tmp_path):
+    """The battery's c9 judges the slice of its config as ``null`` does: on
+    that config its order_gate, not_diverging and pmt_margin checks equal
+    those of ``null`` in value, flag and detail, and all pass."""
+    from admbondi.verify import criterion_9_vanishing_news
+    cfg = tmp_path / "c9.cfg"
+    cfg.write_text("preset = bondi-quadrupole\n[parameters]\n"
+                   "amplitude = 0.05\nnews_zero_u = 10.0\n[slice]\nu0 = 10.0\n"
+                   "[evolution]\ndu = 0.02\n")
+    out = tmp_path / "null.json"
+    assert run_cli(["null", "--config", str(cfg), "--out", str(out)]) == 0
+    null = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    c9 = {c.name: jsonable(c) for c in criterion_9_vanishing_news()}
+    for name in ("order_gate", "not_diverging", "pmt_margin"):
+        got, want = c9[f"c9.{name}"], null[f"null.{name}"]
+        assert got["passed"], name
+        assert {**got, "name": name} == {**want, "name": name}
 
 
 def _charge_errors(charges, errors):
