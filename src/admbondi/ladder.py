@@ -134,8 +134,8 @@ def fit_inverse_powers(radii, samples, scale):
       that an integrand of unit size gives, for integrands that cancel
       terms of order 1; 0 for samples rounded relative to themselves.
 
-    Flags divergence when the tail of the samples is still moving away from
-    the limit by more than roundoff."""
+    Flags divergence on those same samples, whose differences grow by more
+    than n eps max_k s_k, the rounding of the largest of them."""
     radii = tuple(check_ladder(radii))
     y = _finite(radii, samples, "sample")
     w = extrapolation_weights(radii)
@@ -145,13 +145,12 @@ def fit_inverse_powers(radii, samples, scale):
     # converging samples have shrinking successive differences on an
     # increasing ladder; growing tail differences mean no limit is in sight
     d = np.abs(np.diff(y))
-    if d[-1] > 2.0 * d[0] + len(y) * EPS * np.max(s):
+    diverging = bool(d[-1] > 2.0 * d[0] + len(y) * EPS * np.max(s))
+    if diverging:
         truncation = float(np.abs(w) @ np.abs(y))
     else:
         truncation = abs(value - math.fsum(extrapolation_weights(radii[1:])
                                            * y[1:]))
-    # a growing tail within roundoff is not flagged
-    diverging = bool(d[-1] > 2.0 * d[0] + 1e-13 and d[-1] > 1e-12)
     return LadderFit(value, tuple(y), truncation + rounding, diverging)
 
 
@@ -232,8 +231,9 @@ def rung_blocks(n_rungs, grid):
     They are the fewest blocks that hold RUNG_BLOCK_POINTS chart points
     (rungs x rows x n_psi) on average, split as evenly as whole rows allow,
     with at least one row each: a block of several rows holds less than
-    RUNG_BLOCK_POINTS plus one row.  Five rungs of 48 x 96 give five
-    blocks of 9-10 rows, four rungs of 24 x 48 one block."""
+    RUNG_BLOCK_POINTS plus one row.  Five rungs of 48 x 24 give two
+    blocks of 24 rows, four or five rungs of 24 x 24 one block, and five
+    rungs of 48 x 96 five blocks of 9-10 rows."""
     total = n_rungs * grid.n_theta * grid.n_psi
     n = min(grid.n_theta, -(-total // RUNG_BLOCK_POINTS))
     return [slice(int(b[0]), int(b[-1]) + 1)

@@ -22,9 +22,15 @@ Configuration is nested-section key-value text::
 
 Where the config leaves the grid or the ladder unset (``n_theta`` and
 ``n_psi`` are None, ``radii`` is empty), the kind of run fills it in.
-``make_grid`` gives 24 x 48 to the ADM charges of ``adm`` and ``converge``,
-whose surface integrals agree with 96 x 192 to roundoff there, and 48 x 96
-to null and evolve runs, whose charges are not grid-converged on 24 x 48.
+``make_grid`` gives 24 x 24 to the ADM charges of ``adm`` and ``converge``,
+48 x 24 to the null charges of ``null`` and ``bondi-slice``, and 48 x 96 to
+the flux of evolve runs, not yet sized to fewer nodes.  The uniform rule in
+psi converges exponentially on the periodic charge integrands, so 24
+meridians hold every charge at roundoff.  Gauss-Legendre in cos theta
+converges only algebraically on the null momenta, and the theta rows set
+the quadrature error: the ADM charges agree with 96 x 192 to roundoff on 24
+rows, and the null charges take 48 rows, on which P_3,2 of bondi-quadrupole
+is still 1.8e-7 from its value on 192 rows.
 ``default_radii`` gives each kind its ladder, and stops a configured ladder
 of fewer than the 4 rungs that the decay fits read.  A field set by the
 config or a flag wins.  This module decides the grid, ladder and step of
@@ -331,8 +337,8 @@ def scenario_name(cfg):
 
 
 # (n_theta, n_psi) of each kind of run where [grid] leaves it unset; the
-# module docstring gives the reason
-_DEFAULT_GRIDS = {"adm": (24, 48), "null": (48, 96), "evolve": (48, 96)}
+# module docstring gives the reason for the charges' 24 meridians
+_DEFAULT_GRIDS = {"adm": (24, 24), "null": (48, 24), "evolve": (48, 96)}
 
 
 def make_grid(cfg, kind):

@@ -82,11 +82,18 @@ def build_grid(n_theta, n_psi):
 
 
 @functools.cache
-def _shared_grid(n_theta, n_psi):
+def _gauss_legendre_rows(n_theta):
+    """The theta nodes, increasing, and their Gauss-Legendre weights in
+    cos theta, computed once per n_theta for every grid of that many rows."""
     x, wx = np.polynomial.legendre.leggauss(n_theta)
-    theta = np.arccos(x)[::-1].copy()          # increasing in theta
+    return np.arccos(x)[::-1].copy(), wx[::-1]
+
+
+@functools.cache
+def _shared_grid(n_theta, n_psi):
+    theta, wx = _gauss_legendre_rows(n_theta)
     psi = np.arange(n_psi) * (2.0 * np.pi / n_psi)
-    weights = np.outer(wx[::-1], np.full(n_psi, 2.0 * np.pi / n_psi))
+    weights = np.outer(wx, np.full(n_psi, 2.0 * np.pi / n_psi))
     # one grid is shared by every command of a process: none may write to it
     for a in (theta, psi, weights):
         a.flags.writeable = False

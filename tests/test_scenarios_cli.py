@@ -204,14 +204,14 @@ def test_parse_config_good():
 
 
 def test_parse_config_minimal_defaults():
-    """Unset grid fields are None, and make_grid gives (24, 48) to adm runs
-    and (48, 96) to every other kind."""
+    """Unset grid fields are None, and make_grid gives (24, 24) to adm runs,
+    (48, 24) to null charges and (48, 96) to evolve runs."""
     cfg, prov = parse_config("preset = minkowski\n")
     assert cfg.preset == "minkowski"
     assert cfg.n_theta is None and cfg.n_psi is None
-    assert make_grid(cfg, "adm").shape == (24, 48)
-    for kind in ("null", "evolve"):
-        assert make_grid(cfg, kind).shape == (48, 96)
+    assert {kind: make_grid(cfg, kind).shape
+            for kind in ("adm", "null", "evolve")} \
+        == {"adm": (24, 24), "null": (48, 24), "evolve": (48, 96)}
     assert all(v == "default" for k, v in prov.items() if k != "preset")
 
 
@@ -697,11 +697,11 @@ def _report(tmp_path, args):
 
 @pytest.mark.parametrize("command", ["adm", "converge"])
 @pytest.mark.parametrize("source, args, grid", [
-    ("default", [], [24, 48]),
+    ("default", [], [24, 24]),
     ("config", ["--config", "{cfg}"], [12, 24]),
     ("flags", ["--ntheta", "12", "--npsi", "24"], [12, 24]),
     # each field is configured or defaulted on its own
-    ("one flag", ["--ntheta", "12"], [12, 48]),
+    ("one flag", ["--ntheta", "12"], [12, 24]),
 ])
 def test_cli_adm_grid_is_the_configured_one(tmp_path, command, source, args,
                                             grid):
@@ -715,18 +715,135 @@ def test_cli_adm_grid_is_the_configured_one(tmp_path, command, source, args,
         assert body["samples"]["fine_grid"] == [2 * n for n in grid]
 
 
-@pytest.mark.parametrize("args", [
-    ["null", "--preset", "bondi-quadrupole"],
-    ["bondi-slice", "--preset", "bondi-biaxial"],
-    ["bondi-evolve", "--preset", "bondi-quadrupole", "--u1", "0.1"],
+@pytest.mark.parametrize("args, grid", [
+    (["null", "--preset", "bondi-quadrupole"], [48, 24]),
+    (["bondi-slice", "--preset", "bondi-biaxial"], [48, 24]),
+    (["bondi-evolve", "--preset", "bondi-quadrupole", "--u1", "0.1"],
+     [48, 96]),
 ])
-def test_cli_null_runs_keep_the_48x96_grid(tmp_path, args):
+def test_cli_null_and_evolve_runs_integrate_on_their_kinds_grid(
+        tmp_path, args, grid):
     # the news of bondi-biaxial do not vanish at the slice time, so its
     # bondi-slice run fails slice.order_gate and exits 1
     code = 1 if args[0] == "bondi-slice" else 0
     out = tmp_path / "r.json"
     assert run_cli(args + ["--out", str(out)]) == code
-    assert json.loads(out.read_text())["samples"]["grid"] == [48, 96]
+    assert json.loads(out.read_text())["samples"]["grid"] == grid
+
+
+def _readme_config_on_the_default_grid():
+    """The README's config without its [grid] section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    return "".join(line for line in block.splitlines(keepends=True)
+                   if not line.startswith(("[grid]", "n_theta", "n_psi")))
+
+
+_TABLE = ("preset = bondi-quadrupole\n[slice]\nu0 = 2.0\n[news_table]\n"
+          "u_grid = 0, 1, 2, 3, 4\n")
+# configs of the grid-sizing runs; both news tables vanish at u0 = 2
+_CONFIGS = {
+    "readme": _readme_config_on_the_default_grid,
+    # P_2,1 samples grow from about 4e-14 to 8e-12 along 30..170, the
+    # pullback's roundoff of about eps r^3
+    "rounding-floor": lambda: _TABLE + "c_1_1 = 0, 0.0625, 0, 0, 0\n"
+                                       "c_2_-2 = 0, 0.0625, 0, 0, 0\n",
+    "l4": lambda: _TABLE + "c_4_4 = 0, 0.05, 0, 0, 0\n"
+                           "c_4_-4 = 0, 0.04, 0, 0, 0\n"
+                           "c_3_2 = 0, 0.03, 0, 0, 0\n",
+}
+
+
+def _grid_run(tmp_path, argv, grid=None):
+    """(exit code, report body) of ``argv`` on its default grid, or on
+    ``grid``; "{name}" in ``argv`` is the path of the config ``name``."""
+    paths = {}
+    for name, text in _CONFIGS.items():
+        paths[name] = tmp_path / f"{name}.cfg"
+        paths[name].write_text(text())
+    args = [a.format(**paths) for a in argv]
+    if grid is not None:
+        args += ["--ntheta", str(grid[0]), "--npsi", str(grid[1])]
+    out = tmp_path / "r.json"
+    code = run_cli(args + ["--out", str(out)])
+    return code, json.loads(out.read_text())
+
+
+_SIZING_RUNS = [
+    (argv, [48, 24], [(48, 96), (48, 192)], 1e-9) for argv in (
+        ["null", "--config", "{readme}"],
+        ["null", "--preset", "minkowski"],
+        ["null", "--preset", "bondi-quadrupole"],
+        ["null", "--preset", "bondi-biaxial", "--u0", "2.0"],
+        ["bondi-slice", "--preset", "bondi-biaxial"],
+        ["bondi-slice", "--config", "{readme}"],
+        ["null", "--config", "{rounding-floor}"],
+        ["null", "--config", "{l4}"])] + [
+    (["adm", "--preset", preset], [24, 24], [(24, 96)], 1e-14)
+    for preset in ("minkowski", "schwarzschild", "kerr")]
+
+
+@pytest.mark.parametrize(
+    "argv, grid, references, bound", _SIZING_RUNS,
+    ids=[" ".join(run[0]).replace("--", "") for run in _SIZING_RUNS])
+def test_default_grids_take_the_meridians_their_charges_need(
+        tmp_path, argv, grid, references, bound):
+    """The "null" grid, 48 x 24, and the "adm" grid, 24 x 24, take 24
+    meridians.  The trapezoid rule in psi converges exponentially on these
+    periodic integrands, so more meridians move no charge by more than its
+    error or ``bound``, and change no exit code and no passed flag."""
+    code, body = _grid_run(tmp_path, argv)
+    assert body["samples"]["grid"] == grid
+    flags = {c["name"]: c["passed"] for c in body["checks"]}
+    for reference in references:
+        ref_code, ref = _grid_run(tmp_path, argv, reference)
+        assert ref_code == code
+        assert {c["name"]: c["passed"] for c in ref["checks"]} == flags
+        for key, charges in body["charges"].items():
+            pairs = zip(_charge_errors(charges, body["errors"][key]),
+                        _charge_errors(ref["charges"][key],
+                                       ref["errors"][key]), strict=True)
+            for (value, error), (ref_value, _) in pairs:
+                assert abs(value - ref_value) <= min(error, bound), \
+                    (key, reference)
+
+
+def test_fewer_theta_rows_move_a_null_charge_beyond_its_error(tmp_path):
+    """Negative control: the theta rows carry the quadrature error.  On
+    24 x 48 bondi-quadrupole P_3,2 moves by about 1.2e-6 from the default
+    grid, some 40 times its error, so the comparison above can fail."""
+    argv = ["null", "--preset", "bondi-quadrupole"]
+    _, body = _grid_run(tmp_path, argv)
+    _, coarse = _grid_run(tmp_path, argv, (24, 48))
+    move = abs(coarse["charges"]["P"][3][1] - body["charges"]["P"][3][1])
+    assert move > body["errors"]["P"][3][1]
+
+
+@pytest.mark.parametrize("argv, diverging", [
+    (["null", "--config", "{rounding-floor}"], None),
+    (["null", "--config", "{rounding-floor}", "--ntheta", "24",
+      "--npsi", "48"], None),
+    (["null", "--config", "{rounding-floor}", "--ntheta", "48",
+      "--npsi", "96"], None),
+    (["null", "--preset", "bondi-biaxial", "--u0", "2.0"], "E_0"),
+    (["bondi-slice", "--preset", "bondi-biaxial"], "E_0"),
+])
+def test_not_diverging_reads_the_rounding_of_the_samples(tmp_path, argv,
+                                                          diverging):
+    """News that vanish at u0 leave charge samples at the pullback's
+    roundoff, which may grow along the ladder; their fit reads them against
+    the rounding of a unit integrand's samples, so the run passes every
+    check and exits 0.  News that do not vanish at u0 still make E_0
+    diverge."""
+    code, body = _grid_run(tmp_path, argv)
+    checks = {c["name"]: c for c in body["checks"]}
+    check = checks[("slice" if argv[0] == "bondi-slice" else "null")
+                   + ".not_diverging"]
+    if diverging is None:
+        assert code == 0 and all(c["passed"] for c in checks.values())
+    else:
+        assert code == 1 and not check["passed"]
+        assert check["detail"] == f"first diverging charge {diverging}"
 
 
 def _body(path):
@@ -744,7 +861,7 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
     assert run_cli(kerr + ["--ntheta", "8", "--npsi", "16", "--out", out]) == 0
     assert _body(out)["samples"]["grid"] == [8, 16]
     assert run_cli(kerr + ["--out", out]) == 0
-    assert _body(out)["samples"]["grid"] == [24, 48]
+    assert _body(out)["samples"]["grid"] == [24, 24]
 
     assert run_cli(kerr + ["--ntheta", "0", "--out", out]) == 2
     assert "n_theta must be an integer >= 2" in capsys.readouterr().err

@@ -123,6 +123,7 @@ def test_verification_builds_each_grid_once(monkeypatch):
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
     # grids built by earlier tests would hide repeated builds
     sphere._shared_grid.cache_clear()
+    sphere._gauss_legendre_rows.cache_clear()
     run_verification()
     assert calls and max(calls.values()) == 1, calls
 

@@ -34,7 +34,7 @@ amplitude_d = 0.05
 news_zero_u = 2.0       # retarded time at which the news vanish
 mass_aspect = tilted    # constant | tilted
 a3_amplitude = 0.02
-[grid]                  # default 24 x 48 for adm and converge, else 48 x 96
+[grid]                  # defaults: adm 24 x 24, null 48 x 24, evolve 48 x 96
 n_theta = 48
 n_psi = 96
 [ladder]
